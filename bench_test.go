@@ -292,16 +292,16 @@ func BenchmarkAblationUlfmProgressFactor(b *testing.B) {
 // gated on absolute value (machines differ), but CI soft-gates egregious
 // regressions via -wall-tol.
 func BenchmarkCampaignThroughput(b *testing.B) {
-	opts := core.CampaignOptions{
+	req := core.CampaignRequest{
 		Apps:      []string{"HPCCG", "miniVite"},
 		MaxFaults: 2,
 		Seed:      7,
 		HotSpares: []bool{false, true},
 	}
-	cells := len(core.CampaignConfigs(opts))
+	cells := len(req.Configs())
 	var virt float64
 	for i := 0; i < b.N; i++ {
-		results, err := core.RunCampaign(opts, io.Discard)
+		results, err := core.CampaignRunner{}.Run(req, io.Discard)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -19,11 +19,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"match/internal/ckpt"
+	"match/cmd/internal/axisflags"
 	"match/internal/core"
-	"match/internal/detect"
 	"match/internal/fault"
 	"match/internal/fti"
 	"match/internal/obs"
@@ -38,7 +36,7 @@ func main() {
 	listDesigns := flag.Bool("list-designs", false, "print the available fault-tolerance designs and exit")
 	procs := flag.Int("procs", 64, "number of logical MPI processes (64, 128, 256, 512)")
 	nodes := flag.Int("nodes", 32, "number of compute nodes")
-	input := flag.String("input", "small", "input problem size: small, medium, large")
+	input := flag.String("input", "small", "input problem size: small, medium, large (case-insensitive; s, m, l)")
 	faultOn := flag.Bool("fault", false, "inject one random process failure (Figure 4)")
 	faults := flag.Int("faults", 0, "inject this many scheduled failures (campaign mode; implies -fault)")
 	faultSchedule := flag.String("fault-schedule", "",
@@ -52,16 +50,7 @@ func main() {
 	hotSpare := flag.Bool("hot-spare", false, "replica design: respawn a fresh shadow in the background after a failover, restoring the group to full degree")
 	spawnDelay := flag.Duration("spawn-delay", 0, "hot-spare: dynamic-process-spawn cost before the state transfer (0 = default 250ms)")
 	spawnBW := flag.Float64("spawn-bw", 0, "hot-spare: state-clone serialization bandwidth in bytes/s (0 = default 8e9)")
-	ckptPolicy := flag.String("ckpt-policy", "fixed", "checkpoint-placement policy: fixed, multi-level, replica-aware, adaptive, never")
-	ckptL2 := flag.Int("ckpt-l2-every", 0, "multi-level placement: escalate every Nth checkpoint to L2 (0 = policy default)")
-	ckptL3 := flag.Int("ckpt-l3-every", 0, "multi-level placement: escalate every Nth checkpoint to L3 (0 = off)")
-	ckptL4 := flag.Int("ckpt-l4-every", 0, "multi-level placement: escalate every Nth checkpoint to L4 (0 = policy default)")
-	ckptStretch := flag.Int("ckpt-stretch", 0, "replica-aware placement: stride multiplier while every rank is replica-protected (0 = default 4)")
-	ckptSkip := flag.Bool("ckpt-skip-protected", false, "replica-aware placement: skip checkpoints entirely (not just stretch) while protected")
-	detector := flag.String("detector", "preset", "failure-detection strategy: preset, launcher, ring, tree")
-	hbPeriod := flag.Duration("hb-period", 0, "ring/tree detector: heartbeat/supervision period (0 = strategy default)")
-	hbTimeout := flag.Duration("hb-timeout", 0, "ring/tree detector: observation timeout before a silent peer is declared dead (0 = 3x period)")
-	hbBytes := flag.Int("hb-bytes", 0, "ring/tree detector: heartbeat wire size in bytes (0 = strategy default)")
+	axes := axisflags.Register(flag.CommandLine, true)
 	modelIngress := flag.Bool("model-ingress", false, "serialize receiver NICs too (richer network model; shifts calibrated timings)")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON timeline of the run to this file (open in Perfetto; implies -reps 1)")
 	traceMetrics := flag.Bool("trace-metrics", false, "print the trace's per-phase metrics table reconciled against the breakdown (implies -reps 1)")
@@ -118,33 +107,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-spawn-delay/-spawn-bw only apply with -hot-spare")
 		os.Exit(2)
 	}
-	dkind, err := detect.ParseKind(*detector)
+	// The two shared axes parse and validate at flag-parse time (a clean
+	// usage error instead of a mid-run failure); this command runs one
+	// configuration, so a sweep list is an error here.
+	detectors, err := axes.Detectors()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if dkind != detect.Ring && dkind != detect.Tree && (*hbPeriod != 0 || *hbTimeout != 0 || *hbBytes != 0) {
-		fmt.Fprintf(os.Stderr, "-hb-period/-hb-timeout/-hb-bytes only apply to -detector ring or tree (got %s)\n", dkind)
-		os.Exit(2)
-	}
-	pkind, err := ckpt.ParseKind(*ckptPolicy)
+	policies, err := axes.Policies(*stride)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	pcfg := ckpt.Config{
-		Kind:          pkind,
-		L2Every:       *ckptL2,
-		L3Every:       *ckptL3,
-		L4Every:       *ckptL4,
-		Stretch:       *ckptStretch,
-		SkipProtected: *ckptSkip,
-	}
-	// ckpt.Validate is the authoritative rule set (knob/policy pairing,
-	// negative interleaves, bad stretch, ...); applying it at flag-parse
-	// time gives a clean usage error instead of a mid-run failure.
-	if err := ckpt.Resolve(pcfg, *stride).Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	if len(detectors) > 1 || len(policies) > 1 {
+		fmt.Fprintln(os.Stderr, "-hb-period/-ckpt-policy take a single value here; sweep a list with matchsuite -campaign")
 		os.Exit(2)
 	}
 
@@ -157,7 +134,6 @@ func main() {
 		FaultSeed:   *seed,
 		FTILevel:    fti.Level(*level),
 		CkptStride:  *stride,
-		CkptPolicy:  pcfg,
 		HotSpare:    *hotSpare,
 		Replica: replica.Config{
 			DupDegree:      *dupDegree,
@@ -165,15 +141,15 @@ func main() {
 			SpawnDelay:     simnet.Time(spawnDelay.Nanoseconds()),
 			SpawnBandwidth: *spawnBW,
 		},
-		// Resolved now (for explicit kinds) so the report shows the actual
-		// derived values; Preset stays zero and core resolves it per design.
-		Detector: detect.Resolve(detect.Config{
-			Kind:            dkind,
-			HeartbeatPeriod: simnet.Time(hbPeriod.Nanoseconds()),
-			DetectTimeout:   simnet.Time(hbTimeout.Nanoseconds()),
-			HeartbeatBytes:  *hbBytes,
-		}, detect.Config{}),
 		ModelIngress: *modelIngress,
+	}
+	// An explicit detector arrives resolved; under -detector preset the
+	// field stays zero and core resolves it per design.
+	if len(detectors) == 1 {
+		cfg.Detector = detectors[0]
+	}
+	if len(policies) == 1 {
+		cfg.CkptPolicy = policies[0]
 	}
 	if *faultSchedule != "" {
 		sched, err := fault.ParseSchedule(*faultSchedule)
@@ -207,35 +183,21 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-hot-spare only applies to -design replica (got %s)\n", d.ShortName())
 		os.Exit(2)
 	}
-	switch strings.ToLower(*input) {
-	case "small":
-		cfg.Input = core.Small
-	case "medium":
-		cfg.Input = core.Medium
-	case "large":
-		cfg.Input = core.Large
-	default:
-		fmt.Fprintf(os.Stderr, "unknown input %q (valid: small, medium, large)\n", *input)
+	if cfg.Input, err = core.ParseInputSize(*input); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
 	if *metricsOn {
 		cfg.Metrics = obs.New()
 	}
-	if *logDest != "" {
-		switch *logDest {
-		case "stderr":
-			cfg.Log = obs.NewLog(os.Stderr)
-		default:
-			f, err := os.Create(*logDest)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "log:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			cfg.Log = obs.NewLog(f)
-		}
+	elog, logFile, err := obs.OpenLog(*logDest)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "log:", err)
+		os.Exit(1)
 	}
+	defer logFile.Close()
+	cfg.Log = elog
 
 	bd, _, err := core.RunAveraged(cfg, *reps)
 	if err != nil {

@@ -49,20 +49,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	var elog *obs.Log
-	switch *logDest {
-	case "":
-	case "stderr":
-		elog = obs.NewLog(os.Stderr)
-	default:
-		f, err := os.Create(*logDest)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "log:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		elog = obs.NewLog(f)
+	elog, logFile, err := obs.OpenLog(*logDest)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "log:", err)
+		os.Exit(1)
 	}
+	defer logFile.Close()
 
 	srv := newServer(serverConfig{
 		store:        st,

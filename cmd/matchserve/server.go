@@ -46,7 +46,7 @@ type campaign struct {
 	cellsTotal int
 	wall       time.Duration
 	results    []core.Result
-	table      []byte // the campaign table, byte-identical to RunCampaign's
+	table      []byte // the campaign table, byte-identical to CampaignRunner.Run's
 	subs       map[chan statusView]bool
 	done       chan struct{} // closed on done/failed
 }

@@ -34,11 +34,9 @@ import (
 	"strings"
 	"time"
 
-	"match/internal/ckpt"
+	"match/cmd/internal/axisflags"
 	"match/internal/core"
-	"match/internal/detect"
 	"match/internal/obs"
-	"match/internal/simnet"
 	"match/internal/store"
 )
 
@@ -57,15 +55,7 @@ func main() {
 	workers := flag.Int("j", 0, "sweep worker pool size (default GOMAXPROCS); result order is unaffected")
 	csvPath := flag.String("csv", "", "also write raw results as CSV")
 	seed := flag.Int64("seed", 1, "base fault seed")
-	detector := flag.String("detector", "preset", "failure-detection strategy for every run: preset, launcher, ring, tree")
-	hbPeriods := flag.String("hb-period", "", "detector heartbeat period(s); campaign mode sweeps a comma-separated list (e.g. 50ms,150ms)")
-	hbTimeout := flag.Duration("hb-timeout", 0, "detector observation timeout (0 = 3x period)")
-	ckptPolicies := flag.String("ckpt-policy", "", "checkpoint-placement policy for every run (fixed, multi-level, replica-aware, adaptive, never); campaign mode sweeps a comma-separated list")
-	ckptL2 := flag.Int("ckpt-l2-every", 0, "multi-level placement: escalate every Nth checkpoint to L2 (0 = policy default)")
-	ckptL3 := flag.Int("ckpt-l3-every", 0, "multi-level placement: escalate every Nth checkpoint to L3 (0 = off)")
-	ckptL4 := flag.Int("ckpt-l4-every", 0, "multi-level placement: escalate every Nth checkpoint to L4 (0 = policy default)")
-	ckptStretch := flag.Int("ckpt-stretch", 0, "replica-aware placement: stride multiplier while every rank is replica-protected (0 = default 4)")
-	ckptSkip := flag.Bool("ckpt-skip-protected", false, "replica-aware placement: skip checkpoints entirely while protected")
+	axes := axisflags.Register(flag.CommandLine, false)
 	replicaSweep := flag.String("replica-sweep", "", "campaign the replica design over these ReplicaFactors (e.g. 0,0.25,0.5,1.0; 0 = replication off) and print the combined overhead-vs-ReplicaFactor curve")
 	hotSpareSweep := flag.Bool("hot-spare-sweep", false, "campaign the replica design with hot-spare respawn off and on and print the Replica-vs-Reinit crossover per variant")
 	modelIngress := flag.Bool("model-ingress", false, "serialize receiver NICs too (richer network model; shifts calibrated timings)")
@@ -133,96 +123,22 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-server and -cache are mutually exclusive: a remote campaign uses the server's cache")
 		os.Exit(2)
 	}
-	dkind, err := detect.ParseKind(*detector)
+	// The detection and placement sweep lists (one entry outside -campaign).
+	detectors, err := axes.Detectors()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	tunable := dkind == detect.Ring || dkind == detect.Tree
-	if !tunable && *hbTimeout != 0 {
-		fmt.Fprintf(os.Stderr, "-hb-timeout only applies to -detector ring or tree (got %s)\n", dkind)
+	policies, err := axes.Policies(0)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	var periods []simnet.Time
-	if *hbPeriods != "" {
-		if !tunable {
-			fmt.Fprintf(os.Stderr, "-hb-period only applies to -detector ring or tree (got %s)\n", dkind)
-			os.Exit(2)
-		}
-		for _, s := range strings.Split(*hbPeriods, ",") {
-			d, err := time.ParseDuration(strings.TrimSpace(s))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bad -hb-period:", err)
-				os.Exit(2)
-			}
-			periods = append(periods, simnet.Time(d.Nanoseconds()))
-		}
-	}
-	// The detection sweep list: one config per heartbeat period (a single
-	// config when only the kind or timeout is set).
-	var detectors []detect.Config
-	if dkind != detect.Preset {
-		if len(periods) == 0 {
-			periods = []simnet.Time{0}
-		}
-		for _, p := range periods {
-			// Resolve now so tables and CSV label the sweep with the actual
-			// derived values (e.g. the 3x-period timeout).
-			detectors = append(detectors, detect.Resolve(detect.Config{
-				Kind:            dkind,
-				HeartbeatPeriod: p,
-				DetectTimeout:   simnet.Time(hbTimeout.Nanoseconds()),
-			}, detect.Config{}))
-		}
 	}
 	if len(detectors) > 1 && !*campaign {
 		fmt.Fprintln(os.Stderr, "multiple -hb-period values sweep the detection axis; that needs -campaign")
 		os.Exit(2)
 	}
 
-	// The placement sweep list: one config per named policy.
-	var policies []ckpt.Config
-	if *ckptPolicies != "" {
-		for _, s := range strings.Split(*ckptPolicies, ",") {
-			kind, err := ckpt.ParseKind(s)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			pc := ckpt.Config{Kind: kind}
-			if kind == ckpt.MultiLevel {
-				pc.L2Every, pc.L3Every, pc.L4Every = *ckptL2, *ckptL3, *ckptL4
-			}
-			if kind == ckpt.ReplicaAware {
-				pc.Stretch, pc.SkipProtected = *ckptStretch, *ckptSkip
-			}
-			// Resolve now so tables and CSV label the sweep with the actual
-			// derived values (stride, default escalation periods), and
-			// validate at flag-parse time with the authoritative rule set.
-			pc = ckpt.Resolve(pc, 0)
-			if err := pc.Validate(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			policies = append(policies, pc)
-		}
-	}
-	hasKind := func(k ckpt.Kind) bool {
-		for _, p := range policies {
-			if p.Kind == k {
-				return true
-			}
-		}
-		return false
-	}
-	if (*ckptL2 != 0 || *ckptL3 != 0 || *ckptL4 != 0) && !hasKind(ckpt.MultiLevel) {
-		fmt.Fprintln(os.Stderr, "-ckpt-l2/l3/l4-every only apply with -ckpt-policy multi-level")
-		os.Exit(2)
-	}
-	if (*ckptStretch != 0 || *ckptSkip) && !hasKind(ckpt.ReplicaAware) {
-		fmt.Fprintln(os.Stderr, "-ckpt-stretch/-ckpt-skip-protected only apply with -ckpt-policy replica-aware")
-		os.Exit(2)
-	}
 	if len(policies) > 1 && !*campaign {
 		fmt.Fprintln(os.Stderr, "multiple -ckpt-policy values sweep the placement axis; that needs -campaign")
 		os.Exit(2)
@@ -240,23 +156,16 @@ func main() {
 		http.Handle("/metrics", meter.MetricsHandler())
 		http.Handle("/status", meter.StatusHandler())
 	}
-	var elog *obs.Log
-	if *logDest != "" {
-		switch *logDest {
-		case "stderr":
-			elog = obs.NewLog(os.Stderr)
-			// Structured cell_finish events carry what the ad-hoc progress
-			// line reports; don't interleave both on stderr.
-			*progress = false
-		default:
-			f, err := os.Create(*logDest)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "log:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			elog = obs.NewLog(f)
-		}
+	elog, logFile, err := obs.OpenLog(*logDest)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "log:", err)
+		os.Exit(1)
+	}
+	defer logFile.Close()
+	if *logDest == "stderr" {
+		// Structured cell_finish events carry what the ad-hoc progress
+		// line reports; don't interleave both on stderr.
+		*progress = false
 	}
 	stopProf := startProfiling(*cpuprofile, *memprofile, *pprofHTTP)
 	fail := func(err error) {
@@ -302,23 +211,19 @@ func main() {
 	case *list:
 		core.WriteTableI(os.Stdout)
 	case *campaign:
-		copts := core.CampaignOptions{
+		req := core.CampaignRequest{
 			Apps:           opts.Apps,
 			Procs:          *procs,
 			MaxFaults:      *maxFaults,
 			Reps:           *reps,
 			Seed:           *seed,
-			Workers:        *workers,
 			Detectors:      detectors,
 			Policies:       policies,
 			ReplicaFactors: factors,
 			ModelIngress:   *modelIngress,
-			Progress:       prog,
-			Meter:          meter,
-			Log:            elog,
 		}
 		if *hotSpareSweep {
-			copts.HotSpares = []bool{false, true}
+			req.HotSpares = []bool{false, true}
 		}
 		// Local and remote campaigns share every rendering path below, so a
 		// -server run is byte-identical to the in-process run of the same
@@ -327,13 +232,13 @@ func main() {
 		var results []core.Result
 		var err error
 		if *serverURL != "" {
-			results, err = runRemoteCampaign(*serverURL, copts.Request(), *progress)
+			results, err = runRemoteCampaign(*serverURL, req, *progress)
 			if err != nil {
 				fail(err)
 			}
 			core.WriteCampaign(os.Stdout, results)
 		} else {
-			rn := copts.Runner()
+			rn := core.CampaignRunner{Workers: *workers, Progress: prog, Meter: meter, Log: elog}
 			if *cacheDir != "" {
 				st, serr := store.Open(*cacheDir, *cacheEntries)
 				if serr != nil {
@@ -341,7 +246,7 @@ func main() {
 				}
 				rn.Store = st
 			}
-			results, err = rn.Run(copts.Request(), os.Stdout)
+			results, err = rn.Run(req, os.Stdout)
 			if err != nil {
 				fail(err)
 			}

@@ -22,8 +22,9 @@ import (
 
 func main() {
 	// 1. Random campaign: recovery time and total overhead vs failure
-	// count, every design, one seed. Workers: 0 = one worker per core.
-	results, err := match.RunCampaign(match.CampaignOptions{
+	// count, every design, one seed. The zero CampaignRunner runs one
+	// worker per core.
+	results, err := match.CampaignRunner{}.Run(match.CampaignRequest{
 		Apps:      []string{"HPCCG"},
 		MaxFaults: 3,
 		Seed:      7,

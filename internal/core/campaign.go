@@ -7,114 +7,8 @@ import (
 
 	"match/internal/ckpt"
 	"match/internal/detect"
-	"match/internal/obs"
 	"match/internal/replica"
 )
-
-// CampaignOptions shapes a multi-failure sweep: for every app and design,
-// run campaigns of k = 0..MaxFaults scheduled failures and measure how
-// recovery time and total overhead grow with the failure count. This is
-// the experiment the paper's single-failure protocol (Figure 4) cannot
-// express, and the axis on which replication's rollback-free failover is
-// expected to pull away from the checkpoint/restart designs.
-type CampaignOptions struct {
-	Apps    []string // default: all six
-	Designs []Design // default: all four
-	Procs   int      // default: DefaultProcs
-	Input   InputSize
-	// MaxFaults is K: the sweep covers k = 0..K failures per run. Zero is
-	// meaningful — a failure-free baseline-only sweep; negative selects
-	// the default of 3.
-	MaxFaults int
-	Reps      int // repetitions per cell (default 1)
-	Seed      int64
-	// Detectors adds the detection axis: every entry multiplies the
-	// campaign matrix, running each (app, k, design) cell under that
-	// detection strategy. Empty keeps the per-design calibrated presets.
-	// Sweeping e.g. a ring detector at several heartbeat periods measures
-	// the detection-latency/interference trade-off — including the regime
-	// where a failure lands inside the previous failure's detection
-	// window, which only exists under in-band detection.
-	Detectors []detect.Config
-	// Policies adds the checkpoint-placement axis: every entry multiplies
-	// the campaign matrix, running each cell under that placement policy.
-	// Empty keeps fixed-stride placement.
-	Policies []ckpt.Config
-	// ReplicaFactors adds the replication axis (the ROADMAP's PartRePer
-	// trade-off figure): every entry runs the matrix at that fraction of
-	// replicated ranks, with 0 meaning replication off (dup-degree 1).
-	// Setting it restricts Designs to the replica design — the factor
-	// means nothing elsewhere — and the results feed
-	// ComputeReplicaTradeoff's combined overhead-vs-ReplicaFactor curve.
-	ReplicaFactors []float64
-	// HotSpares adds the respawn axis: every entry runs the replica
-	// design's cells with hot-spare respawn on or off (the other designs
-	// have no respawn and run each cell once). Sweeping {false, true}
-	// measures what background respawn buys a degraded group — both the
-	// fallbacks it converts into failovers and, combined with the
-	// replica-aware placement policy, the stretched checkpoint strides it
-	// restores once a spare brings a group back to full degree. Empty
-	// keeps hot-spare off everywhere (the calibrated behavior).
-	HotSpares []bool
-	// ModelIngress switches receiver-NIC serialization on for every run.
-	ModelIngress bool
-	// Workers bounds the sweep worker pool; 0 means GOMAXPROCS. Campaign
-	// matrices multiply the figure run count by K+1, so they always run on
-	// the pool.
-	Workers int
-	// Progress, when set, observes every completed cell (see Progress) —
-	// campaign matrices are the longest sweeps, and used to run silently
-	// until the final table. Implementations must write to stderr or
-	// another side channel: campaign stdout and CSV are diffed by the
-	// determinism gate.
-	Progress Progress
-	// Meter aggregates per-cell metric registries into the live sweep meter
-	// the /metrics and /status endpoints serve (see SuiteOptions.Meter).
-	Meter *obs.SweepMeter
-	// Log receives cell lifecycle and in-run structured events (see
-	// SuiteOptions.Log).
-	Log *obs.Log
-}
-
-// Request extracts the campaign's identity — the pure-data sweep axes —
-// as a CampaignRequest. CampaignOptions survives as a convenience bundle
-// (and for compatibility); new code should hold a CampaignRequest and a
-// CampaignRunner separately.
-func (o CampaignOptions) Request() CampaignRequest {
-	return CampaignRequest{
-		Apps:           o.Apps,
-		Designs:        o.Designs,
-		Procs:          o.Procs,
-		Input:          o.Input,
-		MaxFaults:      o.MaxFaults,
-		Reps:           o.Reps,
-		Seed:           o.Seed,
-		Detectors:      o.Detectors,
-		Policies:       o.Policies,
-		ReplicaFactors: o.ReplicaFactors,
-		HotSpares:      o.HotSpares,
-		ModelIngress:   o.ModelIngress,
-	}
-}
-
-// Runner extracts the campaign's execution environment (no result store;
-// set CampaignRunner.Store for cell memoization).
-func (o CampaignOptions) Runner() CampaignRunner {
-	return CampaignRunner{
-		Workers:  o.Workers,
-		Progress: o.Progress,
-		Meter:    o.Meter,
-		Log:      o.Log,
-	}
-}
-
-// CampaignConfigs enumerates the campaign run matrix: app x k x design,
-// k = 0..MaxFaults. A k=1 cell is configured exactly like the paper's
-// single-failure runs (same seed, same draw), so campaign output embeds
-// the calibrated Figure 6/9 numbers verbatim.
-func CampaignConfigs(opts CampaignOptions) []Config {
-	return opts.Request().Configs()
-}
 
 // replicaConfigFor encodes a swept ReplicaFactor: 0 turns replication off
 // entirely (an explicit dup-degree of 1 — the unprotected baseline of the
@@ -146,15 +40,6 @@ func ReplicaFactorOf(c Config) float64 {
 // either the harness-level or the replica-level switch set.
 func HotSpareOf(c Config) bool {
 	return c.Design == ReplicaFTI && (c.HotSpare || c.Replica.HotSpare)
-}
-
-// RunCampaign executes the campaign matrix on the sweep worker pool,
-// writes the per-app tables (recovery time and total overhead vs failure
-// count, per design) to w, and returns the raw results. It is the
-// in-process compatibility wrapper over the CampaignRequest/CampaignRunner
-// split: opts.Runner().Run(opts.Request(), w).
-func RunCampaign(opts CampaignOptions, w io.Writer) ([]Result, error) {
-	return opts.Runner().Run(opts.Request(), w)
 }
 
 // WriteCampaign renders campaign results: one block per application, one

@@ -93,10 +93,10 @@ func TestMultiFailureRecoversExactAnswer(t *testing.T) {
 	}
 }
 
-// RunCampaign output must be independent of the worker count: the sweep
+// Campaign output must be independent of the worker count: the sweep
 // pool must not change result ordering or values.
 func TestCampaignDeterministicAcrossWorkerCounts(t *testing.T) {
-	opts := CampaignOptions{
+	req := CampaignRequest{
 		Apps:      []string{"HPCCG"},
 		Procs:     8,
 		MaxFaults: 2,
@@ -105,13 +105,11 @@ func TestCampaignDeterministicAcrossWorkerCounts(t *testing.T) {
 	// 8-rank override for speed: campaign cells resolve Table I params at
 	// Procs=8 via ResolveParams, which works for HPCCG.
 	var out1, out8 strings.Builder
-	opts.Workers = 1
-	r1, err := RunCampaign(opts, &out1)
+	r1, err := CampaignRunner{Workers: 1}.Run(req, &out1)
 	if err != nil {
 		t.Fatalf("-j 1: %v", err)
 	}
-	opts.Workers = 8
-	r8, err := RunCampaign(opts, &out8)
+	r8, err := CampaignRunner{Workers: 8}.Run(req, &out8)
 	if err != nil {
 		t.Fatalf("-j 8: %v", err)
 	}
@@ -180,18 +178,18 @@ func TestCampaignDetectorSweepDimension(t *testing.T) {
 		detect.Resolve(detect.Config{Kind: detect.Ring, HeartbeatPeriod: 50 * simnet.Millisecond}, detect.Config{}),
 		detect.Resolve(detect.Config{Kind: detect.Ring, HeartbeatPeriod: 150 * simnet.Millisecond}, detect.Config{}),
 	}
-	opts := CampaignOptions{
+	req := CampaignRequest{
 		Apps:      []string{"HPCCG"},
 		Procs:     8,
 		MaxFaults: 1,
 		Seed:      3,
 		Detectors: detectors,
 	}
-	if got, want := len(CampaignConfigs(opts)), 2*2*len(Designs()); got != want {
+	if got, want := len(req.Configs()), 2*2*len(Designs()); got != want {
 		t.Fatalf("sweep size = %d, want %d (detectors x k x designs)", got, want)
 	}
 	var out strings.Builder
-	results, err := RunCampaign(opts, &out)
+	results, err := CampaignRunner{}.Run(req, &out)
 	if err != nil {
 		t.Fatal(err)
 	}

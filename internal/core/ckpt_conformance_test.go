@@ -216,10 +216,9 @@ func TestAdaptivePlacementRecomputesAcrossIncarnations(t *testing.T) {
 // sweep restricts it to the replica design with factor 0 encoded as
 // dup-degree 1 (replication off).
 func TestCampaignPolicyAndReplicaSweepDimensions(t *testing.T) {
-	opts := CampaignOptions{Apps: []string{"HPCCG"}, MaxFaults: 1,
+	cfgs := CampaignRequest{Apps: []string{"HPCCG"}, MaxFaults: 1,
 		Policies:       []ckpt.Config{{}, {Kind: ckpt.ReplicaAware}},
-		ReplicaFactors: []float64{0, 0.5, 1}}
-	cfgs := CampaignConfigs(opts)
+		ReplicaFactors: []float64{0, 0.5, 1}}.Configs()
 	// 1 app x 1 detector x 2 policies x 3 factors x k=0,1 x 1 design.
 	if len(cfgs) != 12 {
 		t.Fatalf("configs = %d, want 12", len(cfgs))
@@ -237,7 +236,7 @@ func TestCampaignPolicyAndReplicaSweepDimensions(t *testing.T) {
 		}
 	}
 	// Without a factor sweep the design list stays as given.
-	plain := CampaignConfigs(CampaignOptions{Apps: []string{"HPCCG"}, MaxFaults: 0})
+	plain := CampaignRequest{Apps: []string{"HPCCG"}, MaxFaults: 0}.Configs()
 	if len(plain) != len(Designs()) {
 		t.Fatalf("plain campaign configs = %d, want %d", len(plain), len(Designs()))
 	}

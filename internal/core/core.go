@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"strings"
 
-	"match/internal/apps"
 	"match/internal/apps/appkit"
 	"match/internal/ckpt"
 	"match/internal/detect"
@@ -356,74 +355,36 @@ func (rec *recorder) addRaw(st fti.Stats) {
 // It is safe to call concurrently (the sweep harness runs configurations on
 // a worker pool): each run owns its cluster, storage, and injector.
 func Run(cfg Config) (Breakdown, error) {
-	if cfg.Nodes == 0 {
-		cfg.Nodes = 32
-	}
-	if cfg.Procs == 0 {
-		cfg.Procs = 64
-	}
-	if cfg.FTILevel == 0 {
-		cfg.FTILevel = fti.L1
-	}
-	if cfg.CkptStride == 0 {
-		cfg.CkptStride = 10
-	}
-	factory, err := apps.Lookup(cfg.App)
+	// Everything the simulation consumes comes from the resolved cell — the
+	// value CellKey hashes; cfg contributes only its observers from here on.
+	rc, err := resolve(cfg, 1)
 	if err != nil {
-		return Breakdown{}, err
-	}
-	params, scale, err := ResolveParams(cfg)
-	if err != nil {
-		return Breakdown{}, err
-	}
-	params.CkptStride = cfg.CkptStride
-
-	// Resolve the detection strategy against the design's calibrated
-	// preset and reject configurations that could never detect, before any
-	// simulation state exists.
-	dcfg, err := resolveDetector(cfg)
-	if err != nil {
-		return Breakdown{}, err
-	}
-	cfg.Ulfm.Detect = dcfg
-	cfg.Reinit.Detect = dcfg
-	cfg.Restart.Detect = dcfg
-	cfg.Replica.Detect = dcfg
-
-	// Resolve and validate the checkpoint-placement policy the same way —
-	// a bad placement configuration fails loudly here, not ten simulated
-	// minutes in.
-	pcfg := ckpt.Resolve(cfg.CkptPolicy, cfg.CkptStride)
-	if err := pcfg.Validate(); err != nil {
 		return Breakdown{}, err
 	}
 
 	// Ingress-NIC serialization is one knob for all designs (default off,
 	// matching the seed's egress-only calibration). ReplicaFTI historically
 	// forced it on; see the README's detection/calibration notes.
-	cluster := simnet.NewCluster(simnet.Config{Nodes: cfg.Nodes, ModelIngress: cfg.ModelIngress})
+	cluster := simnet.NewCluster(simnet.Config{Nodes: rc.Nodes, ModelIngress: rc.Ingress})
 	cluster.Scheduler().SetDeadline(200000 * simnet.Second) // deadlock net
 	cluster.SetTracer(cfg.Trace)
 	cluster.SetMetrics(cfg.Metrics)
 	cluster.SetLog(cfg.Log)
-	cfg.Metrics.EnsureRanks(cfg.Procs)
-	st := storage.New(cluster, storage.Config{BytesScale: scale})
+	cfg.Metrics.EnsureRanks(rc.Procs)
+	st := storage.New(cluster, storage.Config{BytesScale: rc.scale})
 
 	var sched fault.Schedule
-	k := cfg.FaultCount()
+	k, maxIter := rc.Faults, rc.params.MaxIter
 	switch {
-	case cfg.Schedule != nil:
-		sched = *cfg.Schedule
-		if err := validateSchedule(sched, cfg, params.MaxIter); err != nil {
-			return Breakdown{}, err
-		}
-	case k > 0 && cfg.Design == ReplicaFTI:
+	case rc.schedule != nil:
+		sched = *rc.schedule
+	case k > 0 && rc.Design == ReplicaFTI:
 		// Same (rank, iteration) draws as the other designs for the same
 		// seed, plus which replica of each target rank dies.
-		lay := replica.NewLayout(cfg.Procs, cfg.Nodes, cfg.Replica)
-		sched = fault.NewReplicatedSchedule(cfg.FaultSeed, k, cfg.Procs, params.MaxIter, cfg.FaultKind, lay.DegreeOf)
+		lay := replica.NewLayout(rc.Procs, rc.Nodes, *rc.Replica)
+		sched = fault.NewReplicatedSchedule(rc.Seed, k, rc.Procs, maxIter, rc.Kind, lay.DegreeOf)
 	case k > 0:
-		sched = fault.NewSchedule(cfg.FaultSeed, k, cfg.Procs, params.MaxIter, cfg.FaultKind)
+		sched = fault.NewSchedule(rc.Seed, k, rc.Procs, maxIter, rc.Kind)
 	}
 	inj := fault.NewScheduleInjector(sched)
 
@@ -431,7 +392,7 @@ func Run(cfg Config) (Breakdown, error) {
 	// like the injector: each runtime feeds it the recovery count it
 	// re-arms policies on (and, for the replica design, the live group
 	// degree the replica-aware policy consults).
-	planner, err := ckpt.NewPlanner(pcfg, params.MaxIter, k)
+	planner, err := ckpt.NewPlanner(rc.Policy, maxIter, k)
 	if err != nil {
 		return Breakdown{}, err
 	}
@@ -443,7 +404,7 @@ func Run(cfg Config) (Breakdown, error) {
 	// this one run (each run owns its cluster and storage), so it is derived
 	// from the configuration rather than a process-wide counter — which
 	// keeps Run free of global state and safe to call concurrently.
-	execID := fmt.Sprintf("%s-%s-p%d-%s-k%d-s%d", cfg.App, cfg.Design, cfg.Procs, cfg.Input, k, cfg.FaultSeed)
+	execID := fmt.Sprintf("%s-%s-p%d-%s-k%d-s%d", rc.App, rc.Design, rc.Procs, rc.Input, k, rc.Seed)
 	rec := newRecorder()
 
 	// runApp is the shared resilient main: FTI + the Figure-1 loop.
@@ -453,9 +414,9 @@ func Run(cfg Config) (Breakdown, error) {
 	// of a rank first.
 	runApp := func(r *mpi.Rank, world *mpi.Comm, record func(rank int, st fti.Stats)) error {
 		f, ferr := fti.Init(fti.Config{
-			Level:      cfg.FTILevel,
+			Level:      rc.FTILevel,
 			ExecID:     execID,
-			BytesScale: scale,
+			BytesScale: rc.scale,
 		}, r, world, st)
 		if ferr != nil {
 			return ferr
@@ -466,9 +427,9 @@ func Run(cfg Config) (Breakdown, error) {
 			rec.addRaw(f.Stats)
 			record(rank, f.Stats)
 		}()
-		ctx := &appkit.Context{R: r, World: world, FTI: f, Inject: inj, Params: params,
+		ctx := &appkit.Context{R: r, World: world, FTI: f, Inject: inj, Params: rc.params,
 			Ckpt: planner.Policy()}
-		sig, aerr := appkit.RunMainLoop(ctx, factory())
+		sig, aerr := appkit.RunMainLoop(ctx, rc.factory())
 		if aerr != nil {
 			return aerr
 		}
@@ -489,17 +450,15 @@ func Run(cfg Config) (Breakdown, error) {
 	}
 
 	var bd Breakdown
-	switch cfg.Design {
+	switch rc.Design {
 	case RestartFTI:
-		err = runRestart(cfg, cluster, rec, runApp, inj, planner, scale, &bd)
+		err = runRestart(rc, cluster, rec, runApp, inj, planner, &bd)
 	case ReinitFTI:
-		err = runReinit(cfg, cluster, rec, runApp, inj, planner, scale, &bd)
+		err = runReinit(rc, cluster, rec, runApp, inj, planner, &bd)
 	case UlfmFTI:
-		err = runUlfm(cfg, cluster, rec, runApp, inj, planner, scale, &bd)
+		err = runUlfm(rc, cluster, rec, runApp, inj, planner, &bd)
 	case ReplicaFTI:
-		err = runReplica(cfg, cluster, rec, runApp, inj, planner, scale, &bd)
-	default:
-		return Breakdown{}, fmt.Errorf("core: unknown design %v", cfg.Design)
+		err = runReplica(rc, cluster, rec, runApp, inj, planner, &bd)
 	}
 	if err != nil {
 		return bd, err
@@ -525,14 +484,14 @@ func Run(cfg Config) (Breakdown, error) {
 	bd.App = bd.Total - bd.Ckpt - bd.Recovery
 	bd.FaultsInjected = inj.FiredCount()
 	bd.Signature = rec.sigs[0]
-	bd.Completed = len(rec.sigs) == cfg.Procs
+	bd.Completed = len(rec.sigs) == rc.Procs
 	bd.CkptCount = rec.ckptCount
 	bd.CkptBytes = rec.ckptBytes
 	bd.CkptCountAt = rec.ckptCountAt
 	bd.CkptBytesAt = rec.ckptBytesAt
 	bd.CkptAvoided = planner.Avoided()
 	if !bd.Completed {
-		return bd, fmt.Errorf("core: only %d/%d ranks completed (%v)", len(rec.sigs), cfg.Procs, firstErr(rec.errs))
+		return bd, fmt.Errorf("core: only %d/%d ranks completed (%v)", len(rec.sigs), rc.Procs, firstErr(rec.errs))
 	}
 	for r, s := range rec.sigs {
 		if s != rec.sigs[0] {
@@ -544,7 +503,7 @@ func Run(cfg Config) (Breakdown, error) {
 	// drifted from the measurement it mirrors — fail the run rather than
 	// report a timeline that disagrees with the numbers.
 	if tr := cfg.Trace; tr.Enabled() {
-		if rerr := tr.Reconcile(TraceTotalsOf(bd), cfg.Design == ReplicaFTI); rerr != nil {
+		if rerr := tr.Reconcile(TraceTotalsOf(bd), rc.Design == ReplicaFTI); rerr != nil {
 			return bd, fmt.Errorf("core: %w", rerr)
 		}
 	}
@@ -646,73 +605,6 @@ func TraceTotalsOf(bd Breakdown) trace.Totals {
 	}
 }
 
-// ResolvedDetector reports the detection configuration a Run of cfg will
-// actually use: cfg.Detector merged with the design's calibrated preset
-// (e.g. the ULFM ring parameters for a default ULFM run). Reporting code
-// uses it to label measurements with the real strategy instead of
-// "preset".
-func ResolvedDetector(cfg Config) (detect.Config, error) { return resolveDetector(cfg) }
-
-// ResolvedCkptPolicy reports the checkpoint-placement configuration a Run
-// of cfg will actually use: cfg.CkptPolicy with its zero fields filled
-// (stride from CkptStride, kind defaults), validated. Reporting code uses
-// it to label measurements with the real placement parameters.
-func ResolvedCkptPolicy(cfg Config) (ckpt.Config, error) {
-	pcfg := ckpt.Resolve(cfg.CkptPolicy, cfg.CkptStride)
-	if err := pcfg.Validate(); err != nil {
-		return ckpt.Config{}, err
-	}
-	return pcfg, nil
-}
-
-// resolveDetector merges cfg.Detector with the design's calibrated preset
-// and validates the result (e.g. rejecting zero-period ring detectors and
-// timeouts shorter than the heartbeat period).
-func resolveDetector(cfg Config) (detect.Config, error) {
-	var preset detect.Config
-	switch cfg.Design {
-	case UlfmFTI:
-		preset = cfg.Ulfm.DetectPreset()
-	case ReinitFTI:
-		preset = cfg.Reinit.DetectPreset()
-	case RestartFTI:
-		preset = cfg.Restart.DetectPreset()
-	case ReplicaFTI:
-		preset = cfg.Replica.DetectPreset()
-	}
-	d := detect.Resolve(cfg.Detector, preset)
-	if err := d.Validate(); err != nil {
-		return detect.Config{}, err
-	}
-	return d, nil
-}
-
-// validateSchedule rejects explicit schedule events that could never fire
-// — a silent no-op failure would report a failure-free run as a campaign.
-func validateSchedule(s fault.Schedule, cfg Config, maxIter int) error {
-	degreeOf := func(int) int { return 1 }
-	if cfg.Design == ReplicaFTI {
-		degreeOf = replica.NewLayout(cfg.Procs, cfg.Nodes, cfg.Replica).DegreeOf
-	}
-	for i, ev := range s.Events {
-		if ev.TargetRank < 0 || ev.TargetRank >= cfg.Procs {
-			return fmt.Errorf("core: schedule event %d (%s) targets rank %d, outside 0..%d",
-				i, ev, ev.TargetRank, cfg.Procs-1)
-		}
-		if ev.TargetIter < 0 || ev.TargetIter >= maxIter {
-			return fmt.Errorf("core: schedule event %d (%s) targets iteration %d, outside 0..%d (%s main loop)",
-				i, ev, ev.TargetIter, maxIter-1, cfg.App)
-		}
-		// Unreplicated designs ignore the replica selector (the injector
-		// matches any), so only the replica design constrains it.
-		if cfg.Design == ReplicaFTI && ev.TargetReplica >= degreeOf(ev.TargetRank) {
-			return fmt.Errorf("core: schedule event %d (%s) targets replica %d of rank %d, which has degree %d",
-				i, ev, ev.TargetReplica, ev.TargetRank, degreeOf(ev.TargetRank))
-		}
-	}
-	return nil
-}
-
 func firstErr(errs []error) error {
 	if len(errs) == 0 {
 		return nil
@@ -720,12 +612,29 @@ func firstErr(errs []error) error {
 	return errs[0]
 }
 
-func runRestart(cfg Config, cluster *simnet.Cluster, rec *recorder,
+// addRecovery accounts one completed recovery: its duration joins the
+// Breakdown, then the registry, then the trace. The trace and metrics
+// goldens pin that order and the span fields (level and aux are zero where
+// a design has none).
+func addRecovery(bd *Breakdown, cluster *simnet.Cluster, rank, replica, level int, failedAt, dur simnet.Time, aux int) {
+	bd.Recovery += dur
+	bd.Recoveries++
+	if m := cluster.Metrics(); m != nil {
+		m.Inc(obs.CRecoveries)
+		m.Observe(obs.HRecoveryNs, int64(dur))
+	}
+	if tr := cluster.Tracer(); tr.Wants(trace.CatRecovery) {
+		tr.Emit(trace.Span{Cat: trace.CatRecovery, Rank: int32(rank), Replica: int32(replica),
+			Level: int32(level), Start: int64(failedAt), Dur: int64(dur), Aux: int64(aux)})
+	}
+}
+
+func runRestart(rc resolvedCell, cluster *simnet.Cluster, rec *recorder,
 	runApp func(*mpi.Rank, *mpi.Comm, func(int, fti.Stats)) error, inj *fault.Injector,
-	planner *ckpt.Planner, scale float64, bd *Breakdown) error {
-	rcfg := cfg.Restart
-	rcfg.OnLaunch = func(j *mpi.Job) { j.BytesScale = scale }
-	sup := restart.Supervise(cluster, rcfg, cfg.Procs, 0, func(r *mpi.Rank) {
+	planner *ckpt.Planner, bd *Breakdown) error {
+	rcfg := *rc.Restart
+	rcfg.OnLaunch = func(j *mpi.Job) { j.BytesScale = rc.scale }
+	sup := restart.Supervise(cluster, rcfg, rc.Procs, 0, func(r *mpi.Rank) {
 		if err := runApp(r, r.Job().World(), rec.addFTIStats); err != nil {
 			// Teardown-induced errors are expected on doomed incarnations.
 			rec.errs = append(rec.errs, err)
@@ -738,17 +647,8 @@ func runRestart(cfg Config, cluster *simnet.Cluster, rec *recorder,
 	planner.Epoch = inj.Recoveries
 	cluster.Run()
 	for _, rcv := range sup.Recoveries {
-		bd.Recovery += rcv.Duration()
-		if m := cluster.Metrics(); m != nil {
-			m.Inc(obs.CRecoveries)
-			m.Observe(obs.HRecoveryNs, int64(rcv.Duration()))
-		}
-		if tr := cfg.Trace; tr.Wants(trace.CatRecovery) {
-			tr.Emit(trace.Span{Cat: trace.CatRecovery, Rank: int32(rcv.FailedRanks[0]),
-				Start: int64(rcv.FailedAt), Dur: int64(rcv.Duration())})
-		}
+		addRecovery(bd, cluster, rcv.FailedRanks[0], 0, 0, rcv.FailedAt, rcv.Duration(), 0)
 	}
-	bd.Recoveries = len(sup.Recoveries)
 	bd.DetectLatency, bd.DetectedFailures = detect.Totals(sup.Detectors...)
 	for _, j := range sup.Jobs {
 		bd.Messages += j.Stats.Messages
@@ -757,17 +657,17 @@ func runRestart(cfg Config, cluster *simnet.Cluster, rec *recorder,
 	return nil
 }
 
-func runReinit(cfg Config, cluster *simnet.Cluster, rec *recorder,
+func runReinit(rc resolvedCell, cluster *simnet.Cluster, rec *recorder,
 	runApp func(*mpi.Rank, *mpi.Comm, func(int, fti.Stats)) error, inj *fault.Injector,
-	planner *ckpt.Planner, scale float64, bd *Breakdown) error {
+	planner *ckpt.Planner, bd *Breakdown) error {
 	var rt *reinit.Runtime
-	job := mpi.Launch(cluster, cfg.Procs, 0, func(r *mpi.Rank) {
+	job := mpi.Launch(cluster, rc.Procs, 0, func(r *mpi.Rank) {
 		if err := rt.Run(r); err != nil {
 			rec.errs = append(rec.errs, err)
 		}
 	})
-	job.BytesScale = scale
-	rt = reinit.NewRuntime(job, cfg.Reinit, func(r *mpi.Rank, state reinit.State) error {
+	job.BytesScale = rc.scale
+	rt = reinit.NewRuntime(job, *rc.Reinit, func(r *mpi.Rank, state reinit.State) error {
 		return runApp(r, rt.World(), rec.addFTIStats)
 	})
 	inj.Recoveries = func() int { return len(rt.Recoveries) }
@@ -776,34 +676,25 @@ func runReinit(cfg Config, cluster *simnet.Cluster, rec *recorder,
 	rt.Stop()
 	rec.errs = append(rec.errs, rt.Errs...)
 	for _, rcv := range rt.Recoveries {
-		bd.Recovery += rcv.Duration()
-		if m := cluster.Metrics(); m != nil {
-			m.Inc(obs.CRecoveries)
-			m.Observe(obs.HRecoveryNs, int64(rcv.Duration()))
-		}
-		if tr := cfg.Trace; tr.Wants(trace.CatRecovery) {
-			tr.Emit(trace.Span{Cat: trace.CatRecovery, Rank: int32(rcv.FailedRank),
-				Start: int64(rcv.FailedAt), Dur: int64(rcv.Duration())})
-		}
+		addRecovery(bd, cluster, rcv.FailedRank, 0, 0, rcv.FailedAt, rcv.Duration(), 0)
 	}
-	bd.Recoveries = len(rt.Recoveries)
 	bd.DetectLatency, bd.DetectedFailures = detect.Totals(rt.Detector())
 	bd.Messages = job.Stats.Messages
 	bd.NetBytes = job.Stats.Bytes
 	return nil
 }
 
-func runUlfm(cfg Config, cluster *simnet.Cluster, rec *recorder,
+func runUlfm(rc resolvedCell, cluster *simnet.Cluster, rec *recorder,
 	runApp func(*mpi.Rank, *mpi.Comm, func(int, fti.Stats)) error, inj *fault.Injector,
-	planner *ckpt.Planner, scale float64, bd *Breakdown) error {
+	planner *ckpt.Planner, bd *Breakdown) error {
 	var rt *ulfm.Runtime
-	job := mpi.Launch(cluster, cfg.Procs, 0, func(r *mpi.Rank) {
+	job := mpi.Launch(cluster, rc.Procs, 0, func(r *mpi.Rank) {
 		if err := rt.RunResilient(r); err != nil {
 			rec.errs = append(rec.errs, err)
 		}
 	})
-	job.BytesScale = scale
-	rt = ulfm.NewRuntime(job, cfg.Ulfm, func(r *mpi.Rank, world *mpi.Comm, restarted bool) error {
+	job.BytesScale = rc.scale
+	rt = ulfm.NewRuntime(job, *rc.Ulfm, func(r *mpi.Rank, world *mpi.Comm, restarted bool) error {
 		return runApp(r, world, rec.addFTIStats)
 	})
 	inj.Recoveries = func() int { return len(rt.Recoveries) }
@@ -812,34 +703,23 @@ func runUlfm(cfg Config, cluster *simnet.Cluster, rec *recorder,
 	rt.Stop()
 	rec.errs = append(rec.errs, rt.Errs...)
 	for _, rcv := range rt.Recoveries {
-		bd.Recovery += rcv.Duration()
-		if m := cluster.Metrics(); m != nil {
-			m.Inc(obs.CRecoveries)
-			m.Observe(obs.HRecoveryNs, int64(rcv.Duration()))
+		rank := -1
+		if len(rcv.FailedRanks) > 0 {
+			rank = rcv.FailedRanks[0]
 		}
-		if tr := cfg.Trace; tr.Wants(trace.CatRecovery) {
-			rank := int32(-1)
-			if len(rcv.FailedRanks) > 0 {
-				rank = int32(rcv.FailedRanks[0])
-			}
-			tr.Emit(trace.Span{Cat: trace.CatRecovery, Rank: rank,
-				Start: int64(rcv.FailedAt), Dur: int64(rcv.Duration()),
-				Aux: int64(len(rcv.FailedRanks))})
-		}
+		addRecovery(bd, cluster, rank, 0, 0, rcv.FailedAt, rcv.Duration(), len(rcv.FailedRanks))
 	}
-	bd.Recoveries = len(rt.Recoveries)
 	bd.DetectLatency, bd.DetectedFailures = detect.Totals(rt.Detector())
 	bd.Messages = job.Stats.Messages
 	bd.NetBytes = job.Stats.Bytes
 	return nil
 }
 
-func runReplica(cfg Config, cluster *simnet.Cluster, rec *recorder,
+func runReplica(rc resolvedCell, cluster *simnet.Cluster, rec *recorder,
 	runApp func(*mpi.Rank, *mpi.Comm, func(int, fti.Stats)) error, inj *fault.Injector,
-	planner *ckpt.Planner, scale float64, bd *Breakdown) error {
-	rcfg := cfg.Replica
-	rcfg.OnLaunch = func(j *mpi.Job) { j.BytesScale = scale }
-	rcfg.HotSpare = rcfg.HotSpare || cfg.HotSpare
+	planner *ckpt.Planner, bd *Breakdown) error {
+	rcfg := *rc.Replica
+	rcfg.OnLaunch = func(j *mpi.Job) { j.BytesScale = rc.scale }
 	// Hot-spare state transfers are sized by the rank's live protected
 	// footprint (the data a survivor actually clones onto the spare).
 	rcfg.StateBytes = func(rank int) int64 {
@@ -854,7 +734,7 @@ func runReplica(cfg Config, cluster *simnet.Cluster, rec *recorder,
 	// finished, or ran longest before dying), then accumulate across
 	// incarnations like the restart design does.
 	perJob := make(map[*mpi.Job]map[int]fti.Stats)
-	sup := replica.Supervise(cluster, rcfg, cfg.Procs, func(r *mpi.Rank, world *mpi.Comm, idx int) {
+	sup := replica.Supervise(cluster, rcfg, rc.Procs, func(r *mpi.Rank, world *mpi.Comm, idx int) {
 		job := r.Job()
 		if err := runApp(r, world, func(rank int, st fti.Stats) {
 			best := perJob[job]
@@ -885,23 +765,13 @@ func runReplica(cfg Config, cluster *simnet.Cluster, rec *recorder,
 	planner.Degree = sup.MinLiveDegree
 	cluster.Run()
 	for _, j := range sup.Jobs {
-		for rank := 0; rank < cfg.Procs; rank++ {
+		for rank := 0; rank < rc.Procs; rank++ {
 			rec.addFTIStats(rank, perJob[j][rank])
 		}
 	}
 	for _, rcv := range sup.Recoveries {
-		bd.Recovery += rcv.Duration()
-		if m := cluster.Metrics(); m != nil {
-			m.Inc(obs.CRecoveries)
-			m.Observe(obs.HRecoveryNs, int64(rcv.Duration()))
-		}
-		if tr := cfg.Trace; tr.Wants(trace.CatRecovery) {
-			tr.Emit(trace.Span{Cat: trace.CatRecovery, Rank: int32(rcv.Rank),
-				Replica: int32(rcv.Replica), Level: int32(rcv.Kind),
-				Start: int64(rcv.FailedAt), Dur: int64(rcv.Duration())})
-		}
+		addRecovery(bd, cluster, rcv.Rank, rcv.Replica, int(rcv.Kind), rcv.FailedAt, rcv.Duration(), 0)
 	}
-	bd.Recoveries = len(sup.Recoveries)
 	bd.DetectLatency, bd.DetectedFailures = detect.Totals(sup.Detectors...)
 	bd.Respawns = sup.Respawns()
 	bd.SpawnTime = sup.SpawnTime()

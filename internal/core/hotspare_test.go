@@ -140,8 +140,7 @@ func TestHotSpareReplicaAwareRearmsToStretched(t *testing.T) {
 // HotSpareCrossovers splits a swept result set into per-variant crossovers
 // that share the unreplicated designs.
 func TestCampaignHotSpareAxis(t *testing.T) {
-	opts := CampaignOptions{Apps: []string{"HPCCG"}, MaxFaults: 1, HotSpares: []bool{false, true}}
-	cfgs := CampaignConfigs(opts)
+	cfgs := CampaignRequest{Apps: []string{"HPCCG"}, MaxFaults: 1, HotSpares: []bool{false, true}}.Configs()
 	// k = 0,1 x (3 unreplicated + 2 replica variants).
 	if want := 2 * (len(Designs()) + 1); len(cfgs) != want {
 		t.Fatalf("campaign cells = %d, want %d", len(cfgs), want)
@@ -161,11 +160,11 @@ func TestCampaignHotSpareAxis(t *testing.T) {
 	// Degenerate variant lists must not distort coverage: an on-only sweep
 	// still runs every unreplicated design once per k, and repeated
 	// entries cannot duplicate cells.
-	onOnly := CampaignConfigs(CampaignOptions{Apps: []string{"HPCCG"}, MaxFaults: 1, HotSpares: []bool{true}})
+	onOnly := CampaignRequest{Apps: []string{"HPCCG"}, MaxFaults: 1, HotSpares: []bool{true}}.Configs()
 	if want := 2 * len(Designs()); len(onOnly) != want {
 		t.Fatalf("on-only sweep cells = %d, want %d (non-replica designs once per k)", len(onOnly), want)
 	}
-	dup := CampaignConfigs(CampaignOptions{Apps: []string{"HPCCG"}, MaxFaults: 1, HotSpares: []bool{false, false}})
+	dup := CampaignRequest{Apps: []string{"HPCCG"}, MaxFaults: 1, HotSpares: []bool{false, false}}.Configs()
 	if want := 2 * len(Designs()); len(dup) != want {
 		t.Fatalf("duplicated-variant sweep cells = %d, want %d (no duplicate cells)", len(dup), want)
 	}

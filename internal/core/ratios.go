@@ -170,7 +170,7 @@ func ComputeCrossover(results []Result) Crossover {
 }
 
 // HotSpareCrossovers splits a campaign that swept the respawn axis
-// (CampaignOptions.HotSpares) into one Replica-vs-Reinit crossover per
+// (CampaignRequest.HotSpares) into one Replica-vs-Reinit crossover per
 // hot-spare variant: the replica design's cells of that variant, compared
 // against the shared unreplicated designs. The on-variant shows where
 // background respawn moves the crossover — each spare that absorbs a

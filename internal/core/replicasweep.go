@@ -37,7 +37,7 @@ type ReplicaTradeoff struct {
 
 // ComputeReplicaTradeoff derives the combined overhead-vs-ReplicaFactor
 // curve from campaign results that swept the replication axis
-// (CampaignOptions.ReplicaFactors): for every app and placement policy,
+// (CampaignRequest.ReplicaFactors): for every app and placement policy,
 // how total overhead grows and recovery time shrinks as the replicated
 // fraction rises. Non-replica results are ignored.
 func ComputeReplicaTradeoff(results []Result) []ReplicaTradeoff {

@@ -16,18 +16,10 @@ import (
 	"io"
 	"strings"
 
-	"match/internal/apps"
-	"match/internal/apps/appkit"
 	"match/internal/ckpt"
 	"match/internal/detect"
-	"match/internal/fault"
-	"match/internal/fti"
 	"match/internal/obs"
-	"match/internal/reinit"
-	"match/internal/replica"
-	"match/internal/restart"
 	"match/internal/store"
-	"match/internal/ulfm"
 )
 
 // cacheVersion stamps every canonical encoding (campaign requests, cell
@@ -37,8 +29,10 @@ import (
 // instead of serving results the current simulator would not produce.
 var cacheVersion = 1
 
-// CampaignRequest is the canonical campaign description: the sweep axes of
-// CampaignOptions as pure data. Its canonical JSON encoding (defaults
+// CampaignRequest is the canonical campaign description: the sweep axes as
+// pure data — for every app and design, campaigns of k = 0..MaxFaults
+// scheduled failures, optionally multiplied by the detection, placement,
+// replication and respawn axes. Its canonical JSON encoding (defaults
 // filled, version-stamped) is the campaign's identity — two requests that
 // run the same cells hash identically even when one spells the defaults
 // out and the other leaves them zero.
@@ -57,15 +51,25 @@ type CampaignRequest struct {
 	Reps      int   `json:"reps,omitempty"` // repetitions per cell (default 1)
 	Seed      int64 `json:"seed,omitempty"` // fault seed (default 1)
 	// Detectors multiplies the matrix by the detection axis; empty keeps
-	// the per-design calibrated presets.
+	// the per-design calibrated presets. Sweeping e.g. a ring detector at
+	// several heartbeat periods measures the detection-latency/interference
+	// trade-off — including the regime where a failure lands inside the
+	// previous failure's detection window, which only exists in-band.
 	Detectors []detect.Config `json:"detectors,omitempty"`
 	// Policies multiplies the matrix by the checkpoint-placement axis;
 	// empty keeps fixed-stride placement.
 	Policies []ckpt.Config `json:"ckpt_policies,omitempty"`
-	// ReplicaFactors adds the replication axis and restricts Designs to
-	// the replica design (the factor means nothing elsewhere).
+	// ReplicaFactors adds the replication axis (the PartRePer trade-off):
+	// every entry runs the matrix at that fraction of replicated ranks, 0
+	// meaning replication off (dup-degree 1). Setting it restricts Designs
+	// to the replica design — the factor means nothing elsewhere — and the
+	// results feed ComputeReplicaTradeoff.
 	ReplicaFactors []float64 `json:"replica_factors,omitempty"`
-	// HotSpares sweeps the replica design's respawn switch.
+	// HotSpares sweeps the replica design's respawn switch (the other
+	// designs have no respawn and run each cell once): {false, true}
+	// measures what background respawn buys a degraded group — fallbacks
+	// converted into failovers and, under replica-aware placement, the
+	// stretched strides restored once a spare is live. Empty keeps it off.
 	HotSpares []bool `json:"hot_spares,omitempty"`
 	// ModelIngress switches receiver-NIC serialization on for every run.
 	ModelIngress bool `json:"model_ingress,omitempty"`
@@ -73,7 +77,7 @@ type CampaignRequest struct {
 
 // Canonical returns the request with every default filled — the exact
 // sweep a run of this request performs, and the form whose encoding is
-// hashed. Mirrors CampaignOptions' historical fill rules.
+// hashed.
 func (r CampaignRequest) Canonical() CampaignRequest {
 	if len(r.Apps) == 0 {
 		r.Apps = TableIApps()
@@ -135,39 +139,23 @@ func (r CampaignRequest) Hash() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// Validate rejects requests that could never run: unknown applications,
-// out-of-range axes, and detector/policy configurations every cell would
+// Validate rejects requests that could never run: out-of-range axes here,
+// and — by resolving every cell the way Run will — unknown applications,
+// bad input sizes, and detector or placement configurations a cell would
 // fail on. The HTTP service turns the error into a 400 before queueing.
 func (r CampaignRequest) Validate() error {
 	c := r.Canonical()
 	if c.Procs < 1 {
 		return fmt.Errorf("core: campaign procs %d out of range", c.Procs)
 	}
-	if c.Input < Small || c.Input > Large {
-		return fmt.Errorf("core: bad input size %v", c.Input)
-	}
-	for _, app := range c.Apps {
-		if _, err := apps.Lookup(app); err != nil {
-			return err
-		}
-	}
 	for _, f := range c.ReplicaFactors {
 		if f < 0 || f > 1 {
 			return fmt.Errorf("core: replica factor %g outside [0,1]", f)
 		}
 	}
-	for _, pc := range c.Policies {
-		if _, err := ResolvedCkptPolicy(Config{CkptPolicy: pc}); err != nil {
+	for _, cfg := range c.Configs() {
+		if _, err := resolve(cfg, c.Reps); err != nil {
 			return err
-		}
-	}
-	// A detector must be valid against every design's preset it will run
-	// under (the resolve differs per design).
-	for _, d := range c.Designs {
-		for _, dc := range c.Detectors {
-			if _, err := ResolvedDetector(Config{Design: d, Detector: dc}); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -227,9 +215,8 @@ func (r CampaignRequest) Configs() []Config {
 }
 
 // CampaignRunner is the execution environment a CampaignRequest runs in —
-// everything CampaignOptions carried that is not campaign identity. The
-// zero value runs in-process on GOMAXPROCS workers with no observers and
-// no cache.
+// everything that is not campaign identity. The zero value runs in-process
+// on GOMAXPROCS workers with no observers and no cache.
 type CampaignRunner struct {
 	// Workers bounds the sweep worker pool; 0 means GOMAXPROCS.
 	Workers int
@@ -284,145 +271,18 @@ func dedupeBools(vs []bool) []bool {
 	return out
 }
 
-// canonicalCell is the hashed identity of one campaign cell: a Config with
-// every default filled and every run-irrelevant field dropped, plus the
-// repetition count (reps change the averaged Breakdown) and the cache
-// version. Only the active design's resolved sub-configuration is
-// included, so an ablation knob on a design that is not running cannot
-// split the cache.
-type canonicalCell struct {
-	V          int             `json:"v"`
-	Reps       int             `json:"reps"`
-	App        string          `json:"app"`
-	Design     Design          `json:"design"`
-	Procs      int             `json:"procs"`
-	Nodes      int             `json:"nodes"`
-	Input      InputSize       `json:"input"`
-	Faults     int             `json:"faults"`
-	Seed       int64           `json:"seed,omitempty"`
-	Kind       fault.Kind      `json:"fault_kind,omitempty"`
-	Schedule   string          `json:"schedule,omitempty"`
-	FTILevel   fti.Level       `json:"fti_level"`
-	CkptStride int             `json:"ckpt_stride"`
-	Detector   detect.Config   `json:"detector"`
-	Policy     ckpt.Config     `json:"ckpt_policy"`
-	Ingress    bool            `json:"model_ingress,omitempty"`
-	Ulfm       *ulfm.Config    `json:"ulfm,omitempty"`
-	Reinit     *reinit.Config  `json:"reinit,omitempty"`
-	Restart    *restart.Config `json:"restart,omitempty"`
-	Replica    *replica.Config `json:"replica,omitempty"`
-	Params     appkit.Params   `json:"params"`
-}
-
-// canonicalCellOf normalizes one cell exactly the way Run resolves it:
-// prelude defaults filled, detector resolved against the active design's
-// preset, placement policy resolved and validated, the active design's
-// sub-configuration resolved (with the harness-level HotSpare switch
-// folded in for the replica design), and ignored inputs zeroed (the fault
-// seed of a failure-free cell, the seed and kind under an explicit
-// schedule, inactive designs' sub-configurations).
-func canonicalCellOf(cfg Config, reps int) (canonicalCell, error) {
-	if reps <= 0 {
-		reps = 1
-	}
-	cc := canonicalCell{
-		V:          cacheVersion,
-		Reps:       reps,
-		App:        cfg.App,
-		Design:     cfg.Design,
-		Procs:      cfg.Procs,
-		Nodes:      cfg.Nodes,
-		Input:      cfg.Input,
-		Faults:     cfg.FaultCount(),
-		Seed:       cfg.FaultSeed,
-		Kind:       cfg.FaultKind,
-		FTILevel:   cfg.FTILevel,
-		CkptStride: cfg.CkptStride,
-		Ingress:    cfg.ModelIngress,
-	}
-	// The prelude defaults Run fills before anything else.
-	if cc.Nodes == 0 {
-		cc.Nodes = 32
-	}
-	if cc.Procs == 0 {
-		cc.Procs = 64
-	}
-	if cc.FTILevel == 0 {
-		cc.FTILevel = fti.L1
-	}
-	if cc.CkptStride == 0 {
-		cc.CkptStride = 10
-	}
-	// An explicit schedule overrides the random draw entirely; a
-	// failure-free cell never draws. Either way the seed and kind are
-	// ignored, so they must not split the cache.
-	if cfg.Schedule != nil {
-		cc.Schedule = cfg.Schedule.String()
-		cc.Seed, cc.Kind = 0, 0
-	} else if cc.Faults == 0 {
-		cc.Seed, cc.Kind = 0, 0
-	}
-	det, err := resolveDetector(cfg)
-	if err != nil {
-		return canonicalCell{}, err
-	}
-	cc.Detector = det
-	pcfg := ckpt.Resolve(cfg.CkptPolicy, cc.CkptStride)
-	if err := pcfg.Validate(); err != nil {
-		return canonicalCell{}, err
-	}
-	cc.Policy = pcfg
-	// Only the active design's sub-configuration, resolved to the exact
-	// cost model the run uses (Run injects the resolved detector into it;
-	// mirror that so the encoding matches what actually executes).
-	switch cfg.Design {
-	case UlfmFTI:
-		u := cfg.Ulfm
-		u.Detect = det
-		u = u.Resolved()
-		cc.Ulfm = &u
-	case ReinitFTI:
-		ri := cfg.Reinit
-		ri.Detect = det
-		ri = ri.Resolved()
-		cc.Reinit = &ri
-	case RestartFTI:
-		rs := cfg.Restart
-		rs.Detect = det
-		rs = rs.Resolved()
-		cc.Restart = &rs
-	case ReplicaFTI:
-		rp := cfg.Replica
-		rp.Detect = det
-		rp.HotSpare = HotSpareOf(cfg) // fold the harness-level switch in
-		rp = rp.Resolved()
-		cc.Replica = &rp
-	}
-	// Params overrides Table I only when MaxIter is set; otherwise it is
-	// ignored wholesale. When set, mirror ResolveParams' fill.
-	if cfg.Params.MaxIter != 0 {
-		cc.Params = cfg.Params
-		if cc.Params.WorkScale == 0 {
-			cc.Params.WorkScale = 1
-		}
-		if cc.Params.Seed == 0 {
-			cc.Params.Seed = appSeed
-		}
-	}
-	return cc, nil
-}
-
 // CellKey is the content address of one campaign cell: the hex SHA-256 of
-// its canonical encoding (see canonicalCellOf). Two configurations that
-// Run identically — one spelling defaults out, one leaving them zero —
-// produce the same key; any change to an axis the simulation consumes, to
-// the repetition count, or to cacheVersion produces a different one.
+// the JSON encoding of its resolved form — the same value Run executes
+// (see resolve). Two configurations that Run identically — one spelling
+// defaults out, one leaving them zero — produce the same key; any change
+// to an axis the simulation consumes, to the repetition count, or to
+// cacheVersion produces a different one.
 func CellKey(cfg Config, reps int) (string, error) {
-	cc, err := canonicalCellOf(cfg, reps)
+	rc, err := resolve(cfg, reps)
 	if err != nil {
 		return "", err
 	}
-	b, err := json.Marshal(cc)
+	b, err := json.Marshal(rc)
 	if err != nil {
 		return "", err
 	}

@@ -10,10 +10,8 @@ import (
 	"match/internal/ckpt"
 	"match/internal/detect"
 	"match/internal/fault"
-	"match/internal/fti"
 	"match/internal/obs"
 	"match/internal/replica"
-	"match/internal/restart"
 	"match/internal/simnet"
 	"match/internal/ulfm"
 )
@@ -145,12 +143,8 @@ func TestRequestValidate(t *testing.T) {
 }
 
 func TestRequestConfigsMatrix(t *testing.T) {
-	opts := CampaignOptions{Apps: []string{"HPCCG", "CoMD"}, MaxFaults: 2,
-		Seed: 3, HotSpares: []bool{false, true}}
-	cfgs := opts.Request().Configs()
-	if !reflect.DeepEqual(cfgs, CampaignConfigs(opts)) {
-		t.Fatal("CampaignConfigs diverges from Request().Configs()")
-	}
+	cfgs := CampaignRequest{Apps: []string{"HPCCG", "CoMD"}, MaxFaults: 2,
+		Seed: 3, HotSpares: []bool{false, true}}.Configs()
 	// 2 apps x (k=0..2) x (3 designs x 1 variant + replica x 2 variants).
 	if want := 2 * 3 * (3 + 2); len(cfgs) != want {
 		t.Fatalf("matrix size = %d, want %d", len(cfgs), want)
@@ -167,25 +161,12 @@ func TestRequestConfigsMatrix(t *testing.T) {
 // An empty cell configuration and one that spells out every default Run
 // would fill must share one cache key, for every design.
 func TestCellKeyEmptyEqualsExplicitDefaults(t *testing.T) {
-	explicit := map[Design]Config{
-		RestartFTI: {Design: RestartFTI, Restart: restart.DefaultConfig(),
-			Detector: detect.LauncherConfig()},
-		ReinitFTI:  {Design: ReinitFTI},
-		UlfmFTI:    {Design: UlfmFTI, Ulfm: ulfm.DefaultConfig()},
-		ReplicaFTI: {Design: ReplicaFTI, Replica: replica.DefaultConfig()},
-	}
-	for d, ex := range explicit {
-		bare := Config{App: "HPCCG", Design: d}
-		ex.App = "HPCCG"
-		ex.Procs = 64
-		ex.Nodes = 32
-		ex.FTILevel = fti.L1
-		ex.CkptStride = 10
-		kb, err := CellKey(bare, 1)
+	for d, pair := range explicitDefaults(nil) {
+		kb, err := CellKey(pair[0], 1)
 		if err != nil {
 			t.Fatalf("%v bare: %v", d, err)
 		}
-		ke, err := CellKey(ex, 1)
+		ke, err := CellKey(pair[1], 1)
 		if err != nil {
 			t.Fatalf("%v explicit: %v", d, err)
 		}

@@ -19,6 +19,7 @@ package obs
 import (
 	"io"
 	"log/slog"
+	"os"
 )
 
 // Log wraps a slog.Logger with nil-receiver-safe emission helpers.
@@ -29,6 +30,24 @@ type Log struct {
 // NewLog returns a Log writing JSON events to w.
 func NewLog(w io.Writer) *Log {
 	return &Log{l: slog.New(slog.NewJSONHandler(w, nil))}
+}
+
+// OpenLog opens the event log a command's -log flag names: "" is no log
+// (the inert nil Log), "stderr" writes to standard error, anything else
+// creates that file. The Closer is never nil on success; it closes the
+// file when there is one.
+func OpenLog(dest string) (*Log, io.Closer, error) {
+	switch dest {
+	case "":
+		return nil, io.NopCloser(nil), nil
+	case "stderr":
+		return NewLog(os.Stderr), io.NopCloser(nil), nil
+	}
+	f, err := os.Create(dest)
+	if err != nil {
+		return nil, nil, err
+	}
+	return NewLog(f), f, nil
 }
 
 // NewLogWithHandler returns a Log over a caller-built handler (tests use

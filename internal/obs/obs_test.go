@@ -231,6 +231,32 @@ func TestLogSchemaGolden(t *testing.T) {
 	}
 }
 
+// OpenLog maps a -log flag value to a log and something to close: no log
+// for "", a file for a path (events land in it), an error for a bad path.
+func TestOpenLog(t *testing.T) {
+	l, c, err := OpenLog("")
+	if err != nil || l.Enabled() || c.Close() != nil {
+		t.Fatalf(`OpenLog("") = %v, %v, %v`, l, c, err)
+	}
+	if l, c, err = OpenLog("stderr"); err != nil || !l.Enabled() || c.Close() != nil {
+		t.Fatalf(`OpenLog("stderr") = %v, %v, %v`, l, c, err)
+	}
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	if l, c, err = OpenLog(path); err != nil {
+		t.Fatal(err)
+	}
+	l.HostEvent("cell_start", "app", "HPCCG")
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := os.ReadFile(path); !strings.Contains(string(b), `"msg":"cell_start"`) {
+		t.Fatalf("event missing from the log file: %q", b)
+	}
+	if _, _, err := OpenLog(filepath.Join(path, "under-a-file")); err == nil {
+		t.Fatal("OpenLog created a file under a file")
+	}
+}
+
 // Merge sums counters and histograms, keeps gauge maxima, and grows the
 // per-rank table; Reset clears everything.
 func TestMergeAndReset(t *testing.T) {

@@ -71,17 +71,9 @@ type (
 	FaultSchedule = fault.Schedule
 	// FaultEvent is one failure of a FaultSchedule.
 	FaultEvent = fault.Event
-	// CampaignOptions shapes a multi-failure sweep (k = 0..MaxFaults
-	// failures per run, per app and design).
-	//
-	// Deprecated: CampaignOptions bundles campaign identity with execution
-	// environment. New code should describe the sweep as a CampaignRequest
-	// (pure data; its canonical encoding is the campaign's cache identity)
-	// and run it with a CampaignRunner. CampaignOptions keeps working —
-	// RunCampaign splits it into exactly that pair.
-	CampaignOptions = core.CampaignOptions
-	// CampaignRequest is the canonical, serializable campaign description:
-	// the sweep axes as pure data. Its version-stamped canonical JSON
+	// CampaignRequest is the canonical, serializable description of a
+	// multi-failure sweep (k = 0..MaxFaults failures per run, per app and
+	// design): the sweep axes as pure data. Its version-stamped canonical JSON
 	// (defaults filled) is the campaign's identity — the cache key, and the
 	// campaign ID on a matchserve instance. The zero value is the full
 	// default campaign.
@@ -89,7 +81,8 @@ type (
 	// CampaignRunner is the execution environment a CampaignRequest runs
 	// in: worker pool size, progress/metering/logging observers, and an
 	// optional content-addressed ResultStore that memoizes cells across
-	// campaigns. The zero value runs in-process with no observers.
+	// campaigns. The zero value runs in-process with no observers;
+	// Run(req, w) writes the per-app tables to w and returns the raw results.
 	CampaignRunner = core.CampaignRunner
 	// ResultStore is a content-addressed cell cache (in-memory LRU front,
 	// optional disk backing); share one across campaigns — or attach it to
@@ -102,7 +95,7 @@ type (
 	Crossover = core.Crossover
 	// DetectorConfig selects and tunes the failure-detection strategy any
 	// design runs under (launcher / ring heartbeat / daemon tree); set it
-	// as Config.Detector, or sweep a list via CampaignOptions.Detectors.
+	// as Config.Detector, or sweep a list via CampaignRequest.Detectors.
 	DetectorConfig = detect.Config
 	// DetectorKind names a detection strategy.
 	DetectorKind = detect.Kind
@@ -112,7 +105,7 @@ type (
 	// CkptPolicyConfig selects and tunes the checkpoint-placement policy
 	// any design runs under (fixed stride / multi-level interleaving /
 	// replica-aware stretching / adaptive Young–Daly); set it as
-	// Config.CkptPolicy, or sweep a list via CampaignOptions.Policies.
+	// Config.CkptPolicy, or sweep a list via CampaignRequest.Policies.
 	CkptPolicyConfig = ckpt.Config
 	// CkptPolicyKind names a checkpoint-placement strategy.
 	CkptPolicyKind = ckpt.Kind
@@ -120,7 +113,7 @@ type (
 	// overhead-vs-ReplicaFactor curve (the PartRePer trade-off).
 	ReplicaTradeoff = core.ReplicaTradeoff
 	// Progress observes sweep execution cell by cell; set it as
-	// SuiteOptions.Progress or CampaignOptions.Progress. Write to stderr —
+	// SuiteOptions.Progress or CampaignRunner.Progress. Write to stderr —
 	// stdout of deterministic sweeps is diffed by the CI determinism gate.
 	Progress = core.Progress
 )
@@ -154,7 +147,7 @@ func ParseCkptPolicyKind(name string) (CkptPolicyKind, error) { return ckpt.Pars
 
 // ComputeReplicaTradeoff derives the combined overhead-vs-ReplicaFactor
 // curve from campaign results that swept the replication axis
-// (CampaignOptions.ReplicaFactors).
+// (CampaignRequest.ReplicaFactors).
 func ComputeReplicaTradeoff(results []Result) []ReplicaTradeoff {
 	return core.ComputeReplicaTradeoff(results)
 }
@@ -212,14 +205,6 @@ func RunFigure(fig int, opts SuiteOptions, w io.Writer) ([]Result, error) {
 	return core.RunFigure(fig, opts, w)
 }
 
-// RunCampaign executes a multi-failure campaign sweep on the worker pool,
-// writing per-app tables of recovery time and total overhead vs failure
-// count to w and returning the raw results. It is the compatibility
-// wrapper over the CampaignRequest/CampaignRunner split.
-func RunCampaign(opts CampaignOptions, w io.Writer) ([]Result, error) {
-	return core.RunCampaign(opts, w)
-}
-
 // OpenResultStore returns a content-addressed cell cache backed by dir
 // (created if missing; "" keeps it memory-only). maxEntries bounds the
 // in-memory LRU front; 0 selects the default. Attach it as
@@ -234,9 +219,9 @@ func OpenResultStore(dir string, maxEntries int) (*ResultStore, error) {
 func NewMemoryResultStore(maxEntries int) *ResultStore { return store.NewMemory(maxEntries) }
 
 // CellKey is the content address of one campaign cell: the hex SHA-256 of
-// the configuration's canonical encoding (defaults filled, observers and
-// inactive designs excluded, version-stamped). Two configs that Run
-// identically share a key.
+// the resolved cell Run executes (defaults filled, observers and inactive
+// designs excluded, version-stamped). Two configs that Run identically
+// share a key.
 func CellKey(cfg Config, reps int) (string, error) { return core.CellKey(cfg, reps) }
 
 // ParseInputSize resolves a problem-size name ("Small", "medium", "L")
@@ -263,7 +248,7 @@ func ComputeCrossover(results []Result) Crossover {
 }
 
 // HotSpareCrossovers splits a campaign that swept the respawn axis
-// (CampaignOptions.HotSpares) into one crossover per hot-spare variant.
+// (CampaignRequest.HotSpares) into one crossover per hot-spare variant.
 func HotSpareCrossovers(results []Result) (off, on Crossover, swept bool) {
 	return core.HotSpareCrossovers(results)
 }

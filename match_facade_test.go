@@ -1,7 +1,6 @@
 package match_test
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -100,8 +99,7 @@ func TestFacadeCkptPolicy(t *testing.T) {
 }
 
 // The campaign-as-a-service surface: a CampaignRequest run by a
-// CampaignRunner over a ResultStore, with RunCampaign as the compatibility
-// wrapper producing identical results.
+// CampaignRunner over a ResultStore.
 func TestFacadeCampaignService(t *testing.T) {
 	req := match.CampaignRequest{
 		Apps:    []string{"HPCCG"},
@@ -132,18 +130,6 @@ func TestFacadeCampaignService(t *testing.T) {
 	}
 	if cs.HitRate() != 0.5 {
 		t.Fatalf("hit rate = %g, want 0.5", cs.HitRate())
-	}
-
-	// The deprecated options path must agree with the request/runner pair.
-	viaOpts, err := match.RunCampaign(match.CampaignOptions{
-		Apps: req.Apps, Designs: req.Designs,
-		Procs: req.Procs, MaxFaults: req.MaxFaults, Seed: req.Seed,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(viaOpts, cold) {
-		t.Fatal("CampaignOptions path diverges from CampaignRequest/CampaignRunner")
 	}
 
 	key, err := match.CellKey(match.Config{App: "HPCCG", Procs: 8, Design: match.ReinitFTI}, 1)
