@@ -284,13 +284,11 @@ func BenchmarkAblationUlfmProgressFactor(b *testing.B) {
 // BenchmarkCampaignThroughput measures end-to-end simulator throughput on
 // a representative multi-design, multi-axis campaign sweep: two
 // applications, all four designs, k = 0..2 scheduled failures, and the
-// hot-spare axis on the replica design (30 cells). It reports cells/sec —
-// host campaign cells simulated per wall-clock second, the suite's
-// headline throughput number — alongside campaign_virt_s, the summed
-// virtual time of every cell, which is deterministic and gated like any
-// other figure. cells/sec is recorded by matchbench as a trend, never
-// gated on absolute value (machines differ), but CI soft-gates egregious
-// regressions via -wall-tol.
+// hot-spare axis on the replica design (30 cells). It reports
+// campaign_virt_s, the summed virtual time of every cell, which is
+// deterministic and gated like any other figure; the cells/sec beside it
+// is host speed for the eye only — matchbench drops it, and host-time
+// claims are made and judged in bench/.
 func BenchmarkCampaignThroughput(b *testing.B) {
 	req := core.CampaignRequest{
 		Apps:      []string{"HPCCG", "miniVite"},

@@ -14,16 +14,12 @@
 //	go test -run='^$' -bench=. -benchtime=1x . | matchbench -out BENCH_baseline.json   # (re)seed the baseline
 //
 // Both the `go test -json` stream and raw benchmark output are accepted.
-// Host-dependent metrics (ns/op, B/op, allocs/op, MB/s) are excluded from
-// the extraction; everything else a benchmark reports is virtual-time
-// derived and gated. Two host-speed series ride along without being part
-// of the deterministic gate: per-benchmark wall-clock (wall_ms, from
-// ns/op) and throughput metrics (cells/sec). Both are reported as trends
-// on every comparison, can be appended to a JSONL trajectory with -trend
-// (bounded to the newest N entries with -trend-max), and are soft-gated — failing only on egregious regressions — when
-// -wall-tol is set (e.g. -wall-tol 2.0 fails on a 2x slowdown). Subset
-// runs (a single benchmark against the full baseline) pass -allow-missing
-// so absent figures warn instead of fail.
+// Host-dependent metrics (ns/op, B/op, allocs/op, MB/s, cells/sec) are
+// dropped by the extraction; everything else a benchmark reports is
+// virtual-time derived and gated. Host time is measured in one place only,
+// bench/ (see bench/README.md). Subset runs (a single benchmark against
+// the full baseline) pass -allow-missing so absent figures warn instead of
+// fail.
 package main
 
 import (
@@ -38,20 +34,12 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // hostUnits are benchmark metrics measured in host time or host memory —
 // noisy by nature, excluded from the deterministic figure set.
 var hostUnits = map[string]bool{
-	"ns/op": true, "B/op": true, "allocs/op": true, "MB/s": true,
-}
-
-// throughputUnits are host-dependent like hostUnits, but tracked as named
-// trend series (and soft-gated by -wall-tol) rather than dropped: they are
-// the suite's simulator-speed headline numbers.
-var throughputUnits = map[string]bool{
-	"cells/sec": true,
+	"ns/op": true, "B/op": true, "allocs/op": true, "MB/s": true, "cells/sec": true,
 }
 
 // benchLine matches a benchmark result line: name, iteration count, then
@@ -68,17 +56,10 @@ type testEvent struct {
 }
 
 // baseline is the on-disk format: one flat, sorted map of figure keys
-// ("Benchmark/metric") to their deterministic values, plus the per-
-// benchmark host wall-clock. Wall-clock is machine-dependent, so it is
-// recorded as a trend — reported on comparison, never gated.
+// ("Benchmark/metric") to their deterministic values.
 type baseline struct {
 	Comment string             `json:"comment,omitempty"`
 	Figures map[string]float64 `json:"figures"`
-	WallMs  map[string]float64 `json:"wall_ms,omitempty"`
-	// Throughput holds host-speed trend series ("Benchmark/cells/sec").
-	// Like WallMs it is machine-dependent; unlike the figures it is only
-	// soft-gated, and only when -wall-tol is set.
-	Throughput map[string]float64 `json:"throughput,omitempty"`
 }
 
 func main() {
@@ -86,21 +67,10 @@ func main() {
 	out := flag.String("out", "", "write the extracted figures as JSON (e.g. BENCH_ci.json)")
 	basePath := flag.String("baseline", "", "compare against this baseline JSON and fail on drift")
 	tol := flag.Float64("tol", 0.10, "allowed relative drift per figure before failing")
-	wallTol := flag.Float64("wall-tol", 0, "soft host-speed gate: fail when wall_ms grows, or throughput drops, by more than this factor (e.g. 2.0 = 2x); 0 disables")
 	allowMissing := flag.Bool("allow-missing", false, "warn instead of fail on baseline figures absent from this run (for subset bench runs)")
-	trendPath := flag.String("trend", "", "append this run's wall_ms and throughput as one JSON line to the given file (host-speed trajectory record)")
-	trendMax := flag.Int("trend-max", 0, "with -trend, keep only the newest N entries in the trajectory file (0 = unbounded)")
 	flag.Parse()
 	if *tol < 0 {
 		fmt.Fprintf(os.Stderr, "matchbench: -tol %g invalid (want >= 0)\n", *tol)
-		os.Exit(2)
-	}
-	if *wallTol != 0 && *wallTol < 1 {
-		fmt.Fprintf(os.Stderr, "matchbench: -wall-tol %g invalid (want 0 to disable, or >= 1)\n", *wallTol)
-		os.Exit(2)
-	}
-	if *trendMax < 0 {
-		fmt.Fprintf(os.Stderr, "matchbench: -trend-max %d invalid (want >= 0)\n", *trendMax)
 		os.Exit(2)
 	}
 
@@ -113,7 +83,7 @@ func main() {
 		defer f.Close()
 		r = f
 	}
-	figures, wallMs, thrpt, err := extract(r)
+	figures, err := extract(r)
 	if err != nil {
 		fatal(err)
 	}
@@ -124,10 +94,8 @@ func main() {
 
 	if *out != "" {
 		b, err := json.MarshalIndent(baseline{
-			Comment:    "deterministic figure-level benchmark metrics (virtual seconds/ratios); wall_ms and throughput are host speed, trends only; regenerate with: go test -run='^$' -bench=. -benchtime=1x . | go run ./cmd/matchbench -out BENCH_baseline.json",
-			Figures:    figures,
-			WallMs:     wallMs,
-			Throughput: thrpt,
+			Comment: "deterministic figure-level benchmark metrics (virtual seconds/ratios); regenerate with: go test -run='^$' -bench=. -benchtime=1x . | go run ./cmd/matchbench -out BENCH_baseline.json",
+			Figures: figures,
 		}, "", "  ")
 		if err != nil {
 			fatal(err)
@@ -137,22 +105,6 @@ func main() {
 		}
 		fmt.Printf("matchbench: wrote %s\n", *out)
 	}
-	if *trendPath != "" {
-		if err := appendTrend(*trendPath, wallMs, thrpt); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("matchbench: appended host-speed trend entry to %s\n", *trendPath)
-		if *trendMax > 0 {
-			dropped, err := capTrend(*trendPath, *trendMax)
-			if err != nil {
-				fatal(err)
-			}
-			if dropped > 0 {
-				fmt.Printf("matchbench: trimmed %d old trend entr(ies), keeping newest %d\n", dropped, *trendMax)
-			}
-		}
-	}
-
 	if *basePath == "" {
 		return
 	}
@@ -164,111 +116,19 @@ func main() {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		fatal(fmt.Errorf("parsing %s: %w", *basePath, err))
 	}
-	reportWallTrend(base.WallMs, wallMs)
-	reportThroughputTrend(base.Throughput, thrpt)
-	code := compare(base.Figures, figures, *tol, *allowMissing)
-	if *wallTol > 0 {
-		code += hostSpeedGate(base, wallMs, thrpt, *wallTol)
-	}
-	if code != 0 {
+	if compare(base.Figures, figures, *tol, *allowMissing) != 0 {
 		os.Exit(1)
 	}
 	fmt.Printf("matchbench: all %d baseline figures within %.0f%% of %s\n",
 		len(base.Figures), 100**tol, *basePath)
 }
 
-// appendTrend records one JSON line of host-speed numbers per invocation,
-// building the throughput trajectory across CI runs. The file is
-// append-only JSONL so concurrent-ish CI jobs and local runs interleave
-// without a merge step.
-func appendTrend(path string, wallMs, thrpt map[string]float64) error {
-	entry := struct {
-		Time       string             `json:"time"`
-		WallMs     map[string]float64 `json:"wall_ms,omitempty"`
-		Throughput map[string]float64 `json:"throughput,omitempty"`
-	}{Time: time.Now().UTC().Format(time.RFC3339), WallMs: wallMs, Throughput: thrpt}
-	b, err := json.Marshal(entry)
-	if err != nil {
-		return err
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	_, err = f.Write(append(b, '\n'))
-	return err
-}
-
-// capTrend bounds the trajectory file to the newest max lines, returning
-// how many were dropped. The rewrite goes through a temp file + rename so
-// a crash mid-trim cannot truncate the history. Blank lines are skipped
-// so hand edits don't inflate the count.
-func capTrend(path string, max int) (int, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	var lines []string
-	for _, ln := range strings.Split(string(raw), "\n") {
-		if strings.TrimSpace(ln) != "" {
-			lines = append(lines, ln)
-		}
-	}
-	if len(lines) <= max {
-		return 0, nil
-	}
-	dropped := len(lines) - max
-	kept := strings.Join(lines[dropped:], "\n") + "\n"
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(kept), 0o644); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	return dropped, nil
-}
-
-// hostSpeedGate is the soft wall-clock gate: unlike the figure gate it
-// tolerates ordinary machine variance (the factor should be generous, e.g.
-// 2.0) and only fails on egregious regressions — wall time growing, or
-// throughput shrinking, past factor x baseline. Benchmarks present in only
-// one side are ignored; -allow-missing semantics are implicit here.
-func hostSpeedGate(base baseline, wallMs, thrpt map[string]float64, factor float64) int {
-	failed := 0
-	for _, k := range sortedCommonKeys(base.WallMs, wallMs) {
-		was, now := base.WallMs[k], wallMs[k]
-		if was > 0 && now > was*factor {
-			fmt.Printf("FAIL %-60s wall %.1fms -> %.1fms, beyond the %gx soft gate\n", k, was, now, factor)
-			failed++
-		}
-	}
-	for _, k := range sortedCommonKeys(base.Throughput, thrpt) {
-		was, now := base.Throughput[k], thrpt[k]
-		if was > 0 && now < was/factor {
-			fmt.Printf("FAIL %-60s throughput %.4g -> %.4g, beyond the %gx soft gate\n", k, was, now, factor)
-			failed++
-		}
-	}
-	if failed > 0 {
-		fmt.Printf("matchbench: %d host-speed serie(s) regressed beyond %gx — investigate or reseed the baseline on this machine\n", failed, factor)
-	}
-	return failed
-}
-
 // extract pulls the figure map out of benchmark output, accepting both the
 // go test -json event stream and raw text. The event stream splits one
 // result line across several output events (the name fragment carries no
-// newline), so fragments are reassembled per test before parsing. The
-// second map is per-benchmark host wall-clock (ns/op rendered as ms) and
-// the third is the throughput series — both kept apart from the figures
-// because they are machine speed, not deterministic model output.
-func extract(r io.Reader) (map[string]float64, map[string]float64, map[string]float64, error) {
+// newline), so fragments are reassembled per test before parsing.
+func extract(r io.Reader) (map[string]float64, error) {
 	figures := map[string]float64{}
-	wallMs := map[string]float64{}
-	thrpt := map[string]float64{}
 	partial := map[string]string{} // per (package, test): unterminated output fragment
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
@@ -287,25 +147,24 @@ func extract(r io.Reader) (map[string]float64, map[string]float64, map[string]fl
 					if nl < 0 {
 						break
 					}
-					parseLine(figures, wallMs, thrpt, buf[:nl])
+					parseLine(figures, buf[:nl])
 					buf = buf[nl+1:]
 				}
 				partial[key] = buf
 				continue
 			}
 		}
-		parseLine(figures, wallMs, thrpt, line)
+		parseLine(figures, line)
 	}
 	for _, rest := range partial {
-		parseLine(figures, wallMs, thrpt, rest)
+		parseLine(figures, rest)
 	}
-	return figures, wallMs, thrpt, sc.Err()
+	return figures, sc.Err()
 }
 
-// parseLine records the custom metrics of one benchmark result line, its
-// ns/op as the wall_ms trend entry, and any throughput units as the
-// throughput trend entry.
-func parseLine(figures, wallMs, thrpt map[string]float64, line string) {
+// parseLine records the custom metrics of one benchmark result line,
+// dropping the host units.
+func parseLine(figures map[string]float64, line string) {
 	m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
 	if m == nil {
 		return
@@ -318,60 +177,11 @@ func parseLine(figures, wallMs, thrpt map[string]float64, line string) {
 		if err != nil {
 			continue
 		}
-		if unit == "ns/op" {
-			wallMs[name] = v / 1e6
-			continue
-		}
-		if throughputUnits[unit] {
-			thrpt[name+"/"+unit] = v
-			continue
-		}
 		if hostUnits[unit] {
 			continue
 		}
 		figures[name+"/"+unit] = v
 	}
-}
-
-// reportWallTrend prints per-benchmark host wall-clock movement against
-// the baseline. Informational only: wall-clock varies by machine and load,
-// so it never fails the gate — it exists to make slow drifts visible in CI
-// logs before they become painful.
-func reportWallTrend(base, cur map[string]float64) {
-	for _, k := range sortedCommonKeys(base, cur) {
-		was, now := base[k], cur[k]
-		pct := ""
-		if was > 0 {
-			pct = fmt.Sprintf(" (%+.0f%%)", 100*(now-was)/was)
-		}
-		fmt.Printf("wall %-60s %.1fms -> %.1fms%s [trend, not gated]\n", k, was, now, pct)
-	}
-}
-
-// reportThroughputTrend is the throughput analogue of reportWallTrend:
-// cells/sec movement against the baseline, informational unless -wall-tol
-// turns on the soft gate.
-func reportThroughputTrend(base, cur map[string]float64) {
-	for _, k := range sortedCommonKeys(base, cur) {
-		was, now := base[k], cur[k]
-		pct := ""
-		if was > 0 {
-			pct = fmt.Sprintf(" (%+.0f%%)", 100*(now-was)/was)
-		}
-		fmt.Printf("thrpt %-59s %.4g -> %.4g%s [trend]\n", k, was, now, pct)
-	}
-}
-
-// sortedCommonKeys returns the sorted keys present in both maps.
-func sortedCommonKeys(a, b map[string]float64) []string {
-	keys := make([]string, 0, len(a))
-	for k := range a {
-		if _, ok := b[k]; ok {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 func benchCount(figures map[string]float64) int {
@@ -384,9 +194,8 @@ func benchCount(figures map[string]float64) int {
 
 // compare reports drift of current figures against the baseline. Missing
 // figures fail (a benchmark or metric silently disappeared) unless
-// allowMissing is set — subset runs like the throughput-only CI job
-// legitimately skip most of the suite; new figures only warn (they need a
-// baseline reseed, not a red build).
+// allowMissing is set — subset runs legitimately skip most of the suite;
+// new figures only warn (they need a baseline reseed, not a red build).
 func compare(base, cur map[string]float64, tol float64, allowMissing bool) int {
 	keys := make([]string, 0, len(base))
 	for k := range base {

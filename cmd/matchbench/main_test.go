@@ -1,85 +1,26 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// appendTrend grows the JSONL trajectory one valid line per call, and
-// capTrend keeps exactly the newest N of them.
-func TestTrendAppendAndCap(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trend.jsonl")
-	for i := 0; i < 5; i++ {
-		wall := map[string]float64{"BenchmarkCampaign": float64(100 + i)}
-		thrpt := map[string]float64{"BenchmarkCampaign/cells/sec": float64(i)}
-		if err := appendTrend(path, wall, thrpt); err != nil {
-			t.Fatalf("append %d: %v", i, err)
-		}
-	}
-
-	dropped, err := capTrend(path, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dropped != 0 {
-		t.Errorf("cap above current size dropped %d entries, want 0", dropped)
-	}
-
-	dropped, err = capTrend(path, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dropped != 3 {
-		t.Errorf("dropped = %d, want 3", dropped)
-	}
-
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("kept %d lines, want 2: %q", len(lines), lines)
-	}
-	// The survivors must be the NEWEST two entries, still valid JSON.
-	for i, ln := range lines {
-		var e struct {
-			WallMs map[string]float64 `json:"wall_ms"`
-		}
-		if err := json.Unmarshal([]byte(ln), &e); err != nil {
-			t.Fatalf("kept line %d is not JSON: %v", i, err)
-		}
-		if want := float64(103 + i); e.WallMs["BenchmarkCampaign"] != want {
-			t.Errorf("kept line %d wall = %g, want %g (newest entries)", i, e.WallMs["BenchmarkCampaign"], want)
-		}
-	}
-}
-
 // extract accepts both raw benchmark text and the go test -json stream,
-// routing host-speed units into wall/throughput and everything else into
-// the deterministic figure set.
+// dropping host-speed units and keeping everything else as the
+// deterministic figure set.
 func TestExtractRoutesUnits(t *testing.T) {
 	raw := strings.NewReader(strings.Join([]string{
 		"BenchmarkCampaign-8   1   2000000 ns/op   512 B/op   7 allocs/op   3.5 cells/sec   1.25 overhead-ratio",
 		"not a benchmark line",
 	}, "\n"))
-	figures, wallMs, thrpt, err := extract(raw)
+	figures, err := extract(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := figures["BenchmarkCampaign/overhead-ratio"]; got != 1.25 {
 		t.Errorf("figure = %g, want 1.25", got)
 	}
-	if _, ok := figures["BenchmarkCampaign/B/op"]; ok {
-		t.Error("host unit B/op leaked into the figure set")
-	}
-	if got := wallMs["BenchmarkCampaign"]; got != 2.0 {
-		t.Errorf("wall_ms = %g, want 2 (from 2e6 ns/op)", got)
-	}
-	if got := thrpt["BenchmarkCampaign/cells/sec"]; got != 3.5 {
-		t.Errorf("throughput = %g, want 3.5", got)
+	if len(figures) != 1 {
+		t.Errorf("host units reached the figure map: %v", figures)
 	}
 }

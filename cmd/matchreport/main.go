@@ -1,21 +1,17 @@
-// Command matchreport turns the suite's machine-oriented observability
-// artifacts into one human-oriented markdown report: the host-speed
-// trajectory that matchbench appends to BENCH_trend.jsonl, the latest
-// run's wall_ms / cells/sec deltas against BENCH_baseline.json (with
-// regression flags at the same soft threshold matchbench gates on), and
-// — given one or two campaign CSVs — the per-cell design winner table
-// and the crossover diff between two campaign runs. CI uploads the
-// output as a build artifact so throughput drift is readable without
-// spelunking job logs.
+// Command matchreport turns campaign results into one human-oriented
+// markdown report: given one campaign CSV, the per-cell design winner
+// table; given two, the crossover diff between the two campaign runs.
 //
 // Usage:
 //
-//	matchreport -trend BENCH_trend.jsonl -baseline BENCH_baseline.json -out report.md
+//	matchreport -campaign results.csv -out report.md
 //	matchreport -campaign before.csv -campaign2 after.csv   # crossover diff to stdout
 //	matchreport -campaign http://host:8080/campaigns/<id>/results   # straight off matchserve
 //
 // A -campaign argument may be a matchserve results URL instead of a local
 // CSV; the report then also includes the server's result-cache hit rate.
+// Campaign totals are virtual seconds; host-time questions belong to
+// bench/ (see bench/README.md).
 package main
 
 import (
@@ -33,21 +29,6 @@ import (
 	"strings"
 )
 
-// trendEntry is one matchbench -trend line.
-type trendEntry struct {
-	Time       string             `json:"time"`
-	WallMs     map[string]float64 `json:"wall_ms"`
-	Throughput map[string]float64 `json:"throughput"`
-}
-
-// benchBaseline mirrors matchbench's on-disk baseline; only the
-// host-speed series matter here (the deterministic figures have their
-// own hard gate).
-type benchBaseline struct {
-	WallMs     map[string]float64 `json:"wall_ms"`
-	Throughput map[string]float64 `json:"throughput"`
-}
-
 // cell is one campaign CSV row, keyed by the axes that identify a sweep
 // cell across runs and carrying the figures the report compares.
 type cell struct {
@@ -61,24 +42,13 @@ func (c cell) key() string {
 }
 
 func main() {
-	trendPath := flag.String("trend", "", "BENCH_trend.jsonl trajectory from matchbench -trend")
-	basePath := flag.String("baseline", "", "BENCH_baseline.json for latest-vs-baseline deltas")
 	campA := flag.String("campaign", "", "campaign CSV (matchsuite -campaign -csv)")
 	campB := flag.String("campaign2", "", "second campaign CSV to diff against -campaign")
 	outPath := flag.String("out", "-", `markdown output path ("-" = stdout)`)
-	wallTol := flag.Float64("wall-tol", 2.0, "flag wall_ms growth, or throughput shrinkage, beyond this factor as a regression")
 	flag.Parse()
-	if *wallTol < 1 {
-		fmt.Fprintf(os.Stderr, "matchreport: -wall-tol %g invalid (want >= 1)\n", *wallTol)
-		os.Exit(2)
-	}
-	if *trendPath == "" && *campA == "" {
-		fmt.Fprintln(os.Stderr, "matchreport: nothing to report (need -trend and/or -campaign)")
+	if *campA == "" {
+		fmt.Fprintln(os.Stderr, "matchreport: nothing to report (need -campaign)")
 		flag.Usage()
-		os.Exit(2)
-	}
-	if *campB != "" && *campA == "" {
-		fmt.Fprintln(os.Stderr, "matchreport: -campaign2 requires -campaign")
 		os.Exit(2)
 	}
 
@@ -94,51 +64,29 @@ func main() {
 	bw := bufio.NewWriter(w)
 	defer bw.Flush()
 
-	fmt.Fprintln(bw, "# MATCH trend report")
+	fmt.Fprintln(bw, "# MATCH campaign report")
 	fmt.Fprintln(bw)
 
-	if *trendPath != "" {
-		entries, err := readTrend(*trendPath)
-		if err != nil {
-			fatal(err)
-		}
-		var base benchBaseline
-		if *basePath != "" {
-			raw, err := os.ReadFile(*basePath)
-			if err != nil {
-				fatal(err)
-			}
-			if err := json.Unmarshal(raw, &base); err != nil {
-				fatal(fmt.Errorf("parsing %s: %w", *basePath, err))
-			}
-		}
-		if regress := writeTrendReport(bw, entries, base, *wallTol); regress > 0 {
-			fmt.Fprintf(os.Stderr, "matchreport: %d host-speed serie(s) beyond the %gx threshold (report only; matchbench -wall-tol gates)\n", regress, *wallTol)
-		}
+	a, err := readCampaign(*campA)
+	if err != nil {
+		fatal(err)
 	}
-
-	if *campA != "" {
-		a, err := readCampaign(*campA)
+	if *campB == "" {
+		writeWinners(bw, *campA, a)
+	} else {
+		b, err := readCampaign(*campB)
 		if err != nil {
 			fatal(err)
 		}
-		if *campB == "" {
-			writeWinners(bw, *campA, a)
-		} else {
-			b, err := readCampaign(*campB)
-			if err != nil {
-				fatal(err)
-			}
-			writeCampaignDiff(bw, *campA, *campB, a, b)
-		}
-		// Campaigns fetched from a matchserve instance bring the server's
-		// result-cache statistics along (one section per distinct server).
-		seen := map[string]bool{}
-		for _, p := range []string{*campA, *campB} {
-			if base := serverBase(p); base != "" && !seen[base] {
-				seen[base] = true
-				writeCacheSection(bw, base)
-			}
+		writeCampaignDiff(bw, *campA, *campB, a, b)
+	}
+	// Campaigns fetched from a matchserve instance bring the server's
+	// result-cache statistics along (one section per distinct server).
+	seen := map[string]bool{}
+	for _, p := range []string{*campA, *campB} {
+		if base := serverBase(p); base != "" && !seen[base] {
+			seen[base] = true
+			writeCacheSection(bw, base)
 		}
 	}
 }
@@ -197,118 +145,6 @@ func writeCacheSection(w io.Writer, base string) {
 	fmt.Fprintf(w, "| %d | %d (%d/%d) | %d | %d | %.1f%% |\n",
 		cs.Hits+cs.Misses, cs.Hits, cs.MemHits, cs.DiskHits, cs.Misses, cs.Puts, 100*cs.HitRate)
 	fmt.Fprintln(w)
-}
-
-// readTrend loads the JSONL trajectory, skipping blank lines; malformed
-// lines are an error (the file is machine-written).
-func readTrend(path string) ([]trendEntry, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var entries []trendEntry
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		ln := strings.TrimSpace(sc.Text())
-		if ln == "" {
-			continue
-		}
-		var e trendEntry
-		if err := json.Unmarshal([]byte(ln), &e); err != nil {
-			return nil, fmt.Errorf("%s line %d: %w", path, len(entries)+1, err)
-		}
-		entries = append(entries, e)
-	}
-	return entries, sc.Err()
-}
-
-// writeTrendReport renders the latest-vs-baseline tables and the
-// per-series trajectory, returning how many series tripped the
-// regression threshold.
-func writeTrendReport(w io.Writer, entries []trendEntry, base benchBaseline, tol float64) int {
-	if len(entries) == 0 {
-		fmt.Fprintln(w, "_Trend file is empty — run `matchbench -trend` to start the trajectory._")
-		fmt.Fprintln(w)
-		return 0
-	}
-	latest := entries[len(entries)-1]
-	regress := 0
-
-	fmt.Fprintf(w, "## Latest run vs baseline (%d trend entries, newest %s)\n\n", len(entries), latest.Time)
-	if base.WallMs == nil && base.Throughput == nil {
-		fmt.Fprintln(w, "_No baseline given (-baseline); showing trajectory only._")
-		fmt.Fprintln(w)
-	} else {
-		fmt.Fprintln(w, "| series | baseline | latest | delta | flag |")
-		fmt.Fprintln(w, "|---|---:|---:|---:|---|")
-		for _, k := range sortedCommonKeys(base.WallMs, latest.WallMs) {
-			was, now := base.WallMs[k], latest.WallMs[k]
-			flag := ""
-			if was > 0 && now > was*tol {
-				flag = "**REGRESSION**"
-				regress++
-			}
-			fmt.Fprintf(w, "| %s wall_ms | %.1f | %.1f | %s | %s |\n", k, was, now, pct(was, now), flag)
-		}
-		for _, k := range sortedCommonKeys(base.Throughput, latest.Throughput) {
-			was, now := base.Throughput[k], latest.Throughput[k]
-			flag := ""
-			if was > 0 && now < was/tol {
-				flag = "**REGRESSION**"
-				regress++
-			}
-			fmt.Fprintf(w, "| %s | %.4g | %.4g | %s | %s |\n", k, was, now, pct(was, now), flag)
-		}
-		fmt.Fprintln(w)
-		fmt.Fprintf(w, "Regression flags use the %gx soft threshold (`matchbench -wall-tol %g`): wall time growing, or throughput dropping, past factor x baseline.\n\n", tol, tol)
-	}
-
-	fmt.Fprintln(w, "## Trajectory")
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, "| series | entries | oldest | newest | delta | min | max |")
-	fmt.Fprintln(w, "|---|---:|---:|---:|---:|---:|---:|")
-	for _, row := range trajectory(entries, func(e trendEntry) map[string]float64 { return e.WallMs }) {
-		fmt.Fprintf(w, "| %s wall_ms | %d | %.1f | %.1f | %s | %.1f | %.1f |\n",
-			row.name, row.n, row.first, row.last, pct(row.first, row.last), row.min, row.max)
-	}
-	for _, row := range trajectory(entries, func(e trendEntry) map[string]float64 { return e.Throughput }) {
-		fmt.Fprintf(w, "| %s | %d | %.4g | %.4g | %s | %.4g | %.4g |\n",
-			row.name, row.n, row.first, row.last, pct(row.first, row.last), row.min, row.max)
-	}
-	fmt.Fprintln(w)
-	return regress
-}
-
-type series struct {
-	name                  string
-	n                     int
-	first, last, min, max float64
-}
-
-// trajectory folds the trend entries into one row per series name.
-func trajectory(entries []trendEntry, sel func(trendEntry) map[string]float64) []series {
-	byName := map[string]*series{}
-	for _, e := range entries {
-		for k, v := range sel(e) {
-			s := byName[k]
-			if s == nil {
-				s = &series{name: k, first: v, min: v, max: v}
-				byName[k] = s
-			}
-			s.n++
-			s.last = v
-			s.min = math.Min(s.min, v)
-			s.max = math.Max(s.max, v)
-		}
-	}
-	rows := make([]series, 0, len(byName))
-	for _, s := range byName {
-		rows = append(rows, *s)
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
-	return rows
 }
 
 // readCampaign loads the cells of a matchsuite campaign CSV, from a local
@@ -494,18 +330,6 @@ func sortedCellKeys(m map[string]map[string]float64) []string {
 func splitKey(k string) (app, input, procs, faults string) {
 	p := strings.SplitN(k, "|", 4)
 	return p[0], p[1], p[2], p[3]
-}
-
-// sortedCommonKeys returns the sorted keys present in both maps.
-func sortedCommonKeys(a, b map[string]float64) []string {
-	var keys []string
-	for k := range a {
-		if _, ok := b[k]; ok {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // pct renders the relative movement from was to now.

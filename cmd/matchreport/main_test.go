@@ -11,66 +11,6 @@ func writeFile(path, body string) error {
 	return os.WriteFile(path, []byte(body), 0o644)
 }
 
-func entry(ts string, wall, thrpt float64) trendEntry {
-	return trendEntry{
-		Time:       ts,
-		WallMs:     map[string]float64{"BenchmarkCampaign": wall},
-		Throughput: map[string]float64{"BenchmarkCampaign/cells/sec": thrpt},
-	}
-}
-
-// The latest-vs-baseline table flags wall growth and throughput
-// shrinkage beyond the threshold — and only beyond it.
-func TestTrendReportRegressionFlags(t *testing.T) {
-	base := benchBaseline{
-		WallMs:     map[string]float64{"BenchmarkCampaign": 100},
-		Throughput: map[string]float64{"BenchmarkCampaign/cells/sec": 10},
-	}
-	var buf bytes.Buffer
-	n := writeTrendReport(&buf, []trendEntry{
-		entry("t0", 90, 11),
-		entry("t1", 150, 9), // within 2x both ways
-	}, base, 2.0)
-	if n != 0 {
-		t.Errorf("within-threshold run flagged %d regressions", n)
-	}
-	if strings.Contains(buf.String(), "REGRESSION") {
-		t.Error("report contains a REGRESSION flag for an in-threshold run")
-	}
-
-	buf.Reset()
-	n = writeTrendReport(&buf, []trendEntry{
-		entry("t2", 250, 4), // wall 2.5x up, throughput 2.5x down
-	}, base, 2.0)
-	if n != 2 {
-		t.Errorf("flagged %d regressions, want 2 (wall and throughput)", n)
-	}
-	out := buf.String()
-	if strings.Count(out, "REGRESSION") != 2 {
-		t.Errorf("report does not flag both series:\n%s", out)
-	}
-	if !strings.Contains(out, "+150.0%") {
-		t.Errorf("wall delta missing from report:\n%s", out)
-	}
-}
-
-// The trajectory section folds every entry into per-series first/last/
-// min/max rows.
-func TestTrajectory(t *testing.T) {
-	rows := trajectory([]trendEntry{
-		entry("t0", 100, 10),
-		entry("t1", 80, 12),
-		entry("t2", 120, 11),
-	}, func(e trendEntry) map[string]float64 { return e.WallMs })
-	if len(rows) != 1 {
-		t.Fatalf("got %d series, want 1", len(rows))
-	}
-	r := rows[0]
-	if r.n != 3 || r.first != 100 || r.last != 120 || r.min != 80 || r.max != 120 {
-		t.Errorf("trajectory row = %+v", r)
-	}
-}
-
 const campaignA = `app,design,procs,input,faults,detector,ckpt_policy,rfactor,hot_spare,app_s,ckpt_s,recovery_s,detect_s,total_s,recoveries,respawns,spawn_s,ckpts,ckpt_l1,ckpt_l2,ckpt_l3,ckpt_l4,ckpt_avoided,messages,net_bytes
 HPCCG,reinit,8,25x25x25,2,ring,fixed,1,0,10,1,2,0.1,13,2,0,0,5,3,1,0,1,0,100,4096
 HPCCG,replica,8,25x25x25,2,ring,fixed,2,0,10,0,4,0.1,14,2,0,0,0,0,0,0,0,0,200,8192

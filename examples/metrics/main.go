@@ -5,15 +5,15 @@
 // simulator actually performed, exported in OpenMetrics text any
 // Prometheus stack can ingest.
 //
-// The registry is a pure observer with a built-in lie detector: Run
-// reconciles the registry's write-time totals exactly against the
-// breakdown (and against the trace's span counts when a recorder runs
-// alongside), so a metered run that returns at all is a run where three
-// independent accountings agreed to the last event. The example meters
-// a multi-failure replica run, prints the headline counters, streams
-// the structured event log, and ends with the full exposition — the
-// same text `cmd/matchsuite -pprof-http` serves live on /metrics during
-// a sweep (with /status next to it for a JSON summary).
+// The registry is a pure observer with a built-in lie detector: every
+// layer reports an event as one span, the registry counts those spans at
+// write time, and Run reconciles the totals exactly against the breakdown
+// the designs account at teardown — so a metered run that returns at all
+// is a run where the two accountings agreed to the last event. The example
+// meters a multi-failure replica run, prints the headline counters,
+// streams the structured event log, and ends with the full exposition —
+// the same text `cmd/matchsuite -pprof-http` serves live on /metrics
+// during a sweep (with /status next to it for a JSON summary).
 package main
 
 import (

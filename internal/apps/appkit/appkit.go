@@ -104,15 +104,15 @@ func RunMainLoop(ctx *Context, app App) (float64, error) {
 	if pol == nil {
 		pol = ckpt.FixedPolicy(ctx.Params.CkptStride)
 	}
-	// Trace identity of this rank's main loop, captured once: one compute
+	// Span identity of this rank's main loop, captured once: one compute
 	// span per step lands on the rank's own timeline track.
-	tr := ctx.R.Job().Cluster().Tracer()
-	var trRank, trReplica, trJob int32
-	if tr.Enabled() {
-		trRank = int32(ctx.Rank())
-		trJob = tr.JobOf(ctx.R.Job())
+	probe := ctx.R.Job().Cluster().Probe()
+	traced := probe.On(trace.CatCompute)
+	var step trace.Span
+	if traced {
+		step = trace.Span{Cat: trace.CatCompute, Rank: int32(ctx.Rank()), Job: probe.JobOf(ctx.R.Job())}
 		if ctx.World.Replicated() {
-			trReplica = int32(ctx.World.ReplicaIndexOf(ctx.R.Process().GID()))
+			step.Replica = int32(ctx.World.ReplicaIndexOf(ctx.R.Process().GID()))
 		}
 	}
 	for ; iter < ctx.Params.MaxIter; iter++ {
@@ -129,10 +129,9 @@ func RunMainLoop(ctx *Context, app App) (float64, error) {
 			return 0, err
 		}
 		stepDur := ctx.R.Now() - start
-		if tr.Wants(trace.CatCompute) {
-			tr.Emit(trace.Span{Cat: trace.CatCompute,
-				Rank: trRank, Replica: trReplica, Job: trJob,
-				Start: int64(start), Dur: int64(stepDur), Aux: int64(iter)})
+		if traced {
+			step.Start, step.Dur, step.Aux = int64(start), int64(stepDur), int64(iter)
+			probe.Emit(step)
 		}
 		pol.Observe(ckpt.ObsStep, stepDur)
 	}

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"match/internal/fti"
+	"match/internal/obs"
 	"match/internal/simnet"
+	"match/internal/trace"
 )
 
 func mustPlanner(t *testing.T, cfg Config, maxIter, faults int) *Planner {
@@ -176,6 +178,38 @@ func TestReplicaAwareSkipProtected(t *testing.T) {
 	}
 	if pl.Avoided() != 6 {
 		t.Fatalf("avoided = %d, want 6", pl.Avoided())
+	}
+}
+
+// Arm and avoid events reach the registry and the recorder through one
+// Emit, so an observed planner reports the same counts on both: two arms
+// (the first incarnation and the re-arm after a recovery) and the six
+// base-stride points each incarnation skips, stamped by the attached clock.
+func TestObservedPlannerCountsMatchSpans(t *testing.T) {
+	pl := mustPlanner(t, Config{Kind: ReplicaAware, SkipProtected: true}, 60, 0)
+	pl.Degree = func() int { return 2 }
+	epoch := 0
+	pl.Epoch = func() int { return epoch }
+	reg, rec := obs.New(), trace.New()
+	pl.Attach(obs.NewProbe(reg, rec, nil), func() simnet.Time { return 7 * simnet.Second })
+	decisions(pl.Policy(), 60)
+	epoch = 1
+	decisions(pl.Policy(), 60)
+
+	spans := map[trace.Cat]int64{}
+	for _, s := range rec.Spans() {
+		spans[s.Cat]++
+		if s.Start != int64(7*simnet.Second) {
+			t.Fatalf("%v span stamped %d, want the attached clock", s.Cat, s.Start)
+		}
+	}
+	if arms := reg.Get(obs.CPolicyArms); arms != 2 || spans[trace.CatPolicyArm] != arms {
+		t.Fatalf("arms: registry %d, spans %d, want 2 on both", arms, spans[trace.CatPolicyArm])
+	}
+	if avoids := reg.Get(obs.CPolicyAvoids); avoids != 12 || spans[trace.CatPolicyAvoid] != avoids ||
+		int64(pl.Avoided()) != avoids {
+		t.Fatalf("avoids: registry %d, spans %d, planner %d, want 12 on all",
+			avoids, spans[trace.CatPolicyAvoid], pl.Avoided())
 	}
 }
 

@@ -32,17 +32,10 @@ type Planner struct {
 	// replica-aware placement degenerates to the base stride.
 	Degree func() int
 
-	// Trace receives placement-decision events (policy re-arms and avoided
-	// checkpoints) when the harness runs with a recorder attached; Now
-	// supplies the virtual clock for them. Both nil by default — the
-	// planner itself is clock-free.
-	Trace *trace.Recorder
-	Now   func() simnet.Time
-	// Metrics receives the same placement-decision events as counters
-	// (policy re-arms and avoided checkpoints); nil — the default — is
-	// inert. The planner is not cluster-attached, so the harness wires it
-	// directly, like Trace.
-	Metrics *obs.Registry
+	// probe receives placement-decision events (policy re-arms and avoided
+	// checkpoints) and now stamps them; see Attach.
+	probe *obs.Probe
+	now   func() simnet.Time
 
 	pol      *policy
 	polEpoch int
@@ -62,6 +55,13 @@ func NewPlanner(cfg Config, maxIter, faults int) (*Planner, error) {
 	return &Planner{cfg: cfg, maxIter: maxIter, faults: faults}, nil
 }
 
+// Attach reports placement decisions to p, stamped by the virtual clock
+// now. The planner itself is clock-free and not cluster-attached, so the
+// harness wires both together: a probe without a clock cannot be attached.
+func (pl *Planner) Attach(p *obs.Probe, now func() simnet.Time) {
+	pl.probe, pl.now = p, now
+}
+
 // Config returns the resolved configuration in use.
 func (pl *Planner) Config() Config { return pl.cfg }
 
@@ -78,10 +78,9 @@ func (pl *Planner) Policy() Policy {
 		pl.polEpoch = e
 		pl.pol = pl.build()
 		pl.strides = append(pl.strides, pl.pol.stride)
-		pl.Metrics.Inc(obs.CPolicyArms)
-		if pl.Trace.Wants(trace.CatPolicyArm) && pl.Now != nil {
-			pl.Trace.Emit(trace.Span{Cat: trace.CatPolicyArm, Rank: -1,
-				Start: int64(pl.Now()), Level: int32(e), Aux: int64(pl.pol.stride)})
+		if pl.probe.On(trace.CatPolicyArm) {
+			pl.probe.Emit(trace.Span{Cat: trace.CatPolicyArm, Rank: -1,
+				Start: int64(pl.now()), Level: int32(e), Aux: int64(pl.pol.stride)})
 		}
 	}
 	return pl.pol
@@ -217,10 +216,9 @@ func (p *policy) Next(s State) Decision {
 		p.taken++
 	} else if p.pl.cfg.Stride > 0 && s.Iter%p.pl.cfg.Stride == 0 {
 		p.pl.avoided++
-		p.pl.Metrics.Inc(obs.CPolicyAvoids)
-		if p.pl.Trace.Wants(trace.CatPolicyAvoid) && p.pl.Now != nil {
-			p.pl.Trace.Emit(trace.Span{Cat: trace.CatPolicyAvoid, Rank: -1,
-				Start: int64(p.pl.Now()), Aux: int64(s.Iter)})
+		if p.pl.probe.On(trace.CatPolicyAvoid) {
+			p.pl.probe.Emit(trace.Span{Cat: trace.CatPolicyAvoid, Rank: -1,
+				Start: int64(p.pl.now()), Aux: int64(s.Iter)})
 		}
 	}
 	p.memo[s.Iter] = d

@@ -200,11 +200,11 @@ type Config struct {
 	// (messages, checkpoints per level, detections, failovers, respawns,
 	// scheduler events — see internal/obs) into the registry. Like Trace it
 	// is a pure observer: a metered run is byte-identical to an unmetered
-	// one, and Run self-checks the registry against the returned Breakdown
-	// (and, when both are attached, against the trace's span counts),
-	// failing hard on divergence. Unlike Trace, a registry may be reused
-	// across the reps of RunAveraged: each rep gets a fresh registry that is
-	// merged in afterwards.
+	// one, and Run self-checks the registry against the returned Breakdown,
+	// failing hard on divergence (registry and trace consume the same
+	// emitted spans, so they cannot disagree with each other). Unlike
+	// Trace, a registry may be reused across the reps of RunAveraged: each
+	// rep gets a fresh registry that is merged in afterwards.
 	Metrics *obs.Registry `json:"-"`
 
 	// Log, when non-nil, receives structured lifecycle events (inject,
@@ -367,9 +367,10 @@ func Run(cfg Config) (Breakdown, error) {
 	// forced it on; see the README's detection/calibration notes.
 	cluster := simnet.NewCluster(simnet.Config{Nodes: rc.Nodes, ModelIngress: rc.Ingress})
 	cluster.Scheduler().SetDeadline(200000 * simnet.Second) // deadlock net
-	cluster.SetTracer(cfg.Trace)
-	cluster.SetMetrics(cfg.Metrics)
-	cluster.SetLog(cfg.Log)
+	// The one observer seam: every layer reports an event as one span to
+	// this probe, and the three Config observers consume it.
+	probe := obs.NewProbe(cfg.Metrics, cfg.Trace, cfg.Log)
+	cluster.SetProbe(probe)
 	cfg.Metrics.EnsureRanks(rc.Procs)
 	st := storage.New(cluster, storage.Config{BytesScale: rc.scale})
 
@@ -396,9 +397,7 @@ func Run(cfg Config) (Breakdown, error) {
 	if err != nil {
 		return Breakdown{}, err
 	}
-	planner.Trace = cfg.Trace
-	planner.Now = cluster.Now
-	planner.Metrics = cfg.Metrics
+	planner.Attach(probe, cluster.Now)
 
 	// The execution id only needs to be stable across the incarnations of
 	// this one run (each run owns its cluster and storage), so it is derived
@@ -438,13 +437,13 @@ func Run(cfg Config) (Breakdown, error) {
 		// Mirror the finish-map write exactly: Totals takes the last
 		// CatFinish write per rank, so emission order must match map
 		// assignment order (it does — the simulation is single-threaded).
-		if tr := cfg.Trace; tr.Wants(trace.CatFinish) {
+		if probe.On(trace.CatFinish) {
 			var rep int32
 			if world.Replicated() {
 				rep = int32(world.ReplicaIndexOf(r.Process().GID()))
 			}
-			tr.Emit(trace.Span{Cat: trace.CatFinish, Rank: int32(rank),
-				Replica: rep, Job: tr.JobOf(r.Job()), Start: int64(r.Now())})
+			probe.Emit(trace.Span{Cat: trace.CatFinish, Rank: int32(rank),
+				Replica: rep, Job: probe.JobOf(r.Job()), Start: int64(r.Now())})
 		}
 		return nil
 	}
@@ -469,9 +468,8 @@ func Run(cfg Config) (Breakdown, error) {
 	// (cheap queue scan, traced or not) so reports can surface the leak.
 	if n, at := cluster.Scheduler().Leaked(); n > 0 {
 		bd.LeakedEvents = n
-		cfg.Metrics.Add(obs.CLeakedEvents, int64(n))
-		if tr := cfg.Trace; tr.Wants(trace.CatLeak) {
-			tr.Emit(trace.Span{Cat: trace.CatLeak, Rank: -1, Start: int64(at), Aux: int64(n)})
+		if probe.On(trace.CatLeak) {
+			probe.Emit(trace.Span{Cat: trace.CatLeak, Rank: -1, Start: int64(at), Aux: int64(n)})
 		}
 	}
 
@@ -509,8 +507,9 @@ func Run(cfg Config) (Breakdown, error) {
 	}
 	// The same discipline for the metrics registry: its write-time counts
 	// must agree exactly with the teardown-time accounting the Breakdown
-	// (and the recorder's raw FTI sums) arrived at independently — and, when
-	// a trace recorder ran alongside, with the span counts it captured.
+	// (and the recorder's raw FTI sums) arrived at independently. Registry
+	// and trace are fed by the same Emit, so they need no check against each
+	// other.
 	if m := cfg.Metrics; m.Enabled() {
 		if rerr := m.Reconcile(obs.Expect{
 			Messages:     bd.Messages,
@@ -529,64 +528,8 @@ func Run(cfg Config) (Breakdown, error) {
 		}); rerr != nil {
 			return bd, fmt.Errorf("core: %w", rerr)
 		}
-		if tr := cfg.Trace; tr.Enabled() {
-			if rerr := metricsTraceCrossCheck(m, tr); rerr != nil {
-				return bd, fmt.Errorf("core: %w", rerr)
-			}
-		}
 	}
 	return bd, nil
-}
-
-// metricsTraceCrossCheck verifies that the metrics registry and the trace
-// recorder — two independent observers of the same run — counted the same
-// discrete events. Detail-gated categories (sends, collectives, dedup
-// drops, heartbeats) participate only when the recorder's detail mask
-// captured them.
-func metricsTraceCrossCheck(m *obs.Registry, tr *trace.Recorder) error {
-	spans := make(map[trace.Cat]int64)
-	var respawns, aborted int64
-	for _, s := range tr.Spans() {
-		spans[s.Cat]++
-		if s.Cat == trace.CatSpawn {
-			if s.Level == 0 {
-				respawns++
-			} else {
-				aborted++
-			}
-		}
-	}
-	var diffs []string
-	check := func(name string, got int64, cat trace.Cat, want int64) {
-		if !tr.Wants(cat) {
-			return
-		}
-		if got != want {
-			diffs = append(diffs, fmt.Sprintf("%s: registry %d != trace %d", name, got, want))
-		}
-	}
-	check("injections", m.Get(obs.CInjections), trace.CatInject, spans[trace.CatInject])
-	check("node-failures", m.Get(obs.CNodeFailures), trace.CatNodeFail, spans[trace.CatNodeFail])
-	check("detections", m.Get(obs.CDetections), trace.CatDetect, spans[trace.CatDetect])
-	check("recoveries", m.Get(obs.CRecoveries), trace.CatRecovery, spans[trace.CatRecovery])
-	check("failovers", m.Get(obs.CFailovers), trace.CatFailover, spans[trace.CatFailover])
-	check("absorbs", m.Get(obs.CAbsorbs), trace.CatAbsorb, spans[trace.CatAbsorb])
-	check("fallbacks", m.Get(obs.CFallbacks), trace.CatFallback, spans[trace.CatFallback])
-	check("repairs", m.Get(obs.CRepairs), trace.CatRepair, spans[trace.CatRepair])
-	check("respawns", m.Get(obs.CRespawns), trace.CatSpawn, respawns)
-	check("respawns-aborted", m.Get(obs.CRespawnsAborted), trace.CatSpawn, aborted)
-	check("policy-arms", m.Get(obs.CPolicyArms), trace.CatPolicyArm, spans[trace.CatPolicyArm])
-	check("policy-avoids", m.Get(obs.CPolicyAvoids), trace.CatPolicyAvoid, spans[trace.CatPolicyAvoid])
-	check("checkpoints", m.Get(obs.CCheckpoints), trace.CatCkpt, spans[trace.CatCkpt])
-	check("restores", m.Get(obs.CRestores), trace.CatRestore, spans[trace.CatRestore])
-	check("messages", m.Get(obs.CMessages), trace.CatSend, spans[trace.CatSend])
-	check("collectives", m.Get(obs.CCollectives), trace.CatCollective, spans[trace.CatCollective])
-	check("dedup-drops", m.Get(obs.CDedupDrops), trace.CatDedup, spans[trace.CatDedup])
-	check("heartbeats", m.Get(obs.CHeartbeats), trace.CatHeartbeat, spans[trace.CatHeartbeat])
-	if diffs != nil {
-		return fmt.Errorf("obs: registry/trace divergence: %s", strings.Join(diffs, "; "))
-	}
-	return nil
 }
 
 // TraceTotalsOf converts a Breakdown's phase components into the trace
@@ -613,18 +556,14 @@ func firstErr(errs []error) error {
 }
 
 // addRecovery accounts one completed recovery: its duration joins the
-// Breakdown, then the registry, then the trace. The trace and metrics
-// goldens pin that order and the span fields (level and aux are zero where
-// a design has none).
+// Breakdown and one CatRecovery span tells the observers. The trace and
+// metrics goldens pin the span fields (level and aux are zero where a
+// design has none).
 func addRecovery(bd *Breakdown, cluster *simnet.Cluster, rank, replica, level int, failedAt, dur simnet.Time, aux int) {
 	bd.Recovery += dur
 	bd.Recoveries++
-	if m := cluster.Metrics(); m != nil {
-		m.Inc(obs.CRecoveries)
-		m.Observe(obs.HRecoveryNs, int64(dur))
-	}
-	if tr := cluster.Tracer(); tr.Wants(trace.CatRecovery) {
-		tr.Emit(trace.Span{Cat: trace.CatRecovery, Rank: int32(rank), Replica: int32(replica),
+	if p := cluster.Probe(); p.On(trace.CatRecovery) {
+		p.Emit(trace.Span{Cat: trace.CatRecovery, Rank: int32(rank), Replica: int32(replica),
 			Level: int32(level), Start: int64(failedAt), Dur: int64(dur), Aux: int64(aux)})
 	}
 }

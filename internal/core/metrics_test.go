@@ -10,11 +10,9 @@ import (
 
 // The metrics registry must be a pure observer: a metered run and an
 // unmetered run of the same configuration produce byte-identical
-// breakdowns on every design under a multi-failure schedule. Running with
-// a full-detail trace recorder alongside additionally exercises the
-// registry/trace cross-check — Run fails hard if the two observers
-// counted different events, so a passing metered+traced run proves three
-// independent accountings (registry, breakdown, spans) agree exactly.
+// breakdowns on every design under a multi-failure schedule. A full-detail
+// trace recorder runs beside it, so the one probe feeds both consumers and
+// Run reconciles each of them against the breakdown.
 func TestMetricsOffByteIdentity(t *testing.T) {
 	for _, d := range Designs() {
 		d := d

@@ -32,7 +32,6 @@ import (
 	"strings"
 
 	"match/internal/mpi"
-	"match/internal/obs"
 	"match/internal/simnet"
 	"match/internal/trace"
 )
@@ -367,7 +366,7 @@ func (b *base) FailureOf(gid int) (Failure, bool) {
 func (b *base) Failures() []Failure { return b.failures }
 
 // confirm records and delivers a failure exactly once. The CatDetect span
-// emitted here (FailedAt..DetectedAt) is the trace-side oracle the
+// emitted here (FailedAt..DetectedAt) is the observer-side oracle the
 // harness reconciles against detect.Totals: one span per confirmed
 // failure, at the single site every strategy funnels through.
 func (b *base) confirm(f Failure) {
@@ -376,16 +375,8 @@ func (b *base) confirm(f Failure) {
 	}
 	b.confirmed[f.GID] = true
 	b.failures = append(b.failures, f)
-	if m := b.job.Cluster().Metrics(); m != nil {
-		m.Inc(obs.CDetections)
-		m.Observe(obs.HDetectNs, int64(f.Latency()))
-	}
-	if lg := b.job.Cluster().Log(); lg.Enabled() {
-		lg.Event(int64(f.DetectedAt), "detect",
-			"gid", f.GID, "latency_s", f.Latency().Seconds())
-	}
-	if tr := b.job.Cluster().Tracer(); tr.Wants(trace.CatDetect) {
-		tr.Emit(trace.Span{Cat: trace.CatDetect, Rank: -1, Job: tr.JobOf(b.job),
+	if p := b.job.Cluster().Probe(); p.On(trace.CatDetect) {
+		p.Emit(trace.Span{Cat: trace.CatDetect, Rank: -1, Job: p.JobOf(b.job),
 			Start: int64(f.FailedAt), Dur: int64(f.Latency()),
 			Level: int32(b.cfg.Kind), Aux: int64(f.GID)})
 	}

@@ -2,7 +2,6 @@ package detect
 
 import (
 	"match/internal/mpi"
-	"match/internal/obs"
 	"match/internal/simnet"
 	"match/internal/trace"
 )
@@ -42,9 +41,8 @@ func (d *ringDetector) tick() {
 		cl.SendArrival(p.NodeID(), succ.NodeID(), d.cfg.HeartbeatBytes, now)
 		d.job.Steal(p.GID(), steal)
 	}
-	cl.Metrics().Inc(obs.CHeartbeats)
-	if tr := cl.Tracer(); tr.Wants(trace.CatHeartbeat) {
-		tr.Emit(trace.Span{Cat: trace.CatHeartbeat, Rank: -1, Job: tr.JobOf(d.job),
+	if p := cl.Probe(); p.On(trace.CatHeartbeat) {
+		p.Emit(trace.Span{Cat: trace.CatHeartbeat, Rank: -1, Job: p.JobOf(d.job),
 			Start: int64(now), Aux: int64(len(alive))})
 	}
 	allExited := true

@@ -11,13 +11,11 @@ package fault
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"strconv"
 	"strings"
 
 	"match/internal/mpi"
-	"match/internal/obs"
 	"match/internal/trace"
 )
 
@@ -319,7 +317,6 @@ func parseNonNegative(s, what string) (int, error) {
 // matter how many incarnations replay its iteration).
 type Injector struct {
 	Schedule Schedule
-	Log      io.Writer // optional: receives the paper's "KILL rank %d" line
 	// Recoveries, when set, reports how many recoveries the run has
 	// completed so far; events with AfterRecoveries > 0 stay dormant until
 	// it reaches their threshold. The harness points this at the active
@@ -392,28 +389,11 @@ func (in *Injector) MaybeFail(r *mpi.Rank, comm *mpi.Comm, iter int) {
 func (in *Injector) fire(i int, ev Event, r *mpi.Rank, comm *mpi.Comm) {
 	in.fired[i] = true
 	in.nfired++
-	if in.Log != nil {
-		if comm.Replicated() {
-			fmt.Fprintf(in.Log, "KILL rank %d replica %d\n", r.Rank(comm), ev.TargetReplica)
-		} else {
-			fmt.Fprintf(in.Log, "KILL rank %d\n", r.Rank(comm))
-		}
-	}
-	cluster := r.Job().Cluster()
-	cluster.Metrics().Inc(obs.CInjections)
-	tr := cluster.Tracer()
-	lg := cluster.Log()
-	emitInject := func(absorbed bool) {
-		if lg.Enabled() {
-			lg.Event(int64(r.Now()), "inject",
-				"rank", r.Rank(comm), "replica", ev.TargetReplica,
-				"kind", ev.Kind.String(), "absorbed", absorbed)
-		}
-		if !tr.Wants(trace.CatInject) {
-			return
-		}
+	cl := r.Job().Cluster()
+	absorbed := ev.Kind != NodeFailure && in.Redirect != nil && in.Redirect(r, comm, ev)
+	if p := cl.Probe(); p.On(trace.CatInject) {
 		s := trace.Span{Cat: trace.CatInject, Rank: int32(r.Rank(comm)),
-			Replica: int32(ev.TargetReplica), Job: tr.JobOf(r.Job()),
+			Replica: int32(ev.TargetReplica), Job: p.JobOf(r.Job()),
 			Start: int64(r.Now())}
 		if ev.Kind == NodeFailure {
 			s.Level = 1
@@ -421,20 +401,16 @@ func (in *Injector) fire(i int, ev Event, r *mpi.Rank, comm *mpi.Comm) {
 		if absorbed {
 			s.Aux = 1
 		}
-		tr.Emit(s)
+		p.Emit(s)
+	}
+	if absorbed {
+		return // a lockstep twin took over the victim's identity
 	}
 	if ev.Kind == NodeFailure {
-		node := r.Process().NodeID()
-		cl := r.Job().Cluster()
-		emitInject(false)
 		// The node takes down its other residents via a scheduler event;
 		// this rank dies immediately.
+		node := r.Process().NodeID()
 		cl.Scheduler().After(0, func() { cl.FailNode(node) })
-	} else if in.Redirect != nil && in.Redirect(r, comm, ev) {
-		emitInject(true)
-		return // absorbed: a lockstep twin took over the victim's identity
-	} else {
-		emitInject(false)
 	}
 	r.Die()
 }

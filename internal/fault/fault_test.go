@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"match/internal/mpi"
+	"match/internal/obs"
 	"match/internal/simnet"
 )
 
@@ -248,8 +249,8 @@ func TestNewPlanBounds(t *testing.T) {
 func TestInjectorKillsExactlyOnce(t *testing.T) {
 	c := simnet.NewCluster(simnet.Config{Nodes: 2})
 	var log strings.Builder
+	c.SetProbe(obs.NewProbe(nil, nil, obs.NewLog(&log)))
 	in := NewInjector(Plan{Enabled: true, TargetRank: 1, TargetIter: 3})
-	in.Log = &log
 	iterSeen := make([]int, 4)
 	j := mpi.Launch(c, 4, 0, func(r *mpi.Rank) {
 		w := r.Job().World()
@@ -274,8 +275,8 @@ func TestInjectorKillsExactlyOnce(t *testing.T) {
 	if !j.World().Member(1).Failed() {
 		t.Fatal("rank 1 not marked failed")
 	}
-	if !strings.Contains(log.String(), "KILL rank 1") {
-		t.Fatalf("missing kill log, got %q", log.String())
+	if n := strings.Count(log.String(), `"msg":"inject"`); n != 1 || !strings.Contains(log.String(), `"rank":1,`) {
+		t.Fatalf("want one inject event for rank 1, got %q", log.String())
 	}
 	// Replay the iteration (as recovery does): must not fire again.
 	survived := false

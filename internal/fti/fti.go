@@ -141,21 +141,15 @@ type FTI struct {
 	origNodes []int
 	Stats     Stats
 
-	// tr/trActor/trJob/trRank/trReplica are the trace identity of this
-	// instance, captured at Init: the actor id groups checkpoint spans by
-	// FTI instance so the reconciliation can mirror the harness's per-
-	// replica stats dedup. tr is nil when tracing is off.
-	tr        *trace.Recorder
-	trActor   int32
-	trJob     int32
-	trRank    int32
-	trReplica int32
-
-	// m is the metrics registry captured at Init (nil when metrics are
-	// off). Checkpoint/restore counts increment at write time, which is
-	// the independent path the harness reconciles against its
-	// teardown-accumulated Stats.
-	m *obs.Registry
+	// probe is the run's observer probe, captured at Init (nil when
+	// observers are off), and ident the span identity of this instance:
+	// rank, replica, job, and the actor id that groups checkpoint spans by
+	// FTI instance so the trace reconciliation can mirror the harness's
+	// per-replica stats dedup. Checkpoint/restore spans are emitted at write
+	// time, which is the independent path the harness reconciles against
+	// its teardown-accumulated Stats.
+	probe *obs.Probe
+	ident trace.Span
 }
 
 type protEntry struct {
@@ -182,16 +176,13 @@ func Init(cfg Config, r *mpi.Rank, comm *mpi.Comm, st *storage.System) (*FTI, er
 		node:   r.Process().NodeID(),
 		latest: -1,
 	}
-	if tr := r.Job().Cluster().Tracer(); tr.Enabled() {
-		f.tr = tr
-		f.trActor = tr.NewActor()
-		f.trJob = tr.JobOf(r.Job())
-		f.trRank = int32(f.rank)
+	if p := r.Job().Cluster().Probe(); p != nil {
+		f.probe = p
+		f.ident = trace.Span{Rank: int32(f.rank), Job: p.JobOf(r.Job()), Actor: p.NewActor()}
 		if comm.Replicated() {
-			f.trReplica = int32(comm.ReplicaIndexOf(r.Process().GID()))
+			f.ident.Replica = int32(comm.ReplicaIndexOf(r.Process().GID()))
 		}
 	}
-	f.m = r.Job().Cluster().Metrics()
 	f.loadTopology()
 	mine := f.readMeta()
 	// Agree on the newest checkpoint every rank can restore. The packed
@@ -478,12 +469,11 @@ func (f *FTI) CheckpointAt(id int64, level Level) error {
 		f.Stats.CkptTime += dur
 		f.Stats.CkptCount++
 		f.Stats.CkptCountAt[level]++
-		f.m.Ckpt(int(level), f.Stats.CkptBytes-bytes0)
-		if f.tr.Wants(trace.CatCkpt) {
-			f.tr.Emit(trace.Span{Cat: trace.CatCkpt,
-				Rank: f.trRank, Replica: f.trReplica, Job: f.trJob, Actor: f.trActor,
-				Start: int64(start), Dur: int64(dur),
-				Level: int32(level), Aux: f.Stats.CkptBytes - bytes0})
+		if f.probe.On(trace.CatCkpt) {
+			s := f.ident
+			s.Cat, s.Start, s.Dur = trace.CatCkpt, int64(start), int64(dur)
+			s.Level, s.Aux = int32(level), f.Stats.CkptBytes-bytes0
+			f.probe.Emit(s)
 		}
 	}()
 	payload := f.serialize()
@@ -547,12 +537,11 @@ func (f *FTI) Recover() error {
 		dur := f.r.Now() - start
 		f.Stats.RecoverTime += dur
 		f.Stats.RecoverOps++
-		f.m.Inc(obs.CRestores)
-		if f.tr.Wants(trace.CatRestore) {
-			f.tr.Emit(trace.Span{Cat: trace.CatRestore,
-				Rank: f.trRank, Replica: f.trReplica, Job: f.trJob, Actor: f.trActor,
-				Start: int64(start), Dur: int64(dur),
-				Level: int32(f.committedLevel()), Aux: f.latest})
+		if f.probe.On(trace.CatRestore) {
+			s := f.ident
+			s.Cat, s.Start, s.Dur = trace.CatRestore, int64(start), int64(dur)
+			s.Level, s.Aux = int32(f.committedLevel()), f.latest
+			f.probe.Emit(s)
 		}
 	}()
 	if f.latest < 0 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"match/internal/enc"
-	"match/internal/obs"
 	"match/internal/trace"
 )
 
@@ -172,10 +171,9 @@ func (r *Rank) nextCollTag(c *Comm) int {
 	seq := r.proc.collSeq[c.ctx]
 	r.proc.collSeq[c.ctx] = seq + 1
 	r.job.Stats.Collective++
-	r.job.cluster.Metrics().Inc(obs.CCollectives)
-	if tr := r.job.cluster.Tracer(); tr.Wants(trace.CatCollective) {
-		tr.Emit(trace.Span{Cat: trace.CatCollective, Rank: int32(r.Rank(c)),
-			Job: tr.JobOf(r.job), Start: int64(r.sp.Now()), Aux: int64(seq)})
+	if p := r.job.cluster.Probe(); p.On(trace.CatCollective) {
+		p.Emit(trace.Span{Cat: trace.CatCollective, Rank: int32(r.Rank(c)),
+			Job: p.JobOf(r.job), Start: int64(r.sp.Now()), Aux: int64(seq)})
 	}
 	return collTagBase - seq*collSlots
 }

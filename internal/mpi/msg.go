@@ -21,10 +21,10 @@ func (j *Job) getDelivery() *delivery {
 	if n := len(j.freeDel); n > 0 {
 		d := j.freeDel[n-1]
 		j.freeDel = j.freeDel[:n-1]
-		j.cluster.Metrics().Inc(obs.CDeliveriesPooled)
+		j.cluster.Probe().Add(obs.CDeliveriesPooled, 1)
 		return d
 	}
-	j.cluster.Metrics().Inc(obs.CDeliveriesAlloc)
+	j.cluster.Probe().Add(obs.CDeliveriesAlloc, 1)
 	return &delivery{}
 }
 
@@ -104,14 +104,8 @@ func (r *Rank) sendCopy(c *Comm, to *Process, srcRank, tag int, data []byte, rep
 	cl.Scheduler().AtFunc(arrive, deliverMessage, d, 0)
 	j.Stats.Messages++
 	j.Stats.Bytes += int64(len(data))
-	if m := cl.Metrics(); m != nil {
-		m.Inc(obs.CMessages)
-		m.Add(obs.CMsgBytes, int64(len(data)))
-		m.Observe(obs.HMsgBytes, int64(len(data)))
-		m.IncRankSend(srcRank)
-	}
-	if tr := cl.Tracer(); tr.Wants(trace.CatSend) {
-		tr.Emit(trace.Span{Cat: trace.CatSend, Rank: int32(srcRank), Job: tr.JobOf(j),
+	if p := cl.Probe(); p.On(trace.CatSend) {
+		p.Emit(trace.Span{Cat: trace.CatSend, Rank: int32(srcRank), Job: p.JobOf(j),
 			Start: int64(now), Dur: int64(arrive - now),
 			Level: int32(tag), Aux: int64(len(data))})
 	}
@@ -139,10 +133,9 @@ func deliverMessage(a any, _ int64) {
 		key := seqKey(msg.Ctx, msg.SrcRank)
 		if msg.seq < to.recvSeq[key] {
 			j.Stats.Suppressed++
-			j.cluster.Metrics().Inc(obs.CDedupDrops)
-			if tr := j.cluster.Tracer(); tr.Wants(trace.CatDedup) {
-				tr.Emit(trace.Span{Cat: trace.CatDedup, Rank: int32(msg.SrcRank),
-					Job: tr.JobOf(j), Start: int64(arrive), Aux: int64(msg.seq)})
+			if p := j.cluster.Probe(); p.On(trace.CatDedup) {
+				p.Emit(trace.Span{Cat: trace.CatDedup, Rank: int32(msg.SrcRank),
+					Job: p.JobOf(j), Start: int64(arrive), Aux: int64(msg.seq)})
 			}
 			j.putDelivery(d)
 			return // duplicate copy from a twin replica

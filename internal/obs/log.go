@@ -7,8 +7,10 @@
 //
 // "msg" is the event name; "vt_s" is virtual seconds within the run
 // (absent on host-side events like cell_start); remaining keys are
-// event-specific. The log is a pure observer: nothing in the simulation
-// reads it, so log-on runs stay byte-identical on stdout.
+// event-specific. The in-run lines are rendered from the spans the layers
+// emit through the Probe (spanLine in probe.go); the harness writes the
+// host-side ones directly. The log is a pure observer: nothing in the
+// simulation reads it, so log-on runs stay byte-identical on stdout.
 //
 // The handler serializes internally, so one Log may be shared by
 // concurrent sweep cells; derived per-cell Logs (With) tag every event

@@ -1,20 +1,23 @@
-// Package obs is the aggregate-metrics side of the observability stack:
-// an allocation-conscious registry of counters, gauges, and fixed-bucket
-// histograms threaded through every simulator layer, plus OpenMetrics
-// exposition, a live sweep meter with /metrics and /status HTTP handlers,
-// and a structured slog-backed event log.
+// Package obs holds the observer seam and two of its three consumers. A
+// simulator layer reports one event as one trace.Span through the run's
+// Probe (probe.go); the Probe hands the span to the metrics registry, the
+// trace recorder and the structured event log. This package owns the
+// Probe, the Registry — an allocation-conscious set of counters, gauges and
+// fixed-bucket histograms with OpenMetrics exposition — the slog-backed
+// event Log, and the live SweepMeter with its /metrics and /status HTTP
+// handlers.
 //
-// Where internal/trace answers "what happened inside one run" with a span
-// timeline, obs answers "how much, across how many runs" with totals that
-// are cheap enough to keep during a 10k-cell campaign and scrapeable while
-// it runs.
+// The recorder keeps "what happened inside one run" as a span timeline;
+// the registry keeps "how much, across how many runs" as totals cheap
+// enough to hold during a 10k-cell campaign and scrapeable while it runs.
+// Both are fed by the same Emit, so they cannot disagree about which
+// events occurred.
 //
-// The discipline matches trace: a nil *Registry is the inert default —
-// every method is nil-receiver safe, instrumented code pays one branch per
-// potential increment, and a metrics-off run is byte-identical to an
-// uninstrumented one. A metrics-on run self-checks: core.Run reconciles
-// the registry totals against the Breakdown (and the trace span counts
-// when tracing is also on) and fails hard on divergence.
+// A nil *Probe, *Registry or *Log is the inert default — every method is
+// nil-receiver safe, instrumented code pays one branch per potential
+// emission, and an observers-off run is byte-identical to an
+// uninstrumented one. A metered run self-checks: core.Run reconciles the
+// registry totals against the Breakdown and fails hard on divergence.
 //
 // The registry records plain int64s with no locking: one Registry serves
 // one core.Run, which is single-threaded in virtual time. Sweeps give
@@ -333,28 +336,11 @@ func (r *Registry) Merge(o *Registry) {
 	}
 }
 
-// Reset zeroes every figure, keeping allocated storage for reuse.
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	r.counters = [numCounters]int64{}
-	r.gauges = [numGauges]int64{}
-	r.ckptCount = [FTILevels]int64{}
-	r.ckptBytes = [FTILevels]int64{}
-	for i := range r.hists {
-		r.hists[i] = hist{}
-	}
-	for i := range r.rankSends {
-		r.rankSends[i] = 0
-	}
-}
-
 // Expect is the harness-side view the registry reconciles against: the
 // Breakdown figures plus raw (un-deduplicated, all-rank) FTI sums the
-// recorder accumulates by an independent path — the registry counts at
-// write time inside each layer, the Breakdown counts at teardown from
-// each design's own accounting.
+// harness accumulates by an independent path — the registry counts the
+// spans each layer emits at write time, the Breakdown counts at teardown
+// from each design's own accounting.
 type Expect struct {
 	Messages     int64
 	MsgBytes     int64

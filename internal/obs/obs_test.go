@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"match/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -77,7 +79,6 @@ func TestNilSafety(t *testing.T) {
 	r.EnsureRanks(4)
 	r.IncRankSend(0)
 	r.Merge(fill())
-	r.Reset()
 	if r.Enabled() || r.Get(CMessages) != 0 || r.Gauge(GHeapHighWater) != 0 {
 		t.Error("nil registry is not inert")
 	}
@@ -86,6 +87,14 @@ func TestNilSafety(t *testing.T) {
 	}
 	if err := r.Reconcile(Expect{Messages: 99}); err != nil {
 		t.Errorf("nil registry must reconcile trivially: %v", err)
+	}
+
+	var p *Probe
+	p.Emit(trace.Span{Cat: trace.CatSend})
+	p.Add(CMessages, 1)
+	p.SetMax(GHeapHighWater, 5)
+	if p.On(trace.CatSend) || p.JobOf("job") != 0 || p.NewActor() != 0 || NewProbe(nil, nil, nil) != nil {
+		t.Error("nil probe is not inert")
 	}
 
 	var l *Log
@@ -258,8 +267,8 @@ func TestOpenLog(t *testing.T) {
 }
 
 // Merge sums counters and histograms, keeps gauge maxima, and grows the
-// per-rank table; Reset clears everything.
-func TestMergeAndReset(t *testing.T) {
+// per-rank table.
+func TestMerge(t *testing.T) {
 	a, b := fill(), fill()
 	b.SetMax(GHeapHighWater, 40)
 	a.Merge(b)
@@ -274,18 +283,6 @@ func TestMergeAndReset(t *testing.T) {
 	}
 	if n, bts := a.CkptAt(1); n != 4 || bts != 16384 {
 		t.Errorf("merged L1 ckpts = (%d, %d), want (4, 16384)", n, bts)
-	}
-	a.Reset()
-	if a.Get(CMessages) != 0 || a.Gauge(GHeapHighWater) != 0 {
-		t.Error("Reset left residue")
-	}
-	for rank, v := range a.RankSends() { // table stays allocated, zeroed
-		if v != 0 {
-			t.Errorf("Reset left rank %d sends = %d", rank, v)
-		}
-	}
-	if n, _ := a.CkptAt(1); n != 0 {
-		t.Error("Reset left per-level residue")
 	}
 }
 

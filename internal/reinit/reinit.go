@@ -19,7 +19,6 @@ import (
 
 	"match/internal/detect"
 	"match/internal/mpi"
-	"match/internal/obs"
 	"match/internal/simnet"
 	"match/internal/trace"
 )
@@ -233,10 +232,9 @@ func (rt *Runtime) globalRestart(failed *mpi.Process, failedAt, detectedAt simne
 		CompletedAt: now + rt.cfg.RespawnDelay,
 	}
 	rt.Recoveries = append(rt.Recoveries, rec)
-	rt.job.Cluster().Metrics().Inc(obs.CRepairs)
-	if tr := rt.job.Cluster().Tracer(); tr.Wants(trace.CatRepair) {
-		tr.Emit(trace.Span{Cat: trace.CatRepair, Rank: int32(oldRank),
-			Job: tr.JobOf(rt.job), Start: int64(rec.CompletedAt), Aux: 1})
+	if p := rt.job.Cluster().Probe(); p.On(trace.CatRepair) {
+		p.Emit(trace.Span{Cat: trace.CatRepair, Rank: int32(oldRank),
+			Job: p.JobOf(rt.job), Start: int64(rec.CompletedAt), Aux: 1})
 	}
 }
 

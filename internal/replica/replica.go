@@ -30,7 +30,6 @@ import (
 
 	"match/internal/detect"
 	"match/internal/mpi"
-	"match/internal/obs"
 	"match/internal/simnet"
 	"match/internal/trace"
 )
@@ -328,16 +327,16 @@ type Supervisor struct {
 	// live — the virtual member joined to the replica group.
 	spares map[int]*spare
 	// degradedAt tracks, per logical rank, when its replica group dropped
-	// below configured degree — trace-only bookkeeping closed into a
+	// below configured degree — observer-only bookkeeping closed into a
 	// CatDegraded span when a respawn restores protection. Nil (never
-	// allocated) unless a recorder wants the category.
+	// allocated) unless an observer wants the category.
 	degradedAt map[int]simnet.Time
 }
 
-// markDegraded opens a below-degree trace window for rank; no-op unless a
-// recorder wants CatDegraded spans.
+// markDegraded opens a below-degree window for rank; no-op unless an
+// observer wants CatDegraded spans.
 func (s *Supervisor) markDegraded(rank int) {
-	if !s.cluster.Tracer().Wants(trace.CatDegraded) {
+	if !s.cluster.Probe().On(trace.CatDegraded) {
 		return
 	}
 	if s.degradedAt == nil {
@@ -355,12 +354,10 @@ func (s *Supervisor) closeDegraded(rank, idx int) {
 		return
 	}
 	delete(s.degradedAt, rank)
-	tr := s.cluster.Tracer()
-	if tr.Wants(trace.CatDegraded) {
-		tr.Emit(trace.Span{Cat: trace.CatDegraded,
-			Rank: int32(rank), Replica: int32(idx), Job: tr.JobOf(s.CurrentJob()),
-			Start: int64(start), Dur: int64(s.cluster.Now() - start)})
-	}
+	p := s.cluster.Probe()
+	p.Emit(trace.Span{Cat: trace.CatDegraded,
+		Rank: int32(rank), Replica: int32(idx), Job: p.JobOf(s.CurrentJob()),
+		Start: int64(start), Dur: int64(s.cluster.Now() - start)})
 }
 
 // spare is one in-flight or live hot spare. The spare is a *virtual*
@@ -637,13 +634,9 @@ func (s *Supervisor) failover(job *mpi.Job, world *mpi.Comm, rank, idx int, f de
 		}
 		world.PruneReplica(f.GID)
 		world.PromoteLeader(rank)
-		s.cluster.Metrics().Inc(obs.CFailovers)
-		if lg := s.cluster.Log(); lg.Enabled() {
-			lg.Event(int64(completed), "failover", "rank", rank, "replica", idx, "gid", f.GID)
-		}
-		if tr := s.cluster.Tracer(); tr.Wants(trace.CatFailover) {
-			tr.Emit(trace.Span{Cat: trace.CatFailover,
-				Rank: int32(rank), Replica: int32(idx), Job: tr.JobOf(job),
+		if p := s.cluster.Probe(); p.On(trace.CatFailover) {
+			p.Emit(trace.Span{Cat: trace.CatFailover,
+				Rank: int32(rank), Replica: int32(idx), Job: p.JobOf(job),
 				Start: int64(completed), Aux: int64(f.GID)})
 		}
 		s.markDegraded(rank)
@@ -738,14 +731,10 @@ func (s *Supervisor) goLive(job *mpi.Job, world *mpi.Comm, rank, idx, node int, 
 	sp.proc = p
 	s.RespawnLog[sp.log].Live = true
 	s.RespawnLog[sp.log].LiveAt = s.cluster.Now()
-	s.cluster.Metrics().Inc(obs.CRespawns)
-	if lg := s.cluster.Log(); lg.Enabled() {
-		lg.Event(int64(s.cluster.Now()), "respawn", "rank", rank, "replica", idx, "node", node)
-	}
-	if tr := s.cluster.Tracer(); tr.Wants(trace.CatSpawn) {
+	if p := s.cluster.Probe(); p.On(trace.CatSpawn) {
 		rs := &s.RespawnLog[sp.log]
-		tr.Emit(trace.Span{Cat: trace.CatSpawn,
-			Rank: int32(rank), Replica: int32(idx), Job: tr.JobOf(job),
+		p.Emit(trace.Span{Cat: trace.CatSpawn,
+			Rank: int32(rank), Replica: int32(idx), Job: p.JobOf(job),
 			Start: int64(rs.StartedAt), Dur: int64(rs.Duration()), Aux: int64(node)})
 	}
 	s.closeDegraded(rank, idx)
@@ -758,12 +747,11 @@ func (s *Supervisor) abortRespawn(rank int, sp *spare) {
 	if s.spares[rank] == sp {
 		delete(s.spares, rank)
 	}
-	s.cluster.Metrics().Inc(obs.CRespawnsAborted)
-	if tr := s.cluster.Tracer(); tr.Wants(trace.CatSpawn) {
+	if p := s.cluster.Probe(); p.On(trace.CatSpawn) {
 		rs := &s.RespawnLog[sp.log]
 		// Level 1 marks an aborted spawn; the span covers schedule-to-abort.
-		tr.Emit(trace.Span{Cat: trace.CatSpawn,
-			Rank: int32(rank), Replica: int32(rs.Replica), Job: tr.JobOf(s.CurrentJob()),
+		p.Emit(trace.Span{Cat: trace.CatSpawn,
+			Rank: int32(rank), Replica: int32(rs.Replica), Job: p.JobOf(s.CurrentJob()),
 			Start: int64(rs.StartedAt), Dur: int64(s.cluster.Now() - rs.StartedAt),
 			Level: 1, Aux: int64(rs.Node)})
 	}
@@ -842,13 +830,9 @@ func (s *Supervisor) AbsorbFailure(r *mpi.Rank, world *mpi.Comm) bool {
 	spareIdx := s.gidIdx[spareProc.GID()]
 	s.gidIdx[victim.GID()] = spareIdx
 	world.SetReplicaIndex(victim.GID(), spareIdx)
-	s.cluster.Metrics().Inc(obs.CAbsorbs)
-	if lg := s.cluster.Log(); lg.Enabled() {
-		lg.Event(int64(now), "absorb", "rank", rank, "replica", idx, "gid", victim.GID())
-	}
-	if tr := s.cluster.Tracer(); tr.Wants(trace.CatAbsorb) {
-		tr.Emit(trace.Span{Cat: trace.CatAbsorb,
-			Rank: int32(rank), Replica: int32(idx), Job: tr.JobOf(job),
+	if p := s.cluster.Probe(); p.On(trace.CatAbsorb) {
+		p.Emit(trace.Span{Cat: trace.CatAbsorb,
+			Rank: int32(rank), Replica: int32(idx), Job: p.JobOf(job),
 			Start: int64(now), Aux: int64(victim.GID())})
 	}
 	s.cluster.Scheduler().At(completed, func() {
@@ -904,13 +888,9 @@ func (s *Supervisor) fallback(job *mpi.Job, rank int, f detect.Failure) {
 			// in-band detector, DetectDelay after the death otherwise.
 			FailedAt: f.FailedAt, DetectedAt: abortedAt, CompletedAt: abortedAt + delay,
 		})
-		s.cluster.Metrics().Inc(obs.CFallbacks)
-		if lg := s.cluster.Log(); lg.Enabled() {
-			lg.Event(int64(abortedAt), "fallback", "rank", rank, "gid", f.GID)
-		}
-		if tr := s.cluster.Tracer(); tr.Wants(trace.CatFallback) {
-			tr.Emit(trace.Span{Cat: trace.CatFallback,
-				Rank: int32(rank), Job: tr.JobOf(job),
+		if p := s.cluster.Probe(); p.On(trace.CatFallback) {
+			p.Emit(trace.Span{Cat: trace.CatFallback,
+				Rank: int32(rank), Job: p.JobOf(job),
 				Start: int64(abortedAt), Aux: int64(f.GID)})
 		}
 		s.launch(delay)

@@ -16,7 +16,6 @@ package restart
 import (
 	"match/internal/detect"
 	"match/internal/mpi"
-	"match/internal/obs"
 	"match/internal/simnet"
 	"match/internal/trace"
 )
@@ -206,10 +205,9 @@ func (s *Supervisor) onFailure(job *mpi.Job, f detect.Failure) {
 			RelaunchAt:  abortedAt + relaunchDelay,
 			FailedRanks: []int{failedRank},
 		})
-		s.cluster.Metrics().Inc(obs.CRepairs)
-		if tr := s.cluster.Tracer(); tr.Wants(trace.CatRepair) {
-			tr.Emit(trace.Span{Cat: trace.CatRepair, Rank: int32(failedRank),
-				Job: tr.JobOf(job), Start: int64(abortedAt + relaunchDelay), Aux: 1})
+		if p := s.cluster.Probe(); p.On(trace.CatRepair) {
+			p.Emit(trace.Span{Cat: trace.CatRepair, Rank: int32(failedRank),
+				Job: p.JobOf(job), Start: int64(abortedAt + relaunchDelay), Aux: 1})
 		}
 		s.launch(relaunchDelay)
 	})

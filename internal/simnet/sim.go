@@ -86,8 +86,7 @@ type Scheduler struct {
 	maxTime    Time // 0 means unlimited
 	stopped    bool
 	strictPast bool
-	tracer     *trace.Recorder
-	metrics    *obs.Registry
+	probe      *obs.Probe
 }
 
 // NewScheduler returns an empty scheduler at virtual time zero.
@@ -146,9 +145,9 @@ func (s *Scheduler) schedule(t Time, e event) Timer {
 	s.seq++
 	s.q = append(s.q, e)
 	s.siftUp(len(s.q) - 1)
-	if m := s.metrics; m != nil {
-		m.Inc(obs.CEventsScheduled)
-		m.SetMax(obs.GHeapHighWater, int64(len(s.q)))
+	if p := s.probe; p != nil {
+		p.Add(obs.CEventsScheduled, 1)
+		p.SetMax(obs.GHeapHighWater, int64(len(s.q)))
 	}
 	return Timer{slot: slot, gen: s.slots[slot].gen}
 }
@@ -167,7 +166,7 @@ func (s *Scheduler) Cancel(tm Timer) bool {
 		return false
 	}
 	s.removeAt(int(st.index))
-	s.metrics.Inc(obs.CEventsCancelled)
+	s.probe.Add(obs.CEventsCancelled, 1)
 	return true
 }
 
@@ -177,11 +176,11 @@ func (s *Scheduler) allocSlot() int32 {
 	if n := len(s.freeSlots); n > 0 {
 		slot := s.freeSlots[n-1]
 		s.freeSlots = s.freeSlots[:n-1]
-		s.metrics.Inc(obs.CSlotsReused)
+		s.probe.Add(obs.CSlotsReused, 1)
 		return slot
 	}
 	s.slots = append(s.slots, slotState{gen: 1, index: -1})
-	s.metrics.Inc(obs.CSlotsGrown)
+	s.probe.Add(obs.CSlotsGrown, 1)
 	return int32(len(s.slots) - 1)
 }
 
@@ -286,18 +285,18 @@ func (s *Scheduler) Stop() { s.stopped = true }
 // Run fires events in time order until the queue drains, Stop is called, or
 // the deadline passes. It returns the final virtual time.
 //
-// The tracing check is hoisted out of the drain loop: attach the tracer
-// (Cluster.SetTracer) before Run, not during it.
+// The observer check is hoisted out of the drain loop, and the fired count
+// is reported once after it: attach the probe (Cluster.SetProbe) before
+// Run, not during it.
 func (s *Scheduler) Run() Time {
 	s.running = true
 	defer func() { s.running = false }()
-	traceEvents := s.tracer.Wants(trace.CatEvent)
-	metrics := s.metrics
+	probe := s.probe
+	traceEvents := probe.On(trace.CatEvent)
+	var fired int64
 	for len(s.q) > 0 && !s.stopped {
 		e := s.popMin()
-		if metrics != nil {
-			metrics.Inc(obs.CEventsFired)
-		}
+		fired++
 		if s.maxTime > 0 && e.t > s.maxTime {
 			panic(fmt.Sprintf("simnet: virtual deadline %v exceeded (event at %v); likely deadlock or livelock", s.maxTime, e.t))
 		}
@@ -305,7 +304,7 @@ func (s *Scheduler) Run() Time {
 			s.now = e.t
 		}
 		if traceEvents {
-			s.tracer.Emit(trace.Span{Cat: trace.CatEvent, Rank: -1, Start: int64(e.t), Aux: int64(e.seq)})
+			probe.Emit(trace.Span{Cat: trace.CatEvent, Rank: -1, Start: int64(e.t), Aux: int64(e.seq)})
 		}
 		if e.fnA != nil {
 			e.fnA(e.arg, e.aux)
@@ -313,6 +312,7 @@ func (s *Scheduler) Run() Time {
 			e.fn()
 		}
 	}
+	probe.Add(obs.CEventsFired, fired)
 	return s.now
 }
 
@@ -387,14 +387,12 @@ func (n *Node) Alive() bool { return n.alive }
 
 // Cluster combines the scheduler, the node set, and the process table.
 type Cluster struct {
-	cfg     Config
-	sched   *Scheduler
-	nodes   []*Node
-	procs   map[int]*Proc
-	next    int // next process id
-	tracer  *trace.Recorder
-	metrics *obs.Registry
-	elog    *obs.Log
+	cfg   Config
+	sched *Scheduler
+	nodes []*Node
+	procs map[int]*Proc
+	next  int // next process id
+	probe *obs.Probe
 }
 
 // NewCluster builds a cluster with cfg (zero fields replaced by defaults).
@@ -442,37 +440,17 @@ func (c *Cluster) Config() Config { return c.cfg }
 // need timers, e.g. heartbeat detectors).
 func (c *Cluster) Scheduler() *Scheduler { return c.sched }
 
-// SetTracer attaches a trace recorder to the cluster (and its scheduler).
-// Every layer running on the cluster reaches the recorder through
-// Tracer(); nil — the default — disables all recording.
-func (c *Cluster) SetTracer(r *trace.Recorder) {
-	c.tracer = r
-	c.sched.tracer = r
+// SetProbe attaches the run's observers to the cluster (and its
+// scheduler). Every layer running on the cluster reports its events
+// through Probe(); nil — the default — turns all observation off.
+func (c *Cluster) SetProbe(p *obs.Probe) {
+	c.probe = p
+	c.sched.probe = p
 }
 
-// Tracer returns the attached trace recorder; nil means tracing is off,
-// and a nil *trace.Recorder is safe to emit into.
-func (c *Cluster) Tracer() *trace.Recorder { return c.tracer }
-
-// SetMetrics attaches a metrics registry to the cluster (and its
-// scheduler). Every layer running on the cluster reaches the registry
-// through Metrics(); nil — the default — disables all counting.
-func (c *Cluster) SetMetrics(m *obs.Registry) {
-	c.metrics = m
-	c.sched.metrics = m
-}
-
-// Metrics returns the attached registry; nil means metrics are off, and a
-// nil *obs.Registry is safe to increment.
-func (c *Cluster) Metrics() *obs.Registry { return c.metrics }
-
-// SetLog attaches a structured event log. Layers reach it through Log();
-// nil — the default — disables all event emission.
-func (c *Cluster) SetLog(l *obs.Log) { c.elog = l }
-
-// Log returns the attached event log; nil means logging is off, and a nil
-// *obs.Log is safe to emit into.
-func (c *Cluster) Log() *obs.Log { return c.elog }
+// Probe returns the attached observer probe; nil means observers are off,
+// and a nil *obs.Probe answers On with false.
+func (c *Cluster) Probe() *obs.Probe { return c.probe }
 
 // Now returns the current virtual time.
 func (c *Cluster) Now() Time { return c.sched.Now() }
@@ -495,10 +473,8 @@ func (c *Cluster) FailNode(id int) {
 		return
 	}
 	n.alive = false
-	c.metrics.Inc(obs.CNodeFailures)
-	c.elog.Event(int64(c.sched.now), "node_fail", "node", id)
-	if c.tracer.Wants(trace.CatNodeFail) {
-		c.tracer.Emit(trace.Span{Cat: trace.CatNodeFail, Rank: -1, Start: int64(c.sched.now), Aux: int64(id)})
+	if c.probe.On(trace.CatNodeFail) {
+		c.probe.Emit(trace.Span{Cat: trace.CatNodeFail, Rank: -1, Start: int64(c.sched.now), Aux: int64(id)})
 	}
 	// Deterministic kill order.
 	var victims []*Proc
@@ -549,8 +525,8 @@ func (c *Cluster) transferCost(f, t *Node, size int, now Time) (depart, arrive T
 // a message of size bytes from node from to node to, sent at virtual now.
 func (c *Cluster) SendArrival(from, to int, size int, now Time) Time {
 	depart, arrive := c.transferCost(c.nodes[from], c.nodes[to], size, now)
-	if c.tracer.Wants(trace.CatTransfer) {
-		c.tracer.Emit(trace.Span{Cat: trace.CatTransfer, Rank: -1,
+	if c.probe.On(trace.CatTransfer) {
+		c.probe.Emit(trace.Span{Cat: trace.CatTransfer, Rank: -1,
 			Start: int64(depart), Dur: int64(arrive - depart),
 			Level: int32(from), Aux: int64(size)})
 	}

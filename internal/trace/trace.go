@@ -1,12 +1,14 @@
-// Package trace is a deterministic, allocation-conscious event/span
-// recorder for the simulator. Every layer — simnet, mpi, fti, detect,
-// ckpt, fault, replica, and the four design runtimes — emits spans into
-// one Recorder threaded through core.Config.Trace.
+// Package trace defines the simulator's one event vocabulary — the Span —
+// and the Recorder that keeps spans as a per-rank timeline. Every layer
+// (simnet, mpi, fti, detect, ckpt, fault, replica, the four design
+// runtimes) reports an event as one Span through the run's obs.Probe; the
+// Recorder is one of the probe's three consumers, beside the metrics
+// registry and the event log, and is reached through core.Config.Trace.
 //
 // A nil *Recorder is the default and is fully inert: every method is
-// nil-receiver safe, Wants reports false, and instrumented code guards
-// each emission behind a Wants check, so an untraced run takes only a
-// nil-compare per potential emission and produces byte-identical output.
+// nil-receiver safe and Wants reports false. The detail mask gates only
+// what the Recorder keeps, so a traced run differs from an untraced one in
+// nothing but the spans it holds and produces byte-identical output.
 //
 // Timestamps are virtual nanoseconds (simnet.Time widened to int64, so
 // this package stays a leaf with no simulator dependencies). Because the
@@ -99,6 +101,10 @@ const (
 
 	numCats
 )
+
+// NumCats bounds the Cat values: a [NumCats] array indexed by Cat covers
+// every category (the probe's consumer tables are sized by it).
+const NumCats = int(numCats)
 
 // Detail selects which high-volume categories are recorded. The always-on
 // categories ignore it.
@@ -229,17 +235,9 @@ func (r *Recorder) SetDetail(d Detail) {
 	r.detail = d
 }
 
-// Detail returns the active detail mask.
-func (r *Recorder) Detail() Detail {
-	if r == nil {
-		return 0
-	}
-	return r.detail
-}
-
-// Wants reports whether an emission of category c would be recorded.
-// Instrumented code guards every Emit (and any argument preparation)
-// behind this, so a nil recorder costs one comparison.
+// Wants reports whether a span of category c would be kept: always for
+// the always-on categories, by the detail mask for the high-volume ones,
+// never on a nil recorder.
 func (r *Recorder) Wants(c Cat) bool {
 	if r == nil {
 		return false
@@ -297,15 +295,4 @@ func (r *Recorder) Spans() []Span {
 		return nil
 	}
 	return r.spans
-}
-
-// Reset drops all recorded spans and interned ids, keeping the detail
-// mask, so one allocation's buffers can be reused across runs.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.spans = r.spans[:0]
-	r.jobs = make(map[any]int32)
-	r.actors = 0
 }

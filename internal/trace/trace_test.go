@@ -18,7 +18,6 @@ func TestNilRecorderIsInert(t *testing.T) {
 	}
 	r.Emit(Span{Cat: CatCompute})
 	r.SetDetail(DetailAll)
-	r.Reset()
 	if r.JobOf("job") != 0 {
 		t.Fatal("nil recorder interned a job")
 	}
@@ -222,21 +221,5 @@ func TestWriteMetricsReportsVerdict(t *testing.T) {
 	r.WriteMetrics(&buf, Totals{Total: 1}, false)
 	if !strings.Contains(buf.String(), "reconciliation: FAILED") {
 		t.Fatalf("metrics table missing FAILED verdict:\n%s", buf.String())
-	}
-}
-
-func TestResetKeepsDetail(t *testing.T) {
-	r := New()
-	r.SetDetail(DetailSim)
-	seedRun(r)
-	r.Reset()
-	if r.Len() != 0 {
-		t.Fatal("Reset left spans behind")
-	}
-	if r.Detail() != DetailSim {
-		t.Fatal("Reset cleared the detail mask")
-	}
-	if r.JobOf("fresh") != 1 || r.NewActor() != 1 {
-		t.Fatal("Reset did not restart interning")
 	}
 }

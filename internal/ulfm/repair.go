@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"match/internal/mpi"
-	"match/internal/obs"
 	"match/internal/simnet"
 	"match/internal/trace"
 )
@@ -193,9 +192,8 @@ func (rt *Runtime) RepairWorld(r *mpi.Rank, world *mpi.Comm) (*mpi.Comm, error) 
 			DetectedAt:  round.detected,
 			CompletedAt: r.Now(),
 		})
-		rt.job.Cluster().Metrics().Inc(obs.CRepairs)
-		if tr := rt.job.Cluster().Tracer(); tr.Wants(trace.CatRepair) {
-			tr.Emit(trace.Span{Cat: trace.CatRepair, Rank: -1, Job: tr.JobOf(rt.job),
+		if p := rt.job.Cluster().Probe(); p.On(trace.CatRepair) {
+			p.Emit(trace.Span{Cat: trace.CatRepair, Rank: -1, Job: p.JobOf(rt.job),
 				Start: int64(r.Now()), Aux: int64(len(world.FailedMembers()))})
 		}
 	}

@@ -28,7 +28,6 @@ import (
 	"match/internal/ckpt"
 	"match/internal/core"
 	"match/internal/depanal"
-	"match/internal/detect"
 	"match/internal/fault"
 	"match/internal/obs"
 	"match/internal/replica"
@@ -48,29 +47,18 @@ type (
 	InputSize = core.InputSize
 	// Result pairs a config with its breakdown.
 	Result = core.Result
-	// SuiteOptions shapes figure sweeps.
-	SuiteOptions = core.SuiteOptions
-	// Ratios holds the paper's §V-C headline comparisons.
-	Ratios = core.Ratios
 	// Params configures a custom application run.
 	Params = appkit.Params
 	// App is the application contract for extending the suite.
 	App = appkit.App
-	// Context is the per-rank execution context handed to applications.
-	Context = appkit.Context
 	// ReplicaConfig tunes the replication design (dup degree, partial
 	// replication factor, failover and fallback cost model, hot-spare
 	// respawn); set it as Config.Replica.
 	ReplicaConfig = replica.Config
-	// Respawn records one hot-spare spawn of the replica design's
-	// supervisor (background respawn after a failover; Config.HotSpare).
-	Respawn = replica.Respawn
 	// FaultSchedule is an ordered multi-failure injection schedule; set it
 	// as Config.Schedule for explicit campaigns, or let Config.Faults draw
 	// one deterministically from the seed.
 	FaultSchedule = fault.Schedule
-	// FaultEvent is one failure of a FaultSchedule.
-	FaultEvent = fault.Event
 	// CampaignRequest is the canonical, serializable description of a
 	// multi-failure sweep (k = 0..MaxFaults failures per run, per app and
 	// design): the sweep axes as pure data. Its version-stamped canonical JSON
@@ -93,15 +81,6 @@ type (
 	CacheStats = store.Stats
 	// Crossover is the campaign-level Replica-vs-Reinit analysis.
 	Crossover = core.Crossover
-	// DetectorConfig selects and tunes the failure-detection strategy any
-	// design runs under (launcher / ring heartbeat / daemon tree); set it
-	// as Config.Detector, or sweep a list via CampaignRequest.Detectors.
-	DetectorConfig = detect.Config
-	// DetectorKind names a detection strategy.
-	DetectorKind = detect.Kind
-	// DetectionTradeoff is one point of the campaign-level detection
-	// latency vs steady-state interference curve.
-	DetectionTradeoff = core.DetectionTradeoff
 	// CkptPolicyConfig selects and tunes the checkpoint-placement policy
 	// any design runs under (fixed stride / multi-level interleaving /
 	// replica-aware stretching / adaptive Young–Daly); set it as
@@ -109,27 +88,7 @@ type (
 	CkptPolicyConfig = ckpt.Config
 	// CkptPolicyKind names a checkpoint-placement strategy.
 	CkptPolicyKind = ckpt.Kind
-	// ReplicaTradeoff is one point of the campaign-level combined
-	// overhead-vs-ReplicaFactor curve (the PartRePer trade-off).
-	ReplicaTradeoff = core.ReplicaTradeoff
-	// Progress observes sweep execution cell by cell; set it as
-	// SuiteOptions.Progress or CampaignRunner.Progress. Write to stderr —
-	// stdout of deterministic sweeps is diffed by the CI determinism gate.
-	Progress = core.Progress
 )
-
-// The detection strategies (Config.Detector.Kind). PresetDetector — the
-// zero value — keeps each design's calibrated default.
-const (
-	PresetDetector   = detect.Preset
-	LauncherDetector = detect.Launcher
-	RingDetector     = detect.Ring
-	TreeDetector     = detect.Tree
-)
-
-// ParseDetectorKind resolves a detector name ("launcher", "ring", "tree",
-// "preset") case-insensitively.
-func ParseDetectorKind(name string) (DetectorKind, error) { return detect.ParseKind(name) }
 
 // The checkpoint-placement strategies (Config.CkptPolicy.Kind).
 // FixedPlacement — the zero value — keeps the classic stride placement.
@@ -144,29 +103,6 @@ const (
 // ParseCkptPolicyKind resolves a placement-policy name ("fixed",
 // "multi-level", "replica-aware", "adaptive", "never") case-insensitively.
 func ParseCkptPolicyKind(name string) (CkptPolicyKind, error) { return ckpt.ParseKind(name) }
-
-// ComputeReplicaTradeoff derives the combined overhead-vs-ReplicaFactor
-// curve from campaign results that swept the replication axis
-// (CampaignRequest.ReplicaFactors).
-func ComputeReplicaTradeoff(results []Result) []ReplicaTradeoff {
-	return core.ComputeReplicaTradeoff(results)
-}
-
-// WriteReplicaTradeoff renders the overhead-vs-ReplicaFactor curve.
-func WriteReplicaTradeoff(w io.Writer, rows []ReplicaTradeoff) {
-	core.WriteReplicaTradeoff(w, rows)
-}
-
-// ComputeDetectionTradeoff derives the per-design detection-latency vs
-// interference curve from campaign results that swept the detection axis.
-func ComputeDetectionTradeoff(results []Result) []DetectionTradeoff {
-	return core.ComputeDetectionTradeoff(results)
-}
-
-// WriteDetectionTradeoff renders the detection-vs-interference curve.
-func WriteDetectionTradeoff(w io.Writer, rows []DetectionTradeoff) {
-	core.WriteDetectionTradeoff(w, rows)
-}
 
 // The four fault-tolerance designs.
 const (
@@ -186,34 +122,6 @@ const (
 // Run executes one configuration and returns its breakdown.
 func Run(cfg Config) (Breakdown, error) { return core.Run(cfg) }
 
-// Designs lists the fault-tolerance designs in plotting order.
-func Designs() []Design { return core.Designs() }
-
-// ParseDesign resolves a design name case-insensitively ("replica",
-// "ULFM-FTI", ...), with an error listing valid names on a typo.
-func ParseDesign(name string) (Design, error) { return core.ParseDesign(name) }
-
-// RunAveraged repeats a configuration (the paper averaged five runs) and
-// returns the mean breakdown plus individual results.
-func RunAveraged(cfg Config, reps int) (Breakdown, []Result, error) {
-	return core.RunAveraged(cfg, reps)
-}
-
-// RunFigure regenerates one of the paper's evaluation figures (5-10),
-// writing the series to w and returning the raw results.
-func RunFigure(fig int, opts SuiteOptions, w io.Writer) ([]Result, error) {
-	return core.RunFigure(fig, opts, w)
-}
-
-// OpenResultStore returns a content-addressed cell cache backed by dir
-// (created if missing; "" keeps it memory-only). maxEntries bounds the
-// in-memory LRU front; 0 selects the default. Attach it as
-// CampaignRunner.Store; a warm rerun of a cached campaign simulates
-// nothing and produces byte-identical output.
-func OpenResultStore(dir string, maxEntries int) (*ResultStore, error) {
-	return store.Open(dir, maxEntries)
-}
-
 // NewMemoryResultStore returns a memory-only result store (tests, or
 // sharing cells between campaigns within one process).
 func NewMemoryResultStore(maxEntries int) *ResultStore { return store.NewMemory(maxEntries) }
@@ -228,12 +136,6 @@ func CellKey(cfg Config, reps int) (string, error) { return core.CellKey(cfg, re
 // case-insensitively.
 func ParseInputSize(name string) (InputSize, error) { return core.ParseInputSize(name) }
 
-// RunConfigs executes arbitrary configurations on a bounded worker pool
-// (workers <= 0 means GOMAXPROCS) with deterministic result ordering.
-func RunConfigs(cfgs []Config, reps, workers int) ([]Result, error) {
-	return core.RunConfigs(cfgs, reps, workers)
-}
-
 // ParseFaultSchedule parses the campaign DSL, e.g. "3@40,3@55:after=1"
 // (rank@iter[:after=N][:replica=R][:kind=node]).
 func ParseFaultSchedule(spec string) (FaultSchedule, error) {
@@ -247,31 +149,15 @@ func ComputeCrossover(results []Result) Crossover {
 	return core.ComputeCrossover(results)
 }
 
-// HotSpareCrossovers splits a campaign that swept the respawn axis
-// (CampaignRequest.HotSpares) into one crossover per hot-spare variant.
-func HotSpareCrossovers(results []Result) (off, on Crossover, swept bool) {
-	return core.HotSpareCrossovers(results)
-}
-
-// HotSpareOf reports whether a configuration runs the replica design with
-// hot-spare respawn enabled.
-func HotSpareOf(c Config) bool { return core.HotSpareOf(c) }
-
 // WriteTableI renders the paper's Table I with the reproduction's
 // scaled-down equivalents.
 func WriteTableI(w io.Writer) { core.WriteTableI(w) }
-
-// WriteCSV emits results as CSV.
-func WriteCSV(w io.Writer, results []Result) { core.WriteCSV(w, results) }
 
 // WriteCampaign renders the per-app campaign tables (recovery time and
 // total overhead vs failure count) from raw results — the same rendering a
 // CampaignRunner applies, usable on results fetched from a matchserve
 // instance.
 func WriteCampaign(w io.Writer, results []Result) { core.WriteCampaign(w, results) }
-
-// ComputeRatios derives the §V-C headline ratios from with-failure runs.
-func ComputeRatios(results []Result) Ratios { return core.ComputeRatios(results) }
 
 // Apps lists the registered proxy applications.
 func Apps() []string { return apps.Names() }
@@ -291,8 +177,6 @@ type (
 	// TraceRecorder collects spans from a run; allocate with
 	// NewTraceRecorder and set it as Config.Trace (one recorder per run).
 	TraceRecorder = trace.Recorder
-	// TraceSpan is one recorded event or interval.
-	TraceSpan = trace.Span
 	// TraceDetail selects which high-volume categories are recorded.
 	TraceDetail = trace.Detail
 	// TraceTotals are the phase sums a trace reconciles against.
@@ -311,52 +195,37 @@ func ParseTraceDetail(spec string) (TraceDetail, error) { return trace.ParseDeta
 // reconciles against (Run already self-checks this when tracing).
 func TraceTotalsOf(bd Breakdown) TraceTotals { return core.TraceTotalsOf(bd) }
 
-// Observability re-exports (internal/obs). A MetricsRegistry is a pure
+// Observability re-exports (internal/obs). Every simulator layer reports
+// an event as one span through one probe; a MetricsRegistry, a
+// TraceRecorder and an EventLog are the three consumers of that span, so
+// they cannot disagree about what happened. A MetricsRegistry is a pure
 // observer of one run: set it as Config.Metrics and Run self-checks the
-// write-time totals against the returned Breakdown (and against the
-// trace span counts when a TraceRecorder runs alongside), failing hard
-// on divergence. An EventLog streams structured JSON events; a
-// SweepMeter aggregates finished sweep cells for the /metrics and
-// /status endpoints (see cmd/matchsuite -pprof-http).
+// write-time totals against the returned Breakdown, failing hard on
+// divergence. An EventLog streams the lifecycle events as JSON lines.
 type (
 	// MetricsRegistry counts simulator activity; allocate with
 	// NewMetricsRegistry and set it as Config.Metrics. Unlike a
 	// TraceRecorder it survives RunAveraged: each rep reconciles a fresh
 	// registry and the caller's receives the merged totals.
 	MetricsRegistry = obs.Registry
-	// MetricsCounter indexes one registry counter (obs.CMessages, ...).
-	MetricsCounter = obs.Counter
 	// EventLog emits structured JSON events (log/slog); set it as
 	// Config.Log.
 	EventLog = obs.Log
-	// SweepMeter merges per-cell registries during a live sweep and
-	// serves OpenMetrics plus a JSON status document over HTTP.
-	SweepMeter = obs.SweepMeter
-	// SweepStatus is the /status JSON document of a SweepMeter.
-	SweepStatus = obs.Status
 )
-
-// OpenMetricsContentType is the Content-Type of the exposition format
-// written by MetricsRegistry.WriteOpenMetrics and the /metrics endpoint.
-const OpenMetricsContentType = obs.ContentType
 
 // The headline registry counters (MetricsRegistry.Get). The full set —
 // scheduler internals, dedup drops, policy arms, per-level checkpoint
 // splits — is in the exposition; these are the ones library callers
 // typically assert on.
 const (
-	CounterMessages     = obs.CMessages
-	CounterMsgBytes     = obs.CMsgBytes
-	CounterCollectives  = obs.CCollectives
-	CounterCheckpoints  = obs.CCheckpoints
-	CounterRestores     = obs.CRestores
-	CounterInjections   = obs.CInjections
-	CounterDetections   = obs.CDetections
-	CounterRecoveries   = obs.CRecoveries
-	CounterFailovers    = obs.CFailovers
-	CounterAbsorbs      = obs.CAbsorbs
-	CounterRespawns     = obs.CRespawns
-	CounterLeakedEvents = obs.CLeakedEvents
+	CounterMessages    = obs.CMessages
+	CounterMsgBytes    = obs.CMsgBytes
+	CounterCheckpoints = obs.CCheckpoints
+	CounterInjections  = obs.CInjections
+	CounterDetections  = obs.CDetections
+	CounterFailovers   = obs.CFailovers
+	CounterAbsorbs     = obs.CAbsorbs
+	CounterRespawns    = obs.CRespawns
 )
 
 // NewMetricsRegistry returns an empty, enabled metrics registry.
@@ -364,10 +233,6 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.New() }
 
 // NewEventLog returns an event log writing JSON lines to w.
 func NewEventLog(w io.Writer) *EventLog { return obs.NewLog(w) }
-
-// NewSweepMeter returns an empty sweep meter; rates are measured from
-// this call.
-func NewSweepMeter() *SweepMeter { return obs.NewSweepMeter() }
 
 // Dependency-analysis re-exports (Algorithm 1).
 type (

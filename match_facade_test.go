@@ -103,7 +103,7 @@ func TestFacadeCkptPolicy(t *testing.T) {
 func TestFacadeCampaignService(t *testing.T) {
 	req := match.CampaignRequest{
 		Apps:    []string{"HPCCG"},
-		Designs: []match.Design{match.ReinitFTI},
+		Designs: []match.Design{match.ReinitFTI, match.ReplicaFTI},
 		Procs:   8, MaxFaults: 1, Seed: 7,
 	}
 	if err := req.Validate(); err != nil {
@@ -139,6 +139,48 @@ func TestFacadeCampaignService(t *testing.T) {
 
 	if sz, err := match.ParseInputSize("medium"); err != nil || sz != match.Medium {
 		t.Fatalf("ParseInputSize = %v, %v", sz, err)
+	}
+
+	// Results render and analyse outside the runner too (as a matchserve
+	// client does with fetched results).
+	var sb strings.Builder
+	match.WriteCampaign(&sb, warm)
+	if !strings.Contains(sb.String(), "HPCCG") {
+		t.Fatalf("campaign table missing the app:\n%s", sb.String())
+	}
+	if x := match.ComputeCrossover(warm); len(x.Ks) != 2 {
+		t.Fatalf("crossover failure counts = %v, want k = 0, 1", x.Ks)
+	}
+}
+
+// The observability group: one explicit failure, seen by the registry and
+// the event log through the same probe.
+func TestFacadeObservers(t *testing.T) {
+	sched, err := match.ParseFaultSchedule("3@4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := match.NewMetricsRegistry()
+	var events strings.Builder
+	if _, err := match.Run(match.Config{
+		App:      "miniVite",
+		Design:   match.ReplicaFTI,
+		Procs:    8,
+		Nodes:    4,
+		Params:   match.Params{NVerts: 512, MaxIter: 8, WorkScale: 10},
+		Schedule: &sched,
+		Replica:  match.ReplicaConfig{DupDegree: 2},
+		Metrics:  reg,
+		Log:      match.NewEventLog(&events),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if reg.Get(match.CounterInjections) != 1 || reg.Get(match.CounterFailovers) != 1 {
+		t.Fatalf("injections = %d, failovers = %d, want 1 and 1",
+			reg.Get(match.CounterInjections), reg.Get(match.CounterFailovers))
+	}
+	if n := strings.Count(events.String(), `"msg":"failover"`); n != 1 {
+		t.Fatalf("event log has %d failover lines, want 1:\n%s", n, events.String())
 	}
 }
 
