@@ -76,7 +76,7 @@ func benchFigure(b *testing.B, fig int, scaleSweep bool) {
 	opts := benchOpts(scaleSweep)
 	var last []core.Result
 	for i := 0; i < b.N; i++ {
-		results, err := core.RunFigure(fig, opts, benchOut())
+		results, err := core.CampaignRunner{}.RunFigure(fig, opts, benchOut())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func BenchmarkFig10_RecoveryTime_Inputs(b *testing.B) { benchFigure(b, 10, false
 func BenchmarkHeadlineRatios(b *testing.B) {
 	opts := benchOpts(true)
 	for i := 0; i < b.N; i++ {
-		results, err := core.RunFigure(6, opts, io.Discard)
+		results, err := core.CampaignRunner{}.RunFigure(6, opts, io.Discard)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -27,6 +27,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"match/cmd/internal/serveapi"
 )
 
 // cell is one campaign CSV row, keyed by the axes that identify a sweep
@@ -109,17 +111,6 @@ func serverBase(p string) string {
 	return ""
 }
 
-// cacheStats mirrors matchserve's GET /cache payload.
-type cacheStats struct {
-	Enabled  bool    `json:"enabled"`
-	Hits     int64   `json:"hits"`
-	MemHits  int64   `json:"mem_hits"`
-	DiskHits int64   `json:"disk_hits"`
-	Misses   int64   `json:"misses"`
-	Puts     int64   `json:"puts"`
-	HitRate  float64 `json:"hit_rate"`
-}
-
 // writeCacheSection renders the server's result-cache hit rate. The cache
 // endpoint being unreachable degrades to a note, not a failed report.
 func writeCacheSection(w io.Writer, base string) {
@@ -130,7 +121,7 @@ func writeCacheSection(w io.Writer, base string) {
 		return
 	}
 	defer resp.Body.Close()
-	var cs cacheStats
+	var cs serveapi.CacheStats
 	if err := json.NewDecoder(resp.Body).Decode(&cs); err != nil || resp.StatusCode != http.StatusOK {
 		fmt.Fprintf(w, "_cache stats unavailable (HTTP %d)_\n\n", resp.StatusCode)
 		return

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"match/cmd/internal/serveapi"
 	"match/internal/core"
 	"match/internal/obs"
 	"match/internal/store"
@@ -47,29 +48,18 @@ type campaign struct {
 	wall       time.Duration
 	results    []core.Result
 	table      []byte // the campaign table, byte-identical to CampaignRunner.Run's
-	subs       map[chan statusView]bool
+	subs       map[chan serveapi.Status]bool
 	done       chan struct{} // closed on done/failed
 }
 
-// statusView is the wire form of a campaign's status.
-type statusView struct {
-	ID         string `json:"id"`
-	State      string `json:"state"`
-	Error      string `json:"error,omitempty"`
-	CellsDone  int    `json:"cells_done"`
-	CellsTotal int    `json:"cells_total"`
-	WallMS     int64  `json:"wall_ms,omitempty"`
-	ResultsURL string `json:"results_url,omitempty"`
-}
-
-func (c *campaign) view() statusView {
+func (c *campaign) view() serveapi.Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.viewLocked()
 }
 
-func (c *campaign) viewLocked() statusView {
-	v := statusView{
+func (c *campaign) viewLocked() serveapi.Status {
+	v := serveapi.Status{
 		ID:         c.id,
 		State:      c.state,
 		Error:      c.errMsg,
@@ -83,18 +73,18 @@ func (c *campaign) viewLocked() statusView {
 	return v
 }
 
-func (c *campaign) subscribe() chan statusView {
-	ch := make(chan statusView, 64)
+func (c *campaign) subscribe() chan serveapi.Status {
+	ch := make(chan serveapi.Status, 64)
 	c.mu.Lock()
 	if c.subs == nil {
-		c.subs = map[chan statusView]bool{}
+		c.subs = map[chan serveapi.Status]bool{}
 	}
 	c.subs[ch] = true
 	c.mu.Unlock()
 	return ch
 }
 
-func (c *campaign) unsubscribe(ch chan statusView) {
+func (c *campaign) unsubscribe(ch chan serveapi.Status) {
 	c.mu.Lock()
 	delete(c.subs, ch)
 	c.mu.Unlock()
@@ -311,7 +301,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleList(w http.ResponseWriter) {
 	s.mu.Lock()
-	views := make([]statusView, 0, len(s.order))
+	views := make([]serveapi.Status, 0, len(s.order))
 	for _, id := range s.order {
 		views = append(views, s.campaigns[id].view())
 	}
@@ -338,7 +328,7 @@ func (s *server) watchCampaign(w http.ResponseWriter, r *http.Request, c *campai
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
-	send := func(v statusView) {
+	send := func(v serveapi.Status) {
 		b, _ := json.Marshal(v)
 		fmt.Fprintf(w, "data: %s\n\n", b)
 		fl.Flush()
@@ -393,16 +383,8 @@ func (s *server) handleResults(w http.ResponseWriter, r *http.Request, c *campai
 	}
 }
 
-// cacheStats is store.Stats plus the derived hit rate and whether a cache
-// is attached at all.
-type cacheStats struct {
-	Enabled bool `json:"enabled"`
-	store.Stats
-	HitRate float64 `json:"hit_rate"`
-}
-
-func cacheView(st *store.Store) cacheStats {
-	v := cacheStats{Enabled: st.Enabled()}
+func cacheView(st *store.Store) serveapi.CacheStats {
+	v := serveapi.CacheStats{Enabled: st.Enabled()}
 	if st.Enabled() {
 		v.Stats = st.Stats()
 		v.HitRate = v.Stats.HitRate()

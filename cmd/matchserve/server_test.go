@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"match/cmd/internal/serveapi"
 	"match/internal/core"
 	"match/internal/store"
 )
@@ -30,7 +31,7 @@ func testServer(t *testing.T, cfg serverConfig, executors int) (*server, *httpte
 	return srv, ts
 }
 
-func submit(t *testing.T, ts *httptest.Server, req core.CampaignRequest) (statusView, int) {
+func submit(t *testing.T, ts *httptest.Server, req core.CampaignRequest) (serveapi.Status, int) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -41,7 +42,7 @@ func submit(t *testing.T, ts *httptest.Server, req core.CampaignRequest) (status
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var v statusView
+	var v serveapi.Status
 	if resp.StatusCode == http.StatusAccepted || resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
 			t.Fatal(err)
@@ -50,7 +51,7 @@ func submit(t *testing.T, ts *httptest.Server, req core.CampaignRequest) (status
 	return v, resp.StatusCode
 }
 
-func getStatus(t *testing.T, ts *httptest.Server, id string) statusView {
+func getStatus(t *testing.T, ts *httptest.Server, id string) serveapi.Status {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/campaigns/" + id)
 	if err != nil {
@@ -60,14 +61,14 @@ func getStatus(t *testing.T, ts *httptest.Server, id string) statusView {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %s: HTTP %d", id, resp.StatusCode)
 	}
-	var v statusView
+	var v serveapi.Status
 	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
 		t.Fatal(err)
 	}
 	return v
 }
 
-func waitDone(t *testing.T, ts *httptest.Server, id string) statusView {
+func waitDone(t *testing.T, ts *httptest.Server, id string) serveapi.Status {
 	t.Helper()
 	deadline := time.Now().Add(120 * time.Second)
 	for time.Now().Before(deadline) {
@@ -78,7 +79,7 @@ func waitDone(t *testing.T, ts *httptest.Server, id string) statusView {
 		time.Sleep(25 * time.Millisecond)
 	}
 	t.Fatalf("campaign %s did not finish", id)
-	return statusView{}
+	return serveapi.Status{}
 }
 
 func fetch(t *testing.T, url string) (int, []byte) {
@@ -164,7 +165,7 @@ func TestServeCampaignEndToEnd(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("cache: HTTP %d", code)
 	}
-	var cs cacheStats
+	var cs serveapi.CacheStats
 	if err := json.Unmarshal(cache, &cs); err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +272,7 @@ func TestServeWatchSSE(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("watch content type %q", ct)
 	}
-	var last statusView
+	var last serveapi.Status
 	events := 0
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {

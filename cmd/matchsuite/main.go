@@ -15,8 +15,15 @@
 //	matchsuite -campaign -ckpt-policy fixed,replica-aware,adaptive   # placement-axis sweep
 //	matchsuite -replica-sweep 0,0.25,0.5,1.0   # PartRePer overhead-vs-ReplicaFactor curve
 //	matchsuite -hot-spare-sweep -max-faults 2   # respawn axis: crossover per hot-spare variant
-//	matchsuite -campaign -cache ~/.cache/match   # memoize cells; warm reruns simulate nothing
+//	matchsuite -all -cache ~/.cache/match   # memoize cells; warm reruns simulate nothing
 //	matchsuite -campaign -server http://host:8080   # run the campaign on a matchserve instance
+//
+// Every mode runs its cells through one core.CampaignRunner, so -j,
+// -progress, -log, -pprof-http, -cache and -cache-entries apply to all of
+// them. Cells are memoized by content even without -cache (in memory, for
+// the invocation): -all enumerates 480 cells of which 272 are distinct —
+// Figs. 7 and 10 replot 6 and 9, and the Small-input cells of Figs. 8/9 are
+// the 64-process cells of 5/6 — and simulates only those.
 package main
 
 import (
@@ -35,6 +42,7 @@ import (
 	"time"
 
 	"match/cmd/internal/axisflags"
+	"match/cmd/internal/serveapi"
 	"match/internal/core"
 	"match/internal/obs"
 	"match/internal/store"
@@ -60,7 +68,7 @@ func main() {
 	hotSpareSweep := flag.Bool("hot-spare-sweep", false, "campaign the replica design with hot-spare respawn off and on and print the Replica-vs-Reinit crossover per variant")
 	modelIngress := flag.Bool("model-ingress", false, "serialize receiver NICs too (richer network model; shifts calibrated timings)")
 	serverURL := flag.String("server", "", "campaign mode: submit the request to a matchserve instance at this base URL instead of simulating in-process; output stays byte-identical")
-	cacheDir := flag.String("cache", "", "campaign mode: content-addressed result cache directory; cached cells are reused, simulated cells are stored")
+	cacheDir := flag.String("cache", "", "content-addressed result cache directory (empty: in-memory, this invocation only); cached cells are reused, simulated cells are stored")
 	cacheEntries := flag.Int("cache-entries", 0, "in-memory cache capacity in cells (0 = default)")
 	progress := flag.Bool("progress", true, "report per-cell completion, wall-clock, and throughput on stderr while a sweep runs (stdout stays byte-stable)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file (inspect with go tool pprof)")
@@ -115,10 +123,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-server only applies to -campaign (the service speaks CampaignRequest)")
 		os.Exit(2)
 	}
-	if *cacheDir != "" && !*campaign {
-		fmt.Fprintln(os.Stderr, "-cache only applies to -campaign (cells are the cache unit)")
-		os.Exit(2)
-	}
 	if *serverURL != "" && *cacheDir != "" {
 		fmt.Fprintln(os.Stderr, "-server and -cache are mutually exclusive: a remote campaign uses the server's cache")
 		os.Exit(2)
@@ -167,6 +171,11 @@ func main() {
 		// line reports; don't interleave both on stderr.
 		*progress = false
 	}
+	st, err := store.Open(*cacheDir, *cacheEntries)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	stopProf := startProfiling(*cpuprofile, *memprofile, *pprofHTTP)
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, err)
@@ -174,19 +183,24 @@ func main() {
 		os.Exit(1)
 	}
 	sweepStart := time.Now()
+	// done/total count the current sweep; cellsDone and cellWall run over
+	// every sweep of the invocation (-all runs six), like sweepStart.
 	cellsDone := 0
 	var cellWall time.Duration
 	prog := func(done, total int, r core.Result, wall time.Duration) {
-		cellsDone, cellWall = done, cellWall+wall
+		cellsDone++
+		cellWall += wall
 		if *progress {
-			rate := float64(done) / time.Since(sweepStart).Seconds()
+			rate := float64(cellsDone) / time.Since(sweepStart).Seconds()
 			fmt.Fprintf(os.Stderr, "[%d/%d] %s faults=%d  %6.2fs wall  (%.2f cells/s)\n",
 				done, total, r.Key(), r.Config.FaultCount(), wall.Seconds(), rate)
 		}
 	}
 
-	opts := core.SuiteOptions{Reps: *reps, Seed: *seed, Workers: *workers,
-		ModelIngress: *modelIngress, Progress: prog, Meter: meter, Log: elog}
+	// The one execution environment every mode's cells run in.
+	rn := core.CampaignRunner{Workers: *workers, Progress: prog, Meter: meter, Log: elog, Store: st}
+
+	opts := core.SuiteOptions{Reps: *reps, Seed: *seed, ModelIngress: *modelIngress}
 	if len(detectors) == 1 {
 		opts.Detector = detectors[0]
 	}
@@ -238,22 +252,9 @@ func main() {
 			}
 			core.WriteCampaign(os.Stdout, results)
 		} else {
-			rn := core.CampaignRunner{Workers: *workers, Progress: prog, Meter: meter, Log: elog}
-			if *cacheDir != "" {
-				st, serr := store.Open(*cacheDir, *cacheEntries)
-				if serr != nil {
-					fail(serr)
-				}
-				rn.Store = st
-			}
 			results, err = rn.Run(req, os.Stdout)
 			if err != nil {
 				fail(err)
-			}
-			if rn.Store.Enabled() {
-				cs := rn.Store.Stats()
-				fmt.Fprintf(os.Stderr, "cache: hits=%d misses=%d puts=%d evictions=%d (%.0f%% hit rate)\n",
-					cs.Hits, cs.Misses, cs.Puts, cs.Evictions, 100*cs.HitRate())
 			}
 		}
 		if len(detectors) > 0 {
@@ -277,11 +278,11 @@ func main() {
 		}
 		writeCSV(*csvPath, results)
 	case *verify:
-		if err := runVerify(opts); err != nil {
+		if err := runVerify(rn, opts.Apps, *seed); err != nil {
 			fail(err)
 		}
 	case *ratios:
-		results, err := core.RunFigure(6, opts, os.Stdout)
+		results, err := rn.RunFigure(6, opts, os.Stdout)
 		if err != nil {
 			fail(err)
 		}
@@ -290,9 +291,9 @@ func main() {
 	case *all:
 		var everything []core.Result
 		for _, f := range []int{5, 6, 7, 8, 9, 10} {
-			// Figures 7/10 replot the recovery component of 6/9; rerunning
-			// keeps each figure's output self-contained.
-			results, err := core.RunFigure(f, opts, os.Stdout)
+			// Each figure's output is self-contained; the cells it shares
+			// with an earlier figure come out of the runner's store.
+			results, err := rn.RunFigure(f, opts, os.Stdout)
 			if err != nil {
 				fail(err)
 			}
@@ -301,7 +302,7 @@ func main() {
 		core.ComputeRatios(everything).Write(os.Stdout)
 		writeCSV(*csvPath, everything)
 	case *fig != 0:
-		results, err := core.RunFigure(*fig, opts, os.Stdout)
+		results, err := rn.RunFigure(*fig, opts, os.Stdout)
 		if err != nil {
 			fail(err)
 		}
@@ -320,18 +321,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sweep summary: %d cells, %.2fs wall (%.2fs cumulative cell time), %.2f cells/s mean, peak heap %.1f MiB\n",
 			cellsDone, elapsed.Seconds(), cellWall.Seconds(),
 			float64(cellsDone)/elapsed.Seconds(), float64(ms.HeapSys)/(1<<20))
+		cs := st.Stats()
+		fmt.Fprintf(os.Stderr, "cache: hits=%d misses=%d puts=%d evictions=%d (%.0f%% hit rate)\n",
+			cs.Hits, cs.Misses, cs.Puts, cs.Evictions, 100*cs.HitRate())
 	}
 	stopProf()
-}
-
-// campaignStatus mirrors matchserve's status JSON.
-type campaignStatus struct {
-	ID         string `json:"id"`
-	State      string `json:"state"`
-	Error      string `json:"error"`
-	CellsDone  int    `json:"cells_done"`
-	CellsTotal int    `json:"cells_total"`
-	ResultsURL string `json:"results_url"`
 }
 
 // runRemoteCampaign submits the request to a matchserve instance, polls it
@@ -347,7 +341,7 @@ func runRemoteCampaign(base string, req core.CampaignRequest, progress bool) ([]
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	var st campaignStatus
+	var st serveapi.Status
 	if err := decodeRemote(resp, &st); err != nil {
 		return nil, err
 	}
@@ -463,35 +457,43 @@ func writeCSV(path string, results []core.Result) {
 	core.WriteCSV(f, results)
 }
 
-// runVerify checks, for every app and design at a small scale, that a run
-// with an injected failure produces the same answer as a failure-free run.
-func runVerify(opts core.SuiteOptions) error {
-	opts.Reps = 1
-	appsList := opts.Apps
-	if len(appsList) == 0 {
-		appsList = core.TableIApps()
+// runVerify checks, for every app and design at the default scale, that a
+// run with an injected failure produces the same answer as a failure-free
+// run. Per app the sweep holds the failure-free reference cell followed by
+// one single-failure cell per design; the verdicts are printed in that
+// order once the pool has run them.
+func runVerify(rn core.CampaignRunner, apps []string, seed int64) error {
+	if len(apps) == 0 {
+		apps = core.TableIApps()
 	}
-	fmt.Println("== Recovery correctness verification ==")
-	for _, app := range appsList {
-		ref, err := core.Run(core.Config{App: app, Design: core.ReinitFTI, Procs: 64, Input: core.Small})
-		if err != nil {
-			return fmt.Errorf("%s reference: %w", app, err)
-		}
+	var cfgs []core.Config
+	for _, app := range apps {
+		cfgs = append(cfgs, core.Config{App: app, Design: core.ReinitFTI, Procs: 64, Input: core.Small})
 		for _, d := range core.Designs() {
-			bd, err := core.Run(core.Config{App: app, Design: d, Procs: 64, Input: core.Small,
-				InjectFault: true, FaultSeed: opts.Seed})
-			if err != nil {
-				return fmt.Errorf("%s/%s: %w", app, d, err)
-			}
-			status := "OK (bitwise equal)"
-			if bd.Signature != ref.Signature {
-				status = fmt.Sprintf("MISMATCH %g != %g", bd.Signature, ref.Signature)
-			}
-			fmt.Printf("  %-10s %-12s recoveries=%d  %s\n", app, d, bd.Recoveries, status)
-			if bd.Signature != ref.Signature {
-				return fmt.Errorf("%s/%s: recovered answer differs", app, d)
-			}
+			cfgs = append(cfgs, core.Config{App: app, Design: d, Procs: 64, Input: core.Small,
+				InjectFault: true, FaultSeed: seed})
 		}
+	}
+	// On a failed cell the verdicts of the cells before it are still printed.
+	results, err := rn.Cells(cfgs, 1)
+	fmt.Println("== Recovery correctness verification ==")
+	perApp := 1 + len(core.Designs())
+	for i, r := range results {
+		if i%perApp == 0 {
+			continue // the reference itself
+		}
+		ref, bd := results[i-i%perApp].Breakdown, r.Breakdown
+		status := "OK (bitwise equal)"
+		if bd.Signature != ref.Signature {
+			status = fmt.Sprintf("MISMATCH %g != %g", bd.Signature, ref.Signature)
+		}
+		fmt.Printf("  %-10s %-12s recoveries=%d  %s\n", r.Config.App, r.Config.Design, bd.Recoveries, status)
+		if bd.Signature != ref.Signature {
+			return fmt.Errorf("%s/%s: recovered answer differs", r.Config.App, r.Config.Design)
+		}
+	}
+	if err != nil {
+		return err
 	}
 	fmt.Println("all designs recover to the failure-free answer")
 	return nil

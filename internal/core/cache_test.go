@@ -179,7 +179,7 @@ func TestCorruptCacheEntryFallsBackToRun(t *testing.T) {
 	if err := st.Put(key, []byte("not json")); err != nil {
 		t.Fatal(err)
 	}
-	results, err := runConfigs([]Config{cfg}, 1, runEnv{workers: 1, store: st})
+	results, err := CampaignRunner{Workers: 1, Store: st}.Cells([]Config{cfg}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,5 +229,68 @@ func TestCachedBreakdownRoundTrip(t *testing.T) {
 	}
 	if bd != back {
 		t.Fatalf("breakdown did not round-trip:\n%+v\n%+v", bd, back)
+	}
+}
+
+// Figures are sweeps of the same cells: Figs. 7 and 10 replot 6 and 9, and
+// the Small-input cells of Figs. 8/9 are the 64-proc cells of 5/6. The
+// census (keys only, no simulation) pins the numbers the README quotes;
+// the simulated half runs a cheap slice of the matrix through one runner
+// with a store and requires every repeat to be a hit and every table to
+// match a store-less runner's byte for byte.
+func TestFiguresShareCells(t *testing.T) {
+	census := func(opts SuiteOptions) (cells, distinct int) {
+		keys := map[string]bool{}
+		for fig := 5; fig <= 10; fig++ {
+			cfgs, err := FigureConfigs(fig, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cfg := range cfgs {
+				k, err := CellKey(cfg, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				keys[k] = true
+			}
+			cells += len(cfgs)
+		}
+		return cells, len(keys)
+	}
+	if c, d := census(SuiteOptions{}); c != 480 || d != 272 {
+		t.Fatalf("full evaluation: %d cells, %d distinct, want 480 and 272", c, d)
+	}
+	if c, d := census(SuiteOptions{Apps: []string{"HPCCG"}, Scales: []int{64, 128}}); c != 60 || d != 32 {
+		t.Fatalf("HPCCG at 64,128: %d cells, %d distinct, want 60 and 32", c, d)
+	}
+	if testing.Short() {
+		t.Skip("64-proc figure cells skipped in -short mode")
+	}
+
+	// Six figures of four cells each, 8 distinct: at one scale and one
+	// input, Figs. 5 and 8 are the same cells, as are 6, 7, 9 and 10.
+	opts := SuiteOptions{Apps: []string{"miniFE"}, Scales: []int{64}, Inputs: []InputSize{Small}}
+	st := store.NewMemory(0)
+	shared, plain := CampaignRunner{Store: st}, CampaignRunner{}
+	byFig := map[int][]Result{}
+	for fig := 5; fig <= 10; fig++ {
+		var got, want bytes.Buffer
+		results, err := shared.RunFigure(fig, opts, &got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := plain.RunFigure(fig, opts, &want); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("fig %d differs with a store:\n%s\n---\n%s", fig, got.String(), want.String())
+		}
+		byFig[fig] = results
+	}
+	if cs := st.Stats(); cs.Puts != 8 || cs.Misses != 8 || cs.Hits != 16 {
+		t.Fatalf("cache stats = %+v, want puts=8 misses=8 hits=16", cs)
+	}
+	if !reflect.DeepEqual(byFig[7], byFig[6]) || !reflect.DeepEqual(byFig[10], byFig[9]) {
+		t.Fatal("figs 7/10 did not reuse the results of 6/9")
 	}
 }

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"match/internal/detect"
 	"match/internal/fault"
+	"match/internal/obs"
+	"match/internal/restart"
 	"match/internal/simnet"
 )
 
@@ -151,7 +155,7 @@ func TestCampaignAllAppsK3Small64(t *testing.T) {
 				Input: Small, Faults: 3, FaultSeed: 1})
 		}
 	}
-	results, err := RunConfigs(cfgs, 1, 0)
+	results, err := CampaignRunner{}.Cells(cfgs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,6 +169,55 @@ func TestCampaignAllAppsK3Small64(t *testing.T) {
 		if r.Breakdown.Recoveries < 1 {
 			t.Errorf("%s: no recovery recorded", r.Key())
 		}
+	}
+}
+
+// The error contract of the one sweep executor: a failing cell in the
+// middle of a list returns exactly the cells before it plus its error,
+// whatever the worker count, and still closes its cell_start in the event
+// log with a cell_finish that carries the error.
+func TestCellsErrorContract(t *testing.T) {
+	ok := Config{App: "HPCCG", Design: ReinitFTI, Procs: 8, Nodes: 4, Params: tinyParams("HPCCG")}
+	cfgs := []Config{ok, ok, {App: "no-such-app", Procs: 8}, ok, ok, ok}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("j%d", workers), func(t *testing.T) {
+			var events bytes.Buffer
+			results, err := CampaignRunner{Workers: workers, Log: obs.NewLog(&events)}.Cells(cfgs, 1)
+			if err == nil || !strings.Contains(err.Error(), "no-such-app") {
+				t.Fatalf("err = %v, want the unknown app's", err)
+			}
+			if len(results) != 2 {
+				t.Fatalf("%d results, want the 2 cells before the failing one", len(results))
+			}
+			for i, r := range results {
+				if !r.Breakdown.Completed || r.Config.App != cfgs[i].App {
+					t.Fatalf("prefix cell %d not a finished run of its config: %+v", i, r)
+				}
+			}
+			failed := 0
+			for _, line := range strings.Split(events.String(), "\n") {
+				if strings.Contains(line, `"msg":"cell_finish"`) && strings.Contains(line, `"error":`) {
+					failed++
+					if !strings.Contains(line, `"cell":2`) || !strings.Contains(line, `"cached":false`) {
+						t.Fatalf("failed cell's finish event malformed: %s", line)
+					}
+				}
+			}
+			if failed != 1 {
+				t.Fatalf("%d cell_finish events carry an error, want 1:\n%s", failed, events.String())
+			}
+		})
+	}
+}
+
+// A restart run whose launcher exhausts MaxRelaunches reports that, like
+// the replica design does, instead of a generic incomplete-run error.
+func TestRestartGaveUpIsReported(t *testing.T) {
+	_, err := Run(Config{App: "HPCCG", Design: RestartFTI, Procs: 8, Nodes: 4,
+		Params: tinyParams("HPCCG"), Faults: 3, FaultSeed: 1,
+		Restart: restart.Config{MaxRelaunches: 1}})
+	if err == nil || !strings.Contains(err.Error(), "restart: gave up after 1 relaunches") {
+		t.Fatalf("err = %v, want the gave-up report", err)
 	}
 }
 

@@ -5,7 +5,20 @@ import (
 
 	"match/internal/apps"
 	"match/internal/fault"
+	"match/internal/store"
 )
+
+// conformanceStore holds the conformance matrix's cells, so the
+// determinism test below can take its first run of a cell from the sweep
+// that already simulated it.
+var conformanceStore = store.NewMemory(0)
+
+func conformanceCell(app string, d Design) Config {
+	return Config{
+		App: app, Design: d, Procs: 8, Nodes: 4,
+		Input: Small, InjectFault: true, FaultSeed: 9,
+	}
+}
 
 // TestDesignConformanceMatrix is the contract future designs must keep:
 // every registered application under every Designs() entry, on the Small
@@ -16,20 +29,24 @@ import (
 // A design added to Designs() without passing this sweep cannot silently
 // break an app.
 func TestDesignConformanceMatrix(t *testing.T) {
+	var cfgs []Config
 	for _, app := range apps.Names() {
-		app := app
+		for _, d := range Designs() {
+			cfgs = append(cfgs, conformanceCell(app, d))
+		}
+	}
+	// A failing cell cuts the results short; the cells from it onwards
+	// fail below with the sweep's error.
+	results, err := CampaignRunner{Store: conformanceStore}.Cells(cfgs, 1)
+	for i, app := range apps.Names() {
 		t.Run(app, func(t *testing.T) {
-			for _, d := range Designs() {
-				d := d
+			for j, d := range Designs() {
+				cell := i*len(Designs()) + j
 				t.Run(d.String(), func(t *testing.T) {
-					cfg := Config{
-						App: app, Design: d, Procs: 8, Nodes: 4,
-						Input: Small, InjectFault: true, FaultSeed: 9,
-					}
-					bd, err := Run(cfg)
-					if err != nil {
+					if cell >= len(results) {
 						t.Fatalf("run: %v", err)
 					}
+					bd := results[cell].Breakdown
 					if !bd.Completed {
 						t.Fatal("run did not complete")
 					}
@@ -53,25 +70,27 @@ func TestDesignConformanceMatrix(t *testing.T) {
 
 // TestDesignConformanceDeterministic reruns one cell per app (rotating
 // through the designs) and requires byte-identical breakdowns — the
-// property every figure, ratio, and regression comparison rests on.
+// property every figure, ratio, and regression comparison rests on. The
+// first run is the pooled (and, after the matrix above, cached) cell; the
+// second is always a fresh Run.
 func TestDesignConformanceDeterministic(t *testing.T) {
 	designs := Designs()
+	var cfgs []Config
 	for i, app := range apps.Names() {
-		d := designs[i%len(designs)]
-		cfg := Config{
-			App: app, Design: d, Procs: 8, Nodes: 4,
-			Input: Small, InjectFault: true, FaultSeed: 9,
-		}
-		a, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s/%s first run: %v", app, d, err)
-		}
+		cfgs = append(cfgs, conformanceCell(app, designs[i%len(designs)]))
+	}
+	first, err := CampaignRunner{Store: conformanceStore}.Cells(cfgs, 1)
+	if err != nil {
+		t.Fatalf("first runs: %v", err)
+	}
+	for i, cfg := range cfgs {
+		a := first[i].Breakdown
 		b, err := Run(cfg)
 		if err != nil {
-			t.Fatalf("%s/%s second run: %v", app, d, err)
+			t.Fatalf("%s/%s second run: %v", cfg.App, cfg.Design, err)
 		}
 		if a != b {
-			t.Fatalf("%s/%s not deterministic:\n%+v\n%+v", app, d, a, b)
+			t.Fatalf("%s/%s not deterministic:\n%+v\n%+v", cfg.App, cfg.Design, a, b)
 		}
 	}
 }
@@ -124,21 +143,22 @@ func TestReplicaAllAppsSmall64(t *testing.T) {
 	if testing.Short() {
 		t.Skip("64-proc sweep skipped in -short mode")
 	}
+	// Every cell twice, both simulated (no store): slots 2i and 2i+1.
+	var cfgs []Config
 	for _, app := range apps.Names() {
-		app := app
+		cfg := Config{App: app, Design: ReplicaFTI, Procs: 64, Input: Small,
+			InjectFault: true, FaultSeed: 1}
+		cfgs = append(cfgs, cfg, cfg)
+	}
+	results, err := CampaignRunner{}.Cells(cfgs, 1)
+	for i, app := range apps.Names() {
 		t.Run(app, func(t *testing.T) {
-			cfg := Config{App: app, Design: ReplicaFTI, Procs: 64, Input: Small,
-				InjectFault: true, FaultSeed: 1}
-			a, err := Run(cfg)
-			if err != nil {
+			if 2*i+1 >= len(results) {
 				t.Fatalf("run: %v", err)
 			}
+			a, b := results[2*i].Breakdown, results[2*i+1].Breakdown
 			if !a.Completed || a.Recoveries < 1 {
 				t.Fatalf("bad breakdown: %+v", a)
-			}
-			b, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("rerun: %v", err)
 			}
 			if a != b {
 				t.Fatalf("not byte-identical:\n%+v\n%+v", a, b)

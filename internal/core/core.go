@@ -593,6 +593,9 @@ func runRestart(rc resolvedCell, cluster *simnet.Cluster, rec *recorder,
 		bd.Messages += j.Stats.Messages
 		bd.NetBytes += j.Stats.Bytes
 	}
+	if sup.GaveUp {
+		return fmt.Errorf("restart: gave up after %d relaunches", len(sup.Recoveries))
+	}
 	return nil
 }
 

@@ -14,7 +14,6 @@ import (
 	"match/internal/detect"
 	"match/internal/obs"
 	"match/internal/simnet"
-	"match/internal/store"
 )
 
 // Result pairs a configuration with its measured breakdown.
@@ -113,16 +112,14 @@ func divRound(sum int64, reps int) int64 {
 	return (sum + int64(reps)/2) / int64(reps)
 }
 
-// SuiteOptions shapes a figure sweep.
+// SuiteOptions selects the cells of a figure sweep; the environment they
+// run in is the CampaignRunner's.
 type SuiteOptions struct {
 	Apps   []string // default: all six
 	Scales []int    // default: Table I scales (filtered per app)
 	Inputs []InputSize
 	Reps   int // default 1 (the paper used 5)
 	Seed   int64
-	// Workers bounds the worker pool the sweep runs on; 0 means
-	// GOMAXPROCS. Result ordering is independent of the worker count.
-	Workers int
 	// Detector applies one detection strategy to every run of the sweep
 	// (ablation); the zero value keeps the per-design calibrated presets.
 	Detector detect.Config
@@ -131,20 +128,6 @@ type SuiteOptions struct {
 	CkptPolicy ckpt.Config
 	// ModelIngress switches receiver-NIC serialization on for every run.
 	ModelIngress bool
-	// Progress, when set, observes every completed cell (see Progress).
-	// Implementations must write to stderr or another side channel: the
-	// sweep's stdout/CSV streams are diffed by the determinism gate.
-	Progress Progress
-	// Meter, when non-nil, aggregates each cell's metrics registry into the
-	// live sweep meter the /metrics and /status endpoints serve. Side
-	// channel only, like Progress: metering never touches the deterministic
-	// output streams.
-	Meter *obs.SweepMeter
-	// Log, when non-nil, receives cell_start/cell_finish host events plus
-	// each run's structured lifecycle events (see Config.Log). Cells run
-	// concurrently, so events from different cells interleave; every line
-	// carries its cell index.
-	Log *obs.Log
 }
 
 func (o *SuiteOptions) fill() {
@@ -248,62 +231,51 @@ func filterCubes(s []int) []int {
 // off the deterministic output streams.
 type Progress func(done, total int, r Result, wall time.Duration)
 
-// RunConfigs executes configurations on a bounded worker pool (workers <= 0
-// means GOMAXPROCS) with reps repetitions each. The result slice is ordered
-// like cfgs regardless of the worker count or completion order, so sweep
-// output is deterministic. An error stops new runs from starting (in-flight
-// ones finish); the successful prefix — every configuration before the
-// lowest-indexed failing one — is returned with that error.
-func RunConfigs(cfgs []Config, reps, workers int) ([]Result, error) {
-	return runConfigs(cfgs, reps, runEnv{workers: workers})
-}
-
-// runEnv is the sweep execution environment: the worker pool bound plus
-// the observability hooks the campaign/suite CLIs report through (per-cell
-// progress callback, live sweep meter behind /metrics and /status,
-// structured event log) and the optional content-addressed result store.
-type runEnv struct {
-	workers  int
-	progress Progress
-	meter    *obs.SweepMeter
-	log      *obs.Log
-	store    *store.Store
-}
-
-// runConfigs is RunConfigs over a full runEnv. With a store attached, each
-// cell is looked up by its CellKey before simulating: a hit reuses the
-// cached Breakdown (byte-identical results, zero simulation), a miss runs
-// the cell and stores it back. Cache traffic is invisible on the
-// deterministic output streams — only the store's Stats and the side
-// channels see it.
-func runConfigs(cfgs []Config, reps int, env runEnv) ([]Result, error) {
-	workers := env.workers
+// Cells executes configurations on the runner's worker pool with reps
+// repetitions each — the one sweep executor: campaigns, figures, ratios and
+// the verification matrix all run their cells here. The result slice is
+// ordered like cfgs regardless of the worker count or completion order, so
+// sweep output is deterministic. An error stops new runs from starting
+// (in-flight ones finish); the successful prefix — every configuration
+// before the lowest-indexed failing one — is returned with that error.
+//
+// With a store attached, each cell is looked up by its CellKey before
+// simulating: a hit reuses the cached Breakdown (byte-identical results,
+// zero simulation), a miss runs the cell and stores it back. Cache traffic
+// is invisible on the deterministic output streams — only the store's
+// Stats and the side channels see it.
+func (rn CampaignRunner) Cells(cfgs []Config, reps int) ([]Result, error) {
+	workers := rn.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(cfgs) {
 		workers = len(cfgs)
 	}
-	env.meter.AddTotal(len(cfgs))
+	rn.Meter.AddTotal(len(cfgs))
 	results := make([]Result, len(cfgs))
-	errs := make([]error, len(cfgs))
-	done := make([]bool, len(cfgs)) // distinguishes success from fail-fast skip
 	next := make(chan int)
-	var failed atomic.Bool // fail fast: don't start new runs after an error
+	// Fail fast: failedAt is the lowest failing index so far (len(cfgs)
+	// while none) and firstErr its error. Cells above it are skipped; cells
+	// below it were handed out earlier and still run, so the prefix before
+	// it is always whole.
+	var failedAt atomic.Int64
+	failedAt.Store(int64(len(cfgs)))
+	var firstErr error
 	var wg sync.WaitGroup
-	var progressMu sync.Mutex
+	var mu sync.Mutex // serializes Progress calls and failure bookkeeping
 	completed := 0
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				if failed.Load() {
+				if int64(i) > failedAt.Load() {
 					continue
 				}
 				cfg := cfgs[i]
-				if env.log.Enabled() {
-					cfg.Log = env.log.With("cell", i)
+				if rn.Log.Enabled() {
+					cfg.Log = rn.Log.With("cell", i)
 					cfg.Log.HostEvent("cell_start", "app", cfg.App,
 						"design", cfg.Design.ShortName(), "procs", cfg.Procs,
 						"input", cfg.Input.String(), "faults", cfg.FaultCount())
@@ -316,10 +288,10 @@ func runConfigs(cfgs []Config, reps int, env runEnv) ([]Result, error) {
 				key := ""
 				cached := false
 				var bd Breakdown
-				if env.store.Enabled() {
+				if rn.Store.Enabled() {
 					if k, kerr := CellKey(cfg, reps); kerr == nil {
 						key = k
-						if raw, ok := env.store.Get(key); ok {
+						if raw, ok := rn.Store.Get(key); ok {
 							if dec, derr := decodeCachedCell(raw); derr == nil {
 								bd, cached = dec, true
 							}
@@ -327,25 +299,35 @@ func runConfigs(cfgs []Config, reps int, env runEnv) ([]Result, error) {
 					}
 				}
 				if !cached {
-					if env.meter.Enabled() {
+					if rn.Meter.Enabled() {
 						cfg.Metrics = obs.New()
 					}
 					var err error
 					bd, _, err = RunAveraged(cfg, reps)
 					if err != nil {
-						errs[i] = err
-						failed.Store(true)
+						if cfg.Log.Enabled() {
+							cfg.Log.HostEvent("cell_finish", "app", cfg.App,
+								"design", cfg.Design.ShortName(), "procs", cfg.Procs,
+								"wall_ms", time.Since(start).Milliseconds(),
+								"error", err.Error(), "cached", false)
+						}
+						mu.Lock()
+						if int64(i) < failedAt.Load() {
+							failedAt.Store(int64(i))
+							firstErr = err
+						}
+						mu.Unlock()
 						continue
 					}
 					if key != "" {
 						if enc, eerr := encodeCachedCell(bd); eerr == nil {
 							// Best-effort: a failed write only costs a
 							// future rerun, never the sweep.
-							_ = env.store.Put(key, enc)
+							_ = rn.Store.Put(key, enc)
 						}
 					}
 				}
-				env.meter.CellDone(cfg.Design.ShortName(), cfg.Metrics)
+				rn.Meter.CellDone(cfg.Design.ShortName(), cfg.Metrics)
 				if cfg.Log.Enabled() {
 					cfg.Log.HostEvent("cell_finish", "app", cfg.App,
 						"design", cfg.Design.ShortName(), "procs", cfg.Procs,
@@ -355,12 +337,11 @@ func runConfigs(cfgs []Config, reps int, env runEnv) ([]Result, error) {
 				}
 				res := Result{Config: cfgs[i], Breakdown: bd}
 				results[i] = res
-				done[i] = true
-				if env.progress != nil {
-					progressMu.Lock()
+				if rn.Progress != nil {
+					mu.Lock()
 					completed++
-					env.progress(completed, len(cfgs), res, time.Since(start))
-					progressMu.Unlock()
+					rn.Progress(completed, len(cfgs), res, time.Since(start))
+					mu.Unlock()
 				}
 			}
 		}()
@@ -370,40 +351,19 @@ func runConfigs(cfgs []Config, reps int, env runEnv) ([]Result, error) {
 	}
 	close(next)
 	wg.Wait()
-	if !failed.Load() {
-		return results, nil
-	}
-	// The returned prefix holds only configurations that actually ran: it
-	// ends at the first error, skip, or still-zero slot.
-	n := 0
-	for n < len(cfgs) && done[n] {
-		n++
-	}
-	var err error
-	for _, e := range errs[n:] { // failed => at least one non-nil entry
-		if e != nil {
-			err = e
-			break
-		}
-	}
-	return results[:n], err
+	return results[:failedAt.Load()], firstErr
 }
 
-// RunFigure executes a figure's run matrix on the sweep worker pool and
+// RunFigure executes a figure's run matrix on the runner's worker pool and
 // writes the paper-style table to w. It returns the raw results for
 // further analysis.
-func RunFigure(fig int, opts SuiteOptions, w io.Writer) ([]Result, error) {
+func (rn CampaignRunner) RunFigure(fig int, opts SuiteOptions, w io.Writer) ([]Result, error) {
 	cfgs, err := FigureConfigs(fig, opts)
 	if err != nil {
 		return nil, err
 	}
 	opts.fill()
-	results, err := runConfigs(cfgs, opts.Reps, runEnv{
-		workers:  opts.Workers,
-		progress: opts.Progress,
-		meter:    opts.Meter,
-		log:      opts.Log,
-	})
+	results, err := rn.Cells(cfgs, opts.Reps)
 	if err != nil {
 		return results, err
 	}

@@ -214,9 +214,10 @@ func (r CampaignRequest) Configs() []Config {
 	return out
 }
 
-// CampaignRunner is the execution environment a CampaignRequest runs in —
-// everything that is not campaign identity. The zero value runs in-process
-// on GOMAXPROCS workers with no observers and no cache.
+// CampaignRunner is the execution environment every sweep runs in — a
+// CampaignRequest's matrix (Run), a figure's (RunFigure), or any other list
+// of cells (Cells) — everything that is not cell identity. The zero value
+// runs in-process on GOMAXPROCS workers with no observers and no cache.
 type CampaignRunner struct {
 	// Workers bounds the sweep worker pool; 0 means GOMAXPROCS.
 	Workers int
@@ -241,13 +242,7 @@ type CampaignRunner struct {
 // results, ordered like Configs regardless of worker count or cache hits.
 func (rn CampaignRunner) Run(req CampaignRequest, w io.Writer) ([]Result, error) {
 	req = req.Canonical()
-	results, err := runConfigs(req.Configs(), req.Reps, runEnv{
-		workers:  rn.Workers,
-		progress: rn.Progress,
-		meter:    rn.Meter,
-		log:      rn.Log,
-		store:    rn.Store,
-	})
+	results, err := rn.Cells(req.Configs(), req.Reps)
 	if err != nil {
 		return results, err
 	}

@@ -141,11 +141,11 @@ func TestEqualKeyMeansEqualRun(t *testing.T) {
 			t.Fatalf("%v: the injected failure never fired; the pair proves nothing about recovery", d)
 		}
 		st := store.NewMemory(0)
-		cold, err := runConfigs([]Config{bare}, 1, runEnv{workers: 1, store: st})
+		cold, err := CampaignRunner{Workers: 1, Store: st}.Cells([]Config{bare}, 1)
 		if err != nil {
 			t.Fatalf("%v bare: %v", d, err)
 		}
-		warm, err := runConfigs([]Config{explicit}, 1, runEnv{workers: 1, store: st})
+		warm, err := CampaignRunner{Workers: 1, Store: st}.Cells([]Config{explicit}, 1)
 		if err != nil {
 			t.Fatalf("%v warm: %v", d, err)
 		}

@@ -66,11 +66,14 @@ type (
 	// campaign ID on a matchserve instance. The zero value is the full
 	// default campaign.
 	CampaignRequest = core.CampaignRequest
-	// CampaignRunner is the execution environment a CampaignRequest runs
-	// in: worker pool size, progress/metering/logging observers, and an
+	// CampaignRunner is the execution environment every sweep runs in:
+	// worker pool size, progress/metering/logging observers, and an
 	// optional content-addressed ResultStore that memoizes cells across
-	// campaigns. The zero value runs in-process with no observers;
-	// Run(req, w) writes the per-app tables to w and returns the raw results.
+	// sweeps. The zero value runs in-process with no observers.
+	// Cells(cfgs, reps) is the one sweep executor (results ordered like
+	// cfgs; on an error, the cells before the failing one plus that error);
+	// Run(req, w) is Cells over the request's matrix plus the per-app tables
+	// written to w, and RunFigure(fig, opts, w) the same for a paper figure.
 	CampaignRunner = core.CampaignRunner
 	// ResultStore is a content-addressed cell cache (in-memory LRU front,
 	// optional disk backing); share one across campaigns — or attach it to

@@ -132,9 +132,21 @@ func TestFacadeCampaignService(t *testing.T) {
 		t.Fatalf("hit rate = %g, want 0.5", cs.HitRate())
 	}
 
-	key, err := match.CellKey(match.Config{App: "HPCCG", Procs: 8, Design: match.ReinitFTI}, 1)
+	cell := match.Config{App: "HPCCG", Procs: 8, Design: match.ReinitFTI}
+	key, err := match.CellKey(cell, 1)
 	if err != nil || len(key) != 64 {
 		t.Fatalf("CellKey = %q, %v", key, err)
+	}
+	// Any list of cells runs on the same pool and store. This one is the
+	// campaign's failure-free Reinit cell: a hit for the runner that ran the
+	// campaign, a simulation for a runner of its own — same breakdown.
+	hit, err := rn.Cells([]match.Config{cell}, 1)
+	if err != nil || st.Stats().Hits != cs.Hits+1 {
+		t.Fatalf("Cells over the campaign's store: %v, stats %+v", err, st.Stats())
+	}
+	fresh, err := match.CampaignRunner{}.Cells([]match.Config{cell}, 1)
+	if err != nil || fresh[0].Breakdown != hit[0].Breakdown {
+		t.Fatalf("Cells without a store: %v\n%+v\n%+v", err, fresh, hit)
 	}
 
 	if sz, err := match.ParseInputSize("medium"); err != nil || sz != match.Medium {
