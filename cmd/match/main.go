@@ -199,11 +199,14 @@ func main() {
 	defer logFile.Close()
 	cfg.Log = elog
 
-	bd, _, err := core.RunAveraged(cfg, *reps)
+	// One cell, through the one sweep path. A failed cell — an incomplete
+	// run, a tripped virtual deadline, a panic — is one line and status 1.
+	results, err := core.CampaignRunner{Workers: 1}.Cells([]core.Config{cfg}, *reps)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "run failed:", err)
 		os.Exit(1)
 	}
+	bd := results[0].Breakdown
 	fmt.Printf("%s / %s / %d procs on %d nodes / %s input / faults=%d (avg of %d)\n",
 		cfg.App, cfg.Design, cfg.Procs, cfg.Nodes, cfg.Input, cfg.FaultCount(), *reps)
 	fmt.Printf("  application     %10.3f s\n", bd.App.Seconds())

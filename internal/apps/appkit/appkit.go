@@ -157,11 +157,6 @@ func SumAll(ctx *Context, v float64) (float64, error) {
 	return mpi.AllreduceF64Scalar(ctx.R, ctx.World, v, mpi.OpSum)
 }
 
-// MinAll reduces a scalar with OpMin over the world.
-func MinAll(ctx *Context, v float64) (float64, error) {
-	return mpi.AllreduceF64Scalar(ctx.R, ctx.World, v, mpi.OpMin)
-}
-
 // MaxAll reduces a scalar with OpMax over the world.
 func MaxAll(ctx *Context, v float64) (float64, error) {
 	return mpi.AllreduceF64Scalar(ctx.R, ctx.World, v, mpi.OpMax)

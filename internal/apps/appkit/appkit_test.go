@@ -81,7 +81,7 @@ func TestExchangeFillsGhostsIncludingCorners(t *testing.T) {
 		world := r.Job().World()
 		f, _ := fti.Init(fti.Config{ExecID: "halo"}, r, world, st)
 		ctx := &Context{R: r, World: world, FTI: f,
-			Inject: fault.NewInjector(fault.Plan{}), Params: Params{WorkScale: 1}}
+			Inject: fault.NewScheduleInjector(fault.Schedule{}), Params: Params{WorkScale: 1}}
 		d := NewDecomp3D(r.Rank(world), size, gn, gn, gn)
 		fld := NewField3D(d)
 		val := func(gx, gy, gz int) float64 {

@@ -43,7 +43,7 @@ func Run(t *testing.T, n int, params appkit.Params, factory func() appkit.App) R
 	c.Scheduler().SetDeadline(3600 * simnet.Second)
 	st := storage.New(c, storage.Config{})
 	res := Result{Apps: make([]appkit.App, n), Sigs: make([]float64, n)}
-	inj := fault.NewInjector(fault.Plan{})
+	inj := fault.NewScheduleInjector(fault.Schedule{})
 	job := mpi.Launch(c, n, 0, func(r *mpi.Rank) {
 		world := r.Job().World()
 		f, err := fti.Init(fti.Config{ExecID: "apptest"}, r, world, st)

@@ -12,6 +12,7 @@ package minivite
 
 import (
 	"fmt"
+	"slices"
 
 	"match/internal/apps/appkit"
 	"match/internal/enc"
@@ -218,11 +219,7 @@ func sortedKeys(m map[int][]int64) []int {
 	for k := range m {
 		out = append(out, k)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 
@@ -243,7 +240,7 @@ func (a *App) fetchSigma(ctx *appkit.Context, labels map[int64]bool) (map[int64]
 		reqs[o] = append(reqs[o], c)
 	}
 	for _, v := range reqs {
-		sortI64(v)
+		slices.Sort(v)
 	}
 	got, err := mpi.SparseExchangeI64(ctx.R, ctx.World, reqs)
 	if err != nil {
@@ -269,14 +266,6 @@ func (a *App) fetchSigma(ctx *appkit.Context, labels map[int64]bool) (map[int64]
 		}
 	}
 	return out, nil
-}
-
-func sortI64(s []int64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // Step implements appkit.App: one Louvain phase-1 sweep. All move
@@ -342,14 +331,17 @@ func (a *App) Step(ctx *appkit.Context, iter int) error {
 		}
 	}
 	ctx.Charge(float64(len(a.adj)) * (2*extraDegree + 8))
-	// Ship sigmaTot deltas to the community owners.
-	out := make(map[int][]int64)
-	for c, dv := range deltas {
-		o := a.owner(int(c))
-		out[o] = append(out[o], c, int64(dv*1024)) // fixed-point to stay in int64 lanes
+	// Ship sigmaTot deltas to the community owners, as (label, delta) pairs
+	// in label order.
+	moved := make([]int64, 0, len(deltas))
+	for c := range deltas {
+		moved = append(moved, c)
 	}
-	for _, v := range out {
-		sortPairsI64(v)
+	slices.Sort(moved)
+	out := make(map[int][]int64)
+	for _, c := range moved {
+		o := a.owner(int(c))
+		out[o] = append(out[o], c, int64(deltas[c]*1024)) // fixed-point to stay in int64 lanes
 	}
 	recv, err := mpi.SparseExchangeI64(ctx.R, ctx.World, out)
 	if err != nil {
@@ -406,12 +398,3 @@ func (a *App) Signature(ctx *appkit.Context) (float64, error) {
 
 // Modularity returns the last computed global modularity.
 func (a *App) Modularity() float64 { return a.mod }
-
-func sortPairsI64(s []int64) {
-	for i := 2; i < len(s); i += 2 {
-		for j := i; j > 0 && s[j] < s[j-2]; j -= 2 {
-			s[j], s[j-2] = s[j-2], s[j]
-			s[j+1], s[j-1] = s[j-1], s[j+1]
-		}
-	}
-}

@@ -354,6 +354,11 @@ func (rec *recorder) addRaw(st fti.Stats) {
 // Run executes one configuration to completion and returns its breakdown.
 // It is safe to call concurrently (the sweep harness runs configurations on
 // a worker pool): each run owns its cluster, storage, and injector.
+//
+// The configured design only arms the cluster (arm* below); Run drives it
+// (drive) and accounts the result in one epilogue shared by all designs. A
+// simulation that trips the scheduler's deadline net returns "core: virtual
+// deadline ... exceeded" together with the partial breakdown.
 func Run(cfg Config) (Breakdown, error) {
 	// Everything the simulation consumes comes from the resolved cell — the
 	// value CellKey hashes; cfg contributes only its observers from here on.
@@ -365,14 +370,17 @@ func Run(cfg Config) (Breakdown, error) {
 	// Ingress-NIC serialization is one knob for all designs (default off,
 	// matching the seed's egress-only calibration). ReplicaFTI historically
 	// forced it on; see the README's detection/calibration notes.
-	cluster := simnet.NewCluster(simnet.Config{Nodes: rc.Nodes, ModelIngress: rc.Ingress})
+	// The cluster is the per-run machine model, so the Table I byte scale —
+	// one number per run — lives on it: the message path, the storage tiers,
+	// FTI and the hot-spare transfer all read it from there.
+	cluster := simnet.NewCluster(simnet.Config{Nodes: rc.Nodes, ModelIngress: rc.Ingress, BytesScale: rc.scale})
 	cluster.Scheduler().SetDeadline(200000 * simnet.Second) // deadlock net
 	// The one observer seam: every layer reports an event as one span to
 	// this probe, and the three Config observers consume it.
 	probe := obs.NewProbe(cfg.Metrics, cfg.Trace, cfg.Log)
 	cluster.SetProbe(probe)
 	cfg.Metrics.EnsureRanks(rc.Procs)
-	st := storage.New(cluster, storage.Config{BytesScale: rc.scale})
+	st := storage.New(cluster, storage.Config{})
 
 	var sched fault.Schedule
 	k, maxIter := rc.Faults, rc.params.MaxIter
@@ -412,11 +420,7 @@ func Run(cfg Config) (Breakdown, error) {
 	// directly, while the replica design deduplicates across the replicas
 	// of a rank first.
 	runApp := func(r *mpi.Rank, world *mpi.Comm, record func(rank int, st fti.Stats)) error {
-		f, ferr := fti.Init(fti.Config{
-			Level:      rc.FTILevel,
-			ExecID:     execID,
-			BytesScale: rc.scale,
-		}, r, world, st)
+		f, ferr := fti.Init(fti.Config{Level: rc.FTILevel, ExecID: execID}, r, world, st)
 		if ferr != nil {
 			return ferr
 		}
@@ -448,19 +452,50 @@ func Run(cfg Config) (Breakdown, error) {
 		return nil
 	}
 
-	var bd Breakdown
+	// Arm the design: it builds its runtime on the cluster, hands it runApp,
+	// and returns its live recovery log plus a finish to call once the
+	// cluster has drained. Nothing has executed yet.
+	var recoveries *[]mpi.Recovery
+	var finish func() outcome
 	switch rc.Design {
 	case RestartFTI:
-		err = runRestart(rc, cluster, rec, runApp, inj, planner, &bd)
+		recoveries, finish = armRestart(rc, cluster, rec, runApp)
 	case ReinitFTI:
-		err = runReinit(rc, cluster, rec, runApp, inj, planner, &bd)
+		recoveries, finish = armReinit(rc, cluster, rec, runApp)
 	case UlfmFTI:
-		err = runUlfm(rc, cluster, rec, runApp, inj, planner, &bd)
+		recoveries, finish = armUlfm(rc, cluster, rec, runApp)
 	case ReplicaFTI:
-		err = runReplica(rc, cluster, rec, runApp, inj, planner, &bd)
+		recoveries, finish = armReplica(rc, cluster, rec, runApp, inj, planner)
 	}
-	if err != nil {
-		return bd, err
+	// AfterRecoveries-gated events arm once the design has logged that many
+	// recoveries (relaunches, global restarts, repairs, failovers); the
+	// placement planner re-arms its policy on the same count.
+	inj.Recoveries = func() int { return len(*recoveries) }
+	planner.Epoch = inj.Recoveries
+
+	deadlineErr := drive(cluster)
+
+	// One epilogue for all four designs. Each completed recovery is one
+	// CatRecovery span to the observers; the goldens pin its fields.
+	out := finish()
+	rec.errs = append(rec.errs, out.errs...)
+	var bd Breakdown
+	for _, rcv := range *recoveries {
+		bd.Recovery += rcv.Duration()
+		bd.Recoveries++
+		if probe.On(trace.CatRecovery) {
+			probe.Emit(trace.Span{Cat: trace.CatRecovery, Rank: int32(rcv.Rank), Replica: int32(rcv.Replica),
+				Level: int32(rcv.Kind), Start: int64(rcv.FailedAt), Dur: int64(rcv.Duration()), Aux: int64(rcv.Failed)})
+		}
+	}
+	bd.DetectLatency, bd.DetectedFailures = detect.Totals(out.detectors...)
+	for _, j := range out.jobs {
+		bd.Messages += j.Stats.Messages
+		bd.NetBytes += j.Stats.Bytes
+	}
+	bd.Respawns, bd.SpawnTime = out.respawns, out.spawnTime
+	if out.gaveUp {
+		return bd, fmt.Errorf("%s: gave up after %d relaunches", rc.Design.ShortName(), out.relaunches)
 	}
 
 	// A drained scheduler is the quiescence invariant; pending events after
@@ -488,6 +523,9 @@ func Run(cfg Config) (Breakdown, error) {
 	bd.CkptCountAt = rec.ckptCountAt
 	bd.CkptBytesAt = rec.ckptBytesAt
 	bd.CkptAvoided = planner.Avoided()
+	if deadlineErr != nil {
+		return bd, deadlineErr
+	}
 	if !bd.Completed {
 		return bd, fmt.Errorf("core: only %d/%d ranks completed (%v)", len(rec.sigs), rc.Procs, firstErr(rec.errs))
 	}
@@ -555,113 +593,86 @@ func firstErr(errs []error) error {
 	return errs[0]
 }
 
-// addRecovery accounts one completed recovery: its duration joins the
-// Breakdown and one CatRecovery span tells the observers. The trace and
-// metrics goldens pin the span fields (level and aux are zero where a
-// design has none).
-func addRecovery(bd *Breakdown, cluster *simnet.Cluster, rank, replica, level int, failedAt, dur simnet.Time, aux int) {
-	bd.Recovery += dur
-	bd.Recoveries++
-	if p := cluster.Probe(); p.On(trace.CatRecovery) {
-		p.Emit(trace.Span{Cat: trace.CatRecovery, Rank: int32(rank), Replica: int32(replica),
-			Level: int32(level), Start: int64(failedAt), Dur: int64(dur), Aux: int64(aux)})
-	}
-}
-
-func runRestart(rc resolvedCell, cluster *simnet.Cluster, rec *recorder,
-	runApp func(*mpi.Rank, *mpi.Comm, func(int, fti.Stats)) error, inj *fault.Injector,
-	planner *ckpt.Planner, bd *Breakdown) error {
-	rcfg := *rc.Restart
-	rcfg.OnLaunch = func(j *mpi.Job) { j.BytesScale = rc.scale }
-	sup := restart.Supervise(cluster, rcfg, rc.Procs, 0, func(r *mpi.Rank) {
-		if err := runApp(r, r.Job().World(), rec.addFTIStats); err != nil {
-			// Teardown-induced errors are expected on doomed incarnations.
-			rec.errs = append(rec.errs, err)
+// drive runs the armed cluster until its event queue drains: the one place
+// a simulation is driven, hence the one call site for the deadline (and for
+// cancellation, when it lands). The scheduler's deadline net panics with a
+// typed value; exactly that type becomes the cell's error.
+func drive(cluster *simnet.Cluster) (err error) {
+	defer func() {
+		switch v := recover().(type) {
+		case nil:
+		case simnet.DeadlineExceeded:
+			err = fmt.Errorf("core: virtual deadline %v exceeded (event at %v); likely deadlock or livelock", v.Deadline, v.At)
+		default:
+			panic(v)
 		}
-	})
-	// AfterRecoveries-gated events arm once the launcher has restarted the
-	// job that many times; the placement planner re-arms its policy on the
-	// same count.
-	inj.Recoveries = func() int { return len(sup.Recoveries) }
-	planner.Epoch = inj.Recoveries
+	}()
 	cluster.Run()
-	for _, rcv := range sup.Recoveries {
-		addRecovery(bd, cluster, rcv.FailedRanks[0], 0, 0, rcv.FailedAt, rcv.Duration(), 0)
-	}
-	bd.DetectLatency, bd.DetectedFailures = detect.Totals(sup.Detectors...)
-	for _, j := range sup.Jobs {
-		bd.Messages += j.Stats.Messages
-		bd.NetBytes += j.Stats.Bytes
-	}
-	if sup.GaveUp {
-		return fmt.Errorf("restart: gave up after %d relaunches", len(sup.Recoveries))
-	}
 	return nil
 }
 
-func runReinit(rc resolvedCell, cluster *simnet.Cluster, rec *recorder,
-	runApp func(*mpi.Rank, *mpi.Comm, func(int, fti.Stats)) error, inj *fault.Injector,
-	planner *ckpt.Planner, bd *Breakdown) error {
-	var rt *reinit.Runtime
-	job := mpi.Launch(cluster, rc.Procs, 0, func(r *mpi.Rank) {
-		if err := rt.Run(r); err != nil {
-			rec.errs = append(rec.errs, err)
-		}
+// appMain is runApp's shape: the resilient main every design hands its ranks.
+type appMain func(r *mpi.Rank, world *mpi.Comm, record func(rank int, st fti.Stats)) error
+
+// outcome is what a design's runtime knows once its run is over. A design
+// is an arm function: it returns the runtime's recovery log — which grows as
+// the simulation runs — and a finish that halts whatever outlives the ranks
+// and reports this; driving and accounting are Run's.
+type outcome struct {
+	detectors  []detect.Detector // one per job incarnation
+	jobs       []*mpi.Job        // every incarnation launched
+	errs       []error           // resilient-main errors the runtime collected itself
+	gaveUp     bool              // the launcher exhausted its relaunch budget...
+	relaunches int               // ...after this many
+	respawns   int               // hot spares that went live
+	spawnTime  simnet.Time       // their summed spawn latency
+}
+
+// note records a rank's resilient-main error; teardown-induced errors are
+// expected on doomed incarnations, so they are diagnosed, not fatal.
+func (rec *recorder) note(err error) {
+	if err != nil {
+		rec.errs = append(rec.errs, err)
+	}
+}
+
+func armRestart(rc resolvedCell, cluster *simnet.Cluster, rec *recorder, runApp appMain) (*[]mpi.Recovery, func() outcome) {
+	sup := restart.Supervise(cluster, *rc.Restart, rc.Procs, 0, func(r *mpi.Rank) {
+		rec.note(runApp(r, r.Job().World(), rec.addFTIStats))
 	})
-	job.BytesScale = rc.scale
-	rt = reinit.NewRuntime(job, *rc.Reinit, func(r *mpi.Rank, state reinit.State) error {
+	return &sup.Recoveries, func() outcome {
+		return outcome{detectors: sup.Detectors, jobs: sup.Jobs,
+			gaveUp: sup.GaveUp, relaunches: len(sup.Recoveries)}
+	}
+}
+
+func armReinit(rc resolvedCell, cluster *simnet.Cluster, rec *recorder, runApp appMain) (*[]mpi.Recovery, func() outcome) {
+	var rt *reinit.Runtime
+	job := mpi.Launch(cluster, rc.Procs, 0, func(r *mpi.Rank) { rec.note(rt.Run(r)) })
+	rt = reinit.NewRuntime(job, *rc.Reinit, func(r *mpi.Rank, _ reinit.State) error {
 		return runApp(r, rt.World(), rec.addFTIStats)
 	})
-	inj.Recoveries = func() int { return len(rt.Recoveries) }
-	planner.Epoch = inj.Recoveries
-	cluster.Run()
-	rt.Stop()
-	rec.errs = append(rec.errs, rt.Errs...)
-	for _, rcv := range rt.Recoveries {
-		addRecovery(bd, cluster, rcv.FailedRank, 0, 0, rcv.FailedAt, rcv.Duration(), 0)
+	return &rt.Recoveries, func() outcome {
+		rt.Stop()
+		return outcome{detectors: []detect.Detector{rt.Detector()}, jobs: []*mpi.Job{job}, errs: rt.Errs}
 	}
-	bd.DetectLatency, bd.DetectedFailures = detect.Totals(rt.Detector())
-	bd.Messages = job.Stats.Messages
-	bd.NetBytes = job.Stats.Bytes
-	return nil
 }
 
-func runUlfm(rc resolvedCell, cluster *simnet.Cluster, rec *recorder,
-	runApp func(*mpi.Rank, *mpi.Comm, func(int, fti.Stats)) error, inj *fault.Injector,
-	planner *ckpt.Planner, bd *Breakdown) error {
+func armUlfm(rc resolvedCell, cluster *simnet.Cluster, rec *recorder, runApp appMain) (*[]mpi.Recovery, func() outcome) {
 	var rt *ulfm.Runtime
-	job := mpi.Launch(cluster, rc.Procs, 0, func(r *mpi.Rank) {
-		if err := rt.RunResilient(r); err != nil {
-			rec.errs = append(rec.errs, err)
-		}
-	})
-	job.BytesScale = rc.scale
-	rt = ulfm.NewRuntime(job, *rc.Ulfm, func(r *mpi.Rank, world *mpi.Comm, restarted bool) error {
+	job := mpi.Launch(cluster, rc.Procs, 0, func(r *mpi.Rank) { rec.note(rt.RunResilient(r)) })
+	rt = ulfm.NewRuntime(job, *rc.Ulfm, func(r *mpi.Rank, world *mpi.Comm, _ bool) error {
 		return runApp(r, world, rec.addFTIStats)
 	})
-	inj.Recoveries = func() int { return len(rt.Recoveries) }
-	planner.Epoch = inj.Recoveries
-	cluster.Run()
-	rt.Stop()
-	rec.errs = append(rec.errs, rt.Errs...)
-	for _, rcv := range rt.Recoveries {
-		rank := -1
-		if len(rcv.FailedRanks) > 0 {
-			rank = rcv.FailedRanks[0]
-		}
-		addRecovery(bd, cluster, rank, 0, 0, rcv.FailedAt, rcv.Duration(), len(rcv.FailedRanks))
+	return &rt.Recoveries, func() outcome {
+		rt.Stop()
+		return outcome{detectors: []detect.Detector{rt.Detector()}, jobs: []*mpi.Job{job}, errs: rt.Errs}
 	}
-	bd.DetectLatency, bd.DetectedFailures = detect.Totals(rt.Detector())
-	bd.Messages = job.Stats.Messages
-	bd.NetBytes = job.Stats.Bytes
-	return nil
 }
 
-func runReplica(rc resolvedCell, cluster *simnet.Cluster, rec *recorder,
-	runApp func(*mpi.Rank, *mpi.Comm, func(int, fti.Stats)) error, inj *fault.Injector,
-	planner *ckpt.Planner, bd *Breakdown) error {
+func armReplica(rc resolvedCell, cluster *simnet.Cluster, rec *recorder, runApp appMain,
+	inj *fault.Injector, planner *ckpt.Planner) (*[]mpi.Recovery, func() outcome) {
 	rcfg := *rc.Replica
-	rcfg.OnLaunch = func(j *mpi.Job) { j.BytesScale = rc.scale }
 	// Hot-spare state transfers are sized by the rank's live protected
 	// footprint (the data a survivor actually clones onto the spare).
 	rcfg.StateBytes = func(rank int) int64 {
@@ -678,7 +689,7 @@ func runReplica(rc resolvedCell, cluster *simnet.Cluster, rec *recorder,
 	perJob := make(map[*mpi.Job]map[int]fti.Stats)
 	sup := replica.Supervise(cluster, rcfg, rc.Procs, func(r *mpi.Rank, world *mpi.Comm, idx int) {
 		job := r.Job()
-		if err := runApp(r, world, func(rank int, st fti.Stats) {
+		rec.note(runApp(r, world, func(rank int, st fti.Stats) {
 			best := perJob[job]
 			if best == nil {
 				best = make(map[int]fti.Stats)
@@ -687,12 +698,8 @@ func runReplica(rc resolvedCell, cluster *simnet.Cluster, rec *recorder,
 			if st.CkptTime >= best[rank].CkptTime {
 				best[rank] = st
 			}
-		}); err != nil {
-			// Teardown-induced errors are expected on doomed incarnations.
-			rec.errs = append(rec.errs, err)
-		}
+		}))
 	})
-	inj.Recoveries = func() int { return len(sup.Recoveries) }
 	// A fired kill is absorbed — the executing victim survives as its
 	// lockstep spare — when the rank has a live hot spare; a kill inside
 	// the respawn window falls through to the normal death and exhausts
@@ -700,29 +707,18 @@ func runReplica(rc resolvedCell, cluster *simnet.Cluster, rec *recorder,
 	inj.Redirect = func(r *mpi.Rank, comm *mpi.Comm, _ fault.Event) bool {
 		return sup.AbsorbFailure(r, comm)
 	}
-	// The planner re-arms on fallback relaunches and, through the live
-	// degree feed, lets the replica-aware policy see a group degrade the
-	// moment a failover prunes it — and recover once a spare goes live.
-	planner.Epoch = inj.Recoveries
+	// Through the live degree feed the replica-aware policy sees a group
+	// degrade the moment a failover prunes it — and recover once a spare
+	// goes live.
 	planner.Degree = sup.MinLiveDegree
-	cluster.Run()
-	for _, j := range sup.Jobs {
-		for rank := 0; rank < rc.Procs; rank++ {
-			rec.addFTIStats(rank, perJob[j][rank])
+	return &sup.Recoveries, func() outcome {
+		for _, j := range sup.Jobs {
+			for rank := 0; rank < rc.Procs; rank++ {
+				rec.addFTIStats(rank, perJob[j][rank])
+			}
 		}
+		return outcome{detectors: sup.Detectors, jobs: sup.Jobs,
+			gaveUp: sup.GaveUp, relaunches: sup.Relaunches(),
+			respawns: sup.Respawns(), spawnTime: sup.SpawnTime()}
 	}
-	for _, rcv := range sup.Recoveries {
-		addRecovery(bd, cluster, rcv.Rank, rcv.Replica, int(rcv.Kind), rcv.FailedAt, rcv.Duration(), 0)
-	}
-	bd.DetectLatency, bd.DetectedFailures = detect.Totals(sup.Detectors...)
-	bd.Respawns = sup.Respawns()
-	bd.SpawnTime = sup.SpawnTime()
-	for _, j := range sup.Jobs {
-		bd.Messages += j.Stats.Messages
-		bd.NetBytes += j.Stats.Bytes
-	}
-	if sup.GaveUp {
-		return fmt.Errorf("replica: gave up after %d relaunches", sup.Relaunches())
-	}
-	return nil
 }

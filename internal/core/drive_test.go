@@ -1,0 +1,107 @@
+package core
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"match/internal/ckpt"
+	"match/internal/fti"
+	"match/internal/simnet"
+)
+
+// deadlockCell is the first cell found that livelocks: ULFM under a
+// multi-level policy checkpointing at L3 every second iteration, one
+// failure, seed 2 (`match -design ulfm -app HPCCG -procs 8 -faults 1 -seed 2
+// -ckpt-policy multi-level -stride 2 -ckpt-l3-every 1`). Root-causing it is
+// the fault-sweep item's job; until then it is the regression cell for "a
+// cell that trips the virtual deadline is a failed cell".
+func deadlockCell() Config {
+	return Config{App: "HPCCG", Design: UlfmFTI, Procs: 8, Faults: 1, FaultSeed: 2, CkptStride: 2,
+		CkptPolicy: ckpt.Resolve(ckpt.Config{Kind: ckpt.MultiLevel, L3Every: 1}, 2)}
+}
+
+func healthyCell() Config {
+	return Config{App: "HPCCG", Design: ReinitFTI, Procs: 8, Nodes: 4, Params: tinyParams("HPCCG")}
+}
+
+// The scheduler's deadline net is an error of the cell, not the end of the
+// process: Run returns it, Cells reports it as the failing cell whatever the
+// worker count, and a healthy cell runs afterwards.
+func TestDeadlineIsAnError(t *testing.T) {
+	t.Parallel()
+	check := func(t *testing.T, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "core: virtual deadline") {
+			t.Fatalf("err = %v, want the virtual deadline", err)
+		}
+	}
+	t.Run("Run", func(t *testing.T) {
+		t.Parallel()
+		bd, err := Run(deadlockCell())
+		check(t, err)
+		if bd.Completed || bd.FaultsInjected != 1 || bd.DetectedFailures != 1 || bd.Recoveries != 0 {
+			t.Fatalf("partial breakdown = %+v, want an incomplete run: fault fired and detected, repair never finished", bd)
+		}
+		if bd, err := Run(healthyCell()); err != nil || !bd.Completed {
+			t.Fatalf("healthy cell after the deadline: %+v, %v", bd, err)
+		}
+	})
+	for _, workers := range []int{1, 2} {
+		workers := workers
+		t.Run(fmt.Sprintf("Cells/j%d", workers), func(t *testing.T) {
+			t.Parallel()
+			rn := CampaignRunner{Workers: workers}
+			results, err := rn.Cells([]Config{healthyCell(), deadlockCell(), healthyCell()}, 1)
+			check(t, err)
+			if len(results) != 1 || !results[0].Breakdown.Completed {
+				t.Fatalf("%d results, want the one healthy cell before the deadlocked one", len(results))
+			}
+			if results, err := rn.Cells([]Config{healthyCell()}, 1); err != nil || len(results) != 1 {
+				t.Fatalf("healthy sweep after the deadline: %d results, %v", len(results), err)
+			}
+		})
+	}
+}
+
+// The Table I byte scale has one home, simnet.Config.BytesScale, and every
+// layer that charges time per byte reads it there. One Medium-input cell per
+// scaled layer (storage + FTI under an L4 checkpoint, the message path of a
+// comm-heavy app across a relaunch, the hot-spare state transfer) must keep
+// the virtual times recorded at 708a852, before the three per-layer copies
+// and the per-launch hooks that carried them were deleted; the scales are in
+// the hundreds to thousands, so a layer that lost its scale misses by far.
+func TestByteScaleHasOneHome(t *testing.T) {
+	cells := []struct {
+		name               string
+		cfg                Config
+		ckpt, total, spawn simnet.Time
+	}{
+		{"L4-checkpoint",
+			Config{App: "HPCCG", Design: ReinitFTI, Procs: 8, Nodes: 4, Input: Medium, FTILevel: fti.L4},
+			804799331, 48263959305, 0},
+		{"comm-heavy",
+			Config{App: "AMG", Design: RestartFTI, Procs: 8, Nodes: 4, Input: Medium, InjectFault: true, FaultSeed: 1},
+			400589700, 274737189050, 0},
+		{"hot-spare",
+			Config{App: "HPCCG", Design: ReplicaFTI, Procs: 8, Nodes: 4, Input: Medium,
+				Schedule: doubleHit(t), HotSpare: true},
+			695732144, 48225701785, 522650792},
+	}
+	var cfgs []Config
+	for _, c := range cells {
+		cfgs = append(cfgs, c.cfg)
+	}
+	results, err := CampaignRunner{}.Cells(cfgs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cells {
+		bd := results[i].Breakdown
+		if bd.Ckpt != c.ckpt || bd.Total != c.total || bd.SpawnTime != c.spawn {
+			t.Errorf("%s: ckpt=%d total=%d spawn=%d, want %d/%d/%d (ns of virtual time)", c.name,
+				int64(bd.Ckpt), int64(bd.Total), int64(bd.SpawnTime),
+				int64(c.ckpt), int64(c.total), int64(c.spawn))
+		}
+	}
+}

@@ -244,7 +244,20 @@ type Progress func(done, total int, r Result, wall time.Duration)
 // zero simulation), a miss runs the cell and stores it back. Cache traffic
 // is invisible on the deterministic output streams — only the store's
 // Stats and the side channels see it.
+//
+// A cell whose simulation panics (scheduler context: a protocol bug, an
+// application's scheduled callback) is a failed cell like any other, with
+// the error "cell panicked: <value>" — a sweep or a service outlives it.
 func (rn CampaignRunner) Cells(cfgs []Config, reps int) ([]Result, error) {
+	simulate := func(cfg Config) (bd Breakdown, err error) {
+		defer func() {
+			if v := recover(); v != nil {
+				err = fmt.Errorf("cell panicked: %v", v)
+			}
+		}()
+		bd, _, err = RunAveraged(cfg, reps)
+		return bd, err
+	}
 	workers := rn.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -303,9 +316,9 @@ func (rn CampaignRunner) Cells(cfgs []Config, reps int) ([]Result, error) {
 						cfg.Metrics = obs.New()
 					}
 					var err error
-					bd, _, err = RunAveraged(cfg, reps)
+					bd, err = simulate(cfg)
 					if err != nil {
-						if cfg.Log.Enabled() {
+						if rn.Log.Enabled() {
 							cfg.Log.HostEvent("cell_finish", "app", cfg.App,
 								"design", cfg.Design.ShortName(), "procs", cfg.Procs,
 								"wall_ms", time.Since(start).Milliseconds(),
@@ -328,7 +341,7 @@ func (rn CampaignRunner) Cells(cfgs []Config, reps int) ([]Result, error) {
 					}
 				}
 				rn.Meter.CellDone(cfg.Design.ShortName(), cfg.Metrics)
-				if cfg.Log.Enabled() {
+				if rn.Log.Enabled() {
 					cfg.Log.HostEvent("cell_finish", "app", cfg.App,
 						"design", cfg.Design.ShortName(), "procs", cfg.Procs,
 						"wall_ms", time.Since(start).Milliseconds(),

@@ -1,8 +1,8 @@
 // Package fault emulates MPI process and node failures by fault injection.
 // The paper's Figure 4 injects exactly one failure per run: a SIGTERM-style
 // kill of one randomly selected rank at one randomly selected iteration of
-// the main computation loop. This package generalizes that single-shot Plan
-// into a campaign-style Schedule — an ordered list of failure events drawn
+// the main computation loop. This package generalizes that single shot into
+// a campaign-style Schedule — an ordered list of failure events drawn
 // deterministically from one seed — so the suite can also measure where a
 // design's advantage widens as failures accumulate or land during recovery.
 // The selection is seeded so every fault-tolerance design sees the
@@ -34,20 +34,6 @@ func (k Kind) String() string {
 		return "node"
 	}
 	return "process"
-}
-
-// Plan describes one injected failure (the paper's single-shot model). It
-// survives as the unit a Schedule is built from and as the legacy
-// constructor argument of NewInjector.
-type Plan struct {
-	Enabled    bool
-	Kind       Kind
-	TargetRank int
-	TargetIter int
-	// TargetReplica selects which replica of TargetRank dies when the rank
-	// is backed by a replica group (ReplicaFTI). Zero — the primary — for
-	// the unreplicated designs, so their plans are unchanged.
-	TargetReplica int
 }
 
 // Event is one failure of a campaign Schedule: kill TargetReplica of
@@ -102,44 +88,11 @@ func (s Schedule) String() string {
 	return strings.Join(parts, ",")
 }
 
-// ScheduleOf converts a legacy single-failure Plan into a Schedule.
-func ScheduleOf(p Plan) Schedule {
-	if !p.Enabled {
-		return Schedule{}
-	}
-	return Schedule{Events: []Event{{
-		Kind:          p.Kind,
-		TargetRank:    p.TargetRank,
-		TargetIter:    p.TargetIter,
-		TargetReplica: p.TargetReplica,
-	}}}
-}
-
-// NewPlan draws a random (rank, iteration) target, like the paper's
+// drawEvent draws a random (rank, iteration) target, like the paper's
 // SelectedRank/SelectedIter. maxIter should be the application's main-loop
 // trip count; the iteration is drawn from its middle 80% so the failure
 // lands mid-execution rather than trivially at the start or end.
-func NewPlan(seed int64, nranks, maxIter int, kind Kind) Plan {
-	rng := rand.New(rand.NewSource(seed))
-	return newPlan(rng, nranks, maxIter, kind)
-}
-
-// NewReplicatedPlan draws rank and iteration exactly as NewPlan does for
-// the same seed (so every design sees the identical logical failure), then
-// additionally draws which replica of the target rank dies. degreeOf
-// reports the replica-group size of a logical rank; unreplicated targets
-// keep replica 0, which is how partial replication (ReplicaFactor < 1)
-// exercises the checkpoint-only fallback path.
-func NewReplicatedPlan(seed int64, nranks, maxIter int, kind Kind, degreeOf func(rank int) int) Plan {
-	rng := rand.New(rand.NewSource(seed))
-	p := newPlan(rng, nranks, maxIter, kind)
-	if d := degreeOf(p.TargetRank); d > 1 {
-		p.TargetReplica = rng.Intn(d)
-	}
-	return p
-}
-
-func newPlan(rng *rand.Rand, nranks, maxIter int, kind Kind) Plan {
+func drawEvent(rng *rand.Rand, nranks, maxIter int, kind Kind) Event {
 	lo := maxIter / 10
 	hi := maxIter - maxIter/10
 	if hi <= lo {
@@ -149,12 +102,7 @@ func newPlan(rng *rand.Rand, nranks, maxIter int, kind Kind) Plan {
 	if hi > lo {
 		iter = lo + rng.Intn(hi-lo)
 	}
-	return Plan{
-		Enabled:    true,
-		Kind:       kind,
-		TargetRank: rng.Intn(nranks),
-		TargetIter: iter,
-	}
+	return Event{Kind: kind, TargetRank: rng.Intn(nranks), TargetIter: iter}
 }
 
 // Seed salts deriving the independent streams behind events 1..k-1. The
@@ -167,9 +115,9 @@ const (
 	replicaSeedSalt = 0x2545f491
 )
 
-// NewSchedule draws a deterministic k-failure campaign. Event 0 is drawn
-// exactly as NewPlan draws its plan for the same seed, so every calibrated
-// single-failure result is reproduced byte-for-byte by a k=1 schedule.
+// NewSchedule draws a deterministic k-failure campaign. Event 0 is the
+// paper's single-failure draw (the first two values of the seed's stream),
+// so every calibrated single-failure result is a k=1 schedule.
 // Later events come from a seed-derived stream and are drawn onto distinct
 // iterations and distinct ranks (redrawing on collision while the ranges
 // allow it), so each event kills a process that is actually alive at its
@@ -181,17 +129,18 @@ func NewSchedule(seed int64, k, nranks, maxIter int, kind Kind) Schedule {
 
 // NewReplicatedSchedule draws the identical (rank, iteration) sequence as
 // NewSchedule for the same seed, then additionally draws which replica of
-// each replicated target dies (event 0 exactly as NewReplicatedPlan, so
-// calibrated ReplicaFTI results are preserved too). degreeOf may be nil for
-// unreplicated designs.
+// each replicated target dies (event 0's from the same stream as its
+// target, right after it). degreeOf reports the replica-group size of a
+// logical rank and may be nil for unreplicated designs; unreplicated targets
+// keep replica 0, which is how partial replication (ReplicaFactor < 1)
+// exercises the checkpoint-only fallback path.
 func NewReplicatedSchedule(seed int64, k, nranks, maxIter int, kind Kind, degreeOf func(rank int) int) Schedule {
 	if k <= 0 {
 		return Schedule{}
 	}
 	var s Schedule
 	rng := rand.New(rand.NewSource(seed))
-	first := newPlan(rng, nranks, maxIter, kind)
-	ev0 := Event{Kind: first.Kind, TargetRank: first.TargetRank, TargetIter: first.TargetIter}
+	ev0 := drawEvent(rng, nranks, maxIter, kind)
 	if degreeOf != nil {
 		if d := degreeOf(ev0.TargetRank); d > 1 {
 			ev0.TargetReplica = rng.Intn(d)
@@ -209,19 +158,18 @@ func NewReplicatedSchedule(seed int64, k, nranks, maxIter int, kind Kind, degree
 	// unavoidable and the linear probes below keep the draw terminating
 	// and deterministic.
 	for i := 1; i < k; i++ {
-		p := newPlan(tail, nranks, maxIter, kind)
-		for tries := 0; (usedIter[p.TargetIter] || usedRank[p.TargetRank]) && tries < 4*(maxIter+nranks); tries++ {
-			p = newPlan(tail, nranks, maxIter, kind)
+		ev := drawEvent(tail, nranks, maxIter, kind)
+		for tries := 0; (usedIter[ev.TargetIter] || usedRank[ev.TargetRank]) && tries < 4*(maxIter+nranks); tries++ {
+			ev = drawEvent(tail, nranks, maxIter, kind)
 		}
-		for probes := 0; usedIter[p.TargetIter] && probes < maxIter; probes++ {
-			p.TargetIter = (p.TargetIter + 1) % maxIter
+		for probes := 0; usedIter[ev.TargetIter] && probes < maxIter; probes++ {
+			ev.TargetIter = (ev.TargetIter + 1) % maxIter
 		}
-		for probes := 0; usedRank[p.TargetRank] && probes < nranks; probes++ {
-			p.TargetRank = (p.TargetRank + 1) % nranks
+		for probes := 0; usedRank[ev.TargetRank] && probes < nranks; probes++ {
+			ev.TargetRank = (ev.TargetRank + 1) % nranks
 		}
-		usedIter[p.TargetIter] = true
-		usedRank[p.TargetRank] = true
-		ev := Event{Kind: p.Kind, TargetRank: p.TargetRank, TargetIter: p.TargetIter}
+		usedIter[ev.TargetIter] = true
+		usedRank[ev.TargetRank] = true
 		if degreeOf != nil {
 			if d := degreeOf(ev.TargetRank); d > 1 {
 				ev.TargetReplica = repl.Intn(d)
@@ -333,9 +281,6 @@ type Injector struct {
 	fired  []bool
 	nfired int
 }
-
-// NewInjector wraps a legacy single-failure plan.
-func NewInjector(p Plan) *Injector { return NewScheduleInjector(ScheduleOf(p)) }
 
 // NewScheduleInjector wraps a campaign schedule.
 func NewScheduleInjector(s Schedule) *Injector {

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -9,25 +10,38 @@ import (
 	"match/internal/simnet"
 )
 
+// plan is the paper's single-failure draw: event 0 of a k=1 schedule.
+func plan(seed int64, nranks, maxIter int) Event {
+	return NewSchedule(seed, 1, nranks, maxIter, ProcessFailure).Events[0]
+}
+
+// replicatedPlan is the same draw for a replicated design.
+func replicatedPlan(seed int64, nranks, maxIter int, degreeOf func(int) int) Event {
+	return NewReplicatedSchedule(seed, 1, nranks, maxIter, ProcessFailure, degreeOf).Events[0]
+}
+
+// only wraps one explicit failure as a schedule.
+func only(ev Event) Schedule { return Schedule{Events: []Event{ev}} }
+
 func TestNewPlanDeterministic(t *testing.T) {
-	a := NewPlan(42, 64, 100, ProcessFailure)
-	b := NewPlan(42, 64, 100, ProcessFailure)
+	a := plan(42, 64, 100)
+	b := plan(42, 64, 100)
 	if a != b {
 		t.Fatalf("same seed gave different plans: %+v vs %+v", a, b)
 	}
-	c := NewPlan(43, 64, 100, ProcessFailure)
+	c := plan(43, 64, 100)
 	if a == c {
 		t.Fatalf("different seeds gave identical plans (suspicious): %+v", a)
 	}
 }
 
-// NewReplicatedPlan must target the same (rank, iteration) as NewPlan for
-// the same seed — the property that keeps failures comparable across all
-// four designs — and only then pick a replica within the target's group.
-func TestNewReplicatedPlanMatchesNewPlan(t *testing.T) {
+// The replicated draw must target the same (rank, iteration) as the plain
+// one for the same seed — the property that keeps failures comparable across
+// all four designs — and only then pick a replica within the target's group.
+func TestReplicatedDrawMatchesPlainDraw(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
-		base := NewPlan(seed, 16, 100, ProcessFailure)
-		repl := NewReplicatedPlan(seed, 16, 100, ProcessFailure, func(int) int { return 2 })
+		base := plan(seed, 16, 100)
+		repl := replicatedPlan(seed, 16, 100, func(int) int { return 2 })
 		if repl.TargetRank != base.TargetRank || repl.TargetIter != base.TargetIter {
 			t.Fatalf("seed %d: replicated plan targets (%d,%d), base (%d,%d)",
 				seed, repl.TargetRank, repl.TargetIter, base.TargetRank, base.TargetIter)
@@ -36,7 +50,7 @@ func TestNewReplicatedPlanMatchesNewPlan(t *testing.T) {
 			t.Fatalf("seed %d: replica %d out of range", seed, repl.TargetReplica)
 		}
 		// An unreplicated target keeps replica 0 (the fallback-path case).
-		solo := NewReplicatedPlan(seed, 16, 100, ProcessFailure, func(int) int { return 1 })
+		solo := replicatedPlan(seed, 16, 100, func(int) int { return 1 })
 		if solo.TargetReplica != 0 {
 			t.Fatalf("seed %d: degree-1 target got replica %d", seed, solo.TargetReplica)
 		}
@@ -44,7 +58,7 @@ func TestNewReplicatedPlanMatchesNewPlan(t *testing.T) {
 	// Some seed must pick a non-primary replica, or the draw is broken.
 	sawShadow := false
 	for seed := int64(0); seed < 30; seed++ {
-		if NewReplicatedPlan(seed, 16, 100, ProcessFailure, func(int) int { return 2 }).TargetReplica == 1 {
+		if replicatedPlan(seed, 16, 100, func(int) int { return 2 }).TargetReplica == 1 {
 			sawShadow = true
 		}
 	}
@@ -55,11 +69,17 @@ func TestNewReplicatedPlanMatchesNewPlan(t *testing.T) {
 
 // A k=1 schedule must be the legacy single-failure draw, for both the
 // plain and the replicated variants: this is what keeps every calibrated
-// single-failure result byte-identical under the campaign refactor.
+// single-failure result byte-identical under the campaign refactor. The
+// legacy draw is spelled out here as the oracle: one stream per seed,
+// iteration from the loop's middle 80%, then rank, then (replicated
+// targets only) the replica index.
 func TestScheduleK1EqualsLegacyPlan(t *testing.T) {
 	degree2 := func(int) int { return 2 }
 	for seed := int64(0); seed < 40; seed++ {
-		p := NewPlan(seed, 64, 100, ProcessFailure)
+		rng := rand.New(rand.NewSource(seed))
+		p := Event{TargetIter: 10 + rng.Intn(80), TargetRank: rng.Intn(64)}
+		rp := p
+		rp.TargetReplica = rng.Intn(2)
 		s := NewSchedule(seed, 1, 64, 100, ProcessFailure)
 		if len(s.Events) != 1 {
 			t.Fatalf("seed %d: k=1 schedule has %d events", seed, len(s.Events))
@@ -69,7 +89,6 @@ func TestScheduleK1EqualsLegacyPlan(t *testing.T) {
 			ev.Kind != p.Kind || ev.TargetReplica != 0 || ev.AfterRecoveries != 0 {
 			t.Fatalf("seed %d: schedule event %+v != plan %+v", seed, ev, p)
 		}
-		rp := NewReplicatedPlan(seed, 64, 100, ProcessFailure, degree2)
 		rs := NewReplicatedSchedule(seed, 1, 64, 100, ProcessFailure, degree2)
 		rev := rs.Events[0]
 		if rev.TargetRank != rp.TargetRank || rev.TargetIter != rp.TargetIter ||
@@ -231,7 +250,7 @@ func TestInjectorMultiFire(t *testing.T) {
 
 func TestNewPlanBounds(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
-		p := NewPlan(seed, 16, 100, ProcessFailure)
+		p := plan(seed, 16, 100)
 		if p.TargetRank < 0 || p.TargetRank >= 16 {
 			t.Fatalf("rank %d out of range", p.TargetRank)
 		}
@@ -240,7 +259,7 @@ func TestNewPlanBounds(t *testing.T) {
 		}
 	}
 	// Tiny loops fall back to the whole range.
-	p := NewPlan(1, 4, 1, ProcessFailure)
+	p := plan(1, 4, 1)
 	if p.TargetIter != 0 {
 		t.Fatalf("iter %d for 1-iteration loop", p.TargetIter)
 	}
@@ -250,7 +269,7 @@ func TestInjectorKillsExactlyOnce(t *testing.T) {
 	c := simnet.NewCluster(simnet.Config{Nodes: 2})
 	var log strings.Builder
 	c.SetProbe(obs.NewProbe(nil, nil, obs.NewLog(&log)))
-	in := NewInjector(Plan{Enabled: true, TargetRank: 1, TargetIter: 3})
+	in := NewScheduleInjector(only(Event{TargetRank: 1, TargetIter: 3}))
 	iterSeen := make([]int, 4)
 	j := mpi.Launch(c, 4, 0, func(r *mpi.Rank) {
 		w := r.Job().World()
@@ -293,7 +312,7 @@ func TestInjectorKillsExactlyOnce(t *testing.T) {
 
 func TestInjectorDisabled(t *testing.T) {
 	c := simnet.NewCluster(simnet.Config{Nodes: 1})
-	in := NewInjector(Plan{Enabled: false, TargetRank: 0, TargetIter: 0})
+	in := NewScheduleInjector(Schedule{})
 	finished := false
 	mpi.Launch(c, 1, 0, func(r *mpi.Rank) {
 		w := r.Job().World()
@@ -308,7 +327,7 @@ func TestInjectorDisabled(t *testing.T) {
 
 func TestNodeFailureKillsCoResidents(t *testing.T) {
 	c := simnet.NewCluster(simnet.Config{Nodes: 2})
-	in := NewInjector(Plan{Enabled: true, Kind: NodeFailure, TargetRank: 0, TargetIter: 1})
+	in := NewScheduleInjector(only(Event{Kind: NodeFailure, TargetRank: 0, TargetIter: 1}))
 	finished := make([]bool, 4)
 	j := mpi.Launch(c, 4, 0, func(r *mpi.Rank) { // ranks 0,1 on node 0
 		w := r.Job().World()

@@ -68,9 +68,6 @@ type Config struct {
 	BlockSize int
 	// SerializeBWBps models in-memory serialization speed (default 8 GB/s).
 	SerializeBWBps float64
-	// BytesScale multiplies checkpoint sizes for time accounting only,
-	// matching the harness's scaled-down-problem model (DESIGN.md §6).
-	BytesScale float64
 	// CkptOverhead is the fixed per-checkpoint cost besides raw data
 	// movement: FTI's integrity checksums, metadata files, directory
 	// management, and buffered-I/O copies (default 100 ms, matching the
@@ -389,13 +386,9 @@ func (f *FTI) writeMeta(id int64, level Level) error {
 	return nil
 }
 
-func (f *FTI) scaledLen(n int) float64 {
-	b := float64(n)
-	if f.cfg.BytesScale > 1 {
-		b *= f.cfg.BytesScale
-	}
-	return b
-}
+// scaledLen is the volume serialization time is charged for (the cluster's
+// per-run byte scale, like the storage tiers underneath).
+func (f *FTI) scaledLen(n int) float64 { return f.r.Job().Cluster().Config().Scaled(n) }
 
 // serialize snapshots all protected objects into one payload and charges
 // the serialization CPU time.

@@ -269,19 +269,6 @@ func BcastI64(r *Rank, c *Comm, root int, vals []int64) ([]int64, error) {
 	return enc.BytesToInt64s(out), nil
 }
 
-// BcastF64 broadcasts a float64 slice from root.
-func BcastF64(r *Rank, c *Comm, root int, vals []float64) ([]float64, error) {
-	var payload []byte
-	if r.Rank(c) == root {
-		payload = enc.Float64sToBytes(vals)
-	}
-	out, err := Bcast(r, c, root, payload)
-	if err != nil {
-		return nil, err
-	}
-	return enc.BytesToFloat64s(out), nil
-}
-
 // ReduceF64 reduces element-wise to root; root gets the result, others nil.
 func ReduceF64(r *Rank, c *Comm, root int, vals []float64, op Op) ([]float64, error) {
 	tag := r.nextCollTag(c)
@@ -386,20 +373,6 @@ func Allgatherv(r *Rank, c *Comm, data []byte) ([][]byte, error) {
 	rest := flat
 	for i := range out {
 		out[i], rest = enc.NextBytes(rest)
-	}
-	return out, nil
-}
-
-// AllgatherI64 gathers one int64 slice per rank (equal lengths not
-// required) and returns all contributions.
-func AllgatherI64(r *Rank, c *Comm, vals []int64) ([][]int64, error) {
-	parts, err := Allgatherv(r, c, enc.Int64sToBytes(vals))
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]int64, len(parts))
-	for i, p := range parts {
-		out[i] = enc.BytesToInt64s(p)
 	}
 	return out, nil
 }

@@ -117,6 +117,24 @@ type Stats struct {
 	Suppressed int64
 }
 
+// Recovery records one completed MPI recovery — a job relaunch, a global
+// restart, a world repair, a replica failover — in the one shape every
+// fault-tolerance design logs and the harness accounts.
+type Recovery struct {
+	Rank    int // logical rank that failed; -1 when the repair found no failed member
+	Replica int // replica index that died (replica design; zero elsewhere)
+	Kind    int // recovery path where a design has several (replica.RecoveryKind); zero elsewhere
+	Failed  int // failed members the repair replaced (ULFM; zero where not counted)
+
+	FailedAt    simnet.Time
+	DetectedAt  simnet.Time // when the detector (or launcher) confirmed the failure
+	CompletedAt simnet.Time // when the application's ranks run again
+}
+
+// Duration is the MPI recovery time: from the failure to the moment the
+// recovered ranks are executing again.
+func (r Recovery) Duration() simnet.Time { return r.CompletedAt - r.FailedAt }
+
 // Job is a launched MPI job: a set of processes on the cluster plus the
 // communicator table and failure-detection state. Restart-based recovery
 // creates a brand-new Job; Reinit bumps the Job epoch in place.
@@ -129,19 +147,12 @@ type Job struct {
 	epoch   int
 	aborted bool
 
-	detected  map[int]bool // gid -> failure detected
-	detectSub []func(gid int)
-	subcomms  map[string]*Comm
+	detected map[int]bool // gid -> failure detected
+	subcomms map[string]*Comm
 
 	// PerOpOverhead is added to every point-to-point operation; the ULFM
 	// runtime sets it to model its amended (failure-checking) interfaces.
 	PerOpOverhead simnet.Time
-
-	// BytesScale multiplies message sizes for *time accounting only* (the
-	// payload itself is untouched). The harness runs scaled-down problem
-	// instances but charges network time as if the paper-scale problem's
-	// messages were on the wire; see DESIGN.md §6.
-	BytesScale float64
 
 	// DeliveryFactor inflates every message's in-flight time by the given
 	// fraction. The ULFM runtime sets it to model its interposed progress
@@ -228,24 +239,17 @@ func (j *Job) MarkFailed(gid int) {
 
 // MarkDetected records that the failure of gid is now globally known and
 // wakes every blocked process so pending operations can fail with
-// ErrProcFailed. Failure-detection subscribers (error handlers) fire first.
+// ErrProcFailed.
 func (j *Job) MarkDetected(gid int) {
 	if j.detected[gid] {
 		return
 	}
 	j.detected[gid] = true
-	for _, f := range j.detectSub {
-		f(gid)
-	}
 	j.wakeAllBlocked()
 }
 
 // Detected reports whether gid's failure has been detected.
 func (j *Job) Detected(gid int) bool { return j.detected[gid] }
-
-// OnDetect registers a callback invoked (in scheduler context) when a
-// failure is detected. ULFM uses this to trigger error handlers.
-func (j *Job) OnDetect(f func(gid int)) { j.detectSub = append(j.detectSub, f) }
 
 // wakeAllBlocked wakes every process parked in a messaging wait so it can
 // re-check revocation/failure conditions.
@@ -492,9 +496,4 @@ func LaunchPlaced(c *simnet.Cluster, nodes []int, startDelay simnet.Time, main f
 		})
 	}
 	return j
-}
-
-// PlacementNode returns the node a given rank of an n-rank job lands on.
-func PlacementNode(c *simnet.Cluster, rank, n int) int {
-	return rank * c.NumNodes() / n
 }

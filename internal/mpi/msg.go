@@ -67,10 +67,7 @@ func (r *Rank) sendCopy(c *Comm, to *Process, srcRank, tag int, data []byte, rep
 	r.sp.Compute(cfg.SendOverhead)
 
 	now := r.sp.Now()
-	wireBytes := len(data)
-	if r.job.BytesScale > 1 {
-		wireBytes = int(float64(wireBytes) * r.job.BytesScale)
-	}
+	wireBytes := int(cfg.Scaled(len(data)))
 	var arrive simnet.Time
 	if to.gid == r.proc.gid {
 		arrive = now + cfg.IntraLatency

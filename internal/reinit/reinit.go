@@ -109,18 +109,6 @@ func (c Config) DetectPreset() detect.Config {
 	}
 }
 
-// Recovery records one global restart, for the harness's recovery-time
-// breakdown.
-type Recovery struct {
-	FailedRank  int
-	FailedAt    simnet.Time
-	DetectedAt  simnet.Time
-	CompletedAt simnet.Time // replacement up, world rebuilt
-}
-
-// Duration is the MPI recovery time for this event.
-func (rec Recovery) Duration() simnet.Time { return rec.CompletedAt - rec.FailedAt }
-
 // Runtime is the per-job Reinit runtime: failure monitor plus global-reset
 // machinery. One Runtime serves all ranks of a job.
 type Runtime struct {
@@ -132,8 +120,9 @@ type Runtime struct {
 	world  *mpi.Comm
 	resets int
 
-	// Recoveries lists completed global restarts.
-	Recoveries []Recovery
+	// Recoveries lists completed global restarts (complete = replacement
+	// up, world rebuilt).
+	Recoveries []mpi.Recovery
 	// Errs collects resilient-main errors (diagnosed by the harness).
 	Errs []error
 }
@@ -225,8 +214,8 @@ func (rt *Runtime) globalRestart(failed *mpi.Process, failedAt, detectedAt simne
 		spv.Signal(now+simnet.Time(depth)*rt.cfg.ResetHop, restartSignal{reset: reset})
 	}
 
-	rec := Recovery{
-		FailedRank:  oldRank,
+	rec := mpi.Recovery{
+		Rank:        oldRank,
 		FailedAt:    failedAt,
 		DetectedAt:  detectedAt,
 		CompletedAt: now + rt.cfg.RespawnDelay,

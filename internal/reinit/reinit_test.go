@@ -61,12 +61,12 @@ func reference(n, iters int) float64 {
 	return total
 }
 
-func runReinit(t *testing.T, n, iters, stride int, plan fault.Plan, execID string) (*Runtime, []float64) {
+func runReinit(t *testing.T, n, iters, stride int, plan fault.Schedule, execID string) (*Runtime, []float64) {
 	t.Helper()
 	c := simnet.NewCluster(simnet.Config{Nodes: 4})
 	c.Scheduler().SetDeadline(10 * 60 * simnet.Second)
 	st := storage.New(c, storage.Config{})
-	inj := fault.NewInjector(plan)
+	inj := fault.NewScheduleInjector(plan)
 	sums := make([]float64, n)
 	var rt *Runtime
 	main := miniApp(&rt, st, execID, n, iters, stride, inj, sums)
@@ -81,7 +81,7 @@ func runReinit(t *testing.T, n, iters, stride int, plan fault.Plan, execID strin
 }
 
 func TestReinitNoFailurePassesThrough(t *testing.T) {
-	rt, sums := runReinit(t, 4, 12, 3, fault.Plan{}, "reinit-nofail")
+	rt, sums := runReinit(t, 4, 12, 3, fault.Schedule{}, "reinit-nofail")
 	want := reference(4, 12)
 	for i, s := range sums {
 		if s != want {
@@ -94,7 +94,7 @@ func TestReinitNoFailurePassesThrough(t *testing.T) {
 }
 
 func TestReinitRecoversProcessFailure(t *testing.T) {
-	plan := fault.Plan{Enabled: true, TargetRank: 2, TargetIter: 7}
+	plan := fault.Schedule{Events: []fault.Event{{TargetRank: 2, TargetIter: 7}}}
 	rt, sums := runReinit(t, 4, 12, 3, plan, "reinit-fail")
 	want := reference(4, 12)
 	for i, s := range sums {
@@ -106,8 +106,8 @@ func TestReinitRecoversProcessFailure(t *testing.T) {
 		t.Fatalf("recoveries = %d, want 1", len(rt.Recoveries))
 	}
 	rec := rt.Recoveries[0]
-	if rec.FailedRank != 2 {
-		t.Fatalf("failed rank = %d", rec.FailedRank)
+	if rec.Rank != 2 {
+		t.Fatalf("failed rank = %d", rec.Rank)
 	}
 	if rec.Duration() <= 0 {
 		t.Fatalf("non-positive recovery duration %v", rec.Duration())
@@ -124,7 +124,7 @@ func TestReinitRecoversProcessFailure(t *testing.T) {
 func TestReinitRecoveryScaleIndependent(t *testing.T) {
 	var durs []simnet.Time
 	for _, n := range []int{4, 16} {
-		plan := fault.Plan{Enabled: true, TargetRank: 1, TargetIter: 5}
+		plan := fault.Schedule{Events: []fault.Event{{TargetRank: 1, TargetIter: 5}}}
 		rt, _ := runReinit(t, n, 10, 3, plan, fmt.Sprintf("reinit-scale-%d", n))
 		if len(rt.Recoveries) != 1 {
 			t.Fatalf("n=%d: recoveries = %d", n, len(rt.Recoveries))
@@ -141,7 +141,7 @@ func TestReinitFailureAtCheckpointIteration(t *testing.T) {
 	// Failure on an iteration where a checkpoint is due: the rank dies at
 	// the injection point before checkpointing; survivors block inside the
 	// commit collective and must be unwound cleanly.
-	plan := fault.Plan{Enabled: true, TargetRank: 0, TargetIter: 6}
+	plan := fault.Schedule{Events: []fault.Event{{TargetRank: 0, TargetIter: 6}}}
 	rt, sums := runReinit(t, 4, 12, 3, plan, "reinit-ckptfail")
 	want := reference(4, 12)
 	for i, s := range sums {
@@ -157,7 +157,7 @@ func TestReinitFailureAtCheckpointIteration(t *testing.T) {
 func TestReinitEarlyFailureBeforeFirstCheckpoint(t *testing.T) {
 	// Failure at iteration 1, before any checkpoint beyond iter 0 exists;
 	// recovery must restart from the iter-0 checkpoint and still converge.
-	plan := fault.Plan{Enabled: true, TargetRank: 3, TargetIter: 1}
+	plan := fault.Schedule{Events: []fault.Event{{TargetRank: 3, TargetIter: 1}}}
 	rt, sums := runReinit(t, 4, 8, 4, plan, "reinit-early")
 	want := reference(4, 8)
 	for i, s := range sums {

@@ -93,10 +93,11 @@ type Config struct {
 	// at the spare's node when the cluster models it.
 	SpawnBandwidth float64
 	// StateBytes reports the live protected-state volume of a logical rank
-	// in bytes (the respawn transfer size, before BytesScale). The harness
-	// feeds it from the application's FTI-protected footprint; nil — or a
-	// zero return — falls back to SpawnStateBytes. Runtime wiring, not
-	// configuration: excluded from serialization and hashing.
+	// in bytes (the respawn transfer size, before the cluster's byte
+	// scale). The harness feeds it from the application's FTI-protected
+	// footprint; nil — or a zero return — falls back to SpawnStateBytes.
+	// Runtime wiring, not configuration: excluded from serialization and
+	// hashing.
 	StateBytes func(rank int) int64 `json:"-"`
 	// SpawnStateBytes is the per-rank transfer volume used when no
 	// StateBytes feed is installed (default 16 MiB).
@@ -105,10 +106,6 @@ type Config struct {
 	// OCFTL-style in-band ring the ROADMAP calls for is -detector ring).
 	// The zero value keeps the instant launcher preset.
 	Detect detect.Config
-	// OnLaunch, when set, runs on every job incarnation right after launch
-	// (the harness installs per-run job knobs with it). Runtime wiring,
-	// not configuration: excluded from serialization and hashing.
-	OnLaunch func(*mpi.Job) `json:"-"`
 }
 
 // Resolved returns the configuration with every zero field replaced by its
@@ -225,7 +222,7 @@ func NewLayout(n, numNodes int, cfg Config) Layout {
 }
 
 // DegreeOf reports the replica-group size of a logical rank (the shape
-// fault.NewReplicatedPlan needs).
+// fault.NewReplicatedSchedule needs).
 func (l Layout) DegreeOf(rank int) int { return l.Degree[rank] }
 
 // Replicated counts the ranks backed by more than one replica.
@@ -239,7 +236,7 @@ func (l Layout) Replicated() int {
 	return n
 }
 
-// RecoveryKind distinguishes the two recovery paths.
+// RecoveryKind distinguishes the two recovery paths (mpi.Recovery.Kind).
 type RecoveryKind int
 
 const (
@@ -257,19 +254,6 @@ func (k RecoveryKind) String() string {
 	}
 	return "failover"
 }
-
-// Recovery records one recovery event, failover or fallback.
-type Recovery struct {
-	Kind        RecoveryKind
-	Rank        int // logical rank involved
-	Replica     int // replica index that died
-	FailedAt    simnet.Time
-	DetectedAt  simnet.Time // when the runtime learned of the death
-	CompletedAt simnet.Time
-}
-
-// Duration is the MPI recovery time for this event.
-func (r Recovery) Duration() simnet.Time { return r.CompletedAt - r.FailedAt }
 
 // Respawn records one hot-spare spawn: the background respawn scheduled
 // after a failover to restore the degraded group to its configured degree.
@@ -307,8 +291,9 @@ type Supervisor struct {
 	// Detectors lists the per-incarnation failure detectors, parallel to
 	// Jobs (the harness sums their confirmed failures' latencies).
 	Detectors []detect.Detector
-	// Recoveries lists failovers and fallback relaunches in order.
-	Recoveries []Recovery
+	// Recoveries lists failovers and fallback relaunches in order (Kind is
+	// the RecoveryKind, Replica the index that died).
+	Recoveries []mpi.Recovery
 	// RespawnLog lists every hot-spare spawn scheduled, in order (live,
 	// in-flight, and aborted alike). Empty unless Config.HotSpare is set.
 	RespawnLog []Respawn
@@ -480,7 +465,7 @@ func (s *Supervisor) Relaunches() int { return s.count(Relaunch) }
 func (s *Supervisor) count(k RecoveryKind) int {
 	n := 0
 	for _, r := range s.Recoveries {
-		if r.Kind == k {
+		if r.Kind == int(k) {
 			n++
 		}
 	}
@@ -509,9 +494,6 @@ func (s *Supervisor) launch(delay simnet.Time) {
 	}
 	world := job.NewReplicaComm(groups)
 	job.SetWorld(world)
-	if s.cfg.OnLaunch != nil {
-		s.cfg.OnLaunch(job)
-	}
 	s.Jobs = append(s.Jobs, job)
 	s.world = world
 	s.gidRank = make(map[int]int, s.layout.Total)
@@ -618,8 +600,8 @@ func (s *Supervisor) failover(job *mpi.Job, world *mpi.Comm, rank, idx int, f de
 		detected = f.FailedAt + s.cfg.FailoverDetect
 	}
 	completed := detected + s.cfg.ElectionDelay
-	s.Recoveries = append(s.Recoveries, Recovery{
-		Kind: Failover, Rank: rank, Replica: idx,
+	s.Recoveries = append(s.Recoveries, mpi.Recovery{
+		Kind: int(Failover), Rank: rank, Replica: idx,
 		FailedAt: f.FailedAt, DetectedAt: detected, CompletedAt: completed,
 	})
 	s.cluster.Scheduler().At(completed, func() {
@@ -697,10 +679,7 @@ func (s *Supervisor) scheduleRespawn(job *mpi.Job, world *mpi.Comm, rank, idx, d
 			bytes = b
 		}
 	}
-	wire := bytes
-	if job.BytesScale > 1 {
-		wire = int64(float64(wire) * job.BytesScale)
-	}
+	wire := int64(s.cluster.Config().Scaled(int(bytes)))
 	serialize := simnet.Time(float64(wire) / s.cfg.SpawnBandwidth * 1e9)
 	s.cluster.Scheduler().After(s.cfg.SpawnDelay+serialize, func() {
 		if job != s.CurrentJob() || s.restarting || job.Aborted() {
@@ -814,8 +793,8 @@ func (s *Supervisor) AbsorbFailure(r *mpi.Rank, world *mpi.Comm) bool {
 		detected = now + s.dcfg.DetectTimeout
 	}
 	completed := detected + s.cfg.ElectionDelay
-	s.Recoveries = append(s.Recoveries, Recovery{
-		Kind: Failover, Rank: rank, Replica: idx,
+	s.Recoveries = append(s.Recoveries, mpi.Recovery{
+		Kind: int(Failover), Rank: rank, Replica: idx,
 		FailedAt: now, DetectedAt: detected, CompletedAt: completed,
 	})
 	spareProc := sp.proc
@@ -882,8 +861,8 @@ func (s *Supervisor) fallback(job *mpi.Job, rank int, f detect.Failure) {
 		}
 		delay := s.cfg.TeardownDelay + s.cfg.RelaunchBase +
 			simnet.Time(s.layout.Total)*s.cfg.RelaunchPerProc
-		s.Recoveries = append(s.Recoveries, Recovery{
-			Kind: Relaunch, Rank: rank,
+		s.Recoveries = append(s.Recoveries, mpi.Recovery{
+			Kind: int(Relaunch), Rank: rank,
 			// The launcher acts the moment it knows: at confirmation for an
 			// in-band detector, DetectDelay after the death otherwise.
 			FailedAt: f.FailedAt, DetectedAt: abortedAt, CompletedAt: abortedAt + delay,

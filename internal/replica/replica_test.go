@@ -96,7 +96,7 @@ func TestSupervisorFailover(t *testing.T) {
 		t.Fatalf("failovers=%d relaunches=%d, want 1/0", sup.Failovers(), sup.Relaunches())
 	}
 	rec := sup.Recoveries[0]
-	if rec.Kind != Failover || rec.Rank != 2 || rec.Replica != 1 {
+	if rec.Kind != int(Failover) || rec.Rank != 2 || rec.Replica != 1 {
 		t.Fatalf("recovery = %+v", rec)
 	}
 	want := DefaultConfig().FailoverDetect + DefaultConfig().ElectionDelay
@@ -153,9 +153,9 @@ func TestSupervisorExhaustionFallsBackToRelaunch(t *testing.T) {
 		t.Fatal("supervisor gave up")
 	}
 	// The fallback pays restart-scale costs, far above a failover.
-	var rel Recovery
+	var rel mpi.Recovery
 	for _, r := range sup.Recoveries {
-		if r.Kind == Relaunch {
+		if r.Kind == int(Relaunch) {
 			rel = r
 		}
 	}
@@ -238,7 +238,7 @@ func TestHotSpareAbsorbsSecondFailure(t *testing.T) {
 			sup.Failovers(), sup.Relaunches())
 	}
 	second := sup.Recoveries[1]
-	if second.Kind != Failover || second.Rank != 2 || second.Replica != 0 {
+	if second.Kind != int(Failover) || second.Rank != 2 || second.Replica != 0 {
 		t.Fatalf("second recovery = %+v, want failover of rank 2 replica 0", second)
 	}
 	want := DefaultConfig().FailoverDetect + DefaultConfig().ElectionDelay

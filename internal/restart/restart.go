@@ -40,10 +40,6 @@ type Config struct {
 	// Detect overrides the failure-detection strategy (ablation). The zero
 	// value keeps the instant launcher preset.
 	Detect detect.Config
-	// OnLaunch, when set, is invoked on every job incarnation right after
-	// launch (the harness uses it to install per-run job knobs). Runtime
-	// wiring, not configuration: excluded from serialization and hashing.
-	OnLaunch func(*mpi.Job) `json:"-"`
 }
 
 // Resolved returns the configuration with every zero cost field replaced
@@ -86,19 +82,6 @@ func DefaultConfig() Config {
 // chain, i.e. instant out-of-band detection.
 func (c Config) DetectPreset() detect.Config { return detect.LauncherConfig() }
 
-// Recovery records one job restart.
-type Recovery struct {
-	FailedAt    simnet.Time
-	DetectedAt  simnet.Time // when the detector confirmed the failure
-	AbortedAt   simnet.Time
-	RelaunchAt  simnet.Time // when the new job's ranks begin executing
-	FailedRanks []int
-}
-
-// Duration is the MPI recovery time: from the failure to the moment the
-// redeployed ranks start running again.
-func (r Recovery) Duration() simnet.Time { return r.RelaunchAt - r.FailedAt }
-
 // Supervisor relaunches a job until it completes without a failure.
 type Supervisor struct {
 	cluster *simnet.Cluster
@@ -113,8 +96,9 @@ type Supervisor struct {
 	// Detectors lists the per-incarnation failure detectors, parallel to
 	// Jobs (the harness sums their confirmed failures' latencies).
 	Detectors []detect.Detector
-	// Recoveries lists the restarts performed.
-	Recoveries []Recovery
+	// Recoveries lists the restarts performed; each completes when the
+	// redeployed ranks begin executing.
+	Recoveries []mpi.Recovery
 	// GaveUp is set when MaxRelaunches was exhausted.
 	GaveUp bool
 
@@ -151,9 +135,6 @@ func (s *Supervisor) launch(delay simnet.Time) {
 	s.restarting = false
 	s.exitedOK = 0
 	job := mpi.LaunchPlaced(s.cluster, s.nodes, delay, s.main)
-	if s.cfg.OnLaunch != nil {
-		s.cfg.OnLaunch(job)
-	}
 	s.Jobs = append(s.Jobs, job)
 	for _, p := range job.World().Members() {
 		p.SimProc().OnExit(func(sp *simnet.Proc) {
@@ -198,12 +179,11 @@ func (s *Supervisor) onFailure(job *mpi.Job, f detect.Failure) {
 		}
 		relaunchDelay := s.cfg.TeardownDelay + s.cfg.LaunchBase +
 			simnet.Time(s.n)*s.cfg.LaunchPerProc
-		s.Recoveries = append(s.Recoveries, Recovery{
+		s.Recoveries = append(s.Recoveries, mpi.Recovery{
+			Rank:        failedRank,
 			FailedAt:    f.FailedAt,
 			DetectedAt:  f.DetectedAt,
-			AbortedAt:   abortedAt,
-			RelaunchAt:  abortedAt + relaunchDelay,
-			FailedRanks: []int{failedRank},
+			CompletedAt: abortedAt + relaunchDelay,
 		})
 		if p := s.cluster.Probe(); p.On(trace.CatRepair) {
 			p.Emit(trace.Span{Cat: trace.CatRepair, Rank: int32(failedRank),

@@ -20,12 +20,12 @@ func reference(n, iters int) float64 {
 	return total
 }
 
-func runRestart(t *testing.T, n, iters, stride int, plan fault.Plan, execID string) (*Supervisor, []float64) {
+func runRestart(t *testing.T, n, iters, stride int, plan fault.Schedule, execID string) (*Supervisor, []float64) {
 	t.Helper()
 	c := simnet.NewCluster(simnet.Config{Nodes: 4})
 	c.Scheduler().SetDeadline(10 * 60 * simnet.Second)
 	st := storage.New(c, storage.Config{})
-	inj := fault.NewInjector(plan)
+	inj := fault.NewScheduleInjector(plan)
 	sums := make([]float64, n)
 	main := func(r *mpi.Rank) {
 		world := r.Job().World()
@@ -66,7 +66,7 @@ func runRestart(t *testing.T, n, iters, stride int, plan fault.Plan, execID stri
 }
 
 func TestRestartNoFailureSingleJob(t *testing.T) {
-	s, sums := runRestart(t, 4, 12, 3, fault.Plan{}, "restart-nofail")
+	s, sums := runRestart(t, 4, 12, 3, fault.Schedule{}, "restart-nofail")
 	if !s.Done() {
 		t.Fatal("job did not complete")
 	}
@@ -82,7 +82,7 @@ func TestRestartNoFailureSingleJob(t *testing.T) {
 }
 
 func TestRestartRelaunchesAndResumes(t *testing.T) {
-	plan := fault.Plan{Enabled: true, TargetRank: 2, TargetIter: 7}
+	plan := fault.Schedule{Events: []fault.Event{{TargetRank: 2, TargetIter: 7}}}
 	s, sums := runRestart(t, 4, 12, 3, plan, "restart-fail")
 	if !s.Done() {
 		t.Fatal("job did not complete after relaunch")
@@ -103,15 +103,15 @@ func TestRestartRelaunchesAndResumes(t *testing.T) {
 	if rec.Duration() < DefaultConfig().LaunchBase {
 		t.Fatalf("recovery %v cheaper than the launch base %v", rec.Duration(), DefaultConfig().LaunchBase)
 	}
-	if rec.FailedRanks[0] != 2 {
-		t.Fatalf("failed rank %v", rec.FailedRanks)
+	if rec.Rank != 2 {
+		t.Fatalf("failed rank %v", rec.Rank)
 	}
 }
 
 // Restart recovery must be far more expensive than Reinit-style recovery:
 // the full redeployment dominates (paper: 16x on average).
 func TestRestartRecoveryDominatedByRedeploy(t *testing.T) {
-	plan := fault.Plan{Enabled: true, TargetRank: 0, TargetIter: 4}
+	plan := fault.Schedule{Events: []fault.Event{{TargetRank: 0, TargetIter: 4}}}
 	s, _ := runRestart(t, 8, 10, 3, plan, "restart-redeploy")
 	rec := s.Recoveries[0]
 	cfg := DefaultConfig()
@@ -125,7 +125,7 @@ func TestRestartRecoveryDominatedByRedeploy(t *testing.T) {
 func TestRestartScalesWithJobSize(t *testing.T) {
 	var durs []simnet.Time
 	for i, n := range []int{4, 16} {
-		plan := fault.Plan{Enabled: true, TargetRank: 1, TargetIter: 4}
+		plan := fault.Schedule{Events: []fault.Event{{TargetRank: 1, TargetIter: 4}}}
 		s, _ := runRestart(t, n, 10, 3, plan, map[int]string{0: "rs-a", 1: "rs-b"}[i])
 		durs = append(durs, s.Recoveries[0].Duration())
 	}

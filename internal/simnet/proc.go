@@ -186,9 +186,6 @@ func (p *Proc) Sleep(d Time) {
 // Compute charges d nanoseconds of virtual CPU time to the process.
 func (p *Proc) Compute(d Time) { p.Sleep(d) }
 
-// Yield lets all events at the current instant fire before continuing.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Block parks the process indefinitely; something else must call Unblock
 // (or Kill/Signal). Used by the messaging layer for condition waits.
 // Spurious wakeups are possible; callers must re-check their condition.

@@ -98,8 +98,18 @@ func NewScheduler() *Scheduler {
 func (s *Scheduler) Now() Time { return s.now }
 
 // SetDeadline aborts Run once virtual time exceeds d (a safety net against
-// livelock in buggy protocols). Zero disables the deadline.
+// livelock in buggy protocols): Run panics with a DeadlineExceeded. Zero
+// disables the deadline.
 func (s *Scheduler) SetDeadline(d Time) { s.maxTime = d }
+
+// DeadlineExceeded is the value Run panics with when an event lies past the
+// deadline. Unit tests let it crash them (the deadlock net); the harness
+// recovers exactly this type and reports the cell as failed.
+type DeadlineExceeded struct{ Deadline, At Time } // the limit; the first event past it
+
+func (e DeadlineExceeded) Error() string {
+	return fmt.Sprintf("simnet: virtual deadline %v exceeded (event at %v); likely deadlock or livelock", e.Deadline, e.At)
+}
 
 // SetStrictPast toggles the past-scheduling assertion. By default At
 // silently clamps a past target time to now, which keeps buggy protocols
@@ -298,7 +308,7 @@ func (s *Scheduler) Run() Time {
 		e := s.popMin()
 		fired++
 		if s.maxTime > 0 && e.t > s.maxTime {
-			panic(fmt.Sprintf("simnet: virtual deadline %v exceeded (event at %v); likely deadlock or livelock", s.maxTime, e.t))
+			panic(DeadlineExceeded{Deadline: s.maxTime, At: e.t})
 		}
 		if e.t > s.now {
 			s.now = e.t
@@ -355,6 +365,21 @@ type Config struct {
 	// at replicated ranks pay realistic queueing delay. Off by default so
 	// the checkpoint/restart designs keep the original calibrated timings.
 	ModelIngress bool
+
+	// BytesScale multiplies data volumes for *time accounting only* —
+	// messages on the wire, checkpoint bytes through the storage tiers,
+	// hot-spare state transfers — so a scaled-down problem instance is
+	// charged the paper-scale problem's transfer time (DESIGN.md §6).
+	// Payloads are untouched; values up to 1 (and zero) mean unscaled.
+	BytesScale float64
+}
+
+// Scaled is the volume time is charged for when n bytes move.
+func (c Config) Scaled(n int) float64 {
+	if c.BytesScale > 1 {
+		return float64(n) * c.BytesScale
+	}
+	return float64(n)
 }
 
 // DefaultConfig mirrors the paper's cluster at §V-A: 32 nodes, 28 cores per

@@ -58,9 +58,6 @@ type Config struct {
 	SSDLat   simnet.Time
 	PFSBWBps float64 // aggregate PFS bandwidth, shared by all clients
 	PFSLat   simnet.Time
-	// BytesScale multiplies sizes for time accounting only, so scaled-down
-	// checkpoints charge paper-scale I/O time (DESIGN.md §6). Zero means 1.
-	BytesScale float64
 }
 
 // DefaultConfig approximates the paper's testbed: fast shm, a local SSD,
@@ -137,13 +134,9 @@ func (s *System) local(tier Tier, node int) (map[string][]byte, error) {
 	return nil, fmt.Errorf("storage: %v is not node-local", tier)
 }
 
-func (s *System) scaled(size int) float64 {
-	b := float64(size)
-	if s.cfg.BytesScale > 1 {
-		b *= s.cfg.BytesScale
-	}
-	return b
-}
+// scaled is the volume time is charged for: the cluster's per-run byte
+// scale makes scaled-down checkpoints pay paper-scale I/O time.
+func (s *System) scaled(size int) float64 { return s.cluster.Config().Scaled(size) }
 
 // chargeLocal charges p for moving size bytes through a local tier.
 func (s *System) chargeLocal(p *simnet.Proc, tier Tier, size int) {

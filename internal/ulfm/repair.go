@@ -186,15 +186,21 @@ func (rt *Runtime) RepairWorld(r *mpi.Rank, world *mpi.Comm) (*mpi.Comm, error) 
 
 	if !round.completed {
 		round.completed = true
-		rt.Recoveries = append(rt.Recoveries, Recovery{
-			FailedRanks: world.FailedMembers(),
+		failed := world.FailedMembers()
+		rec := mpi.Recovery{
+			Rank:        -1,
+			Failed:      len(failed),
 			FailedAt:    round.failedAt,
 			DetectedAt:  round.detected,
 			CompletedAt: r.Now(),
-		})
+		}
+		if len(failed) > 0 {
+			rec.Rank = failed[0]
+		}
+		rt.Recoveries = append(rt.Recoveries, rec)
 		if p := rt.job.Cluster().Probe(); p.On(trace.CatRepair) {
 			p.Emit(trace.Span{Cat: trace.CatRepair, Rank: -1, Job: p.JobOf(rt.job),
-				Start: int64(r.Now()), Aux: int64(len(world.FailedMembers()))})
+				Start: int64(r.Now()), Aux: int64(len(failed))})
 		}
 	}
 	rt.world = nw

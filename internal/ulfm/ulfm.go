@@ -159,17 +159,6 @@ func (c Config) DetectPreset() detect.Config {
 	}
 }
 
-// Recovery records one completed world repair.
-type Recovery struct {
-	FailedRanks []int
-	FailedAt    simnet.Time
-	DetectedAt  simnet.Time
-	CompletedAt simnet.Time
-}
-
-// Duration is the MPI recovery time for this event.
-func (rec Recovery) Duration() simnet.Time { return rec.CompletedAt - rec.FailedAt }
-
 // repairRound is the shared rendezvous state for repairing one revoked
 // communicator (keyed by its context id).
 type repairRound struct {
@@ -191,8 +180,9 @@ type Runtime struct {
 	world  *mpi.Comm
 	rounds map[int]*repairRound
 
-	// Recoveries lists completed repairs.
-	Recoveries []Recovery
+	// Recoveries lists completed repairs: Failed members replaced, Rank the
+	// first of them (-1 when the broken world had no failed member).
+	Recoveries []mpi.Recovery
 	// Errs collects errors from replacement ranks.
 	Errs []error
 }

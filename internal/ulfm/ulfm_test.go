@@ -59,12 +59,12 @@ func resilientMain(st *storage.System, execID string, iters, stride int,
 	}
 }
 
-func runULFM(t *testing.T, n, iters, stride int, plan fault.Plan, execID string) (*Runtime, []float64) {
+func runULFM(t *testing.T, n, iters, stride int, plan fault.Schedule, execID string) (*Runtime, []float64) {
 	t.Helper()
 	c := simnet.NewCluster(simnet.Config{Nodes: 4})
 	c.Scheduler().SetDeadline(30 * 60 * simnet.Second)
 	st := storage.New(c, storage.Config{})
-	inj := fault.NewInjector(plan)
+	inj := fault.NewScheduleInjector(plan)
 	sums := make([]float64, n)
 	main := resilientMain(st, execID, iters, stride, inj, sums)
 	var rt *Runtime
@@ -82,7 +82,7 @@ func runULFM(t *testing.T, n, iters, stride int, plan fault.Plan, execID string)
 }
 
 func TestULFMNoFailurePassesThrough(t *testing.T) {
-	rt, sums := runULFM(t, 4, 12, 3, fault.Plan{}, "ulfm-nofail")
+	rt, sums := runULFM(t, 4, 12, 3, fault.Schedule{}, "ulfm-nofail")
 	want := reference(4, 12)
 	for i, s := range sums {
 		if s != want {
@@ -95,7 +95,7 @@ func TestULFMNoFailurePassesThrough(t *testing.T) {
 }
 
 func TestULFMRepairsProcessFailure(t *testing.T) {
-	plan := fault.Plan{Enabled: true, TargetRank: 2, TargetIter: 7}
+	plan := fault.Schedule{Events: []fault.Event{{TargetRank: 2, TargetIter: 7}}}
 	rt, sums := runULFM(t, 4, 12, 3, plan, "ulfm-fail")
 	want := reference(4, 12)
 	for i, s := range sums {
@@ -107,8 +107,8 @@ func TestULFMRepairsProcessFailure(t *testing.T) {
 		t.Fatalf("recoveries = %d, want 1", len(rt.Recoveries))
 	}
 	rec := rt.Recoveries[0]
-	if len(rec.FailedRanks) != 1 || rec.FailedRanks[0] != 2 {
-		t.Fatalf("failed ranks %v", rec.FailedRanks)
+	if rec.Failed != 1 || rec.Rank != 2 {
+		t.Fatalf("%d failed ranks, first %d", rec.Failed, rec.Rank)
 	}
 	if rec.Duration() <= 0 {
 		t.Fatal("non-positive recovery duration")
@@ -125,7 +125,7 @@ func TestULFMRepairsProcessFailure(t *testing.T) {
 func TestULFMRecoveryGrowsWithScale(t *testing.T) {
 	var durs []simnet.Time
 	for _, n := range []int{4, 16} {
-		plan := fault.Plan{Enabled: true, TargetRank: 1, TargetIter: 5}
+		plan := fault.Schedule{Events: []fault.Event{{TargetRank: 1, TargetIter: 5}}}
 		rt, _ := runULFM(t, n, 10, 3, plan, fmt.Sprintf("ulfm-scale-%d", n))
 		if len(rt.Recoveries) != 1 {
 			t.Fatalf("n=%d: recoveries = %d", n, len(rt.Recoveries))
@@ -140,7 +140,7 @@ func TestULFMRecoveryGrowsWithScale(t *testing.T) {
 func TestULFMFailureDuringCheckpointCommit(t *testing.T) {
 	// Kill on a checkpoint iteration: survivors block inside the commit
 	// allreduce until detection, then must unwind and repair.
-	plan := fault.Plan{Enabled: true, TargetRank: 0, TargetIter: 6}
+	plan := fault.Schedule{Events: []fault.Event{{TargetRank: 0, TargetIter: 6}}}
 	rt, sums := runULFM(t, 4, 12, 3, plan, "ulfm-ckptfail")
 	want := reference(4, 12)
 	for i, s := range sums {

@@ -71,7 +71,9 @@ type (
 	// optional content-addressed ResultStore that memoizes cells across
 	// sweeps. The zero value runs in-process with no observers.
 	// Cells(cfgs, reps) is the one sweep executor (results ordered like
-	// cfgs; on an error, the cells before the failing one plus that error);
+	// cfgs; on an error, the cells before the failing one plus that error —
+	// a cell that panics or trips the virtual deadline is such an error,
+	// never a dead process);
 	// Run(req, w) is Cells over the request's matrix plus the per-app tables
 	// written to w, and RunFigure(fig, opts, w) the same for a paper figure.
 	CampaignRunner = core.CampaignRunner
@@ -122,7 +124,9 @@ const (
 	Large  = core.Large
 )
 
-// Run executes one configuration and returns its breakdown.
+// Run executes one configuration and returns its breakdown. A simulation
+// that deadlocks trips the scheduler's virtual deadline and comes back as an
+// error ("core: virtual deadline ... exceeded") with the partial breakdown.
 func Run(cfg Config) (Breakdown, error) { return core.Run(cfg) }
 
 // NewMemoryResultStore returns a memory-only result store (tests, or

@@ -1,10 +1,13 @@
 package match_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"match"
+	"match/internal/apps/appkit"
+	"match/internal/simnet"
 )
 
 func TestFacadeRun(t *testing.T) {
@@ -226,5 +229,56 @@ func TestFacadeTraceRecorder(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), `"displayTimeUnit"`) {
 		t.Fatal("Chrome export missing displayTimeUnit")
+	}
+}
+
+// boomApp is a user-registered application with a bug: from its second
+// iteration it panics in scheduler context — where a protocol bug in a
+// runtime or a detector would, too.
+type boomApp struct{}
+
+func (boomApp) Name() string                               { return "boom" }
+func (boomApp) Init(*appkit.Context) error                 { return nil }
+func (boomApp) Signature(*appkit.Context) (float64, error) { return 0, nil }
+func (boomApp) Step(ctx *appkit.Context, iter int) error {
+	if iter == 1 {
+		ctx.R.Job().Cluster().Scheduler().After(0, func() { panic("boom") })
+	}
+	ctx.R.Compute(simnet.Millisecond) // yield, so the event fires
+	return nil
+}
+
+// A cell that panics is a failed cell of the sweep — the prefix plus its
+// error, a cell_finish carrying it — not a dead process. (It lives here
+// rather than in internal/core because the app registry has no removal, and
+// core's conformance tests run every registered application.)
+func TestCellPanicIsAFailedCell(t *testing.T) {
+	if err := match.RegisterApp("boom", func() match.App { return boomApp{} }); err != nil {
+		t.Fatal(err)
+	}
+	healthy := match.Config{App: "HPCCG", Design: match.ReinitFTI, Procs: 8, Nodes: 4,
+		Params: match.Params{NX: 6, NY: 6, NZ: 6, MaxIter: 10, WorkScale: 20}}
+	boom := match.Config{App: "boom", Design: match.ReinitFTI, Procs: 4, Nodes: 2,
+		Params: match.Params{MaxIter: 4, WorkScale: 1}}
+	var events bytes.Buffer
+	results, err := match.CampaignRunner{Workers: 2, Log: match.NewEventLog(&events)}.Cells(
+		[]match.Config{healthy, boom, healthy}, 1)
+	if err == nil || err.Error() != "cell panicked: boom" {
+		t.Fatalf("err = %v, want the cell's panic", err)
+	}
+	if len(results) != 1 || !results[0].Breakdown.Completed {
+		t.Fatalf("%d results, want the one cell before the panicking one", len(results))
+	}
+	failed := 0
+	for _, line := range strings.Split(events.String(), "\n") {
+		if strings.Contains(line, `"msg":"cell_finish"`) && strings.Contains(line, `"error":"cell panicked: boom"`) {
+			failed++
+			if !strings.Contains(line, `"cell":1`) {
+				t.Fatalf("the panic is logged against the wrong cell: %s", line)
+			}
+		}
+	}
+	if failed != 1 {
+		t.Fatalf("%d cell_finish events carry the panic, want 1:\n%s", failed, events.String())
 	}
 }
