@@ -24,6 +24,7 @@ import (
 	"match/internal/enc"
 	"match/internal/mpi"
 	"match/internal/obs"
+	"match/internal/rs"
 	"match/internal/simnet"
 	"match/internal/storage"
 	"match/internal/trace"
@@ -136,7 +137,9 @@ type FTI struct {
 	// partner locations are derived from it so that recovery finds partner
 	// copies even when a rank has been respawned on a different node.
 	origNodes []int
-	Stats     Stats
+	// code is the erasure code of this rank's L3 group (see l3Code).
+	code  *rs.Code
+	Stats Stats
 
 	// probe is the run's observer probe, captured at Init (nil when
 	// observers are off), and ident the span identity of this instance:
@@ -152,6 +155,9 @@ type FTI struct {
 type protEntry struct {
 	id  int
 	obj Protected
+	// snap holds obj's snapshot between serialize's sizing and packing
+	// passes, and is nil outside them.
+	snap []byte
 }
 
 // ErrNoCheckpoint is returned by Recover when no committed checkpoint
@@ -268,7 +274,7 @@ func (f *FTI) Protect(id int, obj Protected) {
 			return
 		}
 	}
-	f.objs = append(f.objs, protEntry{id, obj})
+	f.objs = append(f.objs, protEntry{id: id, obj: obj})
 	sort.Slice(f.objs, func(i, j int) bool { return f.objs[i].id < f.objs[j].id })
 }
 
@@ -390,14 +396,21 @@ func (f *FTI) writeMeta(id int64, level Level) error {
 // per-run byte scale, like the storage tiers underneath).
 func (f *FTI) scaledLen(n int) float64 { return f.r.Job().Cluster().Config().Scaled(n) }
 
-// serialize snapshots all protected objects into one payload and charges
-// the serialization CPU time.
+// serialize snapshots all protected objects into one payload, allocated
+// once at its final size, and charges the serialization CPU time.
 func (f *FTI) serialize() []byte {
-	out := enc.AppendUint64(nil, uint64(len(f.objs)))
-	for _, e := range f.objs {
-		snap := e.obj.Snapshot()
+	n := 8
+	for i := range f.objs {
+		e := &f.objs[i]
+		e.snap = e.obj.Snapshot()
+		n += 16 + len(e.snap)
+	}
+	out := enc.AppendUint64(make([]byte, 0, n), uint64(len(f.objs)))
+	for i := range f.objs {
+		e := &f.objs[i]
 		out = enc.AppendUint64(out, uint64(e.id))
-		out = enc.AppendBytes(out, snap)
+		out = enc.AppendBytes(out, e.snap)
+		e.snap = nil
 	}
 	f.r.Compute(simnet.Time(f.scaledLen(len(out)) / f.cfg.SerializeBWBps * 1e9))
 	return out

@@ -40,6 +40,11 @@ func (f *FTI) readL2(id int64) ([]byte, error) {
 // group's (k=G, m=G) code. Any G of the 2G shards reconstruct every
 // member's data, so the group survives the loss of half its members' nodes
 // — the property the paper quotes for FTI L3.
+//
+// Both directions work a row at a time, so a rank pays only for what it
+// keeps: a checkpoint encodes the one parity row this member stores (G
+// shard passes, not the G*G of a full Encode), straight into the blob it
+// writes; a recovery rebuilds the one data shard this member lost.
 
 // l3Group returns the group communicator and this rank's index within it.
 func (f *FTI) l3Group() (*mpi.Comm, int) {
@@ -52,6 +57,19 @@ func (f *FTI) l3Group() (*mpi.Comm, int) {
 	members := f.comm.Members()[lo:hi]
 	key := fmt.Sprintf("fti-l3/%s/%d/%d-%d", f.cfg.ExecID, f.comm.Ctx(), lo, hi)
 	return f.r.Job().SubComm(key, members), f.rank - lo
+}
+
+// l3Code returns the (g, g) code of this rank's erasure group, built on
+// first use: the group is fixed by the communicator FTI is bound to.
+func (f *FTI) l3Code(g int) (*rs.Code, error) {
+	if f.code == nil {
+		code, err := rs.New(g, g)
+		if err != nil {
+			return nil, err
+		}
+		f.code = code
+	}
+	return f.code, nil
 }
 
 func (f *FTI) writeL3(id int64, payload []byte) error {
@@ -80,20 +98,22 @@ func (f *FTI) writeL3(id int64, payload []byte) error {
 	for i, b := range all {
 		data[i] = rs.Pad(b, size)
 	}
-	code, err := rs.New(g, g)
+	code, err := f.l3Code(g)
 	if err != nil {
 		return err
 	}
-	parity, err := code.Encode(data)
-	if err != nil {
-		return err
-	}
-	// Record the true payload lengths so reconstruction can un-pad.
-	meta := enc.AppendUint64(nil, uint64(size))
+	// The parity blob: the padded shard size, the g true payload lengths
+	// (so reconstruction can un-pad), then this member's parity row,
+	// length-prefixed and encoded in place.
+	blob := make([]byte, 8*(g+2)+size)
+	head := enc.AppendUint64(blob[:0], uint64(size))
 	for _, b := range all {
-		meta = enc.AppendUint64(meta, uint64(len(b)))
+		head = enc.AppendUint64(head, uint64(len(b)))
 	}
-	blob := enc.AppendBytes(meta, parity[me])
+	head = enc.AppendUint64(head, uint64(size))
+	if err := code.EncodeRowInto(blob[len(head):], me, data); err != nil {
+		return err
+	}
 	return f.st.Write(f.r.Sim(), storage.RAMFS, f.node, f.parityPath(id), blob)
 }
 
@@ -154,23 +174,24 @@ func (f *FTI) readL3(id int64) ([]byte, error) {
 	if !found {
 		return nil, fmt.Errorf("fti: L3 group lost all parity shards")
 	}
+	if lerr == nil {
+		// Our own shard survived; we only participated in the exchange.
+		return myData, nil
+	}
 	for i := 0; i < g; i++ {
 		if shards[i] != nil {
 			shards[i] = rs.Pad(shards[i], size)
 		}
 	}
-	if lerr == nil {
-		// Our own shard survived; we only participated in the exchange.
-		return myData, nil
-	}
-	code, err := rs.New(g, g)
+	code, err := f.l3Code(g)
 	if err != nil {
 		return nil, err
 	}
-	if err := code.Reconstruct(shards); err != nil {
+	shard, err := code.ReconstructData(shards, me)
+	if err != nil {
 		return nil, fmt.Errorf("fti: L3 reconstruct: %w", err)
 	}
-	payload := shards[me][:lens[me]]
+	payload := shard[:lens[me]]
 	// Repopulate our local L1 copy so subsequent recoveries are cheap.
 	if err := f.writeL1(id, payload); err != nil {
 		return nil, err

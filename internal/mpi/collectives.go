@@ -361,6 +361,11 @@ func Allgatherv(r *Rank, c *Comm, data []byte) ([][]byte, error) {
 	// Root flattens with length prefixes, broadcasts, everyone unpacks.
 	var flat []byte
 	if r.Rank(c) == 0 {
+		n := 0
+		for _, p := range parts {
+			n += 8 + len(p)
+		}
+		flat = make([]byte, 0, n)
 		for _, p := range parts {
 			flat = enc.AppendBytes(flat, p)
 		}
