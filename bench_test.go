@@ -24,18 +24,20 @@ import (
 	"match/internal/ulfm"
 )
 
-func benchOpts(scaleSweep bool) core.SuiteOptions {
-	if os.Getenv("MATCH_BENCH_FULL") != "" {
-		return core.SuiteOptions{Reps: 1}
+// benchFigureRequest is the figure's sweep, narrowed to the routine
+// benchmarking matrix unless MATCH_BENCH_FULL is set.
+func benchFigureRequest(b *testing.B, fig int) core.CampaignRequest {
+	req, err := core.FigureRequest(fig)
+	if err != nil {
+		b.Fatal(err)
 	}
-	opts := core.SuiteOptions{
-		Apps: []string{"HPCCG", "miniVite"},
-		Reps: 1,
+	if os.Getenv("MATCH_BENCH_FULL") == "" {
+		req.Apps = []string{"HPCCG", "miniVite"}
+		if len(req.Scales) > 0 {
+			req.Scales = []int{64, 128}
+		}
 	}
-	if scaleSweep {
-		opts.Scales = []int{64, 128}
-	}
-	return opts
+	return req
 }
 
 func benchOut() io.Writer {
@@ -71,15 +73,16 @@ func summarize(b *testing.B, results []core.Result) {
 	}
 }
 
-func benchFigure(b *testing.B, fig int, scaleSweep bool) {
+func benchFigure(b *testing.B, fig int) {
 	b.Helper()
-	opts := benchOpts(scaleSweep)
+	req := benchFigureRequest(b, fig)
 	var last []core.Result
 	for i := 0; i < b.N; i++ {
-		results, err := core.CampaignRunner{}.RunFigure(fig, opts, benchOut())
+		results, err := core.CampaignRunner{}.Run(req, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
+		core.WriteFigure(benchOut(), fig, results)
 		last = results
 	}
 	summarize(b, last)
@@ -100,32 +103,32 @@ func BenchmarkTableI(b *testing.B) {
 
 // BenchmarkFig5 regenerates Figure 5: execution-time breakdown across
 // scaling sizes without failures.
-func BenchmarkFig5_BreakdownScaling_NoFailure(b *testing.B) { benchFigure(b, 5, true) }
+func BenchmarkFig5_BreakdownScaling_NoFailure(b *testing.B) { benchFigure(b, 5) }
 
 // BenchmarkFig6 regenerates Figure 6: breakdown across scaling sizes while
 // recovering from an injected process failure.
-func BenchmarkFig6_BreakdownScaling_Failure(b *testing.B) { benchFigure(b, 6, true) }
+func BenchmarkFig6_BreakdownScaling_Failure(b *testing.B) { benchFigure(b, 6) }
 
 // BenchmarkFig7 regenerates Figure 7: MPI recovery time vs. scale.
-func BenchmarkFig7_RecoveryTime_Scaling(b *testing.B) { benchFigure(b, 7, true) }
+func BenchmarkFig7_RecoveryTime_Scaling(b *testing.B) { benchFigure(b, 7) }
 
 // BenchmarkFig8 regenerates Figure 8: breakdown across input sizes without
 // failures.
-func BenchmarkFig8_BreakdownInputs_NoFailure(b *testing.B) { benchFigure(b, 8, false) }
+func BenchmarkFig8_BreakdownInputs_NoFailure(b *testing.B) { benchFigure(b, 8) }
 
 // BenchmarkFig9 regenerates Figure 9: breakdown across input sizes with an
 // injected failure.
-func BenchmarkFig9_BreakdownInputs_Failure(b *testing.B) { benchFigure(b, 9, false) }
+func BenchmarkFig9_BreakdownInputs_Failure(b *testing.B) { benchFigure(b, 9) }
 
 // BenchmarkFig10 regenerates Figure 10: recovery time vs. input size.
-func BenchmarkFig10_RecoveryTime_Inputs(b *testing.B) { benchFigure(b, 10, false) }
+func BenchmarkFig10_RecoveryTime_Inputs(b *testing.B) { benchFigure(b, 10) }
 
 // BenchmarkHeadlineRatios reproduces the §V-C ratio computation from the
 // Figure 6 matrix (Reinit vs ULFM vs Restart recovery).
 func BenchmarkHeadlineRatios(b *testing.B) {
-	opts := benchOpts(true)
+	req := benchFigureRequest(b, 6)
 	for i := 0; i < b.N; i++ {
-		results, err := core.CampaignRunner{}.RunFigure(6, opts, io.Discard)
+		results, err := core.CampaignRunner{}.Run(req, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

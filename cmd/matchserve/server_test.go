@@ -106,9 +106,25 @@ func tinyRequest() core.CampaignRequest {
 
 // The service must hand back exactly what an in-process run of the same
 // request produces: equal results, and a byte-identical table and CSV.
+// A paper figure is a request like any other: Fig. 6 narrowed to one app and
+// one scale goes through the same assertions.
 func TestServeCampaignEndToEnd(t *testing.T) {
+	fig6, err := core.FigureRequest(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig6.Apps, fig6.Scales = []string{"miniFE"}, []int{64}
+	t.Run("campaign", func(t *testing.T) { serveEndToEnd(t, tinyRequest()) })
+	t.Run("figure", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("64-proc figure cells skipped in -short mode")
+		}
+		serveEndToEnd(t, fig6)
+	})
+}
+
+func serveEndToEnd(t *testing.T, req core.CampaignRequest) {
 	_, ts := testServer(t, serverConfig{workers: 2}, 1)
-	req := tinyRequest()
 
 	v, code := submit(t, ts, req)
 	if code != http.StatusAccepted {
@@ -197,6 +213,13 @@ func TestServeRejectsBadRequests(t *testing.T) {
 		"unknown field": `{"appz": ["HPCCG"]}`,
 		"unknown app":   `{"apps": ["NotAnApp"], "max_faults": 0}`,
 		"bad factor":    `{"replica_factors": [2.0], "max_faults": 0}`,
+		"hostile k":     `{"max_faults": 1000000000}`,
+		"hostile procs": `{"procs": 1000000000}`,
+		"hostile reps":  `{"reps": 1000000000}`,
+		"two scales":    `{"scales": [64], "procs": 64}`,
+		"two inputs":    `{"inputs": ["Large"], "input": "Medium"}`,
+		"k range":       `{"min_faults": 2, "max_faults": 1}`,
+		"bad scale":     `{"scales": [100]}`,
 	} {
 		resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(body))
 		if err != nil {

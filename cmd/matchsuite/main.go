@@ -16,14 +16,16 @@
 //	matchsuite -replica-sweep 0,0.25,0.5,1.0   # PartRePer overhead-vs-ReplicaFactor curve
 //	matchsuite -hot-spare-sweep -max-faults 2   # respawn axis: crossover per hot-spare variant
 //	matchsuite -all -cache ~/.cache/match   # memoize cells; warm reruns simulate nothing
-//	matchsuite -campaign -server http://host:8080   # run the campaign on a matchserve instance
+//	matchsuite -fig 6 -server http://host:8080   # run the sweep on a matchserve instance
 //
-// Every mode runs its cells through one core.CampaignRunner, so -j,
-// -progress, -log, -pprof-http, -cache and -cache-entries apply to all of
-// them. Cells are memoized by content even without -cache (in memory, for
-// the invocation): -all enumerates 480 cells of which 272 are distinct —
-// Figs. 7 and 10 replot 6 and 9, and the Small-input cells of Figs. 8/9 are
-// the 64-process cells of 5/6 — and simulates only those.
+// Every figure, -ratios and -campaign is a core.CampaignRequest, run
+// in-process or on a matchserve instance (-server) and rendered locally
+// either way; every mode runs its cells through one core.CampaignRunner, so
+// -j, -progress, -log, -pprof-http, -cache and -cache-entries apply to all.
+// Cells are memoized by content even without -cache (in memory, for the
+// invocation): -all enumerates 480 cells of which 272 are distinct — Figs. 7
+// and 10 replot 6 and 9, and the Small-input cells of Figs. 8/9 are the
+// 64-process cells of 5/6 — and simulates only those.
 package main
 
 import (
@@ -67,7 +69,7 @@ func main() {
 	replicaSweep := flag.String("replica-sweep", "", "campaign the replica design over these ReplicaFactors (e.g. 0,0.25,0.5,1.0; 0 = replication off) and print the combined overhead-vs-ReplicaFactor curve")
 	hotSpareSweep := flag.Bool("hot-spare-sweep", false, "campaign the replica design with hot-spare respawn off and on and print the Replica-vs-Reinit crossover per variant")
 	modelIngress := flag.Bool("model-ingress", false, "serialize receiver NICs too (richer network model; shifts calibrated timings)")
-	serverURL := flag.String("server", "", "campaign mode: submit the request to a matchserve instance at this base URL instead of simulating in-process; output stays byte-identical")
+	serverURL := flag.String("server", "", "submit the sweep (-fig/-all/-ratios/-campaign) to a matchserve instance at this base URL instead of simulating in-process; output stays byte-identical")
 	cacheDir := flag.String("cache", "", "content-addressed result cache directory (empty: in-memory, this invocation only); cached cells are reused, simulated cells are stored")
 	cacheEntries := flag.Int("cache-entries", 0, "in-memory cache capacity in cells (0 = default)")
 	progress := flag.Bool("progress", true, "report per-cell completion, wall-clock, and throughput on stderr while a sweep runs (stdout stays byte-stable)")
@@ -119,8 +121,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-procs only applies to -campaign; figure sweeps take -scales")
 		os.Exit(2)
 	}
-	if *serverURL != "" && !*campaign {
-		fmt.Fprintln(os.Stderr, "-server only applies to -campaign (the service speaks CampaignRequest)")
+	if *serverURL != "" && *verify {
+		fmt.Fprintln(os.Stderr, "-verify checks its cells in-process; it cannot run on a -server")
 		os.Exit(2)
 	}
 	if *serverURL != "" && *cacheDir != "" {
@@ -177,10 +179,10 @@ func main() {
 		os.Exit(1)
 	}
 	stopProf := startProfiling(*cpuprofile, *memprofile, *pprofHTTP)
-	fail := func(err error) {
+	fail := func(status int, err error) {
 		fmt.Fprintln(os.Stderr, err)
 		stopProf()
-		os.Exit(1)
+		os.Exit(status)
 	}
 	sweepStart := time.Now()
 	// done/total count the current sweep; cellsDone and cellWall run over
@@ -200,16 +202,13 @@ func main() {
 	// The one execution environment every mode's cells run in.
 	rn := core.CampaignRunner{Workers: *workers, Progress: prog, Meter: meter, Log: elog, Store: st}
 
-	opts := core.SuiteOptions{Reps: *reps, Seed: *seed, ModelIngress: *modelIngress}
-	if len(detectors) == 1 {
-		opts.Detector = detectors[0]
-	}
-	if len(policies) == 1 {
-		opts.CkptPolicy = policies[0]
-	}
+	// base is what the flags say about every sweep; a mode adds its axes.
+	base := core.CampaignRequest{Reps: *reps, Seed: *seed, Detectors: detectors,
+		Policies: policies, ModelIngress: *modelIngress}
 	if *appsFlag != "" {
-		opts.Apps = strings.Split(*appsFlag, ",")
+		base.Apps = strings.Split(*appsFlag, ",")
 	}
+	var scales []int
 	if *scalesFlag != "" {
 		for _, s := range strings.Split(*scalesFlag, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(s))
@@ -217,46 +216,51 @@ func main() {
 				fmt.Fprintln(os.Stderr, "bad -scales:", err)
 				os.Exit(2)
 			}
-			opts.Scales = append(opts.Scales, v)
+			scales = append(scales, v)
 		}
+	}
+	// run is the one place a sweep executes. Local and remote runs return
+	// the same raw results and everything below renders from them, so a
+	// -server run is byte-identical to the in-process run of the request.
+	run := func(req core.CampaignRequest) []core.Result {
+		if err := req.Validate(); err != nil {
+			fail(2, err)
+		}
+		var results []core.Result
+		var err error
+		if *serverURL != "" {
+			results, err = runRemoteCampaign(*serverURL, req, *progress)
+		} else {
+			results, err = rn.Run(req, nil)
+		}
+		if err != nil {
+			fail(1, err)
+		}
+		return results
+	}
+	// Each figure's output is self-contained; the cells it shares with an
+	// earlier figure come out of the runner's store.
+	figure := func(n int) []core.Result {
+		req, err := figureRequest(n, base, scales)
+		if err != nil {
+			fail(1, err)
+		}
+		results := run(req)
+		core.WriteFigure(os.Stdout, n, results)
+		return results
 	}
 
 	switch {
 	case *list:
 		core.WriteTableI(os.Stdout)
 	case *campaign:
-		req := core.CampaignRequest{
-			Apps:           opts.Apps,
-			Procs:          *procs,
-			MaxFaults:      *maxFaults,
-			Reps:           *reps,
-			Seed:           *seed,
-			Detectors:      detectors,
-			Policies:       policies,
-			ReplicaFactors: factors,
-			ModelIngress:   *modelIngress,
-		}
+		req := base
+		req.Procs, req.MaxFaults, req.ReplicaFactors = *procs, *maxFaults, factors
 		if *hotSpareSweep {
 			req.HotSpares = []bool{false, true}
 		}
-		// Local and remote campaigns share every rendering path below, so a
-		// -server run is byte-identical to the in-process run of the same
-		// request: the service returns raw results and the table, analyses,
-		// and CSV are produced by the exact same code either way.
-		var results []core.Result
-		var err error
-		if *serverURL != "" {
-			results, err = runRemoteCampaign(*serverURL, req, *progress)
-			if err != nil {
-				fail(err)
-			}
-			core.WriteCampaign(os.Stdout, results)
-		} else {
-			results, err = rn.Run(req, os.Stdout)
-			if err != nil {
-				fail(err)
-			}
-		}
+		results := run(req)
+		core.WriteCampaign(os.Stdout, results)
 		if len(detectors) > 0 {
 			core.WriteDetectionTradeoff(os.Stdout, core.ComputeDetectionTradeoff(results))
 		}
@@ -278,35 +282,22 @@ func main() {
 		}
 		writeCSV(*csvPath, results)
 	case *verify:
-		if err := runVerify(rn, opts.Apps, *seed); err != nil {
-			fail(err)
+		if err := runVerify(rn, base.Apps, *seed); err != nil {
+			fail(1, err)
 		}
 	case *ratios:
-		results, err := rn.RunFigure(6, opts, os.Stdout)
-		if err != nil {
-			fail(err)
-		}
+		results := figure(6)
 		core.ComputeRatios(results).Write(os.Stdout)
 		writeCSV(*csvPath, results)
 	case *all:
 		var everything []core.Result
 		for _, f := range []int{5, 6, 7, 8, 9, 10} {
-			// Each figure's output is self-contained; the cells it shares
-			// with an earlier figure come out of the runner's store.
-			results, err := rn.RunFigure(f, opts, os.Stdout)
-			if err != nil {
-				fail(err)
-			}
-			everything = append(everything, results...)
+			everything = append(everything, figure(f)...)
 		}
 		core.ComputeRatios(everything).Write(os.Stdout)
 		writeCSV(*csvPath, everything)
 	case *fig != 0:
-		results, err := rn.RunFigure(*fig, opts, os.Stdout)
-		if err != nil {
-			fail(err)
-		}
-		writeCSV(*csvPath, results)
+		writeCSV(*csvPath, figure(*fig))
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -326,6 +317,22 @@ func main() {
 			cs.Hits, cs.Misses, cs.Puts, cs.Evictions, 100*cs.HitRate())
 	}
 	stopProf()
+}
+
+// figureRequest is figure n's sweep narrowed by the command line: base's
+// apps, repetitions, seed and ablation axes, and the -scales list — which
+// replaces the scaling sweep of Figs. 5-7, and moves the single scale
+// Figs. 8-10 run at when it names exactly one.
+func figureRequest(n int, base core.CampaignRequest, scales []int) (core.CampaignRequest, error) {
+	fig, err := core.FigureRequest(n)
+	req := base
+	req.Scales, req.Inputs, req.MinFaults, req.MaxFaults = fig.Scales, fig.Inputs, fig.MinFaults, fig.MaxFaults
+	if len(fig.Scales) > 0 && len(scales) > 0 {
+		req.Scales = scales
+	} else if len(scales) == 1 {
+		req.Procs = scales[0]
+	}
+	return req, err
 }
 
 // runRemoteCampaign submits the request to a matchserve instance, polls it

@@ -239,13 +239,15 @@ func TestCachedBreakdownRoundTrip(t *testing.T) {
 // with a store and requires every repeat to be a hit and every table to
 // match a store-less runner's byte for byte.
 func TestFiguresShareCells(t *testing.T) {
-	census := func(opts SuiteOptions) (cells, distinct int) {
+	figure := func(fig int, narrow func(*CampaignRequest)) CampaignRequest {
+		req := mustFigureRequest(fig)
+		narrow(&req)
+		return req
+	}
+	census := func(narrow func(*CampaignRequest)) (cells, distinct int) {
 		keys := map[string]bool{}
 		for fig := 5; fig <= 10; fig++ {
-			cfgs, err := FigureConfigs(fig, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cfgs := figure(fig, narrow).Configs()
 			for _, cfg := range cfgs {
 				k, err := CellKey(cfg, 1)
 				if err != nil {
@@ -257,10 +259,18 @@ func TestFiguresShareCells(t *testing.T) {
 		}
 		return cells, len(keys)
 	}
-	if c, d := census(SuiteOptions{}); c != 480 || d != 272 {
+	if c, d := census(func(*CampaignRequest) {}); c != 480 || d != 272 {
 		t.Fatalf("full evaluation: %d cells, %d distinct, want 480 and 272", c, d)
 	}
-	if c, d := census(SuiteOptions{Apps: []string{"HPCCG"}, Scales: []int{64, 128}}); c != 60 || d != 32 {
+	// What `matchsuite -all -apps HPCCG -scales 64,128` runs: the list
+	// narrows the scaling sweeps only.
+	hpccg := func(r *CampaignRequest) {
+		r.Apps = []string{"HPCCG"}
+		if len(r.Scales) > 0 {
+			r.Scales = []int{64, 128}
+		}
+	}
+	if c, d := census(hpccg); c != 60 || d != 32 {
 		t.Fatalf("HPCCG at 64,128: %d cells, %d distinct, want 60 and 32", c, d)
 	}
 	if testing.Short() {
@@ -269,19 +279,30 @@ func TestFiguresShareCells(t *testing.T) {
 
 	// Six figures of four cells each, 8 distinct: at one scale and one
 	// input, Figs. 5 and 8 are the same cells, as are 6, 7, 9 and 10.
-	opts := SuiteOptions{Apps: []string{"miniFE"}, Scales: []int{64}, Inputs: []InputSize{Small}}
+	miniFE := func(r *CampaignRequest) {
+		r.Apps = []string{"miniFE"}
+		if len(r.Scales) > 0 {
+			r.Scales = []int{64}
+		} else {
+			r.Inputs = []InputSize{Small}
+		}
+	}
 	st := store.NewMemory(0)
 	shared, plain := CampaignRunner{Store: st}, CampaignRunner{}
 	byFig := map[int][]Result{}
 	for fig := 5; fig <= 10; fig++ {
+		req := figure(fig, miniFE)
 		var got, want bytes.Buffer
-		results, err := shared.RunFigure(fig, opts, &got)
+		results, err := shared.Run(req, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := plain.RunFigure(fig, opts, &want); err != nil {
+		WriteFigure(&got, fig, results)
+		unshared, err := plain.Run(req, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
+		WriteFigure(&want, fig, unshared)
 		if got.String() != want.String() {
 			t.Fatalf("fig %d differs with a store:\n%s\n---\n%s", fig, got.String(), want.String())
 		}

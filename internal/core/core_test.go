@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -184,12 +185,16 @@ func TestProcCounts(t *testing.T) {
 	}
 }
 
-func TestFigureConfigs(t *testing.T) {
-	opts := SuiteOptions{Apps: []string{"HPCCG"}, Scales: []int{64, 128}}
-	cfgs, err := FigureConfigs(5, opts)
-	if err != nil {
-		t.Fatal(err)
+func TestFigureRequest(t *testing.T) {
+	figure := func(fig int, narrow func(*CampaignRequest)) []Config {
+		req := mustFigureRequest(fig)
+		narrow(&req)
+		if err := req.Validate(); err != nil {
+			t.Fatalf("fig %d: %v", fig, err)
+		}
+		return req.Configs()
 	}
+	cfgs := figure(5, func(r *CampaignRequest) { r.Apps, r.Scales = []string{"HPCCG"}, []int{64, 128} })
 	// 2 scales x 4 designs, no fault.
 	if len(cfgs) != 8 {
 		t.Fatalf("fig5 configs = %d, want 8", len(cfgs))
@@ -199,21 +204,48 @@ func TestFigureConfigs(t *testing.T) {
 			t.Fatal("fig5 must not inject faults")
 		}
 	}
-	cfgs, err = FigureConfigs(9, SuiteOptions{Apps: []string{"AMG"}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfgs = figure(9, func(r *CampaignRequest) { r.Apps = []string{"AMG"} })
 	// 3 inputs x 4 designs with fault at the default scale.
 	if len(cfgs) != 12 {
 		t.Fatalf("fig9 configs = %d, want 12", len(cfgs))
 	}
 	for _, c := range cfgs {
-		if !c.InjectFault || c.Procs != DefaultProcs {
+		if c.FaultCount() != 1 || c.Procs != DefaultProcs {
 			t.Fatalf("bad fig9 config %+v", c)
 		}
 	}
-	if _, err := FigureConfigs(3, opts); err == nil {
+	// LULESH runs the cube process counts only, whatever the list offers.
+	cfgs = figure(6, func(r *CampaignRequest) { r.Apps = []string{"LULESH"} })
+	if len(cfgs) != 8 || cfgs[0].Procs != 64 || cfgs[7].Procs != 512 {
+		t.Fatalf("fig6 LULESH configs = %+v, want 4 designs at 64 and at 512", cfgs)
+	}
+	if _, err := FigureRequest(3); err == nil {
 		t.Fatal("figure 3 accepted")
+	}
+
+	// The k = 1 promise: a with-failure figure's cells are the k = 1 cells
+	// of the MaxFaults: 1 campaign at the same scale and input.
+	campaign := CampaignRequest{Apps: []string{"miniFE"}, MaxFaults: 1}.Configs()
+	var want []string
+	for _, c := range campaign {
+		if c.FaultCount() == 1 {
+			k, err := CellKey(c, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, k)
+		}
+	}
+	var got []string
+	for _, c := range figure(6, func(r *CampaignRequest) { r.Apps, r.Scales = []string{"miniFE"}, []int{64} }) {
+		k, err := CellKey(c, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, k)
+	}
+	if len(got) != 4 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("fig6 cell keys %v, campaign k=1 keys %v", got, want)
 	}
 }
 

@@ -10,8 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"match/internal/ckpt"
-	"match/internal/detect"
 	"match/internal/obs"
 	"match/internal/simnet"
 )
@@ -110,116 +108,6 @@ func RunAveraged(cfg Config, reps int) (Breakdown, []Result, error) {
 // up, so averaged breakdowns keep integer-typed fields.
 func divRound(sum int64, reps int) int64 {
 	return (sum + int64(reps)/2) / int64(reps)
-}
-
-// SuiteOptions selects the cells of a figure sweep; the environment they
-// run in is the CampaignRunner's.
-type SuiteOptions struct {
-	Apps   []string // default: all six
-	Scales []int    // default: Table I scales (filtered per app)
-	Inputs []InputSize
-	Reps   int // default 1 (the paper used 5)
-	Seed   int64
-	// Detector applies one detection strategy to every run of the sweep
-	// (ablation); the zero value keeps the per-design calibrated presets.
-	Detector detect.Config
-	// CkptPolicy applies one checkpoint-placement policy to every run of
-	// the sweep; the zero value keeps fixed-stride placement.
-	CkptPolicy ckpt.Config
-	// ModelIngress switches receiver-NIC serialization on for every run.
-	ModelIngress bool
-}
-
-func (o *SuiteOptions) fill() {
-	if len(o.Apps) == 0 {
-		o.Apps = TableIApps()
-	}
-	if len(o.Inputs) == 0 {
-		o.Inputs = InputSizes()
-	}
-	if o.Reps <= 0 {
-		o.Reps = 1
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-}
-
-// FigureConfigs enumerates the run matrix behind one of the paper's
-// figures (5-10). Figures 7 and 10 reuse the runs of 6 and 9.
-func FigureConfigs(fig int, opts SuiteOptions) ([]Config, error) {
-	opts.fill()
-	var out []Config
-	scaleSweep := fig == 5 || fig == 6 || fig == 7
-	fault := fig == 6 || fig == 7 || fig == 9 || fig == 10
-	if fig < 5 || fig > 10 {
-		return nil, fmt.Errorf("core: figure %d is not an evaluation figure (5-10)", fig)
-	}
-	for _, app := range opts.Apps {
-		var scales []int
-		if scaleSweep {
-			scales = ProcCounts(app)
-			if len(opts.Scales) > 0 {
-				scales = intersect(scales, opts.Scales)
-				if app == "LULESH" {
-					scales = filterCubes(scales)
-				}
-			}
-		} else {
-			scales = []int{DefaultProcs}
-			if len(opts.Scales) == 1 {
-				scales = opts.Scales
-			}
-		}
-		inputs := []InputSize{Small}
-		if !scaleSweep {
-			inputs = opts.Inputs
-		}
-		for _, procs := range scales {
-			for _, in := range inputs {
-				for _, d := range Designs() {
-					out = append(out, Config{
-						App:          app,
-						Design:       d,
-						Procs:        procs,
-						Input:        in,
-						InjectFault:  fault,
-						FaultSeed:    opts.Seed,
-						Detector:     opts.Detector,
-						CkptPolicy:   opts.CkptPolicy,
-						ModelIngress: opts.ModelIngress,
-					})
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
-func intersect(a, b []int) []int {
-	set := map[int]bool{}
-	for _, x := range b {
-		set[x] = true
-	}
-	var out []int
-	for _, x := range a {
-		if set[x] {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-func filterCubes(s []int) []int {
-	var out []int
-	for _, x := range s {
-		for c := 1; c*c*c <= x; c++ {
-			if c*c*c == x {
-				out = append(out, x)
-			}
-		}
-	}
-	return out
 }
 
 // Progress observes a sweep as it runs: invoked once per completed cell
@@ -367,38 +255,48 @@ func (rn CampaignRunner) Cells(cfgs []Config, reps int) ([]Result, error) {
 	return results[:failedAt.Load()], firstErr
 }
 
-// RunFigure executes a figure's run matrix on the runner's worker pool and
-// writes the paper-style table to w. It returns the raw results for
-// further analysis.
-func (rn CampaignRunner) RunFigure(fig int, opts SuiteOptions, w io.Writer) ([]Result, error) {
-	cfgs, err := FigureConfigs(fig, opts)
-	if err != nil {
-		return nil, err
-	}
-	opts.fill()
-	results, err := rn.Cells(cfgs, opts.Reps)
-	if err != nil {
-		return results, err
-	}
-	WriteFigure(w, fig, results)
-	return results, nil
+// figures is the paper's evaluation (§V), one row per figure: its sweep
+// (scaling sizes at the Small input, or input sizes at the default scale),
+// the failures each run recovers from, and whether it plots the recovery
+// time alone. Figures 7 and 10 replot the runs of 6 and 9.
+var figures = map[int]struct {
+	title                    string
+	faults                   int
+	scaleSweep, recoveryOnly bool
+}{
+	5:  {"Execution time breakdown in different scaling sizes, no process failures (Fig. 5)", 0, true, false},
+	6:  {"Execution time breakdown recovering from a process failure, scaling sizes (Fig. 6)", 1, true, false},
+	7:  {"Recovery time for different scaling sizes (Fig. 7)", 1, true, true},
+	8:  {"Execution time breakdown in different input problem sizes, no failures (Fig. 8)", 0, false, false},
+	9:  {"Execution time breakdown recovering from a process failure, input sizes (Fig. 9)", 1, false, false},
+	10: {"Recovery time for different input problem sizes (Fig. 10)", 1, false, true},
 }
 
-var figureTitles = map[int]string{
-	5:  "Execution time breakdown in different scaling sizes, no process failures (Fig. 5)",
-	6:  "Execution time breakdown recovering from a process failure, scaling sizes (Fig. 6)",
-	7:  "Recovery time for different scaling sizes (Fig. 7)",
-	8:  "Execution time breakdown in different input problem sizes, no failures (Fig. 8)",
-	9:  "Execution time breakdown recovering from a process failure, input sizes (Fig. 9)",
-	10: "Recovery time for different input problem sizes (Fig. 10)",
+// FigureRequest is the sweep behind one of the paper's figures (5-10) over
+// all of Table I; callers narrow it like any other request.
+func FigureRequest(fig int) (CampaignRequest, error) {
+	f, ok := figures[fig]
+	if !ok {
+		return CampaignRequest{}, fmt.Errorf("core: figure %d is not an evaluation figure (5-10)", fig)
+	}
+	req := CampaignRequest{MinFaults: f.faults, MaxFaults: f.faults}
+	if f.scaleSweep {
+		req.Scales = tableIScales()
+	} else {
+		req.Inputs = InputSizes()
+	}
+	return req, nil
 }
 
 // WriteFigure renders results in the layout of the paper's figure: one
 // block per application, one row per (x-axis value, design).
 func WriteFigure(w io.Writer, fig int, results []Result) {
-	fmt.Fprintf(w, "== %s ==\n", figureTitles[fig])
-	scaleSweep := fig <= 7
-	recoveryOnly := fig == 7 || fig == 10
+	f := figures[fig]
+	fmt.Fprintf(w, "== %s ==\n", f.title)
+	xLabel := "input"
+	if f.scaleSweep {
+		xLabel = "procs"
+	}
 	byApp := map[string][]Result{}
 	var apps []string
 	for _, r := range results {
@@ -410,19 +308,19 @@ func WriteFigure(w io.Writer, fig int, results []Result) {
 	sort.Strings(apps)
 	for _, app := range apps {
 		fmt.Fprintf(w, "\n-- %s --\n", app)
-		if recoveryOnly {
-			fmt.Fprintf(w, "%-8s %-12s %10s\n", xLabel(scaleSweep), "design", "recovery(s)")
+		if f.recoveryOnly {
+			fmt.Fprintf(w, "%-8s %-12s %10s\n", xLabel, "design", "recovery(s)")
 		} else {
 			fmt.Fprintf(w, "%-8s %-12s %12s %12s %12s %12s\n",
-				xLabel(scaleSweep), "design", "app(s)", "ckpt(s)", "recovery(s)", "total(s)")
+				xLabel, "design", "app(s)", "ckpt(s)", "recovery(s)", "total(s)")
 		}
 		for _, r := range byApp[app] {
 			x := fmt.Sprintf("%d", r.Config.Procs)
-			if !scaleSweep {
+			if !f.scaleSweep {
 				x = r.Config.Input.String()
 			}
 			bd := r.Breakdown
-			if recoveryOnly {
+			if f.recoveryOnly {
 				fmt.Fprintf(w, "%-8s %-12s %10.3f\n", x, r.Config.Design, bd.Recovery.Seconds())
 			} else {
 				fmt.Fprintf(w, "%-8s %-12s %12.3f %12.3f %12.3f %12.3f\n",
@@ -496,11 +394,4 @@ func describeParams(e TableIEntry) string {
 	default:
 		return fmt.Sprintf("%dx%dx%d, %d iters", p.NX, p.NY, p.NZ, p.MaxIter)
 	}
-}
-
-func xLabel(scaleSweep bool) string {
-	if scaleSweep {
-		return "procs"
-	}
-	return "input"
 }

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"match/internal/ckpt"
@@ -29,13 +30,14 @@ import (
 // instead of serving results the current simulator would not produce.
 var cacheVersion = 1
 
-// CampaignRequest is the canonical campaign description: the sweep axes as
-// pure data — for every app and design, campaigns of k = 0..MaxFaults
-// scheduled failures, optionally multiplied by the detection, placement,
-// replication and respawn axes. Its canonical JSON encoding (defaults
-// filled, version-stamped) is the campaign's identity — two requests that
-// run the same cells hash identically even when one spells the defaults
-// out and the other leaves them zero.
+// CampaignRequest is the canonical sweep description, the only one: the
+// axes as pure data — for every app and design, campaigns of k =
+// MinFaults..MaxFaults scheduled failures at each scale and input size,
+// optionally multiplied by the detection, placement, replication and
+// respawn axes; a paper figure is one (FigureRequest). Its canonical JSON
+// encoding (defaults filled, version-stamped) is the campaign's identity —
+// two requests that run the same cells hash identically even when one
+// spells the defaults out and the other leaves them zero.
 type CampaignRequest struct {
 	// Apps lists the proxy applications (default: all of Table I).
 	Apps []string `json:"apps,omitempty"`
@@ -43,10 +45,18 @@ type CampaignRequest struct {
 	Designs []Design  `json:"designs,omitempty"`
 	Procs   int       `json:"procs,omitempty"` // default: DefaultProcs
 	Input   InputSize `json:"input,omitempty"`
-	// MaxFaults is K: the sweep covers k = 0..K failures per run. Zero is
-	// meaningful — a failure-free baseline-only sweep; negative selects the
-	// default of 3. Deliberately not omitempty: an explicit zero must
-	// survive the wire.
+	// Scales replaces Procs with a scaling sweep: each app runs the listed
+	// scales Table I prescribes for it (LULESH: cubes only), in its order.
+	Scales []int `json:"scales,omitempty"`
+	// Inputs replaces Input with an input-size sweep, in the listed order.
+	Inputs []InputSize `json:"inputs,omitempty"`
+	// MinFaults starts the failure-count axis above zero: the paper's
+	// with-failure figures are k = 1 only.
+	MinFaults int `json:"min_faults,omitempty"`
+	// MaxFaults is K: the sweep covers k = MinFaults..K failures per run.
+	// Zero is meaningful — a failure-free baseline-only sweep; negative
+	// selects the default of 3. Deliberately not omitempty: an explicit
+	// zero must survive the wire.
 	MaxFaults int   `json:"max_faults"`
 	Reps      int   `json:"reps,omitempty"` // repetitions per cell (default 1)
 	Seed      int64 `json:"seed,omitempty"` // fault seed (default 1)
@@ -85,9 +95,15 @@ func (r CampaignRequest) Canonical() CampaignRequest {
 	if len(r.Designs) == 0 {
 		r.Designs = Designs()
 	}
-	if r.Procs == 0 {
+	if r.Procs == 0 && len(r.Scales) == 0 {
 		r.Procs = DefaultProcs
 	}
+	// Output order is Table I's whatever the spelling, so {128,64} and
+	// {64,128} are one campaign; input order is row order and stays.
+	r.Scales = dedupe(r.Scales)
+	slices.Sort(r.Scales)
+	r.Inputs = dedupe(r.Inputs)
+	r.MinFaults = max(r.MinFaults, 0)
 	if r.MaxFaults < 0 {
 		r.MaxFaults = 3
 	}
@@ -106,7 +122,7 @@ func (r CampaignRequest) Canonical() CampaignRequest {
 	if len(r.ReplicaFactors) > 0 {
 		r.Designs = []Design{ReplicaFTI}
 	}
-	r.HotSpares = dedupeBools(r.HotSpares)
+	r.HotSpares = dedupe(r.HotSpares)
 	if len(r.HotSpares) == 0 {
 		r.HotSpares = []bool{false}
 	}
@@ -139,19 +155,51 @@ func (r CampaignRequest) Hash() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// Validate rejects requests that could never run: out-of-range axes here,
-// and — by resolving every cell the way Run will — unknown applications,
-// bad input sizes, and detector or placement configurations a cell would
-// fail on. The HTTP service turns the error into a 400 before queueing.
+// What a request arriving from outside may ask for. The paper's largest
+// scale is 512 processes and its whole evaluation 480 cells.
+const (
+	maxProcs  = 512
+	maxFaults = 16
+	maxReps   = 32
+	maxCells  = 2048
+)
+
+// Validate rejects requests that could never run: out-of-range axes and
+// oversized sweeps first — arithmetically, before any cell exists — and
+// then, by resolving every cell the way Run will, unknown applications, bad
+// input sizes, and detector or placement configurations a cell would fail
+// on. The HTTP service turns the error into a 400 before queueing.
 func (r CampaignRequest) Validate() error {
 	c := r.Canonical()
-	if c.Procs < 1 {
-		return fmt.Errorf("core: campaign procs %d out of range", c.Procs)
+	switch {
+	case len(c.Scales) > 0 && c.Procs != 0:
+		return fmt.Errorf("core: campaign sets both procs and scales")
+	case len(c.Inputs) > 0 && c.Input != Small:
+		return fmt.Errorf("core: campaign sets both input and inputs")
+	case len(c.Scales) == 0 && (c.Procs < 1 || c.Procs > maxProcs):
+		return fmt.Errorf("core: campaign procs %d out of range (1..%d)", c.Procs, maxProcs)
+	case r.MinFaults < 0 || c.MinFaults > c.MaxFaults:
+		return fmt.Errorf("core: campaign min_faults %d outside 0..max_faults (%d)", r.MinFaults, c.MaxFaults)
+	case c.MaxFaults > maxFaults:
+		return fmt.Errorf("core: campaign max_faults %d above %d", c.MaxFaults, maxFaults)
+	case c.Reps > maxReps:
+		return fmt.Errorf("core: campaign reps %d above %d", c.Reps, maxReps)
+	}
+	for _, p := range c.Scales {
+		if valid := tableIScales(); !slices.Contains(valid, p) {
+			return fmt.Errorf("core: campaign scale %d is not a Table I scale %v", p, valid)
+		}
 	}
 	for _, f := range c.ReplicaFactors {
 		if f < 0 || f > 1 {
 			return fmt.Errorf("core: replica factor %g outside [0,1]", f)
 		}
+	}
+	switch n := c.cellCount(); {
+	case n == 0: // LULESH at 128
+		return fmt.Errorf("core: Table I prescribes none of the scales %v for the apps %v", c.Scales, c.Apps)
+	case n > maxCells:
+		return fmt.Errorf("core: campaign enumerates more than %d cells", maxCells)
 	}
 	for _, cfg := range c.Configs() {
 		if _, err := resolve(cfg, c.Reps); err != nil {
@@ -161,49 +209,91 @@ func (r CampaignRequest) Validate() error {
 	return nil
 }
 
-// Configs enumerates the campaign run matrix: app x detector x policy x
-// factor x k x design (x hot-spare for the replica design), k =
-// 0..MaxFaults. A k=1 cell is configured exactly like the paper's
-// single-failure runs (same seed, same draw), so campaign output embeds
-// the calibrated Figure 6/9 numbers verbatim.
+// scalesOf lists the process counts a canonical request runs app at: Procs,
+// or the listed scales Table I prescribes for the app, in Table I order.
+func (r CampaignRequest) scalesOf(app string) []int {
+	if len(r.Scales) == 0 {
+		return []int{r.Procs}
+	}
+	return slices.DeleteFunc(ProcCounts(app), func(p int) bool { return !slices.Contains(r.Scales, p) })
+}
+
+// cellCount is len(Configs()) of a canonical request from the axis lengths
+// alone, saturating at maxCells+1: every factor is bounded by the request's
+// size, so the running product cannot overflow.
+func (r CampaignRequest) cellCount() int {
+	perK := len(r.Designs)
+	for _, d := range r.Designs {
+		if d == ReplicaFTI {
+			perK += len(r.HotSpares) - 1
+		}
+	}
+	n := 0
+	for _, app := range r.Apps {
+		n += len(r.scalesOf(app))
+	}
+	for _, f := range []int{len(r.Detectors), len(r.Policies), max(len(r.ReplicaFactors), 1),
+		max(len(r.Inputs), 1), r.MaxFaults - r.MinFaults + 1, perK} {
+		if n *= f; n > maxCells {
+			return maxCells + 1
+		}
+	}
+	return n
+}
+
+// Configs enumerates the run matrix: app x detector x policy x factor x
+// scale x input x k x design (x hot-spare for the replica design), k =
+// MinFaults..MaxFaults — the one place sweep cells are enumerated. A k=1
+// cell is configured exactly like the paper's single-failure runs (same
+// seed, same draw), so campaign output embeds the calibrated Figure 6/9
+// numbers verbatim.
 func (r CampaignRequest) Configs() []Config {
 	r = r.Canonical()
 	factors := r.ReplicaFactors
 	if len(factors) == 0 {
 		factors = []float64{-1} // sentinel: leave Config.Replica alone
 	}
+	inputs := r.Inputs
+	if len(inputs) == 0 {
+		inputs = []InputSize{r.Input}
+	}
 	var out []Config
 	for _, app := range r.Apps {
+		scales := r.scalesOf(app)
 		for _, dc := range r.Detectors {
 			for _, pc := range r.Policies {
 				for _, rf := range factors {
-					for k := 0; k <= r.MaxFaults; k++ {
-						for _, d := range r.Designs {
-							// Respawn is a replica-only axis: the other
-							// designs run each cell exactly once, whatever
-							// the swept variant list contains.
-							variants := []bool{false}
-							if d == ReplicaFTI {
-								variants = r.HotSpares
-							}
-							for _, hs := range variants {
-								cfg := Config{
-									App:          app,
-									Design:       d,
-									Procs:        r.Procs,
-									Input:        r.Input,
-									InjectFault:  k > 0,
-									Faults:       k,
-									FaultSeed:    r.Seed,
-									Detector:     dc,
-									CkptPolicy:   pc,
-									HotSpare:     hs,
-									ModelIngress: r.ModelIngress,
+					for _, procs := range scales {
+						for _, in := range inputs {
+							for k := r.MinFaults; k <= r.MaxFaults; k++ {
+								for _, d := range r.Designs {
+									// Respawn is a replica-only axis: the other
+									// designs run each cell exactly once, whatever
+									// the swept variant list contains.
+									variants := []bool{false}
+									if d == ReplicaFTI {
+										variants = r.HotSpares
+									}
+									for _, hs := range variants {
+										cfg := Config{
+											App:          app,
+											Design:       d,
+											Procs:        procs,
+											Input:        in,
+											InjectFault:  k > 0,
+											Faults:       k,
+											FaultSeed:    r.Seed,
+											Detector:     dc,
+											CkptPolicy:   pc,
+											HotSpare:     hs,
+											ModelIngress: r.ModelIngress,
+										}
+										if rf >= 0 {
+											cfg.Replica = replicaConfigFor(rf)
+										}
+										out = append(out, cfg)
+									}
 								}
-								if rf >= 0 {
-									cfg.Replica = replicaConfigFor(rf)
-								}
-								out = append(out, cfg)
 							}
 						}
 					}
@@ -215,9 +305,9 @@ func (r CampaignRequest) Configs() []Config {
 }
 
 // CampaignRunner is the execution environment every sweep runs in — a
-// CampaignRequest's matrix (Run), a figure's (RunFigure), or any other list
-// of cells (Cells) — everything that is not cell identity. The zero value
-// runs in-process on GOMAXPROCS workers with no observers and no cache.
+// CampaignRequest's matrix (Run) or any other list of cells (Cells) —
+// everything that is not cell identity. The zero value runs in-process on
+// GOMAXPROCS workers with no observers and no cache.
 type CampaignRunner struct {
 	// Workers bounds the sweep worker pool; 0 means GOMAXPROCS.
 	Workers int
@@ -252,11 +342,11 @@ func (rn CampaignRunner) Run(req CampaignRequest, w io.Writer) ([]Result, error)
 	return results, nil
 }
 
-// dedupeBools keeps the first occurrence of each variant, in order, so a
-// repeated axis entry cannot duplicate campaign cells.
-func dedupeBools(vs []bool) []bool {
-	var out []bool
-	seen := map[bool]bool{}
+// dedupe keeps the first occurrence of each axis value, in order, so a
+// repeated entry cannot duplicate campaign cells.
+func dedupe[T comparable](vs []T) []T {
+	var out []T
+	seen := map[T]bool{}
 	for _, v := range vs {
 		if !seen[v] {
 			seen[v] = true

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"match/internal/ckpt"
 	"match/internal/detect"
@@ -56,6 +58,9 @@ func TestRequestHashChangesPerAxis(t *testing.T) {
 		"designs":    {Designs: []Design{UlfmFTI}},
 		"procs":      {Procs: 128},
 		"input":      {Input: Medium},
+		"scales":     {Scales: []int{64}},
+		"inputs":     {Inputs: []InputSize{Small}},
+		"min_faults": {MinFaults: 1, MaxFaults: 1},
 		"max_faults": {MaxFaults: 2},
 		"reps":       {Reps: 3},
 		"seed":       {Seed: 2},
@@ -65,6 +70,7 @@ func TestRequestHashChangesPerAxis(t *testing.T) {
 		"hot_spares": {HotSpares: []bool{false, true}},
 		"ingress":    {ModelIngress: true},
 	}
+	seen := map[string]string{}
 	for name, req := range variants {
 		h, err := req.Hash()
 		if err != nil {
@@ -73,6 +79,72 @@ func TestRequestHashChangesPerAxis(t *testing.T) {
 		if h == base {
 			t.Errorf("%s axis does not change the request hash", name)
 		}
+		if other, ok := seen[h]; ok {
+			t.Errorf("%s and %s hash identically", name, other)
+		}
+		seen[h] = name
+	}
+}
+
+// goldenRequests are the identities other things stand on: the first six
+// were computed at the commit before Scales, Inputs and MinFaults existed
+// (a request that sets none of them must encode as it did then — they are
+// bench/'s campaign IDs and every matchserve client's), the rest are the
+// paper's figures. Like TestCellKeyGolden, never update a hash for a
+// refactor: a changed one orphans every stored campaign ID.
+var goldenRequests = []struct {
+	name string
+	req  CampaignRequest
+	hash string
+}{
+	{"empty", CampaignRequest{},
+		"e2b0c191dfb2bf5a40096bf32111b37fdebb873916bf5eb037992373bacacd91"},
+	{"determinism job", CampaignRequest{Apps: []string{"HPCCG"}, MaxFaults: 1, Seed: 7},
+		"137dfcc29a055d0c482174d4c850c2195f2bddbbe80c6dd535c92074bfd88822"},
+	{"bench serve-warm", CampaignRequest{Apps: []string{"AMG", "HPCCG", "LULESH", "miniFE"}, Procs: 8, MaxFaults: 0, Seed: 1},
+		"e7a93be858378cd1a4971b6a5ddfb252b0a020bc9eae9e2f1bee04cca5e18fda"},
+	{"bench serve-overlap", CampaignRequest{Apps: []string{"AMG", "miniFE"}, Procs: 8, MaxFaults: 1, Seed: 1},
+		"bd2355f01d194b36fd57d18f8ef73da514115c4b662a096f4ea87e5667221585"},
+	{"bench campaign-ckpt", CampaignRequest{Apps: []string{"HPCCG"}, Designs: []Design{RestartFTI, ReinitFTI},
+		Procs: 8, MaxFaults: 1, Seed: 9, Policies: []ckpt.Config{{Kind: ckpt.MultiLevel, Stride: 2, L3Every: 1}}},
+		"37a4905bda16141c4d2e7e7f6227120b6488978aadebddabcac94cb89f47804f"},
+	{"replica sweep", CampaignRequest{Apps: []string{"HPCCG"}, MaxFaults: 2, ReplicaFactors: []float64{0, 0.5},
+		HotSpares: []bool{true, false, true}},
+		"95924ff9334281eda71847c91f6e68115945439e04552b58d4c4fdbf016c1612"},
+	{"fig 5", mustFigureRequest(5), "bff3a3bf8751af84edb18156456fc368ffff81fb61932d974a3647f4c770d999"},
+	{"fig 6", mustFigureRequest(6), "5c596932abd8cfb6eb93931f416fe2eb25ccf2cc60a5ea20b9db0ef4eff45697"},
+	// Figs. 7 and 10 replot the runs of 6 and 9: same request, same ID.
+	{"fig 7", mustFigureRequest(7), "5c596932abd8cfb6eb93931f416fe2eb25ccf2cc60a5ea20b9db0ef4eff45697"},
+	{"fig 8", mustFigureRequest(8), "56b319508825c476ba400766320b61e1639b20d1d6a33b449f38afbdaac5a979"},
+	{"fig 9", mustFigureRequest(9), "23f34ad88f88c800e9490ad8cc1d477c0b6c974f81db66158ff64fc6a0d92c1d"},
+	{"fig 10", mustFigureRequest(10), "23f34ad88f88c800e9490ad8cc1d477c0b6c974f81db66158ff64fc6a0d92c1d"},
+}
+
+func mustFigureRequest(fig int) CampaignRequest {
+	req, err := FigureRequest(fig)
+	if err != nil {
+		panic(err)
+	}
+	return req
+}
+
+func TestRequestHashGolden(t *testing.T) {
+	for _, g := range goldenRequests {
+		if h, err := g.req.Hash(); err != nil || h != g.hash {
+			t.Errorf("%s: hash %s (%v), want %s", g.name, h, err, g.hash)
+		}
+	}
+	// Spelling does not make a new campaign: scale order and repeats on any
+	// axis are canonicalized away, and Canonical is a fixed point.
+	a := CampaignRequest{Scales: []int{128, 64, 128}, Inputs: []InputSize{Medium, Small, Medium}, MinFaults: -4}
+	b := CampaignRequest{Scales: []int{64, 128}, Inputs: []InputSize{Medium, Small}}
+	ha, _ := a.Hash()
+	hb, _ := b.Hash()
+	if ha != hb {
+		t.Errorf("respelled request hashes differently:\n%+v\n%+v", a.Canonical(), b.Canonical())
+	}
+	if c := a.Canonical(); !reflect.DeepEqual(c, c.Canonical()) {
+		t.Errorf("Canonical is not idempotent:\n%+v\n%+v", c, c.Canonical())
 	}
 }
 
@@ -99,6 +171,9 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 		Designs:   []Design{UlfmFTI, ReplicaFTI},
 		Procs:     16,
 		Input:     Medium,
+		Scales:    []int{64, 512},
+		Inputs:    []InputSize{Large, Small},
+		MinFaults: 1,
 		MaxFaults: 2,
 		Seed:      9,
 		Detectors: []detect.Config{{Kind: detect.Ring, HeartbeatPeriod: 50 * simnet.Millisecond}},
@@ -119,8 +194,8 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 	if want := `"designs":["ulfm","replica"]`; !strings.Contains(string(b), want) {
 		t.Fatalf("designs not rendered by name: %s", b)
 	}
-	if want := `"input":"Medium"`; !strings.Contains(string(b), want) {
-		t.Fatalf("input not rendered by name: %s", b)
+	if want := `"input":"Medium","scales":[64,512],"inputs":["Large","Small"],"min_faults":1`; !strings.Contains(string(b), want) {
+		t.Fatalf("input, scales, inputs, min_faults not rendered by name: %s", b)
 	}
 }
 
@@ -134,10 +209,43 @@ func TestRequestValidate(t *testing.T) {
 		{Procs: -1},
 		{Detectors: []detect.Config{{Kind: detect.Ring,
 			HeartbeatPeriod: 100 * simnet.Millisecond, DetectTimeout: simnet.Millisecond}}},
+		// Hostile axes are refused by arithmetic, before a cell exists: the
+		// whole table runs in well under a second.
+		{Procs: 1000000000},
+		{MaxFaults: 1000000000},
+		{Reps: 1000000000},
+		{MaxFaults: maxFaults, Detectors: make([]detect.Config, 8), Policies: make([]ckpt.Config, 8)},
+		{Apps: make([]string, 100000), Detectors: make([]detect.Config, 100000), Policies: make([]ckpt.Config, 100000)},
+		// The new axes.
+		{Procs: 64, Scales: []int{64}},
+		{Input: Medium, Inputs: []InputSize{Medium}},
+		{MinFaults: 2, MaxFaults: 1},
+		{MinFaults: -1},
+		{Scales: []int{100}},
+		{Apps: []string{"LULESH"}, Scales: []int{128}},
+		{Inputs: []InputSize{99}},
 	}
+	start := time.Now()
 	for i, req := range bad {
 		if err := req.Validate(); err == nil {
 			t.Errorf("bad request %d accepted", i)
+		}
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("rejecting %d bad requests took %v: a cap was checked after enumerating", len(bad), d)
+	}
+	if err := (CampaignRequest{Scales: []int{100}}).Validate(); err == nil || !strings.Contains(err.Error(), "[64 128 256 512]") {
+		t.Errorf("bad-scale error %v does not list the valid scales", err)
+	}
+	good := []CampaignRequest{
+		{Procs: maxProcs, MaxFaults: maxFaults, Reps: maxReps},
+		{Apps: []string{"LULESH"}, Scales: []int{64, 128, 256, 512}},
+		{Apps: []string{"LULESH", "HPCCG"}, Scales: []int{128}},
+		{Inputs: []InputSize{Small}}, // Input's zero value is Small: nothing is set twice
+	}
+	for i, req := range good {
+		if err := req.Validate(); err != nil {
+			t.Errorf("good request %d rejected: %v", i, err)
 		}
 	}
 }
@@ -335,4 +443,64 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(res, back) {
 		t.Fatalf("result round trip diverged:\n%+v\n%+v", res, back)
 	}
+}
+
+// FuzzCampaignRequest feeds the service's decode path arbitrary bodies. A
+// request Validate accepts has one identity however it is spelled or
+// re-encoded, enumerates exactly the cells the arithmetic count promised
+// (and no more than the cap), and every one of them has a cell key; a
+// request it rejects costs no enumeration. Nothing may panic.
+func FuzzCampaignRequest(f *testing.F) {
+	for _, g := range goldenRequests {
+		b, err := json.Marshal(g.req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, s := range []string{
+		`{"max_faults":1000000000}`,
+		`{"procs":1000000000}`,
+		`{"scales":[64],"procs":64}`,
+		`{"min_faults":2,"max_faults":1}`,
+		`{"scales":[100]}`,
+		`{"designs":[99]}`,
+		`{"hot_spares":[true,true,false]}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		var req CampaignRequest
+		if dec.Decode(&req) != nil || req.Validate() != nil {
+			return
+		}
+		c := req.Canonical()
+		if !reflect.DeepEqual(c, c.Canonical()) {
+			t.Fatalf("Canonical is not idempotent:\n%+v\n%+v", c, c.Canonical())
+		}
+		b, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back CampaignRequest
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatalf("canonical form %s does not decode: %v", b, err)
+		}
+		h1, err1 := req.Hash()
+		h2, err2 := back.Hash()
+		if err1 != nil || err2 != nil || h1 != h2 {
+			t.Fatalf("hash changed under re-encoding: %s (%v) -> %s (%v)\n%s", h1, err1, h2, err2, b)
+		}
+		cfgs := req.Configs()
+		if n := c.cellCount(); len(cfgs) != n || n > maxCells {
+			t.Fatalf("%d cells enumerated, %d counted, cap %d", len(cfgs), n, maxCells)
+		}
+		for _, cfg := range cfgs {
+			if _, err := CellKey(cfg, c.Reps); err != nil {
+				t.Fatalf("validated cell %+v has no key: %v", cfg, err)
+			}
+		}
+	})
 }

@@ -68,12 +68,15 @@ var tableI = map[string][3]row{
 	},
 }
 
+// tableIScales lists the scaling sizes of the paper's evaluation.
+func tableIScales() []int { return []int{64, 128, 256, 512} }
+
 // ProcCounts returns the process counts Table I prescribes for an app.
 func ProcCounts(app string) []int {
 	if app == "LULESH" {
 		return []int{64, 512} // cube process counts only, as in the paper
 	}
-	return []int{64, 128, 256, 512}
+	return tableIScales()
 }
 
 // DefaultProcs is the paper's default scaling size.

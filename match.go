@@ -59,12 +59,12 @@ type (
 	// as Config.Schedule for explicit campaigns, or let Config.Faults draw
 	// one deterministically from the seed.
 	FaultSchedule = fault.Schedule
-	// CampaignRequest is the canonical, serializable description of a
-	// multi-failure sweep (k = 0..MaxFaults failures per run, per app and
-	// design): the sweep axes as pure data. Its version-stamped canonical JSON
-	// (defaults filled) is the campaign's identity — the cache key, and the
-	// campaign ID on a matchserve instance. The zero value is the full
-	// default campaign.
+	// CampaignRequest is the canonical, serializable description of a sweep
+	// (k = MinFaults..MaxFaults failures per run, per app, design, scale and
+	// input size): the axes as pure data; a paper figure is one
+	// (FigureRequest). Its version-stamped canonical JSON (defaults filled)
+	// is the campaign's identity — the cache key, and the campaign ID on a
+	// matchserve instance. The zero value is the full default campaign.
 	CampaignRequest = core.CampaignRequest
 	// CampaignRunner is the execution environment every sweep runs in:
 	// worker pool size, progress/metering/logging observers, and an
@@ -75,7 +75,7 @@ type (
 	// a cell that panics or trips the virtual deadline is such an error,
 	// never a dead process);
 	// Run(req, w) is Cells over the request's matrix plus the per-app tables
-	// written to w, and RunFigure(fig, opts, w) the same for a paper figure.
+	// written to w.
 	CampaignRunner = core.CampaignRunner
 	// ResultStore is a content-addressed cell cache (in-memory LRU front,
 	// optional disk backing); share one across campaigns — or attach it to
@@ -155,6 +155,11 @@ func ParseFaultSchedule(spec string) (FaultSchedule, error) {
 func ComputeCrossover(results []Result) Crossover {
 	return core.ComputeCrossover(results)
 }
+
+// FigureRequest returns the sweep behind one of the paper's evaluation
+// figures (5-10) over all of Table I; narrow Apps or Scales like any other
+// request before running it.
+func FigureRequest(fig int) (CampaignRequest, error) { return core.FigureRequest(fig) }
 
 // WriteTableI renders the paper's Table I with the reproduction's
 // scaled-down equivalents.

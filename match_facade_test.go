@@ -116,6 +116,16 @@ func TestFacadeCampaignService(t *testing.T) {
 	if err != nil || len(id) != 64 {
 		t.Fatalf("Hash = %q, %v", id, err)
 	}
+	// A paper figure is a request too: Fig. 9 for one app is 3 inputs x 4
+	// designs, one failure each.
+	fig9, err := match.FigureRequest(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig9.Apps = []string{"AMG"}
+	if err := fig9.Validate(); err != nil || len(fig9.Configs()) != 12 {
+		t.Fatalf("Fig. 9 for AMG: %d cells, %v", len(fig9.Configs()), err)
+	}
 
 	st := match.NewMemoryResultStore(0)
 	rn := match.CampaignRunner{Workers: 2, Store: st}
