@@ -161,3 +161,14 @@ func SumAll(ctx *Context, v float64) (float64, error) {
 func MaxAll(ctx *Context, v float64) (float64, error) {
 	return mpi.AllreduceF64Scalar(ctx.R, ctx.World, v, mpi.OpMax)
 }
+
+// Grow returns s resized to n elements for a caller about to overwrite
+// them: the same storage when it is large enough — holding whatever it
+// held — and a fresh zeroed slice otherwise. It is how the kernels keep
+// their scratch from one step to the next.
+func Grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}

@@ -23,8 +23,8 @@ type Result struct {
 }
 
 // Run executes the app over n ranks for params.MaxIter steps and returns
-// the per-rank instances. The test fails on any error.
-func Run(t *testing.T, n int, params appkit.Params, factory func() appkit.App) Result {
+// the per-rank instances. The test (or benchmark) fails on any error.
+func Run(t testing.TB, n int, params appkit.Params, factory func() appkit.App) Result {
 	t.Helper()
 	if params.WorkScale == 0 {
 		params.WorkScale = 1

@@ -5,6 +5,16 @@
 // symplectic kick-drift form, which keeps the checkpointable state to
 // positions and velocities only (forces are recomputed), exactly what the
 // paper's data-object analysis selects for checkpointing.
+//
+// Forces come from link cells, as in CoMD itself: locals and ghosts are
+// counting-sorted into cells at least a cutoff wide laid over the atoms
+// present, and each local atom meets only its own and the adjacent cells.
+// The cells decide which pairs are looked at, never what is added: every
+// candidate goes through the same minimum-image and cutoff test, and the
+// accepted terms of an atom are summed in ascending neighbour index, locals
+// before ghosts — the order of a scan over all pairs. Virtual time comes
+// from ctx.Charge alone, so the kernel may get faster, but the Signature
+// keeps its bits only while that order holds.
 package comd
 
 import (
@@ -35,6 +45,8 @@ type App struct {
 	vx, vy, vz []float64        // velocities (protected)
 	fx, fy, fz []float64        // forces (recomputed)
 	gx, gy, gz []float64        // ghost positions
+
+	cells linkCells // forces scratch
 
 	pe, ke float64
 	energy float64 // last total energy (protected)
@@ -237,73 +249,195 @@ func (a *App) ghostAxis(ax int) []float64 {
 	}
 }
 
-// minImage wraps a displacement to the nearest periodic image.
-func (a *App) minImage(d float64, ax int) float64 {
-	L := a.glob[ax]
-	if d > L/2 {
-		d -= L
-	} else if d < -L/2 {
-		d += L
-	}
-	return d
-}
+// ljShift makes the potential continuous at the cutoff: e(cutoff) = 0.
+var ljShift = func() float64 {
+	s6 := math.Pow(sigma/cutoff, 6)
+	return 4 * epsilon * (s6*s6 - s6)
+}()
 
 // forces computes LJ forces and potential energy; ghosts must be current.
 func (a *App) forces(ctx *appkit.Context) {
 	n := len(a.x)
-	a.fx = grow(a.fx, n)
-	a.fy = grow(a.fy, n)
-	a.fz = grow(a.fz, n)
-	for i := 0; i < n; i++ {
-		a.fx[i], a.fy[i], a.fz[i] = 0, 0, 0
-	}
-	a.pe = 0
-	rc2 := cutoff * cutoff
-	// Shifted potential so e(cutoff)=0.
-	s6 := math.Pow(sigma/cutoff, 6)
-	eShift := 4 * epsilon * (s6*s6 - s6)
-	pairs := 0
-	pair := func(i int, xj, yj, zj float64, half bool) {
-		dx := a.minImage(a.x[i]-xj, 0)
-		dy := a.minImage(a.y[i]-yj, 1)
-		dz := a.minImage(a.z[i]-zj, 2)
-		r2 := dx*dx + dy*dy + dz*dz
-		if r2 >= rc2 || r2 == 0 {
-			return
-		}
-		inv2 := sigma * sigma / r2
-		inv6 := inv2 * inv2 * inv2
-		f := 24 * epsilon * inv6 * (2*inv6 - 1) / r2
-		a.fx[i] += f * dx
-		a.fy[i] += f * dy
-		a.fz[i] += f * dz
-		e := 4*epsilon*inv6*(inv6-1) - eShift
-		if half {
-			a.pe += e / 2
-		} else {
-			a.pe += e
-		}
-		pairs++
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if j != i {
-				pair(i, a.x[j], a.y[j], a.z[j], true)
-			}
-		}
-		for g := range a.gx {
-			pair(i, a.gx[g], a.gy[g], a.gz[g], true)
-		}
-	}
+	a.pairForces()
 	ctx.Charge(float64(n*(n+len(a.gx))) * 0.6)
-	_ = pairs
 }
 
-func grow(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+// pairTerm is one neighbour accepted for the atom being summed: the force
+// factor and minimum-image displacement, and half the pair energy.
+type pairTerm struct {
+	j          int32 // local j, or n+g for ghost g
+	f          float64
+	dx, dy, dz float64
+	halfE      float64
+}
+
+// pairForces evaluates each local atom against the atoms (local and ghost)
+// of its own and the adjacent link cells, and adds the accepted pairs in
+// ascending j with locals before ghosts — the order of the all-pairs scan
+// it replaces, so every force and the energy keep their bits.
+func (a *App) pairForces() {
+	n := len(a.x)
+	a.fx = appkit.Grow(a.fx, n)
+	a.fy = appkit.Grow(a.fy, n)
+	a.fz = appkit.Grow(a.fz, n)
+	a.pe = 0
+	lc := &a.cells
+	lc.sort(a)
+	rc2 := cutoff * cutoff
+	lx, ly, lz := a.glob[0], a.glob[1], a.glob[2]
+	hx, hy, hz := lx/2, ly/2, lz/2
+	near := lc.near
+	for i := 0; i < n; i++ {
+		xi, yi, zi := a.x[i], a.y[i], a.z[i]
+		cx, cy, cz := lc.coord(0, xi), lc.coord(1, yi), lc.coord(2, zi)
+		near = near[:0]
+		for kz := max(cz-1, 0); kz <= min(cz+1, lc.nc[2]-1); kz++ {
+			for ky := max(cy-1, 0); ky <= min(cy+1, lc.nc[1]-1); ky++ {
+				// The x neighbours of a cell follow each other in cell
+				// order: one run of candidates per (ky,kz).
+				row := (kz*lc.nc[1] + ky) * lc.nc[0]
+				from := lc.start[row+max(cx-1, 0)]
+				to := lc.start[row+min(cx+1, lc.nc[0]-1)+1]
+				js := lc.idx[from:to]
+				xs, ys, zs := lc.x[from:][:len(js)], lc.y[from:][:len(js)], lc.z[from:][:len(js)]
+				for s, j := range js {
+					if int(j) == i {
+						continue
+					}
+					dx, dy, dz := xi-xs[s], yi-ys[s], zi-zs[s]
+					// Minimum image: the nearest periodic copy.
+					if dx > hx {
+						dx -= lx
+					} else if dx < -hx {
+						dx += lx
+					}
+					if dy > hy {
+						dy -= ly
+					} else if dy < -hy {
+						dy += ly
+					}
+					if dz > hz {
+						dz -= lz
+					} else if dz < -hz {
+						dz += lz
+					}
+					r2 := dx*dx + dy*dy + dz*dz
+					if r2 >= rc2 || r2 == 0 {
+						continue
+					}
+					inv2 := sigma * sigma / r2
+					inv6 := inv2 * inv2 * inv2
+					f := 24 * epsilon * inv6 * (2*inv6 - 1) / r2
+					e := 4*epsilon*inv6*(inv6-1) - ljShift
+					near = append(near, pairTerm{j, f, dx, dy, dz, e / 2})
+				}
+			}
+		}
+		// A dozen terms from up to 27 cells: insertion sort by j.
+		for p := 1; p < len(near); p++ {
+			t := near[p]
+			q := p
+			for ; q > 0 && near[q-1].j > t.j; q-- {
+				near[q] = near[q-1]
+			}
+			near[q] = t
+		}
+		var fx, fy, fz float64
+		for _, t := range near {
+			fx += t.f * t.dx
+			fy += t.f * t.dy
+			fz += t.f * t.dz
+			a.pe += t.halfE
+		}
+		a.fx[i], a.fy[i], a.fz[i] = fx, fy, fz
 	}
-	return s[:n]
+	lc.near = near
+}
+
+// cellWidth is the least link-cell edge: a cutoff plus a margin that
+// dwarfs the rounding of the cell arithmetic, so two atoms within a cutoff
+// of each other along an axis are never more than one cell apart.
+const cellWidth = cutoff * (1 + 1e-6)
+
+// linkCells is pairForces' scratch, kept on the App and reused every step:
+// all atoms (local j as j, ghost g as n+g) counting-sorted by cell, their
+// positions copied alongside so a cell's atoms are contiguous.
+type linkCells struct {
+	origin, scale [3]float64
+	nc            [3]int // cells per axis
+
+	cell    []int32 // cell of each atom
+	start   []int32 // cell c's atoms are start[c]..start[c+1] of idx, x, y, z
+	next    []int32 // fill cursor per cell
+	idx     []int32 // atom index, ascending within a cell
+	x, y, z []float64
+
+	near []pairTerm
+}
+
+// coord is the cell coordinate of position v along axis ax.
+func (lc *linkCells) coord(ax int, v float64) int {
+	c := int((v - lc.origin[ax]) * lc.scale[ax])
+	if uint(c) >= uint(lc.nc[ax]) {
+		c = lc.nc[ax] - 1
+	}
+	return c
+}
+
+// sort lays the cells over the extent of the atoms present and bins them.
+// An axis the atoms fill to within a cutoff of the periodic box gets a
+// single cell: there two atoms at opposite ends can be neighbours through
+// the minimum image.
+func (lc *linkCells) sort(a *App) {
+	n, m := len(a.x), len(a.x)+len(a.gx)
+	for ax := 0; ax < 3; ax++ {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, vals := range [2][]float64{a.axisVals(ax), a.ghostAxis(ax)} {
+			for _, v := range vals {
+				if v < lo {
+					lo = v
+				}
+				if v > hi {
+					hi = v
+				}
+			}
+		}
+		lc.origin[ax], lc.scale[ax], lc.nc[ax] = lo, 0, 1
+		if ext := hi - lo; ext >= 2*cellWidth && ext <= a.glob[ax]-cellWidth {
+			lc.nc[ax] = int(ext / cellWidth)
+			lc.scale[ax] = float64(lc.nc[ax]) / ext
+		}
+	}
+	cells := lc.nc[0] * lc.nc[1] * lc.nc[2]
+	lc.cell, lc.idx = appkit.Grow(lc.cell, m), appkit.Grow(lc.idx, m)
+	lc.x, lc.y, lc.z = appkit.Grow(lc.x, m), appkit.Grow(lc.y, m), appkit.Grow(lc.z, m)
+	lc.start, lc.next = appkit.Grow(lc.start, cells+1), appkit.Grow(lc.next, cells)
+	clear(lc.start)
+
+	src := [2]struct {
+		first   int
+		x, y, z []float64
+	}{{0, a.x, a.y, a.z}, {n, a.gx, a.gy, a.gz}}
+	for _, s := range src {
+		for k := range s.x {
+			c := (lc.coord(2, s.z[k])*lc.nc[1]+lc.coord(1, s.y[k]))*lc.nc[0] + lc.coord(0, s.x[k])
+			lc.cell[s.first+k] = int32(c)
+			lc.start[c+1]++
+		}
+	}
+	for c := 0; c < cells; c++ {
+		lc.start[c+1] += lc.start[c]
+	}
+	copy(lc.next, lc.start)
+	for _, s := range src {
+		for k := range s.x {
+			c := lc.cell[s.first+k]
+			at := lc.next[c]
+			lc.next[c]++
+			lc.idx[at] = int32(s.first + k)
+			lc.x[at], lc.y[at], lc.z[at] = s.x[k], s.y[k], s.z[k]
+		}
+	}
 }
 
 // migrate moves atoms that left the local box to the owning neighbor,

@@ -154,28 +154,28 @@ func (a *App) Init(ctx *appkit.Context) error {
 }
 
 // spmv computes ap = A*p using the assembled stencils; p's ghosts must be
-// current.
+// current. The 27 products of a row are added in (dz,dy,dx) order.
 func (a *App) spmv() {
 	d := a.d
+	p, ap := a.p.V, a.ap.V
+	// Where the 27 neighbours sit in p relative to a node, in that order.
+	var offs [27]int
+	for k := range offs {
+		offs[k] = (k%3 - 1) + a.p.SX*((k/3%3-1)+a.p.SY*(k/9-1))
+	}
 	li := 0
 	for z := 1; z <= d.LZ; z++ {
 		for y := 1; y <= d.LY; y++ {
+			at := a.p.Idx(1, y, z)
 			for x := 1; x <= d.LX; x++ {
-				coeff := a.stencil[li]
 				sum := 0.0
-				ci := 0
-				for dz := -1; dz <= 1; dz++ {
-					for dy := -1; dy <= 1; dy++ {
-						for dx := -1; dx <= 1; dx++ {
-							c := coeff[ci]
-							ci++
-							if c != 0 {
-								sum += c * a.p.At(x+dx, y+dy, z+dz)
-							}
-						}
+				for k, c := range a.stencil[li] {
+					if c != 0 {
+						sum += c * p[at+offs[k]]
 					}
 				}
-				a.ap.Set(x, y, z, sum)
+				ap[at] = sum
+				at++
 				li++
 			}
 		}

@@ -8,6 +8,15 @@
 // The input graph is a deterministic synthetic generator (ring plus seeded
 // random long-range edges), standing in for miniVite's -l (random
 // geometric) generator at reduced scale.
+//
+// A sweep works on slices, not maps: a neighbour is an index into one label
+// array (owned vertices, then ghost slots assigned in Init), the labels in
+// sight are sorted once into need, and per-community quantities — sigma,
+// links, deltas — are arrays over positions in need. Everything that
+// travels is built from need, so each message lists labels in ascending
+// order. The move rule is order-independent (largest gain, then smallest
+// label) and the sums that reach the Signature are of integers, so the
+// representation is free to change where the messages and moves are not.
 package minivite
 
 import (
@@ -28,7 +37,9 @@ type App struct {
 	lo, hi     int // owned range [lo, hi)
 	rank, size int
 
-	adj [][]int // local adjacency (global vertex ids)
+	// adj lists each owned vertex's neighbours as indices into label:
+	// owned vertex v is v-lo, ghost slot s is (hi-lo)+s.
+	adj [][]int32
 	deg []float64
 	m2  float64 // 2m: total edge weight doubled
 
@@ -39,9 +50,27 @@ type App struct {
 	// plan: for each peer rank, which of our owned vertices they need
 	// labels for (their boundary neighbors), precomputed in Init.
 	pushPlan [][]int64
-	// remote neighbor labels cache: global id -> community.
-	remote map[int]int64
+	// ghosts are the remote neighbours of our vertices, ascending; a
+	// ghost's position here is its slot.
+	ghosts []int
+
+	// What follows is rebuilt every sweep into storage kept from the last.
+
+	label []int64    // community of every owned vertex, then of every ghost, as of the last refresh
+	need  []int64    // the distinct labels in label, ascending
+	runs  []ownerRun // need cut by owning rank
+	at    []int32    // label[k] is need[at[k]]
+	sigma []float64  // sigmaTot of need[p], fetched from its owner
+	links []float64  // edges from the vertex being moved into need[p]; zero between vertices
+	seen  []int32    // the p with links[p] != 0
+	delta []float64  // what this sweep's moves add to need[p]'s sigmaTot
+	moved []bool     // need[p] lost or gained a vertex this sweep
+	i64   []int64    // outgoing payloads
+	f64   []float64  // outgoing sigmaTot answers
 }
+
+// ownerRun says need[from:to] are the labels rank owner owns.
+type ownerRun struct{ owner, from, to int }
 
 // New returns a miniVite instance.
 func New() *App { return &App{} }
@@ -53,22 +82,10 @@ func (a *App) owner(v int) int {
 	return v * a.size / a.n
 }
 
+// ownedRange is the block [lo, hi) of vertices owner() maps to rank:
+// v*size/n == rank exactly when ceil(rank*n/size) <= v < ceil((rank+1)*n/size).
 func (a *App) ownedRange(rank int) (int, int) {
-	lo := (rank*a.n + a.size - 1) / a.size
-	_ = lo
-	// Block partition consistent with owner().
-	loV := 0
-	for v := 0; v < a.n; v++ {
-		if a.owner(v) == rank {
-			loV = v
-			break
-		}
-	}
-	hiV := loV
-	for v := loV; v < a.n && a.owner(v) == rank; v++ {
-		hiV = v + 1
-	}
-	return loV, hiV
+	return (rank*a.n + a.size - 1) / a.size, ((rank+1)*a.n + a.size - 1) / a.size
 }
 
 func hash64(v uint64) uint64 {
@@ -103,10 +120,10 @@ func (a *App) Init(ctx *appkit.Context) error {
 		window = 8
 	}
 	outbound := make(map[int][]int64)
+	nbrs := make([][]int, nLocal) // adjacency in global vertex ids
 	addLocal := func(v, u int) {
-		a.adj[v-a.lo] = append(a.adj[v-a.lo], u)
+		nbrs[v-a.lo] = append(nbrs[v-a.lo], u)
 	}
-	a.adj = make([][]int, nLocal)
 	for v := a.lo; v < a.hi; v++ {
 		next := (v + 1) % a.n
 		prev := (v - 1 + a.n) % a.n
@@ -136,7 +153,7 @@ func (a *App) Init(ctx *appkit.Context) error {
 	}
 	a.deg = make([]float64, nLocal)
 	localEdges := 0.0
-	for i, nb := range a.adj {
+	for i, nb := range nbrs {
 		a.deg[i] = float64(len(nb))
 		localEdges += a.deg[i]
 	}
@@ -153,32 +170,39 @@ func (a *App) Init(ctx *appkit.Context) error {
 		a.comm[i] = int64(a.lo + i)
 		a.sigmaTot[i] = a.deg[i]
 	}
-	a.remote = make(map[int]int64)
 
-	// Push plan: peers that neighbor our owned vertices.
-	subs := make([]map[int]bool, a.size)
-	for i, nb := range a.adj {
-		for _, u := range nb {
-			o := a.owner(u)
-			if o != a.rank {
-				if subs[o] == nil {
-					subs[o] = make(map[int]bool)
-				}
-				subs[o][a.lo+i] = true
-			}
-		}
-	}
+	// Ghost slots, and the push plan: the peers that neighbor our owned
+	// vertices, each with those vertices in ascending order.
+	a.ghosts = a.ghosts[:0]
 	a.pushPlan = make([][]int64, a.size)
-	for o, set := range subs {
-		if set == nil {
-			continue
-		}
-		for v := a.lo; v < a.hi; v++ {
-			if set[v] {
-				a.pushPlan[o] = append(a.pushPlan[o], int64(v))
+	for i, nb := range nbrs {
+		v := int64(a.lo + i)
+		for _, u := range nb {
+			if u >= a.lo && u < a.hi {
+				continue
+			}
+			a.ghosts = append(a.ghosts, u)
+			o := a.owner(u)
+			if l := a.pushPlan[o]; len(l) == 0 || l[len(l)-1] != v {
+				a.pushPlan[o] = append(l, v)
 			}
 		}
 	}
+	slices.Sort(a.ghosts)
+	a.ghosts = slices.Compact(a.ghosts)
+	a.adj = make([][]int32, nLocal)
+	for i, nb := range nbrs {
+		a.adj[i] = make([]int32, len(nb))
+		for k, u := range nb {
+			if u >= a.lo && u < a.hi {
+				a.adj[i][k] = int32(u - a.lo)
+			} else {
+				slot, _ := slices.BinarySearch(a.ghosts, u)
+				a.adj[i][k] = int32(nLocal + slot)
+			}
+		}
+	}
+	a.label = make([]int64, nLocal+len(a.ghosts))
 
 	ctx.FTI.Protect(1, fti.I64s{P: &a.comm})
 	ctx.FTI.Protect(2, fti.F64s{P: &a.sigmaTot})
@@ -187,30 +211,36 @@ func (a *App) Init(ctx *appkit.Context) error {
 }
 
 // refreshRemote pushes our boundary vertices' labels to subscribers and
-// rebuilds the remote label cache (one sparse exchange, like miniVite's
-// ghost communication).
+// brings label up to date: the ghosts from what the peers pushed (one sparse
+// exchange, like miniVite's ghost communication), our own from comm.
 func (a *App) refreshRemote(ctx *appkit.Context) error {
+	// Every payload is a stretch of one buffer; the exchange copies it out.
+	buf := a.i64[:0]
 	send := make(map[int][]int64)
 	for o, list := range a.pushPlan {
 		if len(list) == 0 {
 			continue
 		}
-		payload := make([]int64, 0, 2*len(list))
+		from := len(buf)
 		for _, v := range list {
-			payload = append(payload, v, a.comm[int(v)-a.lo])
+			buf = append(buf, v, a.comm[int(v)-a.lo])
 		}
-		send[o] = payload
+		send[o] = buf[from:]
 	}
+	a.i64 = buf
 	recv, err := mpi.SparseExchangeI64(ctx.R, ctx.World, send)
 	if err != nil {
 		return err
 	}
-	for _, src := range sortedKeys(recv) {
-		vals := recv[src]
+	nLocal := a.hi - a.lo
+	for _, vals := range recv {
 		for i := 0; i+1 < len(vals); i += 2 {
-			a.remote[int(vals[i])] = vals[i+1]
+			if slot, ok := slices.BinarySearch(a.ghosts, int(vals[i])); ok {
+				a.label[nLocal+slot] = vals[i+1]
+			}
 		}
 	}
+	copy(a.label, a.comm)
 	return nil
 }
 
@@ -223,49 +253,108 @@ func sortedKeys(m map[int][]int64) []int {
 	return out
 }
 
-// communityOf returns the current community of any vertex we can see.
-func (a *App) communityOf(v int) int64 {
-	if v >= a.lo && v < a.hi {
-		return a.comm[v-a.lo]
+// indexLabels lists the communities of interest — our vertices' and their
+// neighbours' — as need, cut into one run per owning rank (need ascends and
+// owner() never decreases), and points every entry of label at its place
+// in need, so the sweep works on small dense integers.
+func (a *App) indexLabels() {
+	a.need = append(a.need[:0], a.label...)
+	slices.Sort(a.need)
+	a.need = slices.Compact(a.need)
+	a.runs = a.runs[:0]
+	for p, c := range a.need {
+		if o := a.owner(int(c)); p == 0 || a.runs[len(a.runs)-1].owner != o {
+			a.runs = append(a.runs, ownerRun{owner: o, from: p})
+		}
+		a.runs[len(a.runs)-1].to = p + 1
 	}
-	return a.remote[v]
+	a.at = appkit.Grow(a.at, len(a.label))
+	for k, c := range a.label {
+		p, _ := slices.BinarySearch(a.need, c)
+		a.at[k] = int32(p)
+	}
 }
 
-// fetchSigma gathers sigmaTot for a set of community labels from their
-// owners (request/response, two sparse exchanges).
-func (a *App) fetchSigma(ctx *appkit.Context, labels map[int64]bool) (map[int64]float64, error) {
-	reqs := make(map[int][]int64)
-	for c := range labels {
-		o := a.owner(int(c))
-		reqs[o] = append(reqs[o], c)
-	}
-	for _, v := range reqs {
-		slices.Sort(v)
+// fetchSigma gathers sigmaTot for the labels in need from their owners
+// (request/response, two sparse exchanges) into sigma.
+func (a *App) fetchSigma(ctx *appkit.Context) error {
+	reqs := make(map[int][]int64, len(a.runs))
+	for _, r := range a.runs {
+		reqs[r.owner] = a.need[r.from:r.to]
 	}
 	got, err := mpi.SparseExchangeI64(ctx.R, ctx.World, reqs)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	resp := make(map[int][]byte)
+	resp := make(map[int][]byte, len(got))
 	for o, asked := range got {
-		vals := make([]float64, len(asked))
+		a.f64 = appkit.Grow(a.f64, len(asked))
 		for i, c := range asked {
-			vals[i] = a.sigmaTot[int(c)-a.lo]
+			a.f64[i] = a.sigmaTot[int(c)-a.lo]
 		}
-		resp[o] = enc.Float64sToBytes(vals)
+		resp[o] = enc.Float64sToBytes(a.f64)
 	}
 	back, err := mpi.SparseExchange(ctx.R, ctx.World, resp)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make(map[int64]float64, len(labels))
-	for o, b := range back {
-		vals := enc.BytesToFloat64s(b)
-		for i, c := range reqs[o] {
-			out[c] = vals[i]
+	a.sigma = appkit.Grow(a.sigma, len(a.need))
+	for _, r := range a.runs {
+		if len(back[r.owner]) != 8*(r.to-r.from) {
+			return fmt.Errorf("minivite: rank %d answered %d bytes for %d labels", r.owner, len(back[r.owner]), r.to-r.from)
+		}
+		enc.FillFloat64s(a.sigma[r.from:r.to], back[r.owner])
+	}
+	return nil
+}
+
+// sweep makes the best modularity-gain move of every owned vertex whose
+// parity is iter's — the standard trick against label oscillation — and
+// records what the moves do to the community totals in delta and moved.
+// Every decision reads label and sigma as they were when the sweep began.
+// The choice does not depend on the order candidates are met in: the
+// largest gain wins, and among equal positive gains the smallest label.
+func (a *App) sweep(iter int) {
+	a.links = appkit.Grow(a.links, len(a.need))
+	a.delta = appkit.Grow(a.delta, len(a.need))
+	a.moved = appkit.Grow(a.moved, len(a.need))
+	clear(a.delta)
+	clear(a.moved)
+	seen := a.seen
+	for i, nb := range a.adj {
+		if (a.lo+i)%2 != iter%2 {
+			continue
+		}
+		// Links from v to each candidate community.
+		seen = seen[:0]
+		for _, k := range nb {
+			p := a.at[k]
+			if a.links[p] == 0 {
+				seen = append(seen, p)
+			}
+			a.links[p]++
+		}
+		cur, ki := a.at[i], a.deg[i]
+		kcur := a.links[cur]
+		scur := a.sigma[cur] - ki // community totals without v
+		best, bestGain := cur, 0.0
+		for _, p := range seen {
+			if p != cur {
+				gain := a.links[p] - kcur - ki*(a.sigma[p]-scur)/a.m2
+				if gain > bestGain || (gain == bestGain && gain > 0 && p < best) {
+					best, bestGain = p, gain
+				}
+			}
+			a.links[p] = 0
+		}
+		if best != cur {
+			a.delta[cur] -= ki
+			a.delta[best] += ki
+			a.moved[cur], a.moved[best] = true, true
+			a.comm[i] = a.need[best]
 		}
 	}
-	return out, nil
+	a.seen = seen
 }
 
 // Step implements appkit.App: one Louvain phase-1 sweep. All move
@@ -276,73 +365,28 @@ func (a *App) Step(ctx *appkit.Context, iter int) error {
 	if err := a.refreshRemote(ctx); err != nil {
 		return err
 	}
-	snapshot := append([]int64(nil), a.comm...)
-	commAt := func(v int) int64 {
-		if v >= a.lo && v < a.hi {
-			return snapshot[v-a.lo]
-		}
-		return a.remote[v]
-	}
-	// Communities of interest: neighbors' communities plus our own.
-	need := make(map[int64]bool)
-	for i, nb := range a.adj {
-		need[snapshot[i]] = true
-		for _, u := range nb {
-			need[commAt(u)] = true
-		}
-	}
-	sigma, err := a.fetchSigma(ctx, need)
-	if err != nil {
+	a.indexLabels()
+	if err := a.fetchSigma(ctx); err != nil {
 		return err
 	}
-	// Best-gain moves. Only even (odd) vertices move on even (odd)
-	// iterations, the standard trick against label oscillation.
-	deltas := make(map[int64]float64) // community -> sigmaTot delta
-	moves := 0
-	for i, nb := range a.adj {
-		v := a.lo + i
-		if v%2 != iter%2 {
-			continue
-		}
-		cur := snapshot[i]
-		// Links from v to each candidate community.
-		links := make(map[int64]float64)
-		for _, u := range nb {
-			links[commAt(u)]++
-		}
-		ki := a.deg[i]
-		best, bestGain := cur, 0.0
-		for c, kin := range links {
-			if c == cur {
-				continue
-			}
-			sc := sigma[c]
-			scur := sigma[cur] - ki // community totals without v
-			gain := kin - links[cur] - ki*(sc-scur)/a.m2
-			if gain > bestGain || (gain == bestGain && gain > 0 && c < best) {
-				best, bestGain = c, gain
-			}
-		}
-		if best != cur {
-			deltas[cur] -= ki
-			deltas[best] += ki
-			a.comm[i] = best
-			moves++
-		}
-	}
+	a.sweep(iter)
 	ctx.Charge(float64(len(a.adj)) * (2*extraDegree + 8))
 	// Ship sigmaTot deltas to the community owners, as (label, delta) pairs
 	// in label order.
-	moved := make([]int64, 0, len(deltas))
-	for c := range deltas {
-		moved = append(moved, c)
-	}
-	slices.Sort(moved)
+	buf := a.i64[:0]
 	out := make(map[int][]int64)
-	for _, c := range moved {
-		o := a.owner(int(c))
-		out[o] = append(out[o], c, int64(deltas[c]*1024)) // fixed-point to stay in int64 lanes
+	for _, r := range a.runs {
+		from := len(buf)
+		for p := r.from; p < r.to; p++ {
+			if a.moved[p] {
+				buf = append(buf, a.need[p], int64(a.delta[p]*1024)) // fixed-point to stay in int64 lanes
+			}
+		}
+		if len(buf) > from {
+			out[r.owner] = buf[from:]
+		}
 	}
+	a.i64 = buf
 	recv, err := mpi.SparseExchangeI64(ctx.R, ctx.World, out)
 	if err != nil {
 		return err
@@ -360,8 +404,8 @@ func (a *App) Step(ctx *appkit.Context, iter int) error {
 	}
 	localIn := 0.0
 	for i, nb := range a.adj {
-		for _, u := range nb {
-			if a.communityOf(u) == a.comm[i] {
+		for _, k := range nb {
+			if a.label[k] == a.label[i] {
 				localIn++
 			}
 		}
