@@ -596,10 +596,14 @@ func firstErr(errs []error) error {
 // drive runs the armed cluster until its event queue drains: the one place
 // a simulation is driven, hence the one call site for the deadline (and for
 // cancellation, when it lands). The scheduler's deadline net panics with a
-// typed value; exactly that type becomes the cell's error.
+// typed value; exactly that type becomes the cell's error. However the run
+// ends, the ranks it left parked are let go (Close), so a dead cell keeps
+// no coroutine and no stack.
 func drive(cluster *simnet.Cluster) (err error) {
 	defer func() {
-		switch v := recover().(type) {
+		v := recover()
+		cluster.Close()
+		switch v := v.(type) {
 		case nil:
 		case simnet.DeadlineExceeded:
 			err = fmt.Errorf("core: virtual deadline %v exceeded (event at %v); likely deadlock or livelock", v.Deadline, v.At)

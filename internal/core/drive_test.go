@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"match/internal/ckpt"
 	"match/internal/fti"
@@ -27,39 +29,62 @@ func healthyCell() Config {
 
 // The scheduler's deadline net is an error of the cell, not the end of the
 // process: Run returns it, Cells reports it as the failing cell whatever the
-// worker count, and a healthy cell runs afterwards.
+// worker count, and a healthy cell runs afterwards. The dead cell keeps
+// nothing: its parked ranks are unwound, so the goroutine count is back at
+// its baseline. The count is process-wide, so neither this test nor its
+// sub-tests are parallel (the package's parallel tests wait for it).
 func TestDeadlineIsAnError(t *testing.T) {
-	t.Parallel()
 	check := func(t *testing.T, err error) {
 		t.Helper()
 		if err == nil || !strings.Contains(err.Error(), "core: virtual deadline") {
 			t.Fatalf("err = %v, want the virtual deadline", err)
 		}
 	}
+	// Ranks are released before Run returns; the settle loop is for a pool
+	// worker that has delivered its last result but not yet returned.
+	settled := func(t *testing.T, base int, when string) {
+		t.Helper()
+		n := runtime.NumGoroutine()
+		for wait := time.Now().Add(2 * time.Second); n > base && time.Now().Before(wait); n = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		if n > base {
+			t.Fatalf("%d goroutines %s, %d before it: ranks leaked", n, when, base)
+		}
+	}
 	t.Run("Run", func(t *testing.T) {
-		t.Parallel()
+		base := runtime.NumGoroutine()
 		bd, err := Run(deadlockCell())
 		check(t, err)
-		if bd.Completed || bd.FaultsInjected != 1 || bd.DetectedFailures != 1 || bd.Recoveries != 0 {
-			t.Fatalf("partial breakdown = %+v, want an incomplete run: fault fired and detected, repair never finished", bd)
+		if n := runtime.NumGoroutine(); n != base {
+			t.Fatalf("%d goroutines when the deadlocked cell returned, %d before it: ranks leaked", n, base)
+		}
+		want := Breakdown{Ckpt: 2507639737, App: -2507639737, DetectLatency: 300 * simnet.Millisecond,
+			DetectedFailures: 1, FaultsInjected: 1, CkptCount: 21, CkptBytes: 873096,
+			Messages: 2245, NetBytes: 26312944}
+		want.CkptCountAt[fti.L3], want.CkptBytesAt[fti.L3] = 21, 873096
+		if bd != want {
+			t.Fatalf("partial breakdown = %+v, want %+v (as before ranks were released: fault fired and detected, repair never finished)", bd, want)
 		}
 		if bd, err := Run(healthyCell()); err != nil || !bd.Completed {
 			t.Fatalf("healthy cell after the deadline: %+v, %v", bd, err)
 		}
+		settled(t, base, "after the healthy cell that followed")
 	})
 	for _, workers := range []int{1, 2} {
-		workers := workers
 		t.Run(fmt.Sprintf("Cells/j%d", workers), func(t *testing.T) {
-			t.Parallel()
+			base := runtime.NumGoroutine()
 			rn := CampaignRunner{Workers: workers}
 			results, err := rn.Cells([]Config{healthyCell(), deadlockCell(), healthyCell()}, 1)
 			check(t, err)
 			if len(results) != 1 || !results[0].Breakdown.Completed {
 				t.Fatalf("%d results, want the one healthy cell before the deadlocked one", len(results))
 			}
+			settled(t, base, "after the sweep with the deadlocked cell")
 			if results, err := rn.Cells([]Config{healthyCell()}, 1); err != nil || len(results) != 1 {
 				t.Fatalf("healthy sweep after the deadline: %d results, %v", len(results), err)
 			}
+			settled(t, base, "after the healthy sweep that followed")
 		})
 	}
 }

@@ -1,0 +1,170 @@
+package simnet
+
+import (
+	"runtime"
+	"slices"
+	"testing"
+)
+
+// Close unwinds a parked process like a kill — deferred functions run and
+// the body observes Killed — but it is teardown, not a simulated exit: no
+// OnExit callback runs, and every coroutine is gone afterwards.
+func TestCloseUnwindsParkedProcs(t *testing.T) {
+	base := runtime.NumGoroutine()
+	c := NewCluster(Config{Nodes: 2})
+	c.Scheduler().SetDeadline(1000)
+	var unwound []any
+	exits, lateRan := 0, false
+	for i := 0; i < 3; i++ {
+		p := c.StartProc(i%2, 0, func(p *Proc) {
+			defer func() {
+				v := recover()
+				unwound = append(unwound, v)
+				panic(v)
+			}()
+			p.Block() // nothing ever unblocks it
+			t.Error("Block returned")
+		})
+		p.OnExit(func(*Proc) { exits++ })
+	}
+	late := c.StartProc(0, 5000, func(*Proc) { lateRan = true }) // starts past the deadline
+	late.OnExit(func(*Proc) { exits++ })
+	done := c.StartProc(1, 0, func(p *Proc) { p.Sleep(10) })
+
+	func() {
+		defer func() {
+			if _, ok := recover().(DeadlineExceeded); !ok {
+				t.Error("Run did not trip the deadline")
+			}
+		}()
+		c.Run()
+	}()
+	if n := runtime.NumGoroutine(); n != base+4 {
+		t.Fatalf("%d goroutines with three procs parked and one unstarted, want %d", n, base+4)
+	}
+
+	c.Close()
+	if len(unwound) != 3 {
+		t.Fatalf("%d bodies ran their deferred functions, want 3", len(unwound))
+	}
+	for i, v := range unwound {
+		if k, ok := v.(Killed); !ok || k.ProcID != i {
+			t.Errorf("proc %d unwound with %v, want Killed{%d}", i, v, i)
+		}
+	}
+	if exits != 0 {
+		t.Errorf("Close ran %d OnExit callbacks, want none", exits)
+	}
+	if lateRan {
+		t.Error("Close started a process that had never run")
+	}
+	for _, p := range c.Procs() {
+		if !p.Exited() {
+			t.Errorf("proc %d not exited after Close", p.ID)
+		}
+	}
+	if done.Status() != ExitOK {
+		t.Errorf("Close changed a finished process's status to %v", done.Status())
+	}
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("%d goroutines after Close, %d before the cluster existed", n, base)
+	}
+
+	c.Close() // idempotent
+	if len(unwound) != 3 || exits != 0 {
+		t.Fatalf("second Close unwound again: %d unwinds, %d exits", len(unwound), exits)
+	}
+}
+
+// After a run in which every process exited there is nothing to let go of.
+func TestCloseAfterCleanRunIsNoOp(t *testing.T) {
+	base := runtime.NumGoroutine()
+	c := NewCluster(Config{Nodes: 1})
+	exits := 0
+	p := c.StartProc(0, 0, func(p *Proc) { p.Sleep(5) })
+	p.OnExit(func(*Proc) { exits++ })
+	q := c.StartProc(0, 0, func(p *Proc) { p.Sleep(50) })
+	q.OnExit(func(*Proc) { exits++ })
+	c.Scheduler().At(20, func() { q.Kill() })
+	c.Run()
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("%d goroutines after a clean run, %d before", n, base)
+	}
+	c.Close()
+	if exits != 2 || p.Status() != ExitOK || q.Status() != ExitKilled {
+		t.Fatalf("after Close: exits=%d p=%v q=%v, want 2, ExitOK, ExitKilled", exits, p.Status(), q.Status())
+	}
+}
+
+// A body that parks again while it is being torn down (a Sleep in a
+// deferred function: charging a cost on the way out) keeps unwinding — the
+// stopped coroutine refuses every later park the same way.
+func TestCloseUnwindsThroughSleepInDefer(t *testing.T) {
+	base := runtime.NumGoroutine()
+	c := NewCluster(Config{Nodes: 1})
+	var steps []string
+	p := c.StartProc(0, 0, func(p *Proc) {
+		defer func() { steps = append(steps, "outer") }()
+		defer func() {
+			steps = append(steps, "inner")
+			p.Sleep(10)
+			steps = append(steps, "slept")
+		}()
+		p.Block()
+	})
+	c.Run() // drains with the process blocked
+	c.Close()
+	if !slices.Equal(steps, []string{"inner", "outer"}) {
+		t.Fatalf("teardown ran %v, want [inner outer]", steps)
+	}
+	if !p.Exited() || p.Status() != ExitKilled {
+		t.Fatalf("exited=%v status=%v, want an ExitKilled exit", p.Exited(), p.Status())
+	}
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("%d goroutines after Close, %d before", n, base)
+	}
+}
+
+// Nested dispatch: an event a body scheduled kills another process, whose
+// exit callback signals a third — each dispatch runs inside the previous
+// one's event, and control returns to the scheduler in order.
+func TestKillFromScheduledEventNests(t *testing.T) {
+	c := NewCluster(Config{Nodes: 1})
+	type poke struct{}
+	var log []string
+	victim := c.StartProc(0, 0, func(p *Proc) {
+		defer func() { log = append(log, "victim unwinds") }()
+		p.Sleep(1000)
+		t.Error("victim outlived its kill")
+	})
+	watcher := c.StartProc(0, 0, func(p *Proc) {
+		defer func() {
+			if _, ok := recover().(poke); ok {
+				log = append(log, "watcher poked")
+			}
+		}()
+		p.Block()
+	})
+	victim.OnExit(func(p *Proc) {
+		log = append(log, "victim exits")
+		watcher.Signal(p.Now(), poke{})
+	})
+	killer := c.StartProc(0, 0, func(p *Proc) {
+		p.Sleep(100)
+		p.Cluster().Scheduler().After(5, func() {
+			log = append(log, "kill")
+			victim.Kill()
+			log = append(log, "kill returned")
+		})
+		p.Sleep(50)
+		log = append(log, "killer done")
+	})
+	c.Run()
+	want := []string{"kill", "victim unwinds", "victim exits", "kill returned", "watcher poked", "killer done"}
+	if !slices.Equal(log, want) {
+		t.Fatalf("log = %v, want %v", log, want)
+	}
+	if victim.Status() != ExitKilled || watcher.Status() != ExitOK || killer.Status() != ExitOK {
+		t.Fatalf("victim=%v watcher=%v killer=%v", victim.Status(), watcher.Status(), killer.Status())
+	}
+}

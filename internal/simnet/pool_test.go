@@ -3,6 +3,7 @@ package simnet
 import (
 	"container/heap"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -129,6 +130,7 @@ type refEvent struct {
 	seq  uint64
 	id   int
 	dead bool
+	op   schedOp
 }
 
 type refHeap []*refEvent
@@ -143,76 +145,169 @@ func (h refHeap) Less(i, j int) bool {
 func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *refHeap) Push(x any)   { *h = append(*h, x.(*refEvent)) }
 func (h *refHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h *refHeap) popLive() (int, bool) {
-	for h.Len() > 0 {
-		e := heap.Pop(h).(*refEvent)
-		if !e.dead {
-			return e.id, true
-		}
-	}
-	return 0, false
+
+// schedOp is one step of a fuzz script. Before Run it either cancels the
+// target-th event scheduled so far (cancelNow) or schedules an event at
+// time at. A scheduled event may, when it fires, cancel the target-th
+// event (target >= 0; by then fired, cancelled, pending, or itself) and
+// schedule a child delta after its own fire time — before it when delta is
+// negative, which the scheduler clamps — that chains nest-1 more.
+type schedOp struct {
+	cancelNow bool
+	target    int
+	at        Time
+	nest      int
+	delta     Time
 }
 
-// Fuzz-style interleaving: random schedules (including ties and nested
-// scheduling) and random cancellations, checked against the tombstone
-// reference for identical (t, seq) fire order.
-func TestFireOrderMatchesHeapReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 200; trial++ {
-		s := NewScheduler()
-		ref := &refHeap{}
-		var refSeq uint64
-		var got, want []int
+// parseScript reads three bytes per step: kind, then two arguments.
+func parseScript(script []byte) []schedOp {
+	var ops []schedOp
+	scheduled := 0
+	for ; len(script) >= 3 && len(ops) < 4096; script = script[3:] {
+		kind, x, y := script[0]%8, script[1], script[2]
+		op := schedOp{at: Time(x % 40), target: -1}
+		switch {
+		case kind == 4: // nested scheduling, one to four deep
+			op.nest, op.delta = 1+int(y>>6), Time(y%8)-2
+		case kind >= 5 && scheduled == 0: // nothing to cancel yet
+			continue
+		case kind == 5 || kind == 6:
+			op = schedOp{cancelNow: true, target: int(x) % scheduled}
+		case kind == 7: // cancel from inside an event
+			op.target = int(y) % scheduled
+		}
+		if !op.cancelNow {
+			scheduled++
+		}
+		ops = append(ops, op)
+	}
+	return ops
+}
 
-		type pending struct {
-			tm Timer
-			re *refEvent
-		}
-		var live []pending
-		id := 0
-		schedule := func(at Time) {
-			eid := id
-			id++
-			tm := s.At(at, func() { got = append(got, eid) })
-			// Mirror the clamp the real scheduler applies.
-			rt := at
-			if rt < s.Now() {
-				rt = s.Now()
+// fireOrder runs ops on the real scheduler. Events are numbered in the
+// order they are scheduled, children included.
+func fireOrder(ops []schedOp) []int {
+	s := NewScheduler()
+	var fired []int
+	var timers []Timer
+	id := 0
+	var schedule func(at Time, op schedOp) Timer
+	schedule = func(at Time, op schedOp) Timer {
+		eid := id
+		id++
+		return s.At(at, func() {
+			fired = append(fired, eid)
+			if op.target >= 0 {
+				s.Cancel(timers[op.target])
 			}
-			re := &refEvent{t: rt, seq: refSeq, id: eid}
-			refSeq++
-			heap.Push(ref, re)
-			live = append(live, pending{tm, re})
-		}
-		for i := 0; i < 50; i++ {
-			schedule(Time(rng.Intn(40)))
-		}
-		// Cancel a random subset (some twice, some after more scheduling).
-		for i := 0; i < 25; i++ {
-			p := live[rng.Intn(len(live))]
-			s.Cancel(p.tm)
-			p.re.dead = true
-			if rng.Intn(4) == 0 {
-				schedule(Time(rng.Intn(40)))
+			if op.nest > 0 {
+				schedule(s.Now()+op.delta, schedOp{target: -1, nest: op.nest - 1, delta: op.delta})
 			}
-		}
-		s.Run()
-		for {
-			eid, ok := ref.popLive()
-			if !ok {
-				break
-			}
-			want = append(want, eid)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: fired %d events, reference fired %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: fire order diverged at %d: got %v, want %v", trial, i, got, want)
-			}
+		})
+	}
+	for _, op := range ops {
+		if op.cancelNow {
+			s.Cancel(timers[op.target])
+		} else {
+			timers = append(timers, schedule(op.at, op))
 		}
 	}
+	s.Run()
+	return fired
+}
+
+// refFireOrder is fireOrder on the tombstone reference.
+func refFireOrder(ops []schedOp) []int {
+	ref := &refHeap{}
+	var fired []int
+	var events []*refEvent
+	var now Time
+	var seq uint64
+	schedule := func(at Time, op schedOp) *refEvent {
+		if at < now { // mirror the clamp the real scheduler applies
+			at = now
+		}
+		re := &refEvent{t: at, seq: seq, id: int(seq), op: op}
+		seq++
+		heap.Push(ref, re)
+		return re
+	}
+	for _, op := range ops {
+		if op.cancelNow {
+			events[op.target].dead = true
+		} else {
+			events = append(events, schedule(op.at, op))
+		}
+	}
+	for ref.Len() > 0 {
+		e := heap.Pop(ref).(*refEvent)
+		if e.dead {
+			continue
+		}
+		now = e.t
+		fired = append(fired, e.id)
+		if e.op.target >= 0 {
+			events[e.op.target].dead = true // a no-op on one already popped
+		}
+		if e.op.nest > 0 {
+			schedule(now+e.op.delta, schedOp{target: -1, nest: e.op.nest - 1, delta: e.op.delta})
+		}
+	}
+	return fired
+}
+
+// trialScript is one trial of the test this target grew out of: a burst of
+// schedules over 40 time units (ties guaranteed), then cancellations of a
+// random subset — some twice, some with more scheduling in between.
+func trialScript(rng *rand.Rand, schedules int) []byte {
+	var script []byte
+	schedule := func() {
+		kind := byte(0)
+		switch rng.Intn(6) {
+		case 4:
+			kind = 4
+		case 5:
+			kind = 7
+		}
+		script = append(script, kind, byte(rng.Intn(40)), byte(rng.Intn(256)))
+	}
+	for i := 0; i < schedules; i++ {
+		schedule()
+	}
+	for i := 0; i < schedules/2; i++ {
+		script = append(script, 5, byte(rng.Intn(schedules)), 0)
+		if rng.Intn(4) == 0 {
+			schedule()
+		}
+	}
+	return script
+}
+
+// FuzzFireOrderMatchesHeapReference drives both schedulers with the same
+// script — schedules with ties, cancellations before and during the run
+// (double, stale, of a reused slot, of the running event), nested
+// scheduling into the future and the past — and requires the identical
+// (t, seq) fire order. The seed corpus is the seed-42 trials of the former
+// TestFireOrderMatchesHeapReference at growing sizes, plus the edge cases.
+func FuzzFireOrderMatchesHeapReference(f *testing.F) {
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 24; trial++ {
+		f.Add(trialScript(rng, 50*(1+trial%8)))
+	}
+	f.Add([]byte{})                                            // nothing scheduled
+	f.Add([]byte{0, 7, 0, 0, 7, 0, 0, 7, 0, 0, 7, 0})          // all ties
+	f.Add([]byte{0, 1, 0, 0, 2, 0, 5, 0, 0, 5, 0, 0, 5, 1, 0}) // cancel twice, cancel everything
+	f.Add([]byte{7, 3, 0, 0, 3, 0})                            // first op cannot cancel: skipped
+	f.Add([]byte{0, 9, 0, 7, 9, 1, 0, 9, 0})                   // an event cancels itself, after a tie fired
+	f.Add([]byte{0, 5, 0, 7, 9, 0, 4, 9, 0xc0, 0, 20, 0})      // stale cancel of a fired timer whose slot was reused
+	f.Add([]byte{4, 30, 0xc0, 4, 30, 0xc1, 0, 28, 0})          // four-deep chains clamped out of the past
+	f.Fuzz(func(t *testing.T, script []byte) {
+		ops := parseScript(script)
+		if got, want := fireOrder(ops), refFireOrder(ops); !slices.Equal(got, want) {
+			t.Fatalf("fire order diverged from the reference: got %v, want %v", got, want)
+		}
+	})
 }
 
 // The scheduler hot path must be allocation-free once slots and heap

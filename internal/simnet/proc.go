@@ -1,6 +1,14 @@
+// The module's go directive stays at 1.21; this constraint is what tells the
+// toolchain (and vet's stdversion check) that this file uses package iter.
+
+//go:build go1.23
+
 package simnet
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // wake carries the reason a parked process is being resumed.
 type wake struct {
@@ -27,9 +35,10 @@ const (
 	ExitPanic
 )
 
-// Proc is a simulated OS process pinned to a node. Its body runs on a
-// dedicated goroutine but only while the scheduler has handed it control;
-// it yields back at every virtual-time-consuming call.
+// Proc is a simulated OS process pinned to a node. Its body is a coroutine
+// (iter.Pull): it runs only while the scheduler has resumed it, and yields
+// back at every virtual-time-consuming call. A body still parked when the
+// simulation is abandoned is unwound by Cluster.Close.
 //
 // Every park records a generation number; scheduled wakeups capture the
 // generation they intend to resume and become no-ops if the process has
@@ -41,10 +50,13 @@ type Proc struct {
 	c    *Cluster
 	node *Node
 
-	resume  chan wake
-	yielded chan struct{}
+	next  func() (struct{}, bool) // scheduler side: run the body to its next park
+	stop  func()                  // unwind a parked body, or cancel one never started
+	yield func(struct{}) bool     // body side: park; false once stop was called
+	wake  wake                    // why the dispatch in progress resumed the body
 
 	dead     bool
+	closed   bool // torn down by Cluster.Close: no exit callbacks run
 	started  bool
 	exited   bool
 	status   ExitStatus
@@ -58,16 +70,12 @@ type Proc struct {
 // StartProc creates a process on the given node and schedules its body to
 // begin at the current virtual time plus delay.
 func (c *Cluster) StartProc(node int, delay Time, body func(*Proc)) *Proc {
-	p := &Proc{
-		ID:      c.next,
-		c:       c,
-		node:    c.nodes[node],
-		resume:  make(chan wake),
-		yielded: make(chan struct{}),
-	}
-	c.next++
-	c.procs[p.ID] = p
-	go p.top(body)
+	p := &Proc{ID: len(c.procs), c: c, node: c.nodes[node]}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		p.top(body)
+	})
+	c.procs = append(c.procs, p)
 	c.sched.AfterFunc(delay, procStart, p, 0)
 	return p
 }
@@ -82,10 +90,9 @@ func procStart(a any, _ int64) {
 	p.dispatch(wake{})
 }
 
-// top is the goroutine body: it waits for the first dispatch, runs the user
-// body, and translates panics into exit statuses.
+// top is the coroutine body, entered by the first dispatch: it runs the user
+// body and translates panics into exit statuses.
 func (p *Proc) top(body func(*Proc)) {
-	w := <-p.resume
 	defer func() {
 		r := recover()
 		p.exited = true
@@ -98,31 +105,34 @@ func (p *Proc) top(body func(*Proc)) {
 			p.status = ExitPanic
 			p.panicVal = v
 		}
+		if p.closed {
+			return // teardown, not a simulated exit
+		}
 		for _, f := range p.onExit {
 			f(p)
 		}
-		p.yielded <- struct{}{}
 	}()
-	if w.kill {
-		panic(Killed{ProcID: p.ID})
-	}
 	body(p)
 }
 
-// dispatch hands control to the process goroutine and waits for it to yield
-// again. Must only be called from the scheduler context.
+// dispatch resumes the process body and returns when it parks again or
+// finishes. Must only be called from the scheduler context.
 func (p *Proc) dispatch(w wake) {
 	p.parked = false
 	p.gen++
-	p.resume <- w
-	<-p.yielded
+	p.wake = w
+	p.next()
 }
 
-// park yields control back to the scheduler and blocks until resumed.
+// park yields control back to the scheduler until the next dispatch. A
+// false yield means Close stopped the coroutine: the body unwinds as if
+// killed, running its deferred functions, and every later park does too.
 func (p *Proc) park() wake {
 	p.parked = true
-	p.yielded <- struct{}{}
-	w := <-p.resume
+	if !p.yield(struct{}{}) {
+		panic(Killed{ProcID: p.ID})
+	}
+	w := p.wake
 	if w.kill {
 		panic(Killed{ProcID: p.ID})
 	}
@@ -228,12 +238,13 @@ func (p *Proc) Kill() {
 	if !p.started {
 		p.exited = true
 		p.status = ExitKilled
+		p.stop() // the body never runs; let its coroutine go
 		return
 	}
 	p.dispatch(wake{kill: true})
 }
 
-// Die terminates the calling process immediately, from its own goroutine.
+// Die terminates the calling process immediately, from inside its own body.
 // This is the simulation analog of raise(SIGTERM) in Figure 4 of the paper.
 func (p *Proc) Die() {
 	p.dead = true
@@ -242,11 +253,24 @@ func (p *Proc) Die() {
 
 // Procs returns all processes ever started, in id order.
 func (c *Cluster) Procs() []*Proc {
-	out := make([]*Proc, 0, len(c.procs))
-	for i := 0; i < c.next; i++ {
-		if p, ok := c.procs[i]; ok {
-			out = append(out, p)
+	return append([]*Proc(nil), c.procs...)
+}
+
+// Close lets go of every process the simulation left behind: a body parked
+// mid-run is unwound through its deferred functions (it observes Killed), a
+// process that never started is cancelled. This is teardown of an abandoned
+// run, not a simulated exit — OnExit callbacks do not run and no virtual
+// time passes. Call it from outside Run; it is idempotent, and a no-op
+// after a run in which every process exited.
+func (c *Cluster) Close() {
+	for _, p := range c.procs {
+		if p.exited {
+			continue
+		}
+		p.closed = true
+		p.stop()
+		if !p.started {
+			p.exited, p.status = true, ExitKilled
 		}
 	}
-	return out
 }

@@ -4,15 +4,14 @@
 //
 // All higher layers (the simulated MPI runtime, the FTI checkpointing
 // library, the recovery frameworks, and the proxy applications) run on top
-// of this package. Exactly one simulated process executes at any instant;
-// control is handed between the scheduler and process goroutines over
-// unbuffered channels, so the simulation is deterministic and free of data
-// races by construction.
+// of this package. Exactly one simulated process executes at any instant:
+// each process body is a coroutine (iter.Pull) that the scheduler resumes
+// and that yields back when it parks, so the simulation is deterministic
+// and free of data races by construction.
 package simnet
 
 import (
 	"fmt"
-	"sort"
 
 	"match/internal/obs"
 	"match/internal/trace"
@@ -415,8 +414,7 @@ type Cluster struct {
 	cfg   Config
 	sched *Scheduler
 	nodes []*Node
-	procs map[int]*Proc
-	next  int // next process id
+	procs []*Proc // indexed by process id; never shrinks
 	probe *obs.Probe
 }
 
@@ -450,7 +448,6 @@ func NewCluster(cfg Config) *Cluster {
 	c := &Cluster{
 		cfg:   cfg,
 		sched: NewScheduler(),
-		procs: make(map[int]*Proc),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		c.nodes = append(c.nodes, &Node{ID: i, alive: true})
@@ -486,7 +483,9 @@ func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 // NumNodes returns the number of nodes.
 func (c *Cluster) NumNodes() int { return len(c.nodes) }
 
-// Run drives the simulation to completion and returns the final time.
+// Run drives the simulation to completion and returns the final time. It
+// may be called again after more events are scheduled; when the run is
+// abandoned with processes still parked, Close releases them.
 func (c *Cluster) Run() Time { return c.sched.Run() }
 
 // FailNode marks a node dead and kills every live process on it. RAMFS
@@ -501,16 +500,12 @@ func (c *Cluster) FailNode(id int) {
 	if c.probe.On(trace.CatNodeFail) {
 		c.probe.Emit(trace.Span{Cat: trace.CatNodeFail, Rank: -1, Start: int64(c.sched.now), Aux: int64(id)})
 	}
-	// Deterministic kill order.
-	var victims []*Proc
+	// Deterministic kill order: by id. A process an exit callback starts
+	// while the residents die is not a resident: range read the slice once.
 	for _, p := range c.procs {
 		if p.node == n && !p.dead {
-			victims = append(victims, p)
+			p.Kill()
 		}
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].ID < victims[j].ID })
-	for _, p := range victims {
-		p.Kill()
 	}
 }
 

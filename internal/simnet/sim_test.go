@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -157,7 +158,10 @@ func TestProcKillWhileSleeping(t *testing.T) {
 	}
 }
 
+// A process killed before its start delay (node failure during a staggered
+// launch) never runs, and its coroutine goes with it.
 func TestProcKillBeforeStart(t *testing.T) {
+	base := runtime.NumGoroutine()
 	c := NewCluster(Config{Nodes: 1})
 	ran := false
 	p := c.StartProc(0, 100, func(p *Proc) { ran = true })
@@ -168,6 +172,9 @@ func TestProcKillBeforeStart(t *testing.T) {
 	}
 	if p.Status() != ExitKilled {
 		t.Fatalf("status = %v, want ExitKilled", p.Status())
+	}
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("%d goroutines after the run, %d before: the unstarted process was not released", n, base)
 	}
 }
 
