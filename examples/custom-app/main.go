@@ -15,11 +15,12 @@ import (
 )
 
 // heat is a distributed 2D Jacobi iteration (decomposed with the same
-// toolkit the built-in apps use, one layer thick in z).
+// toolkit the built-in apps use, one layer thick in z). The ghosted field t
+// is itself the checkpoint object: FTI holds the pointer given to Protect,
+// so each step copies the new values into t rather than swapping t and tn.
 type heat struct {
 	d      *appkit.Decomp3D
 	t, tn  *appkit.Field3D
-	flat   []float64
 	change float64
 }
 
@@ -35,14 +36,12 @@ func (h *heat) Init(ctx *appkit.Context) error {
 	if cx >= h.d.OX && cx < h.d.OX+h.d.LX && cy >= h.d.OY && cy < h.d.OY+h.d.LY {
 		h.t.Set(cx-h.d.OX+1, cy-h.d.OY+1, 1, 100)
 	}
-	h.flat = h.t.Interior()
-	ctx.FTI.Protect(1, fti.F64s{P: &h.flat})
+	ctx.FTI.Protect(1, h.t)
 	ctx.FTI.Protect(2, fti.F64{P: &h.change})
 	return nil
 }
 
 func (h *heat) Step(ctx *appkit.Context, iter int) error {
-	h.t.SetInterior(h.flat)
 	if err := h.t.Exchange(ctx); err != nil {
 		return err
 	}
@@ -60,8 +59,7 @@ func (h *heat) Step(ctx *appkit.Context, iter int) error {
 		}
 	}
 	ctx.Charge(float64(h.d.LX*h.d.LY) * 6)
-	h.t, h.tn = h.tn, h.t
-	h.flat = h.t.Interior()
+	copy(h.t.V, h.tn.V)
 	var err error
 	h.change, err = appkit.SumAll(ctx, local)
 	return err
@@ -69,7 +67,7 @@ func (h *heat) Step(ctx *appkit.Context, iter int) error {
 
 func (h *heat) Signature(ctx *appkit.Context) (float64, error) {
 	local := 0.0
-	for _, v := range h.flat {
+	for _, v := range h.t.Interior() {
 		local += v
 	}
 	total, err := appkit.SumAll(ctx, local)

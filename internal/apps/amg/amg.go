@@ -37,9 +37,8 @@ type level struct {
 
 // App is the AMG solver state for one rank.
 type App struct {
-	levels []*level
-	xFlat  []float64 // checkpoint view of the finest solution
-	rho    float64   // latest global residual norm^2
+	levels []*level // levels[0].x, the finest solution, is protected
+	rho    float64  // latest global residual norm^2
 }
 
 // New returns an AMG instance.
@@ -94,12 +93,8 @@ func (a *App) Init(ctx *appkit.Context) error {
 			}
 		}
 	}
-	a.xFlat = fine.x.Interior()
-	ctx.FTI.Protect(1, fti.F64s{P: &a.xFlat})
+	ctx.FTI.Protect(1, fine.x)
 	ctx.FTI.Protect(2, fti.F64{P: &a.rho})
-	// Recovery note: FTI restores xFlat; Step copies it back into the
-	// ghosted field before smoothing, so the field and the checkpoint view
-	// stay coherent.
 	return nil
 }
 
@@ -227,8 +222,6 @@ func (a *App) vcycle(ctx *appkit.Context, i int) error {
 // AMG performs each iteration.
 func (a *App) Step(ctx *appkit.Context, iter int) error {
 	fine := a.levels[0]
-	// Re-install the (possibly just recovered) checkpoint view.
-	fine.x.SetInterior(a.xFlat)
 	if err := a.vcycle(ctx, 0); err != nil {
 		return err
 	}
@@ -246,14 +239,13 @@ func (a *App) Step(ctx *appkit.Context, iter int) error {
 		return err
 	}
 	a.rho = rho
-	a.xFlat = fine.x.Interior()
 	return nil
 }
 
 // Signature implements appkit.App.
 func (a *App) Signature(ctx *appkit.Context) (float64, error) {
 	local := 0.0
-	for _, v := range a.xFlat {
+	for _, v := range a.levels[0].x.Interior() {
 		local += v * v
 	}
 	xx, err := appkit.SumAll(ctx, local)

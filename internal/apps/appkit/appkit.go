@@ -3,6 +3,19 @@
 // the applications share: 1D/3D domain decomposition, face and corner-aware
 // halo exchange, distributed reductions, and the Figure-1 checkpointed main
 // loop every design (RESTART-FTI, REINIT-FTI, ULFM-FTI) wraps.
+//
+// Every neighbor exchange in the apps is one Swap: both sends (lo, then
+// hi) posted before both receives (lo, then hi), a negative rank skipping
+// its side. Field3D.Exchange is Swap once per axis, moving layers that
+// Field3D.Plane reads and SetPlane writes in one wire order; HPCCG's z
+// planes and CoMD's ghost atoms and migrants ride the same Swap.
+//
+// A *Field3D is an fti.Protected object: Snapshot is its interior, the
+// bytes fti.F64s stores for Interior(), and Restore is SetInterior, so an
+// app protects its ghosted field directly rather than a flat copy it syncs
+// every step. The rule is to protect the field the step updates in place:
+// FTI keeps the pointer given to Protect, so swapping two fields' pointers
+// would leave it checkpointing, and restoring into, the stale one.
 package appkit
 
 import (

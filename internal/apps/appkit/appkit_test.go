@@ -1,6 +1,8 @@
 package appkit
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -136,6 +138,158 @@ func TestFieldInteriorRoundTrip(t *testing.T) {
 		if got[i] != vals[i] {
 			t.Fatalf("interior roundtrip mismatch at %d", i)
 		}
+	}
+}
+
+// Plane and SetPlane visit a layer in the order the per-axis loop nests
+// they replaced used: x layers z-major over y, y layers z-major over x, z
+// layers y-major over x.
+func TestPlaneMatchesNestedLoops(t *testing.T) {
+	f := NewField3D(NewDecomp3D(0, 1, 3, 4, 5))
+	for i := range f.V {
+		f.V[i] = float64(i)
+	}
+	// want lists layer k of an axis through explicit nested loops.
+	want := func(axis, k int) (idx []int) {
+		switch axis {
+		case 0:
+			for z := 0; z < f.SZ; z++ {
+				for y := 0; y < f.SY; y++ {
+					idx = append(idx, f.Idx(k, y, z))
+				}
+			}
+		case 1:
+			for z := 0; z < f.SZ; z++ {
+				for x := 0; x < f.SX; x++ {
+					idx = append(idx, f.Idx(x, k, z))
+				}
+			}
+		default:
+			for y := 0; y < f.SY; y++ {
+				for x := 0; x < f.SX; x++ {
+					idx = append(idx, f.Idx(x, y, k))
+				}
+			}
+		}
+		return idx
+	}
+	var buf []float64
+	for axis, n := range [3]int{f.SX, f.SY, f.SZ} {
+		for k := 0; k < n; k++ {
+			idx := want(axis, k)
+			buf = f.Plane(buf, axis, k)
+			if len(buf) != len(idx) {
+				t.Fatalf("axis %d layer %d: %d values, want %d", axis, k, len(buf), len(idx))
+			}
+			for i, at := range idx {
+				if buf[i] != f.V[at] {
+					t.Fatalf("axis %d layer %d: value %d = %v, want V[%d]", axis, k, i, buf[i], at)
+				}
+			}
+			vals := make([]float64, len(idx))
+			for i := range vals {
+				vals[i] = -float64(1 + i)
+			}
+			g := NewField3D(f.D)
+			g.SetPlane(axis, k, vals)
+			for i, at := range idx {
+				if g.V[at] != vals[i] {
+					t.Fatalf("axis %d layer %d: SetPlane put value %d elsewhere", axis, k, i)
+				}
+				g.V[at] = 0
+			}
+			for i, v := range g.V {
+				if v != 0 {
+					t.Fatalf("axis %d layer %d: SetPlane wrote V[%d] outside the layer", axis, k, i)
+				}
+			}
+		}
+	}
+}
+
+// swapAll runs Swap once on every rank of an n-rank job, with each rank's
+// neighbors given by nbrs, and returns what each rank received. Rank r
+// sends "r>lo" toward lo and "r>hi" toward hi.
+func swapAll(t *testing.T, n int, nbrs func(r int) (lo, hi int)) (fromLo, fromHi []string) {
+	t.Helper()
+	c := simnet.NewCluster(simnet.Config{Nodes: n})
+	fromLo, fromHi = make([]string, n), make([]string, n)
+	nilStr := func(b []byte) string {
+		if b == nil {
+			return "<nil>"
+		}
+		return string(b)
+	}
+	mpi.Launch(c, n, 0, func(r *mpi.Rank) {
+		world := r.Job().World()
+		me := r.Rank(world)
+		lo, hi := nbrs(me)
+		ctx := &Context{R: r, World: world}
+		l, h, err := Swap(ctx, lo, hi, 7, 8, []byte(fmt.Sprintf("%d>lo", me)), []byte(fmt.Sprintf("%d>hi", me)))
+		if err != nil {
+			t.Errorf("rank %d: %v", me, err)
+		}
+		fromLo[me], fromHi[me] = nilStr(l), nilStr(h)
+	})
+	c.Run()
+	return fromLo, fromHi
+}
+
+func TestSwapOpenStack(t *testing.T) {
+	fromLo, fromHi := swapAll(t, 3, func(r int) (int, int) {
+		hi := r + 1
+		if hi == 3 {
+			hi = -1
+		}
+		return r - 1, hi
+	})
+	wantLo := []string{"<nil>", "0>hi", "1>hi"}
+	wantHi := []string{"1>lo", "2>lo", "<nil>"}
+	for r := range wantLo {
+		if fromLo[r] != wantLo[r] || fromHi[r] != wantHi[r] {
+			t.Errorf("rank %d got (%s, %s), want (%s, %s)", r, fromLo[r], fromHi[r], wantLo[r], wantHi[r])
+		}
+	}
+}
+
+// On a two-rank periodic axis both neighbors are the same rank; the tags
+// keep the two messages apart.
+func TestSwapTwoRankRing(t *testing.T) {
+	fromLo, fromHi := swapAll(t, 2, func(r int) (int, int) { return 1 - r, 1 - r })
+	wantLo := []string{"1>hi", "0>hi"}
+	wantHi := []string{"1>lo", "0>lo"}
+	for r := range wantLo {
+		if fromLo[r] != wantLo[r] || fromHi[r] != wantHi[r] {
+			t.Errorf("rank %d got (%s, %s), want (%s, %s)", r, fromLo[r], fromHi[r], wantLo[r], wantHi[r])
+		}
+	}
+}
+
+// A field checkpoints as its interior, byte for byte what protecting a
+// flat copy of the interior stored, and restores only the interior.
+func TestFieldSnapshotIsInteriorF64s(t *testing.T) {
+	d := NewDecomp3D(0, 1, 3, 4, 5)
+	f := NewField3D(d)
+	for i := range f.V {
+		f.V[i] = float64(i) * 0.5
+	}
+	interior := f.Interior()
+	snap := f.Snapshot()
+	if want := (fti.F64s{P: &interior}).Snapshot(); !bytes.Equal(snap, want) {
+		t.Fatalf("snapshot differs from fti.F64s of the interior")
+	}
+	g := NewField3D(d)
+	for i := range g.V {
+		g.V[i] = -1
+	}
+	g.Restore(snap)
+	for i, v := range g.Interior() {
+		if v != interior[i] {
+			t.Fatalf("restored interior value %d = %v, want %v", i, v, interior[i])
+		}
+	}
+	if g.At(0, 0, 0) != -1 || g.At(d.LX+1, d.LY+1, d.LZ+1) != -1 {
+		t.Fatal("Restore wrote a ghost")
 	}
 }
 

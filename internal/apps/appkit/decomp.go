@@ -112,17 +112,19 @@ func (f *Field3D) At(x, y, z int) float64 { return f.V[f.Idx(x, y, z)] }
 // Set stores the value at ghosted coordinates.
 func (f *Field3D) Set(x, y, z int, v float64) { f.V[f.Idx(x, y, z)] = v }
 
+// row returns the interior x row at ghosted coordinates (y, z).
+func (f *Field3D) row(y, z int) []float64 {
+	at := f.Idx(1, y, z)
+	return f.V[at : at+f.D.LX]
+}
+
 // Interior returns a copy of the interior (non-ghost) values in x-fastest
 // order; used for checkpoint payloads and reductions.
 func (f *Field3D) Interior() []float64 {
-	out := make([]float64, f.D.LX*f.D.LY*f.D.LZ)
-	i := 0
+	out := make([]float64, 0, f.D.LX*f.D.LY*f.D.LZ)
 	for z := 1; z <= f.D.LZ; z++ {
 		for y := 1; y <= f.D.LY; y++ {
-			for x := 1; x <= f.D.LX; x++ {
-				out[i] = f.At(x, y, z)
-				i++
-			}
+			out = append(out, f.row(y, z)...)
 		}
 	}
 	return out
@@ -130,26 +132,65 @@ func (f *Field3D) Interior() []float64 {
 
 // SetInterior writes interior values from a flat x-fastest slice.
 func (f *Field3D) SetInterior(vals []float64) {
-	i := 0
 	for z := 1; z <= f.D.LZ; z++ {
 		for y := 1; y <= f.D.LY; y++ {
-			for x := 1; x <= f.D.LX; x++ {
-				f.Set(x, y, z, vals[i])
-				i++
-			}
+			vals = vals[copy(f.row(y, z), vals):]
 		}
 	}
 }
 
-// halo exchange tags; each axis uses two (one per direction).
-const (
-	tagHaloXLo = 1100 + iota
-	tagHaloXHi
-	tagHaloYLo
-	tagHaloYHi
-	tagHaloZLo
-	tagHaloZHi
-)
+// Snapshot implements fti.Protected: the interior in x-fastest order, the
+// bytes fti.F64s produces for f.Interior(). Ghosts are not state.
+func (f *Field3D) Snapshot() []byte { return enc.Float64sToBytes(f.Interior()) }
+
+// Restore implements fti.Protected: SetInterior from Snapshot's bytes.
+func (f *Field3D) Restore(b []byte) { f.SetInterior(enc.BytesToFloat64s(b)) }
+
+// plane locates layer k of an axis (ghost layers 0 and L+1 included): its
+// first index in V, then the extent and stride of its two other axes, the
+// lower-numbered one fastest.
+func (f *Field3D) plane(axis, k int) (at, n0, s0, n1, s1 int) {
+	switch axis {
+	case 0:
+		return k, f.SY, f.SX, f.SZ, f.SX * f.SY
+	case 1:
+		return f.SX * k, f.SX, 1, f.SZ, f.SX * f.SY
+	default:
+		return f.SX * f.SY * k, f.SX, 1, f.SY, f.SX
+	}
+}
+
+// Plane copies layer k of an axis, ghost rims included, into dst (grown as
+// needed) and returns it. Values come in wire order: the two other axes
+// with the lower-numbered one fastest.
+func (f *Field3D) Plane(dst []float64, axis, k int) []float64 {
+	at, n0, s0, n1, s1 := f.plane(axis, k)
+	dst = Grow(dst, n0*n1)
+	i := 0
+	for b := 0; b < n1; b++ {
+		for a := 0; a < n0; a++ {
+			dst[i] = f.V[at+a*s0+b*s1]
+			i++
+		}
+	}
+	return dst
+}
+
+// SetPlane writes vals, in Plane's order, into layer k of an axis.
+func (f *Field3D) SetPlane(axis, k int, vals []float64) {
+	at, n0, s0, n1, s1 := f.plane(axis, k)
+	i := 0
+	for b := 0; b < n1; b++ {
+		for a := 0; a < n0; a++ {
+			f.V[at+a*s0+b*s1] = vals[i]
+			i++
+		}
+	}
+}
+
+// Halo exchange tags: axis ax sends toward lo with tagHalo+2*ax and toward
+// hi with tagHalo+2*ax+1.
+const tagHalo = 1100
 
 // Exchange fills the ghost layers from the six face neighbors using the
 // three-phase (x, then y, then z) scheme, which also propagates edge and
@@ -157,131 +198,61 @@ const (
 // (non-periodic domain boundary) leave ghosts untouched.
 func (f *Field3D) Exchange(ctx *Context) error {
 	d := f.D
-	type phase struct {
-		loNbr, hiNbr   int
-		tagLo, tagHi   int
-		packLo, packHi func() []float64
-		fillLo, fillHi func([]float64)
-	}
-	planeYZ := func(x int) []float64 {
-		out := make([]float64, 0, f.SY*f.SZ)
-		for z := 0; z < f.SZ; z++ {
-			for y := 0; y < f.SY; y++ {
-				out = append(out, f.At(x, y, z))
-			}
+	for ax, l := range [3]int{d.LX, d.LY, d.LZ} {
+		var s [3]int
+		s[ax] = 1
+		lo, hi := d.Neighbor(-s[0], -s[1], -s[2]), d.Neighbor(s[0], s[1], s[2])
+		var toLo, toHi []byte
+		if lo >= 0 {
+			toLo = enc.Float64sToBytes(f.Plane(nil, ax, 1))
 		}
-		return out
-	}
-	setPlaneYZ := func(x int, vals []float64) {
-		i := 0
-		for z := 0; z < f.SZ; z++ {
-			for y := 0; y < f.SY; y++ {
-				f.Set(x, y, z, vals[i])
-				i++
-			}
+		if hi >= 0 {
+			toHi = enc.Float64sToBytes(f.Plane(nil, ax, l))
 		}
-	}
-	planeXZ := func(y int) []float64 {
-		out := make([]float64, 0, f.SX*f.SZ)
-		for z := 0; z < f.SZ; z++ {
-			for x := 0; x < f.SX; x++ {
-				out = append(out, f.At(x, y, z))
-			}
+		fromLo, fromHi, err := Swap(ctx, lo, hi, tagHalo+2*ax, tagHalo+2*ax+1, toLo, toHi)
+		if err != nil {
+			return err
 		}
-		return out
-	}
-	setPlaneXZ := func(y int, vals []float64) {
-		i := 0
-		for z := 0; z < f.SZ; z++ {
-			for x := 0; x < f.SX; x++ {
-				f.Set(x, y, z, vals[i])
-				i++
-			}
+		if lo >= 0 {
+			f.SetPlane(ax, 0, enc.BytesToFloat64s(fromLo))
 		}
-	}
-	planeXY := func(z int) []float64 {
-		out := make([]float64, 0, f.SX*f.SY)
-		for y := 0; y < f.SY; y++ {
-			for x := 0; x < f.SX; x++ {
-				out = append(out, f.At(x, y, z))
-			}
-		}
-		return out
-	}
-	setPlaneXY := func(z int, vals []float64) {
-		i := 0
-		for y := 0; y < f.SY; y++ {
-			for x := 0; x < f.SX; x++ {
-				f.Set(x, y, z, vals[i])
-				i++
-			}
-		}
-	}
-	phases := []phase{
-		{
-			loNbr: d.Neighbor(-1, 0, 0), hiNbr: d.Neighbor(1, 0, 0),
-			tagLo: tagHaloXLo, tagHi: tagHaloXHi,
-			packLo: func() []float64 { return planeYZ(1) },
-			packHi: func() []float64 { return planeYZ(d.LX) },
-			fillLo: func(v []float64) { setPlaneYZ(0, v) },
-			fillHi: func(v []float64) { setPlaneYZ(d.LX+1, v) },
-		},
-		{
-			loNbr: d.Neighbor(0, -1, 0), hiNbr: d.Neighbor(0, 1, 0),
-			tagLo: tagHaloYLo, tagHi: tagHaloYHi,
-			packLo: func() []float64 { return planeXZ(1) },
-			packHi: func() []float64 { return planeXZ(d.LY) },
-			fillLo: func(v []float64) { setPlaneXZ(0, v) },
-			fillHi: func(v []float64) { setPlaneXZ(d.LY+1, v) },
-		},
-		{
-			loNbr: d.Neighbor(0, 0, -1), hiNbr: d.Neighbor(0, 0, 1),
-			tagLo: tagHaloZLo, tagHi: tagHaloZHi,
-			packLo: func() []float64 { return planeXY(1) },
-			packHi: func() []float64 { return planeXY(d.LZ) },
-			fillLo: func(v []float64) { setPlaneXY(0, v) },
-			fillHi: func(v []float64) { setPlaneXY(d.LZ+1, v) },
-		},
-	}
-	for _, ph := range phases {
-		// Post both sends first (eager), then receive; deadlock-free.
-		if ph.loNbr >= 0 {
-			if err := mpi.Send(ctx.R, ctx.World, ph.loNbr, ph.tagLo, enc.Float64sToBytes(ph.packLo())); err != nil {
-				return err
-			}
-		}
-		if ph.hiNbr >= 0 {
-			if err := mpi.Send(ctx.R, ctx.World, ph.hiNbr, ph.tagHi, enc.Float64sToBytes(ph.packHi())); err != nil {
-				return err
-			}
-		}
-		if ph.loNbr >= 0 {
-			m, err := mpi.Recv(ctx.R, ctx.World, ph.loNbr, ph.tagHi)
-			if err != nil {
-				return err
-			}
-			ph.fillLo(enc.BytesToFloat64s(m.Data))
-		}
-		if ph.hiNbr >= 0 {
-			m, err := mpi.Recv(ctx.R, ctx.World, ph.hiNbr, ph.tagLo)
-			if err != nil {
-				return err
-			}
-			ph.fillHi(enc.BytesToFloat64s(m.Data))
+		if hi >= 0 {
+			f.SetPlane(ax, l+1, enc.BytesToFloat64s(fromHi))
 		}
 	}
 	return nil
+}
+
+// Swap trades one message with each neighbor along an axis: toLo goes to
+// rank lo tagged tagLo and toHi to rank hi tagged tagHi, then lo's tagHi
+// message and hi's tagLo message come back. Both sends are posted before
+// either receive (eager, so deadlock-free), lo before hi each time. A
+// negative rank skips its side, whose result is nil; lo == hi (two ranks
+// on a periodic axis) works, the tags tell the two messages apart.
+func Swap(ctx *Context, lo, hi, tagLo, tagHi int, toLo, toHi []byte) (fromLo, fromHi []byte, err error) {
+	nbr, tag, out := [2]int{lo, hi}, [2]int{tagLo, tagHi}, [2][]byte{toLo, toHi}
+	for s := range nbr {
+		if nbr[s] >= 0 {
+			if err := mpi.Send(ctx.R, ctx.World, nbr[s], tag[s], out[s]); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	var in [2][]byte
+	for s := range nbr {
+		if nbr[s] >= 0 {
+			m, err := mpi.Recv(ctx.R, ctx.World, nbr[s], tag[1-s])
+			if err != nil {
+				return nil, nil, err
+			}
+			in[s] = m.Data
+		}
+	}
+	return in[0], in[1], nil
 }
 
 // String describes the decomposition (diagnostics).
 func (d *Decomp3D) String() string {
 	return fmt.Sprintf("decomp %dx%dx%d procs, local %dx%dx%d at (%d,%d,%d)",
 		d.PX, d.PY, d.PZ, d.LX, d.LY, d.LZ, d.OX, d.OY, d.OZ)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

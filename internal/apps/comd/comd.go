@@ -24,7 +24,6 @@ import (
 	"match/internal/apps/appkit"
 	"match/internal/enc"
 	"match/internal/fti"
-	"match/internal/mpi"
 )
 
 // Model constants (reduced LJ units).
@@ -176,24 +175,13 @@ func (a *App) exchangeGhosts(ctx *appkit.Context) error {
 			}
 			return out
 		}
-		loPayload := collect(true)
-		hiPayload := collect(false)
-		if err := mpi.Send(ctx.R, ctx.World, loNbr, tagGhostLo, enc.Float64sToBytes(loPayload)); err != nil {
-			return err
-		}
-		if err := mpi.Send(ctx.R, ctx.World, hiNbr, tagGhostHi, enc.Float64sToBytes(hiPayload)); err != nil {
-			return err
-		}
-		ml, err := mpi.Recv(ctx.R, ctx.World, loNbr, tagGhostHi)
+		fromLo, fromHi, err := appkit.Swap(ctx, loNbr, hiNbr, tagGhostLo, tagGhostHi,
+			enc.Float64sToBytes(collect(true)), enc.Float64sToBytes(collect(false)))
 		if err != nil {
 			return err
 		}
-		mh, err := mpi.Recv(ctx.R, ctx.World, hiNbr, tagGhostLo)
-		if err != nil {
-			return err
-		}
-		for _, m := range []mpi.Message{ml, mh} {
-			vals := enc.BytesToFloat64s(m.Data)
+		for _, b := range [2][]byte{fromLo, fromHi} {
+			vals := enc.BytesToFloat64s(b)
 			for i := 0; i+2 < len(vals); i += 3 {
 				a.gx = append(a.gx, vals[i])
 				a.gy = append(a.gy, vals[i+1])
@@ -497,22 +485,13 @@ func (a *App) migrate(ctx *appkit.Context) error {
 		}
 		a.x, a.y, a.z = keep(a.x), keep(a.y), keep(a.z)
 		a.vx, a.vy, a.vz = keep(a.vx), keep(a.vy), keep(a.vz)
-		if err := mpi.Send(ctx.R, ctx.World, loNbr, tagMigLo, enc.Float64sToBytes(loOut)); err != nil {
-			return err
-		}
-		if err := mpi.Send(ctx.R, ctx.World, hiNbr, tagMigHi, enc.Float64sToBytes(hiOut)); err != nil {
-			return err
-		}
-		ml, err := mpi.Recv(ctx.R, ctx.World, loNbr, tagMigHi)
+		fromLo, fromHi, err := appkit.Swap(ctx, loNbr, hiNbr, tagMigLo, tagMigHi,
+			enc.Float64sToBytes(loOut), enc.Float64sToBytes(hiOut))
 		if err != nil {
 			return err
 		}
-		mh, err := mpi.Recv(ctx.R, ctx.World, hiNbr, tagMigLo)
-		if err != nil {
-			return err
-		}
-		for _, m := range []mpi.Message{ml, mh} {
-			vals := enc.BytesToFloat64s(m.Data)
+		for _, b := range [2][]byte{fromLo, fromHi} {
+			vals := enc.BytesToFloat64s(b)
 			for i := 0; i+5 < len(vals); i += 6 {
 				a.x = append(a.x, vals[i])
 				a.y = append(a.y, vals[i+1])

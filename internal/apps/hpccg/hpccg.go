@@ -20,7 +20,6 @@ import (
 	"match/internal/apps/appkit"
 	"match/internal/enc"
 	"match/internal/fti"
-	"match/internal/mpi"
 )
 
 // App is the HPCCG solver state for one rank.
@@ -158,37 +157,24 @@ const (
 )
 
 // exchange refreshes the z ghost planes of vec from the stack neighbors.
+// The end of the stack has no neighbor on one side; that ghost plane keeps
+// the zeros it was allocated with.
 func (a *App) exchange(ctx *appkit.Context, vec []float64) error {
 	plane := a.nx * a.ny
-	if a.rank > 0 {
-		low := enc.Float64sToBytes(vec[:plane])
-		if err := mpi.Send(ctx.R, ctx.World, a.rank-1, tagDown, low); err != nil {
-			return err
-		}
+	lo, hi := a.rank-1, a.rank+1
+	if hi == a.size {
+		hi = -1
 	}
-	if a.rank < a.size-1 {
-		high := enc.Float64sToBytes(vec[a.n-plane:])
-		if err := mpi.Send(ctx.R, ctx.World, a.rank+1, tagUp, high); err != nil {
-			return err
-		}
+	fromLo, fromHi, err := appkit.Swap(ctx, lo, hi, tagDown, tagUp,
+		enc.Float64sToBytes(vec[:plane]), enc.Float64sToBytes(vec[a.n-plane:]))
+	if err != nil {
+		return err
 	}
-	for i := range a.loGhost {
-		a.loGhost[i] = 0
-		a.hiGhost[i] = 0
+	if lo >= 0 {
+		enc.FillFloat64s(a.loGhost, fromLo)
 	}
-	if a.rank > 0 {
-		m, err := mpi.Recv(ctx.R, ctx.World, a.rank-1, tagUp)
-		if err != nil {
-			return err
-		}
-		enc.FillFloat64s(a.loGhost, m.Data)
-	}
-	if a.rank < a.size-1 {
-		m, err := mpi.Recv(ctx.R, ctx.World, a.rank+1, tagDown)
-		if err != nil {
-			return err
-		}
-		enc.FillFloat64s(a.hiGhost, m.Data)
+	if hi >= 0 {
+		enc.FillFloat64s(a.hiGhost, fromHi)
 	}
 	return nil
 }

@@ -29,12 +29,12 @@ const (
 
 // App is the hydro state for one rank.
 type App struct {
-	d    *appkit.Decomp3D
-	h    float64            // cell size
-	flds [5]*appkit.Field3D // rho, mx, my, mz, E
-	flat [5][]float64       // checkpoint views
-	t    float64            // simulated physical time (protected)
-	news [5][]float64       // scratch updates
+	d     *appkit.Decomp3D
+	h     float64            // cell size
+	flds  [5]*appkit.Field3D // rho, mx, my, mz, E (protected)
+	t     float64            // simulated physical time (protected)
+	news  [5][]float64       // scratch updates
+	plane []float64          // reflectBoundaries' scratch layer
 }
 
 // New returns a LULESH instance.
@@ -74,9 +74,8 @@ func (a *App) Init(ctx *appkit.Context) error {
 		a.flds[4].Set(1, 1, 1, eBlast)
 	}
 	a.t = 0
-	for i := range a.flds {
-		a.flat[i] = a.flds[i].Interior()
-		ctx.FTI.Protect(1+i, fti.F64s{P: &a.flat[i]})
+	for i, f := range a.flds {
+		ctx.FTI.Protect(1+i, f)
 	}
 	ctx.FTI.Protect(6, fti.F64{P: &a.t})
 	return nil
@@ -95,51 +94,23 @@ func pressure(rho, mx, my, mz, e float64) float64 {
 	return p
 }
 
-// reflectBoundaries fills domain-boundary ghosts with outflow copies.
+// reflectBoundaries fills domain-boundary ghosts with outflow copies of
+// the adjacent interior layer, x then y then z, so later axes copy the
+// ghost rims earlier ones filled.
 func (a *App) reflectBoundaries() {
 	d := a.d
-	for fi, f := range a.flds {
-		_ = fi
-		if d.CX == 0 {
-			for z := 0; z < f.SZ; z++ {
-				for y := 0; y < f.SY; y++ {
-					f.Set(0, y, z, f.At(1, y, z))
-				}
+	l := [3]int{d.LX, d.LY, d.LZ}
+	lo := [3]bool{d.CX == 0, d.CY == 0, d.CZ == 0}
+	hi := [3]bool{d.CX == d.PX-1, d.CY == d.PY-1, d.CZ == d.PZ-1}
+	for _, f := range a.flds {
+		for ax := range l {
+			if lo[ax] {
+				a.plane = f.Plane(a.plane, ax, 1)
+				f.SetPlane(ax, 0, a.plane)
 			}
-		}
-		if d.CX == d.PX-1 {
-			for z := 0; z < f.SZ; z++ {
-				for y := 0; y < f.SY; y++ {
-					f.Set(d.LX+1, y, z, f.At(d.LX, y, z))
-				}
-			}
-		}
-		if d.CY == 0 {
-			for z := 0; z < f.SZ; z++ {
-				for x := 0; x < f.SX; x++ {
-					f.Set(x, 0, z, f.At(x, 1, z))
-				}
-			}
-		}
-		if d.CY == d.PY-1 {
-			for z := 0; z < f.SZ; z++ {
-				for x := 0; x < f.SX; x++ {
-					f.Set(x, d.LY+1, z, f.At(x, d.LY, z))
-				}
-			}
-		}
-		if d.CZ == 0 {
-			for y := 0; y < f.SY; y++ {
-				for x := 0; x < f.SX; x++ {
-					f.Set(x, y, 0, f.At(x, y, 1))
-				}
-			}
-		}
-		if d.CZ == d.PZ-1 {
-			for y := 0; y < f.SY; y++ {
-				for x := 0; x < f.SX; x++ {
-					f.Set(x, y, d.LZ+1, f.At(x, y, d.LZ))
-				}
+			if hi[ax] {
+				a.plane = f.Plane(a.plane, ax, l[ax])
+				f.SetPlane(ax, l[ax]+1, a.plane)
 			}
 		}
 	}
@@ -194,11 +165,6 @@ func (a *App) flux(lx, ly, lz, rx, ry, rz, dir int, smax float64) [5]float64 {
 // Step implements appkit.App: halo exchange, global Courant dt, one
 // finite-volume update.
 func (a *App) Step(ctx *appkit.Context, iter int) error {
-	// Restore field interiors from the checkpoint views (no-ops except
-	// right after recovery).
-	for i := range a.flds {
-		a.flds[i].SetInterior(a.flat[i])
-	}
 	for i := range a.flds {
 		if err := a.flds[i].Exchange(ctx); err != nil {
 			return err
@@ -225,7 +191,7 @@ func (a *App) Step(ctx *appkit.Context, iter int) error {
 
 	n := d.LX * d.LY * d.LZ
 	for i := range a.news {
-		a.news[i] = grow(a.news[i], n)
+		a.news[i] = appkit.Grow(a.news[i], n)
 	}
 	li := 0
 	dirs := [3][3]int{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
@@ -255,29 +221,22 @@ func (a *App) Step(ctx *appkit.Context, iter int) error {
 		}
 	}
 	ctx.Charge(float64(n) * 180)
-	for k := 0; k < 5; k++ {
-		copy(a.flat[k], a.news[k])
-		a.flds[k].SetInterior(a.flat[k])
+	for k, f := range a.flds {
+		f.SetInterior(a.news[k])
 	}
 	a.t += dt
 	return nil
-}
-
-func grow(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
 }
 
 // Signature implements appkit.App: conserved total energy plus the maximum
 // density (shock position proxy) plus elapsed physical time.
 func (a *App) Signature(ctx *appkit.Context) (float64, error) {
 	localE, localRhoMax := 0.0, 0.0
-	for i, e := range a.flat[4] {
+	rho := a.flds[0].Interior()
+	for i, e := range a.flds[4].Interior() {
 		localE += e
-		if a.flat[0][i] > localRhoMax {
-			localRhoMax = a.flat[0][i]
+		if rho[i] > localRhoMax {
+			localRhoMax = rho[i]
 		}
 	}
 	totE, err := appkit.SumAll(ctx, localE)

@@ -24,12 +24,11 @@ type App struct {
 	stencil [][]float64 // per-node 27 coefficients (local node-major)
 	xb      []float64   // rhs per local node
 
-	x, r, p *appkit.Field3D
-	ap      *appkit.Field3D
-	xFlat   []float64
-	rFlat   []float64
-	pFlat   []float64
-	rho     float64
+	p, ap *appkit.Field3D
+	xFlat []float64
+	rFlat []float64
+	pFlat []float64
+	rho   float64
 }
 
 // New returns a miniFE instance.
@@ -128,8 +127,6 @@ func (a *App) Init(ctx *appkit.Context) error {
 	}
 	ctx.Charge(float64(nLocal) * 8 * 64 * 3) // assembly flops
 
-	a.x = appkit.NewField3D(d)
-	a.r = appkit.NewField3D(d)
 	a.p = appkit.NewField3D(d)
 	a.ap = appkit.NewField3D(d)
 	// x=0, r=b, p=r.

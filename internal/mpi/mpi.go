@@ -140,8 +140,7 @@ func (r Recovery) Duration() simnet.Time { return r.CompletedAt - r.FailedAt }
 // creates a brand-new Job; Reinit bumps the Job epoch in place.
 type Job struct {
 	cluster *simnet.Cluster
-	procs   map[int]*Process // by gid
-	nextGID int
+	procs   []*Process // by gid; gids are dense and never reused
 	nextCtx int
 	world   *Comm
 	epoch   int
@@ -175,7 +174,6 @@ type Job struct {
 func NewJob(c *simnet.Cluster) *Job {
 	return &Job{
 		cluster:  c,
-		procs:    make(map[int]*Process),
 		detected: make(map[int]bool),
 		subcomms: make(map[string]*Comm),
 	}
@@ -194,7 +192,7 @@ func (j *Job) Aborted() bool { return j.aborted }
 // given node. Used by Launch and by ULFM spawn.
 func (j *Job) AddProcess(node int, proc *simnet.Proc) *Process {
 	p := &Process{
-		gid:      j.nextGID,
+		gid:      len(j.procs),
 		node:     node,
 		job:      j,
 		proc:     proc,
@@ -204,8 +202,7 @@ func (j *Job) AddProcess(node int, proc *simnet.Proc) *Process {
 		sendSeq:  make(map[int64]int64),
 		recvSeq:  make(map[int64]int64),
 	}
-	j.nextGID++
-	j.procs[p.gid] = p
+	j.procs = append(j.procs, p)
 	return p
 }
 
@@ -232,9 +229,17 @@ func (j *Job) SetWorld(c *Comm) { j.world = c }
 // operations keep hanging until MarkDetected is called by a failure
 // detector.
 func (j *Job) MarkFailed(gid int) {
-	if p, ok := j.procs[gid]; ok {
+	if p := j.proc(gid); p != nil {
 		p.failed = true
 	}
+}
+
+// proc returns the process with the given gid, or nil for an unknown gid.
+func (j *Job) proc(gid int) *Process {
+	if uint(gid) < uint(len(j.procs)) {
+		return j.procs[gid]
+	}
+	return nil
 }
 
 // MarkDetected records that the failure of gid is now globally known and
@@ -255,9 +260,8 @@ func (j *Job) Detected(gid int) bool { return j.detected[gid] }
 // re-check revocation/failure conditions.
 func (j *Job) wakeAllBlocked() {
 	now := j.cluster.Now()
-	for i := 0; i < j.nextGID; i++ {
-		p, ok := j.procs[i]
-		if !ok || p.failed || p.proc == nil {
+	for _, p := range j.procs {
+		if p.failed || p.proc == nil {
 			continue
 		}
 		if p.blocked {
@@ -276,9 +280,8 @@ func (j *Job) Abort() {
 	}
 	j.aborted = true
 	j.cluster.Scheduler().After(0, func() {
-		for i := 0; i < j.nextGID; i++ {
-			p, ok := j.procs[i]
-			if !ok || p.proc == nil {
+		for _, p := range j.procs {
+			if p.proc == nil {
 				continue
 			}
 			if !p.proc.Exited() && !p.proc.Dead() {
@@ -306,7 +309,7 @@ func (j *Job) BumpEpoch() {
 // MPI call. This models background runtime activity (the ULFM detector's
 // periodic agreement rounds) preempting the application.
 func (j *Job) Steal(gid int, d simnet.Time) {
-	if p, ok := j.procs[gid]; ok {
+	if p := j.proc(gid); p != nil {
 		p.stolen += d
 	}
 }

@@ -603,3 +603,21 @@ func TestEncRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Gids are dense from 0 in AddProcess order, and MarkFailed and Steal
+// ignore a gid the job never issued.
+func TestJobGIDsDenseUnknownIgnored(t *testing.T) {
+	j := NewJob(simnet.NewCluster(simnet.Config{Nodes: 1}))
+	a, b := j.AddProcess(0, nil), j.AddProcess(0, nil)
+	if a.GID() != 0 || b.GID() != 1 {
+		t.Fatalf("gids %d, %d; want 0, 1", a.GID(), b.GID())
+	}
+	for _, gid := range []int{-1, 2, 1 << 40} {
+		j.MarkFailed(gid)
+		j.Steal(gid, simnet.Millisecond)
+	}
+	j.MarkFailed(1)
+	if a.failed || !b.failed {
+		t.Fatalf("failed flags %v, %v; want false, true", a.failed, b.failed)
+	}
+}
