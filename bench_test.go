@@ -20,6 +20,7 @@ import (
 	"match/internal/fault"
 	"match/internal/fti"
 	"match/internal/mpi"
+	"match/internal/replica"
 	"match/internal/simnet"
 	"match/internal/ulfm"
 )
@@ -202,7 +203,7 @@ func BenchmarkAblationHotSpare(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				bd, err := core.Run(core.Config{
 					App: "HPCCG", Design: core.ReplicaFTI, Procs: 64,
-					Input: core.Small, Schedule: &sched, HotSpare: hs,
+					Input: core.Small, Schedule: &sched, Replica: replica.Config{HotSpare: hs},
 				})
 				if err != nil {
 					b.Fatal(err)

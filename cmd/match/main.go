@@ -134,12 +134,12 @@ func main() {
 		FaultSeed:   *seed,
 		FTILevel:    fti.Level(*level),
 		CkptStride:  *stride,
-		HotSpare:    *hotSpare,
 		Replica: replica.Config{
 			DupDegree:      *dupDegree,
 			ReplicaFactor:  *replicaFactor,
 			SpawnDelay:     simnet.Time(spawnDelay.Nanoseconds()),
 			SpawnBandwidth: *spawnBW,
+			HotSpare:       *hotSpare,
 		},
 		ModelIngress: *modelIngress,
 	}

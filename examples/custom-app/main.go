@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"match"
 	"match/internal/apps/appkit"
@@ -81,20 +82,37 @@ func main() {
 	if err := match.RegisterApp("Heat2D", func() match.App { return &heat{} }); err != nil {
 		log.Fatal(err)
 	}
-	for _, d := range []match.Design{match.RestartFTI, match.ReinitFTI, match.UlfmFTI} {
+	run := func(d match.Design, inject bool) match.Breakdown {
 		bd, err := match.Run(match.Config{
 			App:         "Heat2D",
 			Design:      d,
 			Procs:       16,
 			Nodes:       8,
-			InjectFault: true,
+			InjectFault: inject,
 			FaultSeed:   3,
-			Params:      match.Params{NX: 64, MaxIter: 30, WorkScale: 50, CkptStride: 5},
+			CkptStride:  5,
+			Params:      match.Params{NX: 64, MaxIter: 30, WorkScale: 50},
 		})
 		if err != nil {
 			log.Fatalf("%v: %v", d, err)
 		}
+		return bd
+	}
+	// The failure rolls back to a mid-run checkpoint, so the example checks
+	// what recovery must guarantee: the failure-free answer, bit for bit.
+	ref := run(match.RestartFTI, false)
+	fmt.Printf("failure-free answer %.6f\n", ref.Signature)
+	wrong := 0
+	for _, d := range []match.Design{match.RestartFTI, match.ReinitFTI, match.UlfmFTI, match.ReplicaFTI} {
+		bd := run(d, true)
 		fmt.Printf("%-12s survived a process failure: recovery %.3fs, total %.3fs, answer %.6f\n",
 			d, bd.Recovery.Seconds(), bd.Total.Seconds(), bd.Signature)
+		if bd.Signature != ref.Signature {
+			fmt.Printf("%-12s recovered to a different answer than the failure-free run\n", d)
+			wrong++
+		}
+	}
+	if wrong > 0 {
+		os.Exit(1)
 	}
 }

@@ -15,7 +15,13 @@
 // app protects its ghosted field directly rather than a flat copy it syncs
 // every step. The rule is to protect the field the step updates in place:
 // FTI keeps the pointer given to Protect, so swapping two fields' pointers
-// would leave it checkpointing, and restoring into, the stale one.
+// would leave it checkpointing, and restoring into, the stale one. For the
+// same reason NewDecomp3D gives every rank a non-empty block whenever some
+// process grid allows it: a rank with no interior would compute in ghost
+// cells that no checkpoint holds.
+//
+// RunMainLoop takes checkpoint placement from the Context's Ckpt policy
+// alone, which is required; Params carries no stride the loop reads.
 package appkit
 
 import (
@@ -40,9 +46,10 @@ type Params struct {
 	NVerts int
 	// MaxIter is the main-loop trip count.
 	MaxIter int
-	// CkptStride is the base checkpoint period in iterations (paper: 10).
-	// It only takes effect when the Context carries no placement policy:
-	// RunMainLoop then installs a fixed-stride policy over it.
+	// CkptStride is read by nothing: placement is the Context's Ckpt policy,
+	// whose stride is core.Config.CkptStride, and core rejects a non-zero
+	// value here. The field stays only because the cell key marshals Params,
+	// so removing it would change every stored key that carries a Params.
 	CkptStride int
 	// WorkScale converts one abstract work unit (roughly a flop) into
 	// virtual nanoseconds; it encodes the documented scale-down factor.
@@ -58,10 +65,10 @@ type Context struct {
 	FTI    *fti.FTI
 	Inject *fault.Injector
 	Params Params
-	// Ckpt decides checkpoint placement for the main loop. The harness
-	// installs the per-incarnation policy of the run's placement planner;
-	// nil falls back to a fixed-stride policy over Params.CkptStride.
-	Ckpt ckpt.Policy
+	// Ckpt decides checkpoint placement for the main loop; it is required.
+	// The harness installs the per-incarnation policy of the run's
+	// placement planner.
+	Ckpt *ckpt.Policy
 }
 
 // Rank returns this rank's index in the world.
@@ -113,10 +120,6 @@ func RunMainLoop(ctx *Context, app App) (float64, error) {
 			return 0, fmt.Errorf("%s recover: %w", app.Name(), err)
 		}
 	}
-	pol := ctx.Ckpt
-	if pol == nil {
-		pol = ckpt.FixedPolicy(ctx.Params.CkptStride)
-	}
 	// Span identity of this rank's main loop, captured once: one compute
 	// span per step lands on the rank's own timeline track.
 	probe := ctx.R.Job().Cluster().Probe()
@@ -130,12 +133,12 @@ func RunMainLoop(ctx *Context, app App) (float64, error) {
 	}
 	for ; iter < ctx.Params.MaxIter; iter++ {
 		ctx.Inject.MaybeFail(ctx.R, ctx.World, iter)
-		if d := pol.Next(ckpt.State{Iter: iter}); d.Take {
+		if d := ctx.Ckpt.Next(iter); d.Take {
 			start := ctx.R.Now()
 			if err := ctx.FTI.CheckpointAt(int64(iter), d.Level); err != nil {
 				return 0, err
 			}
-			pol.Observe(ckpt.ObsCkpt, ctx.R.Now()-start)
+			ctx.Ckpt.ObserveCkpt(ctx.R.Now() - start)
 		}
 		start := ctx.R.Now()
 		if err := app.Step(ctx, iter); err != nil {
@@ -146,7 +149,7 @@ func RunMainLoop(ctx *Context, app App) (float64, error) {
 			step.Start, step.Dur, step.Aux = int64(start), int64(stepDur), int64(iter)
 			probe.Emit(step)
 		}
-		pol.Observe(ckpt.ObsStep, stepDur)
+		ctx.Ckpt.ObserveStep(stepDur)
 	}
 	sig, err := app.Signature(ctx)
 	if err != nil {

@@ -61,6 +61,49 @@ func TestDecompPartitionsExactly(t *testing.T) {
 	}
 }
 
+// A flat domain gets no empty blocks: Factor3D(16) is 2x2x4, which would
+// stack four process layers on one z cell, so the grid becomes 4x4x1.
+func TestDecompFlatDomainHasNoEmptyBlock(t *testing.T) {
+	for _, size := range []int{2, 4, 16} {
+		for rank := 0; rank < size; rank++ {
+			d := NewDecomp3D(rank, size, 64, 64, 1)
+			if d.LX <= 0 || d.LY <= 0 || d.LZ <= 0 {
+				t.Fatalf("p=%d rank %d has empty block %s", size, rank, d)
+			}
+		}
+	}
+	if d := NewDecomp3D(0, 16, 64, 64, 1); d.PX != 4 || d.PY != 4 || d.PZ != 1 {
+		t.Fatalf("p=16 over 64x64x1: grid %dx%dx%d, want 4x4x1", d.PX, d.PY, d.PZ)
+	}
+}
+
+// Wherever Factor3D's grid leaves no block empty, it is the grid.
+func TestDecompKeepsFactor3DWhenItFits(t *testing.T) {
+	for size := 1; size <= 128; size++ {
+		px, py, pz := Factor3D(size)
+		for _, n := range [][3]int{{1, 1, 1}, {64, 64, 1}, {3, 4, 5}, {8, 8, 8}, {16, 16, 16}, {2, 9, 30}} {
+			d := NewDecomp3D(0, size, n[0], n[1], n[2])
+			fits := px <= n[0] && py <= n[1] && pz <= n[2]
+			if fits && (d.PX != px || d.PY != py || d.PZ != pz) {
+				t.Fatalf("p=%d over %v: grid %dx%dx%d, Factor3D's %dx%dx%d fits", size, n, d.PX, d.PY, d.PZ, px, py, pz)
+			}
+			if d.PX*d.PY*d.PZ != size {
+				t.Fatalf("p=%d over %v: grid %dx%dx%d", size, n, d.PX, d.PY, d.PZ)
+			}
+			// Otherwise a grid that fits is taken whenever one exists.
+			someFit := false
+			for a := 1; a <= n[0]; a++ {
+				for b := 1; b <= n[1]; b++ {
+					someFit = someFit || size%(a*b) == 0 && size/(a*b) <= n[2]
+				}
+			}
+			if someFit && (d.PX > n[0] || d.PY > n[1] || d.PZ > n[2]) {
+				t.Fatalf("p=%d over %v: grid %dx%dx%d leaves a block empty", size, n, d.PX, d.PY, d.PZ)
+			}
+		}
+	}
+}
+
 func TestNeighborWrap(t *testing.T) {
 	d := NewDecomp3D(0, 8, 8, 8, 8) // 2x2x2 grid, corner rank
 	if d.Neighbor(-1, 0, 0) != -1 {

@@ -42,11 +42,41 @@ func Factor3D(p int) (px, py, pz int) {
 	return best[0], best[1], best[2]
 }
 
+// fitFactor3D is the most cubic px*py*pz = p, by Factor3D's score over
+// every ordering, with px <= nx, py <= ny and pz <= nz; Factor3D(p) when no
+// factorization fits.
+func fitFactor3D(p, nx, ny, nz int) (px, py, pz int) {
+	px, py, pz = Factor3D(p)
+	best := -1
+	for a := 1; a <= min(p, nx); a++ {
+		if p%a != 0 {
+			continue
+		}
+		for b := 1; b <= min(p/a, ny); b++ {
+			c := p / a / b
+			if a*b*c != p || c > nz {
+				continue
+			}
+			// (max-min) + (max-mid), as Factor3D scores a sorted triple.
+			if score := 3*max(a, b, c) - a - b - c; best < 0 || score < best {
+				best, px, py, pz = score, a, b, c
+			}
+		}
+	}
+	return px, py, pz
+}
+
 // NewDecomp3D builds the decomposition for the calling rank. The global
 // extents need not divide evenly; remainders go to the low-coordinate
-// blocks.
+// blocks. The process grid is Factor3D's unless it puts more process layers
+// on an axis than the axis has cells: then some block is empty, and its
+// rank would update ghost cells no checkpoint holds, so the most cubic grid
+// that fits is taken instead.
 func NewDecomp3D(rank, size, nx, ny, nz int) *Decomp3D {
 	px, py, pz := Factor3D(size)
+	if px > nx || py > ny || pz > nz {
+		px, py, pz = fitFactor3D(size, nx, ny, nz)
+	}
 	d := &Decomp3D{PX: px, PY: py, PZ: pz, NX: nx, NY: ny, NZ: nz, rank: rank, size: size}
 	d.CX = rank % px
 	d.CY = (rank / px) % py

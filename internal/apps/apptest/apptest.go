@@ -32,13 +32,13 @@ func Run(t testing.TB, n int, params appkit.Params, factory func() appkit.App) R
 	if params.Seed == 0 {
 		params.Seed = 42
 	}
-	// App tests exercise physics, not checkpointing: placement is off
-	// unless the test asked for a stride. One policy instance is shared by
-	// all ranks, as the harness does.
-	pol := ckpt.NeverPolicy()
-	if params.CkptStride > 0 {
-		pol = ckpt.FixedPolicy(params.CkptStride)
+	// App tests exercise physics, not checkpointing: placement is off. One
+	// policy instance is shared by all ranks, as the harness does.
+	pl, err := ckpt.NewPlanner(ckpt.Config{Kind: ckpt.Never}, params.MaxIter, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	pol := pl.Policy()
 	c := simnet.NewCluster(simnet.Config{Nodes: 4})
 	c.Scheduler().SetDeadline(3600 * simnet.Second)
 	st := storage.New(c, storage.Config{})

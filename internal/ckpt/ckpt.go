@@ -4,8 +4,8 @@
 // main loop, which made the interesting questions — FTI-style multi-level
 // interleaving, replication-aware stride stretching (PartRePer/FTHP-MPI's
 // "replicated ranks should pay less checkpoint overhead"), Young–Daly
-// interval selection — unmeasurable. This package factors placement into a
-// Policy interface with five strategies, so any design can run under any
+// interval selection — unmeasurable. This package factors placement into
+// one concrete Policy with five strategies, so any design can run under any
 // placement and the checkpoint-overhead axis becomes sweepable everywhere:
 //
 //   - Fixed: the classic stride-N placement at the run's configured level,
@@ -31,6 +31,11 @@
 // decision per iteration (the first rank to reach the iteration computes
 // it, everyone else replays it), which also keeps live inputs like the
 // replica-group degree consistent however rank clocks interleave.
+//
+// Every policy comes from a Planner — the harness's, or one a test builds
+// the same way (NewPlanner(Config{Kind: Never}, ...) for a run that takes
+// no checkpoints). The main loop asks Next(iter) and reports each
+// checkpoint's and each step's duration through ObserveCkpt/ObserveStep.
 package ckpt
 
 import (
@@ -38,7 +43,6 @@ import (
 	"strings"
 
 	"match/internal/fti"
-	"match/internal/simnet"
 )
 
 // Kind selects a placement strategy. Fixed is the zero value so untouched
@@ -215,12 +219,6 @@ func (c Config) String() string {
 	return c.Kind.String()
 }
 
-// State is the per-iteration input to a placement decision.
-type State struct {
-	// Iter is the main-loop iteration about to execute.
-	Iter int
-}
-
 // Decision is the outcome of one placement consultation.
 type Decision struct {
 	// Take requests a checkpoint before this iteration's step.
@@ -228,31 +226,4 @@ type Decision struct {
 	// Level overrides the FTI level for this checkpoint; zero keeps the
 	// run's configured level.
 	Level fti.Level
-}
-
-// Obs labels a measured cost sample fed back to a policy.
-type Obs int
-
-const (
-	// ObsCkpt is the duration of one completed checkpoint.
-	ObsCkpt Obs = iota
-	// ObsStep is the duration of one application step.
-	ObsStep
-)
-
-// Policy decides checkpoint placement for one job incarnation. The main
-// loop consults Next once per rank per iteration and feeds measured costs
-// back through Observe. Implementations memoize per iteration, so every
-// rank of an iteration sees the identical decision (the collective-commit
-// requirement) and Next is cheap on replay. Policies run entirely on the
-// simulated cluster's single-threaded scheduler; they are not
-// goroutine-safe.
-type Policy interface {
-	// Kind reports the strategy.
-	Kind() Kind
-	// Next returns the placement decision for the iteration.
-	Next(s State) Decision
-	// Observe feeds a measured cost sample back (the adaptive policy
-	// recomputes its interval from these at the next incarnation).
-	Observe(what Obs, cost simnet.Time)
 }

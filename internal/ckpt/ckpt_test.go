@@ -21,10 +21,10 @@ func mustPlanner(t *testing.T, cfg Config, maxIter, faults int) *Planner {
 
 // decisions replays a policy over the whole iteration space and returns
 // the iterations it checkpoints at, keyed to their levels.
-func decisions(p Policy, maxIter int) map[int]fti.Level {
+func decisions(p *Policy, maxIter int) map[int]fti.Level {
 	out := map[int]fti.Level{}
 	for i := 0; i < maxIter; i++ {
-		if d := p.Next(State{Iter: i}); d.Take {
+		if d := p.Next(i); d.Take {
 			out[i] = d.Level
 		}
 	}
@@ -115,12 +115,12 @@ func TestFixedMatchesStrideArithmetic(t *testing.T) {
 }
 
 func TestNeverPolicy(t *testing.T) {
-	p := NeverPolicy()
-	if len(decisions(p, 200)) != 0 {
+	pl := mustPlanner(t, Config{Kind: Never}, 200, 0)
+	if len(decisions(pl.Policy(), 200)) != 0 {
 		t.Fatal("never policy checkpointed")
 	}
-	if p.Kind() != Never {
-		t.Fatalf("kind = %v", p.Kind())
+	if s := pl.Strides(); len(s) != 1 || s[0] != 0 {
+		t.Fatalf("never policy strides = %v, want [0]", s)
 	}
 }
 
@@ -146,7 +146,7 @@ func TestReplicaAwareStretchAndRearm(t *testing.T) {
 	p := pl.Policy()
 	// Fully protected: stride 10 stretched to 40.
 	for i := 0; i < 50; i++ {
-		if d := p.Next(State{Iter: i}); d.Take != (i%40 == 0) {
+		if d := p.Next(i); d.Take != (i%40 == 0) {
 			t.Fatalf("protected iter %d: take=%v", i, d.Take)
 		}
 	}
@@ -154,7 +154,7 @@ func TestReplicaAwareStretchAndRearm(t *testing.T) {
 	// for iterations not yet decided.
 	degree = 1
 	for i := 50; i < 100; i++ {
-		if d := p.Next(State{Iter: i}); d.Take != (i%10 == 0) {
+		if d := p.Next(i); d.Take != (i%10 == 0) {
 			t.Fatalf("degraded iter %d: take=%v", i, d.Take)
 		}
 	}
@@ -165,7 +165,7 @@ func TestReplicaAwareStretchAndRearm(t *testing.T) {
 	}
 	// Memoized decisions stay sticky: re-asking about a protected-era
 	// iteration after degradation returns the original decision.
-	if d := p.Next(State{Iter: 20}); d.Take {
+	if d := p.Next(20); d.Take {
 		t.Fatal("iter 20 decision changed on replay")
 	}
 }
@@ -232,9 +232,9 @@ func TestDecisionsMemoizedAcrossRanks(t *testing.T) {
 	pl := mustPlanner(t, Config{Kind: ReplicaAware, Stretch: 2}, 40, 0)
 	pl.Degree = func() int { return degree }
 	p := pl.Policy()
-	first := p.Next(State{Iter: 20})  // rank A reaches iter 20 while protected
-	degree = 1                        // failover lands
-	second := p.Next(State{Iter: 20}) // rank B reaches iter 20 after it
+	first := p.Next(20)  // rank A reaches iter 20 while protected
+	degree = 1           // failover lands
+	second := p.Next(20) // rank B reaches iter 20 after it
 	if first != second {
 		t.Fatalf("ranks diverged at iter 20: %+v vs %+v (collective deadlock)", first, second)
 	}
@@ -266,8 +266,8 @@ func TestAdaptiveRecomputesPerIncarnation(t *testing.T) {
 	}
 	// Feed measurements: checkpoints cost 2 steps, MTBF = 100 iters, so
 	// Young-Daly says sqrt(2*2*100) = 20.
-	p0.Observe(ObsCkpt, 2*simnet.Second)
-	p0.Observe(ObsStep, 1*simnet.Second)
+	p0.ObserveCkpt(2 * simnet.Second)
+	p0.ObserveStep(1 * simnet.Second)
 	epoch = 1 // a recovery happened; the next incarnation re-arms
 	p1 := pl.Policy()
 	if p1 == p0 {

@@ -37,7 +37,7 @@ type Planner struct {
 	probe *obs.Probe
 	now   func() simnet.Time
 
-	pol      *policy
+	pol      *Policy
 	polEpoch int
 	avoided  int
 	strides  []int
@@ -69,7 +69,7 @@ func (pl *Planner) Config() Config { return pl.cfg }
 // re-arming (and recomputing the adaptive interval) when the epoch has
 // advanced since the last acquisition. Every rank of an incarnation gets
 // the same instance, which is what keeps decisions collective-safe.
-func (pl *Planner) Policy() Policy {
+func (pl *Planner) Policy() *Policy {
 	e := 0
 	if pl.Epoch != nil {
 		e = pl.Epoch()
@@ -103,17 +103,6 @@ func (pl *Planner) degree() int {
 	return pl.Degree()
 }
 
-func (pl *Planner) observe(what Obs, cost simnet.Time) {
-	switch what {
-	case ObsCkpt:
-		pl.ckptN++
-		pl.ckptSum += cost
-	case ObsStep:
-		pl.stepN++
-		pl.stepSum += cost
-	}
-}
-
 // adaptiveStride is the Young–Daly interval in iteration units:
 // sqrt(2 * C * M), with the checkpoint cost C measured in steps
 // (mean checkpoint duration over mean step duration) and the mean time
@@ -141,8 +130,8 @@ func (pl *Planner) adaptiveStride() int {
 }
 
 // build constructs the policy for the incarnation that is starting.
-func (pl *Planner) build() *policy {
-	p := &policy{pl: pl, memo: make(map[int]Decision), stride: pl.cfg.Stride}
+func (pl *Planner) build() *Policy {
+	p := &Policy{pl: pl, memo: make(map[int]Decision), stride: pl.cfg.Stride}
 	switch pl.cfg.Kind {
 	case Never:
 		p.stride = 0
@@ -195,9 +184,14 @@ func every(iter, stride int) Decision {
 	return Decision{Take: stride > 0 && iter%stride == 0}
 }
 
-// policy is the shared implementation of every strategy: a per-iteration
-// decision memo around a strategy-specific decide function.
-type policy struct {
+// Policy decides checkpoint placement for one job incarnation: a
+// per-iteration decision memo around the strategy's decide function. The
+// main loop consults Next once per rank per iteration and feeds measured
+// costs back through ObserveCkpt and ObserveStep. Memoizing means every
+// rank of an iteration sees the identical decision (the collective-commit
+// requirement) and Next is cheap on replay. A Policy runs entirely on the
+// simulated cluster's single-threaded scheduler; it is not goroutine-safe.
+type Policy struct {
 	pl     *Planner
 	memo   map[int]Decision
 	decide func(iter int) Decision
@@ -205,49 +199,35 @@ type policy struct {
 	stride int // effective base stride this incarnation (0 = never)
 }
 
-func (p *policy) Kind() Kind { return p.pl.cfg.Kind }
-
-func (p *policy) Next(s State) Decision {
-	if d, ok := p.memo[s.Iter]; ok {
+// Next returns the placement decision for the iteration.
+func (p *Policy) Next(iter int) Decision {
+	if d, ok := p.memo[iter]; ok {
 		return d
 	}
-	d := p.decide(s.Iter)
+	d := p.decide(iter)
 	if d.Take {
 		p.taken++
-	} else if p.pl.cfg.Stride > 0 && s.Iter%p.pl.cfg.Stride == 0 {
+	} else if p.pl.cfg.Stride > 0 && iter%p.pl.cfg.Stride == 0 {
 		p.pl.avoided++
 		if p.pl.probe.On(trace.CatPolicyAvoid) {
 			p.pl.probe.Emit(trace.Span{Cat: trace.CatPolicyAvoid, Rank: -1,
-				Start: int64(p.pl.now()), Aux: int64(s.Iter)})
+				Start: int64(p.pl.now()), Aux: int64(iter)})
 		}
 	}
-	p.memo[s.Iter] = d
+	p.memo[iter] = d
 	return d
 }
 
-func (p *policy) Observe(what Obs, cost simnet.Time) { p.pl.observe(what, cost) }
-
-// FixedPolicy is a standalone stride-N policy at the run's configured
-// level — the fallback the shared main loop installs when a Context was
-// built without a planner (custom harnesses, app tests). A stride < 1
-// keeps the historical default of 10.
-func FixedPolicy(stride int) Policy {
-	if stride < 1 {
-		stride = 10
-	}
-	pl, err := NewPlanner(Config{Kind: Fixed, Stride: stride}, 0, 0)
-	if err != nil {
-		panic(err) // unreachable: the config is valid by construction
-	}
-	return pl.Policy()
+// ObserveCkpt feeds back the duration of one completed checkpoint (the
+// adaptive policy recomputes its interval from these at the next
+// incarnation).
+func (p *Policy) ObserveCkpt(cost simnet.Time) {
+	p.pl.ckptN++
+	p.pl.ckptSum += cost
 }
 
-// NeverPolicy takes no checkpoints — the explicit spelling of what tests
-// used to fake with an astronomically large stride.
-func NeverPolicy() Policy {
-	pl, err := NewPlanner(Config{Kind: Never}, 0, 0)
-	if err != nil {
-		panic(err) // unreachable: the config is valid by construction
-	}
-	return pl.Policy()
+// ObserveStep feeds back the duration of one application step.
+func (p *Policy) ObserveStep(cost simnet.Time) {
+	p.pl.stepN++
+	p.pl.stepSum += cost
 }

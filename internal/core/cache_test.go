@@ -213,9 +213,8 @@ func mustDecode(t *testing.T, raw []byte) Breakdown {
 // byte-identical.
 func TestCachedBreakdownRoundTrip(t *testing.T) {
 	params := tinyParams("HPCCG")
-	params.CkptStride = 3
 	bd, err := Run(Config{App: "HPCCG", Design: UlfmFTI, Procs: 8, Nodes: 4,
-		Params: params, InjectFault: true, FaultSeed: 7})
+		Params: params, CkptStride: 3, InjectFault: true, FaultSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,9 +37,9 @@ func ReplicaFactorOf(c Config) float64 {
 
 // HotSpareOf reports whether a configuration runs with hot-spare respawn:
 // true only for the replica design (the knob means nothing elsewhere) with
-// either the harness-level or the replica-level switch set.
+// Replica.HotSpare set.
 func HotSpareOf(c Config) bool {
-	return c.Design == ReplicaFTI && (c.HotSpare || c.Replica.HotSpare)
+	return c.Design == ReplicaFTI && c.Replica.HotSpare
 }
 
 // WriteCampaign renders campaign results: one block per application, one

@@ -20,9 +20,8 @@ import (
 func TestCampaignK1MatchesLegacySingleFailure(t *testing.T) {
 	for _, d := range Designs() {
 		params := tinyParams("HPCCG")
-		params.CkptStride = 3
 		legacy := Config{App: "HPCCG", Design: d, Procs: 8, Nodes: 4,
-			Params: params, InjectFault: true, FaultSeed: 7}
+			Params: params, CkptStride: 3, InjectFault: true, FaultSeed: 7}
 		viaK := legacy
 		viaK.Faults = 1
 		a, err := Run(legacy)
@@ -46,9 +45,8 @@ func TestMultiFailureEveryDesign(t *testing.T) {
 		for _, d := range Designs() {
 			for _, k := range []int{2, 3} {
 				params := tinyParams(app)
-				params.CkptStride = 3
 				cfg := Config{App: app, Design: d, Procs: 8, Nodes: 4,
-					Params: params, Faults: k, FaultSeed: 5}
+					Params: params, CkptStride: 3, Faults: k, FaultSeed: 5}
 				a, err := Run(cfg)
 				if err != nil {
 					t.Fatalf("%s/%v k=%d: %v", app, d, k, err)
@@ -80,14 +78,13 @@ func TestMultiFailureEveryDesign(t *testing.T) {
 // The multi-failure answer must still be the failure-free answer.
 func TestMultiFailureRecoversExactAnswer(t *testing.T) {
 	params := tinyParams("miniFE")
-	params.CkptStride = 3
-	ref, err := Run(Config{App: "miniFE", Design: ReinitFTI, Procs: 8, Nodes: 4, Params: params})
+	ref, err := Run(Config{App: "miniFE", Design: ReinitFTI, Procs: 8, Nodes: 4, Params: params, CkptStride: 3})
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
 	for _, d := range Designs() {
 		bd, err := Run(Config{App: "miniFE", Design: d, Procs: 8, Nodes: 4,
-			Params: params, Faults: 3, FaultSeed: 2})
+			Params: params, CkptStride: 3, Faults: 3, FaultSeed: 2})
 		if err != nil {
 			t.Fatalf("%v: %v", d, err)
 		}
@@ -283,13 +280,12 @@ func TestCampaignDetectorSweepDimension(t *testing.T) {
 // the run goes straight to the checkpoint fallback (one recovery).
 func TestInWindowFailureRegime(t *testing.T) {
 	params := tinyParams("HPCCG")
-	params.CkptStride = 3
 	sched := fault.Schedule{Events: []fault.Event{
 		{TargetRank: 2, TargetIter: 2, TargetReplica: 1},
 		{TargetRank: 2, TargetIter: 4, TargetReplica: 0},
 	}}
 	base := Config{App: "HPCCG", Design: ReplicaFTI, Procs: 8, Nodes: 4,
-		Params: params, Schedule: &sched}
+		Params: params, CkptStride: 3, Schedule: &sched}
 
 	launcher, err := Run(base)
 	if err != nil {
@@ -317,7 +313,6 @@ func TestInWindowFailureRegime(t *testing.T) {
 // checkpoint-only fallback) and an AfterRecoveries-gated event.
 func TestExplicitScheduleDegradedGroupFallback(t *testing.T) {
 	params := tinyParams("HPCCG")
-	params.CkptStride = 3
 	// Kill the shadow replica of rank 2 first (stable replica index 1),
 	// then — after that failover — the primary (index 0): the group is
 	// exhausted and the run must fall back to checkpoint-only relaunch.
@@ -326,8 +321,8 @@ func TestExplicitScheduleDegradedGroupFallback(t *testing.T) {
 		{TargetRank: 2, TargetIter: 6, TargetReplica: 0, AfterRecoveries: 1},
 	}}
 	cfg := Config{App: "HPCCG", Design: ReplicaFTI, Procs: 8, Nodes: 4,
-		Params: params, Schedule: &sched}
-	ref, err := Run(Config{App: "HPCCG", Design: ReinitFTI, Procs: 8, Nodes: 4, Params: params})
+		Params: params, CkptStride: 3, Schedule: &sched}
+	ref, err := Run(Config{App: "HPCCG", Design: ReinitFTI, Procs: 8, Nodes: 4, Params: params, CkptStride: 3})
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}

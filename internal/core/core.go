@@ -161,19 +161,10 @@ type Config struct {
 	// calibrated timings slightly.
 	ModelIngress bool
 
-	// HotSpare enables FTHP-MPI-style background respawn for the replica
-	// design: after a failover degrades a replica group, a fresh shadow is
-	// spawned in the background (replica.Config.SpawnDelay plus a state
-	// transfer sized by the rank's live FTI-protected footprint) and, once
-	// live, restores the group to full degree — so the group absorbs a
-	// second failure by failover, falling back to checkpoints only when
-	// the second hit lands inside the respawn window. Ignored by the other
-	// designs. Equivalent to setting Replica.HotSpare; spawn-cost knobs
-	// live on Config.Replica.
-	HotSpare bool
-
 	// Overrides for ablation studies; zero values select the calibrated
-	// defaults.
+	// defaults. Replica.HotSpare is the replica design's background-respawn
+	// switch. Each design's Detect is set through Detector above, never
+	// here: Run rejects a non-zero one.
 	Ulfm    ulfm.Config
 	Reinit  reinit.Config
 	Restart restart.Config
@@ -274,9 +265,10 @@ type Breakdown struct {
 	Messages    int64
 	NetBytes    int64
 	// Respawns counts the hot spares that went live during the run (zero
-	// unless Config.HotSpare); SpawnTime sums their spawn latency (dynamic
-	// spawn plus state transfer). Spawning happens in the background, so
-	// SpawnTime is a resource metric, not a component of Total.
+	// unless Config.Replica.HotSpare); SpawnTime sums their spawn latency
+	// (dynamic spawn plus state transfer). Spawning happens in the
+	// background, so SpawnTime is a resource metric, not a component of
+	// Total.
 	Respawns  int
 	SpawnTime simnet.Time
 	// LeakedEvents counts scheduler events still pending when the run's

@@ -39,12 +39,12 @@ func TestEveryAppEveryDesignRecoversExactly(t *testing.T) {
 		app := app
 		t.Run(app, func(t *testing.T) {
 			params := tinyParams(app)
-			params.CkptStride = 3
 			base := Config{
-				App:    app,
-				Procs:  8,
-				Nodes:  4,
-				Params: params,
+				App:        app,
+				Procs:      8,
+				Nodes:      4,
+				Params:     params,
+				CkptStride: 3,
 			}
 			// Failure-free reference (REINIT has no steady-state impact).
 			ref := base
@@ -55,6 +55,11 @@ func TestEveryAppEveryDesignRecoversExactly(t *testing.T) {
 			}
 			if refBd.Recoveries != 0 {
 				t.Fatalf("reference run recovered %d times", refBd.Recoveries)
+			}
+			// At least three checkpoints, so a failure rolls back to a
+			// mid-run one rather than to iteration 0.
+			if refBd.CkptCount < 3 {
+				t.Fatalf("reference run took %d checkpoints, want >= 3", refBd.CkptCount)
 			}
 			for _, d := range Designs() {
 				d := d
@@ -112,11 +117,10 @@ func TestDesignsAgreeWithoutFailure(t *testing.T) {
 // below all three.
 func TestRecoveryOrdering(t *testing.T) {
 	params := tinyParams("HPCCG")
-	params.CkptStride = 3
 	recov := map[Design]float64{}
 	for _, d := range Designs() {
 		cfg := Config{App: "HPCCG", Design: d, Procs: 8, Nodes: 4,
-			Params: params, InjectFault: true, FaultSeed: 3}
+			Params: params, CkptStride: 3, InjectFault: true, FaultSeed: 3}
 		bd, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", d, err)
@@ -251,9 +255,8 @@ func TestFigureRequest(t *testing.T) {
 
 func TestRunAveragedAndReports(t *testing.T) {
 	params := tinyParams("HPCCG")
-	params.CkptStride = 3
 	cfg := Config{App: "HPCCG", Design: ReinitFTI, Procs: 8, Nodes: 4,
-		Params: params, InjectFault: true, FaultSeed: 11}
+		Params: params, CkptStride: 3, InjectFault: true, FaultSeed: 11}
 	bd, results, err := RunAveraged(cfg, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -288,11 +291,10 @@ func TestRunAveragedAndReports(t *testing.T) {
 
 func TestComputeRatios(t *testing.T) {
 	params := tinyParams("HPCCG")
-	params.CkptStride = 3
 	var results []Result
 	for _, d := range Designs() {
 		cfg := Config{App: "HPCCG", Design: d, Procs: 8, Nodes: 4,
-			Params: params, InjectFault: true, FaultSeed: 3}
+			Params: params, CkptStride: 3, InjectFault: true, FaultSeed: 3}
 		bd, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", d, err)

@@ -9,6 +9,7 @@ import (
 
 	"match/internal/ckpt"
 	"match/internal/fti"
+	"match/internal/replica"
 	"match/internal/simnet"
 )
 
@@ -110,7 +111,7 @@ func TestByteScaleHasOneHome(t *testing.T) {
 			400589700, 274737189050, 0},
 		{"hot-spare",
 			Config{App: "HPCCG", Design: ReplicaFTI, Procs: 8, Nodes: 4, Input: Medium,
-				Schedule: doubleHit(t), HotSpare: true},
+				Schedule: doubleHit(t), Replica: replica.Config{HotSpare: true}},
 			695732144, 48225701785, 522650792},
 	}
 	var cfgs []Config

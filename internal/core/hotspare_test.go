@@ -38,7 +38,7 @@ func TestHotSpareSecondFailureFailsOverNotFallback(t *testing.T) {
 		Schedule: doubleHit(t)}
 
 	with := base
-	with.HotSpare = true
+	with.Replica.HotSpare = true
 	bdWith, err := Run(with)
 	if err != nil {
 		t.Fatalf("hot-spare run: %v", err)
@@ -83,8 +83,8 @@ func TestHotSpareRespawnWindowFallsBack(t *testing.T) {
 		t.Skip("full-size fallback run")
 	}
 	cfg := Config{App: "HPCCG", Design: ReplicaFTI, Procs: 8, Nodes: 4, Input: Small,
-		Schedule: doubleHit(t), HotSpare: true,
-		Replica: replica.Config{SpawnDelay: 3600 * simnet.Second}}
+		Schedule: doubleHit(t),
+		Replica:  replica.Config{HotSpare: true, SpawnDelay: 3600 * simnet.Second}}
 	bd, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -117,7 +117,7 @@ func TestHotSpareReplicaAwareRearmsToStretched(t *testing.T) {
 		Schedule:   &sched,
 		CkptPolicy: ckpt.Config{Kind: ckpt.ReplicaAware}}
 	with := base
-	with.HotSpare = true
+	with.Replica.HotSpare = true
 	bdWith, err := Run(with)
 	if err != nil {
 		t.Fatalf("hot-spare run: %v", err)
@@ -173,7 +173,8 @@ func TestCampaignHotSpareAxis(t *testing.T) {
 	// Reinit cells and key them into the same crossover cells.
 	mk := func(d Design, k int, hs bool, total simnet.Time) Result {
 		return Result{
-			Config:    Config{App: "HPCCG", Design: d, Procs: 8, Faults: k, InjectFault: k > 0, HotSpare: hs},
+			Config: Config{App: "HPCCG", Design: d, Procs: 8, Faults: k, InjectFault: k > 0,
+				Replica: replica.Config{HotSpare: hs}},
 			Breakdown: Breakdown{Total: total, Recovery: simnet.Millisecond, Recoveries: k},
 		}
 	}

@@ -19,9 +19,8 @@ func TestMetricsOffByteIdentity(t *testing.T) {
 		t.Run(d.String(), func(t *testing.T) {
 			t.Parallel()
 			params := tinyParams("HPCCG")
-			params.CkptStride = 3
 			cfg := Config{App: "HPCCG", Design: d, Procs: 8, Nodes: 4,
-				Params: params, Faults: 2, FaultSeed: 9}
+				Params: params, CkptStride: 3, Faults: 2, FaultSeed: 9}
 			plain, err := Run(cfg)
 			if err != nil {
 				t.Fatalf("%v unmetered: %v", d, err)
@@ -72,9 +71,8 @@ func TestMetricsOffByteIdentity(t *testing.T) {
 // registry and merging afterwards.
 func TestMetricsReconcileCatchesReuse(t *testing.T) {
 	params := tinyParams("HPCCG")
-	params.CkptStride = 3
 	cfg := Config{App: "HPCCG", Design: UlfmFTI, Procs: 8, Nodes: 4,
-		Params: params, InjectFault: true, FaultSeed: 9,
+		Params: params, CkptStride: 3, InjectFault: true, FaultSeed: 9,
 		Metrics: obs.New()}
 	if _, err := Run(cfg); err != nil {
 		t.Fatalf("clean metered run: %v", err)
@@ -94,9 +92,8 @@ func TestMetricsReconcileCatchesReuse(t *testing.T) {
 // counts.
 func TestMetricsAveragedMerge(t *testing.T) {
 	params := tinyParams("HPCCG")
-	params.CkptStride = 3
 	cfg := Config{App: "HPCCG", Design: ReinitFTI, Procs: 8, Nodes: 4,
-		Params: params, InjectFault: true, FaultSeed: 9,
+		Params: params, CkptStride: 3, InjectFault: true, FaultSeed: 9,
 		Metrics: obs.New()}
 	_, results, err := RunAveraged(cfg, 3)
 	if err != nil {

@@ -71,26 +71,26 @@ func TestObserversGolden(t *testing.T) {
 			[]string{"inject", "detect"}},
 		{"ulfm", Config{Design: UlfmFTI, Faults: 2, FaultSeed: 9},
 			[]string{"inject", "detect"}},
-		{"replica", Config{Design: ReplicaFTI, Faults: 2, FaultSeed: 9, HotSpare: true},
+		{"replica", Config{Design: ReplicaFTI, Faults: 2, FaultSeed: 9, Replica: replica.Config{HotSpare: true}},
 			[]string{"inject", "detect", "failover"}},
 		// Both replicas of rank 5 die in turn: the first hit fails over and
 		// respawns a spare, the spare absorbs the second; replica-aware
 		// placement skips checkpoints while the group is at full degree.
-		{"replica-absorb", Config{Design: ReplicaFTI, HotSpare: true,
+		{"replica-absorb", Config{Design: ReplicaFTI,
 			CkptPolicy: ckpt.Config{Kind: ckpt.ReplicaAware},
 			Schedule:   schedule("5@2:replica=0,5@7:replica=1"),
-			Replica: replica.Config{FailoverDetect: simnet.Microsecond,
+			Replica: replica.Config{HotSpare: true, FailoverDetect: simnet.Microsecond,
 				ElectionDelay: simnet.Microsecond, SpawnDelay: simnet.Microsecond}},
 			[]string{"failover", "respawn", "absorb"}},
 		// The same double hit inside the respawn window exhausts the group.
-		{"replica-fallback", Config{Design: ReplicaFTI, HotSpare: true,
+		{"replica-fallback", Config{Design: ReplicaFTI, Replica: replica.Config{HotSpare: true},
 			Schedule: schedule("5@2:replica=0,5@4:replica=1")},
 			[]string{"failover", "fallback"}},
 		{"restart-node", Config{Design: RestartFTI, Faults: 2, FaultSeed: 9, FaultKind: fault.NodeFailure,
 			FTILevel: fti.L4},
 			[]string{"inject", "node_fail", "detect"}},
 		{"replica-node", Config{Design: ReplicaFTI, Faults: 2, FaultSeed: 9, FaultKind: fault.NodeFailure,
-			FTILevel: fti.L4, HotSpare: true},
+			FTILevel: fti.L4, Replica: replica.Config{HotSpare: true}},
 			[]string{"inject", "node_fail", "detect"}},
 	}
 	for _, c := range cells {

@@ -199,7 +199,6 @@ func HotSpareCrossovers(results []Result) (off, on Crossover, swept bool) {
 			if r.Config.Design != ReplicaFTI || HotSpareOf(r.Config) == want {
 				// Neutralize the flag so the variant's replica cells land in
 				// the same crossover cells as the shared unreplicated runs.
-				r.Config.HotSpare = false
 				r.Config.Replica.HotSpare = false
 				out = append(out, r)
 			}

@@ -285,12 +285,12 @@ func (r CampaignRequest) Configs() []Config {
 											FaultSeed:    r.Seed,
 											Detector:     dc,
 											CkptPolicy:   pc,
-											HotSpare:     hs,
 											ModelIngress: r.ModelIngress,
 										}
 										if rf >= 0 {
 											cfg.Replica = replicaConfigFor(rf)
 										}
+										cfg.Replica.HotSpare = hs
 										out = append(out, cfg)
 									}
 								}

@@ -336,24 +336,18 @@ func TestCellKeyInactiveDesignExcluded(t *testing.T) {
 }
 
 func TestCellKeyHotSpareFolding(t *testing.T) {
-	// The harness-level and replica-level switches are one knob.
-	a := Config{App: "HPCCG", Design: ReplicaFTI, HotSpare: true}
-	b := Config{App: "HPCCG", Design: ReplicaFTI, Replica: replica.Config{HotSpare: true}}
-	ka, _ := CellKey(a, 1)
-	kb, _ := CellKey(b, 1)
-	if ka != kb {
-		t.Fatal("equivalent hot-spare spellings hash differently")
-	}
+	on := Config{App: "HPCCG", Design: ReplicaFTI, Replica: replica.Config{HotSpare: true}}
 	off := Config{App: "HPCCG", Design: ReplicaFTI}
-	ko, _ := CellKey(off, 1)
-	if ko == ka {
+	kon, _ := CellKey(on, 1)
+	koff, _ := CellKey(off, 1)
+	if kon == koff {
 		t.Fatal("hot-spare switch ignored for the replica design")
 	}
 	// The knob means nothing outside the replica design.
-	ra := Config{App: "HPCCG", Design: RestartFTI, HotSpare: true}
+	ra := Config{App: "HPCCG", Design: RestartFTI, Replica: replica.Config{HotSpare: true}}
 	rb := Config{App: "HPCCG", Design: RestartFTI}
-	ka, _ = CellKey(ra, 1)
-	kb, _ = CellKey(rb, 1)
+	ka, _ := CellKey(ra, 1)
+	kb, _ := CellKey(rb, 1)
 	if ka != kb {
 		t.Fatal("hot-spare switch split the cache for a non-replica design")
 	}
@@ -424,9 +418,8 @@ func TestInputSizeJSON(t *testing.T) {
 // byte-identically on the client because the decoded Result is identical.
 func TestResultJSONRoundTrip(t *testing.T) {
 	params := tinyParams("HPCCG")
-	params.CkptStride = 3
 	cfg := Config{App: "HPCCG", Design: UlfmFTI, Procs: 8, Nodes: 4,
-		Params: params, InjectFault: true, FaultSeed: 7}
+		Params: params, CkptStride: 3, InjectFault: true, FaultSeed: 7}
 	bd, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

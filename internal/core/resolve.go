@@ -52,7 +52,7 @@ type resolvedCell struct {
 
 	// Derived from the fields above at resolve time; not hashed.
 	factory  apps.Factory
-	params   appkit.Params   // what the main loop runs: Table I or Params, at CkptStride
+	params   appkit.Params   // what the main loop runs: Table I or Params
 	scale    float64         // Table I bytes scale
 	schedule *fault.Schedule // the explicit schedule Schedule renders, validated
 }
@@ -61,11 +61,12 @@ type resolvedCell struct {
 // the prelude defaults, looks up the application and its Table I
 // parameters, resolves the detector against the active design's preset and
 // the placement policy against the stride (validating both), resolves the
-// active design's sub-configuration with the detector and the harness-level
-// HotSpare switch folded in, zeroes inputs that provably cannot matter (the
-// fault seed and kind of a failure-free cell or under an explicit schedule,
-// Params without MaxIter, inactive designs), and rejects explicit schedule
-// events that could never fire — all before any simulation state exists.
+// active design's sub-configuration with the detector folded in, zeroes
+// inputs that provably cannot matter (the fault seed and kind of a
+// failure-free cell or under an explicit schedule, Params without MaxIter,
+// inactive designs), and rejects a setting Run would ignore and explicit
+// schedule events that could never fire — all before any simulation state
+// exists.
 func resolve(cfg Config, reps int) (resolvedCell, error) {
 	if reps <= 0 {
 		reps = 1
@@ -104,6 +105,9 @@ func resolve(cfg Config, reps int) (resolvedCell, error) {
 		rc.Seed, rc.Kind = cfg.FaultSeed, cfg.FaultKind
 	}
 
+	if cfg.Params.CkptStride != 0 {
+		return resolvedCell{}, fmt.Errorf("core: Params.CkptStride %d is ignored; set Config.CkptStride", cfg.Params.CkptStride)
+	}
 	var err error
 	if rc.factory, err = apps.Lookup(cfg.App); err != nil {
 		return resolvedCell{}, err
@@ -114,7 +118,6 @@ func resolve(cfg Config, reps int) (resolvedCell, error) {
 	if cfg.Params.MaxIter != 0 {
 		rc.Params = rc.params
 	}
-	rc.params.CkptStride = rc.CkptStride
 
 	// The active design's resolved cost model; sub points at its Detect
 	// field, which receives the resolved detector below.
@@ -132,10 +135,14 @@ func resolve(cfg Config, reps int) (resolvedCell, error) {
 		rc.Restart, sub, preset = &rs, &rs.Detect, rs.DetectPreset()
 	case ReplicaFTI:
 		rp := cfg.Replica.Resolved()
-		rp.HotSpare = rp.HotSpare || cfg.HotSpare
 		rc.Replica, sub, preset = &rp, &rp.Detect, rp.DetectPreset()
 	default:
 		return resolvedCell{}, fmt.Errorf("core: unknown design %v", cfg.Design)
+	}
+	// The design's own Detect is overwritten by the resolved detector, so a
+	// value there would be silently dropped: Config.Detector is the knob.
+	if *sub != (detect.Config{}) {
+		return resolvedCell{}, fmt.Errorf("core: %s Detect is ignored; set Config.Detector", cfg.Design.ShortName())
 	}
 	// A configuration that could never detect, or a bad placement policy,
 	// fails loudly here, not ten simulated minutes in.

@@ -54,7 +54,7 @@ func cellKeyGolden(t *testing.T) []goldenCell {
 		{"reinit-multilevel", Config{App: "HPCCG", Design: ReinitFTI, Faults: 1, FaultSeed: 1,
 			CkptPolicy: ckpt.Config{Kind: ckpt.MultiLevel, Stride: 2, L3Every: 1}}, 1,
 			"4a0bedc4130a8d39aed08a7350dcac74f420f24acf755c54f525a50e9fc54785"},
-		{"replica-aware-hotspare", Config{App: "AMG", Design: ReplicaFTI, Faults: 2, FaultSeed: 5, HotSpare: true,
+		{"replica-aware-hotspare", Config{App: "AMG", Design: ReplicaFTI, Faults: 2, FaultSeed: 5, Replica: replica.Config{HotSpare: true},
 			CkptPolicy: ckpt.Config{Kind: ckpt.ReplicaAware}}, 1,
 			"cc823e5c94ec75a0577c29ee3a57adae2238877943b3135a58500c61d28d7efd"},
 		{"replica-level-hotspare-half", Config{App: "AMG", Design: ReplicaFTI, Faults: 1, FaultSeed: 5,
@@ -169,6 +169,8 @@ func TestResolveRejectsWhatRunRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	strided := Config{App: "HPCCG", Params: tinyParams("HPCCG")}
+	strided.Params.CkptStride = 3
 	bad := []struct {
 		name string
 		cfg  Config
@@ -185,6 +187,15 @@ func TestResolveRejectsWhatRunRejects(t *testing.T) {
 		{"design", Config{App: "HPCCG", Design: 9}, "core: unknown design design(9)"},
 		{"schedule", Config{App: "HPCCG", Procs: 8, Nodes: 4, Schedule: &sched},
 			"core: schedule event 0 (99@1) targets rank 99, outside 0..7"},
+		// Settings Run would drop without a word: the stride the main loop
+		// never read, and a design's Detect the resolved detector overwrote.
+		{"params-stride", strided,
+			"core: Params.CkptStride 3 is ignored; set Config.CkptStride"},
+		{"design-detect", Config{App: "HPCCG", Design: UlfmFTI, Ulfm: ulfm.Config{Detect: detect.Config{Kind: detect.Tree}}},
+			"core: ulfm Detect is ignored; set Config.Detector"},
+		{"replica-detect", Config{App: "HPCCG", Design: ReplicaFTI,
+			Replica: replica.Config{Detect: detect.Config{HeartbeatPeriod: simnet.Second}}},
+			"core: replica Detect is ignored; set Config.Detector"},
 	}
 	for _, b := range bad {
 		if _, err := resolve(b.cfg, 1); err == nil || err.Error() != b.want {

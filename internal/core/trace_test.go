@@ -21,9 +21,8 @@ func TestTraceOffByteIdentity(t *testing.T) {
 		t.Run(d.String(), func(t *testing.T) {
 			t.Parallel()
 			params := tinyParams("HPCCG")
-			params.CkptStride = 3
 			cfg := Config{App: "HPCCG", Design: d, Procs: 8, Nodes: 4,
-				Params: params, Faults: 2, FaultSeed: 9}
+				Params: params, CkptStride: 3, Faults: 2, FaultSeed: 9}
 			plain, err := Run(cfg)
 			if err != nil {
 				t.Fatalf("%v untraced: %v", d, err)
@@ -50,9 +49,8 @@ func TestTraceOffByteIdentity(t *testing.T) {
 // so any drift between the two is a hard error, not a warning.
 func TestTraceReconcileCatchesCorruption(t *testing.T) {
 	params := tinyParams("HPCCG")
-	params.CkptStride = 3
 	cfg := Config{App: "HPCCG", Design: UlfmFTI, Procs: 8, Nodes: 4,
-		Params: params, InjectFault: true, FaultSeed: 9}
+		Params: params, CkptStride: 3, InjectFault: true, FaultSeed: 9}
 	cfg.Trace = trace.New()
 	bd, err := Run(cfg)
 	if err != nil {
@@ -89,9 +87,8 @@ func TestTraceReconcileCatchesCorruption(t *testing.T) {
 // checkpoint, recovery, and injection event.
 func TestTraceChromeSchema(t *testing.T) {
 	params := tinyParams("HPCCG")
-	params.CkptStride = 3
 	cfg := Config{App: "HPCCG", Design: UlfmFTI, Procs: 2, Nodes: 2,
-		Params: params, InjectFault: true, FaultSeed: 9}
+		Params: params, CkptStride: 3, InjectFault: true, FaultSeed: 9}
 	cfg.Trace = trace.New()
 	if _, err := Run(cfg); err != nil {
 		t.Fatalf("traced run: %v", err)

@@ -90,14 +90,3 @@ func NextBytes(b []byte) (p, rest []byte) {
 	n := Uint64(b)
 	return b[8 : 8+n], b[8+n:]
 }
-
-// AppendString appends a length-prefixed string.
-func AppendString(b []byte, s string) []byte {
-	return AppendBytes(b, []byte(s))
-}
-
-// NextString reads a length-prefixed string.
-func NextString(b []byte) (s string, rest []byte) {
-	p, rest := NextBytes(b)
-	return string(p), rest
-}

@@ -29,14 +29,14 @@ func TestScalarRoundTrips(t *testing.T) {
 
 func TestLengthPrefixedRoundTrips(t *testing.T) {
 	b := AppendBytes(nil, []byte("abc"))
-	b = AppendString(b, "xyz")
+	b = AppendBytes(b, []byte("xyz"))
 	p, rest := NextBytes(b)
 	if string(p) != "abc" {
 		t.Fatalf("bytes = %q", p)
 	}
-	s, rest := NextString(rest)
-	if s != "xyz" || len(rest) != 0 {
-		t.Fatalf("string = %q rest = %d", s, len(rest))
+	s, rest := NextBytes(rest)
+	if string(s) != "xyz" || len(rest) != 0 {
+		t.Fatalf("second = %q rest = %d", s, len(rest))
 	}
 }
 
@@ -70,11 +70,11 @@ func TestEmptySlices(t *testing.T) {
 
 // Property: mixed sequences of appends decode in order.
 func TestMixedStreamProperty(t *testing.T) {
-	f := func(a uint64, b int64, c float64, s string) bool {
+	f := func(a uint64, b int64, c float64, s []byte) bool {
 		buf := AppendUint64(nil, a)
 		buf = AppendInt64(buf, b)
 		buf = AppendFloat64(buf, c)
-		buf = AppendString(buf, s)
+		buf = AppendBytes(buf, s)
 		if Uint64(buf) != a {
 			return false
 		}
@@ -87,8 +87,8 @@ func TestMixedStreamProperty(t *testing.T) {
 			return false
 		}
 		rest = rest[8:]
-		got, rest := NextString(rest)
-		return got == s && len(rest) == 0
+		got, rest := NextBytes(rest)
+		return string(got) == string(s) && len(rest) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -256,30 +256,6 @@ func Bcast(r *Rank, c *Comm, root int, data []byte) ([]byte, error) {
 	return bcastTree(r, c, root, r.nextCollTag(c), data)
 }
 
-// BcastI64 broadcasts an int64 slice from root.
-func BcastI64(r *Rank, c *Comm, root int, vals []int64) ([]int64, error) {
-	var payload []byte
-	if r.Rank(c) == root {
-		payload = enc.Int64sToBytes(vals)
-	}
-	out, err := Bcast(r, c, root, payload)
-	if err != nil {
-		return nil, err
-	}
-	return enc.BytesToInt64s(out), nil
-}
-
-// ReduceF64 reduces element-wise to root; root gets the result, others nil.
-func ReduceF64(r *Rank, c *Comm, root int, vals []float64, op Op) ([]float64, error) {
-	tag := r.nextCollTag(c)
-	local := enc.Float64sToBytes(vals)
-	out, err := reduceTree(r, c, root, tag, local, f64Combiner(op))
-	if err != nil || out == nil {
-		return nil, err
-	}
-	return enc.BytesToFloat64s(out), nil
-}
-
 // AllreduceF64 reduces element-wise across ranks; every rank gets the result.
 func AllreduceF64(r *Rank, c *Comm, vals []float64, op Op) ([]float64, error) {
 	tag := r.nextCollTag(c)
@@ -380,47 +356,4 @@ func Allgatherv(r *Rank, c *Comm, data []byte) ([][]byte, error) {
 		out[i], rest = enc.NextBytes(rest)
 	}
 	return out, nil
-}
-
-// Scatterv sends parts[i] from root to rank i; every rank returns its part.
-func Scatterv(r *Rank, c *Comm, root int, parts [][]byte) ([]byte, error) {
-	tag := r.nextCollTag(c)
-	rank := r.Rank(c)
-	if rank == root {
-		for i := 0; i < c.Size(); i++ {
-			if i == root {
-				continue
-			}
-			if err := Send(r, c, i, tag, parts[i]); err != nil {
-				return nil, err
-			}
-		}
-		return parts[root], nil
-	}
-	m, err := Recv(r, c, root, tag)
-	if err != nil {
-		return nil, err
-	}
-	return m.Data, nil
-}
-
-// Alltoallv exchanges send[i] with every rank i; returns recv where recv[i]
-// is the payload rank i sent to us. Uses a pairwise-shift schedule (P-1
-// phases), the standard algorithm for irregular all-to-all.
-func Alltoallv(r *Rank, c *Comm, send [][]byte) ([][]byte, error) {
-	tag := r.nextCollTag(c)
-	size := c.Size()
-	rank := r.Rank(c)
-	recv := make([][]byte, size)
-	recv[rank] = send[rank]
-	for s := 1; s < size; s++ {
-		dst := (rank + s) % size
-		src := (rank - s + size) % size
-		m, err := Sendrecv(r, c, dst, tag, send[dst], src, tag)
-		if err != nil {
-			return nil, err
-		}
-		recv[src] = m.Data
-	}
-	return recv, nil
 }

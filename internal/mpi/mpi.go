@@ -127,7 +127,6 @@ type Recovery struct {
 	Failed  int // failed members the repair replaced (ULFM; zero where not counted)
 
 	FailedAt    simnet.Time
-	DetectedAt  simnet.Time // when the detector (or launcher) confirmed the failure
 	CompletedAt simnet.Time // when the application's ranks run again
 }
 

@@ -185,14 +185,14 @@ func TestBarrierSynchronizes(t *testing.T) {
 
 func TestBcastFromEveryRoot(t *testing.T) {
 	for root := 0; root < 5; root++ {
-		got := make([][]int64, 5)
+		got := make([][]byte, 5)
 		runJob(t, 5, func(r *Rank) {
 			w := r.Job().World()
-			var in []int64
+			var in []byte
 			if r.Rank(w) == root {
-				in = []int64{int64(root) * 11, 7}
+				in = []byte{byte(root) * 11, 7}
 			}
-			out, err := BcastI64(r, w, root, in)
+			out, err := Bcast(r, w, root, in)
 			if err != nil {
 				t.Errorf("bcast: %v", err)
 				return
@@ -200,7 +200,7 @@ func TestBcastFromEveryRoot(t *testing.T) {
 			got[r.Rank(w)] = out
 		})
 		for i, v := range got {
-			if len(v) != 2 || v[0] != int64(root)*11 || v[1] != 7 {
+			if len(v) != 2 || v[0] != byte(root)*11 || v[1] != 7 {
 				t.Fatalf("root %d: rank %d got %v", root, i, v)
 			}
 		}
@@ -259,26 +259,6 @@ func TestAllreduceI64Bitwise(t *testing.T) {
 	}
 }
 
-func TestReduceToRoot(t *testing.T) {
-	var rootGot []float64
-	runJob(t, 7, func(r *Rank) {
-		w := r.Job().World()
-		out, err := ReduceF64(r, w, 3, []float64{1, float64(r.Rank(w))}, OpSum)
-		if err != nil {
-			t.Errorf("reduce: %v", err)
-			return
-		}
-		if r.Rank(w) == 3 {
-			rootGot = out
-		} else if out != nil {
-			t.Errorf("non-root got %v", out)
-		}
-	})
-	if rootGot[0] != 7 || rootGot[1] != 21 {
-		t.Fatalf("root got %v, want [7 21]", rootGot)
-	}
-}
-
 func TestGathervAndAllgatherv(t *testing.T) {
 	n := 5
 	all := make([][][]byte, n)
@@ -301,60 +281,6 @@ func TestGathervAndAllgatherv(t *testing.T) {
 			if len(all[me][i]) != i+1 || all[me][i][0] != byte(i) {
 				t.Fatalf("rank %d slot %d = %v", me, i, all[me][i])
 			}
-		}
-	}
-}
-
-func TestScatterv(t *testing.T) {
-	n := 4
-	got := make([]string, n)
-	runJob(t, n, func(r *Rank) {
-		w := r.Job().World()
-		var parts [][]byte
-		if r.Rank(w) == 0 {
-			parts = [][]byte{[]byte("a"), []byte("bb"), []byte("ccc"), []byte("dddd")}
-		}
-		p, err := Scatterv(r, w, 0, parts)
-		if err != nil {
-			t.Errorf("scatterv: %v", err)
-			return
-		}
-		got[r.Rank(w)] = string(p)
-	})
-	want := []string{"a", "bb", "ccc", "dddd"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v", got)
-		}
-	}
-}
-
-func TestAlltoallv(t *testing.T) {
-	n := 4
-	ok := make([]bool, n)
-	runJob(t, n, func(r *Rank) {
-		w := r.Job().World()
-		me := r.Rank(w)
-		send := make([][]byte, n)
-		for i := range send {
-			send[i] = []byte{byte(me*10 + i)} // unique per (src,dst)
-		}
-		recv, err := Alltoallv(r, w, send)
-		if err != nil {
-			t.Errorf("alltoallv: %v", err)
-			return
-		}
-		good := true
-		for i := range recv {
-			if len(recv[i]) != 1 || recv[i][0] != byte(i*10+me) {
-				good = false
-			}
-		}
-		ok[me] = good
-	})
-	for i, g := range ok {
-		if !g {
-			t.Fatalf("rank %d got wrong alltoallv payloads", i)
 		}
 	}
 }

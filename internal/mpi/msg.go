@@ -245,13 +245,3 @@ func Iprobe(r *Rank, c *Comm, src, tag int) bool {
 	}
 	return false
 }
-
-// Sendrecv posts a send to dst and then receives from src; because sends
-// are eager this is deadlock-free in any order across ranks (the standard
-// halo-exchange primitive).
-func Sendrecv(r *Rank, c *Comm, dst, sendTag int, data []byte, src, recvTag int) (Message, error) {
-	if err := Send(r, c, dst, sendTag, data); err != nil {
-		return Message{}, err
-	}
-	return Recv(r, c, src, recvTag)
-}

@@ -8,8 +8,8 @@ import (
 
 // SparseExchange delivers a payload to an arbitrary, possibly empty, set
 // of destination ranks and returns the payloads addressed to the caller,
-// keyed by source rank. It is the irregular-neighborhood counterpart of
-// Alltoallv: the in-degree of every rank is agreed through one summed
+// keyed by source rank. It is MPI's irregular-neighborhood all-to-all: the
+// in-degree of every rank is agreed through one summed
 // allreduce over a counts vector (O(P) bytes, O(log P) messages), then
 // only real payloads travel — the pattern distributed graph codes such as
 // miniVite use for ghost and aggregate exchange.

@@ -167,13 +167,13 @@ func (rt *Runtime) onFailure(f detect.Failure) {
 	if rank < 0 {
 		return // already replaced by an earlier restart this round
 	}
-	rt.globalRestart(rt.world.Member(rank), f.FailedAt, f.DetectedAt)
+	rt.globalRestart(rt.world.Member(rank), f.FailedAt)
 }
 
 // globalRestart is the runtime's recovery path: flush communication,
 // respawn the failed rank in place, rebuild the world, and unwind all
 // survivors back into resilient main.
-func (rt *Runtime) globalRestart(failed *mpi.Process, failedAt, detectedAt simnet.Time) {
+func (rt *Runtime) globalRestart(failed *mpi.Process, failedAt simnet.Time) {
 	rt.resets++
 	reset := rt.resets
 	cl := rt.job.Cluster()
@@ -217,7 +217,6 @@ func (rt *Runtime) globalRestart(failed *mpi.Process, failedAt, detectedAt simne
 	rec := mpi.Recovery{
 		Rank:        oldRank,
 		FailedAt:    failedAt,
-		DetectedAt:  detectedAt,
 		CompletedAt: now + rt.cfg.RespawnDelay,
 	}
 	rt.Recoveries = append(rt.Recoveries, rec)

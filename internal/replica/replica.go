@@ -602,7 +602,7 @@ func (s *Supervisor) failover(job *mpi.Job, world *mpi.Comm, rank, idx int, f de
 	completed := detected + s.cfg.ElectionDelay
 	s.Recoveries = append(s.Recoveries, mpi.Recovery{
 		Kind: int(Failover), Rank: rank, Replica: idx,
-		FailedAt: f.FailedAt, DetectedAt: detected, CompletedAt: completed,
+		FailedAt: f.FailedAt, CompletedAt: completed,
 	})
 	s.cluster.Scheduler().At(completed, func() {
 		if job != s.CurrentJob() || job.Aborted() {
@@ -795,7 +795,7 @@ func (s *Supervisor) AbsorbFailure(r *mpi.Rank, world *mpi.Comm) bool {
 	completed := detected + s.cfg.ElectionDelay
 	s.Recoveries = append(s.Recoveries, mpi.Recovery{
 		Kind: int(Failover), Rank: rank, Replica: idx,
-		FailedAt: now, DetectedAt: detected, CompletedAt: completed,
+		FailedAt: now, CompletedAt: completed,
 	})
 	spareProc := sp.proc
 	spareNode := s.RespawnLog[sp.log].Node
@@ -865,7 +865,7 @@ func (s *Supervisor) fallback(job *mpi.Job, rank int, f detect.Failure) {
 			Kind: int(Relaunch), Rank: rank,
 			// The launcher acts the moment it knows: at confirmation for an
 			// in-band detector, DetectDelay after the death otherwise.
-			FailedAt: f.FailedAt, DetectedAt: abortedAt, CompletedAt: abortedAt + delay,
+			FailedAt: f.FailedAt, CompletedAt: abortedAt + delay,
 		})
 		if p := s.cluster.Probe(); p.On(trace.CatFallback) {
 			p.Emit(trace.Span{Cat: trace.CatFallback,

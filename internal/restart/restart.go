@@ -182,7 +182,6 @@ func (s *Supervisor) onFailure(job *mpi.Job, f detect.Failure) {
 		s.Recoveries = append(s.Recoveries, mpi.Recovery{
 			Rank:        failedRank,
 			FailedAt:    f.FailedAt,
-			DetectedAt:  f.DetectedAt,
 			CompletedAt: abortedAt + relaunchDelay,
 		})
 		if p := s.cluster.Probe(); p.On(trace.CatRepair) {

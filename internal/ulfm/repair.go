@@ -126,21 +126,18 @@ func (rt *Runtime) RepairWorld(r *mpi.Rank, world *mpi.Comm) (*mpi.Comm, error) 
 		round = &repairRound{}
 		// Record failure timing for the recovery-time breakdown, as the
 		// detector saw it: a confirmed failure carries its exact record; one
-		// still inside its observation window projects confirmation at the
-		// detector's timeout.
+		// still inside its observation window counts from its first
+		// observation.
 		for _, fr := range world.FailedMembers() {
 			gid := world.Member(fr).GID()
 			if f, seen := rt.det.FailureOf(gid); seen && (round.failedAt == 0 || f.FailedAt < round.failedAt) {
 				round.failedAt = f.FailedAt
-				round.detected = f.DetectedAt
 			} else if t, seen := rt.det.ObservedAt(gid); seen && (round.failedAt == 0 || t < round.failedAt) {
 				round.failedAt = t
-				round.detected = t + rt.det.Config().DetectTimeout
 			}
 		}
 		if round.failedAt == 0 {
 			round.failedAt = r.Now()
-			round.detected = r.Now()
 		}
 		rt.rounds[world.Ctx()] = round
 	}
@@ -191,7 +188,6 @@ func (rt *Runtime) RepairWorld(r *mpi.Rank, world *mpi.Comm) (*mpi.Comm, error) 
 			Rank:        -1,
 			Failed:      len(failed),
 			FailedAt:    round.failedAt,
-			DetectedAt:  round.detected,
 			CompletedAt: r.Now(),
 		}
 		if len(failed) > 0 {

@@ -164,7 +164,6 @@ func (c Config) DetectPreset() detect.Config {
 type repairRound struct {
 	newWorld  *mpi.Comm
 	failedAt  simnet.Time
-	detected  simnet.Time
 	completed bool
 }
 

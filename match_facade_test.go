@@ -83,7 +83,8 @@ func TestFacadeCkptPolicy(t *testing.T) {
 		Design:     match.ReplicaFTI,
 		Procs:      16,
 		Nodes:      8,
-		Params:     match.Params{NVerts: 512, MaxIter: 25, WorkScale: 10, CkptStride: 5},
+		Params:     match.Params{NVerts: 512, MaxIter: 25, WorkScale: 10},
+		CkptStride: 5,
 		CkptPolicy: match.CkptPolicyConfig{Kind: match.ReplicaAwarePlacement},
 	})
 	if err != nil {
@@ -217,12 +218,13 @@ func TestFacadeTraceRecorder(t *testing.T) {
 	rec := match.NewTraceRecorder()
 	rec.SetDetail(detail)
 	bd, err := match.Run(match.Config{
-		App:    "miniVite",
-		Design: match.UlfmFTI,
-		Procs:  8,
-		Nodes:  4,
-		Params: match.Params{NVerts: 512, MaxIter: 8, WorkScale: 10, CkptStride: 3},
-		Trace:  rec,
+		App:        "miniVite",
+		Design:     match.UlfmFTI,
+		Procs:      8,
+		Nodes:      4,
+		Params:     match.Params{NVerts: 512, MaxIter: 8, WorkScale: 10},
+		CkptStride: 3,
+		Trace:      rec,
 	})
 	if err != nil {
 		t.Fatal(err)
