@@ -6,9 +6,16 @@
 //
 // Every neighbor exchange in the apps is one Swap: both sends (lo, then
 // hi) posted before both receives (lo, then hi), a negative rank skipping
-// its side. Field3D.Exchange is Swap once per axis, moving layers that
-// Field3D.Plane reads and SetPlane writes in one wire order; HPCCG's z
-// planes and CoMD's ghost atoms and migrants ride the same Swap.
+// its side. Field3D.Exchange is Swap once per axis: a layer is encoded
+// straight from the field into its payload and decoded straight into the
+// ghost layer, in the one wire order Field3D.plane defines, which
+// CopyPlane's layer-to-layer copy walks too. HPCCG's z planes and CoMD's
+// ghost atoms and migrants ride the same Swap; every receiver reads
+// values off the wire bytes at their offsets, never through a decoded
+// copy.
+//
+// Kernels that sweep a Field3D read and write whole x rows through Row,
+// indexed by the ghosted x coordinate, rather than At/Set per cell.
 //
 // A *Field3D is an fti.Protected object: Snapshot is its interior, the
 // bytes fti.F64s stores for Interior(), and Restore is SetInterior, so an

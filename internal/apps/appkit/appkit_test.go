@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"match/internal/enc"
 	"match/internal/fault"
 	"match/internal/fti"
 	"match/internal/mpi"
@@ -115,7 +116,8 @@ func TestNeighborWrap(t *testing.T) {
 }
 
 // Halo exchange must reproduce neighbor interior values in ghosts,
-// including edge/corner ghosts via the three-phase scheme.
+// including edge/corner ghosts via the three-phase scheme, and again on a
+// second round after every interior changed.
 func TestExchangeFillsGhostsIncludingCorners(t *testing.T) {
 	c := simnet.NewCluster(simnet.Config{Nodes: 4})
 	st := storage.New(c, storage.Config{})
@@ -129,34 +131,36 @@ func TestExchangeFillsGhostsIncludingCorners(t *testing.T) {
 			Inject: fault.NewScheduleInjector(fault.Schedule{}), Params: Params{WorkScale: 1}}
 		d := NewDecomp3D(r.Rank(world), size, gn, gn, gn)
 		fld := NewField3D(d)
-		val := func(gx, gy, gz int) float64 {
-			return float64(gx + 100*gy + 10000*gz)
-		}
-		for z := 1; z <= d.LZ; z++ {
-			for y := 1; y <= d.LY; y++ {
-				for x := 1; x <= d.LX; x++ {
-					fld.Set(x, y, z, val(d.OX+x-1, d.OY+y-1, d.OZ+z-1))
+		for round := 0; round < 2; round++ {
+			val := func(gx, gy, gz int) float64 {
+				return float64(gx+100*gy+10000*gz) + 0.5*float64(round)
+			}
+			for z := 1; z <= d.LZ; z++ {
+				for y := 1; y <= d.LY; y++ {
+					for x := 1; x <= d.LX; x++ {
+						fld.Set(x, y, z, val(d.OX+x-1, d.OY+y-1, d.OZ+z-1))
+					}
 				}
 			}
-		}
-		if err := fld.Exchange(ctx); err != nil {
-			t.Errorf("exchange: %v", err)
-			return
-		}
-		// Every ghost cell inside the global domain must hold the global
-		// value — faces, edges, and corners alike.
-		for z := 0; z <= d.LZ+1; z++ {
-			for y := 0; y <= d.LY+1; y++ {
-				for x := 0; x <= d.LX+1; x++ {
-					gx, gy, gz := d.OX+x-1, d.OY+y-1, d.OZ+z-1
-					if gx < 0 || gx >= gn || gy < 0 || gy >= gn || gz < 0 || gz >= gn {
-						continue
-					}
-					if got := fld.At(x, y, z); got != val(gx, gy, gz) {
-						fail = true
-						t.Errorf("rank %d ghost (%d,%d,%d) = %v, want %v",
-							r.Rank(world), gx, gy, gz, got, val(gx, gy, gz))
-						return
+			if err := fld.Exchange(ctx); err != nil {
+				t.Errorf("exchange: %v", err)
+				return
+			}
+			// Every ghost cell inside the global domain must hold the global
+			// value — faces, edges, and corners alike.
+			for z := 0; z <= d.LZ+1; z++ {
+				for y := 0; y <= d.LY+1; y++ {
+					for x := 0; x <= d.LX+1; x++ {
+						gx, gy, gz := d.OX+x-1, d.OY+y-1, d.OZ+z-1
+						if gx < 0 || gx >= gn || gy < 0 || gy >= gn || gz < 0 || gz >= gn {
+							continue
+						}
+						if got := fld.At(x, y, z); got != val(gx, gy, gz) {
+							fail = true
+							t.Errorf("round %d rank %d ghost (%d,%d,%d) = %v, want %v",
+								round, r.Rank(world), gx, gy, gz, got, val(gx, gy, gz))
+							return
+						}
 					}
 				}
 			}
@@ -184,70 +188,126 @@ func TestFieldInteriorRoundTrip(t *testing.T) {
 	}
 }
 
-// Plane and SetPlane visit a layer in the order the per-axis loop nests
-// they replaced used: x layers z-major over y, y layers z-major over x, z
-// layers y-major over x.
+// layerIdx lists layer k of an axis through explicit nested loops, in the
+// order the per-axis loop nests the plane walkers replaced used: x layers
+// z-major over y, y layers z-major over x, z layers y-major over x.
+func layerIdx(f *Field3D, axis, k int) (idx []int) {
+	switch axis {
+	case 0:
+		for z := 0; z < f.SZ; z++ {
+			for y := 0; y < f.SY; y++ {
+				idx = append(idx, f.Idx(k, y, z))
+			}
+		}
+	case 1:
+		for z := 0; z < f.SZ; z++ {
+			for x := 0; x < f.SX; x++ {
+				idx = append(idx, f.Idx(x, k, z))
+			}
+		}
+	default:
+		for y := 0; y < f.SY; y++ {
+			for x := 0; x < f.SX; x++ {
+				idx = append(idx, f.Idx(x, y, k))
+			}
+		}
+	}
+	return idx
+}
+
+// The plane walkers visit a layer in layerIdx's order on a non-cubic
+// field: encodePlane's payload is the bytes enc.Float64sToBytes makes of
+// the nested-loop walk (the wire as it was before the walkers encoded in
+// place), decodePlane inverts it touching only the layer, and CopyPlane
+// is the nested-loop copy.
 func TestPlaneMatchesNestedLoops(t *testing.T) {
 	f := NewField3D(NewDecomp3D(0, 1, 3, 4, 5))
 	for i := range f.V {
-		f.V[i] = float64(i)
+		f.V[i] = float64(i) + 0.25
 	}
-	// want lists layer k of an axis through explicit nested loops.
-	want := func(axis, k int) (idx []int) {
-		switch axis {
-		case 0:
-			for z := 0; z < f.SZ; z++ {
-				for y := 0; y < f.SY; y++ {
-					idx = append(idx, f.Idx(k, y, z))
-				}
-			}
-		case 1:
-			for z := 0; z < f.SZ; z++ {
-				for x := 0; x < f.SX; x++ {
-					idx = append(idx, f.Idx(x, k, z))
-				}
-			}
-		default:
-			for y := 0; y < f.SY; y++ {
-				for x := 0; x < f.SX; x++ {
-					idx = append(idx, f.Idx(x, y, k))
-				}
-			}
-		}
-		return idx
-	}
-	var buf []float64
 	for axis, n := range [3]int{f.SX, f.SY, f.SZ} {
 		for k := 0; k < n; k++ {
-			idx := want(axis, k)
-			buf = f.Plane(buf, axis, k)
-			if len(buf) != len(idx) {
-				t.Fatalf("axis %d layer %d: %d values, want %d", axis, k, len(buf), len(idx))
-			}
-			for i, at := range idx {
-				if buf[i] != f.V[at] {
-					t.Fatalf("axis %d layer %d: value %d = %v, want V[%d]", axis, k, i, buf[i], at)
-				}
-			}
+			idx := layerIdx(f, axis, k)
 			vals := make([]float64, len(idx))
-			for i := range vals {
-				vals[i] = -float64(1 + i)
+			for i, at := range idx {
+				vals[i] = f.V[at]
 			}
+			got := f.encodePlane(axis, k)
+			if want := enc.Float64sToBytes(vals); !bytes.Equal(got, want) {
+				t.Fatalf("axis %d layer %d: encoded %d bytes differ from the nested-loop walk's %d", axis, k, len(got), len(want))
+			}
+
 			g := NewField3D(f.D)
-			g.SetPlane(axis, k, vals)
+			g.decodePlane(axis, k, got)
 			for i, at := range idx {
 				if g.V[at] != vals[i] {
-					t.Fatalf("axis %d layer %d: SetPlane put value %d elsewhere", axis, k, i)
+					t.Fatalf("axis %d layer %d: decode put value %d elsewhere", axis, k, i)
 				}
 				g.V[at] = 0
 			}
 			for i, v := range g.V {
 				if v != 0 {
-					t.Fatalf("axis %d layer %d: SetPlane wrote V[%d] outside the layer", axis, k, i)
+					t.Fatalf("axis %d layer %d: decode wrote V[%d] outside the layer", axis, k, i)
+				}
+			}
+
+			for from := 0; from < n; from++ {
+				if from == k {
+					continue
+				}
+				want := append([]float64(nil), f.V...)
+				for i, at := range layerIdx(f, axis, from) {
+					want[idx[i]] = f.V[at]
+				}
+				h := &Field3D{D: f.D, SX: f.SX, SY: f.SY, SZ: f.SZ, V: append([]float64(nil), f.V...)}
+				h.CopyPlane(axis, from, k)
+				for i := range want {
+					if h.V[i] != want[i] {
+						t.Fatalf("axis %d CopyPlane(%d, %d): V[%d] = %v, want %v", axis, from, k, i, h.V[i], want[i])
+					}
 				}
 			}
 		}
 	}
+}
+
+// A halo message costs the one payload it is encoded into; decoding it
+// allocates nothing.
+func TestPlaneWalkersAllocate(t *testing.T) {
+	f := NewField3D(NewDecomp3D(0, 1, 6, 7, 8))
+	for axis := 0; axis < 3; axis++ {
+		b := f.encodePlane(axis, 1)
+		if n := testing.AllocsPerRun(20, func() { b = f.encodePlane(axis, 1) }); n != 1 {
+			t.Errorf("axis %d: encodePlane allocates %v times, want 1", axis, n)
+		}
+		if n := testing.AllocsPerRun(20, func() { f.decodePlane(axis, 0, b) }); n != 0 {
+			t.Errorf("axis %d: decodePlane allocates %v times, want 0", axis, n)
+		}
+	}
+}
+
+// BenchmarkExchange is one halo exchange of a 16³ local block on each of
+// 8 ranks over a 2x2x2 process grid; a round is every rank's Exchange.
+func BenchmarkExchange(b *testing.B) {
+	const size, gn = 8, 32
+	c := simnet.NewCluster(simnet.Config{Nodes: size})
+	mpi.Launch(c, size, 0, func(r *mpi.Rank) {
+		world := r.Job().World()
+		ctx := &Context{R: r, World: world}
+		f := NewField3D(NewDecomp3D(r.Rank(world), size, gn, gn, gn))
+		for i := range f.V {
+			f.V[i] = float64(i)
+		}
+		for i := 0; i < b.N; i++ {
+			if err := f.Exchange(ctx); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	c.Run()
 }
 
 // swapAll runs Swap once on every rank of an n-rank job, with each rank's

@@ -142,10 +142,17 @@ func (f *Field3D) At(x, y, z int) float64 { return f.V[f.Idx(x, y, z)] }
 // Set stores the value at ghosted coordinates.
 func (f *Field3D) Set(x, y, z int, v float64) { f.V[f.Idx(x, y, z)] = v }
 
-// row returns the interior x row at ghosted coordinates (y, z).
-func (f *Field3D) row(y, z int) []float64 {
-	at := f.Idx(1, y, z)
-	return f.V[at : at+f.D.LX]
+// Row returns the whole x row at ghosted coordinates (y, z), ghosts
+// included, so Row(y, z)[x] is At(x, y, z). Kernels that sweep x read and
+// write through it instead of recomputing Idx per cell.
+func (f *Field3D) Row(y, z int) []float64 {
+	at := f.Idx(0, y, z)
+	return f.V[at : at+f.SX]
+}
+
+// interiorRow is Row(y, z) without its two ghost cells.
+func (f *Field3D) interiorRow(y, z int) []float64 {
+	return f.Row(y, z)[1 : 1+f.D.LX]
 }
 
 // Interior returns a copy of the interior (non-ghost) values in x-fastest
@@ -154,7 +161,7 @@ func (f *Field3D) Interior() []float64 {
 	out := make([]float64, 0, f.D.LX*f.D.LY*f.D.LZ)
 	for z := 1; z <= f.D.LZ; z++ {
 		for y := 1; y <= f.D.LY; y++ {
-			out = append(out, f.row(y, z)...)
+			out = append(out, f.interiorRow(y, z)...)
 		}
 	}
 	return out
@@ -164,21 +171,43 @@ func (f *Field3D) Interior() []float64 {
 func (f *Field3D) SetInterior(vals []float64) {
 	for z := 1; z <= f.D.LZ; z++ {
 		for y := 1; y <= f.D.LY; y++ {
-			vals = vals[copy(f.row(y, z), vals):]
+			vals = vals[copy(f.interiorRow(y, z), vals):]
 		}
 	}
 }
 
 // Snapshot implements fti.Protected: the interior in x-fastest order, the
-// bytes fti.F64s produces for f.Interior(). Ghosts are not state.
-func (f *Field3D) Snapshot() []byte { return enc.Float64sToBytes(f.Interior()) }
+// bytes fti.F64s produces for f.Interior(), encoded row by row with no
+// intermediate copy. Ghosts are not state.
+func (f *Field3D) Snapshot() []byte {
+	b := make([]byte, 0, 8*f.D.LX*f.D.LY*f.D.LZ)
+	for z := 1; z <= f.D.LZ; z++ {
+		for y := 1; y <= f.D.LY; y++ {
+			for _, v := range f.interiorRow(y, z) {
+				b = enc.AppendFloat64(b, v)
+			}
+		}
+	}
+	return b
+}
 
-// Restore implements fti.Protected: SetInterior from Snapshot's bytes.
-func (f *Field3D) Restore(b []byte) { f.SetInterior(enc.BytesToFloat64s(b)) }
+// Restore implements fti.Protected: SetInterior from Snapshot's bytes,
+// decoded straight into the rows.
+func (f *Field3D) Restore(b []byte) {
+	for z := 1; z <= f.D.LZ; z++ {
+		for y := 1; y <= f.D.LY; y++ {
+			row := f.interiorRow(y, z)
+			row = row[:min(len(row), len(b)/8)]
+			enc.FillFloat64s(row, b)
+			b = b[8*len(row):]
+		}
+	}
+}
 
 // plane locates layer k of an axis (ghost layers 0 and L+1 included): its
 // first index in V, then the extent and stride of its two other axes, the
-// lower-numbered one fastest.
+// lower-numbered one fastest. That order is the wire order of a halo
+// message.
 func (f *Field3D) plane(axis, k int) (at, n0, s0, n1, s1 int) {
 	switch axis {
 	case 0:
@@ -190,30 +219,38 @@ func (f *Field3D) plane(axis, k int) (at, n0, s0, n1, s1 int) {
 	}
 }
 
-// Plane copies layer k of an axis, ghost rims included, into dst (grown as
-// needed) and returns it. Values come in wire order: the two other axes
-// with the lower-numbered one fastest.
-func (f *Field3D) Plane(dst []float64, axis, k int) []float64 {
+// encodePlane encodes layer k of an axis, ghost rims included, into a
+// fresh wire payload in plane order.
+func (f *Field3D) encodePlane(axis, k int) []byte {
 	at, n0, s0, n1, s1 := f.plane(axis, k)
-	dst = Grow(dst, n0*n1)
-	i := 0
-	for b := 0; b < n1; b++ {
-		for a := 0; a < n0; a++ {
-			dst[i] = f.V[at+a*s0+b*s1]
-			i++
+	b := make([]byte, 0, 8*n0*n1)
+	for j := 0; j < n1; j++ {
+		for i, p := 0, at+j*s1; i < n0; i, p = i+1, p+s0 {
+			b = enc.AppendFloat64(b, f.V[p])
 		}
 	}
-	return dst
+	return b
 }
 
-// SetPlane writes vals, in Plane's order, into layer k of an axis.
-func (f *Field3D) SetPlane(axis, k int, vals []float64) {
+// decodePlane writes encodePlane's bytes into layer k of an axis.
+func (f *Field3D) decodePlane(axis, k int, b []byte) {
 	at, n0, s0, n1, s1 := f.plane(axis, k)
-	i := 0
-	for b := 0; b < n1; b++ {
-		for a := 0; a < n0; a++ {
-			f.V[at+a*s0+b*s1] = vals[i]
-			i++
+	for j := 0; j < n1; j++ {
+		for i, p := 0, at+j*s1; i < n0; i, p = i+1, p+s0 {
+			f.V[p] = enc.Float64(b)
+			b = b[8:]
+		}
+	}
+}
+
+// CopyPlane copies layer from of an axis, ghost rims included, onto layer
+// to of the same axis.
+func (f *Field3D) CopyPlane(axis, from, to int) {
+	src, n0, s0, n1, s1 := f.plane(axis, from)
+	dst, _, _, _, _ := f.plane(axis, to)
+	for j := 0; j < n1; j++ {
+		for i, o := 0, j*s1; i < n0; i, o = i+1, o+s0 {
+			f.V[dst+o] = f.V[src+o]
 		}
 	}
 }
@@ -225,7 +262,9 @@ const tagHalo = 1100
 // Exchange fills the ghost layers from the six face neighbors using the
 // three-phase (x, then y, then z) scheme, which also propagates edge and
 // corner values — sufficient for 27-point stencils. Missing neighbors
-// (non-periodic domain boundary) leave ghosts untouched.
+// (non-periodic domain boundary) leave ghosts untouched. A layer is
+// encoded straight from the field into its payload and decoded straight
+// from the received bytes into the ghost layer.
 func (f *Field3D) Exchange(ctx *Context) error {
 	d := f.D
 	for ax, l := range [3]int{d.LX, d.LY, d.LZ} {
@@ -234,20 +273,20 @@ func (f *Field3D) Exchange(ctx *Context) error {
 		lo, hi := d.Neighbor(-s[0], -s[1], -s[2]), d.Neighbor(s[0], s[1], s[2])
 		var toLo, toHi []byte
 		if lo >= 0 {
-			toLo = enc.Float64sToBytes(f.Plane(nil, ax, 1))
+			toLo = f.encodePlane(ax, 1)
 		}
 		if hi >= 0 {
-			toHi = enc.Float64sToBytes(f.Plane(nil, ax, l))
+			toHi = f.encodePlane(ax, l)
 		}
 		fromLo, fromHi, err := Swap(ctx, lo, hi, tagHalo+2*ax, tagHalo+2*ax+1, toLo, toHi)
 		if err != nil {
 			return err
 		}
 		if lo >= 0 {
-			f.SetPlane(ax, 0, enc.BytesToFloat64s(fromLo))
+			f.decodePlane(ax, 0, fromLo)
 		}
 		if hi >= 0 {
-			f.SetPlane(ax, l+1, enc.BytesToFloat64s(fromHi))
+			f.decodePlane(ax, l+1, fromHi)
 		}
 	}
 	return nil

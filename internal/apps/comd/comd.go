@@ -46,6 +46,7 @@ type App struct {
 	gx, gy, gz []float64        // ghost positions
 
 	cells linkCells // forces scratch
+	stay  []int     // migrate scratch: the atoms staying on this axis
 
 	pe, ke float64
 	energy float64 // last total energy (protected)
@@ -181,11 +182,10 @@ func (a *App) exchangeGhosts(ctx *appkit.Context) error {
 			return err
 		}
 		for _, b := range [2][]byte{fromLo, fromHi} {
-			vals := enc.BytesToFloat64s(b)
-			for i := 0; i+2 < len(vals); i += 3 {
-				a.gx = append(a.gx, vals[i])
-				a.gy = append(a.gy, vals[i+1])
-				a.gz = append(a.gz, vals[i+2])
+			for o := 0; o+24 <= len(b); o += 24 {
+				a.gx = append(a.gx, enc.Float64(b[o:]))
+				a.gy = append(a.gy, enc.Float64(b[o+8:]))
+				a.gz = append(a.gz, enc.Float64(b[o+16:]))
 			}
 		}
 	}
@@ -444,7 +444,7 @@ func (a *App) migrate(ctx *appkit.Context) error {
 		loNbr := a.d.NeighborWrap(-dx, -dy, -dz)
 		hiNbr := a.d.NeighborWrap(dx, dy, dz)
 		vals := a.axisVals(ax)
-		var stayIdx []int
+		stayIdx := a.stay[:0]
 		var loOut, hiOut []float64
 		for i := range a.x {
 			c := vals[i]
@@ -465,6 +465,7 @@ func (a *App) migrate(ctx *appkit.Context) error {
 				stayIdx = append(stayIdx, i)
 			}
 		}
+		a.stay = stayIdx
 		if loNbr == ctx.Rank() && hiNbr == ctx.Rank() {
 			// Single rank on this axis: wrap in place, nothing to send.
 			for i := range a.x {
@@ -476,12 +477,13 @@ func (a *App) migrate(ctx *appkit.Context) error {
 			}
 			continue
 		}
+		// stayIdx ascends, so stayIdx[j] >= j: compacting in place never
+		// overwrites an atom before it is read.
 		keep := func(src []float64) []float64 {
-			out := make([]float64, 0, len(stayIdx))
-			for _, i := range stayIdx {
-				out = append(out, src[i])
+			for j, i := range stayIdx {
+				src[j] = src[i]
 			}
-			return out
+			return src[:len(stayIdx)]
 		}
 		a.x, a.y, a.z = keep(a.x), keep(a.y), keep(a.z)
 		a.vx, a.vy, a.vz = keep(a.vx), keep(a.vy), keep(a.vz)
@@ -491,14 +493,13 @@ func (a *App) migrate(ctx *appkit.Context) error {
 			return err
 		}
 		for _, b := range [2][]byte{fromLo, fromHi} {
-			vals := enc.BytesToFloat64s(b)
-			for i := 0; i+5 < len(vals); i += 6 {
-				a.x = append(a.x, vals[i])
-				a.y = append(a.y, vals[i+1])
-				a.z = append(a.z, vals[i+2])
-				a.vx = append(a.vx, vals[i+3])
-				a.vy = append(a.vy, vals[i+4])
-				a.vz = append(a.vz, vals[i+5])
+			for o := 0; o+48 <= len(b); o += 48 {
+				a.x = append(a.x, enc.Float64(b[o:]))
+				a.y = append(a.y, enc.Float64(b[o+8:]))
+				a.z = append(a.z, enc.Float64(b[o+16:]))
+				a.vx = append(a.vx, enc.Float64(b[o+24:]))
+				a.vy = append(a.vy, enc.Float64(b[o+32:]))
+				a.vz = append(a.vz, enc.Float64(b[o+40:]))
 			}
 		}
 	}

@@ -29,12 +29,11 @@ const (
 
 // App is the hydro state for one rank.
 type App struct {
-	d     *appkit.Decomp3D
-	h     float64            // cell size
-	flds  [5]*appkit.Field3D // rho, mx, my, mz, E (protected)
-	t     float64            // simulated physical time (protected)
-	news  [5][]float64       // scratch updates
-	plane []float64          // reflectBoundaries' scratch layer
+	d    *appkit.Decomp3D
+	h    float64            // cell size
+	flds [5]*appkit.Field3D // rho, mx, my, mz, E (protected)
+	t    float64            // simulated physical time (protected)
+	news [5][]float64       // scratch updates
 }
 
 // New returns a LULESH instance.
@@ -105,12 +104,10 @@ func (a *App) reflectBoundaries() {
 	for _, f := range a.flds {
 		for ax := range l {
 			if lo[ax] {
-				a.plane = f.Plane(a.plane, ax, 1)
-				f.SetPlane(ax, 0, a.plane)
+				f.CopyPlane(ax, 1, 0)
 			}
 			if hi[ax] {
-				a.plane = f.Plane(a.plane, ax, l[ax])
-				f.SetPlane(ax, l[ax]+1, a.plane)
+				f.CopyPlane(ax, l[ax], l[ax]+1)
 			}
 		}
 	}
