@@ -17,8 +17,9 @@
 // Kernels that sweep a Field3D read and write whole x rows through Row,
 // indexed by the ghosted x coordinate, rather than At/Set per cell.
 //
-// A *Field3D is an fti.Protected object: Snapshot is its interior, the
-// bytes fti.F64s stores for Interior(), and Restore is SetInterior, so an
+// A *Field3D is an fti.Protected object: AppendSnapshot appends its
+// interior, row by row straight into the checkpoint payload, as the bytes
+// fti.F64s stores for Interior(), and Restore is SetInterior, so an
 // app protects its ghosted field directly rather than a flat copy it syncs
 // every step. The rule is to protect the field the step updates in place:
 // FTI keeps the pointer given to Protect, so swapping two fields' pointers

@@ -3,6 +3,7 @@ package appkit
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -368,31 +369,64 @@ func TestSwapTwoRankRing(t *testing.T) {
 	}
 }
 
-// A field checkpoints as its interior, byte for byte what protecting a
-// flat copy of the interior stored, and restores only the interior.
-func TestFieldSnapshotIsInteriorF64s(t *testing.T) {
-	d := NewDecomp3D(0, 1, 3, 4, 5)
-	f := NewField3D(d)
-	for i := range f.V {
-		f.V[i] = float64(i) * 0.5
-	}
-	interior := f.Interior()
-	snap := f.Snapshot()
-	if want := (fti.F64s{P: &interior}).Snapshot(); !bytes.Equal(snap, want) {
-		t.Fatalf("snapshot differs from fti.F64s of the interior")
-	}
-	g := NewField3D(d)
-	for i := range g.V {
-		g.V[i] = -1
-	}
-	g.Restore(snap)
-	for i, v := range g.Interior() {
-		if v != interior[i] {
-			t.Fatalf("restored interior value %d = %v, want %v", i, v, interior[i])
+// snapshotOracle is the Field3D.Snapshot that returned a fresh slice, kept
+// as the oracle for AppendSnapshot's bytes.
+func snapshotOracle(f *Field3D) []byte {
+	b := make([]byte, 0, 8*f.D.LX*f.D.LY*f.D.LZ)
+	for z := 1; z <= f.D.LZ; z++ {
+		for y := 1; y <= f.D.LY; y++ {
+			for _, v := range f.interiorRow(y, z) {
+				b = enc.AppendFloat64(b, v)
+			}
 		}
 	}
-	if g.At(0, 0, 0) != -1 || g.At(d.LX+1, d.LY+1, d.LZ+1) != -1 {
-		t.Fatal("Restore wrote a ghost")
+	return b
+}
+
+// A field checkpoints as its interior: AppendSnapshot appends, after any
+// prefix, the oracle's bytes, which are byte for byte what protecting a
+// flat copy of the interior stored; SnapshotLen is their length; Restore
+// writes only the interior. The last block is empty: 4 ranks over a
+// 1x1x2 mesh leave rank 3 no y layer.
+func TestFieldSnapshotIsInteriorF64s(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, d := range []*Decomp3D{
+		NewDecomp3D(0, 1, 3, 4, 5),
+		NewDecomp3D(5, 8, 7, 6, 5),
+		NewDecomp3D(3, 4, 1, 1, 2),
+	} {
+		f := NewField3D(d)
+		for i := range f.V {
+			f.V[i] = rng.NormFloat64()
+		}
+		want := snapshotOracle(f)
+		interior := f.Interior()
+		if flat := (fti.F64s{P: &interior}).AppendSnapshot(nil); !bytes.Equal(want, flat) {
+			t.Fatalf("%dx%dx%d block: oracle differs from fti.F64s of the interior", d.LX, d.LY, d.LZ)
+		}
+		if f.SnapshotLen() != len(want) {
+			t.Errorf("%dx%dx%d block: SnapshotLen %d, oracle %d bytes", d.LX, d.LY, d.LZ, f.SnapshotLen(), len(want))
+		}
+		prefix := []byte{7, 7, 7}
+		if got := f.AppendSnapshot(prefix[:2:2]); !bytes.Equal(got, append(prefix[:2:2], want...)) {
+			t.Errorf("%dx%dx%d block: AppendSnapshot is not prefix + oracle", d.LX, d.LY, d.LZ)
+		}
+		if got := f.AppendSnapshot(prefix[:1]); !bytes.Equal(got, append([]byte{7}, want...)) {
+			t.Errorf("%dx%dx%d block: AppendSnapshot into spare capacity is not prefix + oracle", d.LX, d.LY, d.LZ)
+		}
+		g := NewField3D(d)
+		for i := range g.V {
+			g.V[i] = -1
+		}
+		g.Restore(want)
+		for i, v := range g.Interior() {
+			if v != interior[i] {
+				t.Fatalf("restored interior value %d = %v, want %v", i, v, interior[i])
+			}
+		}
+		if g.At(0, 0, 0) != -1 || g.At(d.LX+1, d.LY+1, d.LZ+1) != -1 {
+			t.Fatal("Restore wrote a ghost")
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package appkit
 
 import (
 	"fmt"
+	"slices"
 
 	"match/internal/enc"
 	"match/internal/mpi"
@@ -176,23 +177,24 @@ func (f *Field3D) SetInterior(vals []float64) {
 	}
 }
 
-// Snapshot implements fti.Protected: the interior in x-fastest order, the
-// bytes fti.F64s produces for f.Interior(), encoded row by row with no
-// intermediate copy. Ghosts are not state.
-func (f *Field3D) Snapshot() []byte {
-	b := make([]byte, 0, 8*f.D.LX*f.D.LY*f.D.LZ)
+// SnapshotLen implements fti.Protected: 8 bytes per interior value.
+func (f *Field3D) SnapshotLen() int { return 8 * f.D.LX * f.D.LY * f.D.LZ }
+
+// AppendSnapshot implements fti.Protected: the interior in x-fastest
+// order, the bytes fti.F64s produces for f.Interior(), appended row by row
+// with no intermediate copy. Ghosts are not state.
+func (f *Field3D) AppendSnapshot(b []byte) []byte {
+	b = slices.Grow(b, f.SnapshotLen())
 	for z := 1; z <= f.D.LZ; z++ {
 		for y := 1; y <= f.D.LY; y++ {
-			for _, v := range f.interiorRow(y, z) {
-				b = enc.AppendFloat64(b, v)
-			}
+			b = enc.AppendFloat64s(b, f.interiorRow(y, z))
 		}
 	}
 	return b
 }
 
-// Restore implements fti.Protected: SetInterior from Snapshot's bytes,
-// decoded straight into the rows.
+// Restore implements fti.Protected: SetInterior from AppendSnapshot's
+// bytes, decoded straight into the rows.
 func (f *Field3D) Restore(b []byte) {
 	for z := 1; z <= f.D.LZ; z++ {
 		for y := 1; y <= f.D.LY; y++ {

@@ -6,6 +6,7 @@ package enc
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 )
 
 // AppendUint64 appends v to b.
@@ -34,9 +35,17 @@ func Float64(b []byte) float64 { return math.Float64frombits(Uint64(b)) }
 
 // Float64sToBytes encodes a float64 slice.
 func Float64sToBytes(v []float64) []byte {
-	b := make([]byte, 8*len(v))
+	return AppendFloat64s(make([]byte, 0, 8*len(v)), v)
+}
+
+// AppendFloat64s appends the Float64sToBytes encoding of v to b, growing
+// b at most once.
+func AppendFloat64s(b []byte, v []float64) []byte {
+	n := len(b)
+	b = slices.Grow(b, 8*len(v))[:n+8*len(v)]
+	out := b[n:]
 	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(x))
 	}
 	return b
 }
@@ -57,9 +66,17 @@ func FillFloat64s(v []float64, b []byte) {
 
 // Int64sToBytes encodes an int64 slice.
 func Int64sToBytes(v []int64) []byte {
-	b := make([]byte, 8*len(v))
+	return AppendInt64s(make([]byte, 0, 8*len(v)), v)
+}
+
+// AppendInt64s appends the Int64sToBytes encoding of v to b, growing b at
+// most once.
+func AppendInt64s(b []byte, v []int64) []byte {
+	n := len(b)
+	b = slices.Grow(b, 8*len(v))[:n+8*len(v)]
+	out := b[n:]
 	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
+		binary.LittleEndian.PutUint64(out[8*i:], uint64(x))
 	}
 	return b
 }

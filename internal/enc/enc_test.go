@@ -68,6 +68,31 @@ func TestEmptySlices(t *testing.T) {
 	}
 }
 
+// Property: a bulk append after any prefix is the prefix followed by one
+// scalar append per element, and Float64sToBytes/Int64sToBytes are the
+// bulk appends to nothing.
+func TestBulkAppendsMatchScalarAppends(t *testing.T) {
+	f := func(prefix []byte, fs []float64, is []int64) bool {
+		wantF := append([]byte(nil), prefix...)
+		for _, x := range fs {
+			wantF = AppendFloat64(wantF, x)
+		}
+		wantI := append([]byte(nil), prefix...)
+		for _, x := range is {
+			wantI = AppendInt64(wantI, x)
+		}
+		// A prefix with spare capacity must be appended to, not overwritten.
+		gotF := AppendFloat64s(append(make([]byte, 0, len(prefix)+3), prefix...), fs)
+		gotI := AppendInt64s(append([]byte(nil), prefix...), is)
+		return string(gotF) == string(wantF) && string(gotI) == string(wantI) &&
+			string(Float64sToBytes(fs)) == string(wantF[len(prefix):]) &&
+			string(Int64sToBytes(is)) == string(wantI[len(prefix):])
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: mixed sequences of appends decode in order.
 func TestMixedStreamProperty(t *testing.T) {
 	f := func(a uint64, b int64, c float64, s []byte) bool {

@@ -13,6 +13,12 @@
 // A checkpoint is committed by a small collective (all ranks agree the
 // checkpoint id is complete) before metadata is updated — the collective
 // the paper observes making L1 checkpoint time grow modestly with scale.
+//
+// A checkpoint's bytes are made once: every protected object appends its
+// encoding straight into the one payload, and the storage tiers keep that
+// slice as the file. Nothing here writes to a slice after handing it to
+// storage, and nothing modifies a slice storage returns; Restore copies
+// out of it.
 package fti
 
 import (
@@ -20,6 +26,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 
 	"match/internal/enc"
 	"match/internal/mpi"
@@ -95,10 +102,15 @@ func (c *Config) fillDefaults() {
 }
 
 // Protected is a checkpointable data object, registered with Protect.
-// Snapshot serializes the current value; Restore overwrites it.
+// AppendSnapshot appends the current value's encoding to b, exactly
+// SnapshotLen bytes of it, so a checkpoint is encoded once, straight into
+// its payload. Restore overwrites the value from such an encoding; b
+// belongs to the checkpoint store, so Restore copies what it keeps and
+// never retains or modifies b.
 type Protected interface {
-	Snapshot() []byte
-	Restore([]byte)
+	SnapshotLen() int
+	AppendSnapshot(b []byte) []byte
+	Restore(b []byte)
 }
 
 // Stats aggregates per-rank FTI timing, consumed by the harness for the
@@ -125,6 +137,7 @@ type FTI struct {
 	st     *storage.System
 	rank   int
 	node   int
+	base   string // "fti/<ExecID>/r<rank>/", the prefix of this rank's files
 	objs   []protEntry
 	status Status
 	latest int64 // latest committed checkpoint id, -1 if none
@@ -155,9 +168,6 @@ type FTI struct {
 type protEntry struct {
 	id  int
 	obj Protected
-	// snap holds obj's snapshot between serialize's sizing and packing
-	// passes, and is nil outside them.
-	snap []byte
 }
 
 // ErrNoCheckpoint is returned by Recover when no committed checkpoint
@@ -179,6 +189,7 @@ func Init(cfg Config, r *mpi.Rank, comm *mpi.Comm, st *storage.System) (*FTI, er
 		node:   r.Process().NodeID(),
 		latest: -1,
 	}
+	f.base = fmt.Sprintf("fti/%s/r%05d/", cfg.ExecID, f.rank)
 	if p := r.Job().Cluster().Probe(); p != nil {
 		f.probe = p
 		f.ident = trace.Span{Rank: int32(f.rank), Job: p.JobOf(r.Job()), Actor: p.NewActor()}
@@ -288,7 +299,7 @@ func (f *FTI) Status() Status { return f.status }
 func (f *FTI) ProtectedBytes() int64 {
 	var n int64
 	for _, e := range f.objs {
-		n += int64(len(e.obj.Snapshot()))
+		n += int64(e.obj.SnapshotLen())
 	}
 	return n
 }
@@ -299,17 +310,19 @@ func (f *FTI) LatestCheckpoint() int64 { return f.latest }
 // Comm returns the communicator FTI is operating on.
 func (f *FTI) Comm() *mpi.Comm { return f.comm }
 
-func (f *FTI) base() string {
-	return fmt.Sprintf("fti/%s/r%05d/", f.cfg.ExecID, f.rank)
+// idPath is base + name + the decimal id, built with one allocation: the
+// string itself.
+func (f *FTI) idPath(name string, id int64) string {
+	var buf [128]byte
+	b := append(append(buf[:0], f.base...), name...)
+	return string(strconv.AppendInt(b, id, 10))
 }
 
-func (f *FTI) ckptPath(id int64) string { return fmt.Sprintf("%sckpt%d", f.base(), id) }
-func (f *FTI) metaPath() string         { return f.base() + "meta" }
-func (f *FTI) partnerPath(id int64) string {
-	return fmt.Sprintf("%spartner-ckpt%d", f.base(), id)
-}
-func (f *FTI) parityPath(id int64) string { return fmt.Sprintf("%sparity%d", f.base(), id) }
-func (f *FTI) hashPath() string           { return f.base() + "blockhashes" }
+func (f *FTI) ckptPath(id int64) string    { return f.idPath("ckpt", id) }
+func (f *FTI) partnerPath(id int64) string { return f.idPath("partner-ckpt", id) }
+func (f *FTI) parityPath(id int64) string  { return f.idPath("parity", id) }
+func (f *FTI) metaPath() string            { return f.base + "meta" }
+func (f *FTI) hashPath() string            { return f.base + "blockhashes" }
 
 // tier returns the storage tier checkpoint payloads live in for a level.
 func tier(level Level) storage.Tier {
@@ -396,24 +409,27 @@ func (f *FTI) writeMeta(id int64, level Level) error {
 // per-run byte scale, like the storage tiers underneath).
 func (f *FTI) scaledLen(n int) float64 { return f.r.Job().Cluster().Config().Scaled(n) }
 
-// serialize snapshots all protected objects into one payload, allocated
-// once at its final size, and charges the serialization CPU time.
-func (f *FTI) serialize() []byte {
+// serialize encodes all protected objects into one payload: sized by
+// their SnapshotLen, allocated once, each object appended in place behind
+// its id and length. It charges the serialization CPU time, and fails
+// without charging if an object appends other than its SnapshotLen bytes.
+func (f *FTI) serialize() ([]byte, error) {
 	n := 8
-	for i := range f.objs {
-		e := &f.objs[i]
-		e.snap = e.obj.Snapshot()
-		n += 16 + len(e.snap)
+	for _, e := range f.objs {
+		n += 16 + e.obj.SnapshotLen()
 	}
 	out := enc.AppendUint64(make([]byte, 0, n), uint64(len(f.objs)))
-	for i := range f.objs {
-		e := &f.objs[i]
-		out = enc.AppendUint64(out, uint64(e.id))
-		out = enc.AppendBytes(out, e.snap)
-		e.snap = nil
+	for _, e := range f.objs {
+		want := e.obj.SnapshotLen()
+		out = enc.AppendUint64(enc.AppendUint64(out, uint64(e.id)), uint64(want))
+		at := len(out)
+		out = e.obj.AppendSnapshot(out)
+		if got := len(out) - at; got != want {
+			return nil, fmt.Errorf("fti: protected object %d appended %d bytes, its SnapshotLen is %d", e.id, got, want)
+		}
 	}
 	f.r.Compute(simnet.Time(f.scaledLen(len(out)) / f.cfg.SerializeBWBps * 1e9))
-	return out
+	return out, nil
 }
 
 // deserialize restores all protected objects from a payload (charging the
@@ -482,12 +498,14 @@ func (f *FTI) CheckpointAt(id int64, level Level) error {
 			f.probe.Emit(s)
 		}
 	}()
-	payload := f.serialize()
+	payload, err := f.serialize()
+	if err != nil {
+		return err
+	}
 	f.Stats.CkptBytes += int64(len(payload))
 	f.Stats.CkptBytesAt[level] += int64(len(payload))
 	f.r.Compute(f.cfg.CkptOverhead)
 
-	var err error
 	switch level {
 	case L1:
 		err = f.writeL1(id, payload)

@@ -20,9 +20,16 @@ func harness(t *testing.T, n int, body func(r *mpi.Rank, st *storage.System)) {
 	st := storage.New(c, storage.Config{})
 	j := mpi.Launch(c, n, 0, func(r *mpi.Rank) { body(r, st) })
 	c.Run()
+	exitedClean(t, j)
+}
+
+// exitedClean fails t for every rank of j whose body did not return
+// normally: to the simulation, a rank that panics is just a dead process.
+func exitedClean(t *testing.T, j *mpi.Job) {
+	t.Helper()
 	for i, p := range j.World().Members() {
-		if !p.Failed() && p.GID() >= 0 {
-			_ = i
+		if sp := p.SimProc(); sp.Status() != simnet.ExitOK {
+			t.Errorf("rank %d exited with status %d: %v", i, sp.Status(), sp.PanicValue())
 		}
 	}
 }
@@ -40,7 +47,7 @@ func TestProtectHelpersRoundTrip(t *testing.T) {
 	}
 	snaps := make([][]byte, len(objs))
 	for i, o := range objs {
-		snaps[i] = o.Snapshot()
+		snaps[i] = o.AppendSnapshot(nil)
 	}
 	fs[0], is[0], ints[0], iv, fv, bs[0] = 0, 0, 0, 0, 0, 0
 	for i, o := range objs {

@@ -2,6 +2,7 @@ package fti
 
 import (
 	"bytes"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -101,8 +102,9 @@ func TestL3UnequalPayloadsSurviveNodeLoss(t *testing.T) {
 		}
 	}
 	c.FailNode(0)
-	mpi.LaunchPlaced(c, []int{1, 1, 1, 1, 2, 2, 3, 3}, 0, l3Recover(t, cfg, st, 4, sizes))
+	j := mpi.LaunchPlaced(c, []int{1, 1, 1, 1, 2, 2, 3, 3}, 0, l3Recover(t, cfg, st, 4, sizes))
 	c.Run()
+	exitedClean(t, j)
 }
 
 // A ragged last group: 6 ranks in groups of 4 leave a group of 2 with its
@@ -150,8 +152,9 @@ func TestL3RaggedLastGroup(t *testing.T) {
 	for _, e := range erase {
 		st.Delete(storage.RAMFS, e.node, e.path)
 	}
-	mpi.Launch(c, 6, 0, l3Recover(t, cfg, st, 9, sizes))
+	j := mpi.Launch(c, 6, 0, l3Recover(t, cfg, st, 9, sizes))
 	c.Run()
+	exitedClean(t, j)
 }
 
 // slowMul multiplies in GF(2^8) mod 0x11d by shift-and-add: no tables, and
@@ -244,16 +247,10 @@ func TestL3ParityBlobFormat(t *testing.T) {
 	}
 }
 
-// fixed is a Protected whose Snapshot allocates nothing, so serialize's own
-// allocations can be counted.
-type fixed []byte
-
-func (f fixed) Snapshot() []byte { return f }
-func (f fixed) Restore([]byte)   {}
-
-// serialize allocates its output once, at its final size: with snapshots
-// that allocate nothing, one allocation beyond what charging the
-// serialization time costs by itself.
+// serialize allocates its output once, at its final size, and every
+// protected object appends into it in place: for the protect.go types,
+// one allocation beyond what charging the serialization time costs by
+// itself.
 func TestSerializeAllocatesOutputOnce(t *testing.T) {
 	harness(t, 1, func(r *mpi.Rank, st *storage.System) {
 		f, err := Init(Config{ExecID: "alloc"}, r, r.Job().World(), st)
@@ -261,12 +258,16 @@ func TestSerializeAllocatesOutputOnce(t *testing.T) {
 			t.Errorf("init: %v", err)
 			return
 		}
-		for id, n := range []int{1 << 10, 0, 5 << 10, 3} {
-			f.Protect(id, fixed(make([]byte, n)))
+		for id, obj := range protectAll(rand.New(rand.NewSource(1)), 300) {
+			f.Protect(id, obj)
 		}
 		charge := testing.AllocsPerRun(50, func() { r.Compute(simnet.Microsecond) })
 		var out []byte
-		total := testing.AllocsPerRun(50, func() { out = f.serialize() })
+		total := testing.AllocsPerRun(50, func() {
+			if out, err = f.serialize(); err != nil {
+				t.Fatal(err)
+			}
+		})
 		if total-charge != 1 {
 			t.Errorf("serialize allocates %v times beyond its time charge (%v), want 1", total-charge, charge)
 		}
@@ -274,4 +275,74 @@ func TestSerializeAllocatesOutputOnce(t *testing.T) {
 			t.Errorf("serialize output has len %d cap %d, want an exact fit", len(out), cap(out))
 		}
 	})
+}
+
+// BenchmarkCheckpointL3 is one L3 checkpoint of 8 ranks in groups of 4,
+// each protecting a 42 KB vector (HPCCG's payload at 8 ranks): serialize,
+// the group exchange, one parity row, and the commit. One op is one
+// checkpoint of every rank.
+func BenchmarkCheckpointL3(b *testing.B) {
+	c := simnet.NewCluster(simnet.Config{Nodes: 4})
+	st := storage.New(c, storage.Config{})
+	b.ReportAllocs()
+	mpi.Launch(c, 8, 0, func(r *mpi.Rank) {
+		w := r.Job().World()
+		f, err := Init(Config{Level: L3, ExecID: "bench-l3"}, r, w, st)
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		data := make([]float64, 42<<10/8)
+		for i := range data {
+			data[i] = float64(r.Rank(w)*len(data) + i)
+		}
+		f.Protect(0, F64s{&data})
+		for i := 1; i <= b.N; i++ {
+			data[i%len(data)]++
+			if err := f.Checkpoint(int64(i)); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	c.Run()
+}
+
+// A one-member L3 group — 5 ranks in groups of 4 leave rank 4 alone —
+// stores a raw copy of its payload as its "parity". Losing the L1 file
+// must restore from that copy, not parse it as a parity header.
+func TestL3OneMemberGroupRecoversFromItsCopy(t *testing.T) {
+	c := simnet.NewCluster(simnet.Config{Nodes: 3})
+	st := storage.New(c, storage.Config{})
+	cfg := Config{Level: L3, ExecID: "l3solo", GroupSize: 4}
+	sizes := make([]int, 5)
+	var node int
+	var path string
+	mpi.Launch(c, 5, 0, func(r *mpi.Rank) {
+		w := r.Job().World()
+		me := r.Rank(w)
+		f, err := Init(cfg, r, w, st)
+		if err != nil {
+			t.Errorf("init: %v", err)
+			return
+		}
+		fs, bs := l3State(me)
+		f.Protect(0, F64s{&fs})
+		f.Protect(1, Bytes{&bs})
+		if err := f.Checkpoint(6); err != nil {
+			t.Errorf("rank %d ckpt: %v", me, err)
+		}
+		sizes[me] = st.Size(storage.RAMFS, r.Process().NodeID(), f.ckptPath(6))
+		if me == 4 {
+			if group, _ := f.l3Group(); group.Size() != 1 {
+				t.Errorf("rank 4's L3 group has %d members, want 1", group.Size())
+			}
+			node, path = r.Process().NodeID(), f.ckptPath(6)
+		}
+	})
+	c.Run()
+	st.Delete(storage.RAMFS, node, path)
+	j := mpi.Launch(c, 5, 0, l3Recover(t, cfg, st, 6, sizes))
+	c.Run()
+	exitedClean(t, j)
 }

@@ -44,7 +44,9 @@ func (f *FTI) readL2(id int64) ([]byte, error) {
 // Both directions work a row at a time, so a rank pays only for what it
 // keeps: a checkpoint encodes the one parity row this member stores (G
 // shard passes, not the G*G of a full Encode), straight into the blob it
-// writes; a recovery rebuilds the one data shard this member lost.
+// writes; a recovery rebuilds the one data shard this member lost. A
+// one-member group (the ragged tail of a communicator) has no code: its
+// "parity" is a second copy of the payload.
 
 // l3Group returns the group communicator and this rank's index within it.
 func (f *FTI) l3Group() (*mpi.Comm, int) {
@@ -137,9 +139,20 @@ func (f *FTI) readL3(id int64) ([]byte, error) {
 	if anyMissing == 0 {
 		return myData, nil
 	}
+	myParity, perr := f.st.Read(f.r.Sim(), storage.RAMFS, f.node, f.parityPath(id))
+	if g == 1 {
+		// A one-member group's parity is writeL3's raw copy of the payload:
+		// restore from it and repopulate the lost L1 copy.
+		if perr != nil {
+			return nil, fmt.Errorf("fti: L3 lost both copies of a one-member group: %w", perr)
+		}
+		if err := f.writeL1(id, myParity); err != nil {
+			return nil, err
+		}
+		return myParity, nil
+	}
 	// Collect whatever shards the group still has: gather data and parity
 	// separately; a missing file contributes an empty payload.
-	myParity, _ := f.st.Read(f.r.Sim(), storage.RAMFS, f.node, f.parityPath(id))
 	datas, err := mpi.Allgatherv(f.r, group, myData)
 	if err != nil {
 		return nil, err

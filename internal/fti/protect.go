@@ -1,6 +1,8 @@
 package fti
 
 import (
+	"slices"
+
 	"match/internal/enc"
 )
 
@@ -8,20 +10,23 @@ import (
 // (checkpointed slices may have rank-dependent, run-dependent lengths).
 type F64s struct{ P *[]float64 }
 
-// Snapshot implements Protected.
-func (v F64s) Snapshot() []byte { return enc.Float64sToBytes(*v.P) }
+// SnapshotLen implements Protected.
+func (v F64s) SnapshotLen() int { return 8 * len(*v.P) }
+
+// AppendSnapshot implements Protected.
+func (v F64s) AppendSnapshot(b []byte) []byte { return enc.AppendFloat64s(b, *v.P) }
 
 // Restore implements Protected.
-func (v F64s) Restore(b []byte) {
-	vals := enc.BytesToFloat64s(b)
-	*v.P = vals
-}
+func (v F64s) Restore(b []byte) { *v.P = enc.BytesToFloat64s(b) }
 
 // I64s protects an int64 slice through a pointer.
 type I64s struct{ P *[]int64 }
 
-// Snapshot implements Protected.
-func (v I64s) Snapshot() []byte { return enc.Int64sToBytes(*v.P) }
+// SnapshotLen implements Protected.
+func (v I64s) SnapshotLen() int { return 8 * len(*v.P) }
+
+// AppendSnapshot implements Protected.
+func (v I64s) AppendSnapshot(b []byte) []byte { return enc.AppendInt64s(b, *v.P) }
 
 // Restore implements Protected.
 func (v I64s) Restore(b []byte) { *v.P = enc.BytesToInt64s(b) }
@@ -29,13 +34,16 @@ func (v I64s) Restore(b []byte) { *v.P = enc.BytesToInt64s(b) }
 // Ints protects an int slice through a pointer.
 type Ints struct{ P *[]int }
 
-// Snapshot implements Protected.
-func (v Ints) Snapshot() []byte {
-	out := make([]byte, 0, 8*len(*v.P))
+// SnapshotLen implements Protected.
+func (v Ints) SnapshotLen() int { return 8 * len(*v.P) }
+
+// AppendSnapshot implements Protected.
+func (v Ints) AppendSnapshot(b []byte) []byte {
+	b = slices.Grow(b, v.SnapshotLen())
 	for _, x := range *v.P {
-		out = enc.AppendInt64(out, int64(x))
+		b = enc.AppendInt64(b, int64(x))
 	}
-	return out
+	return b
 }
 
 // Restore implements Protected.
@@ -51,8 +59,11 @@ func (v Ints) Restore(b []byte) {
 // must be checkpointed so a restart resumes at the right iteration).
 type Int struct{ P *int }
 
-// Snapshot implements Protected.
-func (v Int) Snapshot() []byte { return enc.AppendInt64(nil, int64(*v.P)) }
+// SnapshotLen implements Protected.
+func (v Int) SnapshotLen() int { return 8 }
+
+// AppendSnapshot implements Protected.
+func (v Int) AppendSnapshot(b []byte) []byte { return enc.AppendInt64(b, int64(*v.P)) }
 
 // Restore implements Protected.
 func (v Int) Restore(b []byte) { *v.P = int(enc.Int64(b)) }
@@ -60,8 +71,11 @@ func (v Int) Restore(b []byte) { *v.P = int(enc.Int64(b)) }
 // I64 protects a single int64.
 type I64 struct{ P *int64 }
 
-// Snapshot implements Protected.
-func (v I64) Snapshot() []byte { return enc.AppendInt64(nil, *v.P) }
+// SnapshotLen implements Protected.
+func (v I64) SnapshotLen() int { return 8 }
+
+// AppendSnapshot implements Protected.
+func (v I64) AppendSnapshot(b []byte) []byte { return enc.AppendInt64(b, *v.P) }
 
 // Restore implements Protected.
 func (v I64) Restore(b []byte) { *v.P = enc.Int64(b) }
@@ -69,8 +83,11 @@ func (v I64) Restore(b []byte) { *v.P = enc.Int64(b) }
 // F64 protects a single float64.
 type F64 struct{ P *float64 }
 
-// Snapshot implements Protected.
-func (v F64) Snapshot() []byte { return enc.AppendFloat64(nil, *v.P) }
+// SnapshotLen implements Protected.
+func (v F64) SnapshotLen() int { return 8 }
+
+// AppendSnapshot implements Protected.
+func (v F64) AppendSnapshot(b []byte) []byte { return enc.AppendFloat64(b, *v.P) }
 
 // Restore implements Protected.
 func (v F64) Restore(b []byte) { *v.P = enc.Float64(b) }
@@ -78,8 +95,11 @@ func (v F64) Restore(b []byte) { *v.P = enc.Float64(b) }
 // Bytes protects a raw byte slice through a pointer.
 type Bytes struct{ P *[]byte }
 
-// Snapshot implements Protected.
-func (v Bytes) Snapshot() []byte { return append([]byte(nil), *v.P...) }
+// SnapshotLen implements Protected.
+func (v Bytes) SnapshotLen() int { return len(*v.P) }
+
+// AppendSnapshot implements Protected.
+func (v Bytes) AppendSnapshot(b []byte) []byte { return append(b, *v.P...) }
 
 // Restore implements Protected.
 func (v Bytes) Restore(b []byte) { *v.P = append([]byte(nil), b...) }

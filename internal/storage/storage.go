@@ -9,6 +9,12 @@
 // files intact (files in /dev/shm belong to the node, not the process — the
 // property FTI L1 recovery relies on), while a *node* failure makes the
 // node's RAMFS and SSD unreachable. The PFS survives everything.
+//
+// A file's content is the slice it was written with, not a copy: written
+// bytes belong to the store, and the writer must not modify them
+// afterwards. Reads return that same slice, which a reader must not
+// modify either. The one client, FTI, writes each checkpoint payload it
+// builds and copies out of what it reads.
 package storage
 
 import (
@@ -166,26 +172,26 @@ func (s *System) chargePFS(p *simnet.Proc, size int) {
 }
 
 // Write stores data at path in the given tier of node (node is ignored for
-// PFS) and charges the calling process. The data is copied.
+// PFS) and charges the calling process. The store keeps data itself: the
+// caller must not modify it afterwards.
 func (s *System) Write(p *simnet.Proc, tier Tier, node int, path string, data []byte) error {
-	cp := append([]byte(nil), data...)
 	if tier == PFS {
-		s.chargePFS(p, len(cp))
-		s.pfs[path] = cp
+		s.chargePFS(p, len(data))
+		s.pfs[path] = data
 		return nil
 	}
 	m, err := s.local(tier, node)
 	if err != nil {
 		return err
 	}
-	s.chargeLocal(p, tier, len(cp))
-	m[path] = cp
+	s.chargeLocal(p, tier, len(data))
+	m[path] = data
 	return nil
 }
 
 // WriteRemote stores data in a *remote* node's local tier, charging both
 // the network transfer (via the sender's NIC) and the remote write. This is
-// FTI L2's partner copy.
+// FTI L2's partner copy. Like Write, it keeps data itself.
 func (s *System) WriteRemote(p *simnet.Proc, tier Tier, fromNode, toNode int, path string, data []byte) error {
 	arrive := s.cluster.SendArrival(fromNode, toNode, len(data), p.Now())
 	p.Sleep(arrive - p.Now())
@@ -194,22 +200,23 @@ func (s *System) WriteRemote(p *simnet.Proc, tier Tier, fromNode, toNode int, pa
 
 // WriteFree installs data at path without charging any time. Used by
 // differential checkpointing, where only the dirty blocks cross the wire
-// but the logical file content is complete.
+// but the logical file content is complete. Like Write, it keeps data
+// itself.
 func (s *System) WriteFree(tier Tier, node int, path string, data []byte) error {
-	cp := append([]byte(nil), data...)
 	if tier == PFS {
-		s.pfs[path] = cp
+		s.pfs[path] = data
 		return nil
 	}
 	m, err := s.local(tier, node)
 	if err != nil {
 		return err
 	}
-	m[path] = cp
+	m[path] = data
 	return nil
 }
 
-// Read returns the data at path, charging the calling process.
+// Read returns the data at path, charging the calling process. The slice
+// is the stored one: the caller must not modify it.
 func (s *System) Read(p *simnet.Proc, tier Tier, node int, path string) ([]byte, error) {
 	if tier == PFS {
 		data, ok := s.pfs[path]
@@ -217,7 +224,7 @@ func (s *System) Read(p *simnet.Proc, tier Tier, node int, path string) ([]byte,
 			return nil, ErrNotFound
 		}
 		s.chargePFS(p, len(data))
-		return append([]byte(nil), data...), nil
+		return data, nil
 	}
 	m, err := s.local(tier, node)
 	if err != nil {
@@ -228,11 +235,12 @@ func (s *System) Read(p *simnet.Proc, tier Tier, node int, path string) ([]byte,
 		return nil, ErrNotFound
 	}
 	s.chargeLocal(p, tier, len(data))
-	return append([]byte(nil), data...), nil
+	return data, nil
 }
 
 // ReadRemote fetches a file from a remote node's local tier, charging the
 // remote read plus the network transfer back. Used by FTI L2/L3 recovery.
+// Like Read, it returns the stored slice.
 func (s *System) ReadRemote(p *simnet.Proc, tier Tier, fromNode, toNode int, path string) ([]byte, error) {
 	data, err := s.Read(p, tier, fromNode, path)
 	if err != nil {

@@ -40,16 +40,42 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	})
 }
 
-func TestWriteCopiesData(t *testing.T) {
-	withProc(t, 1, func(c *simnet.Cluster, s *System, p *simnet.Proc) {
-		buf := []byte{1, 2, 3}
-		s.Write(p, RAMFS, 0, "x", buf)
-		buf[0] = 99
-		got, _ := s.Read(p, RAMFS, 0, "x")
-		if got[0] != 1 {
-			t.Error("storage aliased caller's buffer")
+// Written bytes belong to the store: every write keeps the caller's
+// backing array, and every read returns it, with no copy on either side.
+func TestWriteKeepsCallerBuffer(t *testing.T) {
+	c := simnet.NewCluster(simnet.Config{Nodes: 2})
+	s := New(c, Config{})
+	c.StartProc(0, 0, func(p *simnet.Proc) {
+		same := func(what string, got, want []byte) {
+			t.Helper()
+			if len(got) != len(want) || &got[0] != &want[0] {
+				t.Errorf("%s returned a copy, not the written slice", what)
+			}
 		}
+		for _, tier := range []Tier{RAMFS, SSD, PFS} {
+			buf := []byte{1, 2, 3}
+			s.Write(p, tier, 0, "x", buf)
+			got, err := s.Read(p, tier, 0, "x")
+			if err != nil {
+				t.Fatalf("%v read: %v", tier, err)
+			}
+			same(tier.String()+" Write/Read", got, buf)
+			free := []byte{4, 5}
+			s.WriteFree(tier, 0, "free", free)
+			got, _ = s.Read(p, tier, 0, "free")
+			same(tier.String()+" WriteFree/Read", got, free)
+		}
+		remote := []byte{6, 7, 8, 9}
+		if err := s.WriteRemote(p, RAMFS, 0, 1, "remote", remote); err != nil {
+			t.Fatalf("remote write: %v", err)
+		}
+		got, err := s.ReadRemote(p, RAMFS, 1, 0, "remote")
+		if err != nil {
+			t.Fatalf("remote read: %v", err)
+		}
+		same("WriteRemote/ReadRemote", got, remote)
 	})
+	c.Run()
 }
 
 func TestTierSpeedOrdering(t *testing.T) {
