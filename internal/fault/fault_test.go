@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -158,6 +159,32 @@ func TestScheduleDistinctIterations(t *testing.T) {
 		}
 		seen[ev.TargetIter] = true
 	}
+}
+
+// Any spec ParseSchedule accepts renders, through String, to a spec that
+// parses back to the same schedule, and String is a fixed point of that
+// round trip.
+func FuzzScheduleRoundTrip(f *testing.F) {
+	for _, spec := range []string{"3@40,3@55:after=1", "0@1:kind=node", "1@2:replica=1:kind=process", ""} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := ParseSchedule(spec)
+		if err != nil {
+			return
+		}
+		out := s.String()
+		rt, err := ParseSchedule(out)
+		if err != nil {
+			t.Fatalf("ParseSchedule(%q) accepted, but its String %q is rejected: %v", spec, out, err)
+		}
+		if !reflect.DeepEqual(rt, s) {
+			t.Fatalf("ParseSchedule(%q) = %+v, but its String %q parses to %+v", spec, s, out, rt)
+		}
+		if again := rt.String(); again != out {
+			t.Fatalf("String is not a fixed point: %q -> %q", out, again)
+		}
+	})
 }
 
 func TestParseSchedule(t *testing.T) {

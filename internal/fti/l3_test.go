@@ -8,6 +8,7 @@ import (
 
 	"match/internal/enc"
 	"match/internal/mpi"
+	"match/internal/rs"
 	"match/internal/simnet"
 	"match/internal/storage"
 )
@@ -74,37 +75,66 @@ func l3Recover(t *testing.T, cfg Config, st *storage.System, wantID int64, sizes
 // ranks 0 and 1, so their group keeps exactly k = 4 of its 8 shards — data
 // 2,3 and parity 2,3. The base level is L2 because that is what mirrors the
 // restart metadata off the node; the payload is protected by L3 alone.
+// "older" also writes a later L3 checkpoint that the node loss keeps from
+// committing, so recovery encodes checkpoint 4's parity only after the
+// group has exchanged checkpoint 5's payloads — of the same sizes, so an
+// exchange buffer reused for them would overwrite checkpoint 4's.
 func TestL3UnequalPayloadsSurviveNodeLoss(t *testing.T) {
-	c := simnet.NewCluster(simnet.Config{Nodes: 4})
-	st := storage.New(c, storage.Config{})
-	cfg := Config{Level: L2, ExecID: "l3node", GroupSize: 4}
-	sizes := make([]int, 8)
-	mpi.Launch(c, 8, 0, func(r *mpi.Rank) {
-		w := r.Job().World()
-		me := r.Rank(w)
-		f, err := Init(cfg, r, w, st)
-		if err != nil {
-			t.Errorf("init: %v", err)
-			return
-		}
-		fs, bs := l3State(me)
-		f.Protect(0, F64s{&fs})
-		f.Protect(1, Bytes{&bs})
-		if err := f.CheckpointAt(4, L3); err != nil {
-			t.Errorf("rank %d ckpt: %v", me, err)
-		}
-		sizes[me] = st.Size(storage.RAMFS, r.Process().NodeID(), f.ckptPath(4))
-	})
-	c.Run()
-	for me := 1; me < 4; me++ {
-		if sizes[me] == sizes[0] {
-			t.Fatalf("payloads of ranks 0 and %d are both %d bytes; the test needs unequal shards", me, sizes[0])
-		}
+	for _, tc := range []struct {
+		name  string
+		later bool
+	}{{"newest", false}, {"older", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := simnet.NewCluster(simnet.Config{Nodes: 4})
+			st := storage.New(c, storage.Config{})
+			cfg := Config{Level: L2, ExecID: "l3node", GroupSize: 4}
+			sizes := make([]int, 8)
+			mpi.Launch(c, 8, 0, func(r *mpi.Rank) {
+				w := r.Job().World()
+				me := r.Rank(w)
+				f, err := Init(cfg, r, w, st)
+				if err != nil {
+					t.Errorf("init: %v", err)
+					return
+				}
+				fs, bs := l3State(me)
+				f.Protect(0, F64s{&fs})
+				f.Protect(1, Bytes{&bs})
+				if err := f.CheckpointAt(4, L3); err != nil {
+					t.Errorf("rank %d ckpt: %v", me, err)
+				}
+				sizes[me] = st.Size(storage.RAMFS, r.Process().NodeID(), f.ckptPath(4))
+				if tc.later {
+					fs[0]++
+					bs[0] ^= 0xff
+					if err := writeL3Uncommitted(f, 5); err != nil {
+						t.Errorf("rank %d later ckpt: %v", me, err)
+					}
+				}
+			})
+			c.Run()
+			for me := 1; me < 4; me++ {
+				if sizes[me] == sizes[0] {
+					t.Fatalf("payloads of ranks 0 and %d are both %d bytes; the test needs unequal shards", me, sizes[0])
+				}
+			}
+			c.FailNode(0)
+			j := mpi.LaunchPlaced(c, []int{1, 1, 1, 1, 2, 2, 3, 3}, 0, l3Recover(t, cfg, st, 4, sizes))
+			c.Run()
+			exitedClean(t, j)
+		})
 	}
-	c.FailNode(0)
-	j := mpi.LaunchPlaced(c, []int{1, 1, 1, 1, 2, 2, 3, 3}, 0, l3Recover(t, cfg, st, 4, sizes))
-	c.Run()
-	exitedClean(t, j)
+}
+
+// writeL3Uncommitted writes checkpoint id of f's protected state at L3 —
+// the group exchange and every file — but does not commit it, so the
+// committed checkpoint before it keeps its files.
+func writeL3Uncommitted(f *FTI, id int64) error {
+	payload, err := f.serialize()
+	if err != nil {
+		return err
+	}
+	return f.writeL3(id, payload)
 }
 
 // A ragged last group: 6 ranks in groups of 4 leave a group of 2 with its
@@ -199,6 +229,11 @@ func slowParityRow(payloads [][]byte, i, size int) []byte {
 // the padded size, the g payload lengths, and the length-prefixed parity
 // row of this member — with the row computed here, independently of
 // internal/rs. "Same bytes out" is thereby proven at the storage boundary.
+// The row is encoded when the blob is first read, so the blobs are read
+// late: after two later L3 checkpoints have exchanged other payloads of
+// the same sizes through the same group, which a reused exchange buffer
+// would have overwritten. Rank 1's longer Bytes object makes its payload
+// the longest, so every other shard is padded inside the deferred encode.
 func TestL3ParityBlobFormat(t *testing.T) {
 	const g = 4
 	c := simnet.NewCluster(simnet.Config{Nodes: 2})
@@ -214,6 +249,9 @@ func TestL3ParityBlobFormat(t *testing.T) {
 			return
 		}
 		fs, bs := l3State(me)
+		if me == 1 {
+			bs = append(bs, make([]byte, 100)...)
+		}
 		f.Protect(0, F64s{&fs})
 		f.Protect(1, Bytes{&bs})
 		if err := f.Checkpoint(2); err != nil {
@@ -222,6 +260,14 @@ func TestL3ParityBlobFormat(t *testing.T) {
 		}
 		node := r.Process().NodeID()
 		payloads[me], _ = st.Read(r.Sim(), storage.RAMFS, node, f.ckptPath(2))
+		for id := int64(3); id <= 4; id++ {
+			fs[0]++
+			bs[0] ^= byte(id)
+			if err := writeL3Uncommitted(f, id); err != nil {
+				t.Errorf("rank %d ckpt %d: %v", me, id, err)
+				return
+			}
+		}
 		blobs[me], _ = st.Read(r.Sim(), storage.RAMFS, node, f.parityPath(2))
 	})
 	c.Run()
@@ -234,6 +280,10 @@ func TestL3ParityBlobFormat(t *testing.T) {
 			size = len(p)
 		}
 	}
+	if len(payloads[1]) != size || len(payloads[3]) == size {
+		t.Fatalf("payload sizes %d, %d, %d, %d: rank 1's must be the only longest",
+			len(payloads[0]), len(payloads[1]), len(payloads[2]), len(payloads[3]))
+	}
 	for me := range blobs {
 		want := enc.AppendUint64(nil, uint64(size))
 		for _, p := range payloads {
@@ -245,6 +295,45 @@ func TestL3ParityBlobFormat(t *testing.T) {
 				me, len(blobs[me]), len(want))
 		}
 	}
+}
+
+// writeL3 makes every check of the deferred encode before it stores
+// anything: a code that does not fit the group fails the checkpoint at
+// write time with rs's own error, and leaves no parity file whose encode
+// could fail when it is read.
+func TestL3GeometryErrorFailsTheWrite(t *testing.T) {
+	const g = 4
+	bad, err := rs.New(g-1, g-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want := bad.EncodeRow(0, make([][]byte, g))
+	if want == nil {
+		t.Fatal("a (3, 3) code accepted 4 shards")
+	}
+	c := simnet.NewCluster(simnet.Config{Nodes: 2})
+	st := storage.New(c, storage.Config{})
+	j := mpi.Launch(c, g, 0, func(r *mpi.Rank) {
+		w := r.Job().World()
+		me := r.Rank(w)
+		f, err := Init(Config{Level: L3, ExecID: "l3geom", GroupSize: g}, r, w, st)
+		if err != nil {
+			t.Errorf("init: %v", err)
+			return
+		}
+		fs, bs := l3State(me)
+		f.Protect(0, F64s{&fs})
+		f.Protect(1, Bytes{&bs})
+		f.code = bad
+		if err := f.CheckpointAt(1, L3); err == nil || err.Error() != want.Error() {
+			t.Errorf("rank %d checkpoint error %v, want %v", me, err, want)
+		}
+		if st.Exists(storage.RAMFS, r.Process().NodeID(), f.parityPath(1)) {
+			t.Errorf("rank %d stored a parity file for a checkpoint its code cannot encode", me)
+		}
+	})
+	c.Run()
+	exitedClean(t, j)
 }
 
 // serialize allocates its output once, at its final size, and every

@@ -47,6 +47,14 @@ func (f *FTI) readL2(id int64) ([]byte, error) {
 // writes; a recovery rebuilds the one data shard this member lost. A
 // one-member group (the ragged tail of a communicator) has no code: its
 // "parity" is a second copy of the payload.
+//
+// The parity blob is charged when it is written but encoded when it is
+// first read (storage.WriteDeferred). A group reads parity only when a
+// member has lost its L1 file — the node-loss case — so most checkpoints
+// are superseded without ever running the code. The deferred encode reads
+// the group's exchanged payloads, which cannot change before it runs:
+// storage keeps stored bytes immutable, and nothing writes into a
+// received message.
 
 // l3Group returns the group communicator and this rank's index within it.
 func (f *FTI) l3Group() (*mpi.Comm, int) {
@@ -85,7 +93,7 @@ func (f *FTI) writeL3(id int64, payload []byte) error {
 		return f.st.Write(f.r.Sim(), storage.RAMFS, f.node, f.parityPath(id), payload)
 	}
 	// Exchange checkpoints within the group (the FTI encoding ring sends
-	// equivalent volume), then each member computes its own parity shard.
+	// equivalent volume), then each member stores its own parity shard.
 	all, err := mpi.Allgatherv(f.r, group, payload)
 	if err != nil {
 		return fmt.Errorf("fti: L3 exchange: %w", err)
@@ -96,27 +104,37 @@ func (f *FTI) writeL3(id int64, payload []byte) error {
 			size = len(b)
 		}
 	}
-	data := make([][]byte, g)
-	for i, b := range all {
-		data[i] = rs.Pad(b, size)
-	}
 	code, err := f.l3Code(g)
 	if err != nil {
 		return err
 	}
-	// The parity blob: the padded shard size, the g true payload lengths
-	// (so reconstruction can un-pad), then this member's parity row,
-	// length-prefixed and encoded in place.
-	blob := make([]byte, 8*(g+2)+size)
-	head := enc.AppendUint64(blob[:0], uint64(size))
-	for _, b := range all {
-		head = enc.AppendUint64(head, uint64(len(b)))
-	}
-	head = enc.AppendUint64(head, uint64(size))
-	if err := code.EncodeRowInto(blob[len(head):], me, data); err != nil {
+	// Every check the deferred encode will make, made now over g empty
+	// shards, so a bad geometry fails this write and the fill cannot fail.
+	if err := code.EncodeRowInto(nil, me, make([][]byte, g)); err != nil {
 		return err
 	}
-	return f.st.Write(f.r.Sim(), storage.RAMFS, f.node, f.parityPath(id), blob)
+	// The parity blob: the padded shard size, the g true payload lengths
+	// (so reconstruction can un-pad), then this member's parity row,
+	// length-prefixed and encoded in place. Padding happens in the fill
+	// too, so a pending fill holds only the group's shared exchange, not a
+	// padded copy of it per member.
+	fill := func() []byte {
+		data := make([][]byte, g)
+		for i, b := range all {
+			data[i] = rs.Pad(b, size)
+		}
+		blob := make([]byte, 8*(g+2)+size)
+		head := enc.AppendUint64(blob[:0], uint64(size))
+		for _, b := range all {
+			head = enc.AppendUint64(head, uint64(len(b)))
+		}
+		head = enc.AppendUint64(head, uint64(size))
+		if err := code.EncodeRowInto(blob[len(head):], me, data); err != nil {
+			panic("fti: deferred L3 encode: " + err.Error())
+		}
+		return blob
+	}
+	return f.st.WriteDeferred(f.r.Sim(), storage.RAMFS, f.node, f.parityPath(id), 8*(g+2)+size, fill)
 }
 
 // readL3 is collective over the erasure group: every member must call it

@@ -15,6 +15,13 @@
 // afterwards. Reads return that same slice, which a reader must not
 // modify either. The one client, FTI, writes each checkpoint payload it
 // builds and copies out of what it reads.
+//
+// A file's content may also be deferred (WriteDeferred): the file is
+// charged for its size when written and its bytes are made by a fill
+// function when it is first read, then kept like written ones. Stored
+// bytes are immutable either way, so the fill's inputs must be too; a
+// file deleted, overwritten or lost with its node before any read never
+// runs its fill.
 package storage
 
 import (
@@ -79,9 +86,17 @@ func DefaultConfig() Config {
 	}
 }
 
+// file is one stored file of size bytes: data, or — until its first read —
+// nil data and the fill that makes them.
+type file struct {
+	data []byte
+	size int
+	fill func() []byte
+}
+
 type nodeStore struct {
-	ramfs map[string][]byte
-	ssd   map[string][]byte
+	ramfs map[string]file
+	ssd   map[string]file
 }
 
 // System is the cluster-wide storage fabric.
@@ -89,7 +104,7 @@ type System struct {
 	cfg     Config
 	cluster *simnet.Cluster
 	nodes   []*nodeStore
-	pfs     map[string][]byte
+	pfs     map[string]file
 	pfsFree simnet.Time // busy horizon of the shared PFS servers
 }
 
@@ -114,11 +129,11 @@ func New(c *simnet.Cluster, cfg Config) *System {
 	if cfg.PFSLat == 0 {
 		cfg.PFSLat = def.PFSLat
 	}
-	s := &System{cfg: cfg, cluster: c, pfs: make(map[string][]byte)}
+	s := &System{cfg: cfg, cluster: c, pfs: make(map[string]file)}
 	for i := 0; i < c.NumNodes(); i++ {
 		s.nodes = append(s.nodes, &nodeStore{
-			ramfs: make(map[string][]byte),
-			ssd:   make(map[string][]byte),
+			ramfs: make(map[string]file),
+			ssd:   make(map[string]file),
 		})
 	}
 	return s
@@ -127,7 +142,11 @@ func New(c *simnet.Cluster, cfg Config) *System {
 // Config returns the storage performance model.
 func (s *System) Config() Config { return s.cfg }
 
-func (s *System) local(tier Tier, node int) (map[string][]byte, error) {
+// files returns the files of a tier of node (node is ignored for PFS).
+func (s *System) files(tier Tier, node int) (map[string]file, error) {
+	if tier == PFS {
+		return s.pfs, nil
+	}
 	if !s.cluster.Node(node).Alive() {
 		return nil, ErrNodeDown
 	}
@@ -144,8 +163,8 @@ func (s *System) local(tier Tier, node int) (map[string][]byte, error) {
 // scale makes scaled-down checkpoints pay paper-scale I/O time.
 func (s *System) scaled(size int) float64 { return s.cluster.Config().Scaled(size) }
 
-// chargeLocal charges p for moving size bytes through a local tier.
-func (s *System) chargeLocal(p *simnet.Proc, tier Tier, size int) {
+// charge charges p for moving size bytes through a tier.
+func (s *System) charge(p *simnet.Proc, tier Tier, size int) {
 	var bw float64
 	var lat simnet.Time
 	switch tier {
@@ -153,6 +172,9 @@ func (s *System) chargeLocal(p *simnet.Proc, tier Tier, size int) {
 		bw, lat = s.cfg.RAMBWBps, s.cfg.RAMLat
 	case SSD:
 		bw, lat = s.cfg.SSDBWBps, s.cfg.SSDLat
+	case PFS:
+		s.chargePFS(p, size)
+		return
 	}
 	p.Sleep(lat + simnet.Time(s.scaled(size)/bw*1e9))
 }
@@ -171,22 +193,31 @@ func (s *System) chargePFS(p *simnet.Proc, size int) {
 	p.Sleep((start - now) + xfer + s.cfg.PFSLat)
 }
 
+// put charges p for writing f's size bytes and then stores f at path.
+func (s *System) put(p *simnet.Proc, tier Tier, node int, path string, f file) error {
+	m, err := s.files(tier, node)
+	if err != nil {
+		return err
+	}
+	s.charge(p, tier, f.size)
+	m[path] = f
+	return nil
+}
+
 // Write stores data at path in the given tier of node (node is ignored for
 // PFS) and charges the calling process. The store keeps data itself: the
 // caller must not modify it afterwards.
 func (s *System) Write(p *simnet.Proc, tier Tier, node int, path string, data []byte) error {
-	if tier == PFS {
-		s.chargePFS(p, len(data))
-		s.pfs[path] = data
-		return nil
-	}
-	m, err := s.local(tier, node)
-	if err != nil {
-		return err
-	}
-	s.chargeLocal(p, tier, len(data))
-	m[path] = data
-	return nil
+	return s.put(p, tier, node, path, file{data: data, size: len(data)})
+}
+
+// WriteDeferred stores a file of size bytes at path, charging exactly what
+// Write charges for size bytes, and leaves its content to fill: the first
+// Read runs fill once and keeps what it returns, which must be size bytes
+// that never change. Until then the file is listed, sized and deleted
+// like any other, and fill does not run.
+func (s *System) WriteDeferred(p *simnet.Proc, tier Tier, node int, path string, size int, fill func() []byte) error {
+	return s.put(p, tier, node, path, file{size: size, fill: fill})
 }
 
 // WriteRemote stores data in a *remote* node's local tier, charging both
@@ -203,39 +234,33 @@ func (s *System) WriteRemote(p *simnet.Proc, tier Tier, fromNode, toNode int, pa
 // but the logical file content is complete. Like Write, it keeps data
 // itself.
 func (s *System) WriteFree(tier Tier, node int, path string, data []byte) error {
-	if tier == PFS {
-		s.pfs[path] = data
-		return nil
-	}
-	m, err := s.local(tier, node)
+	m, err := s.files(tier, node)
 	if err != nil {
 		return err
 	}
-	m[path] = data
+	m[path] = file{data: data, size: len(data)}
 	return nil
 }
 
 // Read returns the data at path, charging the calling process. The slice
-// is the stored one: the caller must not modify it.
+// is the stored one: the caller must not modify it. A deferred file is
+// filled here, before the charge, so a file deleted or overwritten while
+// its reader is charged is never written back.
 func (s *System) Read(p *simnet.Proc, tier Tier, node int, path string) ([]byte, error) {
-	if tier == PFS {
-		data, ok := s.pfs[path]
-		if !ok {
-			return nil, ErrNotFound
-		}
-		s.chargePFS(p, len(data))
-		return data, nil
-	}
-	m, err := s.local(tier, node)
+	m, err := s.files(tier, node)
 	if err != nil {
 		return nil, err
 	}
-	data, ok := m[path]
+	f, ok := m[path]
 	if !ok {
 		return nil, ErrNotFound
 	}
-	s.chargeLocal(p, tier, len(data))
-	return data, nil
+	if f.fill != nil {
+		f.data, f.fill = f.fill(), nil
+		m[path] = f
+	}
+	s.charge(p, tier, f.size)
+	return f.data, nil
 }
 
 // ReadRemote fetches a file from a remote node's local tier, charging the
@@ -254,40 +279,21 @@ func (s *System) ReadRemote(p *simnet.Proc, tier Tier, fromNode, toNode int, pat
 // Delete removes a path; missing paths are ignored. No time is charged
 // (metadata operations are negligible at checkpoint granularity).
 func (s *System) Delete(tier Tier, node int, path string) {
-	if tier == PFS {
-		delete(s.pfs, path)
-		return
-	}
-	if m, err := s.local(tier, node); err == nil {
+	if m, err := s.files(tier, node); err == nil {
 		delete(m, path)
 	}
 }
 
 // Exists reports whether path exists without charging time (a stat call).
 func (s *System) Exists(tier Tier, node int, path string) bool {
-	if tier == PFS {
-		_, ok := s.pfs[path]
-		return ok
-	}
-	m, err := s.local(tier, node)
-	if err != nil {
-		return false
-	}
-	_, ok := m[path]
-	return ok
+	return s.Size(tier, node, path) >= 0
 }
 
 // List returns the sorted paths with the given prefix in a tier.
 func (s *System) List(tier Tier, node int, prefix string) []string {
-	var m map[string][]byte
-	if tier == PFS {
-		m = s.pfs
-	} else {
-		var err error
-		m, err = s.local(tier, node)
-		if err != nil {
-			return nil
-		}
+	m, err := s.files(tier, node)
+	if err != nil {
+		return nil
 	}
 	var out []string
 	for k := range m {
@@ -301,18 +307,12 @@ func (s *System) List(tier Tier, node int, prefix string) []string {
 
 // Size returns the byte size of path or -1 if absent.
 func (s *System) Size(tier Tier, node int, path string) int {
-	if tier == PFS {
-		if d, ok := s.pfs[path]; ok {
-			return len(d)
-		}
-		return -1
-	}
-	m, err := s.local(tier, node)
+	m, err := s.files(tier, node)
 	if err != nil {
 		return -1
 	}
-	if d, ok := m[path]; ok {
-		return len(d)
+	if f, ok := m[path]; ok {
+		return f.size
 	}
 	return -1
 }

@@ -193,3 +193,113 @@ func TestWriteFreeChargesNothing(t *testing.T) {
 		}
 	})
 }
+
+// A deferred file costs what a written file of its size costs, to write
+// and to read, on every tier; until it is read it is listed, sized and
+// found without running its fill.
+func TestWriteDeferredChargesLikeWrite(t *testing.T) {
+	withProc(t, 1, func(c *simnet.Cluster, s *System, p *simnet.Proc) {
+		const size = 3 << 20
+		for _, tier := range []Tier{RAMFS, SSD, PFS} {
+			t0 := p.Now()
+			s.Write(p, tier, 0, "plain", make([]byte, size))
+			wrote := p.Now() - t0
+			calls := 0
+			t0 = p.Now()
+			s.WriteDeferred(p, tier, 0, "dir/deferred", size, func() []byte { calls++; return make([]byte, size) })
+			if got := p.Now() - t0; got != wrote {
+				t.Errorf("%v: WriteDeferred charged %v, Write of the same size %v", tier, got, wrote)
+			}
+			if !s.Exists(tier, 0, "dir/deferred") || s.Size(tier, 0, "dir/deferred") != size {
+				t.Errorf("%v: deferred file exists=%v size=%d, want true and %d", tier,
+					s.Exists(tier, 0, "dir/deferred"), s.Size(tier, 0, "dir/deferred"), size)
+			}
+			if got := s.List(tier, 0, "dir/"); len(got) != 1 || got[0] != "dir/deferred" {
+				t.Errorf("%v: list = %v", tier, got)
+			}
+			if calls != 0 {
+				t.Errorf("%v: Exists, Size or List ran the fill %d times", tier, calls)
+			}
+			t0 = p.Now()
+			s.Read(p, tier, 0, "plain")
+			read := p.Now() - t0
+			t0 = p.Now()
+			s.Read(p, tier, 0, "dir/deferred")
+			if got := p.Now() - t0; got != read {
+				t.Errorf("%v: reading the deferred file charged %v, the written one %v", tier, got, read)
+			}
+			s.Delete(tier, 0, "plain")
+			s.Delete(tier, 0, "dir/deferred")
+		}
+	})
+}
+
+// The first Read or ReadRemote of a deferred file runs its fill once;
+// every later read returns the same backing array without running it.
+func TestDeferredFileFillsOnceOnFirstRead(t *testing.T) {
+	c := simnet.NewCluster(simnet.Config{Nodes: 2})
+	s := New(c, Config{})
+	c.StartProc(0, 0, func(p *simnet.Proc) {
+		local := func(tier Tier) ([]byte, error) { return s.Read(p, tier, 1, "d") }
+		remote := func(tier Tier) ([]byte, error) { return s.ReadRemote(p, tier, 1, 0, "d") }
+		for _, tier := range []Tier{RAMFS, SSD, PFS} {
+			for _, order := range [][2]func(Tier) ([]byte, error){{local, remote}, {remote, local}} {
+				want := []byte{1, 2, 3, 4}
+				calls := 0
+				s.WriteDeferred(p, tier, 1, "d", len(want), func() []byte { calls++; return want })
+				for _, read := range []func(Tier) ([]byte, error){order[0], order[1], order[0]} {
+					got, err := read(tier)
+					if err != nil || len(got) != len(want) || &got[0] != &want[0] {
+						t.Errorf("%v: read returned %v, %v; want the fill's own slice", tier, got, err)
+					}
+				}
+				if calls != 1 {
+					t.Errorf("%v: three reads ran the fill %d times, want 1", tier, calls)
+				}
+			}
+		}
+	})
+	c.Run()
+}
+
+// A deferred file that is deleted, overwritten or lost with its node
+// before anyone reads it never runs its fill.
+func TestDeferredFileUnreadNeverFills(t *testing.T) {
+	c := simnet.NewCluster(simnet.Config{Nodes: 2})
+	s := New(c, Config{})
+	calls := 0
+	fill := func() []byte { calls++; return []byte{9} }
+	c.StartProc(1, 0, func(p *simnet.Proc) {
+		for _, tier := range []Tier{RAMFS, SSD, PFS} {
+			s.WriteDeferred(p, tier, 0, "deleted", 1, fill)
+			s.Delete(tier, 0, "deleted")
+			if _, err := s.Read(p, tier, 0, "deleted"); !errors.Is(err, ErrNotFound) {
+				t.Errorf("%v read-after-delete: %v", tier, err)
+			}
+			s.WriteDeferred(p, tier, 0, "over", 1, fill)
+			s.Write(p, tier, 0, "over", []byte{7})
+			if got, err := s.Read(p, tier, 0, "over"); err != nil || string(got) != "\x07" {
+				t.Errorf("%v read-after-overwrite: %v %v", tier, got, err)
+			}
+			if tier != PFS {
+				s.WriteDeferred(p, tier, 0, "lost", 1, fill)
+			}
+		}
+	})
+	c.Run()
+	c.FailNode(0)
+	c.StartProc(1, 0, func(p *simnet.Proc) {
+		for _, tier := range []Tier{RAMFS, SSD} {
+			if _, err := s.Read(p, tier, 0, "lost"); !errors.Is(err, ErrNodeDown) {
+				t.Errorf("%v read on dead node: %v", tier, err)
+			}
+			if _, err := s.ReadRemote(p, tier, 0, 1, "lost"); !errors.Is(err, ErrNodeDown) {
+				t.Errorf("%v remote read from dead node: %v", tier, err)
+			}
+		}
+	})
+	c.Run()
+	if calls != 0 {
+		t.Errorf("unread deferred files ran their fill %d times", calls)
+	}
+}
