@@ -66,10 +66,9 @@ func main() {
 		}
 		return
 	}
-	if *level < 1 || *level > 4 {
-		fmt.Fprintf(os.Stderr, "-level %d invalid (FTI checkpoint levels are 1-4: L1 local, L2 partner copy, L3 Reed-Solomon, L4 PFS)\n", *level)
-		os.Exit(2)
-	}
+	// Core resolves a zero stride to the default, so it cannot reject
+	// -stride 0; the ranges core does check (-level, the replica knobs) are
+	// left to it, on the assembled Config below.
 	if *stride < 1 {
 		fmt.Fprintf(os.Stderr, "-stride %d invalid (want >= 1; use -ckpt-policy never to disable checkpointing)\n", *stride)
 		os.Exit(2)
@@ -80,14 +79,6 @@ func main() {
 	}
 	if *faults > 0 && *faultSchedule != "" {
 		fmt.Fprintln(os.Stderr, "-faults and -fault-schedule are mutually exclusive (the schedule already fixes the failure count)")
-		os.Exit(2)
-	}
-	if *dupDegree < 0 {
-		fmt.Fprintf(os.Stderr, "-dup-degree %d invalid (want >= 1, or 0 for the default)\n", *dupDegree)
-		os.Exit(2)
-	}
-	if *replicaFactor < 0 || *replicaFactor > 1 {
-		fmt.Fprintf(os.Stderr, "-replica-factor %g invalid (want 0 < f <= 1, or 0 for the default)\n", *replicaFactor)
 		os.Exit(2)
 	}
 	// The spawn knobs are validated at flag-parse time (matching the
@@ -187,6 +178,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	// What Run would reject (a bad level, replica knob, detector or
+	// schedule) is a usage error, reported before any output.
+	if _, err := core.CellKey(cfg, *reps); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	if *metricsOn {
 		cfg.Metrics = obs.New()
@@ -238,13 +235,6 @@ func main() {
 	fmt.Printf("  total           %10.3f s\n", bd.Total.Seconds())
 	fmt.Printf("  signature       %g\n", bd.Signature)
 	fmt.Printf("  traffic         %d messages, %d bytes\n", bd.Messages, bd.NetBytes)
-	if bd.LeakedEvents > 0 {
-		leaked := ""
-		if cfg.Metrics.Enabled() {
-			leaked = fmt.Sprintf("; match_sim_leaked_events_total=%d", cfg.Metrics.Get(obs.CLeakedEvents))
-		}
-		fmt.Printf("  WARNING: %d scheduler events never fired (leaked past completion%s)\n", bd.LeakedEvents, leaked)
-	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {

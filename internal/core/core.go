@@ -633,7 +633,7 @@ func (rec *recorder) note(err error) {
 }
 
 func armRestart(rc resolvedCell, cluster *simnet.Cluster, rec *recorder, runApp appMain) (*[]mpi.Recovery, func() outcome) {
-	sup := restart.Supervise(cluster, *rc.Restart, rc.Procs, 0, func(r *mpi.Rank) {
+	sup := restart.Supervise(cluster, *rc.Restart, rc.Procs, func(r *mpi.Rank) {
 		rec.note(runApp(r, r.Job().World(), rec.addFTIStats))
 	})
 	return &sup.Recoveries, func() outcome {

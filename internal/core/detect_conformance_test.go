@@ -51,6 +51,31 @@ func TestDetectorConformanceAcrossDesigns(t *testing.T) {
 	}
 }
 
+// TestRingTimeoutOffThePeriodGrid runs every design under a ring whose
+// timeout is not a multiple of its period. The ring then confirms a failure
+// on the tick after DetectedAt, so a recovery timed from DetectedAt can fall
+// due before the confirmation; the cell must still complete (scheduling into
+// the past panics) and report the timeout as its detection latency.
+func TestRingTimeoutOffThePeriodGrid(t *testing.T) {
+	for _, d := range Designs() {
+		bd, err := Run(Config{
+			App: "HPCCG", Design: d, Procs: 8, Nodes: 4, Input: Small,
+			InjectFault: true, FaultSeed: 9,
+			Detector: detect.Config{Kind: detect.Ring,
+				HeartbeatPeriod: 100 * simnet.Millisecond, DetectTimeout: 250 * simnet.Millisecond},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", d, err)
+		}
+		if !bd.Completed || bd.Recoveries < 1 {
+			t.Fatalf("%s: bad breakdown %+v", d, bd)
+		}
+		if bd.DetectLatency != 250*simnet.Millisecond {
+			t.Fatalf("%s: DetectLatency = %v, want the 250ms timeout", d, bd.DetectLatency)
+		}
+	}
+}
+
 // TestRingPeriodMovesLatencyAndInterference is the acceptance bar of the
 // detection subsystem: running the same design under a Ring detector at
 // two heartbeat periods must change the reported detection latency AND the

@@ -190,8 +190,10 @@ func (r CampaignRequest) Validate() error {
 			return fmt.Errorf("core: campaign scale %d is not a Table I scale %v", p, valid)
 		}
 	}
+	// resolve rejects a factor above 1; a negative one is Configs' "leave
+	// Config.Replica alone" sentinel and would never reach resolve.
 	for _, f := range c.ReplicaFactors {
-		if f < 0 || f > 1 {
+		if f < 0 {
 			return fmt.Errorf("core: replica factor %g outside [0,1]", f)
 		}
 	}

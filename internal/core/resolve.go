@@ -64,9 +64,9 @@ type resolvedCell struct {
 // active design's sub-configuration with the detector folded in, zeroes
 // inputs that provably cannot matter (the fault seed and kind of a
 // failure-free cell or under an explicit schedule, Params without MaxIter,
-// inactive designs), and rejects a setting Run would ignore and explicit
-// schedule events that could never fire — all before any simulation state
-// exists.
+// inactive designs), and rejects an out-of-range setting, a setting Run
+// would ignore and explicit schedule events that could never fire — all
+// before any simulation state exists.
 func resolve(cfg Config, reps int) (resolvedCell, error) {
 	if reps <= 0 {
 		reps = 1
@@ -108,6 +108,17 @@ func resolve(cfg Config, reps int) (resolvedCell, error) {
 	if cfg.Params.CkptStride != 0 {
 		return resolvedCell{}, fmt.Errorf("core: Params.CkptStride %d is ignored; set Config.CkptStride", cfg.Params.CkptStride)
 	}
+	// Out-of-range settings fail here, not as a silent default (the replica
+	// knobs, on any design) or in every rank's first checkpoint (the level).
+	if rc.FTILevel < fti.L1 || rc.FTILevel > fti.L4 {
+		return resolvedCell{}, fmt.Errorf("core: FTI level %d invalid (levels are 1-4: L1 local, L2 partner copy, L3 Reed-Solomon, L4 PFS; 0 means L1)", int(rc.FTILevel))
+	}
+	if d := cfg.Replica.DupDegree; d < 0 {
+		return resolvedCell{}, fmt.Errorf("core: replica DupDegree %d invalid (want >= 1, or 0 for the default 2)", d)
+	}
+	if f := cfg.Replica.ReplicaFactor; !(f >= 0 && f <= 1) {
+		return resolvedCell{}, fmt.Errorf("core: replica ReplicaFactor %g invalid (want 0 < f <= 1, or 0 for the default 1)", f)
+	}
 	var err error
 	if rc.factory, err = apps.Lookup(cfg.App); err != nil {
 		return resolvedCell{}, err
@@ -123,13 +134,17 @@ func resolve(cfg Config, reps int) (resolvedCell, error) {
 	// field, which receives the resolved detector below.
 	var preset detect.Config
 	var sub *detect.Config
+	var tuned bool // the design's own preset-detector settings are set
 	switch cfg.Design {
 	case UlfmFTI:
 		u := cfg.Ulfm.Resolved()
 		rc.Ulfm, sub, preset = &u, &u.Detect, u.DetectPreset()
+		c := cfg.Ulfm
+		tuned = c.HeartbeatPeriod != 0 || c.HeartbeatBytes != 0 || c.DetectTimeout != 0 || c.InterferenceSteal != 0
 	case ReinitFTI:
 		ri := cfg.Reinit.Resolved()
 		rc.Reinit, sub, preset = &ri, &ri.Detect, ri.DetectPreset()
+		tuned = cfg.Reinit.DetectPeriod != 0 || cfg.Reinit.DetectTimeout != 0
 	case RestartFTI:
 		rs := cfg.Restart.Resolved()
 		rc.Restart, sub, preset = &rs, &rs.Detect, rs.DetectPreset()
@@ -143,6 +158,12 @@ func resolve(cfg Config, reps int) (resolvedCell, error) {
 	// value there would be silently dropped: Config.Detector is the knob.
 	if *sub != (detect.Config{}) {
 		return resolvedCell{}, fmt.Errorf("core: %s Detect is ignored; set Config.Detector", cfg.Design.ShortName())
+	}
+	// The design's heartbeat settings shape only its preset, which an
+	// explicit detector replaces.
+	if tuned && cfg.Detector.Kind != detect.Preset {
+		return resolvedCell{}, fmt.Errorf("core: %s detector settings are ignored under the explicit %s detector; set Config.Detector",
+			cfg.Design.ShortName(), cfg.Detector.Kind)
 	}
 	// A configuration that could never detect, or a bad placement policy,
 	// fails loudly here, not ten simulated minutes in.

@@ -8,6 +8,7 @@ import (
 	"match/internal/detect"
 	"match/internal/fault"
 	"match/internal/fti"
+	"match/internal/reinit"
 	"match/internal/replica"
 	"match/internal/restart"
 	"match/internal/simnet"
@@ -196,6 +197,21 @@ func TestResolveRejectsWhatRunRejects(t *testing.T) {
 		{"replica-detect", Config{App: "HPCCG", Design: ReplicaFTI,
 			Replica: replica.Config{Detect: detect.Config{HeartbeatPeriod: simnet.Second}}},
 			"core: replica Detect is ignored; set Config.Detector"},
+		// Settings Run would silently change, or fail on in every rank's
+		// first checkpoint.
+		{"fti-level", Config{App: "HPCCG", FTILevel: 7},
+			"core: FTI level 7 invalid (levels are 1-4: L1 local, L2 partner copy, L3 Reed-Solomon, L4 PFS; 0 means L1)"},
+		{"dup-degree", Config{App: "HPCCG", Design: ReplicaFTI, Replica: replica.Config{DupDegree: -1}},
+			"core: replica DupDegree -1 invalid (want >= 1, or 0 for the default 2)"},
+		{"replica-factor", Config{App: "HPCCG", Design: ReplicaFTI, Replica: replica.Config{ReplicaFactor: 1.5}},
+			"core: replica ReplicaFactor 1.5 invalid (want 0 < f <= 1, or 0 for the default 1)"},
+		// A design's preset-detector settings, dropped by an explicit detector.
+		{"ulfm-heartbeat", Config{App: "HPCCG", Design: UlfmFTI, Detector: detect.Config{Kind: detect.Tree},
+			Ulfm: ulfm.Config{HeartbeatPeriod: 50 * simnet.Millisecond}},
+			"core: ulfm detector settings are ignored under the explicit tree detector; set Config.Detector"},
+		{"reinit-detect-timeout", Config{App: "HPCCG", Design: ReinitFTI, Detector: detect.Config{Kind: detect.Launcher},
+			Reinit: reinit.Config{DetectTimeout: simnet.Second}},
+			"core: reinit detector settings are ignored under the explicit launcher detector; set Config.Detector"},
 	}
 	for _, b := range bad {
 		if _, err := resolve(b.cfg, 1); err == nil || err.Error() != b.want {

@@ -71,17 +71,20 @@ type Config struct {
 	ExecID string
 	// GroupSize is the L3 erasure-coding group size (default 4).
 	GroupSize int
-	// BlockSize is the L4 differential-checkpointing block size
-	// (default 64 KiB).
-	BlockSize int
-	// SerializeBWBps models in-memory serialization speed (default 8 GB/s).
-	SerializeBWBps float64
-	// CkptOverhead is the fixed per-checkpoint cost besides raw data
-	// movement: FTI's integrity checksums, metadata files, directory
-	// management, and buffered-I/O copies (default 100 ms, matching the
-	// per-checkpoint costs visible in the paper's breakdowns).
-	CkptOverhead simnet.Time
 }
+
+// The FTI cost model, fixed like the machine underneath it.
+const (
+	// blockSize is the L4 differential-checkpointing block size.
+	blockSize = 64 << 10
+	// serializeBWBps models in-memory serialization speed.
+	serializeBWBps = 8e9
+	// ckptOverhead is the fixed per-checkpoint cost besides raw data
+	// movement: FTI's integrity checksums, metadata files, directory
+	// management, and buffered-I/O copies (matching the per-checkpoint
+	// costs visible in the paper's breakdowns).
+	ckptOverhead = 100 * simnet.Millisecond
+)
 
 func (c *Config) fillDefaults() {
 	if c.Level == 0 {
@@ -89,15 +92,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.GroupSize == 0 {
 		c.GroupSize = 4
-	}
-	if c.BlockSize == 0 {
-		c.BlockSize = 64 << 10
-	}
-	if c.SerializeBWBps == 0 {
-		c.SerializeBWBps = 8e9
-	}
-	if c.CkptOverhead == 0 {
-		c.CkptOverhead = 100 * simnet.Millisecond
 	}
 }
 
@@ -428,14 +422,14 @@ func (f *FTI) serialize() ([]byte, error) {
 			return nil, fmt.Errorf("fti: protected object %d appended %d bytes, its SnapshotLen is %d", e.id, got, want)
 		}
 	}
-	f.r.Compute(simnet.Time(f.scaledLen(len(out)) / f.cfg.SerializeBWBps * 1e9))
+	f.r.Compute(simnet.Time(f.scaledLen(len(out)) / serializeBWBps * 1e9))
 	return out, nil
 }
 
 // deserialize restores all protected objects from a payload (charging the
 // same CPU model as serialization).
 func (f *FTI) deserialize(b []byte) error {
-	f.r.Compute(simnet.Time(f.scaledLen(len(b)) / f.cfg.SerializeBWBps * 1e9))
+	f.r.Compute(simnet.Time(f.scaledLen(len(b)) / serializeBWBps * 1e9))
 	n := enc.Uint64(b)
 	rest := b[8:]
 	byID := make(map[int]Protected, len(f.objs))
@@ -504,7 +498,7 @@ func (f *FTI) CheckpointAt(id int64, level Level) error {
 	}
 	f.Stats.CkptBytes += int64(len(payload))
 	f.Stats.CkptBytesAt[level] += int64(len(payload))
-	f.r.Compute(f.cfg.CkptOverhead)
+	f.r.Compute(ckptOverhead)
 
 	switch level {
 	case L1:
@@ -599,7 +593,7 @@ func (f *FTI) Recover() error {
 // behavior of leaving the last checkpoint on disk.
 func (f *FTI) Finalize() error { return nil }
 
-func hashBlocks(b []byte, blockSize int) []uint64 {
+func hashBlocks(b []byte) []uint64 {
 	n := (len(b) + blockSize - 1) / blockSize
 	out := make([]uint64, n)
 	for i := 0; i < n; i++ {

@@ -234,7 +234,7 @@ func (f *FTI) readL3(id int64) ([]byte, error) {
 
 func (f *FTI) writeL4(id int64, payload []byte) error {
 	sp := f.r.Sim()
-	hashes := hashBlocks(payload, f.cfg.BlockSize)
+	hashes := hashBlocks(payload)
 	var prev []uint64
 	if b, err := f.st.Read(sp, storage.PFS, f.node, f.hashPath()); err == nil {
 		prev = make([]uint64, len(b)/8)
@@ -249,7 +249,7 @@ func (f *FTI) writeL4(id int64, payload []byte) error {
 			changed++
 		}
 	}
-	dirtyBytes := changed * f.cfg.BlockSize
+	dirtyBytes := changed * blockSize
 	if dirtyBytes > len(payload) {
 		dirtyBytes = len(payload)
 	}

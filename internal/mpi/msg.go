@@ -63,14 +63,13 @@ func Send(r *Rank, c *Comm, dst, tag int, data []byte) error {
 // replicated copies the delivery event also runs duplicate suppression.
 func (r *Rank) sendCopy(c *Comm, to *Process, srcRank, tag int, data []byte, replicated bool, seq int64) error {
 	cl := r.job.cluster
-	cfg := cl.Config()
-	r.sp.Compute(cfg.SendOverhead)
+	r.sp.Compute(simnet.SendOverhead)
 
 	now := r.sp.Now()
-	wireBytes := int(cfg.Scaled(len(data)))
+	wireBytes := int(cl.Config().Scaled(len(data)))
 	var arrive simnet.Time
 	if to.gid == r.proc.gid {
-		arrive = now + cfg.IntraLatency
+		arrive = now + simnet.IntraLatency
 	} else {
 		arrive = cl.SendArrival(r.proc.node, to.node, wireBytes, now)
 	}
@@ -184,7 +183,7 @@ func Recv(r *Rank, c *Comm, src, tag int) (Message, error) {
 			return Message{}, err
 		}
 		if m, ok := r.proc.match(c.ctx, src, tag); ok {
-			r.sp.Compute(r.job.cluster.Config().RecvOverhead)
+			r.sp.Compute(simnet.RecvOverhead)
 			return m, nil
 		}
 		if src != AnySource {

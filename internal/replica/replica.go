@@ -44,8 +44,8 @@ type Config struct {
 	// ReplicaFactor is the fraction of logical ranks that get a replica
 	// group, spread evenly across the rank space (default 1: full
 	// replication; PartRePer-style partial replication below 1). Values
-	// outside (0,1] are clamped to the default; cmd/match rejects them
-	// before they get here.
+	// outside (0,1] are clamped to the default; core rejects them before
+	// they get here.
 	ReplicaFactor float64
 	// PerOpOverhead is the sequencing/envelope cost the replica layer adds
 	// to every point-to-point operation (default 1µs).
@@ -604,7 +604,9 @@ func (s *Supervisor) failover(job *mpi.Job, world *mpi.Comm, rank, idx int, f de
 		Kind: int(Failover), Rank: rank, Replica: idx,
 		FailedAt: f.FailedAt, CompletedAt: completed,
 	})
-	s.cluster.Scheduler().At(completed, func() {
+	// A ring confirms on its next tick, which lands after DetectedAt when
+	// the timeout is off the period grid: the election may already be due.
+	s.cluster.Scheduler().At(max(completed, s.cluster.Now()), func() {
 		if job != s.CurrentJob() || job.Aborted() {
 			return
 		}

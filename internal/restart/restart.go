@@ -112,7 +112,7 @@ type Supervisor struct {
 // afterwards. Block placement mirrors mpi.Launch. An invalid explicit
 // detector configuration panics; validate with detect.Config.Validate
 // (core.Run does) before constructing.
-func Supervise(c *simnet.Cluster, cfg Config, n int, startDelay simnet.Time, main func(*mpi.Rank)) *Supervisor {
+func Supervise(c *simnet.Cluster, cfg Config, n int, main func(*mpi.Rank)) *Supervisor {
 	cfg = cfg.Resolved()
 	nodes := make([]int, n)
 	for i := range nodes {
@@ -120,7 +120,7 @@ func Supervise(c *simnet.Cluster, cfg Config, n int, startDelay simnet.Time, mai
 	}
 	s := &Supervisor{cluster: c, cfg: cfg, n: n, nodes: nodes, main: main}
 	s.dcfg = detect.Resolve(cfg.Detect, cfg.DetectPreset())
-	s.launch(startDelay)
+	s.launch(0)
 	return s
 }
 

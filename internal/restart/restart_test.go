@@ -60,7 +60,7 @@ func runRestart(t *testing.T, n, iters, stride int, plan fault.Schedule, execID 
 		}
 		sums[r.Rank(world)] = sum
 	}
-	s := Supervise(c, Config{}, n, 0, main)
+	s := Supervise(c, Config{}, n, main)
 	c.Run()
 	return s, sums
 }
@@ -145,7 +145,7 @@ func TestMaxRelaunchesGivesUp(t *testing.T) {
 		}
 		mpi.Barrier(r, w)
 	}
-	s := Supervise(c, Config{MaxRelaunches: 2}, 2, 0, main)
+	s := Supervise(c, Config{MaxRelaunches: 2}, 2, main)
 	c.Run()
 	if !s.GaveUp {
 		t.Fatal("supervisor never gave up")

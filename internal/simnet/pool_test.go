@@ -92,32 +92,30 @@ func TestTimerSlotReuseAfterCancel(t *testing.T) {
 	}
 }
 
-// Scheduling into the past is silently clamped by default but must panic
-// under the strict-past assertion, so protocol bugs that would be silently
-// reordered become catchable.
+// Scheduling into the past panics, through every entry point, so a
+// protocol bug that would silently reorder the run is caught at its source.
 func TestStrictPastPanics(t *testing.T) {
 	s := NewScheduler()
-	s.SetStrictPast(true)
+	past := map[string]func(){
+		"At":     func() { s.At(10, func() {}) },
+		"After":  func() { s.After(-1, func() {}) },
+		"AtFunc": func() { s.AtFunc(10, func(any, int64) {}, nil, 0) },
+	}
 	s.At(100, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("scheduling into the past did not panic under SetStrictPast")
-			}
-		}()
-		s.At(10, func() {})
+		for name, schedule := range past {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s into the past did not panic", name)
+					}
+				}()
+				schedule()
+			}()
+		}
 	})
 	s.Run()
-}
-
-func TestStrictPastOffClamps(t *testing.T) {
-	s := NewScheduler()
-	var at Time = -1
-	s.At(100, func() {
-		s.At(10, func() { at = s.Now() })
-	})
-	s.Run()
-	if at != 100 {
-		t.Fatalf("past event fired at %v, want clamped to 100", at)
+	if n := s.Pending(); n != 0 {
+		t.Errorf("%d past events were queued anyway", n)
 	}
 }
 
@@ -150,8 +148,8 @@ func (h *refHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = 
 // target-th event scheduled so far (cancelNow) or schedules an event at
 // time at. A scheduled event may, when it fires, cancel the target-th
 // event (target >= 0; by then fired, cancelled, pending, or itself) and
-// schedule a child delta after its own fire time — before it when delta is
-// negative, which the scheduler clamps — that chains nest-1 more.
+// schedule a child delta (0..7) after its own fire time — at that very
+// time when delta is zero — that chains nest-1 more.
 type schedOp struct {
 	cancelNow bool
 	target    int
@@ -169,7 +167,7 @@ func parseScript(script []byte) []schedOp {
 		op := schedOp{at: Time(x % 40), target: -1}
 		switch {
 		case kind == 4: // nested scheduling, one to four deep
-			op.nest, op.delta = 1+int(y>>6), Time(y%8)-2
+			op.nest, op.delta = 1+int(y>>6), Time(y%8)
 		case kind >= 5 && scheduled == 0: // nothing to cancel yet
 			continue
 		case kind == 5 || kind == 6:
@@ -225,9 +223,6 @@ func refFireOrder(ops []schedOp) []int {
 	var now Time
 	var seq uint64
 	schedule := func(at Time, op schedOp) *refEvent {
-		if at < now { // mirror the clamp the real scheduler applies
-			at = now
-		}
 		re := &refEvent{t: at, seq: seq, id: int(seq), op: op}
 		seq++
 		heap.Push(ref, re)
@@ -287,7 +282,7 @@ func trialScript(rng *rand.Rand, schedules int) []byte {
 // FuzzFireOrderMatchesHeapReference drives both schedulers with the same
 // script — schedules with ties, cancellations before and during the run
 // (double, stale, of a reused slot, of the running event), nested
-// scheduling into the future and the past — and requires the identical
+// scheduling later and at the current time — and requires the identical
 // (t, seq) fire order. The seed corpus is the seed-42 trials of the former
 // TestFireOrderMatchesHeapReference at growing sizes, plus the edge cases.
 func FuzzFireOrderMatchesHeapReference(f *testing.F) {
@@ -301,7 +296,7 @@ func FuzzFireOrderMatchesHeapReference(f *testing.F) {
 	f.Add([]byte{7, 3, 0, 0, 3, 0})                            // first op cannot cancel: skipped
 	f.Add([]byte{0, 9, 0, 7, 9, 1, 0, 9, 0})                   // an event cancels itself, after a tie fired
 	f.Add([]byte{0, 5, 0, 7, 9, 0, 4, 9, 0xc0, 0, 20, 0})      // stale cancel of a fired timer whose slot was reused
-	f.Add([]byte{4, 30, 0xc0, 4, 30, 0xc1, 0, 28, 0})          // four-deep chains clamped out of the past
+	f.Add([]byte{4, 30, 0xc0, 4, 30, 0xc1, 0, 28, 0})          // four-deep chains, one at its parents' times
 	f.Fuzz(func(t *testing.T, script []byte) {
 		ops := parseScript(script)
 		if got, want := fireOrder(ops), refFireOrder(ops); !slices.Equal(got, want) {

@@ -203,7 +203,7 @@ func (p *Proc) Block() {
 	p.park()
 }
 
-// Unblock schedules a resume of a Block()ed process at time t (clamped to
+// Unblock schedules a resume of a Block()ed process at time t (not before
 // now). Must be called while the process is parked; the wake is dropped if
 // the process has been resumed by other means before t.
 func (p *Proc) Unblock(t Time) {
@@ -213,7 +213,7 @@ func (p *Proc) Unblock(t Time) {
 	p.wakeAt(t, p.gen)
 }
 
-// Signal forces the process to panic with v at time t (clamped to now).
+// Signal forces the process to panic with v at time t (not before now).
 // This models runtime-level preemption: Reinit's global reset unwinding a
 // rank out of whatever it was doing, like the longjmp in the paper's
 // Figure 3. The panic is delivered whether the process is sleeping,

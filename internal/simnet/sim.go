@@ -2,6 +2,18 @@
 // HPC cluster: a virtual clock, an event scheduler, compute nodes with
 // serializing network interfaces, and cooperative simulated processes.
 //
+// The machine is the paper's testbed (§V-A): 32 nodes of 28-core Haswell on
+// an EDR-class interconnect. The paper's findings compare designs on that
+// one machine, so its network is six constants, not settings; only the node
+// count (Config.Nodes) varies.
+//
+//	InterLatency  2µs      one-way latency between nodes
+//	IntraLatency  500ns    latency between processes on one node
+//	InterBWBps    10 GB/s  inter-node NIC bandwidth
+//	IntraBWBps    40 GB/s  intra-node copy bandwidth
+//	SendOverhead  300ns    per-message CPU cost on the sender
+//	RecvOverhead  300ns    per-message CPU cost on the receiver
+//
 // All higher layers (the simulated MPI runtime, the FTI checkpointing
 // library, the recovery frameworks, and the proxy applications) run on top
 // of this package. Exactly one simulated process executes at any instant:
@@ -76,16 +88,13 @@ type Timer struct {
 // slots and heap capacity are recycled, so the schedule/fire/cancel hot
 // path is allocation-free once warm.
 type Scheduler struct {
-	now        Time
-	q          []event
-	slots      []slotState
-	freeSlots  []int32
-	seq        uint64
-	running    bool
-	maxTime    Time // 0 means unlimited
-	stopped    bool
-	strictPast bool
-	probe      *obs.Probe
+	now       Time
+	q         []event
+	slots     []slotState
+	freeSlots []int32
+	seq       uint64
+	maxTime   Time // 0 means unlimited
+	probe     *obs.Probe
 }
 
 // NewScheduler returns an empty scheduler at virtual time zero.
@@ -110,15 +119,10 @@ func (e DeadlineExceeded) Error() string {
 	return fmt.Sprintf("simnet: virtual deadline %v exceeded (event at %v); likely deadlock or livelock", e.Deadline, e.At)
 }
 
-// SetStrictPast toggles the past-scheduling assertion. By default At
-// silently clamps a past target time to now, which keeps buggy protocols
-// running but reorders their events; with strict mode on, scheduling into
-// the past panics with the offending times, so the bug is caught at its
-// source. Tests and debugging harnesses turn this on.
-func (s *Scheduler) SetStrictPast(on bool) { s.strictPast = on }
-
-// At schedules fn to run at virtual time t (clamped to now; see
-// SetStrictPast). The returned Timer cancels the event via Cancel.
+// At schedules fn to run at virtual time t, which must not be before now:
+// scheduling into the past panics with the offending times, so a protocol
+// bug is caught at its source instead of silently reordering the run. The
+// returned Timer cancels the event via Cancel.
 func (s *Scheduler) At(t Time, fn func()) Timer {
 	return s.schedule(t, event{fn: fn})
 }
@@ -144,10 +148,7 @@ func (s *Scheduler) AfterFunc(d Time, fn func(arg any, aux int64), arg any, aux 
 // schedule stamps the event and pushes it onto the heap.
 func (s *Scheduler) schedule(t Time, e event) Timer {
 	if t < s.now {
-		if s.strictPast {
-			panic(fmt.Sprintf("simnet: event scheduled into the past: t=%v, now=%v (%v late)", t, s.now, s.now-t))
-		}
-		t = s.now
+		panic(fmt.Sprintf("simnet: event scheduled into the past: t=%v, now=%v (%v late)", t, s.now, s.now-t))
 	}
 	slot := s.allocSlot()
 	e.t, e.seq, e.slot = t, s.seq, slot
@@ -288,30 +289,23 @@ func (s *Scheduler) removeAt(i int) {
 	s.q = s.q[:n]
 }
 
-// Stop makes Run return after the current event completes.
-func (s *Scheduler) Stop() { s.stopped = true }
-
-// Run fires events in time order until the queue drains, Stop is called, or
-// the deadline passes. It returns the final virtual time.
+// Run fires events in time order until the queue drains and returns the
+// final virtual time; an event past the deadline makes it panic instead.
 //
 // The observer check is hoisted out of the drain loop, and the fired count
 // is reported once after it: attach the probe (Cluster.SetProbe) before
 // Run, not during it.
 func (s *Scheduler) Run() Time {
-	s.running = true
-	defer func() { s.running = false }()
 	probe := s.probe
 	traceEvents := probe.On(trace.CatEvent)
 	var fired int64
-	for len(s.q) > 0 && !s.stopped {
+	for len(s.q) > 0 {
 		e := s.popMin()
 		fired++
 		if s.maxTime > 0 && e.t > s.maxTime {
 			panic(DeadlineExceeded{Deadline: s.maxTime, At: e.t})
 		}
-		if e.t > s.now {
-			s.now = e.t
-		}
+		s.now = e.t // never earlier: nothing is scheduled into the past
 		if traceEvents {
 			probe.Emit(trace.Span{Cat: trace.CatEvent, Rank: -1, Start: int64(e.t), Aux: int64(e.seq)})
 		}
@@ -330,8 +324,8 @@ func (s *Scheduler) Run() Time {
 func (s *Scheduler) Pending() int { return len(s.q) }
 
 // Leaked reports the events still pending in the queue — work Run walked
-// away from when it returned via Stop or a deadline — as a count plus the
-// earliest scheduled time. A clean run that drained its queue reports
+// away from when a deadline stopped it — as a count plus the earliest
+// scheduled time. A Run that returned drained its queue, so it reports
 // zero. The harness surfaces this as Breakdown.LeakedEvents so hung-run
 // bugs stop masquerading as clean completions.
 func (s *Scheduler) Leaked() (n int, earliest Time) {
@@ -344,18 +338,19 @@ func (s *Scheduler) Leaked() (n int, earliest Time) {
 	return n, earliest
 }
 
-// Config describes the simulated cluster hardware. The defaults approximate
-// the paper's testbed: 32 dual-socket Haswell nodes with a fat-tree
-// interconnect, node-local storage, and a parallel file system.
+// The machine model (see the package comment): the paper's testbed, §V-A.
+const (
+	InterLatency Time    = 2 * Microsecond  // one-way network latency between nodes
+	IntraLatency Time    = 500 * Nanosecond // latency between procs on one node (shared memory)
+	InterBWBps   float64 = 10e9             // inter-node NIC bandwidth, bytes per second
+	IntraBWBps   float64 = 40e9             // intra-node copy bandwidth, bytes per second
+	SendOverhead Time    = 300 * Nanosecond // per-message CPU cost on the sender
+	RecvOverhead Time    = 300 * Nanosecond // per-message CPU cost on the receiver
+)
+
+// Config sizes the simulated cluster and selects how its traffic is charged.
 type Config struct {
-	Nodes        int     // number of compute nodes
-	CoresPerNode int     // informational; procs beyond this share the node
-	InterLatency Time    // one-way network latency between nodes
-	IntraLatency Time    // latency between procs on one node (shared memory)
-	InterBWBps   float64 // inter-node NIC bandwidth, bytes per second
-	IntraBWBps   float64 // intra-node copy bandwidth, bytes per second
-	SendOverhead Time    // per-message CPU cost on the sender
-	RecvOverhead Time    // per-message CPU cost on the receiver
+	Nodes int // number of compute nodes (default 32, the paper's testbed)
 
 	// ModelIngress additionally serializes traffic on the *receiver's* NIC.
 	// The seed model charges egress only, which makes duplicate inbound
@@ -381,21 +376,6 @@ func (c Config) Scaled(n int) float64 {
 	return float64(n)
 }
 
-// DefaultConfig mirrors the paper's cluster at §V-A: 32 nodes, 28 cores per
-// node, EDR-class interconnect.
-func DefaultConfig() Config {
-	return Config{
-		Nodes:        32,
-		CoresPerNode: 28,
-		InterLatency: 2 * Microsecond,
-		IntraLatency: 500 * Nanosecond,
-		InterBWBps:   10e9, // 10 GB/s
-		IntraBWBps:   40e9, // 40 GB/s
-		SendOverhead: 300 * Nanosecond,
-		RecvOverhead: 300 * Nanosecond,
-	}
-}
-
 // Node is one compute node. Its NIC serializes egress traffic: concurrent
 // sends queue behind each other, which is how background protocol traffic
 // (e.g. ULFM heartbeats) slows applications down in this model.
@@ -418,32 +398,10 @@ type Cluster struct {
 	probe *obs.Probe
 }
 
-// NewCluster builds a cluster with cfg (zero fields replaced by defaults).
+// NewCluster builds a cluster with cfg (zero Nodes means 32).
 func NewCluster(cfg Config) *Cluster {
-	def := DefaultConfig()
 	if cfg.Nodes == 0 {
-		cfg.Nodes = def.Nodes
-	}
-	if cfg.CoresPerNode == 0 {
-		cfg.CoresPerNode = def.CoresPerNode
-	}
-	if cfg.InterLatency == 0 {
-		cfg.InterLatency = def.InterLatency
-	}
-	if cfg.IntraLatency == 0 {
-		cfg.IntraLatency = def.IntraLatency
-	}
-	if cfg.InterBWBps == 0 {
-		cfg.InterBWBps = def.InterBWBps
-	}
-	if cfg.IntraBWBps == 0 {
-		cfg.IntraBWBps = def.IntraBWBps
-	}
-	if cfg.SendOverhead == 0 {
-		cfg.SendOverhead = def.SendOverhead
-	}
-	if cfg.RecvOverhead == 0 {
-		cfg.RecvOverhead = def.RecvOverhead
+		cfg.Nodes = 32
 	}
 	c := &Cluster{
 		cfg:   cfg,
@@ -455,7 +413,7 @@ func NewCluster(cfg Config) *Cluster {
 	return c
 }
 
-// Config returns the cluster hardware description.
+// Config returns the cluster's size and traffic model.
 func (c *Cluster) Config() Config { return c.cfg }
 
 // Scheduler exposes the event scheduler (used by runtime components that
@@ -516,9 +474,9 @@ func (c *Cluster) transferCost(f, t *Node, size int, now Time) (depart, arrive T
 	var lat Time
 	var bw float64
 	if f == t {
-		lat, bw = c.cfg.IntraLatency, c.cfg.IntraBWBps
+		lat, bw = IntraLatency, IntraBWBps
 	} else {
-		lat, bw = c.cfg.InterLatency, c.cfg.InterBWBps
+		lat, bw = InterLatency, InterBWBps
 	}
 	xfer := Time(float64(size) / bw * 1e9)
 	depart = now

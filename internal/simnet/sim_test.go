@@ -65,18 +65,6 @@ func TestSchedulerNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestSchedulerPastEventClamped(t *testing.T) {
-	s := NewScheduler()
-	var at Time = -1
-	s.At(100, func() {
-		s.At(10, func() { at = s.Now() }) // in the past; must clamp to now
-	})
-	s.Run()
-	if at != 100 {
-		t.Fatalf("past event fired at %v, want clamped to 100", at)
-	}
-}
-
 func TestSchedulerDeadline(t *testing.T) {
 	s := NewScheduler()
 	s.SetDeadline(50)
@@ -287,36 +275,36 @@ func TestNodeFailureKillsResidents(t *testing.T) {
 }
 
 func TestNICSerializesEgress(t *testing.T) {
-	c := NewCluster(Config{Nodes: 2, InterLatency: 10, InterBWBps: 1e9}) // 1 byte/ns
-	// Two back-to-back 1000-byte messages from node 0: the second must queue
+	c := NewCluster(Config{Nodes: 2})
+	// Two back-to-back 10 kB messages from node 0: the second must queue
 	// behind the first on the NIC.
-	a1 := c.SendArrival(0, 1, 1000, 0)
-	a2 := c.SendArrival(0, 1, 1000, 0)
-	if a1 != 1010 {
-		t.Fatalf("first arrival = %v, want 1010", a1)
+	const size = 10000
+	xfer := Time(size / InterBWBps * 1e9) // 1µs at 10 GB/s
+	a1 := c.SendArrival(0, 1, size, 0)
+	a2 := c.SendArrival(0, 1, size, 0)
+	if a1 != xfer+InterLatency {
+		t.Fatalf("first arrival = %v, want %v", a1, xfer+InterLatency)
 	}
-	if a2 != 2010 {
-		t.Fatalf("second arrival = %v, want 2010 (NIC queueing)", a2)
+	if a2 != 2*xfer+InterLatency {
+		t.Fatalf("second arrival = %v, want %v (NIC queueing)", a2, 2*xfer+InterLatency)
 	}
 }
 
 func TestIntraNodeBypassesNIC(t *testing.T) {
-	c := NewCluster(Config{Nodes: 1, IntraLatency: 5, IntraBWBps: 1e9})
-	a1 := c.SendArrival(0, 0, 1000, 0)
-	a2 := c.SendArrival(0, 0, 1000, 0)
-	if a1 != 1005 || a2 != 1005 {
-		t.Fatalf("intra-node arrivals = %v, %v; want both 1005", a1, a2)
+	c := NewCluster(Config{Nodes: 1})
+	const size = 10000
+	want := Time(size/IntraBWBps*1e9) + IntraLatency // 250ns + 500ns
+	a1 := c.SendArrival(0, 0, size, 0)
+	a2 := c.SendArrival(0, 0, size, 0)
+	if a1 != want || a2 != want {
+		t.Fatalf("intra-node arrivals = %v, %v; want both %v", a1, a2, want)
 	}
 }
 
 func TestDefaultsFilledIn(t *testing.T) {
 	c := NewCluster(Config{})
-	def := DefaultConfig()
-	if c.Config().Nodes != def.Nodes || c.Config().InterBWBps != def.InterBWBps {
-		t.Fatalf("defaults not applied: %+v", c.Config())
-	}
-	if c.NumNodes() != def.Nodes {
-		t.Fatalf("NumNodes = %d", c.NumNodes())
+	if c.NumNodes() != 32 || c.Config().Nodes != 32 {
+		t.Fatalf("NumNodes = %d, Config().Nodes = %d; want the testbed's 32", c.NumNodes(), c.Config().Nodes)
 	}
 }
 
@@ -327,7 +315,7 @@ func TestSendArrivalProperties(t *testing.T) {
 		c := NewCluster(Config{Nodes: 2})
 		now := Time(at)
 		arr := c.SendArrival(0, 1, int(sz), now)
-		return arr >= now+c.Config().InterLatency
+		return arr >= now+InterLatency
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -356,26 +344,32 @@ func TestClockMonotonic(t *testing.T) {
 	}
 }
 
-// Stop leaves later events in the queue without firing them — the silent
+// A deadline abandons the events behind the one that trips it — the silent
 // drop the Leaked diagnostic exists to surface. Cancelled events are dead
 // bookkeeping, not leaks.
-func TestSchedulerLeakedAfterStop(t *testing.T) {
+func TestSchedulerLeakedAfterDeadline(t *testing.T) {
 	s := NewScheduler()
+	s.SetDeadline(20)
 	fired := 0
-	s.At(10, func() {
-		fired++
-		s.Stop()
-	})
-	s.At(30, func() { fired++ })
-	s.Cancel(s.At(20, func() { fired++ }))
+	s.At(10, func() { fired++ })
+	s.At(30, func() { fired++ }) // trips the deadline
 	s.At(40, func() { fired++ })
-	s.Run()
+	s.Cancel(s.At(45, func() { fired++ }))
+	s.At(50, func() { fired++ })
+	func() {
+		defer func() {
+			if _, ok := recover().(DeadlineExceeded); !ok {
+				t.Fatal("Run past the deadline did not panic with DeadlineExceeded")
+			}
+		}()
+		s.Run()
+	}()
 	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 (Stop should halt the loop)", fired)
+		t.Fatalf("fired = %d, want 1 (the deadline should halt the loop)", fired)
 	}
 	n, earliest := s.Leaked()
-	if n != 2 || earliest != 30 {
-		t.Fatalf("Leaked() = (%d, %v), want (2, 30): cancelled events must not count", n, earliest)
+	if n != 2 || earliest != 40 {
+		t.Fatalf("Leaked() = (%d, %v), want (2, 40): cancelled events must not count", n, earliest)
 	}
 }
 

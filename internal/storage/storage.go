@@ -1,14 +1,15 @@
-// Package storage simulates the cluster's storage hierarchy: per-node RAMFS
-// (/dev/shm, where the paper stores L1 checkpoints), per-node local SSD,
-// and a shared parallel file system (PFS). Reads and writes charge virtual
-// time to the calling process according to per-tier latency and bandwidth;
-// PFS traffic additionally serializes on shared PFS servers, so concurrent
-// flushes from many ranks contend, just like a real Lustre partition.
+// Package storage simulates the paper's two storage tiers (§V-A): per-node
+// RAMFS (/dev/shm, where the paper stores L1 checkpoints) and a shared
+// parallel file system (PFS). Reads and writes charge virtual time to the
+// calling process by each tier's fixed latency and bandwidth — RAMFS 2µs
+// and 8 GB/s, PFS 2ms and 20 GB/s aggregate; PFS traffic additionally
+// serializes on the shared PFS servers, so concurrent flushes from many
+// ranks contend, just like a real Lustre partition.
 //
 // Failure semantics mirror the hardware: a *process* failure leaves all
 // files intact (files in /dev/shm belong to the node, not the process — the
 // property FTI L1 recovery relies on), while a *node* failure makes the
-// node's RAMFS and SSD unreachable. The PFS survives everything.
+// node's RAMFS unreachable. The PFS survives everything.
 //
 // A file's content is the slice it was written with, not a copy: written
 // bytes belong to the store, and the writer must not modify them
@@ -39,8 +40,6 @@ type Tier int
 const (
 	// RAMFS is node-local memory-backed storage (/dev/shm).
 	RAMFS Tier = iota
-	// SSD is node-local flash storage.
-	SSD
 	// PFS is the shared parallel file system.
 	PFS
 )
@@ -49,8 +48,6 @@ func (t Tier) String() string {
 	switch t {
 	case RAMFS:
 		return "ramfs"
-	case SSD:
-		return "ssd"
 	case PFS:
 		return "pfs"
 	}
@@ -63,28 +60,18 @@ var ErrNotFound = errors.New("storage: not found")
 // ErrNodeDown is returned when accessing local storage of a failed node.
 var ErrNodeDown = errors.New("storage: node down")
 
-// Config sets the performance model for each tier.
-type Config struct {
-	RAMBWBps float64     // RAMFS bandwidth (bytes/s)
-	RAMLat   simnet.Time // RAMFS per-op latency
-	SSDBWBps float64
-	SSDLat   simnet.Time
-	PFSBWBps float64 // aggregate PFS bandwidth, shared by all clients
-	PFSLat   simnet.Time
-}
+// The tiers' performance model: the paper's testbed, fixed.
+const (
+	ramBWBps float64     = 8e9 // RAMFS bandwidth (bytes/s), memcpy-bound
+	ramLat   simnet.Time = 2 * simnet.Microsecond
+	pfsBWBps float64     = 20e9 // aggregate PFS bandwidth, shared by all clients
+	pfsLat   simnet.Time = 2 * simnet.Millisecond
+)
 
-// DefaultConfig approximates the paper's testbed: fast shm, a local SSD,
-// and a shared parallel file system.
-func DefaultConfig() Config {
-	return Config{
-		RAMBWBps: 8e9, // 8 GB/s memcpy-bound
-		RAMLat:   2 * simnet.Microsecond,
-		SSDBWBps: 1e9, // 1 GB/s NVMe-ish
-		SSDLat:   80 * simnet.Microsecond,
-		PFSBWBps: 20e9, // 20 GB/s aggregate
-		PFSLat:   2 * simnet.Millisecond,
-	}
-}
+// Config is empty: the tiers are fixed. New keeps it as a parameter only
+// because the benchmark harness, which changes in its own PRs, calls
+// New(c, Config{}) (bench/probes.go).
+type Config struct{}
 
 // file is one stored file of size bytes: data, or — until its first read —
 // nil data and the fill that makes them.
@@ -94,53 +81,22 @@ type file struct {
 	fill func() []byte
 }
 
-type nodeStore struct {
-	ramfs map[string]file
-	ssd   map[string]file
-}
-
 // System is the cluster-wide storage fabric.
 type System struct {
-	cfg     Config
 	cluster *simnet.Cluster
-	nodes   []*nodeStore
+	ramfs   []map[string]file // by node
 	pfs     map[string]file
 	pfsFree simnet.Time // busy horizon of the shared PFS servers
 }
 
 // New builds the storage system for a cluster.
-func New(c *simnet.Cluster, cfg Config) *System {
-	def := DefaultConfig()
-	if cfg.RAMBWBps == 0 {
-		cfg.RAMBWBps = def.RAMBWBps
-	}
-	if cfg.RAMLat == 0 {
-		cfg.RAMLat = def.RAMLat
-	}
-	if cfg.SSDBWBps == 0 {
-		cfg.SSDBWBps = def.SSDBWBps
-	}
-	if cfg.SSDLat == 0 {
-		cfg.SSDLat = def.SSDLat
-	}
-	if cfg.PFSBWBps == 0 {
-		cfg.PFSBWBps = def.PFSBWBps
-	}
-	if cfg.PFSLat == 0 {
-		cfg.PFSLat = def.PFSLat
-	}
-	s := &System{cfg: cfg, cluster: c, pfs: make(map[string]file)}
+func New(c *simnet.Cluster, _ Config) *System {
+	s := &System{cluster: c, pfs: make(map[string]file)}
 	for i := 0; i < c.NumNodes(); i++ {
-		s.nodes = append(s.nodes, &nodeStore{
-			ramfs: make(map[string]file),
-			ssd:   make(map[string]file),
-		})
+		s.ramfs = append(s.ramfs, make(map[string]file))
 	}
 	return s
 }
-
-// Config returns the storage performance model.
-func (s *System) Config() Config { return s.cfg }
 
 // files returns the files of a tier of node (node is ignored for PFS).
 func (s *System) files(tier Tier, node int) (map[string]file, error) {
@@ -150,13 +106,7 @@ func (s *System) files(tier Tier, node int) (map[string]file, error) {
 	if !s.cluster.Node(node).Alive() {
 		return nil, ErrNodeDown
 	}
-	switch tier {
-	case RAMFS:
-		return s.nodes[node].ramfs, nil
-	case SSD:
-		return s.nodes[node].ssd, nil
-	}
-	return nil, fmt.Errorf("storage: %v is not node-local", tier)
+	return s.ramfs[node], nil
 }
 
 // scaled is the volume time is charged for: the cluster's per-run byte
@@ -165,18 +115,11 @@ func (s *System) scaled(size int) float64 { return s.cluster.Config().Scaled(siz
 
 // charge charges p for moving size bytes through a tier.
 func (s *System) charge(p *simnet.Proc, tier Tier, size int) {
-	var bw float64
-	var lat simnet.Time
-	switch tier {
-	case RAMFS:
-		bw, lat = s.cfg.RAMBWBps, s.cfg.RAMLat
-	case SSD:
-		bw, lat = s.cfg.SSDBWBps, s.cfg.SSDLat
-	case PFS:
+	if tier == PFS {
 		s.chargePFS(p, size)
 		return
 	}
-	p.Sleep(lat + simnet.Time(s.scaled(size)/bw*1e9))
+	p.Sleep(ramLat + simnet.Time(s.scaled(size)/ramBWBps*1e9))
 }
 
 // chargePFS charges p for a PFS transfer, serializing on the shared
@@ -188,9 +131,9 @@ func (s *System) chargePFS(p *simnet.Proc, size int) {
 	if s.pfsFree > start {
 		start = s.pfsFree
 	}
-	xfer := simnet.Time(s.scaled(size) / s.cfg.PFSBWBps * 1e9)
+	xfer := simnet.Time(s.scaled(size) / pfsBWBps * 1e9)
 	s.pfsFree = start + xfer
-	p.Sleep((start - now) + xfer + s.cfg.PFSLat)
+	p.Sleep((start - now) + xfer + pfsLat)
 }
 
 // put charges p for writing f's size bytes and then stores f at path.

@@ -17,7 +17,7 @@ func withProc(t *testing.T, nodes int, body func(c *simnet.Cluster, s *System, p
 
 func TestWriteReadRoundTrip(t *testing.T) {
 	withProc(t, 2, func(c *simnet.Cluster, s *System, p *simnet.Proc) {
-		for _, tier := range []Tier{RAMFS, SSD, PFS} {
+		for _, tier := range []Tier{RAMFS, PFS} {
 			if err := s.Write(p, tier, 0, "a/b", []byte("payload")); err != nil {
 				t.Errorf("%v write: %v", tier, err)
 				continue
@@ -52,7 +52,7 @@ func TestWriteKeepsCallerBuffer(t *testing.T) {
 				t.Errorf("%s returned a copy, not the written slice", what)
 			}
 		}
-		for _, tier := range []Tier{RAMFS, SSD, PFS} {
+		for _, tier := range []Tier{RAMFS, PFS} {
 			buf := []byte{1, 2, 3}
 			s.Write(p, tier, 0, "x", buf)
 			got, err := s.Read(p, tier, 0, "x")
@@ -82,13 +82,13 @@ func TestTierSpeedOrdering(t *testing.T) {
 	withProc(t, 1, func(c *simnet.Cluster, s *System, p *simnet.Proc) {
 		data := make([]byte, 1<<20)
 		times := map[Tier]simnet.Time{}
-		for _, tier := range []Tier{RAMFS, SSD} {
+		for _, tier := range []Tier{RAMFS, PFS} {
 			t0 := p.Now()
 			s.Write(p, tier, 0, "f", data)
 			times[tier] = p.Now() - t0
 		}
-		if times[RAMFS] >= times[SSD] {
-			t.Errorf("ramfs %v not faster than ssd %v", times[RAMFS], times[SSD])
+		if times[RAMFS] >= times[PFS] {
+			t.Errorf("ramfs %v not faster than pfs %v", times[RAMFS], times[PFS])
 		}
 	})
 }
@@ -116,7 +116,7 @@ func TestPFSContention(t *testing.T) {
 	}
 	// 10 MB at the 20 GB/s aggregate takes 500 µs; the loser queues behind
 	// the winner for one full transfer.
-	xfer := simnet.Time(float64(10<<20) / s.Config().PFSBWBps * 1e9)
+	xfer := simnet.Time(float64(10<<20) / pfsBWBps * 1e9)
 	if second-first < xfer*9/10 {
 		t.Errorf("no PFS contention: first %v second %v (xfer %v)", first, second, xfer)
 	}
@@ -127,7 +127,6 @@ func TestNodeFailureLosesLocalTiers(t *testing.T) {
 	s := New(c, Config{})
 	c.StartProc(0, 0, func(p *simnet.Proc) {
 		s.Write(p, RAMFS, 0, "r", []byte("x"))
-		s.Write(p, SSD, 0, "s", []byte("x"))
 		s.Write(p, PFS, 0, "p", []byte("x"))
 	})
 	c.Run()
@@ -135,9 +134,6 @@ func TestNodeFailureLosesLocalTiers(t *testing.T) {
 	c.StartProc(1, 0, func(p *simnet.Proc) {
 		if _, err := s.Read(p, RAMFS, 0, "r"); !errors.Is(err, ErrNodeDown) {
 			t.Errorf("ramfs on dead node: %v", err)
-		}
-		if _, err := s.Read(p, SSD, 0, "s"); !errors.Is(err, ErrNodeDown) {
-			t.Errorf("ssd on dead node: %v", err)
 		}
 		if _, err := s.Read(p, PFS, 1, "p"); err != nil {
 			t.Errorf("pfs should survive node failure: %v", err)
@@ -200,7 +196,7 @@ func TestWriteFreeChargesNothing(t *testing.T) {
 func TestWriteDeferredChargesLikeWrite(t *testing.T) {
 	withProc(t, 1, func(c *simnet.Cluster, s *System, p *simnet.Proc) {
 		const size = 3 << 20
-		for _, tier := range []Tier{RAMFS, SSD, PFS} {
+		for _, tier := range []Tier{RAMFS, PFS} {
 			t0 := p.Now()
 			s.Write(p, tier, 0, "plain", make([]byte, size))
 			wrote := p.Now() - t0
@@ -242,7 +238,7 @@ func TestDeferredFileFillsOnceOnFirstRead(t *testing.T) {
 	c.StartProc(0, 0, func(p *simnet.Proc) {
 		local := func(tier Tier) ([]byte, error) { return s.Read(p, tier, 1, "d") }
 		remote := func(tier Tier) ([]byte, error) { return s.ReadRemote(p, tier, 1, 0, "d") }
-		for _, tier := range []Tier{RAMFS, SSD, PFS} {
+		for _, tier := range []Tier{RAMFS, PFS} {
 			for _, order := range [][2]func(Tier) ([]byte, error){{local, remote}, {remote, local}} {
 				want := []byte{1, 2, 3, 4}
 				calls := 0
@@ -270,7 +266,7 @@ func TestDeferredFileUnreadNeverFills(t *testing.T) {
 	calls := 0
 	fill := func() []byte { calls++; return []byte{9} }
 	c.StartProc(1, 0, func(p *simnet.Proc) {
-		for _, tier := range []Tier{RAMFS, SSD, PFS} {
+		for _, tier := range []Tier{RAMFS, PFS} {
 			s.WriteDeferred(p, tier, 0, "deleted", 1, fill)
 			s.Delete(tier, 0, "deleted")
 			if _, err := s.Read(p, tier, 0, "deleted"); !errors.Is(err, ErrNotFound) {
@@ -281,21 +277,17 @@ func TestDeferredFileUnreadNeverFills(t *testing.T) {
 			if got, err := s.Read(p, tier, 0, "over"); err != nil || string(got) != "\x07" {
 				t.Errorf("%v read-after-overwrite: %v %v", tier, got, err)
 			}
-			if tier != PFS {
-				s.WriteDeferred(p, tier, 0, "lost", 1, fill)
-			}
 		}
+		s.WriteDeferred(p, RAMFS, 0, "lost", 1, fill)
 	})
 	c.Run()
 	c.FailNode(0)
 	c.StartProc(1, 0, func(p *simnet.Proc) {
-		for _, tier := range []Tier{RAMFS, SSD} {
-			if _, err := s.Read(p, tier, 0, "lost"); !errors.Is(err, ErrNodeDown) {
-				t.Errorf("%v read on dead node: %v", tier, err)
-			}
-			if _, err := s.ReadRemote(p, tier, 0, 1, "lost"); !errors.Is(err, ErrNodeDown) {
-				t.Errorf("%v remote read from dead node: %v", tier, err)
-			}
+		if _, err := s.Read(p, RAMFS, 0, "lost"); !errors.Is(err, ErrNodeDown) {
+			t.Errorf("read on dead node: %v", err)
+		}
+		if _, err := s.ReadRemote(p, RAMFS, 0, 1, "lost"); !errors.Is(err, ErrNodeDown) {
+			t.Errorf("remote read from dead node: %v", err)
 		}
 	})
 	c.Run()
