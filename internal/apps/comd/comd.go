@@ -6,12 +6,22 @@
 // positions and velocities only (forces are recomputed), exactly what the
 // paper's data-object analysis selects for checkpointing.
 //
-// Forces come from link cells, as in CoMD itself: locals and ghosts are
-// counting-sorted into cells at least a cutoff wide laid over the atoms
-// present, and each local atom meets only its own and the adjacent cells.
-// The cells decide which pairs are looked at, never what is added: every
-// candidate goes through the same minimum-image and cutoff test, and the
-// accepted terms of an atom are summed in ascending neighbour index, locals
+// Forces come from a Verlet neighbour list kept between steps. A slot is a
+// local atom j, or ghost g as n+g. The list holds, for each local atom,
+// every other slot that was within cutoff+skin of it when the list was
+// built, in ascending slot order. It is built through link cells, as in
+// CoMD itself, at least half that radius wide: an atom's candidates are the
+// slots of the 5x5x5 cells around its own. A step reuses the list while the
+// local and ghost counts are those of the build and no slot has moved half
+// a skin from where it was then. The test is on slots and positions, not
+// atoms, so it stays sound when migration or a ghost exchange puts another
+// atom in a slot: each axis's minimum-image |wrap(d)| is 1-Lipschitz in d,
+// so two slots now within a cutoff were within cutoff+skin at the build.
+// Otherwise the list is rebuilt.
+//
+// The list decides which pairs are looked at, never what is added: every
+// entry goes through the same minimum-image and cutoff test, and the
+// accepted terms of an atom are summed in ascending slot order, locals
 // before ghosts — the order of a scan over all pairs. Virtual time comes
 // from ctx.Charge alone, so the kernel may get faster, but the Signature
 // keeps its bits only while that order holds.
@@ -45,8 +55,8 @@ type App struct {
 	fx, fy, fz []float64        // forces (recomputed)
 	gx, gy, gz []float64        // ghost positions
 
-	cells linkCells // forces scratch
-	stay  []int     // migrate scratch: the atoms staying on this axis
+	list verletList // forces: the neighbour list
+	stay []int      // migrate scratch: the atoms staying on this axis
 
 	pe, ke float64
 	energy float64 // last total energy (protected)
@@ -146,9 +156,10 @@ func (a *App) exchangeGhosts(ctx *appkit.Context) error {
 		if loNbr == ctx.Rank() && hiNbr == ctx.Rank() {
 			continue // single rank in this axis: minimum image handles it
 		}
-		// Collect border atoms from locals plus already-received ghosts.
-		collect := func(takeLo bool) []float64 {
-			var out []float64
+		// Collect border atoms from locals plus already-received ghosts,
+		// straight into the payload: x, y, z per atom.
+		collect := func(takeLo bool) []byte {
+			var out []byte
 			vals := a.axisVals(ax)
 			push := func(px, py, pz, c float64) {
 				if takeLo {
@@ -176,8 +187,7 @@ func (a *App) exchangeGhosts(ctx *appkit.Context) error {
 			}
 			return out
 		}
-		fromLo, fromHi, err := appkit.Swap(ctx, loNbr, hiNbr, tagGhostLo, tagGhostHi,
-			enc.Float64sToBytes(collect(true)), enc.Float64sToBytes(collect(false)))
+		fromLo, fromHi, err := appkit.Swap(ctx, loNbr, hiNbr, tagGhostLo, tagGhostHi, collect(true), collect(false))
 		if err != nil {
 			return err
 		}
@@ -214,7 +224,7 @@ func (a *App) hiEdge(ax int) bool {
 	}
 }
 
-func (a *App) appendShifted(out []float64, px, py, pz float64, ax int, shift float64) []float64 {
+func (a *App) appendShifted(out []byte, px, py, pz float64, ax int, shift float64) []byte {
 	switch ax {
 	case 0:
 		px += shift
@@ -223,7 +233,15 @@ func (a *App) appendShifted(out []float64, px, py, pz float64, ax int, shift flo
 	default:
 		pz += shift
 	}
-	return append(out, px, py, pz)
+	return appendF64s(out, px, py, pz)
+}
+
+// appendF64s appends vs to a payload in enc.Float64sToBytes' encoding.
+func appendF64s(out []byte, vs ...float64) []byte {
+	for _, v := range vs {
+		out = enc.AppendFloat64(out, v)
+	}
+	return out
 }
 
 func (a *App) ghostAxis(ax int) []float64 {
@@ -250,117 +268,182 @@ func (a *App) forces(ctx *appkit.Context) {
 	ctx.Charge(float64(n*(n+len(a.gx))) * 0.6)
 }
 
-// pairTerm is one neighbour accepted for the atom being summed: the force
-// factor and minimum-image displacement, and half the pair energy.
-type pairTerm struct {
-	j          int32 // local j, or n+g for ghost g
-	f          float64
-	dx, dy, dz float64
-	halfE      float64
+// vec is a position.
+type vec struct{ x, y, z float64 }
+
+// wrap is the minimum image of a displacement d along an axis of length l
+// (h = l/2): the nearest periodic copy.
+func wrap(d, l, h float64) float64 {
+	if d > h {
+		return d - l
+	} else if d < -h {
+		return d + l
+	}
+	return d
 }
 
-// pairForces evaluates each local atom against the atoms (local and ghost)
-// of its own and the adjacent link cells, and adds the accepted pairs in
-// ascending j with locals before ghosts — the order of the all-pairs scan
-// it replaces, so every force and the energy keep their bits.
+// pairForces evaluates each local atom against its neighbour list and adds
+// the accepted pairs in ascending slot order, locals before ghosts — the
+// order of the all-pairs scan the list replaces, so every force and the
+// energy keep their bits.
 func (a *App) pairForces() {
 	n := len(a.x)
 	a.fx = appkit.Grow(a.fx, n)
 	a.fy = appkit.Grow(a.fy, n)
 	a.fz = appkit.Grow(a.fz, n)
-	a.pe = 0
-	lc := &a.cells
-	lc.sort(a)
+	l := &a.list
+	if !l.gather(a) {
+		l.build(a.glob, n)
+	}
 	rc2 := cutoff * cutoff
 	lx, ly, lz := a.glob[0], a.glob[1], a.glob[2]
 	hx, hy, hz := lx/2, ly/2, lz/2
-	near := lc.near
-	for i := 0; i < n; i++ {
-		xi, yi, zi := a.x[i], a.y[i], a.z[i]
-		cx, cy, cz := lc.coord(0, xi), lc.coord(1, yi), lc.coord(2, zi)
-		near = near[:0]
-		for kz := max(cz-1, 0); kz <= min(cz+1, lc.nc[2]-1); kz++ {
-			for ky := max(cy-1, 0); ky <= min(cy+1, lc.nc[1]-1); ky++ {
+	ps := l.p
+	pe := 0.0
+	for i, pi := range ps[:n] {
+		var fx, fy, fz float64
+		for _, j := range l.js[l.start[i]:l.start[i+1]] {
+			pj := ps[j]
+			dx := wrap(pi.x-pj.x, lx, hx)
+			dy := wrap(pi.y-pj.y, ly, hy)
+			dz := wrap(pi.z-pj.z, lz, hz)
+			r2 := dx*dx + dy*dy + dz*dz
+			if r2 >= rc2 || r2 == 0 {
+				continue
+			}
+			inv2 := sigma * sigma / r2
+			inv6 := inv2 * inv2 * inv2
+			f := 24 * epsilon * inv6 * (2*inv6 - 1) / r2
+			fx += f * dx
+			fy += f * dy
+			fz += f * dz
+			pe += (4*epsilon*inv6*(inv6-1) - ljShift) / 2
+		}
+		a.fx[i], a.fy[i], a.fz[i] = fx, fy, fz
+	}
+	a.pe = pe
+}
+
+// skin is how much further than the cutoff a neighbour list reaches. It is
+// below the 0.137 gap between the cutoff and the FCC second shell (1.587),
+// so a list holds little more than the 12 first-shell neighbours.
+const skin = 0.1
+
+// reach is the radius a list is built at; drift is how far a slot may move
+// from its position at the build before the list is rebuilt: half the
+// skin, less a margin that dwarfs the rounding of the distance arithmetic.
+const (
+	reach = cutoff + skin
+	drift = skin / 2 * (1 - 1e-6)
+)
+
+// verletList is the neighbour list pairForces walks, kept on the App
+// between steps: local atom i's neighbours are js[start[i]:start[i+1]],
+// every other slot within reach of it at the build, ascending.
+type verletList struct {
+	start []int32
+	js    []int32
+
+	p, p0 []vec     // every slot's position, locals then ghosts: now, at the build
+	n     int       // local atoms at the build
+	cells linkCells // build's scratch
+
+	builds int // builds so far; only the package's tests read it
+}
+
+// gather copies every slot's position into p and reports whether the list
+// still holds every pair within a cutoff: the local and ghost counts are
+// those of the build, and no slot has moved drift from where it was then.
+// A pair now within a cutoff was then within cutoff + 2*drift < reach.
+func (l *verletList) gather(a *App) bool {
+	n, m := len(a.x), len(a.x)+len(a.gx)
+	l.p = appkit.Grow(l.p, m)
+	for k := range a.x {
+		l.p[k] = vec{a.x[k], a.y[k], a.z[k]}
+	}
+	for k := range a.gx {
+		l.p[n+k] = vec{a.gx[k], a.gy[k], a.gz[k]}
+	}
+	if n != l.n || m != len(l.p0) {
+		return false
+	}
+	for k, p0 := range l.p0 {
+		dx, dy, dz := l.p[k].x-p0.x, l.p[k].y-p0.y, l.p[k].z-p0.z
+		if dx*dx+dy*dy+dz*dz >= drift*drift {
+			return false
+		}
+	}
+	return true
+}
+
+// build lists, for each of the n local atoms, every other slot within
+// reach of it in a periodic box of edges glob, and keeps the positions it
+// was built from; gather must have run.
+func (l *verletList) build(glob [3]float64, n int) {
+	lc := &l.cells
+	lc.sort(l.p, glob)
+	l.start = appkit.Grow(l.start, n+1)
+	l.js = l.js[:0]
+	lx, ly, lz := glob[0], glob[1], glob[2]
+	hx, hy, hz := lx/2, ly/2, lz/2
+	for i, pi := range l.p[:n] {
+		l.start[i] = int32(len(l.js))
+		cx, cy, cz := lc.coord(0, pi.x), lc.coord(1, pi.y), lc.coord(2, pi.z)
+		for kz := max(cz-2, 0); kz <= min(cz+2, lc.nc[2]-1); kz++ {
+			for ky := max(cy-2, 0); ky <= min(cy+2, lc.nc[1]-1); ky++ {
 				// The x neighbours of a cell follow each other in cell
 				// order: one run of candidates per (ky,kz).
 				row := (kz*lc.nc[1] + ky) * lc.nc[0]
-				from := lc.start[row+max(cx-1, 0)]
-				to := lc.start[row+min(cx+1, lc.nc[0]-1)+1]
-				js := lc.idx[from:to]
-				xs, ys, zs := lc.x[from:][:len(js)], lc.y[from:][:len(js)], lc.z[from:][:len(js)]
+				from := lc.start[row+max(cx-2, 0)]
+				to := lc.start[row+min(cx+2, lc.nc[0]-1)+1]
+				js, ps := lc.idx[from:to], lc.p[from:to]
 				for s, j := range js {
 					if int(j) == i {
 						continue
 					}
-					dx, dy, dz := xi-xs[s], yi-ys[s], zi-zs[s]
-					// Minimum image: the nearest periodic copy.
-					if dx > hx {
-						dx -= lx
-					} else if dx < -hx {
-						dx += lx
+					dx := wrap(pi.x-ps[s].x, lx, hx)
+					dy := wrap(pi.y-ps[s].y, ly, hy)
+					dz := wrap(pi.z-ps[s].z, lz, hz)
+					if dx*dx+dy*dy+dz*dz < reach*reach {
+						l.js = append(l.js, j)
 					}
-					if dy > hy {
-						dy -= ly
-					} else if dy < -hy {
-						dy += ly
-					}
-					if dz > hz {
-						dz -= lz
-					} else if dz < -hz {
-						dz += lz
-					}
-					r2 := dx*dx + dy*dy + dz*dz
-					if r2 >= rc2 || r2 == 0 {
-						continue
-					}
-					inv2 := sigma * sigma / r2
-					inv6 := inv2 * inv2 * inv2
-					f := 24 * epsilon * inv6 * (2*inv6 - 1) / r2
-					e := 4*epsilon*inv6*(inv6-1) - ljShift
-					near = append(near, pairTerm{j, f, dx, dy, dz, e / 2})
 				}
 			}
 		}
-		// A dozen terms from up to 27 cells: insertion sort by j.
-		for p := 1; p < len(near); p++ {
-			t := near[p]
+		// A dozen or so neighbours from up to 125 cells: insertion sort.
+		nb := l.js[l.start[i]:]
+		for p := 1; p < len(nb); p++ {
+			j := nb[p]
 			q := p
-			for ; q > 0 && near[q-1].j > t.j; q-- {
-				near[q] = near[q-1]
+			for ; q > 0 && nb[q-1] > j; q-- {
+				nb[q] = nb[q-1]
 			}
-			near[q] = t
+			nb[q] = j
 		}
-		var fx, fy, fz float64
-		for _, t := range near {
-			fx += t.f * t.dx
-			fy += t.f * t.dy
-			fz += t.f * t.dz
-			a.pe += t.halfE
-		}
-		a.fx[i], a.fy[i], a.fz[i] = fx, fy, fz
 	}
-	lc.near = near
+	l.start[n] = int32(len(l.js))
+	l.p0 = append(l.p0[:0], l.p...)
+	l.n = n
+	l.builds++
 }
 
-// cellWidth is the least link-cell edge: a cutoff plus a margin that
-// dwarfs the rounding of the cell arithmetic, so two atoms within a cutoff
-// of each other along an axis are never more than one cell apart.
-const cellWidth = cutoff * (1 + 1e-6)
+// cellWidth is the least link-cell edge: half a list's reach plus a margin
+// that dwarfs the rounding of the cell arithmetic, so two atoms within
+// reach of each other along an axis are never more than two cells apart.
+const cellWidth = reach / 2 * (1 + 1e-6)
 
-// linkCells is pairForces' scratch, kept on the App and reused every step:
-// all atoms (local j as j, ghost g as n+g) counting-sorted by cell, their
-// positions copied alongside so a cell's atoms are contiguous.
+// linkCells is build's scratch, kept on the list and reused every build:
+// the slots counting-sorted by cell, their positions copied alongside so a
+// cell's slots are contiguous.
 type linkCells struct {
 	origin, scale [3]float64
 	nc            [3]int // cells per axis
 
-	cell    []int32 // cell of each atom
-	start   []int32 // cell c's atoms are start[c]..start[c+1] of idx, x, y, z
-	next    []int32 // fill cursor per cell
-	idx     []int32 // atom index, ascending within a cell
-	x, y, z []float64
-
-	near []pairTerm
+	cell  []int32 // cell of each slot
+	start []int32 // cell c's slots are start[c]..start[c+1] of idx and p
+	next  []int32 // fill cursor per cell
+	idx   []int32 // slot, ascending within a cell
+	p     []vec
 }
 
 // coord is the cell coordinate of position v along axis ax.
@@ -372,59 +455,44 @@ func (lc *linkCells) coord(ax int, v float64) int {
 	return c
 }
 
-// sort lays the cells over the extent of the atoms present and bins them.
-// An axis the atoms fill to within a cutoff of the periodic box gets a
-// single cell: there two atoms at opposite ends can be neighbours through
+// sort lays the cells over the extent of the slots' positions ps and bins
+// them. An axis the slots fill to within a reach of the periodic box gets
+// a single cell: there two slots at opposite ends can be neighbours through
 // the minimum image.
-func (lc *linkCells) sort(a *App) {
-	n, m := len(a.x), len(a.x)+len(a.gx)
-	for ax := 0; ax < 3; ax++ {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, vals := range [2][]float64{a.axisVals(ax), a.ghostAxis(ax)} {
-			for _, v := range vals {
-				if v < lo {
-					lo = v
-				}
-				if v > hi {
-					hi = v
-				}
-			}
+func (lc *linkCells) sort(ps []vec, glob [3]float64) {
+	lo := [3]float64{math.Inf(1), math.Inf(1), math.Inf(1)}
+	hi := [3]float64{math.Inf(-1), math.Inf(-1), math.Inf(-1)}
+	for _, p := range ps {
+		for ax, v := range [3]float64{p.x, p.y, p.z} {
+			lo[ax], hi[ax] = min(lo[ax], v), max(hi[ax], v)
 		}
-		lc.origin[ax], lc.scale[ax], lc.nc[ax] = lo, 0, 1
-		if ext := hi - lo; ext >= 2*cellWidth && ext <= a.glob[ax]-cellWidth {
+	}
+	for ax := range lc.nc {
+		lc.origin[ax], lc.scale[ax], lc.nc[ax] = lo[ax], 0, 1
+		if ext := hi[ax] - lo[ax]; ext >= 2*cellWidth && ext <= glob[ax]-2*cellWidth {
 			lc.nc[ax] = int(ext / cellWidth)
 			lc.scale[ax] = float64(lc.nc[ax]) / ext
 		}
 	}
-	cells := lc.nc[0] * lc.nc[1] * lc.nc[2]
-	lc.cell, lc.idx = appkit.Grow(lc.cell, m), appkit.Grow(lc.idx, m)
-	lc.x, lc.y, lc.z = appkit.Grow(lc.x, m), appkit.Grow(lc.y, m), appkit.Grow(lc.z, m)
+	cells, m := lc.nc[0]*lc.nc[1]*lc.nc[2], len(ps)
+	lc.cell, lc.idx, lc.p = appkit.Grow(lc.cell, m), appkit.Grow(lc.idx, m), appkit.Grow(lc.p, m)
 	lc.start, lc.next = appkit.Grow(lc.start, cells+1), appkit.Grow(lc.next, cells)
 	clear(lc.start)
-
-	src := [2]struct {
-		first   int
-		x, y, z []float64
-	}{{0, a.x, a.y, a.z}, {n, a.gx, a.gy, a.gz}}
-	for _, s := range src {
-		for k := range s.x {
-			c := (lc.coord(2, s.z[k])*lc.nc[1]+lc.coord(1, s.y[k]))*lc.nc[0] + lc.coord(0, s.x[k])
-			lc.cell[s.first+k] = int32(c)
-			lc.start[c+1]++
-		}
+	for k, p := range ps {
+		c := (lc.coord(2, p.z)*lc.nc[1]+lc.coord(1, p.y))*lc.nc[0] + lc.coord(0, p.x)
+		lc.cell[k] = int32(c)
+		lc.start[c+1]++
 	}
 	for c := 0; c < cells; c++ {
 		lc.start[c+1] += lc.start[c]
 	}
 	copy(lc.next, lc.start)
-	for _, s := range src {
-		for k := range s.x {
-			c := lc.cell[s.first+k]
-			at := lc.next[c]
-			lc.next[c]++
-			lc.idx[at] = int32(s.first + k)
-			lc.x[at], lc.y[at], lc.z[at] = s.x[k], s.y[k], s.z[k]
-		}
+	for k, p := range ps {
+		c := lc.cell[k]
+		at := lc.next[c]
+		lc.next[c]++
+		lc.idx[at] = int32(k)
+		lc.p[at] = p
 	}
 }
 
@@ -445,7 +513,7 @@ func (a *App) migrate(ctx *appkit.Context) error {
 		hiNbr := a.d.NeighborWrap(dx, dy, dz)
 		vals := a.axisVals(ax)
 		stayIdx := a.stay[:0]
-		var loOut, hiOut []float64
+		var loOut, hiOut []byte // x, y, z, vx, vy, vz per migrant
 		for i := range a.x {
 			c := vals[i]
 			switch {
@@ -454,13 +522,13 @@ func (a *App) migrate(ctx *appkit.Context) error {
 				if a.loEdge(ax) {
 					p[ax] += a.glob[ax]
 				}
-				loOut = append(loOut, p[0], p[1], p[2], a.vx[i], a.vy[i], a.vz[i])
+				loOut = appendF64s(loOut, p[0], p[1], p[2], a.vx[i], a.vy[i], a.vz[i])
 			case c >= a.hi[ax]:
 				p := [3]float64{a.x[i], a.y[i], a.z[i]}
 				if a.hiEdge(ax) {
 					p[ax] -= a.glob[ax]
 				}
-				hiOut = append(hiOut, p[0], p[1], p[2], a.vx[i], a.vy[i], a.vz[i])
+				hiOut = appendF64s(hiOut, p[0], p[1], p[2], a.vx[i], a.vy[i], a.vz[i])
 			default:
 				stayIdx = append(stayIdx, i)
 			}
@@ -487,8 +555,7 @@ func (a *App) migrate(ctx *appkit.Context) error {
 		}
 		a.x, a.y, a.z = keep(a.x), keep(a.y), keep(a.z)
 		a.vx, a.vy, a.vz = keep(a.vx), keep(a.vy), keep(a.vz)
-		fromLo, fromHi, err := appkit.Swap(ctx, loNbr, hiNbr, tagMigLo, tagMigHi,
-			enc.Float64sToBytes(loOut), enc.Float64sToBytes(hiOut))
+		fromLo, fromHi, err := appkit.Swap(ctx, loNbr, hiNbr, tagMigLo, tagMigHi, loOut, hiOut)
 		if err != nil {
 			return err
 		}
@@ -513,6 +580,12 @@ func (a *App) Step(ctx *appkit.Context, iter int) error {
 		return err
 	}
 	a.forces(ctx)
+	return a.advance(ctx)
+}
+
+// advance is the rest of a step once the forces are in: kick, drift,
+// migration and the energy reduction.
+func (a *App) advance(ctx *appkit.Context) error {
 	a.ke = 0
 	for i := range a.x {
 		a.vx[i] += dt * a.fx[i]

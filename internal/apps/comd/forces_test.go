@@ -1,8 +1,11 @@
 package comd
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"match/internal/apps/appkit"
@@ -73,24 +76,38 @@ func (a *App) oracleForces() {
 	_ = pairs
 }
 
-// requireSameForces runs both kernels on copies of a's atoms and fails on
-// the first bit that differs.
-func requireSameForces(t *testing.T, a *App) {
-	t.Helper()
+// checkForces compares a's forces and energy, as its last pairForces left
+// them, with the oracle's on a's atoms, and reports the first bit that
+// differs.
+func checkForces(a *App) error {
 	ref := &App{glob: a.glob, x: a.x, y: a.y, z: a.z, gx: a.gx, gy: a.gy, gz: a.gz}
 	ref.oracleForces()
-	a.pairForces()
-	same := func(what string, i int, got, want float64) {
+	same := func(what string, i int, got, want float64) error {
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%s[%d] = %v, oracle %v (n=%d ghosts=%d box=%v cells=%v)",
-				what, i, got, want, len(a.x), len(a.gx), a.glob, a.cells.nc)
+			return fmt.Errorf("%s[%d] = %v, oracle %v (n=%d ghosts=%d box=%v cells=%v builds=%d)",
+				what, i, got, want, len(a.x), len(a.gx), a.glob, a.list.cells.nc, a.list.builds)
+		}
+		return nil
+	}
+	if err := same("pe", 0, a.pe, ref.pe); err != nil {
+		return err
+	}
+	for i := range ref.fx {
+		err := errors.Join(same("fx", i, a.fx[i], ref.fx[i]), same("fy", i, a.fy[i], ref.fy[i]), same("fz", i, a.fz[i], ref.fz[i]))
+		if err != nil {
+			return err
 		}
 	}
-	same("pe", 0, a.pe, ref.pe)
-	for i := range ref.fx {
-		same("fx", i, a.fx[i], ref.fx[i])
-		same("fy", i, a.fy[i], ref.fy[i])
-		same("fz", i, a.fz[i], ref.fz[i])
+	return nil
+}
+
+// requireSameForces runs pairForces on a's atoms and fails on the first
+// bit that differs from the oracle.
+func requireSameForces(t *testing.T, a *App) {
+	t.Helper()
+	a.pairForces()
+	if err := checkForces(a); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -150,19 +167,92 @@ func FuzzForcesMatchesOracle(f *testing.F) {
 		}
 		a := cloud(int(n%400), int(g%600), box, seed)
 		requireSameForces(t, a)
-		requireSameForces(t, a) // again, on reused scratch
+		rng := rand.New(rand.NewSource(^seed))
+		for call := 0; call < 5; call++ {
+			jostle(a, rng)
+			requireSameForces(t, a)
+		}
 	})
 }
 
-// The clouds above are uniform; this one is what the app itself produces:
-// the lattice after a few steps, with the ghosts of the last exchange.
+// jostle changes a cloud the way a step and the exchanges around it may
+// between two force calls: it moves every slot, mostly by less than drift
+// and now and then by more, and sometimes swaps two local slots, appends a
+// ghost or drops one.
+func jostle(a *App, rng *rand.Rand) {
+	step := []float64{0, drift / 100, drift / 2, 2 * drift}[rng.Intn(4)] / math.Sqrt(3)
+	move := func(v []float64) {
+		for k := range v {
+			v[k] += (2*rng.Float64() - 1) * step
+		}
+	}
+	for _, v := range [][]float64{a.x, a.y, a.z, a.gx, a.gy, a.gz} {
+		move(v)
+	}
+	n, g := len(a.x), len(a.gx)
+	switch rng.Intn(6) {
+	case 0: // swap two locals
+		if n >= 2 {
+			i, j := rng.Intn(n), rng.Intn(n)
+			a.x[i], a.x[j] = a.x[j], a.x[i]
+			a.y[i], a.y[j] = a.y[j], a.y[i]
+			a.z[i], a.z[j] = a.z[j], a.z[i]
+		}
+	case 1: // a ghost arrives within a cutoff of a local
+		if n > 0 {
+			i := rng.Intn(n)
+			off := func() float64 { return (2*rng.Float64() - 1) * cutoff / math.Sqrt(3) }
+			a.gx, a.gy, a.gz = append(a.gx, a.x[i]+off()), append(a.gy, a.y[i]+off()), append(a.gz, a.z[i]+off())
+		}
+	case 2: // a ghost leaves, and the ones after it shift down a slot
+		if g > 0 {
+			k := rng.Intn(g)
+			a.gx, a.gy, a.gz = slices.Delete(a.gx, k, k+1), slices.Delete(a.gy, k, k+1), slices.Delete(a.gz, k, k+1)
+		}
+	}
+}
+
+// checked is CoMD with the oracle looking over its shoulder: every step's
+// forces, as the step's own list produced them, are compared with the
+// all-pairs scan before the atoms move.
+type checked struct {
+	*App
+	calls int
+}
+
+func (c *checked) Step(ctx *appkit.Context, iter int) error {
+	if err := c.exchangeGhosts(ctx); err != nil {
+		return err
+	}
+	c.forces(ctx)
+	c.calls++
+	if err := checkForces(c.App); err != nil {
+		return fmt.Errorf("step %d: %w", iter, err)
+	}
+	return c.advance(ctx)
+}
+
+// The clouds above are uniform; this is what the app itself produces: the
+// lattice as it moves, with the ghosts of each step's exchange and the
+// slots that migration reshuffles.
 func TestForcesMatchOracleOnRunState(t *testing.T) {
-	for _, shape := range []struct{ ranks, cells int }{{1, 2}, {1, 4}, {2, 4}, {4, 6}, {8, 6}, {8, 8}} {
+	for _, shape := range []struct{ ranks, cells, steps int }{{1, 2, 3}, {1, 4, 3}, {2, 4, 3}, {4, 6, 3}, {8, 6, 3}, {8, 8, 24}} {
 		res := apptest.Run(t, shape.ranks,
-			appkit.Params{NX: shape.cells, NY: shape.cells, NZ: shape.cells, MaxIter: 3},
-			func() appkit.App { return New() })
+			appkit.Params{NX: shape.cells, NY: shape.cells, NZ: shape.cells, MaxIter: shape.steps},
+			func() appkit.App { return &checked{App: New()} })
+		calls, builds := 0, 0
 		for _, app := range res.Apps {
-			requireSameForces(t, app.(*App))
+			c := app.(*checked)
+			calls, builds = calls+c.calls, builds+c.list.builds
+		}
+		if shape.steps < 20 {
+			continue
+		}
+		// A list is built on each rank's first step; after that a step must
+		// sometimes rebuild (slots churn) and sometimes reuse.
+		if builds == shape.ranks || builds == calls {
+			t.Fatalf("%d ranks, %d cells: %d builds in %d force calls, want some rebuilt and some reused",
+				shape.ranks, shape.cells, builds, calls)
 		}
 	}
 }
@@ -170,8 +260,29 @@ func TestForcesMatchOracleOnRunState(t *testing.T) {
 func TestForcesAllocateNothingWhenWarm(t *testing.T) {
 	a := cloud(108, 256, 12, 3)
 	a.pairForces()
+	builds := a.list.builds
 	if n := testing.AllocsPerRun(10, a.pairForces); n != 0 {
-		t.Fatalf("pairForces allocates %v times per call on warm scratch", n)
+		t.Fatalf("pairForces allocates %v times per call reusing its list", n)
+	}
+	if a.list.builds != builds {
+		t.Fatalf("%d builds on unchanged atoms", a.list.builds-builds)
+	}
+	if n := testing.AllocsPerRun(10, rebuild(a)); n != 0 {
+		t.Fatalf("pairForces allocates %v times per call rebuilding its list", n)
+	}
+	if got := a.list.builds - builds; got != 11 {
+		t.Fatalf("%d builds in 11 calls that each moved an atom by a skin", got)
+	}
+}
+
+// rebuild returns a call of a.pairForces that first moves atom 0 by a skin,
+// alternately up and down, so that every call rebuilds the list.
+func rebuild(a *App) func() {
+	kick := skin
+	return func() {
+		a.x[0] += kick
+		kick = -kick
+		a.pairForces()
 	}
 }
 
@@ -206,16 +317,27 @@ func latticeRank(cells, first, width int) *App {
 }
 
 // BenchmarkForces108x256 is one rank's force evaluation in the 64-rank
-// Small cell: 108 local atoms, 256 ghosts.
-func BenchmarkForces108x256(b *testing.B) {
+// Small cell: 108 local atoms, 256 ghosts, on a list it reuses.
+func BenchmarkForces108x256(b *testing.B) { benchForces(b, false) }
+
+// BenchmarkForces108x256Rebuild is the same evaluation when the list must
+// be rebuilt first.
+func BenchmarkForces108x256Rebuild(b *testing.B) { benchForces(b, true) }
+
+func benchForces(b *testing.B, rebuilds bool) {
 	a := latticeRank(12, 3, 3)
 	if len(a.x) != 108 || len(a.gx) != 256 {
 		b.Fatalf("shape is %d locals, %d ghosts", len(a.x), len(a.gx))
 	}
-	a.pairForces() // the first call sizes the scratch
+	call := a.pairForces
+	if rebuilds {
+		call = rebuild(a)
+	}
+	call() // the first calls size the scratch
+	call()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.pairForces()
+		call()
 	}
 }
