@@ -22,6 +22,10 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
+// allFigures widens TestPaperFiguresGolden from the conformance cells to
+// every figure, ablation, campaign and CLI row.
+var allFigures = flag.Bool("figures", false, "run every row of TestPaperFiguresGolden, not only the conformance cells")
+
 // golden compares got against testdata/name, rewriting the file under
 // -update.
 func golden(t *testing.T, name string, got []byte) {
