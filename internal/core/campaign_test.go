@@ -207,14 +207,19 @@ func TestCellsErrorContract(t *testing.T) {
 	}
 }
 
-// A restart run whose launcher exhausts MaxRelaunches reports that, like
-// the replica design does, instead of a generic incomplete-run error.
+// A restart run whose launcher exhausts its relaunch budget reports that,
+// like the replica design does, instead of a generic incomplete-run error.
+// Rank 3 dies at iteration 2 of every incarnation: one kill more than the
+// budget, each gated on the relaunches before it.
 func TestRestartGaveUpIsReported(t *testing.T) {
+	var sched fault.Schedule
+	for k := 0; k <= restart.MaxRelaunches; k++ {
+		sched.Events = append(sched.Events, fault.Event{TargetRank: 3, TargetIter: 2, AfterRecoveries: k})
+	}
 	_, err := Run(Config{App: "HPCCG", Design: RestartFTI, Procs: 8, Nodes: 4,
-		Params: tinyParams("HPCCG"), Faults: 3, FaultSeed: 1,
-		Restart: restart.Config{MaxRelaunches: 1}})
-	if err == nil || !strings.Contains(err.Error(), "restart: gave up after 1 relaunches") {
-		t.Fatalf("err = %v, want the gave-up report", err)
+		Params: tinyParams("HPCCG"), Schedule: &sched})
+	if want := fmt.Sprintf("restart: gave up after %d relaunches", restart.MaxRelaunches); err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 }
 

@@ -161,13 +161,12 @@ type Config struct {
 	// calibrated timings slightly.
 	ModelIngress bool
 
-	// Overrides for ablation studies; zero values select the calibrated
-	// defaults. Replica.HotSpare is the replica design's background-respawn
-	// switch. Each design's Detect is set through Detector above, never
-	// here: Run rejects a non-zero one.
+	// The designs' settable knobs; zero values select the calibrated
+	// defaults, and the rest of each design's cost model is fixed (README,
+	// "How a Config is resolved"). Ulfm.DeliveryFactor is the
+	// progress-engine slowdown; Replica.HotSpare is the replica design's
+	// background-respawn switch. Restart and Reinit have none.
 	Ulfm    ulfm.Config
-	Reinit  reinit.Config
-	Restart restart.Config
 	Replica replica.Config
 
 	// Params overrides the Table I parameter resolution entirely when
@@ -343,6 +342,10 @@ func (rec *recorder) addRaw(st fti.Stats) {
 	rec.rawRestores += int64(st.RecoverOps)
 }
 
+// runDeadline is every run's virtual deadline: the net that turns a
+// deadlock or livelock into an error.
+const runDeadline = 200000 * simnet.Second
+
 // Run executes one configuration to completion and returns its breakdown.
 // It is safe to call concurrently (the sweep harness runs configurations on
 // a worker pool): each run owns its cluster, storage, and injector.
@@ -366,7 +369,7 @@ func Run(cfg Config) (Breakdown, error) {
 	// one number per run — lives on it: the message path, the storage tiers,
 	// FTI and the hot-spare transfer all read it from there.
 	cluster := simnet.NewCluster(simnet.Config{Nodes: rc.Nodes, ModelIngress: rc.Ingress, BytesScale: rc.scale})
-	cluster.Scheduler().SetDeadline(200000 * simnet.Second) // deadlock net
+	cluster.Scheduler().SetDeadline(runDeadline)
 	// The one observer seam: every layer reports an event as one span to
 	// this probe, and the three Config observers consume it.
 	probe := obs.NewProbe(cfg.Metrics, cfg.Trace, cfg.Log)
@@ -519,7 +522,12 @@ func Run(cfg Config) (Breakdown, error) {
 		return bd, deadlineErr
 	}
 	if !bd.Completed {
-		return bd, fmt.Errorf("core: only %d/%d ranks completed (%v)", len(rec.sigs), rc.Procs, firstErr(rec.errs))
+		why := "no rank reported an error"
+		if len(rec.errs) > 0 {
+			why = "first error: " + rec.errs[0].Error()
+		}
+		return bd, fmt.Errorf("core: only %d/%d ranks completed, %s (%d incarnations launched, %d recoveries logged, %d/%d faults fired)",
+			len(rec.sigs), rc.Procs, why, len(out.jobs), len(*recoveries), bd.FaultsInjected, len(sched.Events))
 	}
 	for r, s := range rec.sigs {
 		if s != rec.sigs[0] {
@@ -578,13 +586,6 @@ func TraceTotalsOf(bd Breakdown) trace.Totals {
 	}
 }
 
-func firstErr(errs []error) error {
-	if len(errs) == 0 {
-		return nil
-	}
-	return errs[0]
-}
-
 // drive runs the armed cluster until its event queue drains: the one place
 // a simulation is driven, hence the one call site for the deadline (and for
 // cancellation, when it lands). The scheduler's deadline net panics with a
@@ -633,7 +634,7 @@ func (rec *recorder) note(err error) {
 }
 
 func armRestart(rc resolvedCell, cluster *simnet.Cluster, rec *recorder, runApp appMain) (*[]mpi.Recovery, func() outcome) {
-	sup := restart.Supervise(cluster, *rc.Restart, rc.Procs, func(r *mpi.Rank) {
+	sup := restart.Supervise(cluster, rc.Detector, rc.Procs, func(r *mpi.Rank) {
 		rec.note(runApp(r, r.Job().World(), rec.addFTIStats))
 	})
 	return &sup.Recoveries, func() outcome {
@@ -645,7 +646,7 @@ func armRestart(rc resolvedCell, cluster *simnet.Cluster, rec *recorder, runApp 
 func armReinit(rc resolvedCell, cluster *simnet.Cluster, rec *recorder, runApp appMain) (*[]mpi.Recovery, func() outcome) {
 	var rt *reinit.Runtime
 	job := mpi.Launch(cluster, rc.Procs, 0, func(r *mpi.Rank) { rec.note(rt.Run(r)) })
-	rt = reinit.NewRuntime(job, *rc.Reinit, func(r *mpi.Rank, _ reinit.State) error {
+	rt = reinit.NewRuntime(job, rc.Detector, func(r *mpi.Rank, _ reinit.State) error {
 		return runApp(r, rt.World(), rec.addFTIStats)
 	})
 	return &rt.Recoveries, func() outcome {
@@ -657,7 +658,7 @@ func armReinit(rc resolvedCell, cluster *simnet.Cluster, rec *recorder, runApp a
 func armUlfm(rc resolvedCell, cluster *simnet.Cluster, rec *recorder, runApp appMain) (*[]mpi.Recovery, func() outcome) {
 	var rt *ulfm.Runtime
 	job := mpi.Launch(cluster, rc.Procs, 0, func(r *mpi.Rank) { rec.note(rt.RunResilient(r)) })
-	rt = ulfm.NewRuntime(job, *rc.Ulfm, func(r *mpi.Rank, world *mpi.Comm, _ bool) error {
+	rt = ulfm.NewRuntime(job, *rc.Ulfm, rc.Detector, func(r *mpi.Rank, world *mpi.Comm, _ bool) error {
 		return runApp(r, world, rec.addFTIStats)
 	})
 	return &rt.Recoveries, func() outcome {
@@ -683,7 +684,7 @@ func armReplica(rc resolvedCell, cluster *simnet.Cluster, rec *recorder, runApp 
 	// finished, or ran longest before dying), then accumulate across
 	// incarnations like the restart design does.
 	perJob := make(map[*mpi.Job]map[int]fti.Stats)
-	sup := replica.Supervise(cluster, rcfg, rc.Procs, func(r *mpi.Rank, world *mpi.Comm, idx int) {
+	sup := replica.Supervise(cluster, rcfg, rc.Detector, rc.Procs, func(r *mpi.Rank, world *mpi.Comm, idx int) {
 		job := r.Job()
 		rec.note(runApp(r, world, func(rank int, st fti.Stats) {
 			best := perJob[job]

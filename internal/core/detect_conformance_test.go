@@ -4,9 +4,7 @@ import (
 	"testing"
 
 	"match/internal/detect"
-	"match/internal/reinit"
 	"match/internal/simnet"
-	"match/internal/ulfm"
 )
 
 // TestDetectorConformanceAcrossDesigns is the detection-axis contract: a
@@ -129,8 +127,8 @@ func TestDetectorPresetMatchesExplicit(t *testing.T) {
 		design   Design
 		explicit detect.Config
 	}{
-		{UlfmFTI, ulfm.Config{}.DetectPreset()},
-		{ReinitFTI, reinit.Config{}.DetectPreset()},
+		{UlfmFTI, detect.RingDefaults()},
+		{ReinitFTI, detect.TreeDefaults()},
 		{RestartFTI, detect.Config{Kind: detect.Launcher}},
 		{ReplicaFTI, detect.Config{Kind: detect.Launcher}},
 	}

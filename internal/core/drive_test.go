@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"match/internal/ckpt"
+	"match/internal/fault"
 	"match/internal/fti"
 	"match/internal/replica"
 	"match/internal/simnet"
@@ -129,5 +130,24 @@ func TestByteScaleHasOneHome(t *testing.T) {
 				int64(bd.Ckpt), int64(bd.Total), int64(bd.SpawnTime),
 				int64(c.ckpt), int64(c.total), int64(c.spawn))
 		}
+	}
+}
+
+// A cell whose ranks never all finish says why: here no rank returned an
+// error, so the message says so, and reports the incarnations, recoveries
+// and fired faults it knows of (`match -app HPCCG -design replica -procs 8
+// -level 3 -fault-schedule '3@12:kind=node'`: two recoveries are logged,
+// yet no rank finishes). When a fix makes this cell complete, pin another
+// incomplete cell here instead.
+func TestIncompleteCellSaysWhy(t *testing.T) {
+	sched, err := fault.ParseSchedule("3@12:kind=node")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(Config{App: "HPCCG", Design: ReplicaFTI, Procs: 8, FTILevel: fti.L3, Schedule: &sched})
+	want := "core: only 0/8 ranks completed, no rank reported an error " +
+		"(1 incarnations launched, 2 recoveries logged, 1/1 faults fired)"
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"match/internal/apps"
 	"match/internal/ckpt"
+	"match/internal/detect"
 	"match/internal/fault"
 	"match/internal/fti"
 	"match/internal/replica"
@@ -263,7 +264,7 @@ func ablationRows(t *testing.T) []goldenRow {
 		rows = append(rows, goldenRow{fmt.Sprintf("ablation/heartbeat/%dms", period/simnet.Millisecond), Config{
 			App: "HPCCG", Design: UlfmFTI, Procs: 64,
 			Input: Small, InjectFault: true, FaultSeed: 5,
-			Ulfm: ulfm.Config{HeartbeatPeriod: period, DetectTimeout: 3 * period},
+			Detector: detect.Config{Kind: detect.Ring, HeartbeatPeriod: period, DetectTimeout: 3 * period},
 		}})
 	}
 	// ULFM's interposed-progress slowdown; zero means the default, so

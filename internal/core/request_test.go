@@ -326,7 +326,7 @@ func TestCellKeyObserversExcluded(t *testing.T) {
 func TestCellKeyInactiveDesignExcluded(t *testing.T) {
 	plain := Config{App: "HPCCG", Design: RestartFTI}
 	noisy := plain
-	noisy.Ulfm = ulfm.Config{SpawnDelay: 123 * simnet.Second}
+	noisy.Ulfm = ulfm.Config{DeliveryFactor: 0.9}
 	noisy.Replica = replica.Config{DupDegree: 7}
 	kp, _ := CellKey(plain, 1)
 	kn, _ := CellKey(noisy, 1)

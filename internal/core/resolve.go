@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"match/internal/apps"
 	"match/internal/apps/appkit"
@@ -9,9 +10,8 @@ import (
 	"match/internal/detect"
 	"match/internal/fault"
 	"match/internal/fti"
-	"match/internal/reinit"
 	"match/internal/replica"
-	"match/internal/restart"
+	"match/internal/simnet"
 	"match/internal/ulfm"
 )
 
@@ -22,9 +22,9 @@ import (
 // hashed from the value Run executes: CellKey marshals the exported fields
 // (their names, tags and order are the on-disk cache format — changing any
 // of them is a cacheVersion bump) and Run reads nothing else of a Config
-// but its observers. Only the active design's sub-configuration is
-// present, so an ablation knob on a design that is not running can neither
-// split the cache nor reach the simulation.
+// but its observers. Only the active design's knobs are present (Restart
+// and Reinit have none), so a knob on a design that is not running can
+// neither split the cache nor reach the simulation.
 type resolvedCell struct {
 	V          int             `json:"v"`
 	Reps       int             `json:"reps"`
@@ -43,8 +43,6 @@ type resolvedCell struct {
 	Policy     ckpt.Config     `json:"ckpt_policy"`
 	Ingress    bool            `json:"model_ingress,omitempty"`
 	Ulfm       *ulfm.Config    `json:"ulfm,omitempty"`
-	Reinit     *reinit.Config  `json:"reinit,omitempty"`
-	Restart    *restart.Config `json:"restart,omitempty"`
 	Replica    *replica.Config `json:"replica,omitempty"`
 	// Params is the Table I override, hashed only when it is in force
 	// (MaxIter set); otherwise App and Input already determine params.
@@ -58,15 +56,15 @@ type resolvedCell struct {
 }
 
 // resolve is the one place a Config becomes the cell that runs. It fills
-// the prelude defaults, looks up the application and its Table I
-// parameters, resolves the detector against the active design's preset and
-// the placement policy against the stride (validating both), resolves the
-// active design's sub-configuration with the detector folded in, zeroes
-// inputs that provably cannot matter (the fault seed and kind of a
-// failure-free cell or under an explicit schedule, Params without MaxIter,
-// inactive designs), and rejects an out-of-range setting, a setting Run
-// would ignore and explicit schedule events that could never fire — all
-// before any simulation state exists.
+// every default (the prelude's and the active design's knobs), looks up
+// the application and its Table I parameters, resolves the detector
+// against the active design's calibrated one and the placement policy
+// against the stride (validating both), zeroes inputs that provably cannot
+// matter (the fault seed and kind of a failure-free cell or under an
+// explicit schedule, Params without MaxIter, inactive designs), and
+// rejects an out-of-range setting, a setting Run would ignore and explicit
+// schedule events that could never fire — all before any simulation state
+// exists.
 func resolve(cfg Config, reps int) (resolvedCell, error) {
 	if reps <= 0 {
 		reps = 1
@@ -76,26 +74,14 @@ func resolve(cfg Config, reps int) (resolvedCell, error) {
 		Reps:       reps,
 		App:        cfg.App,
 		Design:     cfg.Design,
-		Procs:      cfg.Procs,
-		Nodes:      cfg.Nodes,
+		Procs:      or(cfg.Procs, 64),
+		Nodes:      or(cfg.Nodes, 32),
 		Input:      cfg.Input,
 		Faults:     cfg.FaultCount(),
-		FTILevel:   cfg.FTILevel,
-		CkptStride: cfg.CkptStride,
+		FTILevel:   or(cfg.FTILevel, fti.L1),
+		CkptStride: or(cfg.CkptStride, 10),
 		Ingress:    cfg.ModelIngress,
 		schedule:   cfg.Schedule,
-	}
-	if rc.Nodes == 0 {
-		rc.Nodes = 32
-	}
-	if rc.Procs == 0 {
-		rc.Procs = 64
-	}
-	if rc.FTILevel == 0 {
-		rc.FTILevel = fti.L1
-	}
-	if rc.CkptStride == 0 {
-		rc.CkptStride = 10
 	}
 	// An explicit schedule overrides the random draw entirely and a
 	// failure-free cell never draws: the seed and kind matter only between.
@@ -108,16 +94,9 @@ func resolve(cfg Config, reps int) (resolvedCell, error) {
 	if cfg.Params.CkptStride != 0 {
 		return resolvedCell{}, fmt.Errorf("core: Params.CkptStride %d is ignored; set Config.CkptStride", cfg.Params.CkptStride)
 	}
-	// Out-of-range settings fail here, not as a silent default (the replica
-	// knobs, on any design) or in every rank's first checkpoint (the level).
+	// Out-of-range settings fail here, not in every rank's first checkpoint.
 	if rc.FTILevel < fti.L1 || rc.FTILevel > fti.L4 {
 		return resolvedCell{}, fmt.Errorf("core: FTI level %d invalid (levels are 1-4: L1 local, L2 partner copy, L3 Reed-Solomon, L4 PFS; 0 means L1)", int(rc.FTILevel))
-	}
-	if d := cfg.Replica.DupDegree; d < 0 {
-		return resolvedCell{}, fmt.Errorf("core: replica DupDegree %d invalid (want >= 1, or 0 for the default 2)", d)
-	}
-	if f := cfg.Replica.ReplicaFactor; !(f >= 0 && f <= 1) {
-		return resolvedCell{}, fmt.Errorf("core: replica ReplicaFactor %g invalid (want 0 < f <= 1, or 0 for the default 1)", f)
 	}
 	var err error
 	if rc.factory, err = apps.Lookup(cfg.App); err != nil {
@@ -129,41 +108,35 @@ func resolve(cfg Config, reps int) (resolvedCell, error) {
 	if cfg.Params.MaxIter != 0 {
 		rc.Params = rc.params
 	}
+	if err := checkKnobs(cfg, rc.scale); err != nil {
+		return resolvedCell{}, err
+	}
 
-	// The active design's resolved cost model; sub points at its Detect
-	// field, which receives the resolved detector below.
+	// The active design's knobs with their defaults filled, and its
+	// calibrated detector.
 	var preset detect.Config
-	var sub *detect.Config
-	var tuned bool // the design's own preset-detector settings are set
 	switch cfg.Design {
 	case UlfmFTI:
-		u := cfg.Ulfm.Resolved()
-		rc.Ulfm, sub, preset = &u, &u.Detect, u.DetectPreset()
-		c := cfg.Ulfm
-		tuned = c.HeartbeatPeriod != 0 || c.HeartbeatBytes != 0 || c.DetectTimeout != 0 || c.InterferenceSteal != 0
+		u := ulfm.Config{DeliveryFactor: or(cfg.Ulfm.DeliveryFactor, ulfm.DefaultDeliveryFactor)}
+		rc.Ulfm, preset = &u, detect.RingDefaults()
 	case ReinitFTI:
-		ri := cfg.Reinit.Resolved()
-		rc.Reinit, sub, preset = &ri, &ri.Detect, ri.DetectPreset()
-		tuned = cfg.Reinit.DetectPeriod != 0 || cfg.Reinit.DetectTimeout != 0
+		preset = detect.TreeDefaults()
 	case RestartFTI:
-		rs := cfg.Restart.Resolved()
-		rc.Restart, sub, preset = &rs, &rs.Detect, rs.DetectPreset()
+		preset = detect.LauncherConfig()
 	case ReplicaFTI:
-		rp := cfg.Replica.Resolved()
-		rc.Replica, sub, preset = &rp, &rp.Detect, rp.DetectPreset()
+		c := cfg.Replica
+		rp := replica.Config{
+			DupDegree:      or(c.DupDegree, replica.DefaultDupDegree),
+			ReplicaFactor:  or(c.ReplicaFactor, replica.DefaultReplicaFactor),
+			FailoverDetect: or(c.FailoverDetect, replica.DefaultFailoverDetect),
+			ElectionDelay:  or(c.ElectionDelay, replica.DefaultElectionDelay),
+			HotSpare:       c.HotSpare,
+			SpawnDelay:     or(c.SpawnDelay, replica.DefaultSpawnDelay),
+			SpawnBandwidth: or(c.SpawnBandwidth, replica.DefaultSpawnBandwidth),
+		}
+		rc.Replica, preset = &rp, detect.LauncherConfig()
 	default:
 		return resolvedCell{}, fmt.Errorf("core: unknown design %v", cfg.Design)
-	}
-	// The design's own Detect is overwritten by the resolved detector, so a
-	// value there would be silently dropped: Config.Detector is the knob.
-	if *sub != (detect.Config{}) {
-		return resolvedCell{}, fmt.Errorf("core: %s Detect is ignored; set Config.Detector", cfg.Design.ShortName())
-	}
-	// The design's heartbeat settings shape only its preset, which an
-	// explicit detector replaces.
-	if tuned && cfg.Detector.Kind != detect.Preset {
-		return resolvedCell{}, fmt.Errorf("core: %s detector settings are ignored under the explicit %s detector; set Config.Detector",
-			cfg.Design.ShortName(), cfg.Detector.Kind)
 	}
 	// A configuration that could never detect, or a bad placement policy,
 	// fails loudly here, not ten simulated minutes in.
@@ -171,7 +144,6 @@ func resolve(cfg Config, reps int) (resolvedCell, error) {
 	if err := rc.Detector.Validate(); err != nil {
 		return resolvedCell{}, err
 	}
-	*sub = rc.Detector
 	rc.Policy = ckpt.Resolve(cfg.CkptPolicy, rc.CkptStride)
 	if err := rc.Policy.Validate(); err != nil {
 		return resolvedCell{}, err
@@ -180,6 +152,63 @@ func resolve(cfg Config, reps int) (resolvedCell, error) {
 		return resolvedCell{}, err
 	}
 	return rc, nil
+}
+
+// or returns v, or def when v is zero.
+func or[T comparable](v, def T) T {
+	var zero T
+	if v == zero {
+		return def
+	}
+	return v
+}
+
+// maxRankStateBytes bounds one rank's protected state before the byte
+// scale, so a hot-spare state transfer moves at most this times the cell's
+// byte scale. It is over a thousand times the largest Table I rank
+// (miniFE Large on 8 ranks protects 0.7 MB).
+const maxRankStateBytes = 1 << 30
+
+// checkKnobs rejects a design knob Run would silently change or could not
+// schedule, on any design, as a malformed setting: a count or fraction out
+// of range, a delay that is negative or past the run's virtual deadline, a
+// slowdown that is not a finite non-negative factor, and a spawn bandwidth
+// too slow for the largest state transfer of a cell at this byte scale to
+// fit in virtual time. A zero value selects the default and always passes.
+func checkKnobs(cfg Config, scale float64) error {
+	rp := cfg.Replica
+	if d := rp.DupDegree; d < 0 {
+		return fmt.Errorf("core: replica DupDegree %d invalid (want >= 1, or 0 for the default %d)", d, replica.DefaultDupDegree)
+	}
+	if f := rp.ReplicaFactor; !(f >= 0 && f <= 1) {
+		return fmt.Errorf("core: replica ReplicaFactor %g invalid (want 0 < f <= 1, or 0 for the default %g)", f, replica.DefaultReplicaFactor)
+	}
+	for _, d := range []struct {
+		name   string
+		v, def simnet.Time
+	}{
+		{"FailoverDetect", rp.FailoverDetect, replica.DefaultFailoverDetect},
+		{"ElectionDelay", rp.ElectionDelay, replica.DefaultElectionDelay},
+		{"SpawnDelay", rp.SpawnDelay, replica.DefaultSpawnDelay},
+	} {
+		if d.v < 0 || d.v > runDeadline {
+			return fmt.Errorf("core: replica %s %v invalid (want 0 < d <= %v, the run's virtual deadline, or 0 for the default %v)",
+				d.name, d.v, runDeadline, d.def)
+		}
+	}
+	// The transfer takes bytes/bandwidth seconds; keeping the longest one
+	// within half of simnet.Time's range leaves the other half for the
+	// clock and the spawn delay it is added to.
+	largest := maxRankStateBytes * math.Max(scale, 1)
+	minBW := largest * 1e9 / (math.MaxInt64 / 2)
+	if bw := rp.SpawnBandwidth; bw != 0 && !(bw >= minBW && !math.IsInf(bw, 1)) {
+		return fmt.Errorf("core: replica SpawnBandwidth %g invalid (want a finite rate >= %.3g bytes/s, so a state transfer fits in virtual time, or 0 for the default %g)",
+			bw, minBW, replica.DefaultSpawnBandwidth)
+	}
+	if f := cfg.Ulfm.DeliveryFactor; !(f >= 0 && !math.IsInf(f, 1)) {
+		return fmt.Errorf("core: ulfm DeliveryFactor %g invalid (want a finite f > 0, or 0 for the default %g)", f, ulfm.DefaultDeliveryFactor)
+	}
+	return nil
 }
 
 // validateSchedule rejects explicit schedule events that could never fire
@@ -212,8 +241,8 @@ func (rc resolvedCell) validateSchedule() error {
 }
 
 // ResolvedDetector reports the detection configuration a Run of cfg
-// actually uses: cfg.Detector merged with the design's calibrated preset
-// (e.g. the ULFM ring parameters for a default ULFM run). Reporting code
+// actually uses: cfg.Detector merged with the design's calibrated detector
+// (e.g. detect.RingDefaults() for a default ULFM run). Reporting code
 // labels measurements with it instead of "preset".
 func ResolvedDetector(cfg Config) (detect.Config, error) {
 	rc, err := resolve(cfg, 1)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -8,18 +9,18 @@ import (
 	"match/internal/detect"
 	"match/internal/fault"
 	"match/internal/fti"
-	"match/internal/reinit"
 	"match/internal/replica"
-	"match/internal/restart"
 	"match/internal/simnet"
 	"match/internal/store"
 	"match/internal/ulfm"
 )
 
-// cellKeyGolden pins CellKey's encoding. The keys were computed at the
-// commit before Run and CellKey shared one resolver (100639f, cacheVersion
-// 1): a key that moves orphans every on-disk cache entry, so a change here
-// is a cacheVersion bump, never a quiet edit.
+// cellKeyGolden pins CellKey's encoding: a key that moves orphans every
+// on-disk cache entry, so a change here is declared, never a quiet edit.
+// The keys were regenerated when each design's cost model became fixed
+// constants: the resolved JSON lost the Restart and Reinit objects, every
+// fixed ULFM and Replica field and each design's copy of the detector, so
+// every old key misses by itself and cacheVersion stays 1.
 type goldenCell struct {
 	name string
 	cfg  Config
@@ -34,46 +35,45 @@ func cellKeyGolden(t *testing.T) []goldenCell {
 	}
 	return []goldenCell{
 		{"restart-zero", Config{App: "HPCCG", Design: RestartFTI}, 1,
-			"ed333e0461457da23591e71059c50b820c3cec943f8459ee0e08e042a6cd02f9"},
+			"3ab852bae262531d01b6baa9928855361cc6b2e5ef636daf3257f762d02701dd"},
 		{"reinit-k0-seed-ignored", Config{App: "AMG", Design: ReinitFTI, FaultSeed: 7, FaultKind: fault.NodeFailure}, 1,
-			"b79347d73ad3cb5bb1c2dac40d53b989b5c83152b9d858ddde507424fff0d02c"},
+			"2dbdfd36612c3b2f8690809beb495151180e9691798ce26d446faae0ddb54a1b"},
 		{"ulfm-k1", Config{App: "CoMD", Design: UlfmFTI, InjectFault: true, FaultSeed: 7}, 1,
-			"12ecd61ade4baab5c7a1d892c3a71aaaf92b3cf3789704060f83ebe9a4d86233"},
+			"1d86763694e77b60e200366d9b89dc9b49080afba305f00c355e9111369c8e76"},
 		{"replica-k2-node", Config{App: "miniVite", Design: ReplicaFTI, Faults: 2, FaultSeed: 3, FaultKind: fault.NodeFailure}, 1,
-			"e50d41237685ce38b8b45c3d5a46507cde5bf97b0a444ff235e3a7b55aafc952"},
+			"76b21f1f026f8f672d88c4b225dcec75d5c00874557348d6313ba44fbea19be5"},
 		{"ulfm-schedule", Config{App: "HPCCG", Design: UlfmFTI, Procs: 8, Nodes: 4, Schedule: &sched, FaultSeed: 9}, 1,
-			"98d6c790333948c70d440d5c8e898922d5877bdce086bc8beced9a1d17cc3658"},
+			"a829893cc9d27c7da8f46235d64ae24712d65641e6b9cbf258f0d9d37e191cba"},
 		{"restart-ring", Config{App: "HPCCG", Design: RestartFTI, Faults: 1, FaultSeed: 1,
 			Detector: detect.Config{Kind: detect.Ring, HeartbeatPeriod: 50 * simnet.Millisecond}}, 1,
-			"7c6343d074c6bc827a272e7a84ee07fb77d5fbc3d5ba36f1fa1f55f6893d5aec"},
+			"7b70cb20b4c4b3617c5d8fdcccbf8684a67916a0f8f70a7df4a3cd27e4abbd53"},
 		{"replica-tree", Config{App: "LULESH", Design: ReplicaFTI, Faults: 1, FaultSeed: 1,
 			Detector: detect.Config{Kind: detect.Tree}}, 1,
-			"a379ee65d3a8932b92354edd27e90f6b14a91e6a6d28ad4999f40129e42a6083"},
+			"d2790948608145b423e59760c5e413cec3110163e15918afb47368ba2641214e"},
 		{"reinit-launcher", Config{App: "miniFE", Design: ReinitFTI, Faults: 3, FaultSeed: 2,
 			Detector: detect.Config{Kind: detect.Launcher}}, 1,
-			"9832ce8c396c3d2bc232cc908da52f77e51f81abd172b49fa03a6fdb81d6e60f"},
+			"30b51d0b54387dc337708796ab5f035bc970c3cab53fd7a12b8c88d1d78ecf70"},
 		{"reinit-multilevel", Config{App: "HPCCG", Design: ReinitFTI, Faults: 1, FaultSeed: 1,
 			CkptPolicy: ckpt.Config{Kind: ckpt.MultiLevel, Stride: 2, L3Every: 1}}, 1,
-			"4a0bedc4130a8d39aed08a7350dcac74f420f24acf755c54f525a50e9fc54785"},
+			"0b76c1c1da69cce5d37073a32c57ead32d0b62c5efc9a7d0dfc520c75340ae75"},
 		{"replica-aware-hotspare", Config{App: "AMG", Design: ReplicaFTI, Faults: 2, FaultSeed: 5, Replica: replica.Config{HotSpare: true},
 			CkptPolicy: ckpt.Config{Kind: ckpt.ReplicaAware}}, 1,
-			"cc823e5c94ec75a0577c29ee3a57adae2238877943b3135a58500c61d28d7efd"},
+			"c11c18ab7ff5982eeeea639c1086fc305e6d10da996ffdd67ccb76eb2cb1f560"},
 		{"replica-level-hotspare-half", Config{App: "AMG", Design: ReplicaFTI, Faults: 1, FaultSeed: 5,
 			Replica: replica.Config{HotSpare: true, ReplicaFactor: 0.5, SpawnDelay: simnet.Second}}, 1,
-			"7b1e9b3309701417ac59ef6e99bbdf9dfdfb538568d1392669f641f812f0180f"},
+			"b896be005dd87a6a694132153610d6d29489c718420831b059e22c77c6b381d0"},
 		{"replica-dup1", Config{App: "CoMD", Design: ReplicaFTI, Replica: replica.Config{DupDegree: 1}}, 1,
-			"2f2e53b7666b9aeceb3c84d44fc24fe94d46f00bc33f81fb9a2ed0cf70d5f1f7"},
+			"c6eb69b60c44d01fc29abf8287f6259357fdaf071b629b4e374fbe0aea7d556a"},
 		{"ulfm-params", Config{App: "HPCCG", Design: UlfmFTI, Procs: 8, Nodes: 4, InjectFault: true, FaultSeed: 7,
 			Params: tinyParams("HPCCG")}, 1,
-			"e5ad07bf23e791e094c602907a96c482b7cc2673d787c044c8bca8c9ddc90a97"},
+			"f1fc31cd18e0d92c51a18fb84cc0c58b3c7cfe609b5a58827ee6203beffcb12a"},
 		{"reinit-reps3", Config{App: "miniFE", Design: ReinitFTI, Procs: 128, Input: Medium, Faults: 1, FaultSeed: 1}, 3,
-			"c95d5a533c66cf83960ffd6ba8c412208f3c0e0acae2a574ab4ce74146caa103"},
-		{"restart-ingress-l3", Config{App: "HPCCG", Design: RestartFTI, ModelIngress: true, FTILevel: fti.L3, CkptStride: 5,
-			Restart: restart.Config{LaunchBase: 2 * simnet.Second}}, 1,
-			"3cf7b057ef8dc59dc5b6fc9c369445dd46279e81700bbb15fd4e36d6b6c99f0e"},
+			"3427294c443fece7472976820d1305b60cf39007a87e48653d8edccafb29aead"},
+		{"restart-ingress-l3", Config{App: "HPCCG", Design: RestartFTI, ModelIngress: true, FTILevel: fti.L3, CkptStride: 5}, 1,
+			"fe5bfade232a0d66fb9feb8a407f0b2d12d3199a95ff50cf0cc2c6cea7018eac"},
 		{"ulfm-ablation", Config{App: "miniVite", Design: UlfmFTI, Faults: 1, FaultSeed: 4, Input: Large,
-			Ulfm: ulfm.Config{HeartbeatPeriod: 10 * simnet.Millisecond, DetectTimeout: 40 * simnet.Millisecond}}, 1,
-			"4f504c7a6367f9d12c6e19ba229bc37822654f43820c4337aef4115398e077e8"},
+			Detector: detect.Config{Kind: detect.Ring, HeartbeatPeriod: 10 * simnet.Millisecond, DetectTimeout: 40 * simnet.Millisecond}}, 1,
+			"65487279bfd59d0c6d2432db2fcf5d4a48f3cd63b4e1b0afb938c59c89395926"},
 	}
 }
 
@@ -97,10 +97,20 @@ func TestCellKeyGolden(t *testing.T) {
 // both, so callers can make the pair cheap to run or inject failures.
 func explicitDefaults(extra func(*Config)) map[Design][2]Config {
 	twins := map[Design]Config{
-		RestartFTI: {Restart: restart.DefaultConfig(), Detector: detect.LauncherConfig()},
-		ReinitFTI:  {},
-		UlfmFTI:    {Ulfm: ulfm.DefaultConfig()},
-		ReplicaFTI: {Replica: replica.DefaultConfig()},
+		RestartFTI: {Detector: detect.LauncherConfig()},
+		ReinitFTI:  {Detector: detect.TreeDefaults()},
+		UlfmFTI: {Detector: detect.RingDefaults(),
+			Ulfm: ulfm.Config{DeliveryFactor: ulfm.DefaultDeliveryFactor}},
+		ReplicaFTI: {Detector: detect.LauncherConfig(),
+			Replica: replica.Config{
+				DupDegree:      replica.DefaultDupDegree,
+				ReplicaFactor:  replica.DefaultReplicaFactor,
+				FailoverDetect: replica.DefaultFailoverDetect,
+				ElectionDelay:  replica.DefaultElectionDelay,
+				HotSpare:       false,
+				SpawnDelay:     replica.DefaultSpawnDelay,
+				SpawnBandwidth: replica.DefaultSpawnBandwidth,
+			}},
 	}
 	out := map[Design][2]Config{}
 	for d, ex := range twins {
@@ -188,30 +198,35 @@ func TestResolveRejectsWhatRunRejects(t *testing.T) {
 		{"design", Config{App: "HPCCG", Design: 9}, "core: unknown design design(9)"},
 		{"schedule", Config{App: "HPCCG", Procs: 8, Nodes: 4, Schedule: &sched},
 			"core: schedule event 0 (99@1) targets rank 99, outside 0..7"},
-		// Settings Run would drop without a word: the stride the main loop
-		// never read, and a design's Detect the resolved detector overwrote.
+		// A setting Run would drop without a word: the stride the main loop
+		// never read.
 		{"params-stride", strided,
 			"core: Params.CkptStride 3 is ignored; set Config.CkptStride"},
-		{"design-detect", Config{App: "HPCCG", Design: UlfmFTI, Ulfm: ulfm.Config{Detect: detect.Config{Kind: detect.Tree}}},
-			"core: ulfm Detect is ignored; set Config.Detector"},
-		{"replica-detect", Config{App: "HPCCG", Design: ReplicaFTI,
-			Replica: replica.Config{Detect: detect.Config{HeartbeatPeriod: simnet.Second}}},
-			"core: replica Detect is ignored; set Config.Detector"},
-		// Settings Run would silently change, or fail on in every rank's
-		// first checkpoint.
+		// Settings Run would silently change, fail on in every rank's
+		// first checkpoint, or run into a negative recovery or a cell
+		// panic with.
 		{"fti-level", Config{App: "HPCCG", FTILevel: 7},
 			"core: FTI level 7 invalid (levels are 1-4: L1 local, L2 partner copy, L3 Reed-Solomon, L4 PFS; 0 means L1)"},
 		{"dup-degree", Config{App: "HPCCG", Design: ReplicaFTI, Replica: replica.Config{DupDegree: -1}},
 			"core: replica DupDegree -1 invalid (want >= 1, or 0 for the default 2)"},
 		{"replica-factor", Config{App: "HPCCG", Design: ReplicaFTI, Replica: replica.Config{ReplicaFactor: 1.5}},
 			"core: replica ReplicaFactor 1.5 invalid (want 0 < f <= 1, or 0 for the default 1)"},
-		// A design's preset-detector settings, dropped by an explicit detector.
-		{"ulfm-heartbeat", Config{App: "HPCCG", Design: UlfmFTI, Detector: detect.Config{Kind: detect.Tree},
-			Ulfm: ulfm.Config{HeartbeatPeriod: 50 * simnet.Millisecond}},
-			"core: ulfm detector settings are ignored under the explicit tree detector; set Config.Detector"},
-		{"reinit-detect-timeout", Config{App: "HPCCG", Design: ReinitFTI, Detector: detect.Config{Kind: detect.Launcher},
-			Reinit: reinit.Config{DetectTimeout: simnet.Second}},
-			"core: reinit detector settings are ignored under the explicit launcher detector; set Config.Detector"},
+		{"spawn-delay", Config{App: "HPCCG", Design: ReplicaFTI, Replica: replica.Config{HotSpare: true, SpawnDelay: -simnet.Second}},
+			"core: replica SpawnDelay -1.000s invalid (want 0 < d <= 200000.000s, the run's virtual deadline, or 0 for the default 0.250s)"},
+		{"failover-detect", Config{App: "HPCCG", Design: ReplicaFTI, Replica: replica.Config{FailoverDetect: -simnet.Second}},
+			"core: replica FailoverDetect -1.000s invalid (want 0 < d <= 200000.000s, the run's virtual deadline, or 0 for the default 0.005s)"},
+		{"election-delay", Config{App: "HPCCG", Design: ReplicaFTI, Replica: replica.Config{ElectionDelay: -simnet.Second}},
+			"core: replica ElectionDelay -1.000s invalid (want 0 < d <= 200000.000s, the run's virtual deadline, or 0 for the default 0.015s)"},
+		{"spawn-bw-negative", Config{App: "HPCCG", Design: ReplicaFTI, Replica: replica.Config{HotSpare: true, SpawnBandwidth: -5}},
+			"core: replica SpawnBandwidth -5 invalid (want a finite rate >= 35.2 bytes/s, so a state transfer fits in virtual time, or 0 for the default 8e+09)"},
+		{"spawn-bw-tiny", Config{App: "HPCCG", Design: ReplicaFTI, Replica: replica.Config{HotSpare: true, SpawnBandwidth: 1e-9}},
+			"core: replica SpawnBandwidth 1e-09 invalid (want a finite rate >= 35.2 bytes/s, so a state transfer fits in virtual time, or 0 for the default 8e+09)"},
+		{"spawn-bw-nan", Config{App: "HPCCG", Design: ReplicaFTI, Replica: replica.Config{HotSpare: true, SpawnBandwidth: math.NaN()}},
+			"core: replica SpawnBandwidth NaN invalid (want a finite rate >= 35.2 bytes/s, so a state transfer fits in virtual time, or 0 for the default 8e+09)"},
+		{"delivery-factor-nan", Config{App: "HPCCG", Design: UlfmFTI, Ulfm: ulfm.Config{DeliveryFactor: math.NaN()}},
+			"core: ulfm DeliveryFactor NaN invalid (want a finite f > 0, or 0 for the default 0.25)"},
+		{"delivery-factor-negative", Config{App: "HPCCG", Design: UlfmFTI, Ulfm: ulfm.Config{DeliveryFactor: -1}},
+			"core: ulfm DeliveryFactor -1 invalid (want a finite f > 0, or 0 for the default 0.25)"},
 	}
 	for _, b := range bad {
 		if _, err := resolve(b.cfg, 1); err == nil || err.Error() != b.want {

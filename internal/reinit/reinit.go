@@ -45,75 +45,20 @@ func (s State) String() string {
 // to the resilient-main boundary.
 type restartSignal struct{ reset int }
 
-// Config tunes the runtime's failure detection and respawn model. The
-// defaults reflect Reinit++'s design: detection via the runtime daemon tree
-// (fast, local) and a fork/exec respawn of the failed rank.
-type Config struct {
-	DetectPeriod  simnet.Time // daemon supervision period
-	DetectTimeout simnet.Time // time from death to confirmed detection
-	RespawnDelay  simnet.Time // fork/exec + MPI init of the replacement
-	ResetHop      simnet.Time // per-tree-level latency of the reset broadcast
-
-	// Detect overrides the failure-detection strategy entirely (ablation:
-	// run Reinit's global restart under a ring or instant launcher
-	// detector). The zero value keeps the calibrated daemon-tree preset
-	// assembled from DetectPeriod/DetectTimeout above.
-	Detect detect.Config
-}
-
-// DefaultConfig returns the Reinit++ cost model used in the experiments.
-func DefaultConfig() Config {
-	return Config{
-		DetectPeriod:  25 * simnet.Millisecond,
-		DetectTimeout: 100 * simnet.Millisecond,
-		RespawnDelay:  250 * simnet.Millisecond,
-		ResetHop:      2 * simnet.Millisecond,
-	}
-}
-
-// fillDefaults replaces zero fields with the calibrated defaults.
-func (c *Config) fillDefaults() {
-	def := DefaultConfig()
-	if c.DetectPeriod == 0 {
-		c.DetectPeriod = def.DetectPeriod
-	}
-	if c.DetectTimeout == 0 {
-		c.DetectTimeout = def.DetectTimeout
-	}
-	if c.RespawnDelay == 0 {
-		c.RespawnDelay = def.RespawnDelay
-	}
-	if c.ResetHop == 0 {
-		c.ResetHop = def.ResetHop
-	}
-}
-
-// Resolved returns the configuration with every zero field replaced by its
-// calibrated default — the exact cost model a run of this configuration
-// uses. Canonicalization (core.CellKey) hashes the resolved form, so an
-// empty Config and an explicit DefaultConfig() are the same cache entry.
-func (c Config) Resolved() Config {
-	c.fillDefaults()
-	return c
-}
-
-// DetectPreset is Reinit's calibrated detection model — the daemon
-// supervision tree — expressed as a detect.Config. core.Run resolves
-// Config.Detect against this.
-func (c Config) DetectPreset() detect.Config {
-	c.fillDefaults()
-	return detect.Config{
-		Kind:            detect.Tree,
-		HeartbeatPeriod: c.DetectPeriod,
-		DetectTimeout:   c.DetectTimeout,
-	}
-}
+// The respawn model of Reinit++'s design: a fork/exec respawn of the
+// failed rank, and a reset broadcast down the daemon tree. Detection is
+// the daemon supervision tree, detect.TreeDefaults().
+const (
+	// respawnDelay is fork/exec + MPI init of the replacement.
+	respawnDelay = 250 * simnet.Millisecond
+	// resetHop is the per-tree-level latency of the reset broadcast.
+	resetHop = 2 * simnet.Millisecond
+)
 
 // Runtime is the per-job Reinit runtime: failure monitor plus global-reset
 // machinery. One Runtime serves all ranks of a job.
 type Runtime struct {
 	job  *mpi.Job
-	cfg  Config
 	det  detect.Detector
 	main func(*mpi.Rank, State) error
 
@@ -129,19 +74,17 @@ type Runtime struct {
 
 // NewRuntime installs the Reinit runtime on a job. main is the resilient
 // function every rank (including future replacements) executes; ranks
-// enter it through Run. The failure monitor (cfg.Detect, preset: the
-// daemon tree) starts immediately. An invalid explicit detector
-// configuration panics; validate with detect.Config.Validate (core.Run
-// does) before constructing.
-func NewRuntime(job *mpi.Job, cfg Config, main func(*mpi.Rank, State) error) *Runtime {
-	cfg.fillDefaults()
+// enter it through Run. The failure monitor, detector dcfg (Reinit's own
+// is the daemon tree, detect.TreeDefaults()), starts immediately. An
+// invalid detector configuration panics; validate with
+// detect.Config.Validate (core.Run does) before constructing.
+func NewRuntime(job *mpi.Job, dcfg detect.Config, main func(*mpi.Rank, State) error) *Runtime {
 	rt := &Runtime{
 		job:   job,
-		cfg:   cfg,
 		main:  main,
 		world: job.World(),
 	}
-	rt.det = detect.MustNew(detect.Resolve(cfg.Detect, cfg.DetectPreset()), job, rt.onFailure)
+	rt.det = detect.MustNew(dcfg, job, rt.onFailure)
 	rt.det.SetWorld(rt.world)
 	return rt
 }
@@ -188,7 +131,7 @@ func (rt *Runtime) globalRestart(failed *mpi.Process, failedAt simnet.Time) {
 	members := append([]*mpi.Process(nil), rt.world.Members()...)
 	repl := rt.job.AddProcess(failed.NodeID(), nil)
 	members[oldRank] = repl
-	sp := cl.StartProc(failed.NodeID(), rt.cfg.RespawnDelay, func(sp *simnet.Proc) {
+	sp := cl.StartProc(failed.NodeID(), respawnDelay, func(sp *simnet.Proc) {
 		r := mpi.Bind(rt.job, repl, sp)
 		if err := rt.runLoop(r, StateRestarted); err != nil {
 			rt.Errs = append(rt.Errs, fmt.Errorf("reinit: respawned rank %d: %w", oldRank, err))
@@ -211,13 +154,13 @@ func (rt *Runtime) globalRestart(failed *mpi.Process, failedAt simnet.Time) {
 			continue
 		}
 		depth := treeDepth(i)
-		spv.Signal(now+simnet.Time(depth)*rt.cfg.ResetHop, restartSignal{reset: reset})
+		spv.Signal(now+simnet.Time(depth)*resetHop, restartSignal{reset: reset})
 	}
 
 	rec := mpi.Recovery{
 		Rank:        oldRank,
 		FailedAt:    failedAt,
-		CompletedAt: now + rt.cfg.RespawnDelay,
+		CompletedAt: now + respawnDelay,
 	}
 	rt.Recoveries = append(rt.Recoveries, rec)
 	if p := rt.job.Cluster().Probe(); p.On(trace.CatRepair) {

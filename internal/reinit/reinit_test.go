@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"match/internal/detect"
 	"match/internal/fault"
 	"match/internal/fti"
 	"match/internal/mpi"
@@ -75,7 +76,7 @@ func runReinit(t *testing.T, n, iters, stride int, plan fault.Schedule, execID s
 			t.Errorf("rank: %v", err)
 		}
 	})
-	rt = NewRuntime(job, Config{}, main)
+	rt = NewRuntime(job, detect.TreeDefaults(), main)
 	c.Run()
 	return rt, sums
 }

@@ -30,46 +30,35 @@ import (
 
 	"match/internal/detect"
 	"match/internal/mpi"
+	"match/internal/restart"
 	"match/internal/simnet"
 	"match/internal/trace"
 )
 
-// Config tunes the replication runtime.
+// Config holds the replication runtime's settable knobs. core fills each
+// zero numeric field with its Default constant below before a Config
+// reaches NewLayout or Supervise; the rest of the cost model is fixed.
 type Config struct {
-	// DupDegree is the replica-group size for replicated ranks (default 2).
-	// An explicit 1 is honored: no rank is replicated and every failure
-	// takes the checkpoint-only fallback — the degenerate baseline of a
+	// DupDegree is the replica-group size for replicated ranks. An
+	// explicit 1 is honored: no rank is replicated and every failure takes
+	// the checkpoint-only fallback — the degenerate baseline of a
 	// replication sweep.
 	DupDegree int
-	// ReplicaFactor is the fraction of logical ranks that get a replica
-	// group, spread evenly across the rank space (default 1: full
-	// replication; PartRePer-style partial replication below 1). Values
-	// outside (0,1] are clamped to the default; core rejects them before
-	// they get here.
+	// ReplicaFactor is the fraction of logical ranks, in (0,1], that get a
+	// replica group, spread evenly across the rank space (1: full
+	// replication; PartRePer-style partial replication below 1).
 	ReplicaFactor float64
-	// PerOpOverhead is the sequencing/envelope cost the replica layer adds
-	// to every point-to-point operation (default 1µs).
-	PerOpOverhead simnet.Time
 	// FailoverDetect is the time for the runtime daemons to notice a dead
-	// replica (SIGCHLD-style, default 5ms). It applies only under the
-	// Launcher detection preset; an in-band detector replaces it with its
-	// own confirmation latency.
+	// replica (SIGCHLD-style). It applies only under the Launcher
+	// detector; an in-band detector replaces it with its own confirmation
+	// latency.
 	FailoverDetect simnet.Time
 	// ElectionDelay is the leader election plus group-membership update
-	// after a replica death (default 15ms). Detection plus election
-	// quiesces every survivor once — the runtime's global fault
-	// notification — so a failover's recovery time is also what the
-	// application actually pays, just without recomputing anything.
+	// after a replica death. Detection plus election quiesces every
+	// survivor once — the runtime's global fault notification — so a
+	// failover's recovery time is also what the application actually pays,
+	// just without recomputing anything.
 	ElectionDelay simnet.Time
-
-	// Checkpoint-only fallback (an exhausted group forces a restart-style
-	// relaunch); defaults mirror the restart design's launcher model.
-	DetectDelay     simnet.Time
-	TeardownDelay   simnet.Time
-	RelaunchBase    simnet.Time
-	RelaunchPerProc simnet.Time
-	// MaxRelaunches bounds fallback loops (default 8).
-	MaxRelaunches int
 
 	// HotSpare enables FTHP-MPI-style background respawn: after a failover
 	// degrades a replica group, the supervisor spawns a fresh shadow in the
@@ -84,105 +73,44 @@ type Config struct {
 	HotSpare bool
 	// SpawnDelay is the dynamic-process-spawn cost paid before the state
 	// transfer begins — MPI_Comm_spawn through the launcher plus wiring the
-	// new process into the runtime (default 250ms).
+	// new process into the runtime.
 	SpawnDelay simnet.Time
 	// SpawnBandwidth is the serialization rate of the survivor-to-spare
-	// state clone in bytes per second (default 8 GB/s, matching FTI's
-	// in-memory serialize rate). The wire leg of the transfer additionally
-	// pays NIC time through the cluster model — including ingress queueing
-	// at the spare's node when the cluster models it.
+	// state clone in bytes per second. The wire leg of the transfer
+	// additionally pays NIC time through the cluster model — including
+	// ingress queueing at the spare's node when the cluster models it.
 	SpawnBandwidth float64
 	// StateBytes reports the live protected-state volume of a logical rank
 	// in bytes (the respawn transfer size, before the cluster's byte
 	// scale). The harness feeds it from the application's FTI-protected
-	// footprint; nil — or a zero return — falls back to SpawnStateBytes.
+	// footprint; nil — or a zero return — falls back to 16 MiB.
 	// Runtime wiring, not configuration: excluded from serialization and
 	// hashing.
 	StateBytes func(rank int) int64 `json:"-"`
-	// SpawnStateBytes is the per-rank transfer volume used when no
-	// StateBytes feed is installed (default 16 MiB).
-	SpawnStateBytes int64
-	// Detect overrides the failure-detection strategy (ablation: the
-	// OCFTL-style in-band ring the ROADMAP calls for is -detector ring).
-	// The zero value keeps the instant launcher preset.
-	Detect detect.Config
 }
 
-// Resolved returns the configuration with every zero field replaced by its
-// calibrated default — the exact cost model a run of this configuration
-// uses. Canonicalization (core.CellKey) hashes the resolved form, so an
-// empty Config and an explicit DefaultConfig() are the same cache entry.
-func (c Config) Resolved() Config {
-	c.fillDefaults()
-	return c
-}
+// The calibrated values core fills into a zero Config field.
+const (
+	DefaultDupDegree      = 2
+	DefaultReplicaFactor  = 1.0
+	DefaultFailoverDetect = 5 * simnet.Millisecond
+	DefaultElectionDelay  = 15 * simnet.Millisecond
+	DefaultSpawnDelay     = 250 * simnet.Millisecond
+	// DefaultSpawnBandwidth matches FTI's in-memory serialize rate.
+	DefaultSpawnBandwidth = 8e9
+)
 
-// DetectPreset is Replica's detection model: the launcher/daemon SIGCHLD
-// chain, i.e. instant out-of-band detection (the runtime then pays
-// FailoverDetect to act on it).
-func (c Config) DetectPreset() detect.Config { return detect.LauncherConfig() }
-
-// DefaultConfig returns the calibrated replication cost model.
-func DefaultConfig() Config {
-	return Config{
-		DupDegree:       2,
-		ReplicaFactor:   1,
-		PerOpOverhead:   1 * simnet.Microsecond,
-		FailoverDetect:  5 * simnet.Millisecond,
-		ElectionDelay:   15 * simnet.Millisecond,
-		DetectDelay:     500 * simnet.Millisecond,
-		TeardownDelay:   500 * simnet.Millisecond,
-		RelaunchBase:    5 * simnet.Second,
-		RelaunchPerProc: 4 * simnet.Millisecond,
-		MaxRelaunches:   8,
-		SpawnDelay:      250 * simnet.Millisecond,
-		SpawnBandwidth:  8e9,
-		SpawnStateBytes: 16 << 20,
-	}
-}
-
-func (c *Config) fillDefaults() {
-	def := DefaultConfig()
-	if c.DupDegree < 1 {
-		c.DupDegree = def.DupDegree
-	}
-	if c.ReplicaFactor <= 0 || c.ReplicaFactor > 1 {
-		c.ReplicaFactor = def.ReplicaFactor
-	}
-	if c.PerOpOverhead == 0 {
-		c.PerOpOverhead = def.PerOpOverhead
-	}
-	if c.FailoverDetect == 0 {
-		c.FailoverDetect = def.FailoverDetect
-	}
-	if c.ElectionDelay == 0 {
-		c.ElectionDelay = def.ElectionDelay
-	}
-	if c.DetectDelay == 0 {
-		c.DetectDelay = def.DetectDelay
-	}
-	if c.TeardownDelay == 0 {
-		c.TeardownDelay = def.TeardownDelay
-	}
-	if c.RelaunchBase == 0 {
-		c.RelaunchBase = def.RelaunchBase
-	}
-	if c.RelaunchPerProc == 0 {
-		c.RelaunchPerProc = def.RelaunchPerProc
-	}
-	if c.MaxRelaunches == 0 {
-		c.MaxRelaunches = def.MaxRelaunches
-	}
-	if c.SpawnDelay == 0 {
-		c.SpawnDelay = def.SpawnDelay
-	}
-	if c.SpawnBandwidth == 0 {
-		c.SpawnBandwidth = def.SpawnBandwidth
-	}
-	if c.SpawnStateBytes == 0 {
-		c.SpawnStateBytes = def.SpawnStateBytes
-	}
-}
+// The fixed part of the cost model. An exhausted group's checkpoint-only
+// fallback pays the restart design's launcher model (restart.DetectDelay,
+// TeardownDelay, LaunchBase, LaunchPerProc, MaxRelaunches).
+const (
+	// perOpOverhead is the sequencing/envelope cost the replica layer adds
+	// to every point-to-point operation.
+	perOpOverhead = 1 * simnet.Microsecond
+	// spawnStateBytes is the per-rank transfer volume used when no
+	// StateBytes feed is installed.
+	spawnStateBytes = 16 << 20
+)
 
 // Layout is the replica-group structure of an n-rank job: which ranks are
 // replicated, at what degree, and where every replica runs.
@@ -199,7 +127,6 @@ type Layout struct {
 // no two members of a group share a node (when the cluster has more than
 // one node) and a node failure can exhaust only degenerate groups.
 func NewLayout(n, numNodes int, cfg Config) Layout {
-	cfg.fillDefaults()
 	l := Layout{Procs: n, Degree: make([]int, n), Nodes: make([][]int, n)}
 	offset := numNodes / cfg.DupDegree
 	if offset < 1 {
@@ -297,7 +224,7 @@ type Supervisor struct {
 	// RespawnLog lists every hot-spare spawn scheduled, in order (live,
 	// in-flight, and aborted alike). Empty unless Config.HotSpare is set.
 	RespawnLog []Respawn
-	// GaveUp is set when MaxRelaunches was exhausted.
+	// GaveUp is set when restart.MaxRelaunches was exhausted.
 	GaveUp bool
 
 	world      *mpi.Comm
@@ -356,20 +283,22 @@ type spare struct {
 	proc *mpi.Process // nil until the state transfer completes
 }
 
-// Supervise launches n logical ranks under replication and returns the
+// Supervise launches n logical ranks under replication, with failure
+// detector dcfg (the Launcher detector is Replica's own), and returns the
 // supervisor; drive the cluster's scheduler to completion afterwards. main
 // runs once per physical replica, with the replica-aware world
-// communicator and the replica index (0 = initial primary).
-func Supervise(c *simnet.Cluster, cfg Config, n int, main func(*mpi.Rank, *mpi.Comm, int)) *Supervisor {
-	cfg.fillDefaults()
+// communicator and the replica index (0 = initial primary). An invalid
+// detector configuration panics; validate with detect.Config.Validate
+// (core.Run does) before constructing.
+func Supervise(c *simnet.Cluster, cfg Config, dcfg detect.Config, n int, main func(*mpi.Rank, *mpi.Comm, int)) *Supervisor {
 	s := &Supervisor{
 		cluster:  c,
 		cfg:      cfg,
+		dcfg:     dcfg,
 		layout:   NewLayout(n, c.NumNodes(), cfg),
 		main:     main,
 		rankDone: make([]bool, n),
 	}
-	s.dcfg = detect.Resolve(cfg.Detect, cfg.DetectPreset())
 	s.launch(0)
 	return s
 }
@@ -477,7 +406,7 @@ func (s *Supervisor) launch(delay simnet.Time) {
 	s.restarting = false
 	s.spares = make(map[int]*spare)
 	job := mpi.NewJob(s.cluster)
-	job.PerOpOverhead = s.cfg.PerOpOverhead
+	job.PerOpOverhead = perOpOverhead
 	n := s.layout.Procs
 	groups := make([][]*mpi.Process, n)
 	// Primaries first, then the replica tiers, so primary GIDs mirror the
@@ -675,7 +604,7 @@ func (s *Supervisor) scheduleRespawn(job *mpi.Job, world *mpi.Comm, rank, idx, d
 	// put it on the wire; the transfer pays real NIC time (and ingress
 	// queueing at the spare, when modeled), so respawns interfere with
 	// application traffic the way FTHP-MPI's background clones do.
-	bytes := s.cfg.SpawnStateBytes
+	bytes := int64(spawnStateBytes)
 	if s.cfg.StateBytes != nil {
 		if b := s.cfg.StateBytes(rank); b > 0 {
 			bytes = b
@@ -850,19 +779,19 @@ func (s *Supervisor) fallback(job *mpi.Job, rank int, f detect.Failure) {
 	s.Detectors[len(s.Detectors)-1].Stop()
 	// Under the launcher preset the launcher pays DetectDelay before
 	// aborting; an in-band detector notifies it at confirmation.
-	delay0 := s.cfg.DetectDelay
+	delay0 := restart.DetectDelay
 	if s.dcfg.Kind != detect.Launcher {
 		delay0 = 0
 	}
 	s.cluster.Scheduler().After(delay0, func() {
 		abortedAt := s.cluster.Now()
 		job.Abort()
-		if s.Relaunches() >= s.cfg.MaxRelaunches {
+		if s.Relaunches() >= restart.MaxRelaunches {
 			s.GaveUp = true
 			return
 		}
-		delay := s.cfg.TeardownDelay + s.cfg.RelaunchBase +
-			simnet.Time(s.layout.Total)*s.cfg.RelaunchPerProc
+		delay := restart.TeardownDelay + restart.LaunchBase +
+			simnet.Time(s.layout.Total)*restart.LaunchPerProc
 		s.Recoveries = append(s.Recoveries, mpi.Recovery{
 			Kind: int(Relaunch), Rank: rank,
 			// The launcher acts the moment it knows: at confirmation for an

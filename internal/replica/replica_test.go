@@ -3,12 +3,40 @@ package replica
 import (
 	"testing"
 
+	"match/internal/detect"
 	"match/internal/mpi"
 	"match/internal/simnet"
 )
 
+// resolved fills c's zero knobs with the defaults, as core does before a
+// Config reaches this package.
+func resolved(c Config) Config {
+	if c.DupDegree == 0 {
+		c.DupDegree = DefaultDupDegree
+	}
+	if c.ReplicaFactor == 0 {
+		c.ReplicaFactor = DefaultReplicaFactor
+	}
+	if c.FailoverDetect == 0 {
+		c.FailoverDetect = DefaultFailoverDetect
+	}
+	if c.ElectionDelay == 0 {
+		c.ElectionDelay = DefaultElectionDelay
+	}
+	if c.SpawnDelay == 0 {
+		c.SpawnDelay = DefaultSpawnDelay
+	}
+	if c.SpawnBandwidth == 0 {
+		c.SpawnBandwidth = DefaultSpawnBandwidth
+	}
+	return c
+}
+
+// launcher is Replica's own detector.
+var launcher = detect.LauncherConfig()
+
 func TestLayoutFullReplication(t *testing.T) {
-	l := NewLayout(8, 4, Config{})
+	l := NewLayout(8, 4, resolved(Config{}))
 	if l.Total != 16 || l.Replicated() != 8 {
 		t.Fatalf("layout = %+v, want 16 procs, 8 replicated ranks", l)
 	}
@@ -23,7 +51,7 @@ func TestLayoutFullReplication(t *testing.T) {
 }
 
 func TestLayoutPartialReplication(t *testing.T) {
-	l := NewLayout(8, 4, Config{ReplicaFactor: 0.5})
+	l := NewLayout(8, 4, resolved(Config{ReplicaFactor: 0.5}))
 	if l.Replicated() != 4 {
 		t.Fatalf("replicated = %d, want 4 of 8", l.Replicated())
 	}
@@ -39,15 +67,15 @@ func TestLayoutPartialReplication(t *testing.T) {
 // An explicit DupDegree of 1 is the unreplicated baseline, not a typo to
 // silently correct.
 func TestLayoutDupDegreeOne(t *testing.T) {
-	l := NewLayout(8, 4, Config{DupDegree: 1})
+	l := NewLayout(8, 4, resolved(Config{DupDegree: 1}))
 	if l.Total != 8 || l.Replicated() != 0 {
 		t.Fatalf("layout = %+v, want 8 procs, 0 replicated ranks", l)
 	}
 }
 
 func TestLayoutDeterministic(t *testing.T) {
-	a := NewLayout(64, 32, Config{ReplicaFactor: 0.7, DupDegree: 3})
-	b := NewLayout(64, 32, Config{ReplicaFactor: 0.7, DupDegree: 3})
+	a := NewLayout(64, 32, resolved(Config{ReplicaFactor: 0.7, DupDegree: 3}))
+	b := NewLayout(64, 32, resolved(Config{ReplicaFactor: 0.7, DupDegree: 3}))
 	if a.Total != b.Total {
 		t.Fatalf("layouts differ: %d vs %d procs", a.Total, b.Total)
 	}
@@ -87,7 +115,7 @@ func workloop(t *testing.T, iters, killRank, killReplica, killIter int) func(*mp
 // logical rank completes, and the recovery duration is detect + election.
 func TestSupervisorFailover(t *testing.T) {
 	c := simnet.NewCluster(simnet.Config{Nodes: 4})
-	sup := Supervise(c, Config{}, 4, workloop(t, 10, 2, 1, 3))
+	sup := Supervise(c, resolved(Config{}), launcher, 4, workloop(t, 10, 2, 1, 3))
 	c.Run()
 	if !sup.Done() {
 		t.Fatal("not all logical ranks completed")
@@ -99,7 +127,7 @@ func TestSupervisorFailover(t *testing.T) {
 	if rec.Kind != int(Failover) || rec.Rank != 2 || rec.Replica != 1 {
 		t.Fatalf("recovery = %+v", rec)
 	}
-	want := DefaultConfig().FailoverDetect + DefaultConfig().ElectionDelay
+	want := DefaultFailoverDetect + DefaultElectionDelay
 	if rec.Duration() != want {
 		t.Fatalf("failover duration %v, want %v", rec.Duration(), want)
 	}
@@ -118,7 +146,7 @@ func TestSupervisorFailover(t *testing.T) {
 // then completes.
 func TestSupervisorExhaustionFallsBackToRelaunch(t *testing.T) {
 	c := simnet.NewCluster(simnet.Config{Nodes: 4})
-	cfg := Config{ReplicaFactor: 0.5}
+	cfg := resolved(Config{ReplicaFactor: 0.5})
 	lay := NewLayout(4, 4, cfg)
 	victim := -1
 	for i, d := range lay.Degree {
@@ -131,7 +159,7 @@ func TestSupervisorExhaustionFallsBackToRelaunch(t *testing.T) {
 		t.Fatal("no unreplicated rank in layout")
 	}
 	killed := false
-	sup := Supervise(c, cfg, 4, func(r *mpi.Rank, world *mpi.Comm, idx int) {
+	sup := Supervise(c, cfg, launcher, 4, func(r *mpi.Rank, world *mpi.Comm, idx int) {
 		// Kill the unreplicated rank once, in the first incarnation only.
 		if !killed && r.Rank(world) == victim && idx == 0 {
 			killed = true
@@ -167,14 +195,15 @@ func TestSupervisorExhaustionFallsBackToRelaunch(t *testing.T) {
 // hotSpareConfig keeps respawn windows short enough for the quick test
 // workloops (the calibrated 250ms SpawnDelay dwarfs a 40ms loop).
 func hotSpareConfig() Config {
-	return Config{HotSpare: true, SpawnDelay: simnet.Millisecond, SpawnStateBytes: 1 << 20}
+	return resolved(Config{HotSpare: true, SpawnDelay: simnet.Millisecond,
+		StateBytes: func(int) int64 { return 1 << 20 }})
 }
 
 // A failover under HotSpare must schedule a background respawn that
 // restores the degraded group to its configured degree.
 func TestHotSpareRespawnRestoresDegree(t *testing.T) {
 	c := simnet.NewCluster(simnet.Config{Nodes: 4})
-	sup := Supervise(c, hotSpareConfig(), 4, workloop(t, 400, 2, 1, 3))
+	sup := Supervise(c, hotSpareConfig(), launcher, 4, workloop(t, 400, 2, 1, 3))
 	c.Run()
 	if !sup.Done() {
 		t.Fatal("not all logical ranks completed")
@@ -209,7 +238,7 @@ func TestHotSpareRespawnRestoresDegree(t *testing.T) {
 func TestHotSpareAbsorbsSecondFailure(t *testing.T) {
 	c := simnet.NewCluster(simnet.Config{Nodes: 4})
 	var sup *Supervisor
-	sup = Supervise(c, hotSpareConfig(), 4, func(r *mpi.Rank, world *mpi.Comm, idx int) {
+	sup = Supervise(c, hotSpareConfig(), launcher, 4, func(r *mpi.Rank, world *mpi.Comm, idx int) {
 		rank := r.Rank(world)
 		for it := 0; it < 800; it++ {
 			if it == 3 && rank == 2 && idx == 1 {
@@ -241,7 +270,7 @@ func TestHotSpareAbsorbsSecondFailure(t *testing.T) {
 	if second.Kind != int(Failover) || second.Rank != 2 || second.Replica != 0 {
 		t.Fatalf("second recovery = %+v, want failover of rank 2 replica 0", second)
 	}
-	want := DefaultConfig().FailoverDetect + DefaultConfig().ElectionDelay
+	want := DefaultFailoverDetect + DefaultElectionDelay
 	if second.Duration() != want {
 		t.Fatalf("takeover duration %v, want detect+election %v", second.Duration(), want)
 	}
@@ -274,7 +303,7 @@ func TestHotSpareInvalidatedByNodeFailure(t *testing.T) {
 	c := simnet.NewCluster(simnet.Config{Nodes: 4})
 	var sup *Supervisor
 	nodeKilled, k2 := false, false
-	sup = Supervise(c, hotSpareConfig(), 4, func(r *mpi.Rank, world *mpi.Comm, idx int) {
+	sup = Supervise(c, hotSpareConfig(), launcher, 4, func(r *mpi.Rank, world *mpi.Comm, idx int) {
 		rank := r.Rank(world)
 		for it := 0; it < 400; it++ {
 			if it == 3 && rank == 2 && idx == 1 {
@@ -326,7 +355,7 @@ func TestHotSpareWindowFallsBackToRelaunch(t *testing.T) {
 	cfg.SpawnDelay = 3600 * simnet.Second // spare never ready in this run
 	var sup *Supervisor
 	k1, k2 := false, false
-	sup = Supervise(c, cfg, 4, func(r *mpi.Rank, world *mpi.Comm, idx int) {
+	sup = Supervise(c, cfg, launcher, 4, func(r *mpi.Rank, world *mpi.Comm, idx int) {
 		rank := r.Rank(world)
 		for it := 0; it < 400; it++ {
 			if !k1 && it == 3 && rank == 2 && idx == 1 {
@@ -366,7 +395,7 @@ func TestHotSpareWindowFallsBackToRelaunch(t *testing.T) {
 func TestHotSpareDeterministic(t *testing.T) {
 	run := func() (simnet.Time, int, int) {
 		c := simnet.NewCluster(simnet.Config{Nodes: 4, ModelIngress: true})
-		sup := Supervise(c, hotSpareConfig(), 4, workloop(t, 400, 1, 0, 4))
+		sup := Supervise(c, hotSpareConfig(), launcher, 4, workloop(t, 400, 1, 0, 4))
 		end := c.Run()
 		return end, len(sup.Recoveries), sup.Respawns()
 	}
@@ -381,7 +410,7 @@ func TestHotSpareDeterministic(t *testing.T) {
 func TestSupervisorDeterministic(t *testing.T) {
 	run := func() (simnet.Time, int) {
 		c := simnet.NewCluster(simnet.Config{Nodes: 4, ModelIngress: true})
-		sup := Supervise(c, Config{}, 4, workloop(t, 10, 1, 0, 4))
+		sup := Supervise(c, resolved(Config{}), launcher, 4, workloop(t, 10, 1, 0, 4))
 		end := c.Run()
 		return end, len(sup.Recoveries)
 	}
@@ -398,7 +427,7 @@ func TestSupervisorDeterministic(t *testing.T) {
 // group loses a member.
 func TestMinLiveDegree(t *testing.T) {
 	c := simnet.NewCluster(simnet.Config{Nodes: 4})
-	sup := Supervise(c, Config{}, 4, workloop(t, 10, 2, 1, 3))
+	sup := Supervise(c, resolved(Config{}), launcher, 4, workloop(t, 10, 2, 1, 3))
 	if got := sup.MinLiveDegree(); got != 2 {
 		t.Fatalf("fully replicated degree = %d, want 2", got)
 	}
@@ -411,7 +440,7 @@ func TestMinLiveDegree(t *testing.T) {
 	}
 
 	c2 := simnet.NewCluster(simnet.Config{Nodes: 4})
-	sup2 := Supervise(c2, Config{ReplicaFactor: 0.5}, 4, workloop(t, 2, -1, -1, -1))
+	sup2 := Supervise(c2, resolved(Config{ReplicaFactor: 0.5}), launcher, 4, workloop(t, 2, -1, -1, -1))
 	if got := sup2.MinLiveDegree(); got != 1 {
 		t.Fatalf("partial replication degree = %d, want 1 (some rank is unprotected)", got)
 	}

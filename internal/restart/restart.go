@@ -20,72 +20,30 @@ import (
 	"match/internal/trace"
 )
 
-// Config is the job-launcher cost model.
-type Config struct {
+// The job-launcher cost model: typical mpirun redeployment costs on a
+// cluster of the paper's scale. The replica design's checkpoint-only
+// fallback pays the same launcher sequence.
+const (
 	// DetectDelay is the time for the launcher to notice a dead rank
 	// (waitpid on the orted/slurmstepd chain). It applies only under the
-	// Launcher detection preset; an in-band detector replaces it with its
-	// own confirmation latency.
-	DetectDelay simnet.Time
+	// Launcher detector; an in-band detector replaces it with its own
+	// confirmation latency.
+	DetectDelay = 500 * simnet.Millisecond
 	// TeardownDelay covers killing surviving ranks and cleaning up.
-	TeardownDelay simnet.Time
+	TeardownDelay = 500 * simnet.Millisecond
 	// LaunchBase is the fixed redeployment cost (allocation handshake,
 	// binary broadcast, wire-up).
-	LaunchBase simnet.Time
+	LaunchBase = 5 * simnet.Second
 	// LaunchPerProc is the per-rank start cost (fork/exec, MPI_Init
 	// wire-up grows with job size).
-	LaunchPerProc simnet.Time
+	LaunchPerProc = 4 * simnet.Millisecond
 	// MaxRelaunches bounds restart loops (safety against repeated failure).
-	MaxRelaunches int
-	// Detect overrides the failure-detection strategy (ablation). The zero
-	// value keeps the instant launcher preset.
-	Detect detect.Config
-}
-
-// Resolved returns the configuration with every zero cost field replaced
-// by its calibrated default — exactly the fill Supervise performs.
-// Canonicalization (core.CellKey) hashes the resolved form, so an empty
-// Config and an explicit DefaultConfig() are the same cache entry.
-func (c Config) Resolved() Config {
-	def := DefaultConfig()
-	if c.DetectDelay == 0 {
-		c.DetectDelay = def.DetectDelay
-	}
-	if c.TeardownDelay == 0 {
-		c.TeardownDelay = def.TeardownDelay
-	}
-	if c.LaunchBase == 0 {
-		c.LaunchBase = def.LaunchBase
-	}
-	if c.LaunchPerProc == 0 {
-		c.LaunchPerProc = def.LaunchPerProc
-	}
-	if c.MaxRelaunches == 0 {
-		c.MaxRelaunches = def.MaxRelaunches
-	}
-	return c
-}
-
-// DefaultConfig reflects typical mpirun redeployment costs on a cluster of
-// the paper's scale.
-func DefaultConfig() Config {
-	return Config{
-		DetectDelay:   500 * simnet.Millisecond,
-		TeardownDelay: 500 * simnet.Millisecond,
-		LaunchBase:    5 * simnet.Second,
-		LaunchPerProc: 4 * simnet.Millisecond,
-		MaxRelaunches: 8,
-	}
-}
-
-// DetectPreset is Restart's detection model: the launcher's own SIGCHLD
-// chain, i.e. instant out-of-band detection.
-func (c Config) DetectPreset() detect.Config { return detect.LauncherConfig() }
+	MaxRelaunches = 8
+)
 
 // Supervisor relaunches a job until it completes without a failure.
 type Supervisor struct {
 	cluster *simnet.Cluster
-	cfg     Config
 	dcfg    detect.Config
 	n       int
 	nodes   []int
@@ -108,18 +66,17 @@ type Supervisor struct {
 }
 
 // Supervise launches an n-rank job running main under restart supervision
-// and returns the supervisor; drive the cluster's scheduler to completion
-// afterwards. Block placement mirrors mpi.Launch. An invalid explicit
-// detector configuration panics; validate with detect.Config.Validate
-// (core.Run does) before constructing.
-func Supervise(c *simnet.Cluster, cfg Config, n int, main func(*mpi.Rank)) *Supervisor {
-	cfg = cfg.Resolved()
+// with failure detector dcfg (the Launcher detector is Restart's own) and
+// returns the supervisor; drive the cluster's scheduler to completion
+// afterwards. Block placement mirrors mpi.Launch. An invalid detector
+// configuration panics; validate with detect.Config.Validate (core.Run
+// does) before constructing.
+func Supervise(c *simnet.Cluster, dcfg detect.Config, n int, main func(*mpi.Rank)) *Supervisor {
 	nodes := make([]int, n)
 	for i := range nodes {
 		nodes[i] = i * c.NumNodes() / n
 	}
-	s := &Supervisor{cluster: c, cfg: cfg, n: n, nodes: nodes, main: main}
-	s.dcfg = detect.Resolve(cfg.Detect, cfg.DetectPreset())
+	s := &Supervisor{cluster: c, dcfg: dcfg, n: n, nodes: nodes, main: main}
 	s.launch(0)
 	return s
 }
@@ -162,10 +119,10 @@ func (s *Supervisor) onFailure(job *mpi.Job, f detect.Failure) {
 	// that follow.
 	s.Detectors[len(s.Detectors)-1].Stop()
 	failedRank := job.World().RankOf(f.GID)
-	// Under the launcher preset the waitpid chain needs DetectDelay to act;
-	// an in-band detector has already paid its latency and notifies the
-	// launcher at confirmation.
-	delay := s.cfg.DetectDelay
+	// Under the Launcher detector the waitpid chain needs DetectDelay to
+	// act; an in-band detector has already paid its latency and notifies
+	// the launcher at confirmation.
+	delay := DetectDelay
 	if s.dcfg.Kind != detect.Launcher {
 		delay = 0
 	}
@@ -173,12 +130,11 @@ func (s *Supervisor) onFailure(job *mpi.Job, f detect.Failure) {
 	sched.After(delay, func() {
 		abortedAt := s.cluster.Now()
 		job.Abort()
-		if len(s.Recoveries) >= s.cfg.MaxRelaunches {
+		if len(s.Recoveries) >= MaxRelaunches {
 			s.GaveUp = true
 			return
 		}
-		relaunchDelay := s.cfg.TeardownDelay + s.cfg.LaunchBase +
-			simnet.Time(s.n)*s.cfg.LaunchPerProc
+		relaunchDelay := TeardownDelay + LaunchBase + simnet.Time(s.n)*LaunchPerProc
 		s.Recoveries = append(s.Recoveries, mpi.Recovery{
 			Rank:        failedRank,
 			FailedAt:    f.FailedAt,

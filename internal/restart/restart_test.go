@@ -3,6 +3,7 @@ package restart
 import (
 	"testing"
 
+	"match/internal/detect"
 	"match/internal/fault"
 	"match/internal/fti"
 	"match/internal/mpi"
@@ -26,6 +27,8 @@ func runRestart(t *testing.T, n, iters, stride int, plan fault.Schedule, execID 
 	c.Scheduler().SetDeadline(10 * 60 * simnet.Second)
 	st := storage.New(c, storage.Config{})
 	inj := fault.NewScheduleInjector(plan)
+	var s *Supervisor
+	inj.Recoveries = func() int { return len(s.Recoveries) }
 	sums := make([]float64, n)
 	main := func(r *mpi.Rank) {
 		world := r.Job().World()
@@ -60,7 +63,7 @@ func runRestart(t *testing.T, n, iters, stride int, plan fault.Schedule, execID 
 		}
 		sums[r.Rank(world)] = sum
 	}
-	s := Supervise(c, Config{}, n, main)
+	s = Supervise(c, detect.LauncherConfig(), n, main)
 	c.Run()
 	return s, sums
 }
@@ -100,8 +103,8 @@ func TestRestartRelaunchesAndResumes(t *testing.T) {
 		}
 	}
 	rec := s.Recoveries[0]
-	if rec.Duration() < DefaultConfig().LaunchBase {
-		t.Fatalf("recovery %v cheaper than the launch base %v", rec.Duration(), DefaultConfig().LaunchBase)
+	if rec.Duration() < LaunchBase {
+		t.Fatalf("recovery %v cheaper than the launch base %v", rec.Duration(), LaunchBase)
 	}
 	if rec.Rank != 2 {
 		t.Fatalf("failed rank %v", rec.Rank)
@@ -114,8 +117,7 @@ func TestRestartRecoveryDominatedByRedeploy(t *testing.T) {
 	plan := fault.Schedule{Events: []fault.Event{{TargetRank: 0, TargetIter: 4}}}
 	s, _ := runRestart(t, 8, 10, 3, plan, "restart-redeploy")
 	rec := s.Recoveries[0]
-	cfg := DefaultConfig()
-	min := cfg.DetectDelay + cfg.TeardownDelay + cfg.LaunchBase
+	min := DetectDelay + TeardownDelay + LaunchBase
 	if rec.Duration() < min {
 		t.Fatalf("recovery %v below the redeploy floor %v", rec.Duration(), min)
 	}
@@ -135,25 +137,20 @@ func TestRestartScalesWithJobSize(t *testing.T) {
 }
 
 func TestMaxRelaunchesGivesUp(t *testing.T) {
-	// An injector that kills rank 0 at iteration 0 of *every* incarnation.
-	c := simnet.NewCluster(simnet.Config{Nodes: 2})
-	c.Scheduler().SetDeadline(30 * 60 * simnet.Second)
-	main := func(r *mpi.Rank) {
-		w := r.Job().World()
-		if r.Rank(w) == 0 {
-			r.Die()
-		}
-		mpi.Barrier(r, w)
+	// Kill rank 1 at iteration 1 of every incarnation: one kill more than
+	// the relaunch budget, each gated on the relaunches before it.
+	var plan fault.Schedule
+	for k := 0; k <= MaxRelaunches; k++ {
+		plan.Events = append(plan.Events, fault.Event{TargetRank: 1, TargetIter: 1, AfterRecoveries: k})
 	}
-	s := Supervise(c, Config{MaxRelaunches: 2}, 2, main)
-	c.Run()
+	s, _ := runRestart(t, 2, 4, 3, plan, "restart-budget")
 	if !s.GaveUp {
 		t.Fatal("supervisor never gave up")
 	}
 	if s.Done() {
 		t.Fatal("job reported done despite permanent failure")
 	}
-	if len(s.Recoveries) != 2 {
-		t.Fatalf("recoveries = %d, want 2", len(s.Recoveries))
+	if len(s.Recoveries) != MaxRelaunches {
+		t.Fatalf("recoveries = %d, want %d", len(s.Recoveries), MaxRelaunches)
 	}
 }

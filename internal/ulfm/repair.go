@@ -23,7 +23,7 @@ func (rt *Runtime) CommRevoke(r *mpi.Rank, c *mpi.Comm) {
 	for _, m := range c.AliveMembers() {
 		cl.SendArrival(r.Process().NodeID(), m.NodeID(), 32, now)
 	}
-	r.Compute(rt.cfg.RevokeHop * simnet.Time(levels))
+	r.Compute(revokeHop * simnet.Time(levels))
 	c.Revoke()
 }
 
@@ -35,7 +35,7 @@ func (rt *Runtime) CommShrink(r *mpi.Rank, c *mpi.Comm) (*mpi.Comm, error) {
 	key := fmt.Sprintf("ulfm-shrink/%d", c.Ctx())
 	shrunk := rt.job.SubComm(key, survivors)
 	// Daemon-side bookkeeping: grows linearly with job size.
-	r.Compute(rt.cfg.ShrinkBase + rt.cfg.ShrinkPerRank*simnet.Time(c.Size()))
+	r.Compute(shrinkBase + shrinkPerRank*simnet.Time(c.Size()))
 	// Agree on the failed-rank bitmask (real payload, O(P) bits).
 	words := (c.Size() + 63) / 64
 	mask := make([]int64, words)
@@ -53,7 +53,7 @@ func (rt *Runtime) CommShrink(r *mpi.Rank, c *mpi.Comm) (*mpi.Comm, error) {
 // agree is the fault-tolerant agreement core: an all-reduce of the value
 // (bitwise OR) plus the multi-round cost the ERA agreement pays.
 func (rt *Runtime) agree(r *mpi.Rank, c *mpi.Comm, val []int64) ([]int64, error) {
-	r.Compute(rt.cfg.AgreeRound * simnet.Time(log2ceil(c.Size())))
+	r.Compute(agreeRound * simnet.Time(log2ceil(c.Size())))
 	return mpi.AllreduceI64(r, c, val, mpi.OpBOr)
 }
 
@@ -87,7 +87,7 @@ func (rt *Runtime) CommSpawn(r *mpi.Rank, shrunk *mpi.Comm, world *mpi.Comm) map
 	// can survive later failures.
 	for fr, repl := range repls {
 		fr, repl := fr, repl
-		sp := cl.StartProc(repl.NodeID(), rt.cfg.SpawnDelay, func(sp *simnet.Proc) {
+		sp := cl.StartProc(repl.NodeID(), spawnDelay, func(sp *simnet.Proc) {
 			rr := mpi.Bind(rt.job, repl, sp)
 			round := rt.rounds[world.Ctx()]
 			nw := round.newWorld
@@ -176,7 +176,7 @@ func (rt *Runtime) RepairWorld(r *mpi.Rank, world *mpi.Comm) (*mpi.Comm, error) 
 	// synchronization with replacements is the join barrier (it completes
 	// only once the spawned processes are up, so SpawnDelay is on the
 	// critical path, as in real deployments).
-	r.Compute(rt.cfg.MergeBase + rt.cfg.MergePerRank*simnet.Time(world.Size()))
+	r.Compute(mergeBase + mergePerRank*simnet.Time(world.Size()))
 	if err := rt.joinWorld(r, nw); err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"match/internal/detect"
 	"match/internal/fault"
 	"match/internal/fti"
 	"match/internal/mpi"
@@ -59,6 +60,9 @@ func resilientMain(st *storage.System, execID string, iters, stride int,
 	}
 }
 
+// calibrated is the Config core runs a default ULFM cell with.
+var calibrated = Config{DeliveryFactor: DefaultDeliveryFactor}
+
 func runULFM(t *testing.T, n, iters, stride int, plan fault.Schedule, execID string) (*Runtime, []float64) {
 	t.Helper()
 	c := simnet.NewCluster(simnet.Config{Nodes: 4})
@@ -73,7 +77,7 @@ func runULFM(t *testing.T, n, iters, stride int, plan fault.Schedule, execID str
 			t.Errorf("rank: %v", err)
 		}
 	})
-	rt = NewRuntime(job, Config{}, main)
+	rt = NewRuntime(job, calibrated, detect.RingDefaults(), main)
 	c.Run()
 	for _, e := range rt.Errs {
 		t.Errorf("replacement error: %v", e)
@@ -156,7 +160,7 @@ func TestULFMFailureDuringCheckpointCommit(t *testing.T) {
 func TestULFMAppliesRuntimeOverheads(t *testing.T) {
 	c := simnet.NewCluster(simnet.Config{Nodes: 2})
 	job := mpi.Launch(c, 2, 0, func(r *mpi.Rank) {})
-	rt := NewRuntime(job, Config{}, func(*mpi.Rank, *mpi.Comm, bool) error { return nil })
+	rt := NewRuntime(job, calibrated, detect.RingDefaults(), func(*mpi.Rank, *mpi.Comm, bool) error { return nil })
 	if job.PerOpOverhead == 0 || job.DeliveryFactor == 0 {
 		t.Fatal("runtime did not install amended-interface overheads")
 	}
@@ -182,7 +186,7 @@ func TestCommRevokePrimitives(t *testing.T) {
 			}
 		}
 	})
-	rt = NewRuntime(job, Config{}, nil)
+	rt = NewRuntime(job, calibrated, detect.RingDefaults(), nil)
 	c.Run()
 	rt.Stop()
 }
@@ -209,7 +213,7 @@ func TestCommShrinkDropsFailed(t *testing.T) {
 			t.Errorf("rank changed in shrink: %d -> %d", r.Rank(w), got)
 		}
 	})
-	rt = NewRuntime(job, Config{}, nil)
+	rt = NewRuntime(job, calibrated, detect.RingDefaults(), nil)
 	c.Run()
 	for i := 0; i < 3; i++ {
 		if sizes[i] != 3 {

@@ -51,9 +51,12 @@ type (
 	Params = appkit.Params
 	// App is the application contract for extending the suite.
 	App = appkit.App
-	// ReplicaConfig tunes the replication design (dup degree, partial
-	// replication factor, failover and fallback cost model, hot-spare
-	// respawn); set it as Config.Replica.
+	// ReplicaConfig holds the replication design's settable knobs (dup
+	// degree, partial replication factor, failover detection and election
+	// delays, hot-spare respawn with its spawn delay and bandwidth); set it
+	// as Config.Replica. A zero field selects its calibrated default; the
+	// rest of the design's cost model, its checkpoint-only fallback
+	// included, is fixed.
 	ReplicaConfig = replica.Config
 	// FaultSchedule is an ordered multi-failure injection schedule; set it
 	// as Config.Schedule for explicit campaigns, or let Config.Faults draw
