@@ -11,13 +11,17 @@
 // every other slot that was within cutoff+skin of it when the list was
 // built, in ascending slot order. It is built through link cells, as in
 // CoMD itself, at least half that radius wide: an atom's candidates are the
-// slots of the 5x5x5 cells around its own. A step reuses the list while the
-// local and ghost counts are those of the build and no slot has moved half
-// a skin from where it was then. The test is on slots and positions, not
-// atoms, so it stays sound when migration or a ghost exchange puts another
-// atom in a slot: each axis's minimum-image |wrap(d)| is 1-Lipschitz in d,
-// so two slots now within a cutoff were within cutoff+skin at the build.
-// Otherwise the list is rebuilt.
+// slots of the 5x5x5 cells around its own. Migration and the ghost exchange
+// reorder the slots every step, so a step does not read the list by slot
+// number. It matches each slot to a distinct build slot less than half a
+// skin from it and walks the matched slots' lists, mapped to current slots
+// and sorted again. An atom that was a ghost at the build and has since
+// migrated in is listed, from the kept link cells, the first time it is
+// needed. This is sound: two slots now within a cutoff matched distinct
+// build slots, each less than half a skin away, and each axis's
+// minimum-image |wrap(d)| is 1-Lipschitz in d, so those two were within
+// cutoff+skin at the build. Only a slot with no free build slot that near
+// makes the list rebuilt.
 //
 // The list decides which pairs are looked at, never what is added: every
 // entry goes through the same minimum-image and cutoff test, and the
@@ -157,33 +161,39 @@ func (a *App) exchangeGhosts(ctx *appkit.Context) error {
 			continue // single rank in this axis: minimum image handles it
 		}
 		// Collect border atoms from locals plus already-received ghosts,
-		// straight into the payload: x, y, z per atom.
+		// straight into the payload: x, y, z per atom. Count them first so
+		// the payload is made once.
 		collect := func(takeLo bool) []byte {
-			var out []byte
-			vals := a.axisVals(ax)
-			push := func(px, py, pz, c float64) {
-				if takeLo {
-					if c < a.lo[ax]+cutoff {
-						shift := 0.0
-						if a.loEdge(ax) {
-							shift = a.glob[ax]
-						}
-						out = a.appendShifted(out, px, py, pz, ax, shift)
+			lim, shift := a.hi[ax]-cutoff, 0.0
+			if takeLo {
+				lim = a.lo[ax] + cutoff
+			}
+			// A lo border atom is below lim, a hi one at or above it.
+			border := func(c float64) bool { return (c < lim) == takeLo }
+			if takeLo && a.loEdge(ax) {
+				shift = a.glob[ax]
+			} else if !takeLo && a.hiEdge(ax) {
+				shift = -a.glob[ax]
+			}
+			vals, gvals := a.axisVals(ax), a.ghostAxis(ax)
+			count := 0
+			for _, vs := range [2][]float64{vals, gvals} {
+				for _, c := range vs {
+					if border(c) {
+						count++
 					}
-				} else if c >= a.hi[ax]-cutoff {
-					shift := 0.0
-					if a.hiEdge(ax) {
-						shift = -a.glob[ax]
-					}
-					out = a.appendShifted(out, px, py, pz, ax, shift)
 				}
 			}
-			for i := range a.x {
-				push(a.x[i], a.y[i], a.z[i], vals[i])
+			out := make([]byte, 0, 24*count)
+			for i, c := range vals {
+				if border(c) {
+					out = a.appendShifted(out, a.x[i], a.y[i], a.z[i], ax, shift)
+				}
 			}
-			gvals := a.ghostAxis(ax)
-			for i := range a.gx {
-				push(a.gx[i], a.gy[i], a.gz[i], gvals[i])
+			for i, c := range gvals {
+				if border(c) {
+					out = a.appendShifted(out, a.gx[i], a.gy[i], a.gz[i], ax, shift)
+				}
 			}
 			return out
 		}
@@ -292,8 +302,10 @@ func (a *App) pairForces() {
 	a.fy = appkit.Grow(a.fy, n)
 	a.fz = appkit.Grow(a.fz, n)
 	l := &a.list
-	if !l.gather(a) {
+	start, js, ok := l.follow(a)
+	if !ok {
 		l.build(a.glob, n)
+		start, js = l.start, l.js
 	}
 	rc2 := cutoff * cutoff
 	lx, ly, lz := a.glob[0], a.glob[1], a.glob[2]
@@ -302,7 +314,7 @@ func (a *App) pairForces() {
 	pe := 0.0
 	for i, pi := range ps[:n] {
 		var fx, fy, fz float64
-		for _, j := range l.js[l.start[i]:l.start[i+1]] {
+		for _, j := range js[start[i]:start[i+1]] {
 			pj := ps[j]
 			dx := wrap(pi.x-pj.x, lx, hx)
 			dy := wrap(pi.y-pj.y, ly, hy)
@@ -329,33 +341,54 @@ func (a *App) pairForces() {
 // so a list holds little more than the 12 first-shell neighbours.
 const skin = 0.1
 
-// reach is the radius a list is built at; drift is how far a slot may move
-// from its position at the build before the list is rebuilt: half the
-// skin, less a margin that dwarfs the rounding of the distance arithmetic.
+// reach is the radius a list is built at; drift is how far a slot may be
+// from the position of the build slot it matches: half the skin, less a
+// margin that dwarfs the rounding of the distance arithmetic.
 const (
 	reach = cutoff + skin
 	drift = skin / 2 * (1 - 1e-6)
 )
 
 // verletList is the neighbour list pairForces walks, kept on the App
-// between steps: local atom i's neighbours are js[start[i]:start[i+1]],
-// every other slot within reach of it at the build, ascending.
+// between steps. Its lists are in build slots: local atom i's is
+// js[start[i]:start[i+1]], every other build slot within reach of it,
+// ascending. A ghost of the build gets one only once an atom that matches
+// it has become local (mig).
 type verletList struct {
 	start []int32
 	js    []int32
+	mig   []span // build ghost g's list is js[mig[g].from:mig[g].to]; from is -1 until listed
 
 	p, p0 []vec     // every slot's position, locals then ghosts: now, at the build
 	n     int       // local atoms at the build
-	cells linkCells // build's scratch
+	cells linkCells // the build slots by cell, kept for follow and listOf
+
+	match, cur  []int32 // follow: current slot -> build slot, build slot -> current slot (-1: none)
+	rstart, rjs []int32 // follow: the current locals' lists in current slots
+
+	// after is follow's first guess: after[b+1] is the build slot that the
+	// slot after b's slot matched last step, after[0] the one slot 0 did.
+	// The build sets after[b] = b.
+	after []int32
 
 	builds int // builds so far; only the package's tests read it
+	remaps int // follow calls that walked remapped lists; only the package's tests read it
 }
 
-// gather copies every slot's position into p and reports whether the list
-// still holds every pair within a cutoff: the local and ghost counts are
-// those of the build, and no slot has moved drift from where it was then.
-// A pair now within a cutoff was then within cutoff + 2*drift < reach.
-func (l *verletList) gather(a *App) bool {
+// span is a list's place in js.
+type span struct{ from, to int32 }
+
+// follow copies every slot's position into p, matches each slot to a
+// distinct build slot within drift of it, and returns the current locals'
+// lists in current slots: the build's own when every slot matched itself,
+// otherwise the matched build slots' lists mapped through the match, with
+// build slots nothing matched dropped and each list sorted again. ok is
+// false when some slot has no free build slot within drift; the list must
+// then be rebuilt. This is sound: two slots now within a cutoff matched
+// distinct build slots, each within drift, and each axis's minimum-image
+// |wrap(d)| is 1-Lipschitz in d, so those were within cutoff + 2*drift <
+// reach at the build and each is in the other's list.
+func (l *verletList) follow(a *App) (start, js []int32, ok bool) {
 	n, m := len(a.x), len(a.x)+len(a.gx)
 	l.p = appkit.Grow(l.p, m)
 	for k := range a.x {
@@ -364,67 +397,158 @@ func (l *verletList) gather(a *App) bool {
 	for k := range a.gx {
 		l.p[n+k] = vec{a.gx[k], a.gy[k], a.gz[k]}
 	}
-	if n != l.n || m != len(l.p0) {
-		return false
+	if m > len(l.p0) { // more slots than build slots: some cannot match
+		return nil, nil, false
 	}
-	for k, p0 := range l.p0 {
-		dx, dy, dz := l.p[k].x-p0.x, l.p[k].y-p0.y, l.p[k].z-p0.z
-		if dx*dx+dy*dy+dz*dz >= drift*drift {
-			return false
+	l.match, l.cur = appkit.Grow(l.match, m), appkit.Grow(l.cur, len(l.p0))
+	for b := range l.cur {
+		l.cur[b] = -1
+	}
+	same := n == l.n && m == len(l.p0)
+	b := -1
+	for k, pk := range l.p {
+		// Atoms that stay keep their order from step to step: try the
+		// build slot that came after b's match last time before searching
+		// the cells, and remember what came after it this time.
+		next := &l.after[b+1]
+		if b = int(*next); b >= len(l.p0) || l.cur[b] >= 0 || !near(pk, l.p0[b]) {
+			if b = l.find(pk); b < 0 {
+				return nil, nil, false
+			}
+			*next = int32(b)
+		}
+		l.match[k], l.cur[b] = int32(b), int32(k)
+		same = same && b == k
+	}
+	if same {
+		return l.start, l.js, true
+	}
+	l.rstart = appkit.Grow(l.rstart, n+1)
+	l.rjs = l.rjs[:0]
+	for i, bi := range l.match[:n] {
+		l.rstart[i] = int32(len(l.rjs))
+		for _, bj := range l.listAt(int(bi), a.glob) {
+			if k := l.cur[bj]; k >= 0 {
+				l.rjs = append(l.rjs, k)
+			}
+		}
+		sortSlots(l.rjs[l.rstart[i]:])
+	}
+	l.rstart[n] = int32(len(l.rjs))
+	l.remaps++
+	return l.rstart, l.rjs, true
+}
+
+// near reports whether p is within drift of q, in raw coordinates.
+func near(p, q vec) bool {
+	dx, dy, dz := p.x-q.x, p.y-q.y, p.z-q.z
+	return dx*dx+dy*dy+dz*dz < drift*drift
+}
+
+// find returns a build slot within drift of p that no slot has matched,
+// or -1, searching only the link cells the drift ball around p touches.
+func (l *verletList) find(p vec) int {
+	lc := &l.cells
+	x0, x1 := lc.coord(0, p.x-drift), lc.coord(0, p.x+drift)
+	y0, y1 := lc.coord(1, p.y-drift), lc.coord(1, p.y+drift)
+	z0, z1 := lc.coord(2, p.z-drift), lc.coord(2, p.z+drift)
+	for kz := z0; kz <= z1; kz++ {
+		for ky := y0; ky <= y1; ky++ {
+			row := (kz*lc.nc[1] + ky) * lc.nc[0]
+			for s := lc.start[row+x0]; s < lc.start[row+x1+1]; s++ {
+				if b := lc.idx[s]; l.cur[b] < 0 && near(p, lc.p[s]) {
+					return int(b)
+				}
+			}
 		}
 	}
-	return true
+	return -1
+}
+
+// listAt returns build slot b's list, listing a build ghost the first time
+// it is asked for.
+func (l *verletList) listAt(b int, glob [3]float64) []int32 {
+	if b < l.n {
+		return l.js[l.start[b]:l.start[b+1]]
+	}
+	g := &l.mig[b-l.n]
+	if g.from < 0 {
+		g.from = int32(len(l.js))
+		l.listOf(b, glob)
+		g.to = int32(len(l.js))
+	}
+	return l.js[g.from:g.to]
 }
 
 // build lists, for each of the n local atoms, every other slot within
 // reach of it in a periodic box of edges glob, and keeps the positions it
-// was built from; gather must have run.
+// was built from and their link cells; follow must have run.
 func (l *verletList) build(glob [3]float64, n int) {
-	lc := &l.cells
-	lc.sort(l.p, glob)
+	l.p0 = append(l.p0[:0], l.p...)
+	l.cells.sort(l.p0, glob)
 	l.start = appkit.Grow(l.start, n+1)
 	l.js = l.js[:0]
+	for i := 0; i < n; i++ {
+		l.start[i] = int32(len(l.js))
+		l.listOf(i, glob)
+	}
+	l.start[n] = int32(len(l.js))
+	l.mig = appkit.Grow(l.mig, len(l.p0)-n)
+	for g := range l.mig {
+		l.mig[g] = span{-1, -1}
+	}
+	l.after = appkit.Grow(l.after, len(l.p0)+1)
+	for b := range l.after {
+		l.after[b] = int32(b)
+	}
+	l.n = n
+	l.builds++
+}
+
+// listOf appends to js every build slot other than b within reach of b's
+// build position, ascending: the slots of the 5x5x5 link cells around it
+// that pass the distance test.
+func (l *verletList) listOf(b int, glob [3]float64) {
+	lc := &l.cells
 	lx, ly, lz := glob[0], glob[1], glob[2]
 	hx, hy, hz := lx/2, ly/2, lz/2
-	for i, pi := range l.p[:n] {
-		l.start[i] = int32(len(l.js))
-		cx, cy, cz := lc.coord(0, pi.x), lc.coord(1, pi.y), lc.coord(2, pi.z)
-		for kz := max(cz-2, 0); kz <= min(cz+2, lc.nc[2]-1); kz++ {
-			for ky := max(cy-2, 0); ky <= min(cy+2, lc.nc[1]-1); ky++ {
-				// The x neighbours of a cell follow each other in cell
-				// order: one run of candidates per (ky,kz).
-				row := (kz*lc.nc[1] + ky) * lc.nc[0]
-				from := lc.start[row+max(cx-2, 0)]
-				to := lc.start[row+min(cx+2, lc.nc[0]-1)+1]
-				js, ps := lc.idx[from:to], lc.p[from:to]
-				for s, j := range js {
-					if int(j) == i {
-						continue
-					}
-					dx := wrap(pi.x-ps[s].x, lx, hx)
-					dy := wrap(pi.y-ps[s].y, ly, hy)
-					dz := wrap(pi.z-ps[s].z, lz, hz)
-					if dx*dx+dy*dy+dz*dz < reach*reach {
-						l.js = append(l.js, j)
-					}
+	pb := l.p0[b]
+	at := len(l.js)
+	cx, cy, cz := lc.coord(0, pb.x), lc.coord(1, pb.y), lc.coord(2, pb.z)
+	for kz := max(cz-2, 0); kz <= min(cz+2, lc.nc[2]-1); kz++ {
+		for ky := max(cy-2, 0); ky <= min(cy+2, lc.nc[1]-1); ky++ {
+			// The x neighbours of a cell follow each other in cell
+			// order: one run of candidates per (ky,kz).
+			row := (kz*lc.nc[1] + ky) * lc.nc[0]
+			from := lc.start[row+max(cx-2, 0)]
+			to := lc.start[row+min(cx+2, lc.nc[0]-1)+1]
+			js, ps := lc.idx[from:to], lc.p[from:to]
+			for s, j := range js {
+				if int(j) == b {
+					continue
+				}
+				dx := wrap(pb.x-ps[s].x, lx, hx)
+				dy := wrap(pb.y-ps[s].y, ly, hy)
+				dz := wrap(pb.z-ps[s].z, lz, hz)
+				if dx*dx+dy*dy+dz*dz < reach*reach {
+					l.js = append(l.js, j)
 				}
 			}
 		}
-		// A dozen or so neighbours from up to 125 cells: insertion sort.
-		nb := l.js[l.start[i]:]
-		for p := 1; p < len(nb); p++ {
-			j := nb[p]
-			q := p
-			for ; q > 0 && nb[q-1] > j; q-- {
-				nb[q] = nb[q-1]
-			}
-			nb[q] = j
-		}
 	}
-	l.start[n] = int32(len(l.js))
-	l.p0 = append(l.p0[:0], l.p...)
-	l.n = n
-	l.builds++
+	sortSlots(l.js[at:])
+}
+
+// sortSlots sorts one atom's list: a dozen or so slots, insertion sort.
+func sortSlots(nb []int32) {
+	for p := 1; p < len(nb); p++ {
+		j := nb[p]
+		q := p
+		for ; q > 0 && nb[q-1] > j; q-- {
+			nb[q] = nb[q-1]
+		}
+		nb[q] = j
+	}
 }
 
 // cellWidth is the least link-cell edge: half a list's reach plus a margin
@@ -432,9 +556,9 @@ func (l *verletList) build(glob [3]float64, n int) {
 // reach of each other along an axis are never more than two cells apart.
 const cellWidth = reach / 2 * (1 + 1e-6)
 
-// linkCells is build's scratch, kept on the list and reused every build:
-// the slots counting-sorted by cell, their positions copied alongside so a
-// cell's slots are contiguous.
+// linkCells holds the build slots counting-sorted by cell, their positions
+// copied alongside so a cell's slots are contiguous. It is kept on the list
+// and reused every build.
 type linkCells struct {
 	origin, scale [3]float64
 	nc            [3]int // cells per axis
@@ -446,13 +570,11 @@ type linkCells struct {
 	p     []vec
 }
 
-// coord is the cell coordinate of position v along axis ax.
+// coord is the cell coordinate of position v along axis ax, clamped to
+// the cells: a query may fall outside the extent they were laid over.
 func (lc *linkCells) coord(ax int, v float64) int {
 	c := int((v - lc.origin[ax]) * lc.scale[ax])
-	if uint(c) >= uint(lc.nc[ax]) {
-		c = lc.nc[ax] - 1
-	}
-	return c
+	return max(min(c, lc.nc[ax]-1), 0)
 }
 
 // sort lays the cells over the extent of the slots' positions ps and bins
@@ -513,7 +635,16 @@ func (a *App) migrate(ctx *appkit.Context) error {
 		hiNbr := a.d.NeighborWrap(dx, dy, dz)
 		vals := a.axisVals(ax)
 		stayIdx := a.stay[:0]
-		var loOut, hiOut []byte // x, y, z, vx, vy, vz per migrant
+		nLo, nHi := 0, 0
+		for _, c := range vals {
+			if c < a.lo[ax] {
+				nLo++
+			} else if c >= a.hi[ax] {
+				nHi++
+			}
+		}
+		// x, y, z, vx, vy, vz per migrant
+		loOut, hiOut := make([]byte, 0, 48*nLo), make([]byte, 0, 48*nHi)
 		for i := range a.x {
 			c := vals[i]
 			switch {

@@ -159,6 +159,12 @@ func FuzzForcesMatchesOracle(f *testing.F) {
 	f.Add(uint16(0), uint16(0), uint8(3), int64(9))
 	f.Add(uint16(1), uint16(0), uint8(3), int64(10))
 	f.Add(uint16(300), uint16(300), uint8(16), int64(11))
+	// The first jostle of each of these keeps every slot within drift and
+	// then moves slots, so the second call follows the list through:
+	f.Add(uint16(60), uint16(60), uint8(6), int64(34))   // a local leaving to the end of the ghosts
+	f.Add(uint16(60), uint16(60), uint8(6), int64(18))   // a ghost joining the end of the locals
+	f.Add(uint16(60), uint16(60), uint8(6), int64(32))   // the ghost block rotating by one
+	f.Add(uint16(40), uint16(99), uint8(16), int64(-41)) // a ghost on a local: one build slot, two atoms near it
 	f.Fuzz(func(t *testing.T, n, g uint16, boxCells uint8, seed int64) {
 		// The oracle is O(n*(n+g)); keep one execution in the millisecond range.
 		box := int(boxCells % 16)
@@ -178,7 +184,8 @@ func FuzzForcesMatchesOracle(f *testing.F) {
 // jostle changes a cloud the way a step and the exchanges around it may
 // between two force calls: it moves every slot, mostly by less than drift
 // and now and then by more, and sometimes swaps two local slots, appends a
-// ghost or drops one.
+// ghost or drops one, moves a local to the end of the ghosts or a ghost to
+// the end of the locals, or rotates the ghost block by one.
 func jostle(a *App, rng *rand.Rand) {
 	step := []float64{0, drift / 100, drift / 2, 2 * drift}[rng.Intn(4)] / math.Sqrt(3)
 	move := func(v []float64) {
@@ -190,7 +197,7 @@ func jostle(a *App, rng *rand.Rand) {
 		move(v)
 	}
 	n, g := len(a.x), len(a.gx)
-	switch rng.Intn(6) {
+	switch rng.Intn(9) {
 	case 0: // swap two locals
 		if n >= 2 {
 			i, j := rng.Intn(n), rng.Intn(n)
@@ -208,6 +215,22 @@ func jostle(a *App, rng *rand.Rand) {
 		if g > 0 {
 			k := rng.Intn(g)
 			a.gx, a.gy, a.gz = slices.Delete(a.gx, k, k+1), slices.Delete(a.gy, k, k+1), slices.Delete(a.gz, k, k+1)
+		}
+	case 3: // a local leaves to the end of the ghosts
+		if n > 0 {
+			i := rng.Intn(n)
+			a.gx, a.gy, a.gz = append(a.gx, a.x[i]), append(a.gy, a.y[i]), append(a.gz, a.z[i])
+			a.x, a.y, a.z = slices.Delete(a.x, i, i+1), slices.Delete(a.y, i, i+1), slices.Delete(a.z, i, i+1)
+		}
+	case 4: // a ghost joins the end of the locals
+		if g > 0 {
+			k := rng.Intn(g)
+			a.x, a.y, a.z = append(a.x, a.gx[k]), append(a.y, a.gy[k]), append(a.z, a.gz[k])
+			a.gx, a.gy, a.gz = slices.Delete(a.gx, k, k+1), slices.Delete(a.gy, k, k+1), slices.Delete(a.gz, k, k+1)
+		}
+	case 5: // the ghost block rotates by one
+		if g > 0 {
+			a.gx, a.gy, a.gz = append(a.gx[1:], a.gx[0]), append(a.gy[1:], a.gy[0]), append(a.gz[1:], a.gz[0])
 		}
 	}
 }
@@ -240,19 +263,18 @@ func TestForcesMatchOracleOnRunState(t *testing.T) {
 		res := apptest.Run(t, shape.ranks,
 			appkit.Params{NX: shape.cells, NY: shape.cells, NZ: shape.cells, MaxIter: shape.steps},
 			func() appkit.App { return &checked{App: New()} })
-		calls, builds := 0, 0
-		for _, app := range res.Apps {
-			c := app.(*checked)
-			calls, builds = calls+c.calls, builds+c.list.builds
-		}
 		if shape.steps < 20 {
 			continue
 		}
-		// A list is built on each rank's first step; after that a step must
-		// sometimes rebuild (slots churn) and sometimes reuse.
-		if builds == shape.ranks || builds == calls {
-			t.Fatalf("%d ranks, %d cells: %d builds in %d force calls, want some rebuilt and some reused",
-				shape.ranks, shape.cells, builds, calls)
+		// A rank builds its list on its first step. With the atoms near
+		// their lattice sites it then follows that list through every
+		// migration and ghost exchange, and those reorder its slots.
+		for r, app := range res.Apps {
+			l := &app.(*checked).list
+			if l.builds > 1 || l.remaps == 0 {
+				t.Fatalf("%d ranks, %d cells: rank %d built %d lists and remapped %d times in %d force calls, want 1 build and some remaps",
+					shape.ranks, shape.cells, r, l.builds, l.remaps, app.(*checked).calls)
+			}
 		}
 	}
 }
@@ -267,12 +289,32 @@ func TestForcesAllocateNothingWhenWarm(t *testing.T) {
 	if a.list.builds != builds {
 		t.Fatalf("%d builds on unchanged atoms", a.list.builds-builds)
 	}
+	remaps := a.list.remaps
+	if n := testing.AllocsPerRun(10, migrated(a)); n != 0 {
+		t.Fatalf("pairForces allocates %v times per call following its list through migrants", n)
+	}
+	if got := a.list.remaps - remaps; a.list.builds != builds || got != 11 {
+		t.Fatalf("%d builds and %d remaps in 11 calls on a permuted slot set", a.list.builds-builds, got)
+	}
+	builds = a.list.builds
 	if n := testing.AllocsPerRun(10, rebuild(a)); n != 0 {
 		t.Fatalf("pairForces allocates %v times per call rebuilding its list", n)
 	}
 	if got := a.list.builds - builds; got != 11 {
 		t.Fatalf("%d builds in 11 calls that each moved an atom by a skin", got)
 	}
+}
+
+// migrated moves a's first local to the end of the ghosts and its first
+// ghost to the end of the locals, as a step's migration and the ghost
+// exchange after it do, and returns a.pairForces: every call then follows
+// the list built before the move, and the list of the atom that migrated
+// in is made by the first.
+func migrated(a *App) func() {
+	x, y, z := a.x[0], a.y[0], a.z[0]
+	a.x, a.y, a.z = append(a.x[1:], a.gx[0]), append(a.y[1:], a.gy[0]), append(a.z[1:], a.gz[0])
+	a.gx, a.gy, a.gz = append(a.gx[1:], x), append(a.gy[1:], y), append(a.gz[1:], z)
+	return a.pairForces
 }
 
 // rebuild returns a call of a.pairForces that first moves atom 0 by a skin,
@@ -318,21 +360,26 @@ func latticeRank(cells, first, width int) *App {
 
 // BenchmarkForces108x256 is one rank's force evaluation in the 64-rank
 // Small cell: 108 local atoms, 256 ghosts, on a list it reuses.
-func BenchmarkForces108x256(b *testing.B) { benchForces(b, false) }
+func BenchmarkForces108x256(b *testing.B) {
+	benchForces(b, func(a *App) func() { return a.pairForces })
+}
+
+// BenchmarkForces108x256Follow is the same evaluation after one atom has
+// migrated out and one in since the list was built: the list is followed
+// through the new slots.
+func BenchmarkForces108x256Follow(b *testing.B) { benchForces(b, migrated) }
 
 // BenchmarkForces108x256Rebuild is the same evaluation when the list must
 // be rebuilt first.
-func BenchmarkForces108x256Rebuild(b *testing.B) { benchForces(b, true) }
+func BenchmarkForces108x256Rebuild(b *testing.B) { benchForces(b, rebuild) }
 
-func benchForces(b *testing.B, rebuilds bool) {
+func benchForces(b *testing.B, calls func(*App) func()) {
 	a := latticeRank(12, 3, 3)
 	if len(a.x) != 108 || len(a.gx) != 256 {
 		b.Fatalf("shape is %d locals, %d ghosts", len(a.x), len(a.gx))
 	}
-	call := a.pairForces
-	if rebuilds {
-		call = rebuild(a)
-	}
+	a.pairForces()
+	call := calls(a)
 	call() // the first calls size the scratch
 	call()
 	b.ReportAllocs()
