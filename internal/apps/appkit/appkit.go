@@ -169,6 +169,7 @@ func RunMainLoop(ctx *Context, app App) (float64, error) {
 // Dot computes a distributed dot product over the world.
 func Dot(ctx *Context, a, b []float64) (float64, error) {
 	local := 0.0
+	b = b[:len(a)]
 	for i := range a {
 		local += a[i] * b[i]
 	}

@@ -6,11 +6,12 @@
 //
 // The stencil (spmv) copies its operand and the two ghost planes into a
 // frame of zeros and walks that copy one x row at a time over the nine
-// neighbouring rows, every point alike. Host speed is free to change, the
-// answer is not: virtual time comes from ctx.Charge alone, and the
-// Signature keeps its bits only while every point subtracts its neighbours
-// in (dk,dj,di) order — a rewrite may add or drop an exact zero term, never
-// reassociate.
+// neighbouring rows, two points per pass, every point alike. Host speed is
+// free to change, the answer is not: virtual time comes from ctx.Charge
+// alone, and the Signature keeps its bits only while every point subtracts
+// its neighbours in (dk,dj,di) order. Points may be computed side by side
+// in any grouping, since each has its own accumulator; within one point a
+// rewrite may add or drop an exact zero term, never reassociate.
 package hpccg
 
 import (
@@ -134,7 +135,33 @@ func (a *App) spmv(out, v, lo, hi []float64) {
 			r6, r7, r8 := pad[c+dz-sx:][:sx], pad[c+dz:][:sx], pad[c+dz+sx:][:sx]
 			base := nx * (j + ny*k)
 			o := out[base : base+nx]
-			for i := 1; i < sx-1; i++ {
+			// Two points per pass, i and i+1, each with its own accumulator
+			// and its own 26 subtractions in (dk,dj,di) order; an odd nx
+			// leaves one point for the tail below.
+			i := 1
+			for ; i < sx-2; i += 2 {
+				s, t := 27*r4[i], 27*r4[i+1]
+				s = s - r0[i-1] - r0[i] - r0[i+1]
+				t = t - r0[i] - r0[i+1] - r0[i+2]
+				s = s - r1[i-1] - r1[i] - r1[i+1]
+				t = t - r1[i] - r1[i+1] - r1[i+2]
+				s = s - r2[i-1] - r2[i] - r2[i+1]
+				t = t - r2[i] - r2[i+1] - r2[i+2]
+				s = s - r3[i-1] - r3[i] - r3[i+1]
+				t = t - r3[i] - r3[i+1] - r3[i+2]
+				s = s - r4[i-1] - r4[i+1]
+				t = t - r4[i] - r4[i+2]
+				s = s - r5[i-1] - r5[i] - r5[i+1]
+				t = t - r5[i] - r5[i+1] - r5[i+2]
+				s = s - r6[i-1] - r6[i] - r6[i+1]
+				t = t - r6[i] - r6[i+1] - r6[i+2]
+				s = s - r7[i-1] - r7[i] - r7[i+1]
+				t = t - r7[i] - r7[i+1] - r7[i+2]
+				s = s - r8[i-1] - r8[i] - r8[i+1]
+				t = t - r8[i] - r8[i+1] - r8[i+2]
+				o[i-1], o[i] = s, t
+			}
+			if i < sx-1 {
 				s := 27 * r4[i]
 				s = s - r0[i-1] - r0[i] - r0[i+1]
 				s = s - r1[i-1] - r1[i] - r1[i+1]
@@ -198,11 +225,15 @@ func (a *App) Step(ctx *appkit.Context, iter int) error {
 		return ErrBreakdown
 	}
 	alpha := a.rho / pap
+	// Cut to one length, the vectors are indexed without bounds checks or
+	// reloads through a.
+	x := a.x
+	r, p, ap := a.r[:len(x)], a.p[:len(x)], a.ap[:len(x)]
 	localRho := 0.0
-	for i := range a.x {
-		a.x[i] += alpha * a.p[i]
-		a.r[i] -= alpha * a.ap[i]
-		localRho += a.r[i] * a.r[i]
+	for i := range x {
+		x[i] += alpha * p[i]
+		r[i] -= alpha * ap[i]
+		localRho += r[i] * r[i]
 	}
 	ctx.Charge(float64(a.n) * 6)
 	rhoNew, err := appkit.SumAll(ctx, localRho)
@@ -211,8 +242,8 @@ func (a *App) Step(ctx *appkit.Context, iter int) error {
 	}
 	beta := rhoNew / a.rho
 	a.rho = rhoNew
-	for i := range a.p {
-		a.p[i] = a.r[i] + beta*a.p[i]
+	for i := range p {
+		p[i] = r[i] + beta*p[i]
 	}
 	ctx.Charge(float64(a.n) * 2)
 	return nil

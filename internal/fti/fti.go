@@ -16,9 +16,10 @@
 //
 // A checkpoint's bytes are made once: every protected object appends its
 // encoding straight into the one payload, and the storage tiers keep that
-// slice as the file. Nothing here writes to a slice after handing it to
-// storage, and nothing modifies a slice storage returns; Restore copies
-// out of it.
+// slice as the file. Nothing here writes to a slice it handed to storage
+// until gc has deleted every file holding it and a later commit has
+// passed (CheckpointAt then gives it to the next serialize), and nothing
+// modifies a slice storage returns; Restore copies out of it.
 package fti
 
 import (
@@ -147,6 +148,11 @@ type FTI struct {
 	// code is the erasure code of this rank's L3 group (see l3Code).
 	code  *rs.Code
 	Stats Stats
+
+	// kept is the payload of the latest checkpoint this instance committed
+	// (nil after a failed checkpoint), and spare a payload gc has freed,
+	// which the next serialize writes into; see CheckpointAt.
+	kept, spare []byte
 
 	// probe is the run's observer probe, captured at Init (nil when
 	// observers are off), and ident the span identity of this instance:
@@ -404,15 +410,22 @@ func (f *FTI) writeMeta(id int64, level Level) error {
 func (f *FTI) scaledLen(n int) float64 { return f.r.Job().Cluster().Config().Scaled(n) }
 
 // serialize encodes all protected objects into one payload: sized by
-// their SnapshotLen, allocated once, each object appended in place behind
-// its id and length. It charges the serialization CPU time, and fails
-// without charging if an object appends other than its SnapshotLen bytes.
+// their SnapshotLen, written into the spare payload when it fits and
+// otherwise allocated once, each object appended in place behind its id
+// and length. The payload's capacity is its length, so nobody can append
+// into a stored one. It charges the serialization CPU time, and fails without
+// charging if an object appends other than its SnapshotLen bytes.
 func (f *FTI) serialize() ([]byte, error) {
 	n := 8
 	for _, e := range f.objs {
 		n += 16 + e.obj.SnapshotLen()
 	}
-	out := enc.AppendUint64(make([]byte, 0, n), uint64(len(f.objs)))
+	out := f.spare
+	f.spare = nil
+	if cap(out) < n {
+		out = make([]byte, 0, n)
+	}
+	out = enc.AppendUint64(out[:0], uint64(len(f.objs)))
 	for _, e := range f.objs {
 		want := e.obj.SnapshotLen()
 		out = enc.AppendUint64(enc.AppendUint64(out, uint64(e.id)), uint64(want))
@@ -423,7 +436,7 @@ func (f *FTI) serialize() ([]byte, error) {
 		}
 	}
 	f.r.Compute(simnet.Time(f.scaledLen(len(out)) / serializeBWBps * 1e9))
-	return out, nil
+	return out[:n:n], nil
 }
 
 // deserialize restores all protected objects from a payload (charging the
@@ -467,6 +480,27 @@ func (f *FTI) Checkpoint(id int64) error { return f.CheckpointAt(id, 0) }
 // partner mirror refreshed on every commit of an L2 configuration), so an
 // escalated checkpoint protects its payload at the higher level while
 // metadata durability still follows the configured base level.
+//
+// The payload of the checkpoint a commit supersedes is written into by the
+// next serialize, once gc has deleted its files. That is safe because:
+//   - gc(prev) deletes every file this instance wrote it to: the L1 file,
+//     the L2 partner copy, the L3 one-member group's copy and the L4 PFS
+//     file (a delete on a dead node is a no-op, but nodes never come back,
+//     so such a file is never read again);
+//   - it is handed out only after a later commit allreduce has completed
+//     on this rank;
+//   - every rank that received the payload by message consumed it inside
+//     the same collective, before that commit: the one such rank is the L3
+//     group's root in Gatherv, which copies it into the flat that every
+//     member's deferred parity fill reads;
+//   - Restore copies out of whatever Read returns;
+//   - a rank that dies takes its FTI with it, and a new incarnation starts
+//     with neither kept nor spare;
+//   - only a payload this instance serialized is recycled, and only one
+//     whose checkpoint committed: kept is cleared on entry and set again
+//     only once this checkpoint's commit and metadata are done, so a
+//     checkpoint that fails anywhere (and leaves its predecessor's files
+//     undeleted) recycles nothing.
 func (f *FTI) CheckpointAt(id int64, level Level) error {
 	if level == 0 {
 		level = f.cfg.Level
@@ -492,6 +526,8 @@ func (f *FTI) CheckpointAt(id int64, level Level) error {
 			f.probe.Emit(s)
 		}
 	}()
+	kept := f.kept
+	f.kept = nil
 	payload, err := f.serialize()
 	if err != nil {
 		return err
@@ -531,7 +567,9 @@ func (f *FTI) CheckpointAt(id int64, level Level) error {
 	}
 	if prev >= 0 && prev != id {
 		f.gc(prev, prevLevel)
+		f.spare = kept
 	}
+	f.kept = payload
 	return nil
 }
 
