@@ -639,7 +639,7 @@ func armRestart(rc resolvedCell, cluster *simnet.Cluster, rec *recorder, runApp 
 	})
 	return &sup.Recoveries, func() outcome {
 		return outcome{detectors: sup.Detectors, jobs: sup.Jobs,
-			gaveUp: sup.GaveUp, relaunches: len(sup.Recoveries)}
+			gaveUp: sup.GaveUp, relaunches: sup.Relaunches()}
 	}
 }
 

@@ -1,0 +1,68 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"match/internal/fault"
+	"match/internal/fti"
+)
+
+// nodeLossKnownBad lists the node-loss cells that do not recover yet, each
+// with the error it ends in. They are skipped, not run: two of them only
+// end at the virtual deadline. Making a node loss recover at every level
+// empties this list.
+var nodeLossKnownBad = map[string]string{
+	// The next L2 checkpoint after the recovery targets the partner copy's
+	// node, which is still the dead one.
+	"restart/L2": "core: only 0/8 ranks completed, first error: storage: node down " +
+		"(2 incarnations launched, 1 recoveries logged, 1/1 faults fired)",
+	"reinit/L2": "core: virtual deadline 200000.000s exceeded (event at 200000.025s); likely deadlock or livelock",
+	"ulfm/L2":   "core: virtual deadline 200000.000s exceeded (event at 200000.100s); likely deadlock or livelock",
+	"replica/L2": "core: only 0/8 ranks completed, first error: storage: node down " +
+		"(1 incarnations launched, 2 recoveries logged, 1/1 faults fired)",
+	// Also pinned by TestIncompleteCellSaysWhy.
+	"replica/L3": "core: only 0/8 ranks completed, no rank reported an error " +
+		"(1 incarnations launched, 2 recoveries logged, 1/1 faults fired)",
+}
+
+// Every design recovers from losing rank 3's node at iteration 12 with the
+// failure-free answer, at every FTI level not on nodeLossKnownBad (`match
+// -app HPCCG -procs 8 -level L -fault-schedule '3@12:kind=node'`). The
+// replacement process must not start on the dead node.
+func TestNodeLossMatrix(t *testing.T) {
+	sched, err := fault.ParseSchedule("3@12:kind=node")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range Designs() {
+		var want float64
+		for _, level := range []fti.Level{fti.L1, fti.L2, fti.L3, fti.L4} {
+			name := fmt.Sprintf("%s/L%d", d.ShortName(), level)
+			t.Run(name, func(t *testing.T) {
+				if why, bad := nodeLossKnownBad[name]; bad {
+					t.Skip("known bad: " + why)
+				}
+				if want == 0 {
+					ref, err := Run(Config{App: "HPCCG", Design: d, Procs: 8})
+					if err != nil {
+						t.Fatalf("failure-free run: %v", err)
+					}
+					want = ref.Signature
+				}
+				bd, err := Run(Config{App: "HPCCG", Design: d, Procs: 8, FTILevel: level, Schedule: &sched})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bd.FaultsInjected != 1 || bd.Recoveries == 0 {
+					t.Fatalf("%d faults fired, %d recoveries; want 1 and at least 1", bd.FaultsInjected, bd.Recoveries)
+				}
+				if math.Float64bits(bd.Signature) != math.Float64bits(want) {
+					t.Fatalf("signature %v (%016x), failure-free %v (%016x)", bd.Signature,
+						math.Float64bits(bd.Signature), want, math.Float64bits(want))
+				}
+			})
+		}
+	}
+}

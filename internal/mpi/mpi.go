@@ -188,11 +188,13 @@ func (j *Job) Epoch() int { return j.epoch }
 func (j *Job) Aborted() bool { return j.aborted }
 
 // AddProcess registers a new MPI process bound to a simnet process on the
-// given node. Used by Launch and by ULFM spawn.
+// given node, or on the cluster's LiveNode for it when that node is dead:
+// every design creates its processes here, so none starts one on a lost
+// node.
 func (j *Job) AddProcess(node int, proc *simnet.Proc) *Process {
 	p := &Process{
 		gid:      len(j.procs),
-		node:     node,
+		node:     j.cluster.LiveNode(node),
 		job:      j,
 		proc:     proc,
 		collSeq:  make(map[int]int),

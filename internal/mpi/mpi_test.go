@@ -547,3 +547,16 @@ func TestJobGIDsDenseUnknownIgnored(t *testing.T) {
 		t.Fatalf("failed flags %v, %v; want false, true", a.failed, b.failed)
 	}
 }
+
+// A process added on a dead node lands on the cluster's LiveNode for it.
+func TestAddProcessAvoidsDeadNode(t *testing.T) {
+	c := simnet.NewCluster(simnet.Config{Nodes: 3})
+	j := NewJob(c)
+	c.FailNode(2)
+	if got := j.AddProcess(1, nil).NodeID(); got != 1 {
+		t.Fatalf("process on live node 1 placed on %d", got)
+	}
+	if got, want := j.AddProcess(2, nil).NodeID(), c.LiveNode(2); got != want || want != 0 {
+		t.Fatalf("process on dead node 2 placed on %d, want LiveNode(2) = %d = 0", got, want)
+	}
+}

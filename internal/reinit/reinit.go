@@ -5,10 +5,11 @@
 // The application wraps its main in a resilient function (the paper's
 // Figure 2). On a process failure the runtime: detects the failure through
 // its daemons (the shared internal/detect Tree strategy), flushes all
-// communication state, respawns the failed process on its node, rebuilds
-// the world communicator, and unwinds every survivor back into the
-// resilient function with state Restarted — the runtime-level equivalent
-// of longjmp. Because everything happens in the runtime with small control
+// communication state, respawns the failed process on its node (or, when
+// a node failure took that node, on the next live one: mpi.Job.AddProcess
+// places it by simnet.Cluster.LiveNode), rebuilds the world communicator,
+// and unwinds every survivor back into the resilient function with state
+// Restarted — the runtime-level equivalent of longjmp. Because everything happens in the runtime with small control
 // messages, recovery cost is low and independent of both the process count
 // and the problem size, which is exactly the behavior the paper measures
 // (Figures 7 and 10).
@@ -126,12 +127,13 @@ func (rt *Runtime) globalRestart(failed *mpi.Process, failedAt simnet.Time) {
 	rt.job.BumpEpoch()
 	rt.job.DropSubComms()
 
-	// 2. Respawn the failed rank on its node (fork/exec + MPI init).
+	// 2. Respawn the failed rank on its node, or the next live one
+	// (fork/exec + MPI init).
 	oldRank := rt.world.RankOf(failed.GID())
 	members := append([]*mpi.Process(nil), rt.world.Members()...)
 	repl := rt.job.AddProcess(failed.NodeID(), nil)
 	members[oldRank] = repl
-	sp := cl.StartProc(failed.NodeID(), respawnDelay, func(sp *simnet.Proc) {
+	sp := cl.StartProc(repl.NodeID(), respawnDelay, func(sp *simnet.Proc) {
 		r := mpi.Bind(rt.job, repl, sp)
 		if err := rt.runLoop(r, StateRestarted); err != nil {
 			rt.Errs = append(rt.Errs, fmt.Errorf("reinit: respawned rank %d: %w", oldRank, err))

@@ -21,8 +21,10 @@
 // rank under partial replication, or a node failure taking out a
 // degenerate group — no copy of the rank's state survives, and the
 // supervisor falls back to checkpoint-only recovery: it tears the job down
-// and relaunches it restart-style, with FTI restoring the last committed
-// checkpoint.
+// and relaunches it on restart.Launcher, the restart design's relaunch
+// cycle, with FTI restoring the last committed checkpoint. Every
+// incarnation and every hot spare is placed by mpi.Job.AddProcess, which
+// moves a process off a dead node to simnet.Cluster.LiveNode.
 package replica
 
 import (
@@ -101,8 +103,7 @@ const (
 )
 
 // The fixed part of the cost model. An exhausted group's checkpoint-only
-// fallback pays the restart design's launcher model (restart.DetectDelay,
-// TeardownDelay, LaunchBase, LaunchPerProc, MaxRelaunches).
+// fallback runs on restart.Launcher and pays its cost model.
 const (
 	// perOpOverhead is the sequencing/envelope cost the replica layer adds
 	// to every point-to-point operation.
@@ -113,7 +114,8 @@ const (
 )
 
 // Layout is the replica-group structure of an n-rank job: which ranks are
-// replicated, at what degree, and where every replica runs.
+// replicated, at what degree, and where every replica runs (once its node
+// is lost, on the cluster's LiveNode for it).
 type Layout struct {
 	Procs  int     // logical rank count
 	Degree []int   // replicas per logical rank
@@ -207,29 +209,24 @@ func (r Respawn) Duration() simnet.Time { return r.LiveAt - r.StartedAt }
 // groups, absorbs single-replica failures by failover, and relaunches the
 // job from checkpoints when a group is exhausted.
 type Supervisor struct {
+	// Launcher runs the fallback's relaunch cycle and keeps every
+	// incarnation (Jobs, Detectors, GaveUp, CurrentJob, Relaunches).
+	restart.Launcher
 	cluster *simnet.Cluster
 	cfg     Config
 	dcfg    detect.Config
 	layout  Layout
 	main    func(r *mpi.Rank, world *mpi.Comm, replica int)
 
-	// Jobs lists every launched incarnation, newest last.
-	Jobs []*mpi.Job
-	// Detectors lists the per-incarnation failure detectors, parallel to
-	// Jobs (the harness sums their confirmed failures' latencies).
-	Detectors []detect.Detector
 	// Recoveries lists failovers and fallback relaunches in order (Kind is
 	// the RecoveryKind, Replica the index that died).
 	Recoveries []mpi.Recovery
 	// RespawnLog lists every hot-spare spawn scheduled, in order (live,
 	// in-flight, and aborted alike). Empty unless Config.HotSpare is set.
 	RespawnLog []Respawn
-	// GaveUp is set when restart.MaxRelaunches was exhausted.
-	GaveUp bool
 
-	world      *mpi.Comm
-	rankDone   []bool
-	restarting bool
+	world    *mpi.Comm
+	rankDone []bool
 	// gidRank/gidIdx map the current incarnation's physical processes back
 	// to (logical rank, replica index) for detector-driven recovery.
 	gidRank map[int]int
@@ -299,6 +296,7 @@ func Supervise(c *simnet.Cluster, cfg Config, dcfg detect.Config, n int, main fu
 		main:     main,
 		rankDone: make([]bool, n),
 	}
+	s.Launcher = restart.NewLauncher(c, dcfg, s.layout.Total, s.launch)
 	s.launch(0)
 	return s
 }
@@ -308,9 +306,6 @@ func (s *Supervisor) Layout() Layout { return s.layout }
 
 // World returns the current incarnation's replica-aware world.
 func (s *Supervisor) World() *mpi.Comm { return s.world }
-
-// CurrentJob returns the newest incarnation.
-func (s *Supervisor) CurrentJob() *mpi.Job { return s.Jobs[len(s.Jobs)-1] }
 
 // Done reports whether every logical rank completed in some incarnation.
 func (s *Supervisor) Done() bool {
@@ -385,25 +380,12 @@ func (s *Supervisor) SpawnTime() simnet.Time {
 	return t
 }
 
-// Failovers counts the rollback-free recoveries performed.
-func (s *Supervisor) Failovers() int { return s.count(Failover) }
-
-// Relaunches counts the checkpoint-only fallbacks performed.
-func (s *Supervisor) Relaunches() int { return s.count(Relaunch) }
-
-func (s *Supervisor) count(k RecoveryKind) int {
-	n := 0
-	for _, r := range s.Recoveries {
-		if r.Kind == int(k) {
-			n++
-		}
-	}
-	return n
-}
+// Failovers counts the rollback-free recoveries performed: every recovery
+// that is not one of the launcher's relaunches.
+func (s *Supervisor) Failovers() int { return len(s.Recoveries) - s.Relaunches() }
 
 // launch starts one physical incarnation of the whole replicated job.
 func (s *Supervisor) launch(delay simnet.Time) {
-	s.restarting = false
 	s.spares = make(map[int]*spare)
 	job := mpi.NewJob(s.cluster)
 	job.PerOpOverhead = perOpOverhead
@@ -423,7 +405,6 @@ func (s *Supervisor) launch(delay simnet.Time) {
 	}
 	world := job.NewReplicaComm(groups)
 	job.SetWorld(world)
-	s.Jobs = append(s.Jobs, job)
 	s.world = world
 	s.gidRank = make(map[int]int, s.layout.Total)
 	s.gidIdx = make(map[int]int, s.layout.Total)
@@ -449,9 +430,7 @@ func (s *Supervisor) launch(delay simnet.Time) {
 	for i := 0; i < n; i++ {
 		phys = append(phys, groups[i]...)
 	}
-	det := detect.MustNew(s.dcfg, job, func(f detect.Failure) { s.onFailure(job, world, f) })
-	det.SetProcs(phys)
-	s.Detectors = append(s.Detectors, det)
+	s.Watch(job, func(f detect.Failure) { s.onFailure(job, world, f) }).SetProcs(phys)
 }
 
 // onExit is the node daemon's process watcher: it records completions and
@@ -477,8 +456,8 @@ func (s *Supervisor) onExit(job *mpi.Job, rank int, p *mpi.Process, sp *simnet.P
 // already be exhausted, sending the run down the fallback path the instant
 // launcher preset would have avoided.
 func (s *Supervisor) onFailure(job *mpi.Job, world *mpi.Comm, f detect.Failure) {
-	if job != s.CurrentJob() || s.restarting || job.Aborted() {
-		return // stale incarnation, or kills caused by our own teardown
+	if !s.Live(job) {
+		return
 	}
 	rank, ok := s.gidRank[f.GID]
 	if !ok {
@@ -573,7 +552,7 @@ func (s *Supervisor) failover(job *mpi.Job, world *mpi.Comm, rank, idx int, f de
 // a state transfer cloning the surviving leader's live memory to the
 // spare's node over the network. The spare lands on the dead replica's
 // node when that node is still alive (a process failure leaves it free),
-// the next alive node otherwise.
+// the next live node otherwise (simnet.Cluster.LiveNode).
 func (s *Supervisor) scheduleRespawn(job *mpi.Job, world *mpi.Comm, rank, idx, deadNode int) {
 	if !s.cfg.HotSpare || s.spares[rank] != nil {
 		return
@@ -591,9 +570,7 @@ func (s *Supervisor) scheduleRespawn(job *mpi.Job, world *mpi.Comm, rank, idx, d
 	if node < 0 {
 		node = s.layout.Nodes[rank][0]
 	}
-	for probe := 0; !s.cluster.Node(node).Alive() && probe < s.cluster.NumNodes(); probe++ {
-		node = (node + 1) % s.cluster.NumNodes()
-	}
+	node = s.cluster.LiveNode(node)
 	start := s.cluster.Now()
 	s.RespawnLog = append(s.RespawnLog, Respawn{
 		Rank: rank, Replica: idx, Node: node, StartedAt: start,
@@ -613,7 +590,7 @@ func (s *Supervisor) scheduleRespawn(job *mpi.Job, world *mpi.Comm, rank, idx, d
 	wire := int64(s.cluster.Config().Scaled(int(bytes)))
 	serialize := simnet.Time(float64(wire) / s.cfg.SpawnBandwidth * 1e9)
 	s.cluster.Scheduler().After(s.cfg.SpawnDelay+serialize, func() {
-		if job != s.CurrentJob() || s.restarting || job.Aborted() {
+		if !s.Live(job) {
 			s.abortRespawn(rank, sp)
 			return
 		}
@@ -628,8 +605,7 @@ func (s *Supervisor) scheduleRespawn(job *mpi.Job, world *mpi.Comm, rank, idx, d
 // senders start duplicating onto it, and MinLiveDegree sees the restored
 // protection — and from here on tracks the survivor in lockstep.
 func (s *Supervisor) goLive(job *mpi.Job, world *mpi.Comm, rank, idx, node int, sp *spare) {
-	if job != s.CurrentJob() || s.restarting || job.Aborted() ||
-		s.rankDone[rank] || !s.groupAlive(world, rank) ||
+	if !s.Live(job) || s.rankDone[rank] || !s.groupAlive(world, rank) ||
 		!s.cluster.Node(node).Alive() {
 		s.abortRespawn(rank, sp)
 		return
@@ -680,7 +656,7 @@ func (s *Supervisor) abortRespawn(rank int, sp *spare) {
 // schedules a fresh respawn to refill the slot that was consumed.
 func (s *Supervisor) AbsorbFailure(r *mpi.Rank, world *mpi.Comm) bool {
 	job := r.Job()
-	if !s.cfg.HotSpare || job != s.CurrentJob() || s.restarting || job.Aborted() {
+	if !s.cfg.HotSpare || !s.Live(job) {
 		return false
 	}
 	rank := r.Rank(world)
@@ -773,25 +749,7 @@ func (s *Supervisor) AbsorbFailure(r *mpi.Rank, world *mpi.Comm) bool {
 // survives, so replication has nothing left to offer — tear the job down
 // and redeploy it; FTI then restores the last committed checkpoint.
 func (s *Supervisor) fallback(job *mpi.Job, rank int, f detect.Failure) {
-	s.restarting = true
-	// The incarnation is doomed; stop confirming the teardown kills that
-	// follow.
-	s.Detectors[len(s.Detectors)-1].Stop()
-	// Under the launcher preset the launcher pays DetectDelay before
-	// aborting; an in-band detector notifies it at confirmation.
-	delay0 := restart.DetectDelay
-	if s.dcfg.Kind != detect.Launcher {
-		delay0 = 0
-	}
-	s.cluster.Scheduler().After(delay0, func() {
-		abortedAt := s.cluster.Now()
-		job.Abort()
-		if s.Relaunches() >= restart.MaxRelaunches {
-			s.GaveUp = true
-			return
-		}
-		delay := restart.TeardownDelay + restart.LaunchBase +
-			simnet.Time(s.layout.Total)*restart.LaunchPerProc
+	s.Relaunch(job, func(abortedAt, delay simnet.Time) {
 		s.Recoveries = append(s.Recoveries, mpi.Recovery{
 			Kind: int(Relaunch), Rank: rank,
 			// The launcher acts the moment it knows: at confirmation for an
@@ -803,7 +761,6 @@ func (s *Supervisor) fallback(job *mpi.Job, rank int, f detect.Failure) {
 				Rank: int32(rank), Job: p.JobOf(job),
 				Start: int64(abortedAt), Aux: int64(f.GID)})
 		}
-		s.launch(delay)
 	})
 }
 

@@ -5,6 +5,12 @@
 // which is why the paper measures Restart recovery as roughly an order of
 // magnitude slower than online recovery (16x Reinit, 2-3x ULFM on average).
 //
+// The relaunch cycle is Launcher, which the replica design's
+// checkpoint-only fallback embeds too. Each incarnation is a plain
+// mpi.Launch with block placement; after a node loss, mpi.Job.AddProcess
+// moves a rank placed on the dead node to the cluster's next live node
+// (simnet.Cluster.LiveNode), so the relaunched job never starts there.
+//
 // Failure detection goes through the shared internal/detect subsystem.
 // The preset is the Launcher strategy — the waitpid/SIGCHLD chain sees the
 // death instantly and the launcher reacts DetectDelay later. Under an
@@ -41,42 +47,111 @@ const (
 	MaxRelaunches = 8
 )
 
-// Supervisor relaunches a job until it completes without a failure.
-type Supervisor struct {
-	cluster *simnet.Cluster
-	dcfg    detect.Config
-	n       int
-	nodes   []int
-	main    func(*mpi.Rank)
-
+// Launcher is the job launcher's relaunch cycle, shared by this design and
+// the replica design's checkpoint-only fallback: it keeps every
+// incarnation and its failure detector, and on a doomed incarnation runs
+// the one teardown-and-redeploy sequence under this package's cost model.
+// A design embeds it, hands it the function that launches one incarnation,
+// and books its own Recovery record and span through Relaunch's callback.
+type Launcher struct {
 	// Jobs lists every launched incarnation, newest last.
 	Jobs []*mpi.Job
 	// Detectors lists the per-incarnation failure detectors, parallel to
 	// Jobs (the harness sums their confirmed failures' latencies).
 	Detectors []detect.Detector
-	// Recoveries lists the restarts performed; each completes when the
-	// redeployed ranks begin executing.
-	Recoveries []mpi.Recovery
 	// GaveUp is set when MaxRelaunches was exhausted.
 	GaveUp bool
 
+	cluster    *simnet.Cluster
+	dcfg       detect.Config
+	procs      int // processes per incarnation, priced by LaunchPerProc
+	launch     func(delay simnet.Time)
+	relaunches int
 	restarting bool
-	exitedOK   int
-	done       bool
+}
+
+// NewLauncher returns a launcher on cluster c whose incarnations run procs
+// processes, are watched by detector dcfg, and are started by launch
+// (which must call Watch). It launches nothing itself.
+func NewLauncher(c *simnet.Cluster, dcfg detect.Config, procs int, launch func(delay simnet.Time)) Launcher {
+	return Launcher{cluster: c, dcfg: dcfg, procs: procs, launch: launch}
+}
+
+// CurrentJob returns the newest incarnation.
+func (l *Launcher) CurrentJob() *mpi.Job { return l.Jobs[len(l.Jobs)-1] }
+
+// Relaunches counts the redeployments performed.
+func (l *Launcher) Relaunches() int { return l.relaunches }
+
+// Live reports whether job is the current incarnation and still running:
+// not aborted, and not doomed by a relaunch in progress. Anything else is
+// a stale incarnation or a kill caused by the launcher's own teardown.
+func (l *Launcher) Live(job *mpi.Job) bool {
+	return job == l.CurrentJob() && !l.restarting && !job.Aborted()
+}
+
+// Watch records job as the new current incarnation and starts its failure
+// detector, which reports confirmed failures to onFailure. The design
+// points the returned detector at the processes it should watch.
+func (l *Launcher) Watch(job *mpi.Job, onFailure func(detect.Failure)) detect.Detector {
+	l.restarting = false
+	l.Jobs = append(l.Jobs, job)
+	det := detect.MustNew(l.dcfg, job, onFailure)
+	l.Detectors = append(l.Detectors, det)
+	return det
+}
+
+// Relaunch tears the current incarnation job down after a confirmed
+// failure and redeploys it: the launcher stops the detector, acts
+// DetectDelay later (under the Launcher detector; at once under an
+// in-band one, which has paid its latency already), aborts the job and,
+// unless MaxRelaunches is spent, calls book with the abort time and the
+// relaunch delay, then launches the next incarnation after that delay.
+func (l *Launcher) Relaunch(job *mpi.Job, book func(abortedAt, delay simnet.Time)) {
+	l.restarting = true
+	// One failure dooms the incarnation; stop confirming the teardown kills
+	// that follow.
+	l.Detectors[len(l.Detectors)-1].Stop()
+	wait := DetectDelay
+	if l.dcfg.Kind != detect.Launcher {
+		wait = 0
+	}
+	l.cluster.Scheduler().After(wait, func() {
+		abortedAt := l.cluster.Now()
+		job.Abort()
+		if l.relaunches >= MaxRelaunches {
+			l.GaveUp = true
+			return
+		}
+		l.relaunches++
+		delay := TeardownDelay + LaunchBase + simnet.Time(l.procs)*LaunchPerProc
+		book(abortedAt, delay)
+		l.launch(delay)
+	})
+}
+
+// Supervisor relaunches a job until it completes without a failure.
+type Supervisor struct {
+	Launcher
+	main func(*mpi.Rank)
+
+	// Recoveries lists the restarts performed; each completes when the
+	// redeployed ranks begin executing.
+	Recoveries []mpi.Recovery
+
+	exitedOK int
+	done     bool
 }
 
 // Supervise launches an n-rank job running main under restart supervision
 // with failure detector dcfg (the Launcher detector is Restart's own) and
 // returns the supervisor; drive the cluster's scheduler to completion
-// afterwards. Block placement mirrors mpi.Launch. An invalid detector
+// afterwards. Every incarnation is an mpi.Launch. An invalid detector
 // configuration panics; validate with detect.Config.Validate (core.Run
 // does) before constructing.
 func Supervise(c *simnet.Cluster, dcfg detect.Config, n int, main func(*mpi.Rank)) *Supervisor {
-	nodes := make([]int, n)
-	for i := range nodes {
-		nodes[i] = i * c.NumNodes() / n
-	}
-	s := &Supervisor{cluster: c, dcfg: dcfg, n: n, nodes: nodes, main: main}
+	s := &Supervisor{main: main}
+	s.Launcher = NewLauncher(c, dcfg, n, s.launch)
 	s.launch(0)
 	return s
 }
@@ -85,65 +160,38 @@ func Supervise(c *simnet.Cluster, dcfg detect.Config, n int, main func(*mpi.Rank
 // normally.
 func (s *Supervisor) Done() bool { return s.done }
 
-// CurrentJob returns the newest incarnation.
-func (s *Supervisor) CurrentJob() *mpi.Job { return s.Jobs[len(s.Jobs)-1] }
-
 func (s *Supervisor) launch(delay simnet.Time) {
-	s.restarting = false
 	s.exitedOK = 0
-	job := mpi.LaunchPlaced(s.cluster, s.nodes, delay, s.main)
-	s.Jobs = append(s.Jobs, job)
+	job := mpi.Launch(s.cluster, s.procs, delay, s.main)
 	for _, p := range job.World().Members() {
 		p.SimProc().OnExit(func(sp *simnet.Proc) {
 			if job == s.CurrentJob() && sp.Status() == simnet.ExitOK {
 				s.exitedOK++
-				if s.exitedOK == s.n {
+				if s.exitedOK == s.procs {
 					s.done = true
 				}
 			}
 		})
 	}
-	det := detect.MustNew(s.dcfg, job, func(f detect.Failure) { s.onFailure(job, f) })
-	det.SetWorld(job.World())
-	s.Detectors = append(s.Detectors, det)
+	s.Watch(job, func(f detect.Failure) { s.onFailure(job, f) }).SetWorld(job.World())
 }
 
 // onFailure reacts to a confirmed rank failure: the launcher aborts the
 // job and redeploys it.
 func (s *Supervisor) onFailure(job *mpi.Job, f detect.Failure) {
-	if job != s.CurrentJob() || s.restarting || job.Aborted() {
-		return // stale incarnation, or kills caused by our own teardown
+	if !s.Live(job) {
+		return
 	}
-	s.restarting = true
-	// One failure dooms the incarnation; stop confirming the teardown kills
-	// that follow.
-	s.Detectors[len(s.Detectors)-1].Stop()
 	failedRank := job.World().RankOf(f.GID)
-	// Under the Launcher detector the waitpid chain needs DetectDelay to
-	// act; an in-band detector has already paid its latency and notifies
-	// the launcher at confirmation.
-	delay := DetectDelay
-	if s.dcfg.Kind != detect.Launcher {
-		delay = 0
-	}
-	sched := s.cluster.Scheduler()
-	sched.After(delay, func() {
-		abortedAt := s.cluster.Now()
-		job.Abort()
-		if len(s.Recoveries) >= MaxRelaunches {
-			s.GaveUp = true
-			return
-		}
-		relaunchDelay := TeardownDelay + LaunchBase + simnet.Time(s.n)*LaunchPerProc
+	s.Relaunch(job, func(abortedAt, delay simnet.Time) {
 		s.Recoveries = append(s.Recoveries, mpi.Recovery{
 			Rank:        failedRank,
 			FailedAt:    f.FailedAt,
-			CompletedAt: abortedAt + relaunchDelay,
+			CompletedAt: abortedAt + delay,
 		})
 		if p := s.cluster.Probe(); p.On(trace.CatRepair) {
 			p.Emit(trace.Span{Cat: trace.CatRepair, Rank: int32(failedRank),
-				Job: p.JobOf(job), Start: int64(abortedAt + relaunchDelay), Aux: 1})
+				Job: p.JobOf(job), Start: int64(abortedAt + delay), Aux: 1})
 		}
-		s.launch(relaunchDelay)
 	})
 }

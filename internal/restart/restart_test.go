@@ -154,3 +154,35 @@ func TestMaxRelaunchesGivesUp(t *testing.T) {
 		t.Fatalf("recoveries = %d, want %d", len(s.Recoveries), MaxRelaunches)
 	}
 }
+
+// A node loss dooms the incarnation, and the relaunch places no rank on
+// the dead node: the rank placed there moves to the next live node, and
+// the job completes with the failure-free answer.
+func TestRelaunchAvoidsDeadNode(t *testing.T) {
+	plan := fault.Schedule{Events: []fault.Event{{Kind: fault.NodeFailure, TargetRank: 2, TargetIter: 7}}}
+	s, sums := runRestart(t, 4, 12, 3, plan, "restart-node")
+	if !s.Done() {
+		t.Fatal("job did not complete after the node loss")
+	}
+	if len(s.Jobs) != 2 {
+		t.Fatalf("jobs = %d, want 2", len(s.Jobs))
+	}
+	c := s.CurrentJob().Cluster()
+	if c.Node(2).Alive() {
+		t.Fatal("node 2 survived its node failure")
+	}
+	for _, p := range s.CurrentJob().World().Members() {
+		if !c.Node(p.NodeID()).Alive() {
+			t.Fatalf("relaunched gid %d placed on dead node %d", p.GID(), p.NodeID())
+		}
+	}
+	if got := s.CurrentJob().World().Member(2).NodeID(); got != 3 {
+		t.Fatalf("rank 2 relaunched on node %d, want 3 (the next live node)", got)
+	}
+	want := reference(4, 12)
+	for i, sum := range sums {
+		if sum != want {
+			t.Fatalf("rank %d sum %v, want %v", i, sum, want)
+		}
+	}
+}

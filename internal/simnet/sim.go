@@ -441,6 +441,18 @@ func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 // NumNodes returns the number of nodes.
 func (c *Cluster) NumNodes() int { return len(c.nodes) }
 
+// LiveNode is the placement rule for a process: node n if it is alive,
+// otherwise the next live node in id order, wrapping around past the last
+// id. With every node dead it returns n.
+func (c *Cluster) LiveNode(n int) int {
+	for i := range c.nodes {
+		if m := (n + i) % len(c.nodes); c.nodes[m].alive {
+			return m
+		}
+	}
+	return n
+}
+
 // Run drives the simulation to completion and returns the final time. It
 // may be called again after more events are scheduled; when the run is
 // abandoned with processes still parked, Close releases them.

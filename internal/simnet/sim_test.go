@@ -382,3 +382,28 @@ func TestSchedulerLeakedCleanRun(t *testing.T) {
 		t.Fatalf("Leaked() = %d after a drained run, want 0", n)
 	}
 }
+
+// LiveNode maps a live node to itself and a dead one to the next live id,
+// wrapping past the last; with every node dead it returns its argument.
+func TestLiveNode(t *testing.T) {
+	c := NewCluster(Config{Nodes: 4})
+	for n := 0; n < 4; n++ {
+		if got := c.LiveNode(n); got != n {
+			t.Fatalf("LiveNode(%d) = %d with every node alive", n, got)
+		}
+	}
+	c.FailNode(1)
+	c.FailNode(3)
+	for n, want := range []int{0, 2, 2, 0} {
+		if got := c.LiveNode(n); got != want {
+			t.Fatalf("LiveNode(%d) = %d with nodes 1 and 3 dead, want %d", n, got, want)
+		}
+	}
+	c.FailNode(0)
+	c.FailNode(2)
+	for n := 0; n < 4; n++ {
+		if got := c.LiveNode(n); got != n {
+			t.Fatalf("LiveNode(%d) = %d with every node dead, want %d", n, got, n)
+		}
+	}
+}

@@ -68,7 +68,8 @@ func (rt *Runtime) CommAgree(r *mpi.Rank, c *mpi.Comm, flag int64) (int64, error
 
 // CommSpawn is MPI_Comm_spawn for replacement processes: the root of the
 // shrunken communicator launches one replacement per failed rank, on the
-// failed rank's node, running the runtime's replacement entry. Returns the
+// failed rank's node or, when a node failure took it, the next live node
+// (mpi.Job.AddProcess), running the runtime's replacement entry. Returns the
 // replacements indexed by failed world rank. Non-roots return nil.
 func (rt *Runtime) CommSpawn(r *mpi.Rank, shrunk *mpi.Comm, world *mpi.Comm) map[int]*mpi.Process {
 	if r.Rank(shrunk) != 0 {
