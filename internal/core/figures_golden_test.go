@@ -53,8 +53,9 @@ type goldenLine struct {
 // the 24 conformance cells, from conformanceStore when
 // TestDesignConformanceMatrix has filled it. With -figures it adds Figs. 5-10 (HPCCG and
 // miniVite at 64 and 128 processes, all three inputs), the ablation sweeps,
-// a 30-cell campaign, and the cross-app CLI cells; every row goes through
-// the one store, so a cell shared between figures simulates once.
+// a 30-cell campaign, the cross-app CLI cells, and a slice of cells averaged
+// over three repetitions; every row goes through the one store, so a cell
+// shared between figures simulates once.
 //
 // -update -figures rewrites the file. That is a model change, like any
 // change to a figure: never regenerate it for a refactor.
@@ -105,6 +106,9 @@ func TestPaperFiguresGolden(t *testing.T) {
 		}
 	}
 	got = append(got, renders...)
+	if *allFigures {
+		got = append(got, repsLines(t)...)
+	}
 
 	if *update && *allFigures {
 		var out bytes.Buffer
@@ -145,6 +149,49 @@ func TestPaperFiguresGolden(t *testing.T) {
 	for row := range wantBy {
 		t.Errorf("%s: missing row, in %s but not run", row, figuresGolden)
 	}
+}
+
+// repsLines runs repsRows at three repetitions each and pins every row's
+// label and averaged Breakdown. The rows carry no key and are matched by
+// label alone: keyed, a rep could share a line with a one-rep row.
+func repsLines(t *testing.T) []goldenLine {
+	rows := repsRows(t)
+	cfgs := make([]Config, len(rows))
+	for i, r := range rows {
+		cfgs[i] = r.cfg
+	}
+	results, err := CampaignRunner{Store: conformanceStore}.Cells(cfgs, 3)
+	if err != nil {
+		t.Fatalf("reps3: %v", err)
+	}
+	lines := make([]goldenLine, len(rows))
+	for i, r := range rows {
+		bd := results[i].Breakdown
+		lines[i] = goldenLine{Row: r.label, Breakdown: &bd}
+	}
+	return lines
+}
+
+// repsRows are HPCCG with 0, 1 and 2 random failures and miniVite under an
+// explicit schedule, on every design: failure-free, seeded and scheduled
+// cells, 16 in all.
+func repsRows(t *testing.T) []goldenRow {
+	sched, err := fault.ParseSchedule("3@12")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []goldenRow
+	for _, d := range Designs() {
+		for k := 0; k <= 2; k++ {
+			rows = append(rows, goldenRow{fmt.Sprintf("reps3/HPCCG/k%d/%s", k, d.ShortName()), Config{
+				App: "HPCCG", Design: d, Procs: 16, Nodes: 8, Input: Small, Faults: k, FaultSeed: 3,
+			}})
+		}
+		rows = append(rows, goldenRow{"reps3/miniVite/schedule/" + d.ShortName(), Config{
+			App: "miniVite", Design: d, Procs: 16, Nodes: 8, Input: Small, Schedule: &sched, FaultSeed: 3,
+		}})
+	}
+	return rows
 }
 
 func shaLine(row string, b []byte) goldenLine {
