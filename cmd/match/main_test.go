@@ -69,6 +69,17 @@ func TestBadLevelIsAUsageError(t *testing.T) {
 	}
 }
 
+// A repetition count below one used to run one rep and print "(avg of 0)".
+func TestBadRepsIsAUsageError(t *testing.T) {
+	for _, reps := range []string{"0", "-2"} {
+		stdout, stderr, status := run(t, "-reps", reps)
+		want := "core: repetition " + reps + " invalid (reps count from 1)"
+		if status != 2 || len(stderr) != 1 || stderr[0] != want || stdout != "" {
+			t.Fatalf("-reps %s: exit %d, stderr %q, stdout %q; want 2, [%q] and nothing", reps, status, stderr, stdout, want)
+		}
+	}
+}
+
 // A cell that trips the virtual deadline (a known ULFM livelock) is a
 // failed cell, not a crashed process: one line and status 1, no stack.
 func TestDeadlineCellFailsInOneLine(t *testing.T) {

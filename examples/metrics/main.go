@@ -25,8 +25,9 @@ import (
 )
 
 func main() {
-	// 1. One registry per run (RunAveraged meters reps itself: each rep
-	// reconciles a fresh registry, the caller's gets the merged totals).
+	// 1. One registry per run (CampaignRunner.Cells meters reps itself:
+	// each simulated rep reconciles a fresh registry, the caller's gets
+	// the merged totals).
 	// The event log is independent — attach either, both, or neither.
 	reg := match.NewMetricsRegistry()
 	elog := match.NewEventLog(os.Stderr)

@@ -54,11 +54,6 @@ type Params struct {
 	NVerts int
 	// MaxIter is the main-loop trip count.
 	MaxIter int
-	// CkptStride is read by nothing: placement is the Context's Ckpt policy,
-	// whose stride is core.Config.CkptStride, and core rejects a non-zero
-	// value here. The field stays only because the cell key marshals Params,
-	// so removing it would change every stored key that carries a Params.
-	CkptStride int
 	// WorkScale converts one abstract work unit (roughly a flop) into
 	// virtual nanoseconds; it encodes the documented scale-down factor.
 	WorkScale float64

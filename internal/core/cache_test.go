@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 
+	"match/internal/fault"
+	"match/internal/simnet"
 	"match/internal/store"
 )
 
@@ -312,5 +314,106 @@ func TestFiguresShareCells(t *testing.T) {
 	}
 	if !reflect.DeepEqual(byFig[7], byFig[6]) || !reflect.DeepEqual(byFig[10], byFig[9]) {
 		t.Fatal("figs 7/10 did not reuse the results of 6/9")
+	}
+}
+
+// One rep is one cell: the unit that is keyed, stored and simulated. A
+// failure-free or explicitly scheduled cell simulates once at any rep
+// count; a faulty cell's reps are distinct cells, and rep 1 is the one-rep
+// cell. The row is the reps' mean, taken here field by field.
+func TestRepIsACell(t *testing.T) {
+	tiny := func(c Config) Config {
+		c.App, c.Design, c.Procs, c.Nodes = "HPCCG", ReinitFTI, 8, 4
+		c.Params, c.CkptStride = tinyParams("HPCCG"), 3
+		return c
+	}
+	cells := func(st *store.Store, cfg Config, reps int) Breakdown {
+		t.Helper()
+		res, err := CampaignRunner{Store: st}.Cells([]Config{cfg}, reps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res[0].Breakdown
+	}
+
+	st := store.NewMemory(0)
+	free := tiny(Config{})
+	if five, one := cells(st, free, 5), cells(nil, free, 1); !reflect.DeepEqual(five, one) {
+		t.Errorf("failure-free row at reps 5 differs from reps 1:\n%+v\n%+v", five, one)
+	}
+	if cs := st.Stats(); cs.Puts != 1 || cs.Misses != 1 || cs.Hits != 0 {
+		t.Errorf("failure-free cell at reps 5: %+v, want 1 miss and 1 put, reps 2-5 with no store traffic", cs)
+	}
+
+	sched, err := fault.ParseSchedule("3@4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st = store.NewMemory(0)
+	cells(st, tiny(Config{Schedule: &sched, FaultSeed: 11}), 3)
+	if cs := st.Stats(); cs.Puts != 1 || cs.Misses != 1 || cs.Hits != 0 {
+		t.Errorf("explicit-schedule cell at reps 3: %+v, want 1 miss and 1 put", cs)
+	}
+
+	st = store.NewMemory(0)
+	faulty := tiny(Config{InjectFault: true, FaultSeed: 11})
+	got := cells(st, faulty, 3)
+	before := st.Stats()
+	if before.Puts != 3 {
+		t.Errorf("faulty cell at reps 3: %+v, want 3 puts", before)
+	}
+	cells(st, faulty, 1)
+	if cs := st.Stats(); cs.Hits != before.Hits+1 || cs.Misses != before.Misses || cs.Puts != before.Puts {
+		t.Errorf("reps 1 after reps 3: %+v then %+v, want one pure hit", before, cs)
+	}
+
+	// The mean: times divide, counts round half up, Completed is ANDed and
+	// the Signature is rep 1's.
+	var reps []reflect.Value
+	for r := 1; r <= 3; r++ {
+		bd, err := Run(repConfig(faulty, r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps = append(reps, reflect.ValueOf(bd))
+	}
+	var want Breakdown
+	w := reflect.ValueOf(&want).Elem()
+	mean := func(dst reflect.Value, field func(reflect.Value) reflect.Value) {
+		switch {
+		case dst.Kind() == reflect.Int || dst.Kind() == reflect.Int64:
+			var sum int64
+			for _, r := range reps {
+				sum += field(r).Int()
+			}
+			if dst.Type() == reflect.TypeOf(simnet.Time(0)) {
+				dst.SetInt(sum / 3)
+			} else {
+				dst.SetInt((sum + 1) / 3)
+			}
+		case dst.Kind() == reflect.Bool:
+			all := true
+			for _, r := range reps {
+				all = all && field(r).Bool()
+			}
+			dst.SetBool(all)
+		default: // Signature
+			dst.Set(field(reps[0]))
+		}
+	}
+	for f := 0; f < w.NumField(); f++ {
+		if w.Field(f).Kind() == reflect.Array {
+			for i := 0; i < w.Field(f).Len(); i++ {
+				mean(w.Field(f).Index(i), func(v reflect.Value) reflect.Value { return v.Field(f).Index(i) })
+			}
+			continue
+		}
+		mean(w.Field(f), func(v reflect.Value) reflect.Value { return v.Field(f) })
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("reps 3 row is not the reps' mean:\n%s", breakdownDiff(got, &want))
+	}
+	if reps[0].Interface() == reps[1].Interface() {
+		t.Error("the faulty reps ran identically; the mean proves nothing")
 	}
 }

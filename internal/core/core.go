@@ -181,7 +181,7 @@ type Config struct {
 	// to an untraced one; Run additionally self-checks the recorded spans
 	// against the returned Breakdown and fails hard on divergence. One
 	// recorder serves exactly one Run: it is not safe to share across the
-	// concurrent runs of a sweep (RunAveraged rejects Trace with reps > 1).
+	// concurrent runs of a sweep (Cells rejects Trace with reps > 1).
 	// Observers are runtime wiring, not configuration: all three are
 	// excluded from serialization and canonical hashing (CellKey).
 	Trace *trace.Recorder `json:"-"`
@@ -193,7 +193,7 @@ type Config struct {
 	// one, and Run self-checks the registry against the returned Breakdown,
 	// failing hard on divergence (registry and trace consume the same
 	// emitted spans, so they cannot disagree with each other). Unlike
-	// Trace, a registry may be reused across the reps of RunAveraged: each
+	// Trace, a registry may serve a multi-rep cell of Cells: each simulated
 	// rep gets a fresh registry that is merged in afterwards.
 	Metrics *obs.Registry `json:"-"`
 
@@ -357,7 +357,7 @@ const runDeadline = 200000 * simnet.Second
 func Run(cfg Config) (Breakdown, error) {
 	// Everything the simulation consumes comes from the resolved cell — the
 	// value CellKey hashes; cfg contributes only its observers from here on.
-	rc, err := resolve(cfg, 1)
+	rc, err := resolve(cfg)
 	if err != nil {
 		return Breakdown{}, err
 	}

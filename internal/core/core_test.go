@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"match/internal/apps/appkit"
+	"match/internal/store"
 )
 
 // tinyParams returns a fast configuration for an app, suitable for the
@@ -253,11 +254,19 @@ func TestFigureRequest(t *testing.T) {
 	}
 }
 
-func TestRunAveragedAndReports(t *testing.T) {
+// A multi-rep row averages reps that are cells of their own, each with its
+// own fault seed, and the reports render rows.
+func TestCellsAveragedAndReports(t *testing.T) {
 	params := tinyParams("HPCCG")
 	cfg := Config{App: "HPCCG", Design: ReinitFTI, Procs: 8, Nodes: 4,
 		Params: params, CkptStride: 3, InjectFault: true, FaultSeed: 11}
-	bd, results, err := RunAveraged(cfg, 2)
+	rn := CampaignRunner{Store: store.NewMemory(0)}
+	avg, err := rn.Cells([]Config{cfg}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The reps, served from the entries the averaged row stored.
+	results, err := rn.Cells([]Config{repConfig(cfg, 1), repConfig(cfg, 2)}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +276,10 @@ func TestRunAveragedAndReports(t *testing.T) {
 	if results[0].Config.FaultSeed == results[1].Config.FaultSeed {
 		t.Fatal("reps reused the fault seed")
 	}
-	if bd.Total <= 0 {
+	if cs := rn.Store.Stats(); cs.Puts != 2 || cs.Hits != 2 {
+		t.Fatalf("the reps were not the averaged row's two entries: %+v", cs)
+	}
+	if avg[0].Breakdown.Total <= 0 {
 		t.Fatal("empty average")
 	}
 	var sb strings.Builder

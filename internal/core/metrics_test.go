@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"match/internal/obs"
+	"match/internal/store"
 	"match/internal/trace"
 )
 
@@ -67,7 +68,7 @@ func TestMetricsOffByteIdentity(t *testing.T) {
 // One registry serves one Run: a second Run against a registry that
 // already holds a previous run's counts must trip the reconciliation
 // self-check (the write-time totals can no longer match the fresh
-// breakdown). RunAveraged relies on this by giving every rep a fresh
+// breakdown). Cells relies on this by giving every simulated rep a fresh
 // registry and merging afterwards.
 func TestMetricsReconcileCatchesReuse(t *testing.T) {
 	params := tinyParams("HPCCG")
@@ -86,8 +87,8 @@ func TestMetricsReconcileCatchesReuse(t *testing.T) {
 	}
 }
 
-// RunAveraged meters multi-rep cells (unlike tracing, which it rejects):
-// each rep reconciles against its own fresh registry and the caller's
+// Cells meters multi-rep cells (unlike tracing, which it rejects): each
+// simulated rep reconciles against its own fresh registry and the caller's
 // registry receives the merged totals — the sum of the per-rep breakdown
 // counts.
 func TestMetricsAveragedMerge(t *testing.T) {
@@ -95,12 +96,26 @@ func TestMetricsAveragedMerge(t *testing.T) {
 	cfg := Config{App: "HPCCG", Design: ReinitFTI, Procs: 8, Nodes: 4,
 		Params: params, CkptStride: 3, InjectFault: true, FaultSeed: 9,
 		Metrics: obs.New()}
-	_, results, err := RunAveraged(cfg, 3)
+	rn := CampaignRunner{Store: store.NewMemory(0)}
+	if _, err := rn.Cells([]Config{cfg}, 3); err != nil {
+		t.Fatalf("metered Cells: %v", err)
+	}
+	// The three reps, served from the entries the metered cell stored.
+	var reps []Config
+	for r := 1; r <= 3; r++ {
+		c := repConfig(cfg, r)
+		c.Metrics = nil
+		reps = append(reps, c)
+	}
+	results, err := rn.Cells(reps, 1)
 	if err != nil {
-		t.Fatalf("metered RunAveraged: %v", err)
+		t.Fatal(err)
 	}
 	if len(results) != 3 {
 		t.Fatalf("got %d reps, want 3", len(results))
+	}
+	if cs := rn.Store.Stats(); cs.Puts != 3 || cs.Hits != 3 {
+		t.Fatalf("the metered cell did not simulate three distinct reps: %+v", cs)
 	}
 	var msgs, recov int64
 	for _, r := range results {

@@ -25,89 +25,63 @@ func (r Result) Key() string {
 	return fmt.Sprintf("%s/%s/p%d/%s", r.Config.App, r.Config.Design, r.Config.Procs, r.Config.Input)
 }
 
-// RunAveraged executes cfg reps times (distinct fault seeds when injection
-// is on, mirroring the paper's five repetitions) and returns the mean
-// breakdown plus the individual results. Every component — the times and
-// the counts alike — is divided by reps, so the averaged breakdown
-// describes one run (counts round half-up to the nearest integer).
-func RunAveraged(cfg Config, reps int) (Breakdown, []Result, error) {
-	if reps <= 0 {
-		reps = 1
-	}
-	if cfg.Trace != nil && reps > 1 {
-		return Breakdown{}, nil, fmt.Errorf("core: one trace recorder serves one run; tracing with %d repetitions would interleave their timelines (trace a single rep instead)", reps)
-	}
-	var acc Breakdown
-	acc.Completed = true // AND over reps (Run errors on incompletion today)
-	var results []Result
-	for i := 0; i < reps; i++ {
-		c := cfg
-		c.FaultSeed = cfg.FaultSeed + int64(i)*1009
-		// Each rep runs (and reconciles) against its own fresh registry,
-		// which is then merged into the caller's — so a registry, unlike a
-		// trace recorder, may serve a multi-rep cell.
-		if cfg.Metrics.Enabled() {
-			c.Metrics = obs.New()
-		}
-		bd, err := Run(c)
-		if cfg.Metrics.Enabled() {
-			cfg.Metrics.Merge(c.Metrics)
-		}
-		if err != nil {
-			return Breakdown{}, results, fmt.Errorf("%s rep %d: %w", Result{Config: c}.Key(), i, err)
-		}
-		results = append(results, Result{Config: c, Breakdown: bd})
-		acc.Completed = acc.Completed && bd.Completed
-		acc.Total += bd.Total
-		acc.App += bd.App
-		acc.Ckpt += bd.Ckpt
-		acc.Recovery += bd.Recovery
-		acc.DetectLatency += bd.DetectLatency
-		acc.DetectedFailures += bd.DetectedFailures
-		acc.Recoveries += bd.Recoveries
-		acc.FaultsInjected += bd.FaultsInjected
-		acc.CkptCount += bd.CkptCount
-		acc.CkptBytes += bd.CkptBytes
-		for l := range bd.CkptCountAt {
-			acc.CkptCountAt[l] += bd.CkptCountAt[l]
-			acc.CkptBytesAt[l] += bd.CkptBytesAt[l]
-		}
-		acc.CkptAvoided += bd.CkptAvoided
-		acc.Messages += bd.Messages
-		acc.NetBytes += bd.NetBytes
-		acc.Respawns += bd.Respawns
-		acc.SpawnTime += bd.SpawnTime
-		acc.LeakedEvents += bd.LeakedEvents
-	}
-	n := simnet.Time(reps)
-	acc.Total /= n
-	acc.App /= n
-	acc.Ckpt /= n
-	acc.Recovery /= n
-	acc.DetectLatency /= n
-	acc.DetectedFailures = int(divRound(int64(acc.DetectedFailures), reps))
-	acc.Recoveries = int(divRound(int64(acc.Recoveries), reps))
-	acc.FaultsInjected = int(divRound(int64(acc.FaultsInjected), reps))
-	acc.CkptCount = int(divRound(int64(acc.CkptCount), reps))
-	acc.CkptBytes = divRound(acc.CkptBytes, reps)
-	for l := range acc.CkptCountAt {
-		acc.CkptCountAt[l] = int(divRound(int64(acc.CkptCountAt[l]), reps))
-		acc.CkptBytesAt[l] = divRound(acc.CkptBytesAt[l], reps)
-	}
-	acc.CkptAvoided = int(divRound(int64(acc.CkptAvoided), reps))
-	acc.Messages = divRound(acc.Messages, reps)
-	acc.NetBytes = divRound(acc.NetBytes, reps)
-	acc.Respawns = int(divRound(int64(acc.Respawns), reps))
-	acc.SpawnTime /= n
-	acc.LeakedEvents = int(divRound(int64(acc.LeakedEvents), reps))
-	acc.Signature = results[0].Breakdown.Signature
-	return acc, results, nil
+// repConfig is rep r (counted from 1) of cfg: the same cell with its fault
+// seed moved by 1009 per earlier rep, so a faulty cell's reps draw distinct
+// failures. resolve drops the seed of a failure-free or explicitly
+// scheduled cell, so all of that cell's reps are one cell.
+func repConfig(cfg Config, r int) Config {
+	cfg.FaultSeed += int64(r-1) * 1009
+	return cfg
 }
 
-// divRound divides a summed count by the repetition count, rounding half
-// up, so averaged breakdowns keep integer-typed fields.
-func divRound(sum int64, reps int) int64 {
-	return (sum + int64(reps)/2) / int64(reps)
+// add sums o into b, one rep of a fold: times and counts add, Completed is
+// ANDed, and b keeps its Signature.
+func (b *Breakdown) add(o Breakdown) {
+	b.Total += o.Total
+	b.App += o.App
+	b.Ckpt += o.Ckpt
+	b.Recovery += o.Recovery
+	b.DetectLatency += o.DetectLatency
+	b.DetectedFailures += o.DetectedFailures
+	b.Recoveries += o.Recoveries
+	b.FaultsInjected += o.FaultsInjected
+	b.Completed = b.Completed && o.Completed
+	b.CkptCount += o.CkptCount
+	b.CkptBytes += o.CkptBytes
+	for l := range o.CkptCountAt {
+		b.CkptCountAt[l] += o.CkptCountAt[l]
+		b.CkptBytesAt[l] += o.CkptBytesAt[l]
+	}
+	b.CkptAvoided += o.CkptAvoided
+	b.Messages += o.Messages
+	b.NetBytes += o.NetBytes
+	b.Respawns += o.Respawns
+	b.SpawnTime += o.SpawnTime
+	b.LeakedEvents += o.LeakedEvents
+}
+
+// div turns a sum over n reps into their mean, which describes one run:
+// times divide, and counts round half up so they stay integers.
+func (b *Breakdown) div(n int) {
+	t := simnet.Time(n)
+	b.Total /= t
+	b.App /= t
+	b.Ckpt /= t
+	b.Recovery /= t
+	b.DetectLatency /= t
+	b.SpawnTime /= t
+	count := func(v int64) int64 { return (v + int64(n)/2) / int64(n) }
+	for _, v := range []*int{&b.DetectedFailures, &b.Recoveries, &b.FaultsInjected,
+		&b.CkptCount, &b.CkptAvoided, &b.Respawns, &b.LeakedEvents} {
+		*v = int(count(int64(*v)))
+	}
+	for _, v := range []*int64{&b.CkptBytes, &b.Messages, &b.NetBytes} {
+		*v = count(*v)
+	}
+	for l := range b.CkptCountAt {
+		b.CkptCountAt[l] = int(count(int64(b.CkptCountAt[l])))
+		b.CkptBytesAt[l] = count(b.CkptBytesAt[l])
+	}
 }
 
 // Progress observes a sweep as it runs: invoked once per completed cell
@@ -120,32 +94,27 @@ func divRound(sum int64, reps int) int64 {
 type Progress func(done, total int, r Result, wall time.Duration)
 
 // Cells executes configurations on the runner's worker pool with reps
-// repetitions each — the one sweep executor: campaigns, figures, ratios and
-// the verification matrix all run their cells here. The result slice is
-// ordered like cfgs regardless of the worker count or completion order, so
-// sweep output is deterministic. An error stops new runs from starting
+// repetitions each (fewer than one means one) — the one sweep executor:
+// campaigns, figures, ratios and the verification matrix all run their
+// cells here. A worker takes one configuration and walks its reps (see
+// cell); its row is the reps' mean Breakdown. The result slice is ordered
+// like cfgs regardless of the worker count or completion order, so sweep
+// output is deterministic. An error stops new configurations from starting
 // (in-flight ones finish); the successful prefix — every configuration
 // before the lowest-indexed failing one — is returned with that error.
 //
-// With a store attached, each cell is looked up by its CellKey before
+// With a store attached, each rep is looked up by its CellKey before
 // simulating: a hit reuses the cached Breakdown (byte-identical results,
-// zero simulation), a miss runs the cell and stores it back. Cache traffic
+// zero simulation), a miss runs the rep and stores it back. Cache traffic
 // is invisible on the deterministic output streams — only the store's
 // Stats and the side channels see it.
 //
-// A cell whose simulation panics (scheduler context: a protocol bug, an
-// application's scheduled callback) is a failed cell like any other, with
-// the error "cell panicked: <value>" — a sweep or a service outlives it.
+// A configuration whose simulation panics (scheduler context: a protocol
+// bug, an application's scheduled callback) is a failed cell like any
+// other, with the error "cell panicked: <value>" — a sweep or a service
+// outlives it.
 func (rn CampaignRunner) Cells(cfgs []Config, reps int) ([]Result, error) {
-	simulate := func(cfg Config) (bd Breakdown, err error) {
-		defer func() {
-			if v := recover(); v != nil {
-				err = fmt.Errorf("cell panicked: %v", v)
-			}
-		}()
-		bd, _, err = RunAveraged(cfg, reps)
-		return bd, err
-	}
+	reps = max(reps, 1)
 	workers := rn.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -182,51 +151,24 @@ func (rn CampaignRunner) Cells(cfgs []Config, reps int) ([]Result, error) {
 						"input", cfg.Input.String(), "faults", cfg.FaultCount())
 				}
 				start := time.Now()
-				// Consult the store first: a hit skips the simulation
-				// entirely. A key error (invalid detector/policy) falls
-				// through to the run, which reports it properly; a corrupt
-				// or stale cached value counts as a miss and is re-run.
-				key := ""
-				cached := false
-				var bd Breakdown
-				if rn.Store.Enabled() {
-					if k, kerr := CellKey(cfg, reps); kerr == nil {
-						key = k
-						if raw, ok := rn.Store.Get(key); ok {
-							if dec, derr := decodeCachedCell(raw); derr == nil {
-								bd, cached = dec, true
-							}
-						}
-					}
+				if rn.Meter.Enabled() {
+					cfg.Metrics = obs.New()
 				}
-				if !cached {
-					if rn.Meter.Enabled() {
-						cfg.Metrics = obs.New()
+				bd, cached, err := rn.cell(cfg, reps)
+				if err != nil {
+					if rn.Log.Enabled() {
+						cfg.Log.HostEvent("cell_finish", "app", cfg.App,
+							"design", cfg.Design.ShortName(), "procs", cfg.Procs,
+							"wall_ms", time.Since(start).Milliseconds(),
+							"error", err.Error(), "cached", false)
 					}
-					var err error
-					bd, err = simulate(cfg)
-					if err != nil {
-						if rn.Log.Enabled() {
-							cfg.Log.HostEvent("cell_finish", "app", cfg.App,
-								"design", cfg.Design.ShortName(), "procs", cfg.Procs,
-								"wall_ms", time.Since(start).Milliseconds(),
-								"error", err.Error(), "cached", false)
-						}
-						mu.Lock()
-						if int64(i) < failedAt.Load() {
-							failedAt.Store(int64(i))
-							firstErr = err
-						}
-						mu.Unlock()
-						continue
+					mu.Lock()
+					if int64(i) < failedAt.Load() {
+						failedAt.Store(int64(i))
+						firstErr = err
 					}
-					if key != "" {
-						if enc, eerr := encodeCachedCell(bd); eerr == nil {
-							// Best-effort: a failed write only costs a
-							// future rerun, never the sweep.
-							_ = rn.Store.Put(key, enc)
-						}
-					}
+					mu.Unlock()
+					continue
 				}
 				rn.Meter.CellDone(cfg.Design.ShortName(), cfg.Metrics)
 				if rn.Log.Enabled() {
@@ -253,6 +195,74 @@ func (rn CampaignRunner) Cells(cfgs []Config, reps int) ([]Result, error) {
 	close(next)
 	wg.Wait()
 	return results[:failedAt.Load()], firstErr
+}
+
+// cell runs reps repetitions of cfg and returns their mean Breakdown, and
+// whether no rep simulated. Each rep is one cell, repConfig(cfg, r): with a
+// store it is looked up first, and on a miss simulated and stored back. A
+// rep whose key equals rep 1's — every rep of a failure-free or explicitly
+// scheduled cell — reuses rep 1's Breakdown with no store traffic. With
+// one rep and no store no key is computed. A key error (an invalid detector
+// or policy) falls through to the run, which reports it properly; a
+// corrupt or stale cached value counts as a miss and is re-run.
+//
+// Each simulated rep runs and reconciles against its own fresh registry,
+// which is then merged into cfg.Metrics, so a registry (unlike a trace
+// recorder) may serve a multi-rep cell and counts the reps that simulated.
+func (rn CampaignRunner) cell(cfg Config, reps int) (avg Breakdown, cached bool, err error) {
+	if cfg.Trace != nil && reps > 1 {
+		return Breakdown{}, false, fmt.Errorf("core: one trace recorder serves one run; tracing with %d repetitions would interleave their timelines (trace a single rep instead)", reps)
+	}
+	defer func() {
+		if v := recover(); v != nil {
+			avg, cached, err = Breakdown{}, false, fmt.Errorf("cell panicked: %v", v)
+		}
+	}()
+	cached = true
+	var key1 string
+	var bd1 Breakdown
+	for r := 1; r <= reps; r++ {
+		c := repConfig(cfg, r)
+		key, hit := "", false
+		var bd Breakdown
+		if reps > 1 || rn.Store.Enabled() {
+			key, _ = CellKey(cfg, r)
+		}
+		if r > 1 && key != "" && key == key1 {
+			bd, hit = bd1, true
+		} else if key != "" && rn.Store.Enabled() {
+			if raw, ok := rn.Store.Get(key); ok {
+				if dec, derr := decodeCachedCell(raw); derr == nil {
+					bd, hit = dec, true
+				}
+			}
+		}
+		if !hit {
+			cached = false
+			if cfg.Metrics.Enabled() {
+				c.Metrics = obs.New()
+			}
+			bd, err = Run(c)
+			cfg.Metrics.Merge(c.Metrics)
+			if err != nil {
+				return Breakdown{}, false, fmt.Errorf("%s rep %d: %w", Result{Config: c}.Key(), r, err)
+			}
+			if key != "" && rn.Store.Enabled() {
+				if enc, eerr := encodeCachedCell(bd); eerr == nil {
+					// Best-effort: a failed write only costs a future
+					// rerun, never the sweep.
+					_ = rn.Store.Put(key, enc)
+				}
+			}
+		}
+		if r == 1 {
+			key1, bd1, avg = key, bd, bd
+		} else {
+			avg.add(bd)
+		}
+	}
+	avg.div(reps)
+	return avg, cached, nil
 }
 
 // figures is the paper's evaluation (§V), one row per figure: its sweep

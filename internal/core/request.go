@@ -204,7 +204,7 @@ func (r CampaignRequest) Validate() error {
 		return fmt.Errorf("core: campaign enumerates more than %d cells", maxCells)
 	}
 	for _, cfg := range c.Configs() {
-		if _, err := resolve(cfg, c.Reps); err != nil {
+		if _, err := resolve(cfg); err != nil {
 			return err
 		}
 	}
@@ -358,14 +358,18 @@ func dedupe[T comparable](vs []T) []T {
 	return out
 }
 
-// CellKey is the content address of one campaign cell: the hex SHA-256 of
-// the JSON encoding of its resolved form — the same value Run executes
-// (see resolve). Two configurations that Run identically — one spelling
-// defaults out, one leaving them zero — produce the same key; any change
-// to an axis the simulation consumes, to the repetition count, or to
-// cacheVersion produces a different one.
-func CellKey(cfg Config, reps int) (string, error) {
-	rc, err := resolve(cfg, reps)
+// CellKey is the content address of rep rep (counted from 1) of a cell:
+// the hex SHA-256 of the JSON encoding of repConfig(cfg, rep)'s resolved
+// form — the same value Run executes (see resolve). Two configurations
+// that Run identically — one spelling defaults out, one leaving them zero
+// — produce the same key, and so do all reps of a cell whose resolved form
+// drops the seed; any change to an axis the simulation consumes, or to
+// cacheVersion, produces a different one. rep < 1 is an error.
+func CellKey(cfg Config, rep int) (string, error) {
+	if rep < 1 {
+		return "", fmt.Errorf("core: repetition %d invalid (reps count from 1)", rep)
+	}
+	rc, err := resolve(repConfig(cfg, rep))
 	if err != nil {
 		return "", err
 	}
@@ -377,7 +381,7 @@ func CellKey(cfg Config, reps int) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// cachedCell is the stored value of one cell: the averaged Breakdown,
+// cachedCell is the stored value of one cell: one rep's Breakdown,
 // version-stamped (belt and braces — the version is already in the key).
 type cachedCell struct {
 	V         int       `json:"v"`

@@ -353,17 +353,32 @@ func TestCellKeyHotSpareFolding(t *testing.T) {
 	}
 }
 
+// A rep is a cell: reps of a failure-free cell share rep 1's key, reps of
+// a faulty cell each have their own, and reps count from 1.
 func TestCellKeyRepsAndVersion(t *testing.T) {
-	cfg := Config{App: "HPCCG"}
-	k1, _ := CellKey(cfg, 1)
-	k3, _ := CellKey(cfg, 3)
-	if k1 == k3 {
-		t.Fatal("repetition count ignored (averaged breakdowns differ)")
+	free := Config{App: "HPCCG"}
+	k1, _ := CellKey(free, 1)
+	for r := 2; r <= 3; r++ {
+		if k, _ := CellKey(free, r); k != k1 {
+			t.Fatalf("rep %d of a failure-free cell has its own key", r)
+		}
+	}
+	faulty := Config{App: "HPCCG", Faults: 1, FaultSeed: 7}
+	seen := map[string]bool{}
+	for r := 1; r <= 3; r++ {
+		k, _ := CellKey(faulty, r)
+		if seen[k] {
+			t.Fatalf("rep %d of a faulty cell shares a key with an earlier rep", r)
+		}
+		seen[k] = true
+	}
+	if _, err := CellKey(free, 0); err == nil {
+		t.Fatal("rep 0 has a key")
 	}
 	old := cacheVersion
 	defer func() { cacheVersion = old }()
 	cacheVersion++
-	k1v, _ := CellKey(cfg, 1)
+	k1v, _ := CellKey(free, 1)
 	if k1v == k1 {
 		t.Fatal("bumping cacheVersion did not change the cell key")
 	}

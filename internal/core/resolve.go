@@ -16,9 +16,9 @@ import (
 )
 
 // resolvedCell is one cell exactly as it executes: a Config with every
-// default filled and every run-irrelevant input dropped, plus the
-// repetition count (reps change the averaged Breakdown) and the cache
-// version. The invariant the result cache stands on is that the key is
+// default filled and every run-irrelevant input dropped, plus the cache
+// version. A cell is one repetition: repConfig gives a later rep its own
+// fault seed. The invariant the result cache stands on is that the key is
 // hashed from the value Run executes: CellKey marshals the exported fields
 // (their names, tags and order are the on-disk cache format — changing any
 // of them is a cacheVersion bump) and Run reads nothing else of a Config
@@ -27,7 +27,6 @@ import (
 // neither split the cache nor reach the simulation.
 type resolvedCell struct {
 	V          int             `json:"v"`
-	Reps       int             `json:"reps"`
 	App        string          `json:"app"`
 	Design     Design          `json:"design"`
 	Procs      int             `json:"procs"`
@@ -62,16 +61,11 @@ type resolvedCell struct {
 // against the stride (validating both), zeroes inputs that provably cannot
 // matter (the fault seed and kind of a failure-free cell or under an
 // explicit schedule, Params without MaxIter, inactive designs), and
-// rejects an out-of-range setting, a setting Run would ignore and explicit
-// schedule events that could never fire — all before any simulation state
-// exists.
-func resolve(cfg Config, reps int) (resolvedCell, error) {
-	if reps <= 0 {
-		reps = 1
-	}
+// rejects an out-of-range setting and explicit schedule events that could
+// never fire — all before any simulation state exists.
+func resolve(cfg Config) (resolvedCell, error) {
 	rc := resolvedCell{
 		V:          cacheVersion,
-		Reps:       reps,
 		App:        cfg.App,
 		Design:     cfg.Design,
 		Procs:      or(cfg.Procs, 64),
@@ -91,9 +85,6 @@ func resolve(cfg Config, reps int) (resolvedCell, error) {
 		rc.Seed, rc.Kind = cfg.FaultSeed, cfg.FaultKind
 	}
 
-	if cfg.Params.CkptStride != 0 {
-		return resolvedCell{}, fmt.Errorf("core: Params.CkptStride %d is ignored; set Config.CkptStride", cfg.Params.CkptStride)
-	}
 	// Out-of-range settings fail here, not in every rank's first checkpoint.
 	if rc.FTILevel < fti.L1 || rc.FTILevel > fti.L4 {
 		return resolvedCell{}, fmt.Errorf("core: FTI level %d invalid (levels are 1-4: L1 local, L2 partner copy, L3 Reed-Solomon, L4 PFS; 0 means L1)", int(rc.FTILevel))
@@ -245,7 +236,7 @@ func (rc resolvedCell) validateSchedule() error {
 // (e.g. detect.RingDefaults() for a default ULFM run). Reporting code
 // labels measurements with it instead of "preset".
 func ResolvedDetector(cfg Config) (detect.Config, error) {
-	rc, err := resolve(cfg, 1)
+	rc, err := resolve(cfg)
 	return rc.Detector, err
 }
 
@@ -253,6 +244,6 @@ func ResolvedDetector(cfg Config) (detect.Config, error) {
 // of cfg actually uses: cfg.CkptPolicy with its zero fields filled (stride
 // from CkptStride, kind defaults), validated.
 func ResolvedCkptPolicy(cfg Config) (ckpt.Config, error) {
-	rc, err := resolve(cfg, 1)
+	rc, err := resolve(cfg)
 	return rc.Policy, err
 }

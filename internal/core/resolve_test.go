@@ -17,10 +17,10 @@ import (
 
 // cellKeyGolden pins CellKey's encoding: a key that moves orphans every
 // on-disk cache entry, so a change here is declared, never a quiet edit.
-// The keys were regenerated when each design's cost model became fixed
-// constants: the resolved JSON lost the Restart and Reinit objects, every
-// fixed ULFM and Replica field and each design's copy of the detector, so
-// every old key misses by itself and cacheVersion stays 1.
+// The keys were last regenerated when a rep became a cell: the resolved
+// JSON lost its "reps" field and Params its "CkptStride", so every old key
+// misses by itself and cacheVersion stays 1. reps is the rep keyed: the
+// reinit-reps3 row is rep 3, whose fault seed is 1 + 2·1009.
 type goldenCell struct {
 	name string
 	cfg  Config
@@ -35,45 +35,45 @@ func cellKeyGolden(t *testing.T) []goldenCell {
 	}
 	return []goldenCell{
 		{"restart-zero", Config{App: "HPCCG", Design: RestartFTI}, 1,
-			"3ab852bae262531d01b6baa9928855361cc6b2e5ef636daf3257f762d02701dd"},
+			"8e8078a6f5c56a44ac42a19c9e50d442c8e0c9889ea0b444271a4926a31e10cd"},
 		{"reinit-k0-seed-ignored", Config{App: "AMG", Design: ReinitFTI, FaultSeed: 7, FaultKind: fault.NodeFailure}, 1,
-			"2dbdfd36612c3b2f8690809beb495151180e9691798ce26d446faae0ddb54a1b"},
+			"da680c0eff989261d697b4d3a69ba7f314199c411d572fa19612c807bd379ccc"},
 		{"ulfm-k1", Config{App: "CoMD", Design: UlfmFTI, InjectFault: true, FaultSeed: 7}, 1,
-			"1d86763694e77b60e200366d9b89dc9b49080afba305f00c355e9111369c8e76"},
+			"e40d1e2a9ee1bd770fd1cd2c84dbecdfb4a9927a4a5295313242df7537d0d718"},
 		{"replica-k2-node", Config{App: "miniVite", Design: ReplicaFTI, Faults: 2, FaultSeed: 3, FaultKind: fault.NodeFailure}, 1,
-			"76b21f1f026f8f672d88c4b225dcec75d5c00874557348d6313ba44fbea19be5"},
+			"43061735ba50c459c8d4255d4a5ad5a8fc68db5fe1e7f8afc808b02991635e88"},
 		{"ulfm-schedule", Config{App: "HPCCG", Design: UlfmFTI, Procs: 8, Nodes: 4, Schedule: &sched, FaultSeed: 9}, 1,
-			"a829893cc9d27c7da8f46235d64ae24712d65641e6b9cbf258f0d9d37e191cba"},
+			"a700a7593e58e9f07c555dec892f17acd891c29169b6ea6c06d8554d6cb81d27"},
 		{"restart-ring", Config{App: "HPCCG", Design: RestartFTI, Faults: 1, FaultSeed: 1,
 			Detector: detect.Config{Kind: detect.Ring, HeartbeatPeriod: 50 * simnet.Millisecond}}, 1,
-			"7b70cb20b4c4b3617c5d8fdcccbf8684a67916a0f8f70a7df4a3cd27e4abbd53"},
+			"289857746e56dfb8b0274ae09c080e0f110c2e851db1f7040f5d4e92685a3eba"},
 		{"replica-tree", Config{App: "LULESH", Design: ReplicaFTI, Faults: 1, FaultSeed: 1,
 			Detector: detect.Config{Kind: detect.Tree}}, 1,
-			"d2790948608145b423e59760c5e413cec3110163e15918afb47368ba2641214e"},
+			"74209be390e780c4988663347df5afd9944329c156ee7060335d4a984b6c86c3"},
 		{"reinit-launcher", Config{App: "miniFE", Design: ReinitFTI, Faults: 3, FaultSeed: 2,
 			Detector: detect.Config{Kind: detect.Launcher}}, 1,
-			"30b51d0b54387dc337708796ab5f035bc970c3cab53fd7a12b8c88d1d78ecf70"},
+			"ce3f0eae7dad0adaa18fb0f1b36ba5004c6579e1ed22512152dd828c1936e747"},
 		{"reinit-multilevel", Config{App: "HPCCG", Design: ReinitFTI, Faults: 1, FaultSeed: 1,
 			CkptPolicy: ckpt.Config{Kind: ckpt.MultiLevel, Stride: 2, L3Every: 1}}, 1,
-			"0b76c1c1da69cce5d37073a32c57ead32d0b62c5efc9a7d0dfc520c75340ae75"},
+			"38e2ad682be214f2b80d6ebd795c28b5c95f1d3cdb359226c5bea9a38874cd6b"},
 		{"replica-aware-hotspare", Config{App: "AMG", Design: ReplicaFTI, Faults: 2, FaultSeed: 5, Replica: replica.Config{HotSpare: true},
 			CkptPolicy: ckpt.Config{Kind: ckpt.ReplicaAware}}, 1,
-			"c11c18ab7ff5982eeeea639c1086fc305e6d10da996ffdd67ccb76eb2cb1f560"},
+			"5dd90a0c8ea3e0a8ea8869cf9da41c4271a5d276221d6089aa181c877b862cbc"},
 		{"replica-level-hotspare-half", Config{App: "AMG", Design: ReplicaFTI, Faults: 1, FaultSeed: 5,
 			Replica: replica.Config{HotSpare: true, ReplicaFactor: 0.5, SpawnDelay: simnet.Second}}, 1,
-			"b896be005dd87a6a694132153610d6d29489c718420831b059e22c77c6b381d0"},
+			"9fdb4a3794292c57ca82f0cf62227532d71e3ea04a9ede5d075f83793cb049c1"},
 		{"replica-dup1", Config{App: "CoMD", Design: ReplicaFTI, Replica: replica.Config{DupDegree: 1}}, 1,
-			"c6eb69b60c44d01fc29abf8287f6259357fdaf071b629b4e374fbe0aea7d556a"},
+			"54fef96534204f7a7ac8322969311938f3c63a9ef53501b19f3d325b531c491e"},
 		{"ulfm-params", Config{App: "HPCCG", Design: UlfmFTI, Procs: 8, Nodes: 4, InjectFault: true, FaultSeed: 7,
 			Params: tinyParams("HPCCG")}, 1,
-			"f1fc31cd18e0d92c51a18fb84cc0c58b3c7cfe609b5a58827ee6203beffcb12a"},
+			"c59633dcbefb2f3d4def63fa6be00bdb6944d5d67a9017a390c26f4702439caf"},
 		{"reinit-reps3", Config{App: "miniFE", Design: ReinitFTI, Procs: 128, Input: Medium, Faults: 1, FaultSeed: 1}, 3,
-			"3427294c443fece7472976820d1305b60cf39007a87e48653d8edccafb29aead"},
+			"acf91713787b1ca19202a95f1bc10ed55728110fe905486bcce93677a7d13c0c"},
 		{"restart-ingress-l3", Config{App: "HPCCG", Design: RestartFTI, ModelIngress: true, FTILevel: fti.L3, CkptStride: 5}, 1,
-			"fe5bfade232a0d66fb9feb8a407f0b2d12d3199a95ff50cf0cc2c6cea7018eac"},
+			"55e7832765855b70f8647df151bb655b2744e324b68d3b62e1c1e38215d2ae79"},
 		{"ulfm-ablation", Config{App: "miniVite", Design: UlfmFTI, Faults: 1, FaultSeed: 4, Input: Large,
 			Detector: detect.Config{Kind: detect.Ring, HeartbeatPeriod: 10 * simnet.Millisecond, DetectTimeout: 40 * simnet.Millisecond}}, 1,
-			"65487279bfd59d0c6d2432db2fcf5d4a48f3cd63b4e1b0afb938c59c89395926"},
+			"fdd0288e8f90caa094697ded206aaa51e43ef4a943a2c6e5909cdad1bbce06d2"},
 	}
 }
 
@@ -180,8 +180,6 @@ func TestResolveRejectsWhatRunRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	strided := Config{App: "HPCCG", Params: tinyParams("HPCCG")}
-	strided.Params.CkptStride = 3
 	bad := []struct {
 		name string
 		cfg  Config
@@ -198,10 +196,6 @@ func TestResolveRejectsWhatRunRejects(t *testing.T) {
 		{"design", Config{App: "HPCCG", Design: 9}, "core: unknown design design(9)"},
 		{"schedule", Config{App: "HPCCG", Procs: 8, Nodes: 4, Schedule: &sched},
 			"core: schedule event 0 (99@1) targets rank 99, outside 0..7"},
-		// A setting Run would drop without a word: the stride the main loop
-		// never read.
-		{"params-stride", strided,
-			"core: Params.CkptStride 3 is ignored; set Config.CkptStride"},
 		// Settings Run would silently change, fail on in every rank's
 		// first checkpoint, or run into a negative recovery or a cell
 		// panic with.
@@ -229,7 +223,7 @@ func TestResolveRejectsWhatRunRejects(t *testing.T) {
 			"core: ulfm DeliveryFactor -1 invalid (want a finite f > 0, or 0 for the default 0.25)"},
 	}
 	for _, b := range bad {
-		if _, err := resolve(b.cfg, 1); err == nil || err.Error() != b.want {
+		if _, err := resolve(b.cfg); err == nil || err.Error() != b.want {
 			t.Errorf("%s: resolve error = %v, want %q", b.name, err, b.want)
 		}
 		if _, err := Run(b.cfg); err == nil || err.Error() != b.want {

@@ -305,7 +305,8 @@ func (r *Registry) RankSends() []int64 {
 
 // Merge adds o's totals into r: counters and histograms sum, gauges take
 // the max, and the per-rank table grows to cover both. Used by
-// RunAveraged (across reps) and the SweepMeter (across cells).
+// core's Cells (across the reps of a cell) and the SweepMeter (across
+// cells).
 func (r *Registry) Merge(o *Registry) {
 	if r == nil || o == nil {
 		return

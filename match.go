@@ -73,10 +73,10 @@ type (
 	// worker pool size, progress/metering/logging observers, and an
 	// optional content-addressed ResultStore that memoizes cells across
 	// sweeps. The zero value runs in-process with no observers.
-	// Cells(cfgs, reps) is the one sweep executor (results ordered like
-	// cfgs; on an error, the cells before the failing one plus that error —
-	// a cell that panics or trips the virtual deadline is such an error,
-	// never a dead process);
+	// Cells(cfgs, reps) is the one sweep executor (one row per config, the
+	// mean of its reps; results ordered like cfgs; on an error, the cells
+	// before the failing one plus that error — a cell that panics or trips
+	// the virtual deadline is such an error, never a dead process);
 	// Run(req, w) is Cells over the request's matrix plus the per-app tables
 	// written to w.
 	CampaignRunner = core.CampaignRunner
@@ -136,11 +136,12 @@ func Run(cfg Config) (Breakdown, error) { return core.Run(cfg) }
 // sharing cells between campaigns within one process).
 func NewMemoryResultStore(maxEntries int) *ResultStore { return store.NewMemory(maxEntries) }
 
-// CellKey is the content address of one campaign cell: the hex SHA-256 of
-// the resolved cell Run executes (defaults filled, observers and inactive
-// designs excluded, version-stamped). Two configs that Run identically
-// share a key.
-func CellKey(cfg Config, reps int) (string, error) { return core.CellKey(cfg, reps) }
+// CellKey is the content address of rep rep (counted from 1) of a campaign
+// cell: the hex SHA-256 of the resolved cell Run executes (defaults filled,
+// observers and inactive designs excluded, version-stamped). Rep r runs
+// with fault seed FaultSeed + 1009·(r−1). Two configs that Run identically
+// share a key, so all reps of a failure-free cell share rep 1's.
+func CellKey(cfg Config, rep int) (string, error) { return core.CellKey(cfg, rep) }
 
 // ParseInputSize resolves a problem-size name ("Small", "medium", "L")
 // case-insensitively.
@@ -220,8 +221,9 @@ func TraceTotalsOf(bd Breakdown) TraceTotals { return core.TraceTotalsOf(bd) }
 type (
 	// MetricsRegistry counts simulator activity; allocate with
 	// NewMetricsRegistry and set it as Config.Metrics. Unlike a
-	// TraceRecorder it survives RunAveraged: each rep reconciles a fresh
-	// registry and the caller's receives the merged totals.
+	// TraceRecorder it may serve a multi-rep cell of CampaignRunner.Cells:
+	// each simulated rep reconciles a fresh registry and the caller's
+	// receives the merged totals.
 	MetricsRegistry = obs.Registry
 	// EventLog emits structured JSON events (log/slog); set it as
 	// Config.Log.
