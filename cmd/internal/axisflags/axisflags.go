@@ -101,12 +101,12 @@ func (f *Flags) Detectors() ([]detect.Config, error) {
 }
 
 // Policies parses the placement axis: nil when -ckpt-policy is empty, else
-// one configuration per named policy, resolved against baseStride (0 = the
-// paper's 10) so labels show the derived values. The multi-level and
+// one configuration per named policy at the given stride (0 = the paper's
+// 10), resolved so labels show the derived values. The multi-level and
 // replica-aware knobs go to the policies of their kind; a knob no named
 // policy consumes is an error, and everything else (negative interleaves,
 // a bad stretch or stride) is ckpt.Validate's call.
-func (f *Flags) Policies(baseStride int) ([]ckpt.Config, error) {
+func (f *Flags) Policies(stride int) ([]ckpt.Config, error) {
 	var names []string
 	if *f.ckptPolicy != "" {
 		names = strings.Split(*f.ckptPolicy, ",")
@@ -118,14 +118,14 @@ func (f *Flags) Policies(baseStride int) ([]ckpt.Config, error) {
 		if err != nil {
 			return nil, err
 		}
-		pc := ckpt.Config{Kind: kind}
+		pc := ckpt.Config{Kind: kind, Stride: stride}
 		if kind == ckpt.MultiLevel {
 			pc.L2Every, pc.L3Every, pc.L4Every = *f.l2, *f.l3, *f.l4
 		}
 		if kind == ckpt.ReplicaAware {
 			pc.Stretch, pc.SkipProtected = *f.stretch, *f.skip
 		}
-		pc = ckpt.Resolve(pc, baseStride)
+		pc = ckpt.Resolve(pc)
 		if err := pc.Validate(); err != nil {
 			return nil, err
 		}

@@ -100,7 +100,7 @@ func main() {
 	}
 	// The two shared axes parse and validate at flag-parse time (a clean
 	// usage error instead of a mid-run failure); this command runs one
-	// configuration, so a sweep list is an error here.
+	// configuration, so a list of any other length is an error here.
 	detectors, err := axes.Detectors()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -111,20 +111,22 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if len(detectors) > 1 || len(policies) > 1 {
+	if len(detectors) > 1 || len(policies) != 1 {
 		fmt.Fprintln(os.Stderr, "-hb-period/-ckpt-policy take a single value here; sweep a list with matchsuite -campaign")
 		os.Exit(2)
 	}
 
+	if *faultOn {
+		*faults = max(*faults, 1) // -fault is one failure
+	}
 	cfg := core.Config{
-		App:         *app,
-		Procs:       *procs,
-		Nodes:       *nodes,
-		InjectFault: *faultOn || *faults > 0,
-		Faults:      *faults,
-		FaultSeed:   *seed,
-		FTILevel:    fti.Level(*level),
-		CkptStride:  *stride,
+		App:        *app,
+		Procs:      *procs,
+		Nodes:      *nodes,
+		Faults:     *faults,
+		FaultSeed:  *seed,
+		FTILevel:   fti.Level(*level),
+		CkptPolicy: policies[0],
 		Replica: replica.Config{
 			DupDegree:      *dupDegree,
 			ReplicaFactor:  *replicaFactor,
@@ -138,9 +140,6 @@ func main() {
 	// field stays zero and core resolves it per design.
 	if len(detectors) == 1 {
 		cfg.Detector = detectors[0]
-	}
-	if len(policies) == 1 {
-		cfg.CkptPolicy = policies[0]
 	}
 	if *faultSchedule != "" {
 		sched, err := fault.ParseSchedule(*faultSchedule)
@@ -209,7 +208,6 @@ func main() {
 	fmt.Printf("  application     %10.3f s\n", bd.App.Seconds())
 	// Label with the placement the run actually used, splitting the count
 	// by level when the policy escalated any checkpoint past the base.
-	resolvedPol, _ := core.ResolvedCkptPolicy(cfg) // Run already validated it
 	levels := ""
 	for l := 1; l <= 4; l++ {
 		if n := bd.CkptCountAt[l]; n > 0 && n != bd.CkptCount {
@@ -220,7 +218,7 @@ func main() {
 		levels = ";" + levels
 	}
 	fmt.Printf("  write ckpts     %10.3f s  (%d checkpoints%s; placement %s, %d avoided)\n",
-		bd.Ckpt.Seconds(), bd.CkptCount, levels, resolvedPol, bd.CkptAvoided)
+		bd.Ckpt.Seconds(), bd.CkptCount, levels, cfg.CkptPolicy, bd.CkptAvoided)
 	fmt.Printf("  recovery        %10.3f s  (%d recoveries, %d faults fired)\n",
 		bd.Recovery.Seconds(), bd.Recoveries, bd.FaultsInjected)
 	// Label with the strategy the run actually used (a default run's

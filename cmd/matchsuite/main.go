@@ -282,7 +282,7 @@ func main() {
 		}
 		writeCSV(*csvPath, results)
 	case *verify:
-		if err := runVerify(rn, base.Apps, *seed); err != nil {
+		if err := runVerify(rn, base); err != nil {
 			fail(1, err)
 		}
 	case *ratios:
@@ -464,25 +464,31 @@ func writeCSV(path string, results []core.Result) {
 	core.WriteCSV(f, results)
 }
 
-// runVerify checks, for every app and design at the default scale, that a
-// run with an injected failure produces the same answer as a failure-free
-// run. Per app the sweep holds the failure-free reference cell followed by
-// one single-failure cell per design; the verdicts are printed in that
-// order once the pool has run them.
-func runVerify(rn core.CampaignRunner, apps []string, seed int64) error {
-	if len(apps) == 0 {
-		apps = core.TableIApps()
-	}
+// verifyCells is the sweep -verify runs at the default scale, and its
+// reps: per app, the failure-free reference cell and one single-failure
+// cell per design, under the flags' detector, placement, ingress and seed.
+func verifyCells(base core.CampaignRequest) ([]core.Config, int) {
+	req := base.Canonical() // one detector and one policy outside -campaign
 	var cfgs []core.Config
-	for _, app := range apps {
-		cfgs = append(cfgs, core.Config{App: app, Design: core.ReinitFTI, Procs: 64, Input: core.Small})
+	for _, app := range req.Apps {
+		cell := core.Config{App: app, Design: core.ReinitFTI, Procs: core.DefaultProcs, Input: core.Small,
+			Detector: req.Detectors[0], CkptPolicy: req.Policies[0], ModelIngress: req.ModelIngress}
+		cfgs = append(cfgs, cell)
 		for _, d := range core.Designs() {
-			cfgs = append(cfgs, core.Config{App: app, Design: d, Procs: 64, Input: core.Small,
-				InjectFault: true, FaultSeed: seed})
+			cell.Design, cell.Faults, cell.FaultSeed = d, 1, req.Seed
+			cfgs = append(cfgs, cell)
 		}
 	}
+	return cfgs, req.Reps
+}
+
+// runVerify checks that every faulty cell of verifyCells recovers the
+// answer of its app's failure-free reference, printing the verdicts in
+// sweep order once the pool has run them.
+func runVerify(rn core.CampaignRunner, base core.CampaignRequest) error {
+	cfgs, reps := verifyCells(base)
 	// On a failed cell the verdicts of the cells before it are still printed.
-	results, err := rn.Cells(cfgs, 1)
+	results, err := rn.Cells(cfgs, reps)
 	fmt.Println("== Recovery correctness verification ==")
 	perApp := 1 + len(core.Designs())
 	for i, r := range results {

@@ -4,7 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"match/internal/ckpt"
 	"match/internal/core"
+	"match/internal/detect"
+	"match/internal/simnet"
 )
 
 // The flags -> request mapping of a figure: -scales replaces the scaling
@@ -47,5 +50,43 @@ func TestFigureRequestFromFlags(t *testing.T) {
 	}
 	if _, err := figureRequest(3, base, nil); err == nil {
 		t.Error("figure 3 accepted")
+	}
+}
+
+// The cells -verify runs, without running them: per app, the failure-free
+// reference on reinit and one single-failure cell per design at the
+// default scale, each carrying the detector, placement, ingress model and
+// seed the flags set, run at the flags' reps.
+func TestVerifyCells(t *testing.T) {
+	cfgs, reps := verifyCells(core.CampaignRequest{Apps: []string{"HPCCG"}})
+	want := []core.Config{{App: "HPCCG", Design: core.ReinitFTI, Procs: 64, Input: core.Small}}
+	for _, d := range core.Designs() {
+		want = append(want, core.Config{App: "HPCCG", Design: d, Procs: 64, Input: core.Small, Faults: 1, FaultSeed: 1})
+	}
+	if reps != 1 || !reflect.DeepEqual(cfgs, want) {
+		t.Fatalf("default -verify cells at reps %d:\n%+v\nwant at reps 1:\n%+v", reps, cfgs, want)
+	}
+
+	ring := detect.Resolve(detect.Config{Kind: detect.Ring, HeartbeatPeriod: 50 * simnet.Millisecond}, detect.Config{})
+	l3 := ckpt.Resolve(ckpt.Config{Kind: ckpt.MultiLevel, L3Every: 1})
+	base := core.CampaignRequest{Apps: []string{"HPCCG", "miniVite"}, Reps: 3, Seed: 7,
+		Detectors: []detect.Config{ring}, Policies: []ckpt.Config{l3}, ModelIngress: true}
+	cfgs, reps = verifyCells(base)
+	perApp := 1 + len(core.Designs())
+	if reps != 3 || len(cfgs) != 2*perApp {
+		t.Fatalf("%d cells at reps %d, want %d at reps 3", len(cfgs), reps, 2*perApp)
+	}
+	for i, c := range cfgs {
+		faults := 1
+		if i%perApp == 0 {
+			faults = 0
+		}
+		if c.App != base.Apps[i/perApp] || c.Procs != 64 || c.Detector != ring || c.CkptPolicy != l3 ||
+			!c.ModelIngress || c.FaultCount() != faults || faults == 1 && c.FaultSeed != 7 {
+			t.Errorf("cell %d = %+v lost a flag", i, c)
+		}
+		if _, err := core.CellKey(c, reps); err != nil {
+			t.Errorf("cell %d does not resolve: %v", i, err)
+		}
 	}
 }

@@ -82,16 +82,16 @@ func main() {
 	if err := match.RegisterApp("Heat2D", func() match.App { return &heat{} }); err != nil {
 		log.Fatal(err)
 	}
-	run := func(d match.Design, inject bool) match.Breakdown {
+	run := func(d match.Design, faults int) match.Breakdown {
 		bd, err := match.Run(match.Config{
-			App:         "Heat2D",
-			Design:      d,
-			Procs:       16,
-			Nodes:       8,
-			InjectFault: inject,
-			FaultSeed:   3,
-			CkptStride:  5,
-			Params:      match.Params{NX: 64, MaxIter: 30, WorkScale: 50},
+			App:        "Heat2D",
+			Design:     d,
+			Procs:      16,
+			Nodes:      8,
+			Faults:     faults,
+			FaultSeed:  3,
+			CkptPolicy: match.CkptPolicyConfig{Stride: 5},
+			Params:     match.Params{NX: 64, MaxIter: 30, WorkScale: 50},
 		})
 		if err != nil {
 			log.Fatalf("%v: %v", d, err)
@@ -100,11 +100,11 @@ func main() {
 	}
 	// The failure rolls back to a mid-run checkpoint, so the example checks
 	// what recovery must guarantee: the failure-free answer, bit for bit.
-	ref := run(match.RestartFTI, false)
+	ref := run(match.RestartFTI, 0)
 	fmt.Printf("failure-free answer %.6f\n", ref.Signature)
 	wrong := 0
 	for _, d := range []match.Design{match.RestartFTI, match.ReinitFTI, match.UlfmFTI, match.ReplicaFTI} {
-		bd := run(d, true)
+		bd := run(d, 1)
 		fmt.Printf("%-12s survived a process failure: recovery %.3fs, total %.3fs, answer %.6f\n",
 			d, bd.Recovery.Seconds(), bd.Total.Seconds(), bd.Signature)
 		if bd.Signature != ref.Signature {

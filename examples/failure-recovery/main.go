@@ -23,7 +23,7 @@ func main() {
 
 	for _, d := range []match.Design{match.RestartFTI, match.ReinitFTI, match.UlfmFTI} {
 		cfg := withDesign(base, d)
-		cfg.InjectFault = true
+		cfg.Faults = 1
 		cfg.FaultSeed = 7 // same rank, same iteration for every design
 		bd, err := match.Run(cfg)
 		if err != nil {

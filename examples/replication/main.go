@@ -16,12 +16,12 @@ import (
 
 func main() {
 	base := match.Config{
-		App:         "HPCCG",
-		Procs:       16,
-		Nodes:       8,
-		Input:       match.Small,
-		InjectFault: true,
-		FaultSeed:   3,
+		App:       "HPCCG",
+		Procs:     16,
+		Nodes:     8,
+		Input:     match.Small,
+		Faults:    1,
+		FaultSeed: 3,
 	}
 
 	fmt.Println("== failure recovery: replication vs global restart ==")

@@ -109,8 +109,8 @@ type Config struct {
 	Kind Kind
 	// Stride is the base checkpoint period in iterations (the L1 period
 	// for MultiLevel; the un-stretched period for ReplicaAware; the
-	// first-incarnation fallback for Adaptive). Zero resolves to the run's
-	// CkptStride (the paper's 10).
+	// first-incarnation fallback for Adaptive). It is the run's one
+	// checkpoint stride; zero resolves to the paper's 10.
 	Stride int
 	// L2Every / L3Every / L4Every escalate every Nth checkpoint to that
 	// level (MultiLevel only; zero disables the level). When several apply
@@ -138,15 +138,12 @@ func Defaults(k Kind) Config {
 	}
 }
 
-// Resolve merges a user-supplied configuration with the run's base stride:
-// a zero Stride becomes baseStride (itself defaulting to the paper's 10),
-// and the kind's remaining zero fields are filled from Defaults. The
-// result of Resolve always passes Validate when the inputs are sane.
-func Resolve(user Config, baseStride int) Config {
+// Resolve fills a user-supplied configuration's zero fields: a zero Stride
+// becomes the paper's 10, and the kind's remaining zero fields come from
+// Defaults. The result of Resolve always passes Validate when the inputs
+// are sane.
+func Resolve(user Config) Config {
 	out := user
-	if out.Stride == 0 {
-		out.Stride = baseStride
-	}
 	if out.Stride == 0 {
 		out.Stride = 10
 	}

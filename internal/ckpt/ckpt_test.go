@@ -12,7 +12,7 @@ import (
 
 func mustPlanner(t *testing.T, cfg Config, maxIter, faults int) *Planner {
 	t.Helper()
-	pl, err := NewPlanner(Resolve(cfg, 0), maxIter, faults)
+	pl, err := NewPlanner(Resolve(cfg), maxIter, faults)
 	if err != nil {
 		t.Fatalf("planner: %v", err)
 	}
@@ -68,30 +68,29 @@ func TestValidateRejectsNonsense(t *testing.T) {
 	}
 	// Resolve must repair every resolvable case.
 	for _, k := range Kinds() {
-		if err := Resolve(Config{Kind: k}, 0).Validate(); err != nil {
+		if err := Resolve(Config{Kind: k}).Validate(); err != nil {
 			t.Errorf("resolved %v invalid: %v", k, err)
 		}
 	}
 }
 
 func TestResolveFillsStrideAndDefaults(t *testing.T) {
-	c := Resolve(Config{}, 7)
-	if c.Kind != Fixed || c.Stride != 7 {
-		t.Fatalf("resolved zero config = %+v", c)
+	if c := Resolve(Config{Stride: 7}); c.Kind != Fixed || c.Stride != 7 {
+		t.Fatalf("resolved stride-7 config = %+v", c)
 	}
-	if c := Resolve(Config{}, 0); c.Stride != 10 {
-		t.Fatalf("fallback stride = %d, want 10", c.Stride)
+	if c := Resolve(Config{}); c.Kind != Fixed || c.Stride != 10 {
+		t.Fatalf("resolved zero config = %+v, want fixed at the paper's stride 10", c)
 	}
-	ml := Resolve(Config{Kind: MultiLevel}, 0)
+	ml := Resolve(Config{Kind: MultiLevel})
 	if ml.L2Every != 3 || ml.L4Every != 10 || ml.L3Every != 0 {
 		t.Fatalf("multi-level defaults = %+v", ml)
 	}
 	// An explicit partial interleave is kept, not overwritten.
-	ml = Resolve(Config{Kind: MultiLevel, L3Every: 5}, 0)
+	ml = Resolve(Config{Kind: MultiLevel, L3Every: 5})
 	if ml.L2Every != 0 || ml.L3Every != 5 || ml.L4Every != 0 {
 		t.Fatalf("explicit interleave clobbered: %+v", ml)
 	}
-	if ra := Resolve(Config{Kind: ReplicaAware}, 0); ra.Stretch != 4 {
+	if ra := Resolve(Config{Kind: ReplicaAware}); ra.Stretch != 4 {
 		t.Fatalf("replica-aware default stretch = %d", ra.Stretch)
 	}
 }
@@ -308,11 +307,11 @@ func TestConfigString(t *testing.T) {
 	cases := map[string]Config{
 		"fixed":                        {},
 		"fixed(s=10)":                  {Kind: Fixed, Stride: 10},
-		"multi-level(s=10,l2=3,l4=10)": Resolve(Config{Kind: MultiLevel}, 0),
-		"replica-aware(s=10,x4)":       Resolve(Config{Kind: ReplicaAware}, 0),
-		"replica-aware(s=10,skip)":     Resolve(Config{Kind: ReplicaAware, SkipProtected: true}, 0),
-		"adaptive(s=10)":               Resolve(Config{Kind: Adaptive}, 0),
-		"never":                        Resolve(Config{Kind: Never}, 0),
+		"multi-level(s=10,l2=3,l4=10)": Resolve(Config{Kind: MultiLevel}),
+		"replica-aware(s=10,x4)":       Resolve(Config{Kind: ReplicaAware}),
+		"replica-aware(s=10,skip)":     Resolve(Config{Kind: ReplicaAware, SkipProtected: true}),
+		"adaptive(s=10)":               Resolve(Config{Kind: Adaptive}),
+		"never":                        Resolve(Config{Kind: Never}),
 	}
 	for want, c := range cases {
 		if got := c.String(); got != want {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"match/internal/ckpt"
 	"match/internal/fault"
 	"match/internal/simnet"
 	"match/internal/store"
@@ -216,7 +217,7 @@ func mustDecode(t *testing.T, raw []byte) Breakdown {
 func TestCachedBreakdownRoundTrip(t *testing.T) {
 	params := tinyParams("HPCCG")
 	bd, err := Run(Config{App: "HPCCG", Design: UlfmFTI, Procs: 8, Nodes: 4,
-		Params: params, CkptStride: 3, InjectFault: true, FaultSeed: 7})
+		Params: params, CkptPolicy: ckpt.Config{Stride: 3}, Faults: 1, FaultSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,8 @@ func TestCachedBreakdownRoundTrip(t *testing.T) {
 // census (keys only, no simulation) pins the numbers the README quotes;
 // the simulated half runs a cheap slice of the matrix through one runner
 // with a store and requires every repeat to be a hit and every table to
-// match a store-less runner's byte for byte.
+// match, byte for byte, the same table rendered from the Breakdowns the
+// figure gate pins for those cells.
 func TestFiguresShareCells(t *testing.T) {
 	figure := func(fig int, narrow func(*CampaignRequest)) CampaignRequest {
 		req := mustFigureRequest(fig)
@@ -279,31 +281,47 @@ func TestFiguresShareCells(t *testing.T) {
 	}
 
 	// Six figures of four cells each, 8 distinct: at one scale and one
-	// input, Figs. 5 and 8 are the same cells, as are 6, 7, 9 and 10.
-	miniFE := func(r *CampaignRequest) {
-		r.Apps = []string{"miniFE"}
+	// input, Figs. 5 and 8 are the same cells, as are 6, 7, 9 and 10. The
+	// reference render is each figure's cells with the figure gate's
+	// Breakdowns (its fig5 and fig6 HPCCG p64 Small rows), found by CellKey.
+	p64 := func(r *CampaignRequest) {
+		r.Apps = []string{"HPCCG"}
 		if len(r.Scales) > 0 {
 			r.Scales = []int{64}
 		} else {
 			r.Inputs = []InputSize{Small}
 		}
 	}
+	golden := map[string]Breakdown{}
+	for _, l := range readFiguresGolden(t) {
+		if l.Key != "" {
+			golden[l.Key] = *l.Breakdown
+		}
+	}
 	st := store.NewMemory(0)
-	shared, plain := CampaignRunner{Store: st}, CampaignRunner{}
+	shared := CampaignRunner{Store: st}
 	byFig := map[int][]Result{}
 	for fig := 5; fig <= 10; fig++ {
-		req := figure(fig, miniFE)
+		req := figure(fig, p64)
 		var got, want bytes.Buffer
 		results, err := shared.Run(req, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		WriteFigure(&got, fig, results)
-		unshared, err := plain.Run(req, nil)
-		if err != nil {
-			t.Fatal(err)
+		var reference []Result
+		for _, cfg := range req.Configs() {
+			key, err := CellKey(cfg, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bd, ok := golden[key]
+			if !ok {
+				t.Fatalf("fig %d: no %s row has the key of %s/%s", fig, figuresGolden, cfg.App, cfg.Design)
+			}
+			reference = append(reference, Result{Config: cfg, Breakdown: bd})
 		}
-		WriteFigure(&want, fig, unshared)
+		WriteFigure(&want, fig, reference)
 		if got.String() != want.String() {
 			t.Fatalf("fig %d differs with a store:\n%s\n---\n%s", fig, got.String(), want.String())
 		}
@@ -324,7 +342,7 @@ func TestFiguresShareCells(t *testing.T) {
 func TestRepIsACell(t *testing.T) {
 	tiny := func(c Config) Config {
 		c.App, c.Design, c.Procs, c.Nodes = "HPCCG", ReinitFTI, 8, 4
-		c.Params, c.CkptStride = tinyParams("HPCCG"), 3
+		c.Params, c.CkptPolicy = tinyParams("HPCCG"), ckpt.Config{Stride: 3}
 		return c
 	}
 	cells := func(st *store.Store, cfg Config, reps int) Breakdown {
@@ -356,7 +374,7 @@ func TestRepIsACell(t *testing.T) {
 	}
 
 	st = store.NewMemory(0)
-	faulty := tiny(Config{InjectFault: true, FaultSeed: 11})
+	faulty := tiny(Config{Faults: 1, FaultSeed: 11})
 	got := cells(st, faulty, 3)
 	before := st.Stats()
 	if before.Puts != 3 {

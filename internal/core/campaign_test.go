@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"match/internal/ckpt"
 	"match/internal/detect"
 	"match/internal/fault"
 	"match/internal/obs"
@@ -21,7 +22,7 @@ func TestCampaignK1MatchesLegacySingleFailure(t *testing.T) {
 	for _, d := range Designs() {
 		params := tinyParams("HPCCG")
 		legacy := Config{App: "HPCCG", Design: d, Procs: 8, Nodes: 4,
-			Params: params, CkptStride: 3, InjectFault: true, FaultSeed: 7}
+			Params: params, CkptPolicy: ckpt.Config{Stride: 3}, Faults: 1, FaultSeed: 7}
 		viaK := legacy
 		viaK.Faults = 1
 		a, err := Run(legacy)
@@ -46,7 +47,7 @@ func TestMultiFailureEveryDesign(t *testing.T) {
 			for _, k := range []int{2, 3} {
 				params := tinyParams(app)
 				cfg := Config{App: app, Design: d, Procs: 8, Nodes: 4,
-					Params: params, CkptStride: 3, Faults: k, FaultSeed: 5}
+					Params: params, CkptPolicy: ckpt.Config{Stride: 3}, Faults: k, FaultSeed: 5}
 				a, err := Run(cfg)
 				if err != nil {
 					t.Fatalf("%s/%v k=%d: %v", app, d, k, err)
@@ -78,13 +79,13 @@ func TestMultiFailureEveryDesign(t *testing.T) {
 // The multi-failure answer must still be the failure-free answer.
 func TestMultiFailureRecoversExactAnswer(t *testing.T) {
 	params := tinyParams("miniFE")
-	ref, err := Run(Config{App: "miniFE", Design: ReinitFTI, Procs: 8, Nodes: 4, Params: params, CkptStride: 3})
+	ref, err := Run(Config{App: "miniFE", Design: ReinitFTI, Procs: 8, Nodes: 4, Params: params, CkptPolicy: ckpt.Config{Stride: 3}})
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
 	for _, d := range Designs() {
 		bd, err := Run(Config{App: "miniFE", Design: d, Procs: 8, Nodes: 4,
-			Params: params, CkptStride: 3, Faults: 3, FaultSeed: 2})
+			Params: params, CkptPolicy: ckpt.Config{Stride: 3}, Faults: 3, FaultSeed: 2})
 		if err != nil {
 			t.Fatalf("%v: %v", d, err)
 		}
@@ -290,7 +291,7 @@ func TestInWindowFailureRegime(t *testing.T) {
 		{TargetRank: 2, TargetIter: 4, TargetReplica: 0},
 	}}
 	base := Config{App: "HPCCG", Design: ReplicaFTI, Procs: 8, Nodes: 4,
-		Params: params, CkptStride: 3, Schedule: &sched}
+		Params: params, CkptPolicy: ckpt.Config{Stride: 3}, Schedule: &sched}
 
 	launcher, err := Run(base)
 	if err != nil {
@@ -326,8 +327,8 @@ func TestExplicitScheduleDegradedGroupFallback(t *testing.T) {
 		{TargetRank: 2, TargetIter: 6, TargetReplica: 0, AfterRecoveries: 1},
 	}}
 	cfg := Config{App: "HPCCG", Design: ReplicaFTI, Procs: 8, Nodes: 4,
-		Params: params, CkptStride: 3, Schedule: &sched}
-	ref, err := Run(Config{App: "HPCCG", Design: ReinitFTI, Procs: 8, Nodes: 4, Params: params, CkptStride: 3})
+		Params: params, CkptPolicy: ckpt.Config{Stride: 3}, Schedule: &sched}
+	ref, err := Run(Config{App: "HPCCG", Design: ReinitFTI, Procs: 8, Nodes: 4, Params: params, CkptPolicy: ckpt.Config{Stride: 3}})
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}

@@ -17,23 +17,23 @@ func TestCkptPolicyPresetMatchesExplicit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("16-run equality matrix")
 	}
-	for _, fault := range []bool{false, true} {
+	for _, k := range []int{0, 1} {
 		for _, d := range Designs() {
 			base := Config{App: "HPCCG", Design: d, Procs: 8, Nodes: 4, Input: Small,
-				InjectFault: fault, FaultSeed: 9}
+				Faults: k, FaultSeed: 9}
 			want, err := Run(base)
 			if err != nil {
-				t.Fatalf("%s default (fault=%v): %v", d, fault, err)
+				t.Fatalf("%s default (k=%d): %v", d, k, err)
 			}
 			exp := base
 			exp.CkptPolicy = ckpt.Config{Kind: ckpt.Fixed, Stride: 10}
 			got, err := Run(exp)
 			if err != nil {
-				t.Fatalf("%s explicit (fault=%v): %v", d, fault, err)
+				t.Fatalf("%s explicit (k=%d): %v", d, k, err)
 			}
 			if want != got {
-				t.Fatalf("%s (fault=%v) explicit fixed placement diverged:\ndefault:  %+v\nexplicit: %+v",
-					d, fault, want, got)
+				t.Fatalf("%s (k=%d) explicit fixed placement diverged:\ndefault:  %+v\nexplicit: %+v",
+					d, k, want, got)
 			}
 		}
 	}
@@ -89,7 +89,7 @@ func TestMultiLevelPlacementRecoversEverywhere(t *testing.T) {
 	}
 	for _, d := range Designs() {
 		bd, err := Run(Config{App: "HPCCG", Design: d, Procs: 8, Nodes: 4, Input: Small,
-			InjectFault: true, FaultSeed: 9,
+			Faults: 1, FaultSeed: 9,
 			CkptPolicy: ckpt.Config{Kind: ckpt.MultiLevel}})
 		if err != nil {
 			t.Fatalf("%s: %v", d, err)
@@ -126,7 +126,7 @@ func TestReplicaAwareRearmsAfterFailover(t *testing.T) {
 		t.Fatalf("reference: %v", err)
 	}
 	bd, err := Run(Config{App: "HPCCG", Design: ReplicaFTI, Procs: 8, Nodes: 4, Input: Small,
-		InjectFault: true, FaultSeed: 9,
+		Faults: 1, FaultSeed: 9,
 		CkptPolicy: ckpt.Config{Kind: ckpt.ReplicaAware, SkipProtected: true}})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -186,12 +186,12 @@ func TestAdaptivePlacementRecomputesAcrossIncarnations(t *testing.T) {
 		t.Fatalf("reference: %v", err)
 	}
 	fixed, err := Run(Config{App: "HPCCG", Design: RestartFTI, Procs: 8, Nodes: 4, Input: Small,
-		InjectFault: true, FaultSeed: 9})
+		Faults: 1, FaultSeed: 9})
 	if err != nil {
 		t.Fatalf("fixed: %v", err)
 	}
 	bd, err := Run(Config{App: "HPCCG", Design: RestartFTI, Procs: 8, Nodes: 4, Input: Small,
-		InjectFault: true, FaultSeed: 9,
+		Faults: 1, FaultSeed: 9,
 		CkptPolicy: ckpt.Config{Kind: ckpt.Adaptive}})
 	if err != nil {
 		t.Fatalf("adaptive: %v", err)
@@ -256,7 +256,7 @@ func TestReplicaTradeoffCurve(t *testing.T) {
 	for _, factor := range []float64{0, 1} {
 		for k := 0; k <= 1; k++ {
 			cfg := Config{App: "HPCCG", Design: ReplicaFTI, Procs: 8, Nodes: 4, Input: Small,
-				InjectFault: k > 0, Faults: k, FaultSeed: 9,
+				Faults: k, FaultSeed: 9,
 				Replica: replicaConfigFor(factor), CkptPolicy: pol}
 			bd, err := Run(cfg)
 			if err != nil {

@@ -16,7 +16,7 @@ var conformanceStore = store.NewMemory(0)
 func conformanceCell(app string, d Design) Config {
 	return Config{
 		App: app, Design: d, Procs: 8, Nodes: 4,
-		Input: Small, InjectFault: true, FaultSeed: 9,
+		Input: Small, Faults: 1, FaultSeed: 9,
 	}
 }
 
@@ -147,7 +147,7 @@ func TestReplicaAllAppsSmall64(t *testing.T) {
 	var cfgs []Config
 	for _, app := range apps.Names() {
 		cfg := Config{App: app, Design: ReplicaFTI, Procs: 64, Input: Small,
-			InjectFault: true, FaultSeed: 1}
+			Faults: 1, FaultSeed: 1}
 		cfgs = append(cfgs, cfg, cfg)
 	}
 	results, err := CampaignRunner{}.Cells(cfgs, 1)

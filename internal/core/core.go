@@ -118,25 +118,26 @@ type Config struct {
 	Nodes  int // 32 in the paper
 	Input  InputSize
 
+	// InjectFault is a legacy spelling of Faults: 1 (same CellKey). Set
+	// Faults: the field stays only because the frozen bench/ probes set it.
 	InjectFault bool
 	FaultSeed   int64
 	FaultKind   fault.Kind
 	// Faults is the campaign size: the number of failures injected per
-	// run, drawn deterministically from FaultSeed. Zero with InjectFault
-	// set means one (the paper's single-failure experiments); event 0 of a
-	// k-failure schedule is always the legacy single-failure draw, so k=1
-	// reproduces the calibrated results byte-for-byte.
+	// run, drawn deterministically from FaultSeed. Event 0 of a k-failure
+	// schedule is always the legacy single-failure draw, so k=1 reproduces
+	// the calibrated results byte-for-byte.
 	Faults int
 	// Schedule, when non-nil, overrides the random draw entirely with an
 	// explicit failure schedule (see fault.ParseSchedule for the DSL).
 	Schedule *fault.Schedule
 
-	FTILevel   fti.Level // default L1, as the paper benchmarks
-	CkptStride int       // default 10, as the paper
+	FTILevel fti.Level // default L1, as the paper benchmarks
 
 	// CkptPolicy selects and tunes the checkpoint-placement strategy
-	// shared by all four designs (internal/ckpt). The zero value is the
-	// classic fixed-stride placement over CkptStride at FTILevel —
+	// shared by all four designs (internal/ckpt); its Stride is the run's
+	// one checkpoint stride. The zero value is the classic fixed-stride
+	// placement every 10 iterations (the paper's stride) at FTILevel —
 	// reproducing the calibrated numbers byte-for-byte. The multi-level,
 	// replica-aware, and adaptive policies make placement a sweepable
 	// axis: how much checkpoint overhead replication actually buys off is
@@ -221,8 +222,8 @@ func (c Config) FaultCount() int {
 // Breakdown is the measured result of one run: the stacked components of
 // the paper's Figures 5/6/8/9 plus bookkeeping.
 type Breakdown struct {
-	Total    simnet.Time // wall time of the whole run (max over ranks)
-	App      simnet.Time // Total - Ckpt - Recovery
+	Total    simnet.Time // wall time of the whole run (max over ranks; the end clock if not Completed)
+	App      simnet.Time // Total - Ckpt - Recovery (at least 0 if not Completed)
 	Ckpt     simnet.Time // time inside FTI_Checkpoint (rank 0)
 	Recovery simnet.Time // MPI recovery time (framework-reported)
 	// DetectLatency measures the detection share of Recovery: the sum over
@@ -510,9 +511,15 @@ func Run(cfg Config) (Breakdown, error) {
 	}
 	bd.Ckpt = rec.ckptTime[0]
 	bd.App = bd.Total - bd.Ckpt - bd.Recovery
+	bd.Completed = len(rec.sigs) == rc.Procs
+	if !bd.Completed {
+		// The run lasted until its clock stopped, and a checkpoint still
+		// open then can span a recovery: the application gets what is left.
+		bd.Total = cluster.Now()
+		bd.App = max(bd.Total-bd.Ckpt-bd.Recovery, 0)
+	}
 	bd.FaultsInjected = inj.FiredCount()
 	bd.Signature = rec.sigs[0]
-	bd.Completed = len(rec.sigs) == rc.Procs
 	bd.CkptCount = rec.ckptCount
 	bd.CkptBytes = rec.ckptBytes
 	bd.CkptCountAt = rec.ckptCountAt

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"match/internal/apps/appkit"
+	"match/internal/ckpt"
 	"match/internal/store"
 )
 
@@ -45,7 +46,7 @@ func TestEveryAppEveryDesignRecoversExactly(t *testing.T) {
 				Procs:      8,
 				Nodes:      4,
 				Params:     params,
-				CkptStride: 3,
+				CkptPolicy: ckpt.Config{Stride: 3},
 			}
 			// Failure-free reference (REINIT has no steady-state impact).
 			ref := base
@@ -67,7 +68,7 @@ func TestEveryAppEveryDesignRecoversExactly(t *testing.T) {
 				t.Run(d.String(), func(t *testing.T) {
 					cfg := base
 					cfg.Design = d
-					cfg.InjectFault = true
+					cfg.Faults = 1
 					cfg.FaultSeed = 7
 					bd, err := Run(cfg)
 					if err != nil {
@@ -121,7 +122,7 @@ func TestRecoveryOrdering(t *testing.T) {
 	recov := map[Design]float64{}
 	for _, d := range Designs() {
 		cfg := Config{App: "HPCCG", Design: d, Procs: 8, Nodes: 4,
-			Params: params, CkptStride: 3, InjectFault: true, FaultSeed: 3}
+			Params: params, CkptPolicy: ckpt.Config{Stride: 3}, Faults: 1, FaultSeed: 3}
 		bd, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", d, err)
@@ -205,7 +206,7 @@ func TestFigureRequest(t *testing.T) {
 		t.Fatalf("fig5 configs = %d, want 8", len(cfgs))
 	}
 	for _, c := range cfgs {
-		if c.InjectFault {
+		if c.FaultCount() > 0 {
 			t.Fatal("fig5 must not inject faults")
 		}
 	}
@@ -259,7 +260,7 @@ func TestFigureRequest(t *testing.T) {
 func TestCellsAveragedAndReports(t *testing.T) {
 	params := tinyParams("HPCCG")
 	cfg := Config{App: "HPCCG", Design: ReinitFTI, Procs: 8, Nodes: 4,
-		Params: params, CkptStride: 3, InjectFault: true, FaultSeed: 11}
+		Params: params, CkptPolicy: ckpt.Config{Stride: 3}, Faults: 1, FaultSeed: 11}
 	rn := CampaignRunner{Store: store.NewMemory(0)}
 	avg, err := rn.Cells([]Config{cfg}, 2)
 	if err != nil {
@@ -306,7 +307,7 @@ func TestComputeRatios(t *testing.T) {
 	var results []Result
 	for _, d := range Designs() {
 		cfg := Config{App: "HPCCG", Design: d, Procs: 8, Nodes: 4,
-			Params: params, CkptStride: 3, InjectFault: true, FaultSeed: 3}
+			Params: params, CkptPolicy: ckpt.Config{Stride: 3}, Faults: 1, FaultSeed: 3}
 		bd, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", d, err)

@@ -15,7 +15,7 @@ import (
 //     for all four designs (the detector, not the design, owns it), and
 //   - ring detection latency is monotonic in the heartbeat period.
 func TestDetectorConformanceAcrossDesigns(t *testing.T) {
-	base := Config{App: "HPCCG", Procs: 8, Nodes: 4, Input: Small, InjectFault: true, FaultSeed: 9}
+	base := Config{App: "HPCCG", Procs: 8, Nodes: 4, Input: Small, Faults: 1, FaultSeed: 9}
 	cases := []struct {
 		name     string
 		detector detect.Config
@@ -58,7 +58,7 @@ func TestRingTimeoutOffThePeriodGrid(t *testing.T) {
 	for _, d := range Designs() {
 		bd, err := Run(Config{
 			App: "HPCCG", Design: d, Procs: 8, Nodes: 4, Input: Small,
-			InjectFault: true, FaultSeed: 9,
+			Faults: 1, FaultSeed: 9,
 			Detector: detect.Config{Kind: detect.Ring,
 				HeartbeatPeriod: 100 * simnet.Millisecond, DetectTimeout: 250 * simnet.Millisecond},
 		})
@@ -83,7 +83,7 @@ func TestRingPeriodMovesLatencyAndInterference(t *testing.T) {
 	run := func(period simnet.Time) Breakdown {
 		bd, err := Run(Config{
 			App: "HPCCG", Design: ReplicaFTI, Procs: 8, Nodes: 4, Input: Small,
-			InjectFault: true, FaultSeed: 9,
+			Faults: 1, FaultSeed: 9,
 			Detector: detect.Config{Kind: detect.Ring, HeartbeatPeriod: period},
 		})
 		if err != nil {
@@ -122,7 +122,7 @@ func TestRingPeriodMovesLatencyAndInterference(t *testing.T) {
 // shared implementation under the calibrated parameters, so spelling the
 // preset out explicitly reproduces the default run byte-for-byte.
 func TestDetectorPresetMatchesExplicit(t *testing.T) {
-	base := Config{App: "HPCCG", Procs: 8, Nodes: 4, Input: Small, InjectFault: true, FaultSeed: 9}
+	base := Config{App: "HPCCG", Procs: 8, Nodes: 4, Input: Small, Faults: 1, FaultSeed: 9}
 	cases := []struct {
 		design   Design
 		explicit detect.Config
@@ -169,12 +169,12 @@ func TestRunRejectsInvalidDetector(t *testing.T) {
 // never changing the computed answer.
 func TestIngressKnob(t *testing.T) {
 	off, err := Run(Config{App: "HPCCG", Design: ReplicaFTI, Procs: 8, Nodes: 4,
-		Input: Small, InjectFault: true, FaultSeed: 9})
+		Input: Small, Faults: 1, FaultSeed: 9})
 	if err != nil {
 		t.Fatalf("ingress off: %v", err)
 	}
 	on, err := Run(Config{App: "HPCCG", Design: ReplicaFTI, Procs: 8, Nodes: 4,
-		Input: Small, InjectFault: true, FaultSeed: 9, ModelIngress: true})
+		Input: Small, Faults: 1, FaultSeed: 9, ModelIngress: true})
 	if err != nil {
 		t.Fatalf("ingress on: %v", err)
 	}

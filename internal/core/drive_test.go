@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -21,8 +22,8 @@ import (
 // the fault-sweep item's job; until then it is the regression cell for "a
 // cell that trips the virtual deadline is a failed cell".
 func deadlockCell() Config {
-	return Config{App: "HPCCG", Design: UlfmFTI, Procs: 8, Faults: 1, FaultSeed: 2, CkptStride: 2,
-		CkptPolicy: ckpt.Resolve(ckpt.Config{Kind: ckpt.MultiLevel, L3Every: 1}, 2)}
+	return Config{App: "HPCCG", Design: UlfmFTI, Procs: 8, Faults: 1, FaultSeed: 2,
+		CkptPolicy: ckpt.Config{Kind: ckpt.MultiLevel, Stride: 2, L3Every: 1}}
 }
 
 func healthyCell() Config {
@@ -61,8 +62,11 @@ func TestDeadlineIsAnError(t *testing.T) {
 		if n := runtime.NumGoroutine(); n != base {
 			t.Fatalf("%d goroutines when the deadlocked cell returned, %d before it: ranks leaked", n, base)
 		}
-		want := Breakdown{Ckpt: 2507639737, App: -2507639737, DetectLatency: 300 * simnet.Millisecond,
-			DetectedFailures: 1, FaultsInjected: 1, CkptCount: 21, CkptBytes: 873096,
+		// The run lasted until the clock stopped: the last event before the
+		// deadline is a heartbeat on the 100 ms grid, at the deadline itself.
+		want := Breakdown{Total: runDeadline, Ckpt: 2507639737, App: runDeadline - 2507639737,
+			DetectLatency: 300 * simnet.Millisecond, DetectedFailures: 1, FaultsInjected: 1,
+			CkptCount: 21, CkptBytes: 873096,
 			Messages: 2245, NetBytes: 26312944}
 		want.CkptCountAt[fti.L3], want.CkptBytesAt[fti.L3] = 21, 873096
 		if bd != want {
@@ -108,7 +112,7 @@ func TestByteScaleHasOneHome(t *testing.T) {
 			Config{App: "HPCCG", Design: ReinitFTI, Procs: 8, Nodes: 4, Input: Medium, FTILevel: fti.L4},
 			804799331, 48263959305, 0},
 		{"comm-heavy",
-			Config{App: "AMG", Design: RestartFTI, Procs: 8, Nodes: 4, Input: Medium, InjectFault: true, FaultSeed: 1},
+			Config{App: "AMG", Design: RestartFTI, Procs: 8, Nodes: 4, Input: Medium, Faults: 1, FaultSeed: 1},
 			400589700, 274737189050, 0},
 		{"hot-spare",
 			Config{App: "HPCCG", Design: ReplicaFTI, Procs: 8, Nodes: 4, Input: Medium,
@@ -144,10 +148,28 @@ func TestIncompleteCellSaysWhy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(Config{App: "HPCCG", Design: ReplicaFTI, Procs: 8, FTILevel: fti.L3, Schedule: &sched})
+	bd, err := Run(Config{App: "HPCCG", Design: ReplicaFTI, Procs: 8, FTILevel: fti.L3, Schedule: &sched})
 	want := "core: only 0/8 ranks completed, no rank reported an error " +
 		"(1 incarnations launched, 2 recoveries logged, 1/1 faults fired)"
 	if err == nil || err.Error() != want {
 		t.Fatalf("err = %v, want %q", err, want)
+	}
+	// The partial Breakdown is still a breakdown: no time or count is
+	// negative (Signature, an answer, may be).
+	v := reflect.ValueOf(bd)
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		elems := []reflect.Value{f}
+		if f.Kind() == reflect.Array {
+			elems = elems[:0]
+			for j := 0; j < f.Len(); j++ {
+				elems = append(elems, f.Index(j))
+			}
+		}
+		for _, x := range elems {
+			if x.CanInt() && x.Int() < 0 {
+				t.Errorf("partial %s = %v, want >= 0", v.Type().Field(i).Name, f)
+			}
+		}
 	}
 }

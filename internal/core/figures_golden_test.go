@@ -280,8 +280,8 @@ func ablationRows(t *testing.T) []goldenRow {
 	for _, stride := range []int{2, 5, 10, 25} {
 		rows = append(rows, goldenRow{fmt.Sprintf("ablation/ckpt-stride/%d", stride), Config{
 			App: "HPCCG", Design: ReinitFTI, Procs: 64,
-			Input: Small, CkptStride: stride,
-			InjectFault: true, FaultSeed: 5,
+			Input: Small, CkptPolicy: ckpt.Config{Stride: stride},
+			Faults: 1, FaultSeed: 5,
 		}})
 	}
 	// Checkpoint placement on the replica design.
@@ -289,7 +289,7 @@ func ablationRows(t *testing.T) []goldenRow {
 		rows = append(rows, goldenRow{"ablation/ckpt-policy/" + kind.String(), Config{
 			App: "HPCCG", Design: ReplicaFTI, Procs: 64,
 			Input: Small, CkptPolicy: ckpt.Config{Kind: kind},
-			InjectFault: true, FaultSeed: 5,
+			Faults: 1, FaultSeed: 5,
 		}})
 	}
 	// A double hit on one replica group, with and without a hot spare.
@@ -310,7 +310,7 @@ func ablationRows(t *testing.T) []goldenRow {
 	for _, period := range []simnet.Time{25 * simnet.Millisecond, 100 * simnet.Millisecond, 400 * simnet.Millisecond} {
 		rows = append(rows, goldenRow{fmt.Sprintf("ablation/heartbeat/%dms", period/simnet.Millisecond), Config{
 			App: "HPCCG", Design: UlfmFTI, Procs: 64,
-			Input: Small, InjectFault: true, FaultSeed: 5,
+			Input: Small, Faults: 1, FaultSeed: 5,
 			Detector: detect.Config{Kind: detect.Ring, HeartbeatPeriod: period, DetectTimeout: 3 * period},
 		}})
 	}
@@ -356,7 +356,7 @@ func cliRows() []goldenRow {
 	cell := func(app string, d Design) Config {
 		return Config{
 			App: app, Design: d, Procs: 8, Nodes: 32, Input: Small,
-			InjectFault: true, Faults: 2, FaultSeed: 3,
+			Faults: 2, FaultSeed: 3,
 		}
 	}
 	var rows []goldenRow
@@ -367,8 +367,7 @@ func cliRows() []goldenRow {
 	}
 	for _, app := range []string{"AMG", "LULESH"} {
 		c := cell(app, ReinitFTI)
-		c.CkptStride = 2
-		c.CkptPolicy = ckpt.Config{Kind: ckpt.MultiLevel, L3Every: 1}
+		c.CkptPolicy = ckpt.Config{Kind: ckpt.MultiLevel, Stride: 2, L3Every: 1}
 		rows = append(rows, goldenRow{"cli-l3/" + app, c})
 	}
 	return rows

@@ -173,7 +173,7 @@ func TestCampaignHotSpareAxis(t *testing.T) {
 	// Reinit cells and key them into the same crossover cells.
 	mk := func(d Design, k int, hs bool, total simnet.Time) Result {
 		return Result{
-			Config: Config{App: "HPCCG", Design: d, Procs: 8, Faults: k, InjectFault: k > 0,
+			Config: Config{App: "HPCCG", Design: d, Procs: 8, Faults: k,
 				Replica: replica.Config{HotSpare: hs}},
 			Breakdown: Breakdown{Total: total, Recovery: simnet.Millisecond, Recoveries: k},
 		}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"match/internal/ckpt"
 	"match/internal/obs"
 	"match/internal/store"
 	"match/internal/trace"
@@ -21,7 +22,7 @@ func TestMetricsOffByteIdentity(t *testing.T) {
 			t.Parallel()
 			params := tinyParams("HPCCG")
 			cfg := Config{App: "HPCCG", Design: d, Procs: 8, Nodes: 4,
-				Params: params, CkptStride: 3, Faults: 2, FaultSeed: 9}
+				Params: params, CkptPolicy: ckpt.Config{Stride: 3}, Faults: 2, FaultSeed: 9}
 			plain, err := Run(cfg)
 			if err != nil {
 				t.Fatalf("%v unmetered: %v", d, err)
@@ -73,7 +74,7 @@ func TestMetricsOffByteIdentity(t *testing.T) {
 func TestMetricsReconcileCatchesReuse(t *testing.T) {
 	params := tinyParams("HPCCG")
 	cfg := Config{App: "HPCCG", Design: UlfmFTI, Procs: 8, Nodes: 4,
-		Params: params, CkptStride: 3, InjectFault: true, FaultSeed: 9,
+		Params: params, CkptPolicy: ckpt.Config{Stride: 3}, Faults: 1, FaultSeed: 9,
 		Metrics: obs.New()}
 	if _, err := Run(cfg); err != nil {
 		t.Fatalf("clean metered run: %v", err)
@@ -94,7 +95,7 @@ func TestMetricsReconcileCatchesReuse(t *testing.T) {
 func TestMetricsAveragedMerge(t *testing.T) {
 	params := tinyParams("HPCCG")
 	cfg := Config{App: "HPCCG", Design: ReinitFTI, Procs: 8, Nodes: 4,
-		Params: params, CkptStride: 3, InjectFault: true, FaultSeed: 9,
+		Params: params, CkptPolicy: ckpt.Config{Stride: 3}, Faults: 1, FaultSeed: 9,
 		Metrics: obs.New()}
 	rn := CampaignRunner{Store: store.NewMemory(0)}
 	if _, err := rn.Cells([]Config{cfg}, 3); err != nil {

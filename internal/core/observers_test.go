@@ -103,7 +103,7 @@ func TestObserversGolden(t *testing.T) {
 			t.Parallel()
 			cfg := c.cfg
 			cfg.App, cfg.Procs, cfg.Nodes = "HPCCG", 8, 4
-			cfg.Params, cfg.CkptStride = tinyParams("HPCCG"), 3
+			cfg.Params, cfg.CkptPolicy.Stride = tinyParams("HPCCG"), 3
 			cfg.Metrics = obs.New()
 			cfg.Trace = trace.New()
 			cfg.Trace.SetDetail(trace.DetailAll)

@@ -282,7 +282,6 @@ func (r CampaignRequest) Configs() []Config {
 											Design:       d,
 											Procs:        procs,
 											Input:        in,
-											InjectFault:  k > 0,
 											Faults:       k,
 											FaultSeed:    r.Seed,
 											Detector:     dc,

@@ -434,7 +434,7 @@ func TestInputSizeJSON(t *testing.T) {
 func TestResultJSONRoundTrip(t *testing.T) {
 	params := tinyParams("HPCCG")
 	cfg := Config{App: "HPCCG", Design: UlfmFTI, Procs: 8, Nodes: 4,
-		Params: params, CkptStride: 3, InjectFault: true, FaultSeed: 7}
+		Params: params, CkptPolicy: ckpt.Config{Stride: 3}, Faults: 1, FaultSeed: 7}
 	bd, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -26,23 +26,22 @@ import (
 // and Reinit have none), so a knob on a design that is not running can
 // neither split the cache nor reach the simulation.
 type resolvedCell struct {
-	V          int             `json:"v"`
-	App        string          `json:"app"`
-	Design     Design          `json:"design"`
-	Procs      int             `json:"procs"`
-	Nodes      int             `json:"nodes"`
-	Input      InputSize       `json:"input"`
-	Faults     int             `json:"faults"`
-	Seed       int64           `json:"seed,omitempty"`
-	Kind       fault.Kind      `json:"fault_kind,omitempty"`
-	Schedule   string          `json:"schedule,omitempty"`
-	FTILevel   fti.Level       `json:"fti_level"`
-	CkptStride int             `json:"ckpt_stride"`
-	Detector   detect.Config   `json:"detector"`
-	Policy     ckpt.Config     `json:"ckpt_policy"`
-	Ingress    bool            `json:"model_ingress,omitempty"`
-	Ulfm       *ulfm.Config    `json:"ulfm,omitempty"`
-	Replica    *replica.Config `json:"replica,omitempty"`
+	V        int             `json:"v"`
+	App      string          `json:"app"`
+	Design   Design          `json:"design"`
+	Procs    int             `json:"procs"`
+	Nodes    int             `json:"nodes"`
+	Input    InputSize       `json:"input"`
+	Faults   int             `json:"faults"`
+	Seed     int64           `json:"seed,omitempty"`
+	Kind     fault.Kind      `json:"fault_kind,omitempty"`
+	Schedule string          `json:"schedule,omitempty"`
+	FTILevel fti.Level       `json:"fti_level"`
+	Detector detect.Config   `json:"detector"`
+	Policy   ckpt.Config     `json:"ckpt_policy"`
+	Ingress  bool            `json:"model_ingress,omitempty"`
+	Ulfm     *ulfm.Config    `json:"ulfm,omitempty"`
+	Replica  *replica.Config `json:"replica,omitempty"`
 	// Params is the Table I override, hashed only when it is in force
 	// (MaxIter set); otherwise App and Input already determine params.
 	Params appkit.Params `json:"params"`
@@ -58,24 +57,23 @@ type resolvedCell struct {
 // every default (the prelude's and the active design's knobs), looks up
 // the application and its Table I parameters, resolves the detector
 // against the active design's calibrated one and the placement policy
-// against the stride (validating both), zeroes inputs that provably cannot
+// against its kind's defaults (validating both), zeroes inputs that provably cannot
 // matter (the fault seed and kind of a failure-free cell or under an
 // explicit schedule, Params without MaxIter, inactive designs), and
 // rejects an out-of-range setting and explicit schedule events that could
 // never fire — all before any simulation state exists.
 func resolve(cfg Config) (resolvedCell, error) {
 	rc := resolvedCell{
-		V:          cacheVersion,
-		App:        cfg.App,
-		Design:     cfg.Design,
-		Procs:      or(cfg.Procs, 64),
-		Nodes:      or(cfg.Nodes, 32),
-		Input:      cfg.Input,
-		Faults:     cfg.FaultCount(),
-		FTILevel:   or(cfg.FTILevel, fti.L1),
-		CkptStride: or(cfg.CkptStride, 10),
-		Ingress:    cfg.ModelIngress,
-		schedule:   cfg.Schedule,
+		V:        cacheVersion,
+		App:      cfg.App,
+		Design:   cfg.Design,
+		Procs:    or(cfg.Procs, 64),
+		Nodes:    or(cfg.Nodes, 32),
+		Input:    cfg.Input,
+		Faults:   cfg.FaultCount(),
+		FTILevel: or(cfg.FTILevel, fti.L1),
+		Ingress:  cfg.ModelIngress,
+		schedule: cfg.Schedule,
 	}
 	// An explicit schedule overrides the random draw entirely and a
 	// failure-free cell never draws: the seed and kind matter only between.
@@ -135,7 +133,7 @@ func resolve(cfg Config) (resolvedCell, error) {
 	if err := rc.Detector.Validate(); err != nil {
 		return resolvedCell{}, err
 	}
-	rc.Policy = ckpt.Resolve(cfg.CkptPolicy, rc.CkptStride)
+	rc.Policy = ckpt.Resolve(cfg.CkptPolicy)
 	if err := rc.Policy.Validate(); err != nil {
 		return resolvedCell{}, err
 	}
@@ -238,12 +236,4 @@ func (rc resolvedCell) validateSchedule() error {
 func ResolvedDetector(cfg Config) (detect.Config, error) {
 	rc, err := resolve(cfg)
 	return rc.Detector, err
-}
-
-// ResolvedCkptPolicy reports the checkpoint-placement configuration a Run
-// of cfg actually uses: cfg.CkptPolicy with its zero fields filled (stride
-// from CkptStride, kind defaults), validated.
-func ResolvedCkptPolicy(cfg Config) (ckpt.Config, error) {
-	rc, err := resolve(cfg)
-	return rc.Policy, err
 }

@@ -17,10 +17,11 @@ import (
 
 // cellKeyGolden pins CellKey's encoding: a key that moves orphans every
 // on-disk cache entry, so a change here is declared, never a quiet edit.
-// The keys were last regenerated when a rep became a cell: the resolved
-// JSON lost its "reps" field and Params its "CkptStride", so every old key
-// misses by itself and cacheVersion stays 1. reps is the rep keyed: the
-// reinit-reps3 row is rep 3, whose fault seed is 1 + 2·1009.
+// The keys were last regenerated when the stride became one knob: the
+// resolved JSON lost its "ckpt_stride" field (the stride is ckpt_policy's
+// Stride, which already held it), so every old key misses by itself and
+// cacheVersion stays 1. reps is the rep keyed: the reinit-reps3 row is
+// rep 3, whose fault seed is 1 + 2·1009.
 type goldenCell struct {
 	name string
 	cfg  Config
@@ -35,45 +36,45 @@ func cellKeyGolden(t *testing.T) []goldenCell {
 	}
 	return []goldenCell{
 		{"restart-zero", Config{App: "HPCCG", Design: RestartFTI}, 1,
-			"8e8078a6f5c56a44ac42a19c9e50d442c8e0c9889ea0b444271a4926a31e10cd"},
+			"cb7cd0c9c49e369f42267369f056ea8362ba89b4200cf71e43b13b73f6ede5e5"},
 		{"reinit-k0-seed-ignored", Config{App: "AMG", Design: ReinitFTI, FaultSeed: 7, FaultKind: fault.NodeFailure}, 1,
-			"da680c0eff989261d697b4d3a69ba7f314199c411d572fa19612c807bd379ccc"},
-		{"ulfm-k1", Config{App: "CoMD", Design: UlfmFTI, InjectFault: true, FaultSeed: 7}, 1,
-			"e40d1e2a9ee1bd770fd1cd2c84dbecdfb4a9927a4a5295313242df7537d0d718"},
+			"8d67cafa74f6ec520b5949109ce16b7d3481e2d3933f385d2316b6b0d0488bf5"},
+		{"ulfm-k1", Config{App: "CoMD", Design: UlfmFTI, Faults: 1, FaultSeed: 7}, 1,
+			"761f1db1f0de6842570308eca9158f0fd8a986780722849944cfc136ce480658"},
 		{"replica-k2-node", Config{App: "miniVite", Design: ReplicaFTI, Faults: 2, FaultSeed: 3, FaultKind: fault.NodeFailure}, 1,
-			"43061735ba50c459c8d4255d4a5ad5a8fc68db5fe1e7f8afc808b02991635e88"},
+			"da50e330852c758b29d93082a17fb5b07d2429c6921320939b6757181af28bff"},
 		{"ulfm-schedule", Config{App: "HPCCG", Design: UlfmFTI, Procs: 8, Nodes: 4, Schedule: &sched, FaultSeed: 9}, 1,
-			"a700a7593e58e9f07c555dec892f17acd891c29169b6ea6c06d8554d6cb81d27"},
+			"044f142df230e8a3b3dcefe85f4322d6ee6c8e0f0f391d137aa5599c0ed04ab8"},
 		{"restart-ring", Config{App: "HPCCG", Design: RestartFTI, Faults: 1, FaultSeed: 1,
 			Detector: detect.Config{Kind: detect.Ring, HeartbeatPeriod: 50 * simnet.Millisecond}}, 1,
-			"289857746e56dfb8b0274ae09c080e0f110c2e851db1f7040f5d4e92685a3eba"},
+			"7d789f2b31306042b46820cf08a8a714bc6aee5652314c10ef0c8d5264dd9f0b"},
 		{"replica-tree", Config{App: "LULESH", Design: ReplicaFTI, Faults: 1, FaultSeed: 1,
 			Detector: detect.Config{Kind: detect.Tree}}, 1,
-			"74209be390e780c4988663347df5afd9944329c156ee7060335d4a984b6c86c3"},
+			"d431a11cbe39dc8759398dbf1230c10ee22ffc129013cbe6338aaced480ca16f"},
 		{"reinit-launcher", Config{App: "miniFE", Design: ReinitFTI, Faults: 3, FaultSeed: 2,
 			Detector: detect.Config{Kind: detect.Launcher}}, 1,
-			"ce3f0eae7dad0adaa18fb0f1b36ba5004c6579e1ed22512152dd828c1936e747"},
+			"6cc5a891a4f0dad149ad4b780cbb52746f4a5f26e5cdc3dd95c6231a0896e1b2"},
 		{"reinit-multilevel", Config{App: "HPCCG", Design: ReinitFTI, Faults: 1, FaultSeed: 1,
 			CkptPolicy: ckpt.Config{Kind: ckpt.MultiLevel, Stride: 2, L3Every: 1}}, 1,
-			"38e2ad682be214f2b80d6ebd795c28b5c95f1d3cdb359226c5bea9a38874cd6b"},
+			"c9db994f1cd0473e2bed6c5c830eb32f50b77d821b811da977f68d153b13797a"},
 		{"replica-aware-hotspare", Config{App: "AMG", Design: ReplicaFTI, Faults: 2, FaultSeed: 5, Replica: replica.Config{HotSpare: true},
 			CkptPolicy: ckpt.Config{Kind: ckpt.ReplicaAware}}, 1,
-			"5dd90a0c8ea3e0a8ea8869cf9da41c4271a5d276221d6089aa181c877b862cbc"},
+			"ce7d4c04f03fd8f7a29c7b45e0abe78299f239d78c2bfe945fd8e1b6da43ef33"},
 		{"replica-level-hotspare-half", Config{App: "AMG", Design: ReplicaFTI, Faults: 1, FaultSeed: 5,
 			Replica: replica.Config{HotSpare: true, ReplicaFactor: 0.5, SpawnDelay: simnet.Second}}, 1,
-			"9fdb4a3794292c57ca82f0cf62227532d71e3ea04a9ede5d075f83793cb049c1"},
+			"d79c31ac8ae3efab9fa3889d9dd9a4bb7c8dd0b12428966efab6c9a9831d1646"},
 		{"replica-dup1", Config{App: "CoMD", Design: ReplicaFTI, Replica: replica.Config{DupDegree: 1}}, 1,
-			"54fef96534204f7a7ac8322969311938f3c63a9ef53501b19f3d325b531c491e"},
-		{"ulfm-params", Config{App: "HPCCG", Design: UlfmFTI, Procs: 8, Nodes: 4, InjectFault: true, FaultSeed: 7,
+			"2eeac9c630ca48fcc19117e4e5a438e8806af4d5c6ee6e0c7f2713d13585fcd0"},
+		{"ulfm-params", Config{App: "HPCCG", Design: UlfmFTI, Procs: 8, Nodes: 4, Faults: 1, FaultSeed: 7,
 			Params: tinyParams("HPCCG")}, 1,
-			"c59633dcbefb2f3d4def63fa6be00bdb6944d5d67a9017a390c26f4702439caf"},
+			"6be6cf46c29f4c09c0644d88592213274b655ea454dfa25d46a3df17099f1d0d"},
 		{"reinit-reps3", Config{App: "miniFE", Design: ReinitFTI, Procs: 128, Input: Medium, Faults: 1, FaultSeed: 1}, 3,
-			"acf91713787b1ca19202a95f1bc10ed55728110fe905486bcce93677a7d13c0c"},
-		{"restart-ingress-l3", Config{App: "HPCCG", Design: RestartFTI, ModelIngress: true, FTILevel: fti.L3, CkptStride: 5}, 1,
-			"55e7832765855b70f8647df151bb655b2744e324b68d3b62e1c1e38215d2ae79"},
+			"b7d47aefbd1139cb410e399a8a7671b3112452ba949a2bba83ee83052a5432cc"},
+		{"restart-ingress-l3", Config{App: "HPCCG", Design: RestartFTI, ModelIngress: true, FTILevel: fti.L3, CkptPolicy: ckpt.Config{Stride: 5}}, 1,
+			"578d27e5a2cd9e23e40c21e229bcec1cd12fcf8b5aaf2cee4ae20737e8214474"},
 		{"ulfm-ablation", Config{App: "miniVite", Design: UlfmFTI, Faults: 1, FaultSeed: 4, Input: Large,
 			Detector: detect.Config{Kind: detect.Ring, HeartbeatPeriod: 10 * simnet.Millisecond, DetectTimeout: 40 * simnet.Millisecond}}, 1,
-			"fdd0288e8f90caa094697ded206aaa51e43ef4a943a2c6e5909cdad1bbce06d2"},
+			"06e3df36fb7b4195c480b62a78953df80de7c39e4017cd41d9f3782b5a915953"},
 	}
 }
 
@@ -89,6 +90,20 @@ func TestCellKeyGolden(t *testing.T) {
 		if got != g.key {
 			t.Errorf("%s: CellKey = %s, want %s", g.name, got, g.key)
 		}
+	}
+}
+
+// InjectFault is the legacy spelling of one failure, kept because the
+// frozen benchmark probes set it: it resolves to the cell Faults: 1 is.
+func TestInjectFaultIsOneFault(t *testing.T) {
+	one := Config{App: "CoMD", Design: UlfmFTI, Faults: 1, FaultSeed: 7}
+	legacy := Config{App: "CoMD", Design: UlfmFTI, InjectFault: true, FaultSeed: 7}
+	k1, err := CellKey(one, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kl, err := CellKey(legacy, 1); err != nil || kl != k1 {
+		t.Fatalf("InjectFault key %s (%v), want the Faults: 1 key %s", kl, err, k1)
 	}
 }
 
@@ -116,7 +131,7 @@ func explicitDefaults(extra func(*Config)) map[Design][2]Config {
 	for d, ex := range twins {
 		bare := Config{App: "HPCCG", Design: d}
 		ex.App, ex.Design = "HPCCG", d
-		ex.Procs, ex.Nodes, ex.FTILevel, ex.CkptStride = 64, 32, fti.L1, 10
+		ex.Procs, ex.Nodes, ex.FTILevel, ex.CkptPolicy = 64, 32, fti.L1, ckpt.Config{Stride: 10}
 		if extra != nil {
 			extra(&bare)
 			extra(&ex)
@@ -133,7 +148,7 @@ func explicitDefaults(extra func(*Config)) map[Design][2]Config {
 func TestEqualKeyMeansEqualRun(t *testing.T) {
 	pairs := explicitDefaults(func(c *Config) {
 		c.Params = tinyParams("HPCCG")
-		c.InjectFault, c.FaultSeed = true, 7
+		c.Faults, c.FaultSeed = 1, 7
 	})
 	for d, pair := range pairs {
 		bare, explicit := pair[0], pair[1]

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"match/internal/ckpt"
 	"match/internal/trace"
 )
 
@@ -22,7 +23,7 @@ func TestTraceOffByteIdentity(t *testing.T) {
 			t.Parallel()
 			params := tinyParams("HPCCG")
 			cfg := Config{App: "HPCCG", Design: d, Procs: 8, Nodes: 4,
-				Params: params, CkptStride: 3, Faults: 2, FaultSeed: 9}
+				Params: params, CkptPolicy: ckpt.Config{Stride: 3}, Faults: 2, FaultSeed: 9}
 			plain, err := Run(cfg)
 			if err != nil {
 				t.Fatalf("%v untraced: %v", d, err)
@@ -50,7 +51,7 @@ func TestTraceOffByteIdentity(t *testing.T) {
 func TestTraceReconcileCatchesCorruption(t *testing.T) {
 	params := tinyParams("HPCCG")
 	cfg := Config{App: "HPCCG", Design: UlfmFTI, Procs: 8, Nodes: 4,
-		Params: params, CkptStride: 3, InjectFault: true, FaultSeed: 9}
+		Params: params, CkptPolicy: ckpt.Config{Stride: 3}, Faults: 1, FaultSeed: 9}
 	cfg.Trace = trace.New()
 	bd, err := Run(cfg)
 	if err != nil {
@@ -88,7 +89,7 @@ func TestTraceReconcileCatchesCorruption(t *testing.T) {
 func TestTraceChromeSchema(t *testing.T) {
 	params := tinyParams("HPCCG")
 	cfg := Config{App: "HPCCG", Design: UlfmFTI, Procs: 2, Nodes: 2,
-		Params: params, CkptStride: 3, InjectFault: true, FaultSeed: 9}
+		Params: params, CkptPolicy: ckpt.Config{Stride: 3}, Faults: 1, FaultSeed: 9}
 	cfg.Trace = trace.New()
 	if _, err := Run(cfg); err != nil {
 		t.Fatalf("traced run: %v", err)

@@ -84,8 +84,7 @@ func TestFacadeCkptPolicy(t *testing.T) {
 		Procs:      16,
 		Nodes:      8,
 		Params:     match.Params{NVerts: 512, MaxIter: 25, WorkScale: 10},
-		CkptStride: 5,
-		CkptPolicy: match.CkptPolicyConfig{Kind: match.ReplicaAwarePlacement},
+		CkptPolicy: match.CkptPolicyConfig{Kind: match.ReplicaAwarePlacement, Stride: 5},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +222,7 @@ func TestFacadeTraceRecorder(t *testing.T) {
 		Procs:      8,
 		Nodes:      4,
 		Params:     match.Params{NVerts: 512, MaxIter: 8, WorkScale: 10},
-		CkptStride: 3,
+		CkptPolicy: match.CkptPolicyConfig{Stride: 3},
 		Trace:      rec,
 	})
 	if err != nil {
