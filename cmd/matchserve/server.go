@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -47,7 +46,6 @@ type campaign struct {
 	cellsTotal int
 	wall       time.Duration
 	results    []core.Result
-	table      []byte // the campaign table, byte-identical to CampaignRunner.Run's
 	subs       map[chan serveapi.Status]bool
 	done       chan struct{} // closed on done/failed
 }
@@ -161,8 +159,7 @@ func (s *server) runCampaign(c *campaign) {
 			c.broadcast()
 		},
 	}
-	var table bytes.Buffer
-	results, err := rn.Run(c.req, &table)
+	results, err := rn.Run(c.req, nil)
 
 	c.mu.Lock()
 	c.wall = time.Since(start)
@@ -172,7 +169,6 @@ func (s *server) runCampaign(c *campaign) {
 	} else {
 		c.state = stateDone
 		c.results = results
-		c.table = table.Bytes()
 	}
 	close(c.done)
 	c.mu.Unlock()
@@ -358,7 +354,7 @@ func (s *server) watchCampaign(w http.ResponseWriter, r *http.Request, c *campai
 
 func (s *server) handleResults(w http.ResponseWriter, r *http.Request, c *campaign) {
 	c.mu.Lock()
-	state, errMsg, results, table := c.state, c.errMsg, c.results, c.table
+	state, errMsg, results := c.state, c.errMsg, c.results
 	c.mu.Unlock()
 	switch state {
 	case stateFailed:
@@ -376,8 +372,10 @@ func (s *server) handleResults(w http.ResponseWriter, r *http.Request, c *campai
 		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
 		core.WriteCSV(w, results)
 	case "table":
+		// Rendered per request: WriteCampaign sorts copies, so this is
+		// the table CampaignRunner.Run would have written.
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write(table)
+		core.WriteCampaign(w, results)
 	default:
 		httpError(w, http.StatusBadRequest, "unknown format %q (valid: json, csv, table)", format)
 	}

@@ -482,9 +482,28 @@ func verifyCells(base core.CampaignRequest) ([]core.Config, int) {
 	return cfgs, req.Reps
 }
 
-// runVerify checks that every faulty cell of verifyCells recovers the
-// answer of its app's failure-free reference, printing the verdicts in
-// sweep order once the pool has run them.
+// verdict judges faulty cell r against its app's failure-free reference
+// ref: the status runVerify prints, and an error unless the recovered
+// answer is bitwise equal and every fault r asked for fired — a cell whose
+// faults never fired tested no recovery. At -reps > 1 the row's
+// FaultsInjected is the reps' mean, rounded, so a shortfall in one rep can
+// round away; judging each rep on its own is not done here.
+func verdict(ref, r core.Result) (string, error) {
+	bd, cell := r.Breakdown, r.Config.App+"/"+r.Config.Design.String()
+	if bd.Signature != ref.Breakdown.Signature {
+		return fmt.Sprintf("MISMATCH %g != %g", bd.Signature, ref.Breakdown.Signature),
+			fmt.Errorf("%s: recovered answer differs", cell)
+	}
+	if want := r.Config.FaultCount(); bd.FaultsInjected < want {
+		return fmt.Sprintf("UNTESTED (fired %d/%d)", bd.FaultsInjected, want),
+			fmt.Errorf("%s: %d of %d faults fired", cell, bd.FaultsInjected, want)
+	}
+	return "OK (bitwise equal)", nil
+}
+
+// runVerify checks that every faulty cell of verifyCells fires its fault
+// and recovers the answer of its app's failure-free reference, printing
+// the verdicts in sweep order once the pool has run them.
 func runVerify(rn core.CampaignRunner, base core.CampaignRequest) error {
 	cfgs, reps := verifyCells(base)
 	// On a failed cell the verdicts of the cells before it are still printed.
@@ -495,14 +514,10 @@ func runVerify(rn core.CampaignRunner, base core.CampaignRequest) error {
 		if i%perApp == 0 {
 			continue // the reference itself
 		}
-		ref, bd := results[i-i%perApp].Breakdown, r.Breakdown
-		status := "OK (bitwise equal)"
-		if bd.Signature != ref.Signature {
-			status = fmt.Sprintf("MISMATCH %g != %g", bd.Signature, ref.Signature)
-		}
-		fmt.Printf("  %-10s %-12s recoveries=%d  %s\n", r.Config.App, r.Config.Design, bd.Recoveries, status)
-		if bd.Signature != ref.Signature {
-			return fmt.Errorf("%s/%s: recovered answer differs", r.Config.App, r.Config.Design)
+		status, verr := verdict(results[i-i%perApp], r)
+		fmt.Printf("  %-10s %-12s recoveries=%d  %s\n", r.Config.App, r.Config.Design, r.Breakdown.Recoveries, status)
+		if verr != nil {
+			return verr
 		}
 	}
 	if err != nil {

@@ -90,3 +90,37 @@ func TestVerifyCells(t *testing.T) {
 		}
 	}
 }
+
+// A faulty cell passes -verify only with its answer bitwise equal to the
+// reference's and every fault it asked for fired; a mismatch is reported
+// before a shortfall.
+func TestVerdict(t *testing.T) {
+	ref := core.Result{Config: core.Config{App: "HPCCG"}, Breakdown: core.Breakdown{Signature: 13824}}
+	cell := func(sig float64, fired int) core.Result {
+		return core.Result{Config: core.Config{App: "HPCCG", Design: core.ReplicaFTI, Faults: 1},
+			Breakdown: core.Breakdown{Signature: sig, FaultsInjected: fired, Recoveries: fired}}
+	}
+	for _, tc := range []struct {
+		name    string
+		r       core.Result
+		status  string
+		wantErr string
+	}{
+		{"equal", cell(13824, 1), "OK (bitwise equal)", ""},
+		{"mismatch", cell(13825, 1), "MISMATCH 13825 != 13824", "HPCCG/REPLICA-FTI: recovered answer differs"},
+		{"not fired", cell(13824, 0), "UNTESTED (fired 0/1)", "HPCCG/REPLICA-FTI: 0 of 1 faults fired"},
+		{"mismatch first", cell(13825, 0), "MISMATCH 13825 != 13824", "HPCCG/REPLICA-FTI: recovered answer differs"},
+	} {
+		status, err := verdict(ref, tc.r)
+		if status != tc.status {
+			t.Errorf("%s: status %q, want %q", tc.name, status, tc.status)
+		}
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if got != tc.wantErr {
+			t.Errorf("%s: error %q, want %q", tc.name, got, tc.wantErr)
+		}
+	}
+}

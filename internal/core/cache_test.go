@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
 
 	"match/internal/ckpt"
+	"match/internal/enc"
 	"match/internal/fault"
 	"match/internal/simnet"
 	"match/internal/store"
@@ -170,45 +173,58 @@ func TestConcurrentCampaignsSharedStore(t *testing.T) {
 	}
 }
 
-// A corrupt cache entry is a miss, not an error: the cell re-runs and the
-// entry is repaired.
+// A corrupt or stale cache entry is a miss, not an error: the cell re-runs
+// and the entry is repaired. Stale includes the JSON value older builds
+// wrote under the same key, a cut-short record and another version's one.
 func TestCorruptCacheEntryFallsBackToRun(t *testing.T) {
-	st := store.NewMemory(0)
 	cfg := Config{App: "HPCCG", Procs: 8, Design: RestartFTI}
 	key, err := CellKey(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put(key, []byte("not json")); err != nil {
-		t.Fatal(err)
-	}
-	results, err := CampaignRunner{Workers: 1, Store: st}.Cells([]Config{cfg}, 1)
+	want, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 1 || !results[0].Breakdown.Completed {
-		t.Fatalf("corrupt entry did not fall back to a run: %+v", results)
-	}
-	// The rerun repaired the entry: a fresh lookup decodes.
-	raw, ok := st.Get(key)
-	if !ok {
-		t.Fatal("repaired entry missing")
-	}
-	if _, err := decodeCachedCell(raw); err != nil {
-		t.Fatalf("repaired entry undecodable: %v", err)
-	}
-	if got, want := results[0].Breakdown, mustDecode(t, raw); got != want {
-		t.Fatalf("stored breakdown diverges:\n%+v\n%+v", got, want)
-	}
-}
-
-func mustDecode(t *testing.T, raw []byte) Breakdown {
-	t.Helper()
-	bd, err := decodeCachedCell(raw)
+	oldJSON, err := json.Marshal(struct {
+		V         int       `json:"v"`
+		Breakdown Breakdown `json:"breakdown"`
+	}{cacheVersion, want})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return bd
+	record := encodeCachedCell(want)
+	otherVersion := append(enc.AppendInt64(nil, int64(cacheVersion)+1), record[8:]...)
+	for name, bad := range map[string][]byte{
+		"garbage":       []byte("not json"),
+		"older JSON":    oldJSON,
+		"truncated":     record[:len(record)-8],
+		"other version": otherVersion,
+	} {
+		st := store.NewMemory(0)
+		if err := st.Put(key, bad); err != nil {
+			t.Fatal(err)
+		}
+		got, cached, err := CampaignRunner{Store: st}.cell(cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The store served bytes (its hit); the cell did not take them.
+		if cs := st.Stats(); cached || cs.Puts != 2 {
+			t.Errorf("%s: cached=%v, %+v, want the cell simulated and put back", name, cached, cs)
+		}
+		if got != want {
+			t.Errorf("%s: row is not the simulated breakdown:\n%+v\n%+v", name, got, want)
+		}
+		// The rerun repaired the entry: a fresh lookup decodes to it.
+		raw, ok := st.Get(key)
+		if !ok {
+			t.Fatalf("%s: repaired entry missing", name)
+		}
+		if got, err := decodeCachedCell(raw); err != nil || got != want {
+			t.Errorf("%s: repaired entry decodes to %+v, %v", name, got, err)
+		}
+	}
 }
 
 // The cached value must reproduce the Breakdown exactly — every field,
@@ -221,17 +237,83 @@ func TestCachedBreakdownRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := encodeCachedCell(bd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := decodeCachedCell(enc)
+	back, err := decodeCachedCell(encodeCachedCell(bd))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bd != back {
 		t.Fatalf("breakdown did not round-trip:\n%+v\n%+v", bd, back)
 	}
+}
+
+// The record holds every Breakdown field: each one, array elements
+// included, gets a distinct non-zero value (the Signature a NaN with a
+// payload), and the record must bring all of them back bit for bit. A
+// field added to Breakdown but not to the codec fails here.
+func TestCachedCellCoversEveryField(t *testing.T) {
+	var bd Breakdown
+	v := reflect.ValueOf(&bd).Elem()
+	n := int64(0)
+	var fill func(f reflect.Value)
+	fill = func(f reflect.Value) {
+		n++
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(n<<40 | n)
+		case reflect.Float64:
+			f.SetFloat(math.Float64frombits(0x7ff8_0000_0000_0000 | uint64(n)<<8 | 0x5a))
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Array:
+			n--
+			for i := 0; i < f.Len(); i++ {
+				fill(f.Index(i))
+			}
+		default:
+			t.Fatalf("Breakdown field of kind %s: teach the record and this test its encoding", f.Kind())
+		}
+	}
+	for i := 0; i < v.NumField(); i++ {
+		fill(v.Field(i))
+	}
+	if n+1 != cachedCellWords {
+		t.Fatalf("Breakdown has %d words of fields, the record %d", n, cachedCellWords-1)
+	}
+	raw := encodeCachedCell(bd)
+	if len(raw) != 232 {
+		t.Fatalf("record is %d bytes, want 232", len(raw))
+	}
+	back, err := decodeCachedCell(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Compare the encodings, not the structs: NaN != NaN, but its bits must
+	// survive.
+	if math.Float64bits(back.Signature) != math.Float64bits(bd.Signature) {
+		t.Errorf("Signature bits %#x, want %#x", math.Float64bits(back.Signature), math.Float64bits(bd.Signature))
+	}
+	back.Signature, bd.Signature = 0, 0
+	if back != bd {
+		t.Errorf("breakdown did not round-trip:\n%s", breakdownDiff(back, &bd))
+	}
+}
+
+// Whatever bytes a store hands back, decoding never panics: it is an
+// error, or a Breakdown whose record is those same bytes.
+func FuzzCachedCell(f *testing.F) {
+	f.Add(encodeCachedCell(Breakdown{}))
+	f.Add(encodeCachedCell(Breakdown{Total: 12, Signature: math.NaN(), Completed: true, CkptBytesAt: [5]int64{4: -1}}))
+	f.Add([]byte(`{"v":1,"breakdown":{"Total":1}}`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		bd, err := decodeCachedCell(raw)
+		if err != nil {
+			return
+		}
+		if again := encodeCachedCell(bd); !bytes.Equal(again, raw) {
+			t.Fatalf("decoded %+v re-encodes to\n%x, not\n%x", bd, again, raw)
+		}
+	})
 }
 
 // Figures are sweeps of the same cells: Figs. 7 and 10 replot 6 and 9, and

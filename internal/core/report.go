@@ -248,11 +248,9 @@ func (rn CampaignRunner) cell(cfg Config, reps int) (avg Breakdown, cached bool,
 				return Breakdown{}, false, fmt.Errorf("%s rep %d: %w", Result{Config: c}.Key(), r, err)
 			}
 			if key != "" && rn.Store.Enabled() {
-				if enc, eerr := encodeCachedCell(bd); eerr == nil {
-					// Best-effort: a failed write only costs a future
-					// rerun, never the sweep.
-					_ = rn.Store.Put(key, enc)
-				}
+				// Best-effort: a failed write only costs a future
+				// rerun, never the sweep.
+				_ = rn.Store.Put(key, encodeCachedCell(bd))
 			}
 		}
 		if r == 1 {

@@ -14,12 +14,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strings"
 
 	"match/internal/ckpt"
 	"match/internal/detect"
+	"match/internal/enc"
 	"match/internal/obs"
+	"match/internal/simnet"
 	"match/internal/store"
 )
 
@@ -380,26 +383,82 @@ func CellKey(cfg Config, rep int) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// cachedCell is the stored value of one cell: one rep's Breakdown,
-// version-stamped (belt and braces — the version is already in the key).
-type cachedCell struct {
-	V         int       `json:"v"`
-	Breakdown Breakdown `json:"breakdown"`
+// cachedCellWords is the length, in 8-byte words, of a stored cell: the
+// cacheVersion word and one word per Breakdown field, an array one word per
+// element.
+const cachedCellWords = 29
+
+// encodeCachedCell is the stored value of one cell: one rep's Breakdown as
+// a fixed little-endian record, version-stamped (belt and braces — the
+// version is already in the key). The fields follow in declaration order,
+// times and counts as int64, Signature as its Float64bits and Completed as
+// 0 or 1.
+func encodeCachedCell(bd Breakdown) []byte {
+	completed := int64(0)
+	if bd.Completed {
+		completed = 1
+	}
+	w := make([]int64, 0, cachedCellWords)
+	w = append(w, int64(cacheVersion),
+		int64(bd.Total), int64(bd.App), int64(bd.Ckpt), int64(bd.Recovery),
+		int64(bd.DetectLatency), int64(bd.DetectedFailures),
+		int64(math.Float64bits(bd.Signature)), int64(bd.Recoveries),
+		int64(bd.FaultsInjected), completed, int64(bd.CkptCount), bd.CkptBytes)
+	for _, n := range bd.CkptCountAt {
+		w = append(w, int64(n))
+	}
+	w = append(w, bd.CkptBytesAt[:]...)
+	w = append(w, int64(bd.CkptAvoided), bd.Messages, bd.NetBytes,
+		int64(bd.Respawns), int64(bd.SpawnTime), int64(bd.LeakedEvents))
+	return enc.Int64sToBytes(w)
 }
 
-func encodeCachedCell(bd Breakdown) ([]byte, error) {
-	return json.Marshal(cachedCell{V: cacheVersion, Breakdown: bd})
-}
-
+// decodeCachedCell reads encodeCachedCell's record. Any other length or
+// version, or a Completed word other than 0 or 1, is an error, so an entry
+// in another format (the JSON of older builds) is a miss and re-simulates.
 func decodeCachedCell(b []byte) (Breakdown, error) {
-	var c cachedCell
-	if err := json.Unmarshal(b, &c); err != nil {
-		return Breakdown{}, err
+	if len(b) != 8*cachedCellWords {
+		return Breakdown{}, fmt.Errorf("core: cached cell is %d bytes, want %d", len(b), 8*cachedCellWords)
 	}
-	if c.V != cacheVersion {
-		return Breakdown{}, fmt.Errorf("core: cached cell version %d, want %d", c.V, cacheVersion)
+	next := func() int64 {
+		v := enc.Int64(b)
+		b = b[8:]
+		return v
 	}
-	return c.Breakdown, nil
+	if v := next(); v != int64(cacheVersion) {
+		return Breakdown{}, fmt.Errorf("core: cached cell version %d, want %d", v, cacheVersion)
+	}
+	var bd Breakdown
+	bd.Total = simnet.Time(next())
+	bd.App = simnet.Time(next())
+	bd.Ckpt = simnet.Time(next())
+	bd.Recovery = simnet.Time(next())
+	bd.DetectLatency = simnet.Time(next())
+	bd.DetectedFailures = int(next())
+	bd.Signature = math.Float64frombits(uint64(next()))
+	bd.Recoveries = int(next())
+	bd.FaultsInjected = int(next())
+	switch v := next(); v {
+	case 0, 1:
+		bd.Completed = v == 1
+	default:
+		return Breakdown{}, fmt.Errorf("core: cached cell Completed word %d, want 0 or 1", v)
+	}
+	bd.CkptCount = int(next())
+	bd.CkptBytes = next()
+	for i := range bd.CkptCountAt {
+		bd.CkptCountAt[i] = int(next())
+	}
+	for i := range bd.CkptBytesAt {
+		bd.CkptBytesAt[i] = next()
+	}
+	bd.CkptAvoided = int(next())
+	bd.Messages = next()
+	bd.NetBytes = next()
+	bd.Respawns = int(next())
+	bd.SpawnTime = simnet.Time(next())
+	bd.LeakedEvents = int(next())
+	return bd, nil
 }
 
 // MarshalJSON renders a design as its canonical CLI spelling ("ulfm"), so
