@@ -275,23 +275,20 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		cellsTotal: len(req.Configs()),
 		done:       make(chan struct{}),
 	}
+	// A refused campaign is never registered, so a resubmit is queued
+	// afresh. An executor that takes c at once releases its client only
+	// after the lock below is given up, so the count stays balanced.
+	select {
+	case s.queue <- c:
+	default:
+		s.mu.Unlock()
+		httpError(w, http.StatusServiceUnavailable, "campaign queue full")
+		return
+	}
 	s.campaigns[id] = c
 	s.order = append(s.order, id)
 	s.perClient[client]++
 	s.mu.Unlock()
-
-	select {
-	case s.queue <- c:
-	default:
-		c.mu.Lock()
-		c.state = stateFailed
-		c.errMsg = "campaign queue full"
-		close(c.done)
-		c.mu.Unlock()
-		s.release(client)
-		httpError(w, http.StatusServiceUnavailable, "campaign queue full")
-		return
-	}
 	writeJSON(w, http.StatusAccepted, c.view())
 }
 

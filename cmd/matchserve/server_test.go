@@ -252,6 +252,61 @@ func TestServePerClientLimit(t *testing.T) {
 	}
 }
 
+// A submission refused because the queue is full leaves nothing behind: it
+// is not listed, has no status, and a resubmit of the same request is
+// queued and runs once an executor is free. The queue is unbuffered, so
+// with no executor waiting every submission is refused.
+func TestServeQueueFullLeavesNoCampaign(t *testing.T) {
+	srv := newServer(serverConfig{store: store.NewMemory(0)})
+	srv.queue = make(chan *campaign)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	req := core.CampaignRequest{Apps: []string{"HPCCG"}, Designs: []core.Design{core.RestartFTI}, Procs: 8, MaxFaults: 0}
+
+	for i := 0; i < 2; i++ {
+		if _, code := submit(t, ts, req); code != http.StatusServiceUnavailable {
+			t.Fatalf("submit %d with no executor: HTTP %d, want 503", i, code)
+		}
+	}
+	if code, body := fetch(t, ts.URL+"/campaigns"); code != http.StatusOK || strings.TrimSpace(string(body)) != "[]" {
+		t.Fatalf("list after refusals: HTTP %d %s, want an empty list", code, body)
+	}
+	id, err := req.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, _ := fetch(t, ts.URL+"/campaigns/"+id); code != http.StatusNotFound {
+		t.Fatalf("status of a refused campaign: HTTP %d, want 404", code)
+	}
+	srv.mu.Lock()
+	held := len(srv.perClient)
+	srv.mu.Unlock()
+	if held != 0 {
+		t.Fatalf("%d clients still hold a refused campaign", held)
+	}
+
+	// An executor takes from the unbuffered queue only while it waits on
+	// it, so resubmit until one is waiting.
+	srv.start(1)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		v, code := submit(t, ts, req)
+		if code == http.StatusAccepted {
+			if v.ID != id {
+				t.Fatalf("queued campaign %s, want %s", v.ID, id)
+			}
+			break
+		}
+		if code != http.StatusServiceUnavailable || time.Now().After(deadline) {
+			t.Fatalf("resubmit with an executor: HTTP %d, want 202", code)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if v := waitDone(t, ts, id); v.State != stateDone {
+		t.Fatalf("resubmitted campaign ended %s: %s", v.State, v.Error)
+	}
+}
+
 func TestServeRouting(t *testing.T) {
 	_, ts := testServer(t, serverConfig{}, 1)
 	if code, _ := fetch(t, ts.URL+"/campaigns/deadbeef"); code != http.StatusNotFound {

@@ -18,10 +18,12 @@
 //	matchsuite -all -cache ~/.cache/match   # memoize cells; warm reruns simulate nothing
 //	matchsuite -fig 6 -server http://host:8080   # run the sweep on a matchserve instance
 //
-// Every figure, -ratios and -campaign is a core.CampaignRequest, run
-// in-process or on a matchserve instance (-server) and rendered locally
-// either way; every mode runs its cells through one core.CampaignRunner, so
-// -j, -progress, -log, -pprof-http, -cache and -cache-entries apply to all.
+// Every mode is core.CampaignRequests — a figure, -ratios and -campaign one
+// each, -verify two: the failure-free references and the single-failure
+// cells — run in-process or on a matchserve instance (-server, -verify
+// included) and rendered locally either way; every request runs its cells
+// through one core.CampaignRunner, so -j, -progress, -log, -pprof-http,
+// -cache and -cache-entries apply to all.
 // Cells are memoized by content even without -cache (in memory, for the
 // invocation): -all enumerates 480 cells of which 272 are distinct — Figs. 7
 // and 10 replot 6 and 9, and the Small-input cells of Figs. 8/9 are the
@@ -69,7 +71,7 @@ func main() {
 	replicaSweep := flag.String("replica-sweep", "", "campaign the replica design over these ReplicaFactors (e.g. 0,0.25,0.5,1.0; 0 = replication off) and print the combined overhead-vs-ReplicaFactor curve")
 	hotSpareSweep := flag.Bool("hot-spare-sweep", false, "campaign the replica design with hot-spare respawn off and on and print the Replica-vs-Reinit crossover per variant")
 	modelIngress := flag.Bool("model-ingress", false, "serialize receiver NICs too (richer network model; shifts calibrated timings)")
-	serverURL := flag.String("server", "", "submit the sweep (-fig/-all/-ratios/-campaign) to a matchserve instance at this base URL instead of simulating in-process; output stays byte-identical")
+	serverURL := flag.String("server", "", "submit the sweep (-fig/-all/-ratios/-verify/-campaign) to a matchserve instance at this base URL instead of simulating in-process; output stays byte-identical")
 	cacheDir := flag.String("cache", "", "content-addressed result cache directory (empty: in-memory, this invocation only); cached cells are reused, simulated cells are stored")
 	cacheEntries := flag.Int("cache-entries", 0, "in-memory cache capacity in cells (0 = default)")
 	progress := flag.Bool("progress", true, "report per-cell completion, wall-clock, and throughput on stderr while a sweep runs (stdout stays byte-stable)")
@@ -119,10 +121,6 @@ func main() {
 		}
 	} else if *procs != 0 {
 		fmt.Fprintln(os.Stderr, "-procs only applies to -campaign; figure sweeps take -scales")
-		os.Exit(2)
-	}
-	if *serverURL != "" && *verify {
-		fmt.Fprintln(os.Stderr, "-verify checks its cells in-process; it cannot run on a -server")
 		os.Exit(2)
 	}
 	if *serverURL != "" && *cacheDir != "" {
@@ -222,21 +220,16 @@ func main() {
 	// run is the one place a sweep executes. Local and remote runs return
 	// the same raw results and everything below renders from them, so a
 	// -server run is byte-identical to the in-process run of the request.
-	run := func(req core.CampaignRequest) []core.Result {
+	// A failed cell ends the sweep: the results before it (none from a
+	// server) come back with the error.
+	run := func(req core.CampaignRequest) ([]core.Result, error) {
 		if err := req.Validate(); err != nil {
 			fail(2, err)
 		}
-		var results []core.Result
-		var err error
 		if *serverURL != "" {
-			results, err = runRemoteCampaign(*serverURL, req, *progress)
-		} else {
-			results, err = rn.Run(req, nil)
+			return runRemoteCampaign(*serverURL, req, *progress)
 		}
-		if err != nil {
-			fail(1, err)
-		}
-		return results
+		return rn.Run(req, nil)
 	}
 	// Each figure's output is self-contained; the cells it shares with an
 	// earlier figure come out of the runner's store.
@@ -245,7 +238,10 @@ func main() {
 		if err != nil {
 			fail(1, err)
 		}
-		results := run(req)
+		results, err := run(req)
+		if err != nil {
+			fail(1, err)
+		}
 		core.WriteFigure(os.Stdout, n, results)
 		return results
 	}
@@ -259,7 +255,10 @@ func main() {
 		if *hotSpareSweep {
 			req.HotSpares = []bool{false, true}
 		}
-		results := run(req)
+		results, err := run(req)
+		if err != nil {
+			fail(1, err)
+		}
 		core.WriteCampaign(os.Stdout, results)
 		if len(detectors) > 0 {
 			core.WriteDetectionTradeoff(os.Stdout, core.ComputeDetectionTradeoff(results))
@@ -282,7 +281,7 @@ func main() {
 		}
 		writeCSV(*csvPath, results)
 	case *verify:
-		if err := runVerify(rn, base); err != nil {
+		if err := runVerify(os.Stdout, run, base); err != nil {
 			fail(1, err)
 		}
 	case *ratios:
@@ -464,58 +463,35 @@ func writeCSV(path string, results []core.Result) {
 	core.WriteCSV(f, results)
 }
 
-// verifyCells is the sweep -verify runs at the default scale, and its
-// reps: per app, the failure-free reference cell and one single-failure
-// cell per design, under the flags' detector, placement, ingress and seed.
-func verifyCells(base core.CampaignRequest) ([]core.Config, int) {
-	req := base.Canonical() // one detector and one policy outside -campaign
-	var cfgs []core.Config
-	for _, app := range req.Apps {
-		cell := core.Config{App: app, Design: core.ReinitFTI, Procs: core.DefaultProcs, Input: core.Small,
-			Detector: req.Detectors[0], CkptPolicy: req.Policies[0], ModelIngress: req.ModelIngress}
-		cfgs = append(cfgs, cell)
-		for _, d := range core.Designs() {
-			cell.Design, cell.Faults, cell.FaultSeed = d, 1, req.Seed
-			cfgs = append(cfgs, cell)
-		}
-	}
-	return cfgs, req.Reps
+// verifyRequests are the two sweeps -verify runs under the flags' base, at
+// the default scale: per app, the failure-free reference on reinit, and one
+// single-failure cell per design.
+func verifyRequests(base core.CampaignRequest) (ref, faulty core.CampaignRequest) {
+	ref, faulty = base, base
+	ref.Designs, ref.MaxFaults = []core.Design{core.ReinitFTI}, 0
+	faulty.MinFaults, faulty.MaxFaults = 1, 1
+	return ref, faulty
 }
 
-// verdict judges faulty cell r against its app's failure-free reference
-// ref: the status runVerify prints, and an error unless the recovered
-// answer is bitwise equal and every fault r asked for fired — a cell whose
-// faults never fired tested no recovery. At -reps > 1 the row's
-// FaultsInjected is the reps' mean, rounded, so a shortfall in one rep can
-// round away; judging each rep on its own is not done here.
-func verdict(ref, r core.Result) (string, error) {
-	bd, cell := r.Breakdown, r.Config.App+"/"+r.Config.Design.String()
-	if bd.Signature != ref.Breakdown.Signature {
-		return fmt.Sprintf("MISMATCH %g != %g", bd.Signature, ref.Breakdown.Signature),
-			fmt.Errorf("%s: recovered answer differs", cell)
+// runVerify checks that every faulty cell of verifyRequests fires its fault
+// and recovers the answer of its app's failure-free reference, writing the
+// verdicts to w in sweep order once both sweeps have run. On a failed
+// faulty cell the verdicts of the cells before it are still written.
+func runVerify(w io.Writer, run func(core.CampaignRequest) ([]core.Result, error), base core.CampaignRequest) error {
+	refReq, faultyReq := verifyRequests(base)
+	refs, err := run(refReq)
+	if err != nil {
+		return err
 	}
-	if want := r.Config.FaultCount(); bd.FaultsInjected < want {
-		return fmt.Sprintf("UNTESTED (fired %d/%d)", bd.FaultsInjected, want),
-			fmt.Errorf("%s: %d of %d faults fired", cell, bd.FaultsInjected, want)
+	ref := map[string]core.Result{}
+	for _, r := range refs {
+		ref[r.Config.App] = r
 	}
-	return "OK (bitwise equal)", nil
-}
-
-// runVerify checks that every faulty cell of verifyCells fires its fault
-// and recovers the answer of its app's failure-free reference, printing
-// the verdicts in sweep order once the pool has run them.
-func runVerify(rn core.CampaignRunner, base core.CampaignRequest) error {
-	cfgs, reps := verifyCells(base)
-	// On a failed cell the verdicts of the cells before it are still printed.
-	results, err := rn.Cells(cfgs, reps)
-	fmt.Println("== Recovery correctness verification ==")
-	perApp := 1 + len(core.Designs())
-	for i, r := range results {
-		if i%perApp == 0 {
-			continue // the reference itself
-		}
-		status, verr := verdict(results[i-i%perApp], r)
-		fmt.Printf("  %-10s %-12s recoveries=%d  %s\n", r.Config.App, r.Config.Design, r.Breakdown.Recoveries, status)
+	results, err := run(faultyReq)
+	fmt.Fprintln(w, "== Recovery correctness verification ==")
+	for _, r := range results {
+		status, verr := core.Verdict(ref[r.Config.App], r)
+		fmt.Fprintf(w, "  %-10s %-12s recoveries=%d  %s\n", r.Config.App, r.Config.Design, r.Breakdown.Recoveries, status)
 		if verr != nil {
 			return verr
 		}
@@ -523,6 +499,6 @@ func runVerify(rn core.CampaignRunner, base core.CampaignRequest) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("all designs recover to the failure-free answer")
+	fmt.Fprintln(w, "all designs recover to the failure-free answer")
 	return nil
 }

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"match/internal/ckpt"
@@ -53,67 +56,108 @@ func TestFigureRequestFromFlags(t *testing.T) {
 	}
 }
 
-// The cells -verify runs, without running them: per app, the failure-free
-// reference on reinit and one single-failure cell per design at the
-// default scale, each carrying the detector, placement, ingress model and
-// seed the flags set, run at the flags' reps.
-func TestVerifyCells(t *testing.T) {
-	cfgs, reps := verifyCells(core.CampaignRequest{Apps: []string{"HPCCG"}})
-	want := []core.Config{{App: "HPCCG", Design: core.ReinitFTI, Procs: 64, Input: core.Small}}
-	for _, d := range core.Designs() {
-		want = append(want, core.Config{App: "HPCCG", Design: d, Procs: 64, Input: core.Small, Faults: 1, FaultSeed: 1})
+// The cells -verify runs, without running them: rep for rep, the cells of
+// its two requests have the CellKeys of the list -verify built by hand
+// before it was requests — per app, the failure-free reference on reinit
+// and one single-failure cell per design at the default scale, under the
+// flags' detector, placement, ingress model and seed. A reference carries
+// the seed as well, which resolve drops at k = 0.
+func TestVerifyRequests(t *testing.T) {
+	handBuilt := func(apps []string, dc detect.Config, pc ckpt.Config, ingress bool, seed int64) (refs, faulty []core.Config) {
+		for _, app := range apps {
+			cell := core.Config{App: app, Design: core.ReinitFTI, Procs: 64, Input: core.Small,
+				Detector: dc, CkptPolicy: pc, ModelIngress: ingress}
+			refs = append(refs, cell)
+			for _, d := range core.Designs() {
+				cell.Design, cell.Faults, cell.FaultSeed = d, 1, seed
+				faulty = append(faulty, cell)
+			}
+		}
+		return refs, faulty
 	}
-	if reps != 1 || !reflect.DeepEqual(cfgs, want) {
-		t.Fatalf("default -verify cells at reps %d:\n%+v\nwant at reps 1:\n%+v", reps, cfgs, want)
+	keys := func(t *testing.T, cfgs []core.Config, reps int) []string {
+		var out []string
+		for _, c := range cfgs {
+			for r := 1; r <= reps; r++ {
+				k, err := core.CellKey(c, r)
+				if err != nil {
+					t.Fatalf("%+v rep %d: %v", c, r, err)
+				}
+				out = append(out, k)
+			}
+		}
+		return out
 	}
-
 	ring := detect.Resolve(detect.Config{Kind: detect.Ring, HeartbeatPeriod: 50 * simnet.Millisecond}, detect.Config{})
 	l3 := ckpt.Resolve(ckpt.Config{Kind: ckpt.MultiLevel, L3Every: 1})
-	base := core.CampaignRequest{Apps: []string{"HPCCG", "miniVite"}, Reps: 3, Seed: 7,
-		Detectors: []detect.Config{ring}, Policies: []ckpt.Config{l3}, ModelIngress: true}
-	cfgs, reps = verifyCells(base)
-	perApp := 1 + len(core.Designs())
-	if reps != 3 || len(cfgs) != 2*perApp {
-		t.Fatalf("%d cells at reps %d, want %d at reps 3", len(cfgs), reps, 2*perApp)
-	}
-	for i, c := range cfgs {
-		faults := 1
-		if i%perApp == 0 {
-			faults = 0
-		}
-		if c.App != base.Apps[i/perApp] || c.Procs != 64 || c.Detector != ring || c.CkptPolicy != l3 ||
-			!c.ModelIngress || c.FaultCount() != faults || faults == 1 && c.FaultSeed != 7 {
-			t.Errorf("cell %d = %+v lost a flag", i, c)
-		}
-		if _, err := core.CellKey(c, reps); err != nil {
-			t.Errorf("cell %d does not resolve: %v", i, err)
-		}
+	apps := []string{"HPCCG", "miniVite"}
+	for _, tc := range []struct {
+		name string
+		base core.CampaignRequest
+	}{
+		{name: "default flags", base: core.CampaignRequest{Reps: 1, Seed: 1}},
+		{name: "ring, L3, ingress, seed 7, reps 3", base: core.CampaignRequest{Apps: apps, Reps: 3, Seed: 7,
+			Detectors: []detect.Config{ring}, Policies: []ckpt.Config{l3}, ModelIngress: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.base.Canonical()
+			wantRef, wantBad := handBuilt(c.Apps, c.Detectors[0], c.Policies[0], c.ModelIngress, c.Seed)
+			ref, faulty := verifyRequests(tc.base)
+			for _, req := range []core.CampaignRequest{ref, faulty} {
+				if err := req.Validate(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, want := len(ref.Configs())+len(faulty.Configs()), 5*len(c.Apps); got != want {
+				t.Fatalf("%d cells, want %d", got, want)
+			}
+			if !reflect.DeepEqual(keys(t, ref.Configs(), ref.Reps), keys(t, wantRef, c.Reps)) {
+				t.Errorf("reference cells %+v\ndo not key like %+v", ref.Configs(), wantRef)
+			}
+			if !reflect.DeepEqual(keys(t, faulty.Configs(), faulty.Reps), keys(t, wantBad, c.Reps)) {
+				t.Errorf("faulty cells %+v\ndo not key like %+v", faulty.Configs(), wantBad)
+			}
+		})
 	}
 }
 
-// A faulty cell passes -verify only with its answer bitwise equal to the
-// reference's and every fault it asked for fired; a mismatch is reported
-// before a shortfall.
-func TestVerdict(t *testing.T) {
-	ref := core.Result{Config: core.Config{App: "HPCCG"}, Breakdown: core.Breakdown{Signature: 13824}}
-	cell := func(sig float64, fired int) core.Result {
-		return core.Result{Config: core.Config{App: "HPCCG", Design: core.ReplicaFTI, Faults: 1},
-			Breakdown: core.Breakdown{Signature: sig, FaultsInjected: fired, Recoveries: fired}}
+// runVerify writes the verdicts in sweep order and stops at the first bad
+// one; a sweep whose cell failed still gets the verdicts of the cells
+// before it, and its error. The sweeps are faked: only the rendering is
+// under test here.
+func TestRunVerify(t *testing.T) {
+	ref := core.Result{Config: core.Config{App: "HPCCG", Design: core.ReinitFTI}, Breakdown: core.Breakdown{Signature: 1}}
+	cell := func(d core.Design, sig float64) core.Result {
+		return core.Result{Config: core.Config{App: "HPCCG", Design: d, Faults: 1},
+			Breakdown: core.Breakdown{Signature: sig, FaultsInjected: 1, Recoveries: 1}}
 	}
+	failed := errors.New("HPCCG/ULFM-FTI/p64/Small rep 1: virtual deadline exceeded")
+	header := "== Recovery correctness verification ==\n"
+	ok := func(d string) string { return fmt.Sprintf("  HPCCG      %-12s recoveries=1  OK (bitwise equal)\n", d) }
 	for _, tc := range []struct {
 		name    string
-		r       core.Result
-		status  string
+		faulty  []core.Result
+		runErr  error
+		want    string
 		wantErr string
 	}{
-		{"equal", cell(13824, 1), "OK (bitwise equal)", ""},
-		{"mismatch", cell(13825, 1), "MISMATCH 13825 != 13824", "HPCCG/REPLICA-FTI: recovered answer differs"},
-		{"not fired", cell(13824, 0), "UNTESTED (fired 0/1)", "HPCCG/REPLICA-FTI: 0 of 1 faults fired"},
-		{"mismatch first", cell(13825, 0), "MISMATCH 13825 != 13824", "HPCCG/REPLICA-FTI: recovered answer differs"},
+		{"all recover", []core.Result{cell(core.RestartFTI, 1), cell(core.ReinitFTI, 1)}, nil,
+			header + ok("RESTART-FTI") + ok("REINIT-FTI") + "all designs recover to the failure-free answer\n", ""},
+		{"failed cell", []core.Result{cell(core.RestartFTI, 1), cell(core.ReinitFTI, 1)}, failed,
+			header + ok("RESTART-FTI") + ok("REINIT-FTI"), failed.Error()},
+		{"mismatch stops", []core.Result{cell(core.RestartFTI, 2), cell(core.ReinitFTI, 1)}, nil,
+			header + "  HPCCG      RESTART-FTI  recoveries=1  MISMATCH 2 != 1\n", "HPCCG/RESTART-FTI: recovered answer differs"},
 	} {
-		status, err := verdict(ref, tc.r)
-		if status != tc.status {
-			t.Errorf("%s: status %q, want %q", tc.name, status, tc.status)
+		run := func(req core.CampaignRequest) ([]core.Result, error) {
+			if req.MaxFaults == 0 {
+				return []core.Result{ref}, nil
+			}
+			return tc.faulty, tc.runErr
+		}
+		var out strings.Builder
+		err := runVerify(&out, run, core.CampaignRequest{Apps: []string{"HPCCG"}})
+		if out.String() != tc.want {
+			t.Errorf("%s: wrote\n%s\nwant\n%s", tc.name, out.String(), tc.want)
 		}
 		got := ""
 		if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"sync"
@@ -176,6 +177,8 @@ func TestConcurrentCampaignsSharedStore(t *testing.T) {
 // A corrupt or stale cache entry is a miss, not an error: the cell re-runs
 // and the entry is repaired. Stale includes the JSON value older builds
 // wrote under the same key, a cut-short record and another version's one.
+// The store counts the lookup as the miss it is — hits 0, misses 1, puts 1
+// for the cell — whether the bad value sat in memory or only on disk.
 func TestCorruptCacheEntryFallsBackToRun(t *testing.T) {
 	cfg := Config{App: "HPCCG", Procs: 8, Design: RestartFTI}
 	key, err := CellKey(cfg, 1)
@@ -195,34 +198,56 @@ func TestCorruptCacheEntryFallsBackToRun(t *testing.T) {
 	}
 	record := encodeCachedCell(want)
 	otherVersion := append(enc.AppendInt64(nil, int64(cacheVersion)+1), record[8:]...)
+	// withBad returns a store holding bad under key: in its memory front,
+	// or only in the directory a fresh store reads.
+	withBad := func(onDisk bool, bad []byte) *store.Store {
+		dir := ""
+		if onDisk {
+			dir = t.TempDir()
+		}
+		st, err := store.Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put(key, bad); err != nil {
+			t.Fatal(err)
+		}
+		if onDisk {
+			if st, err = store.Open(dir, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return st
+	}
 	for name, bad := range map[string][]byte{
 		"garbage":       []byte("not json"),
 		"older JSON":    oldJSON,
 		"truncated":     record[:len(record)-8],
 		"other version": otherVersion,
 	} {
-		st := store.NewMemory(0)
-		if err := st.Put(key, bad); err != nil {
-			t.Fatal(err)
-		}
-		got, cached, err := CampaignRunner{Store: st}.cell(cfg, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The store served bytes (its hit); the cell did not take them.
-		if cs := st.Stats(); cached || cs.Puts != 2 {
-			t.Errorf("%s: cached=%v, %+v, want the cell simulated and put back", name, cached, cs)
-		}
-		if got != want {
-			t.Errorf("%s: row is not the simulated breakdown:\n%+v\n%+v", name, got, want)
-		}
-		// The rerun repaired the entry: a fresh lookup decodes to it.
-		raw, ok := st.Get(key)
-		if !ok {
-			t.Fatalf("%s: repaired entry missing", name)
-		}
-		if got, err := decodeCachedCell(raw); err != nil || got != want {
-			t.Errorf("%s: repaired entry decodes to %+v, %v", name, got, err)
+		for _, onDisk := range []bool{false, true} {
+			name := fmt.Sprintf("%s (on disk: %v)", name, onDisk)
+			st := withBad(onDisk, bad)
+			before := st.Stats()
+			got, cached, err := CampaignRunner{Store: st}.cell(cfg, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := st.Stats()
+			if hits, misses, puts := after.Hits-before.Hits, after.Misses-before.Misses, after.Puts-before.Puts; cached || hits != 0 || misses != 1 || puts != 1 {
+				t.Errorf("%s: cached=%v, hits %d misses %d puts %d, want the cell simulated: 0, 1 and 1", name, cached, hits, misses, puts)
+			}
+			if got != want {
+				t.Errorf("%s: row is not the simulated breakdown:\n%+v\n%+v", name, got, want)
+			}
+			// The rerun repaired the entry: a fresh lookup decodes to it.
+			raw, ok := st.Get(key)
+			if !ok {
+				t.Fatalf("%s: repaired entry missing", name)
+			}
+			if got, err := decodeCachedCell(raw); err != nil || got != want {
+				t.Errorf("%s: repaired entry decodes to %+v, %v", name, got, err)
+			}
 		}
 	}
 }

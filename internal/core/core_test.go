@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -80,9 +81,8 @@ func TestEveryAppEveryDesignRecoversExactly(t *testing.T) {
 					if bd.Recoveries != 1 {
 						t.Fatalf("recoveries = %d, want 1", bd.Recoveries)
 					}
-					if bd.Signature != refBd.Signature {
-						t.Fatalf("signature %v != failure-free %v: recovery corrupted the answer",
-							bd.Signature, refBd.Signature)
+					if status, err := Verdict(Result{Config: ref, Breakdown: refBd}, Result{Config: cfg, Breakdown: bd}); err != nil {
+						t.Fatalf("%s: %v", status, err)
 					}
 					if bd.Recovery <= 0 {
 						t.Fatal("no recovery time recorded")
@@ -90,6 +90,46 @@ func TestEveryAppEveryDesignRecoversExactly(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// A recovered cell passes only with its answer bitwise equal to the
+// reference's and every fault it asked for fired; a mismatch is reported
+// before a shortfall.
+func TestVerdict(t *testing.T) {
+	ref := Result{Config: Config{App: "HPCCG"}, Breakdown: Breakdown{Signature: 13824}}
+	cell := func(sig float64, fired int) Result {
+		return Result{Config: Config{App: "HPCCG", Design: ReplicaFTI, Faults: 1},
+			Breakdown: Breakdown{Signature: sig, FaultsInjected: fired, Recoveries: fired}}
+	}
+	for _, tc := range []struct {
+		name    string
+		r       Result
+		status  string
+		wantErr string
+	}{
+		{"equal", cell(13824, 1), "OK (bitwise equal)", ""},
+		{"mismatch", cell(13825, 1), "MISMATCH 13825 != 13824", "HPCCG/REPLICA-FTI: recovered answer differs"},
+		{"not fired", cell(13824, 0), "UNTESTED (fired 0/1)", "HPCCG/REPLICA-FTI: 0 of 1 faults fired"},
+		{"mismatch first", cell(13825, 0), "MISMATCH 13825 != 13824", "HPCCG/REPLICA-FTI: recovered answer differs"},
+	} {
+		status, err := Verdict(ref, tc.r)
+		if status != tc.status {
+			t.Errorf("%s: status %q, want %q", tc.name, status, tc.status)
+		}
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if got != tc.wantErr {
+			t.Errorf("%s: error %q, want %q", tc.name, got, tc.wantErr)
+		}
+	}
+	// The comparison is of bits, not values: -0 == 0, but a -0 answer is
+	// not the reference's 0.
+	zero := Result{Config: Config{App: "HPCCG"}}
+	if status, err := Verdict(zero, cell(math.Copysign(0, -1), 1)); err == nil {
+		t.Errorf("-0 against 0: %s", status)
 	}
 }
 

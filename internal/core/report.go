@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"sort"
 	"strings"
@@ -23,6 +24,25 @@ type Result struct {
 // Key renders the identifying columns of a result.
 func (r Result) Key() string {
 	return fmt.Sprintf("%s/%s/p%d/%s", r.Config.App, r.Config.Design, r.Config.Procs, r.Config.Input)
+}
+
+// Verdict judges recovered cell r against ref, the failure-free run of the
+// same app: the status a report prints, and an error unless r's answer is
+// bitwise equal to ref's and every fault r asked for fired — a cell whose
+// faults never fired tested no recovery. A mismatch is reported before a
+// shortfall. At reps > 1 r's FaultsInjected is the reps' mean, rounded, so
+// a shortfall in one rep can round away.
+func Verdict(ref, r Result) (string, error) {
+	bd, cell := r.Breakdown, r.Config.App+"/"+r.Config.Design.String()
+	if math.Float64bits(bd.Signature) != math.Float64bits(ref.Breakdown.Signature) {
+		return fmt.Sprintf("MISMATCH %g != %g", bd.Signature, ref.Breakdown.Signature),
+			fmt.Errorf("%s: recovered answer differs", cell)
+	}
+	if want := r.Config.FaultCount(); bd.FaultsInjected < want {
+		return fmt.Sprintf("UNTESTED (fired %d/%d)", bd.FaultsInjected, want),
+			fmt.Errorf("%s: %d of %d faults fired", cell, bd.FaultsInjected, want)
+	}
+	return "OK (bitwise equal)", nil
 }
 
 // repConfig is rep r (counted from 1) of cfg: the same cell with its fault
@@ -231,11 +251,10 @@ func (rn CampaignRunner) cell(cfg Config, reps int) (avg Breakdown, cached bool,
 		if r > 1 && key != "" && key == key1 {
 			bd, hit = bd1, true
 		} else if key != "" && rn.Store.Enabled() {
-			if raw, ok := rn.Store.Get(key); ok {
-				if dec, derr := decodeCachedCell(raw); derr == nil {
-					bd, hit = dec, true
-				}
-			}
+			hit = rn.Store.Load(key, func(b []byte) (err error) {
+				bd, err = decodeCachedCell(b)
+				return err
+			})
 		}
 		if !hit {
 			cached = false

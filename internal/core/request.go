@@ -168,7 +168,7 @@ const (
 )
 
 // Validate rejects requests that could never run: out-of-range axes and
-// oversized sweeps first — arithmetically, before any cell exists — and
+// oversized sweeps first — a count that stops one cell past the cap — and
 // then, by resolving every cell the way Run will, unknown applications, bad
 // input sizes, and detector or placement configurations a cell would fail
 // on. The HTTP service turns the error into a 400 before queueing.
@@ -200,18 +200,23 @@ func (r CampaignRequest) Validate() error {
 			return fmt.Errorf("core: replica factor %g outside [0,1]", f)
 		}
 	}
-	switch n := c.cellCount(); {
+	n := 0
+	c.each(func(Config) bool {
+		n++
+		return n <= maxCells
+	})
+	switch {
 	case n == 0: // LULESH at 128
 		return fmt.Errorf("core: Table I prescribes none of the scales %v for the apps %v", c.Scales, c.Apps)
 	case n > maxCells:
 		return fmt.Errorf("core: campaign enumerates more than %d cells", maxCells)
 	}
-	for _, cfg := range c.Configs() {
-		if _, err := resolve(cfg); err != nil {
-			return err
-		}
-	}
-	return nil
+	var err error
+	c.each(func(cfg Config) bool {
+		_, err = resolve(cfg)
+		return err == nil
+	})
+	return err
 }
 
 // scalesOf lists the process counts a canonical request runs app at: Procs,
@@ -223,29 +228,6 @@ func (r CampaignRequest) scalesOf(app string) []int {
 	return slices.DeleteFunc(ProcCounts(app), func(p int) bool { return !slices.Contains(r.Scales, p) })
 }
 
-// cellCount is len(Configs()) of a canonical request from the axis lengths
-// alone, saturating at maxCells+1: every factor is bounded by the request's
-// size, so the running product cannot overflow.
-func (r CampaignRequest) cellCount() int {
-	perK := len(r.Designs)
-	for _, d := range r.Designs {
-		if d == ReplicaFTI {
-			perK += len(r.HotSpares) - 1
-		}
-	}
-	n := 0
-	for _, app := range r.Apps {
-		n += len(r.scalesOf(app))
-	}
-	for _, f := range []int{len(r.Detectors), len(r.Policies), max(len(r.ReplicaFactors), 1),
-		max(len(r.Inputs), 1), r.MaxFaults - r.MinFaults + 1, perK} {
-		if n *= f; n > maxCells {
-			return maxCells + 1
-		}
-	}
-	return n
-}
-
 // Configs enumerates the run matrix: app x detector x policy x factor x
 // scale x input x k x design (x hot-spare for the replica design), k =
 // MinFaults..MaxFaults — the one place sweep cells are enumerated. A k=1
@@ -253,6 +235,17 @@ func (r CampaignRequest) cellCount() int {
 // seed, same draw), so campaign output embeds the calibrated Figure 6/9
 // numbers verbatim.
 func (r CampaignRequest) Configs() []Config {
+	var out []Config
+	r.each(func(cfg Config) bool {
+		out = append(out, cfg)
+		return true
+	})
+	return out
+}
+
+// each calls yield with the cells of Configs in order until yield returns
+// false, so a caller that only looks at cells holds none of them.
+func (r CampaignRequest) each(yield func(Config) bool) {
 	r = r.Canonical()
 	factors := r.ReplicaFactors
 	if len(factors) == 0 {
@@ -262,9 +255,11 @@ func (r CampaignRequest) Configs() []Config {
 	if len(inputs) == 0 {
 		inputs = []InputSize{r.Input}
 	}
-	var out []Config
 	for _, app := range r.Apps {
 		scales := r.scalesOf(app)
+		if len(scales) == 0 {
+			continue // before the other axes, so Validate's count ends within maxCells+1 steps
+		}
 		for _, dc := range r.Detectors {
 			for _, pc := range r.Policies {
 				for _, rf := range factors {
@@ -295,7 +290,9 @@ func (r CampaignRequest) Configs() []Config {
 											cfg.Replica = replicaConfigFor(rf)
 										}
 										cfg.Replica.HotSpare = hs
-										out = append(out, cfg)
+										if !yield(cfg) {
+											return
+										}
 									}
 								}
 							}
@@ -305,7 +302,6 @@ func (r CampaignRequest) Configs() []Config {
 			}
 		}
 	}
-	return out
 }
 
 // CampaignRunner is the execution environment every sweep runs in — a

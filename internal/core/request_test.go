@@ -3,11 +3,14 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"match/internal/ckpt"
 	"match/internal/detect"
@@ -209,13 +212,16 @@ func TestRequestValidate(t *testing.T) {
 		{Procs: -1},
 		{Detectors: []detect.Config{{Kind: detect.Ring,
 			HeartbeatPeriod: 100 * simnet.Millisecond, DetectTimeout: simnet.Millisecond}}},
-		// Hostile axes are refused by arithmetic, before a cell exists: the
-		// whole table runs in well under a second.
+		// Hostile axes are refused by range checks or by a count that stops
+		// one cell past the cap: the whole table runs in well under a second.
 		{Procs: 1000000000},
 		{MaxFaults: 1000000000},
 		{Reps: 1000000000},
 		{MaxFaults: maxFaults, Detectors: make([]detect.Config, 8), Policies: make([]ckpt.Config, 8)},
 		{Apps: make([]string, 100000), Detectors: make([]detect.Config, 100000), Policies: make([]ckpt.Config, 100000)},
+		// An app Table I runs at none of the scales yields no cell, so the
+		// walk must skip it before crossing its other axes.
+		{Apps: []string{"LULESH", "HPCCG"}, Scales: []int{128}, Detectors: make([]detect.Config, 100000), Policies: make([]ckpt.Config, 100000)},
 		// The new axes.
 		{Procs: 64, Scales: []int{64}},
 		{Input: Medium, Inputs: []InputSize{Medium}},
@@ -247,6 +253,34 @@ func TestRequestValidate(t *testing.T) {
 		if err := req.Validate(); err != nil {
 			t.Errorf("good request %d rejected: %v", i, err)
 		}
+	}
+}
+
+// A request of more than a billion cells is refused with the size error
+// after counting one cell past the cap, and the count keeps no cell: the
+// rejection allocates less than the cap's worth of cells, let alone the
+// request's.
+func TestValidateBoundsBeforeEnumerating(t *testing.T) {
+	factors := make([]float64, 32)
+	for i := range factors {
+		factors[i] = float64(i) / 31
+	}
+	req := CampaignRequest{Apps: []string{"HPCCG"}, Detectors: make([]detect.Config, 1024),
+		Policies: make([]ckpt.Config, 1024), ReplicaFactors: factors,
+		Inputs: InputSizes(), MaxFaults: maxFaults, HotSpares: []bool{false, true}}
+	// Replica is the one design of a factor sweep, and runs both hot-spare variants.
+	if cells := 1024 * 1024 * 32 * len(InputSizes()) * (maxFaults + 1) * 2; cells < 1e9 {
+		t.Fatalf("request has %d cells, want at least 1e9", cells)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := req.Validate()
+	runtime.ReadMemStats(&after)
+	if want := fmt.Sprintf("core: campaign enumerates more than %d cells", maxCells); err == nil || err.Error() != want {
+		t.Fatalf("Validate = %v, want %q", err, want)
+	}
+	if got, capBytes := after.TotalAlloc-before.TotalAlloc, uint64(maxCells+1)*uint64(unsafe.Sizeof(Config{})); got > capBytes {
+		t.Errorf("rejecting the request allocated %d bytes, more than %d cells' worth (%d bytes)", got, maxCells+1, capBytes)
 	}
 }
 
@@ -455,9 +489,9 @@ func TestResultJSONRoundTrip(t *testing.T) {
 
 // FuzzCampaignRequest feeds the service's decode path arbitrary bodies. A
 // request Validate accepts has one identity however it is spelled or
-// re-encoded, enumerates exactly the cells the arithmetic count promised
-// (and no more than the cap), and every one of them has a cell key; a
-// request it rejects costs no enumeration. Nothing may panic.
+// re-encoded, enumerates at least one cell and no more than the cap, stops
+// its enumeration where the caller does, and every one of its cells has a
+// cell key. Nothing may panic.
 func FuzzCampaignRequest(f *testing.F) {
 	for _, g := range goldenRequests {
 		b, err := json.Marshal(g.req)
@@ -502,8 +536,18 @@ func FuzzCampaignRequest(f *testing.F) {
 			t.Fatalf("hash changed under re-encoding: %s (%v) -> %s (%v)\n%s", h1, err1, h2, err2, b)
 		}
 		cfgs := req.Configs()
-		if n := c.cellCount(); len(cfgs) != n || n > maxCells {
-			t.Fatalf("%d cells enumerated, %d counted, cap %d", len(cfgs), n, maxCells)
+		if len(cfgs) == 0 || len(cfgs) > maxCells {
+			t.Fatalf("%d cells enumerated, cap %d", len(cfgs), maxCells)
+		}
+		// Validate's count stops its enumeration part-way; a stopped
+		// enumeration walks exactly the prefix of Configs.
+		var head []Config
+		c.each(func(cfg Config) bool {
+			head = append(head, cfg)
+			return len(head) <= len(cfgs)/2
+		})
+		if len(head) != len(cfgs)/2+1 || !reflect.DeepEqual(head, cfgs[:len(head)]) {
+			t.Fatalf("enumeration stopped after %d cells is not the prefix of Configs", len(head))
 		}
 		for _, cfg := range cfgs {
 			if _, err := CellKey(cfg, c.Reps); err != nil {

@@ -3,8 +3,8 @@
 // both sides of the contract — it derives keys (core.CellKey canonicalizes
 // and hashes a run configuration, version-stamped so simulator changes
 // invalidate cleanly) and encodes/decodes values (the campaign runner
-// stores JSON-encoded Breakdowns) — so the store itself stays free of any
-// simulation dependency.
+// stores each Breakdown as a fixed 232-byte binary record, read back through
+// Load) — so the store itself stays free of any simulation dependency.
 //
 // The store layers an in-memory LRU front over an optional on-disk object
 // directory. Every entry written while a directory is configured persists
@@ -131,44 +131,55 @@ func (s *Store) path(key string) string {
 // Get returns the value stored under key. A memory hit promotes the entry
 // to most-recently-used; a disk hit additionally re-populates the LRU
 // front. A nil store, an invalid key, and an absent entry all miss.
-func (s *Store) Get(key string) ([]byte, bool) {
-	if s == nil || validKey(key) != nil {
-		return nil, false
-	}
-	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
-		s.lru.MoveToFront(el)
-		s.stats.Hits++
-		s.stats.MemHits++
-		val := el.Value.(*entry).val
-		s.mu.Unlock()
-		return val, true
-	}
-	s.mu.Unlock()
-	if s.dir == "" {
-		s.miss()
-		return nil, false
-	}
-	val, err := os.ReadFile(s.path(key))
-	if err != nil {
-		s.miss()
-		return nil, false
-	}
-	s.mu.Lock()
-	// Re-check under the lock: a concurrent Get may have re-populated it.
-	if _, ok := s.entries[key]; !ok {
-		s.insertLocked(key, val)
-	}
-	s.stats.Hits++
-	s.stats.DiskHits++
-	s.mu.Unlock()
-	return val, true
+func (s *Store) Get(key string) (val []byte, ok bool) {
+	ok = s.Load(key, func(b []byte) error {
+		val = b
+		return nil
+	})
+	return val, ok
 }
 
-func (s *Store) miss() {
+// Load is Get for a caller that decodes what it finds: it hands the value
+// stored under key to decode and hits only if decode accepts it. A value
+// decode rejects (written by another format, say) counts as a miss and
+// stays out of the memory front, so the caller's Put of a fresh value
+// replaces it.
+func (s *Store) Load(key string, decode func([]byte) error) bool {
+	if s == nil || validKey(key) != nil {
+		return false
+	}
+	var val []byte
 	s.mu.Lock()
-	s.stats.Misses++
+	el, mem := s.entries[key]
+	if mem {
+		s.lru.MoveToFront(el)
+		val = el.Value.(*entry).val
+	}
 	s.mu.Unlock()
+	disk := false
+	if !mem && s.dir != "" {
+		var err error
+		val, err = os.ReadFile(s.path(key))
+		disk = err == nil
+	}
+	ok := (mem || disk) && decode(val) == nil
+	s.mu.Lock()
+	switch {
+	case !ok:
+		s.stats.Misses++
+	case mem:
+		s.stats.Hits++
+		s.stats.MemHits++
+	default:
+		// Re-check under the lock: a concurrent Get may have re-populated it.
+		if _, present := s.entries[key]; !present {
+			s.insertLocked(key, val)
+		}
+		s.stats.Hits++
+		s.stats.DiskHits++
+	}
+	s.mu.Unlock()
+	return ok
 }
 
 // Put stores val under key, writing through to disk (atomic temp+rename)

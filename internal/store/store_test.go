@@ -38,6 +38,34 @@ func TestMemoryRoundTrip(t *testing.T) {
 	}
 }
 
+// A value Load's decoder rejects is a miss, from memory or from disk, and a
+// rejected disk value does not enter the memory front.
+func TestLoadRejectedIsAMiss(t *testing.T) {
+	k := keyOf("a")
+	reject := func([]byte) error { return fmt.Errorf("stale") }
+	for _, dir := range []string{"", t.TempDir()} {
+		s, err := Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Put(k, []byte("old format"))
+		resident := 1
+		if dir != "" {
+			s, _ = Open(dir, 0) // the value is on disk only
+			resident = 0
+		}
+		if s.Load(k, reject) {
+			t.Fatalf("dir %q: rejected value hit", dir)
+		}
+		if st := s.Stats(); st.Hits != 0 || st.Misses != 1 || st.Entries != resident {
+			t.Fatalf("dir %q: stats after a rejected value = %+v, want %d resident", dir, st, resident)
+		}
+		if !s.Load(k, func([]byte) error { return nil }) {
+			t.Fatalf("dir %q: accepted value missed", dir)
+		}
+	}
+}
+
 func TestPutReplaces(t *testing.T) {
 	s := NewMemory(0)
 	k := keyOf("a")
