@@ -80,11 +80,12 @@ func TestBadRepsIsAUsageError(t *testing.T) {
 	}
 }
 
-// A cell that trips the virtual deadline (a known ULFM livelock) is a
-// failed cell, not a crashed process: one line and status 1, no stack.
+// A cell that trips the virtual deadline (ULFM losing a node under L2, a
+// known livelock) is a failed cell, not a crashed process: one line and
+// status 1, no stack.
 func TestDeadlineCellFailsInOneLine(t *testing.T) {
-	_, stderr, status := run(t, "-design", "ulfm", "-app", "HPCCG", "-procs", "8", "-faults", "1", "-seed", "2",
-		"-ckpt-policy", "multi-level", "-stride", "2", "-ckpt-l3-every", "1")
+	_, stderr, status := run(t, "-design", "ulfm", "-app", "HPCCG", "-procs", "8", "-level", "2",
+		"-fault-schedule", "3@12:kind=node")
 	if status != 1 || len(stderr) != 1 {
 		t.Fatalf("exit %d, stderr %q; want 1 and one line", status, stderr)
 	}

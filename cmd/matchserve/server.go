@@ -243,7 +243,8 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad campaign request: %v", err)
 		return
 	}
-	if err := req.Validate(); err != nil {
+	cells, err := req.CellCount()
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "invalid campaign: %v", err)
 		return
 	}
@@ -272,7 +273,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		req:        req,
 		client:     client,
 		state:      stateQueued,
-		cellsTotal: len(req.Configs()),
+		cellsTotal: cells,
 		done:       make(chan struct{}),
 	}
 	// A refused campaign is never registered, so a resubmit is queued

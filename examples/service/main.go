@@ -24,7 +24,8 @@ func main() {
 		MaxFaults: 1,
 		Seed:      7,
 	}
-	if err := req.Validate(); err != nil {
+	cells, err := req.CellCount()
+	if err != nil {
 		log.Fatal(err)
 	}
 	id, err := req.Hash()
@@ -34,7 +35,7 @@ func main() {
 	// The hash is the campaign's identity: a matchserve instance uses it as
 	// the campaign ID, so resubmitting an equivalent request — defaults
 	// spelled out or left zero — is idempotent.
-	fmt.Printf("campaign %.12s…: %d cells\n\n", id, len(req.Configs()))
+	fmt.Printf("campaign %.12s…: %d cells\n\n", id, cells)
 
 	st := match.NewMemoryResultStore(0) // OpenResultStore(dir, 0) persists across processes
 	runner := match.CampaignRunner{Workers: 4, Store: st}

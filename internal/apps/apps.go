@@ -56,3 +56,7 @@ func Register(name string, f Factory) error {
 	registry[name] = f
 	return nil
 }
+
+// Unregister removes an application added by Register. A test that
+// registers a fixture app removes it again, so no other sweep sees it.
+func Unregister(name string) { delete(registry, name) }

@@ -8,22 +8,24 @@ import (
 	"testing"
 	"time"
 
-	"match/internal/ckpt"
+	"match/internal/apps"
+	"match/internal/apps/appkit"
+	"match/internal/apps/apptest"
 	"match/internal/fault"
 	"match/internal/fti"
 	"match/internal/replica"
 	"match/internal/simnet"
 )
 
-// deadlockCell is the first cell found that livelocks: ULFM under a
-// multi-level policy checkpointing at L3 every second iteration, one
-// failure, seed 2 (`match -design ulfm -app HPCCG -procs 8 -faults 1 -seed 2
-// -ckpt-policy multi-level -stride 2 -ckpt-l3-every 1`). Root-causing it is
-// the fault-sweep item's job; until then it is the regression cell for "a
-// cell that trips the virtual deadline is a failed cell".
+// deadlockCell is a cell that livelocks: ULFM losing rank 3's node at
+// iteration 12 under L2 (`match -design ulfm -app HPCCG -procs 8 -level 2
+// -fault-schedule '3@12:kind=node'`, nodeLossKnownBad's "ulfm/L2"). It is
+// the regression cell for "a cell that trips the virtual deadline is a
+// failed cell"; when a fix makes it recover, another cell that trips the
+// deadline takes its place.
 func deadlockCell() Config {
-	return Config{App: "HPCCG", Design: UlfmFTI, Procs: 8, Faults: 1, FaultSeed: 2,
-		CkptPolicy: ckpt.Config{Kind: ckpt.MultiLevel, Stride: 2, L3Every: 1}}
+	sched := fault.Schedule{Events: []fault.Event{{Kind: fault.NodeFailure, TargetRank: 3, TargetIter: 12}}}
+	return Config{App: "HPCCG", Design: UlfmFTI, Procs: 8, FTILevel: fti.L2, Schedule: &sched}
 }
 
 func healthyCell() Config {
@@ -64,13 +66,14 @@ func TestDeadlineIsAnError(t *testing.T) {
 		}
 		// The run lasted until the clock stopped: the last event before the
 		// deadline is a heartbeat on the 100 ms grid, at the deadline itself.
-		want := Breakdown{Total: runDeadline, Ckpt: 2507639737, App: runDeadline - 2507639737,
-			DetectLatency: 300 * simnet.Millisecond, DetectedFailures: 1, FaultsInjected: 1,
-			CkptCount: 21, CkptBytes: 873096,
-			Messages: 2245, NetBytes: 26312944}
-		want.CkptCountAt[fti.L3], want.CkptBytesAt[fti.L3] = 21, 873096
+		want := Breakdown{Total: runDeadline, Ckpt: 307658998, Recovery: 1774870150,
+			App:           runDeadline - 307658998 - 1774870150,
+			DetectLatency: 300 * simnet.Millisecond, DetectedFailures: 1, Recoveries: 1, FaultsInjected: 1,
+			CkptCount: 3, CkptBytes: 124728,
+			Messages: 670, NetBytes: 211126}
+		want.CkptCountAt[fti.L2], want.CkptBytesAt[fti.L2] = 3, 124728
 		if bd != want {
-			t.Fatalf("partial breakdown = %+v, want %+v (as before ranks were released: fault fired and detected, repair never finished)", bd, want)
+			t.Fatalf("partial breakdown = %+v, want %+v (as before ranks were released: fault fired and detected, the world repaired once, the run never finished)", bd, want)
 		}
 		if bd, err := Run(healthyCell()); err != nil || !bd.Completed {
 			t.Fatalf("healthy cell after the deadline: %+v, %v", bd, err)
@@ -139,18 +142,17 @@ func TestByteScaleHasOneHome(t *testing.T) {
 
 // A cell whose ranks never all finish says why: here no rank returned an
 // error, so the message says so, and reports the incarnations, recoveries
-// and fired faults it knows of (`match -app HPCCG -design replica -procs 8
-// -level 3 -fault-schedule '3@12:kind=node'`: two recoveries are logged,
-// yet no rank finishes). When a fix makes this cell complete, pin another
-// incomplete cell here instead.
+// and fired faults it knows of. No model cell is known to end this way, so
+// the cell runs apptest.Parked, whose ranks all wait for a message no rank
+// sends.
 func TestIncompleteCellSaysWhy(t *testing.T) {
-	sched, err := fault.ParseSchedule("3@12:kind=node")
-	if err != nil {
+	if err := apps.Register("Parked", func() appkit.App { return apptest.Parked{} }); err != nil {
 		t.Fatal(err)
 	}
-	bd, err := Run(Config{App: "HPCCG", Design: ReplicaFTI, Procs: 8, FTILevel: fti.L3, Schedule: &sched})
+	t.Cleanup(func() { apps.Unregister("Parked") })
+	bd, err := Run(Config{App: "Parked", Design: RestartFTI, Procs: 8, Params: appkit.Params{MaxIter: 10}})
 	want := "core: only 0/8 ranks completed, no rank reported an error " +
-		"(1 incarnations launched, 2 recoveries logged, 1/1 faults fired)"
+		"(1 incarnations launched, 0 recoveries logged, 0/0 faults fired)"
 	if err == nil || err.Error() != want {
 		t.Fatalf("err = %v, want %q", err, want)
 	}

@@ -18,11 +18,9 @@ var nodeLossKnownBad = map[string]string{
 	"restart/L2": "core: only 0/8 ranks completed, first error: storage: node down " +
 		"(2 incarnations launched, 1 recoveries logged, 1/1 faults fired)",
 	"reinit/L2": "core: virtual deadline 200000.000s exceeded (event at 200000.025s); likely deadlock or livelock",
-	"ulfm/L2":   "core: virtual deadline 200000.000s exceeded (event at 200000.100s); likely deadlock or livelock",
+	// Also deadlockCell, the cell of TestDeadlineIsAnError.
+	"ulfm/L2": "core: virtual deadline 200000.000s exceeded (event at 200000.100s); likely deadlock or livelock",
 	"replica/L2": "core: only 0/8 ranks completed, first error: storage: node down " +
-		"(1 incarnations launched, 2 recoveries logged, 1/1 faults fired)",
-	// Also pinned by TestIncompleteCellSaysWhy.
-	"replica/L3": "core: only 0/8 ranks completed, no rank reported an error " +
 		"(1 incarnations launched, 2 recoveries logged, 1/1 faults fired)",
 }
 

@@ -173,31 +173,38 @@ const (
 // input sizes, and detector or placement configurations a cell would fail
 // on. The HTTP service turns the error into a 400 before queueing.
 func (r CampaignRequest) Validate() error {
+	_, err := r.CellCount()
+	return err
+}
+
+// CellCount is Validate that also returns how many cells Configs
+// enumerates, counted on the way without building them.
+func (r CampaignRequest) CellCount() (int, error) {
 	c := r.Canonical()
 	switch {
 	case len(c.Scales) > 0 && c.Procs != 0:
-		return fmt.Errorf("core: campaign sets both procs and scales")
+		return 0, fmt.Errorf("core: campaign sets both procs and scales")
 	case len(c.Inputs) > 0 && c.Input != Small:
-		return fmt.Errorf("core: campaign sets both input and inputs")
+		return 0, fmt.Errorf("core: campaign sets both input and inputs")
 	case len(c.Scales) == 0 && (c.Procs < 1 || c.Procs > maxProcs):
-		return fmt.Errorf("core: campaign procs %d out of range (1..%d)", c.Procs, maxProcs)
+		return 0, fmt.Errorf("core: campaign procs %d out of range (1..%d)", c.Procs, maxProcs)
 	case r.MinFaults < 0 || c.MinFaults > c.MaxFaults:
-		return fmt.Errorf("core: campaign min_faults %d outside 0..max_faults (%d)", r.MinFaults, c.MaxFaults)
+		return 0, fmt.Errorf("core: campaign min_faults %d outside 0..max_faults (%d)", r.MinFaults, c.MaxFaults)
 	case c.MaxFaults > maxFaults:
-		return fmt.Errorf("core: campaign max_faults %d above %d", c.MaxFaults, maxFaults)
+		return 0, fmt.Errorf("core: campaign max_faults %d above %d", c.MaxFaults, maxFaults)
 	case c.Reps > maxReps:
-		return fmt.Errorf("core: campaign reps %d above %d", c.Reps, maxReps)
+		return 0, fmt.Errorf("core: campaign reps %d above %d", c.Reps, maxReps)
 	}
 	for _, p := range c.Scales {
 		if valid := tableIScales(); !slices.Contains(valid, p) {
-			return fmt.Errorf("core: campaign scale %d is not a Table I scale %v", p, valid)
+			return 0, fmt.Errorf("core: campaign scale %d is not a Table I scale %v", p, valid)
 		}
 	}
 	// resolve rejects a factor above 1; a negative one is Configs' "leave
 	// Config.Replica alone" sentinel and would never reach resolve.
 	for _, f := range c.ReplicaFactors {
 		if f < 0 {
-			return fmt.Errorf("core: replica factor %g outside [0,1]", f)
+			return 0, fmt.Errorf("core: replica factor %g outside [0,1]", f)
 		}
 	}
 	n := 0
@@ -207,16 +214,19 @@ func (r CampaignRequest) Validate() error {
 	})
 	switch {
 	case n == 0: // LULESH at 128
-		return fmt.Errorf("core: Table I prescribes none of the scales %v for the apps %v", c.Scales, c.Apps)
+		return 0, fmt.Errorf("core: Table I prescribes none of the scales %v for the apps %v", c.Scales, c.Apps)
 	case n > maxCells:
-		return fmt.Errorf("core: campaign enumerates more than %d cells", maxCells)
+		return 0, fmt.Errorf("core: campaign enumerates more than %d cells", maxCells)
 	}
 	var err error
 	c.each(func(cfg Config) bool {
 		_, err = resolve(cfg)
 		return err == nil
 	})
-	return err
+	if err != nil {
+		return 0, err
+	}
+	return n, nil
 }
 
 // scalesOf lists the process counts a canonical request runs app at: Procs,

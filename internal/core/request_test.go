@@ -253,6 +253,9 @@ func TestRequestValidate(t *testing.T) {
 		if err := req.Validate(); err != nil {
 			t.Errorf("good request %d rejected: %v", i, err)
 		}
+		if n, err := req.CellCount(); err != nil || n != len(req.Configs()) {
+			t.Errorf("good request %d: CellCount %d, %v; want %d cells", i, n, err, len(req.Configs()))
+		}
 	}
 }
 

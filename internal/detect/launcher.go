@@ -16,7 +16,7 @@ type launcherDetector struct {
 	base
 }
 
-func (d *launcherDetector) SetWorld(w *mpi.Comm) { d.SetProcs(w.Members()) }
+func (d *launcherDetector) SetWorld(w *mpi.Comm) { d.SetProcs(w.Leaders()) }
 
 func (d *launcherDetector) SetProcs(ps []*mpi.Process) {
 	d.procs = ps

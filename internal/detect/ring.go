@@ -19,7 +19,7 @@ type ringDetector struct {
 	base
 }
 
-func (d *ringDetector) SetWorld(w *mpi.Comm) { d.SetProcs(w.Members()) }
+func (d *ringDetector) SetWorld(w *mpi.Comm) { d.SetProcs(w.Leaders()) }
 
 // SetProcs swaps the ring membership (e.g. to a repaired world with
 // replacement processes); observation state is retained.

@@ -19,7 +19,7 @@ type treeDetector struct {
 	base
 }
 
-func (d *treeDetector) SetWorld(w *mpi.Comm) { d.SetProcs(w.Members()) }
+func (d *treeDetector) SetWorld(w *mpi.Comm) { d.SetProcs(w.Leaders()) }
 
 func (d *treeDetector) SetProcs(ps []*mpi.Process) {
 	d.procs = ps

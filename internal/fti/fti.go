@@ -258,7 +258,7 @@ func (f *FTI) loadTopology() {
 		return
 	}
 	f.origNodes = make([]int, f.comm.Size())
-	for i, m := range f.comm.Members() {
+	for i, m := range f.comm.Leaders() {
 		f.origNodes[i] = m.NodeID()
 	}
 	if f.rank == 0 {

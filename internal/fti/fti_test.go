@@ -27,7 +27,7 @@ func harness(t *testing.T, n int, body func(r *mpi.Rank, st *storage.System)) {
 // normally: to the simulation, a rank that panics is just a dead process.
 func exitedClean(t *testing.T, j *mpi.Job) {
 	t.Helper()
-	for i, p := range j.World().Members() {
+	for i, p := range j.World().Leaders() {
 		if sp := p.SimProc(); sp.Status() != simnet.ExitOK {
 			t.Errorf("rank %d exited with status %d: %v", i, sp.Status(), sp.PanicValue())
 		}

@@ -57,16 +57,14 @@ func (f *FTI) readL2(id int64) ([]byte, error) {
 // received message.
 
 // l3Group returns the group communicator and this rank's index within it.
+// The group is derived from the communicator FTI is bound to (Comm.Sub), so
+// on a replica communicator it is replica-aware, and it is revoked with
+// that communicator.
 func (f *FTI) l3Group() (*mpi.Comm, int) {
 	g := f.cfg.GroupSize
 	lo := f.rank - f.rank%g
-	hi := lo + g
-	if hi > f.comm.Size() {
-		hi = f.comm.Size()
-	}
-	members := f.comm.Members()[lo:hi]
-	key := fmt.Sprintf("fti-l3/%s/%d/%d-%d", f.cfg.ExecID, f.comm.Ctx(), lo, hi)
-	return f.r.Job().SubComm(key, members), f.rank - lo
+	hi := min(lo+g, f.comm.Size())
+	return f.comm.Sub(lo, hi), f.rank - lo
 }
 
 // l3Code returns the (g, g) code of this rank's erasure group, built on

@@ -153,7 +153,7 @@ func TestPayloadReusedOnlyAfterGC(t *testing.T) {
 				}
 			})
 			c.Run()
-			for i, p := range j.World().Members() {
+			for i, p := range j.World().Leaders() {
 				if s := p.SimProc().Status(); (s == simnet.ExitOK) != (i != victim) {
 					t.Errorf("rank %d exited with status %d: %v", i, s, p.SimProc().PanicValue())
 				}

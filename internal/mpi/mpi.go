@@ -134,9 +134,11 @@ type Recovery struct {
 // recovered ranks are executing again.
 func (r Recovery) Duration() simnet.Time { return r.CompletedAt - r.FailedAt }
 
-// Job is a launched MPI job: a set of processes on the cluster plus the
-// communicator table and failure-detection state. Restart-based recovery
-// creates a brand-new Job; Reinit bumps the Job epoch in place.
+// Job is a launched MPI job: a set of processes on the cluster plus its
+// world communicator and failure-detection state. Communicators derived
+// from another (Comm.Sub) belong to that communicator, not to the Job.
+// Restart-based recovery creates a brand-new Job; Reinit bumps the Job
+// epoch in place.
 type Job struct {
 	cluster *simnet.Cluster
 	procs   []*Process // by gid; gids are dense and never reused
@@ -146,7 +148,6 @@ type Job struct {
 	aborted bool
 
 	detected map[int]bool // gid -> failure detected
-	subcomms map[string]*Comm
 
 	// PerOpOverhead is added to every point-to-point operation; the ULFM
 	// runtime sets it to model its amended (failure-checking) interfaces.
@@ -174,7 +175,6 @@ func NewJob(c *simnet.Cluster) *Job {
 	return &Job{
 		cluster:  c,
 		detected: make(map[int]bool),
-		subcomms: make(map[string]*Comm),
 	}
 }
 
@@ -315,24 +315,6 @@ func (j *Job) Steal(gid int, d simnet.Time) {
 	}
 }
 
-// SubComm returns the communicator memoized under key, creating it over
-// members on first use. Because ranks execute one at a time, every member
-// calling SubComm with the same key and member list shares one Comm
-// instance with a single matching context, which is how SPMD code splits
-// communicators without a central coordinator.
-func (j *Job) SubComm(key string, members []*Process) *Comm {
-	if c, ok := j.subcomms[key]; ok {
-		return c
-	}
-	c := j.NewComm(members)
-	j.subcomms[key] = c
-	return c
-}
-
-// DropSubComms clears memoized sub-communicators (stale after recovery
-// rebuilds the world).
-func (j *Job) DropSubComms() { j.subcomms = make(map[string]*Comm) }
-
 // Comm is a communicator: an ordered process group plus a matching context.
 type Comm struct {
 	job     *Job
@@ -340,7 +322,8 @@ type Comm struct {
 	members []*Process
 	rankOf  map[int]int
 	revoked bool
-	repl    *replicaInfo // non-nil for replica-aware communicators
+	repl    *replicaInfo     // non-nil for replica-aware communicators
+	subs    map[[2]int]*Comm // derived communicators by [lo, hi) (Sub)
 }
 
 // Size returns the number of ranks.
@@ -352,8 +335,11 @@ func (c *Comm) Ctx() int { return c.ctx }
 // Member returns the process at the given rank.
 func (c *Comm) Member(rank int) *Process { return c.members[rank] }
 
-// Members returns the process group (do not mutate).
-func (c *Comm) Members() []*Process { return c.members }
+// Leaders returns the process at every rank, in rank order (do not
+// mutate). On a replica-aware communicator that is each group's current
+// leader only; ReplicaGroup holds the whole group. On a plain
+// communicator it is every member.
+func (c *Comm) Leaders() []*Process { return c.members }
 
 // RankOf returns the rank of process gid, or -1 if not a member.
 func (c *Comm) RankOf(gid int) int {
@@ -369,12 +355,55 @@ func (c *Comm) Revoked() bool { return c.revoked }
 // Revoke marks the communicator revoked and interrupts all pending
 // communication on it (the semantics of MPIX_Comm_revoke; the propagation
 // cost is charged by the ulfm package, which owns the protocol).
+// Revoking c revokes every communicator derived from it.
 func (c *Comm) Revoke() {
 	if c.revoked {
 		return
 	}
-	c.revoked = true
+	c.revoke()
 	c.job.wakeAllBlocked()
+}
+
+// revoke marks c and everything derived from it revoked.
+func (c *Comm) revoke() {
+	c.revoked = true
+	for _, s := range c.subs {
+		s.revoke()
+	}
+}
+
+// Sub returns the communicator of c's ranks [lo, hi), rank lo becoming
+// rank 0: the group an SPMD library derives for a subset of ranks without
+// a central coordinator. It is made on the first call and memoized on c,
+// so every member calling Sub(lo, hi) shares one Comm with one matching
+// context. The child is a view of c, not a copy:
+//   - its members and replica groups are c's, so PruneReplica and
+//     PromoteLeader on c show in the child as they happen, and AddReplica
+//     on c maps the new process in the child too;
+//   - revoking c revokes the child, and a child derived from a revoked c
+//     starts revoked;
+//   - it lives as long as c: a rebuilt communicator derives new children.
+func (c *Comm) Sub(lo, hi int) *Comm {
+	key := [2]int{lo, hi}
+	if s, ok := c.subs[key]; ok {
+		return s
+	}
+	s := &Comm{job: c.job, ctx: c.job.nextCtx, members: c.members[lo:hi:hi],
+		rankOf: make(map[int]int, hi-lo), revoked: c.revoked}
+	c.job.nextCtx++
+	for gid, r := range c.rankOf {
+		if lo <= r && r < hi {
+			s.rankOf[gid] = r - lo
+		}
+	}
+	if c.repl != nil {
+		s.repl = &replicaInfo{groups: c.repl.groups[lo:hi:hi], idx: c.repl.idx}
+	}
+	if c.subs == nil {
+		c.subs = make(map[[2]int]*Comm)
+	}
+	c.subs[key] = s
+	return s
 }
 
 // FailedMembers returns the ranks of members whose processes have failed.

@@ -18,7 +18,7 @@ func runJob(t *testing.T, n int, body func(*Rank)) *Job {
 	c := simnet.NewCluster(simnet.Config{Nodes: 4})
 	j := Launch(c, n, 0, body)
 	c.Run()
-	for i, p := range j.World().Members() {
+	for i, p := range j.World().Leaders() {
 		if p.proc.Status() == simnet.ExitPanic {
 			t.Fatalf("rank %d panicked: %v", i, p.proc.PanicValue())
 		}

@@ -26,7 +26,9 @@ package mpi
 // selling point of replication, and exactly what the checkpoint/restart
 // designs cannot offer.
 
-// replicaInfo is the replica-group structure attached to a Comm.
+// replicaInfo is the replica-group structure attached to a Comm. A
+// derived communicator (Comm.Sub) slices its parent's groups and shares
+// its idx, so a membership change made through either shows in both.
 type replicaInfo struct {
 	groups [][]*Process // current members per logical rank, leader first
 	idx    map[int]int  // gid -> replica index at creation (stable identity)
@@ -112,8 +114,19 @@ func (c *Comm) AddReplica(rank int, p *Process, idx int) {
 		return
 	}
 	c.repl.groups[rank] = append(c.repl.groups[rank], p)
-	c.rankOf[p.gid] = rank
 	c.repl.idx[p.gid] = idx
+	c.mapRank(p.gid, rank)
+}
+
+// mapRank maps process gid to rank in c and in every communicator derived
+// from c that covers rank.
+func (c *Comm) mapRank(gid, rank int) {
+	c.rankOf[gid] = rank
+	for k, s := range c.subs {
+		if k[0] <= rank && rank < k[1] {
+			s.mapRank(gid, rank-k[0])
+		}
+	}
 }
 
 // SetReplicaIndex reassigns a member's stable replica index. The

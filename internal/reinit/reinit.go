@@ -125,12 +125,11 @@ func (rt *Runtime) globalRestart(failed *mpi.Process, failedAt simnet.Time) {
 
 	// 1. Flush all in-flight and queued messages.
 	rt.job.BumpEpoch()
-	rt.job.DropSubComms()
 
 	// 2. Respawn the failed rank on its node, or the next live one
 	// (fork/exec + MPI init).
 	oldRank := rt.world.RankOf(failed.GID())
-	members := append([]*mpi.Process(nil), rt.world.Members()...)
+	members := append([]*mpi.Process(nil), rt.world.Leaders()...)
 	repl := rt.job.AddProcess(failed.NodeID(), nil)
 	members[oldRank] = repl
 	sp := cl.StartProc(repl.NodeID(), respawnDelay, func(sp *simnet.Proc) {
@@ -141,7 +140,8 @@ func (rt *Runtime) globalRestart(failed *mpi.Process, failedAt simnet.Time) {
 	})
 	repl.SetSimProc(sp)
 
-	// 3. Rebuild the world communicator; the daemons supervise it.
+	// 3. Rebuild the world communicator; the daemons supervise it. What
+	// ranks derived from the old world (Comm.Sub) goes with it.
 	rt.world = rt.job.NewComm(members)
 	rt.det.SetWorld(rt.world)
 

@@ -163,7 +163,7 @@ func (s *Supervisor) Done() bool { return s.done }
 func (s *Supervisor) launch(delay simnet.Time) {
 	s.exitedOK = 0
 	job := mpi.Launch(s.cluster, s.procs, delay, s.main)
-	for _, p := range job.World().Members() {
+	for _, p := range job.World().Leaders() {
 		p.SimProc().OnExit(func(sp *simnet.Proc) {
 			if job == s.CurrentJob() && sp.Status() == simnet.ExitOK {
 				s.exitedOK++

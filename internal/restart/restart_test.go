@@ -171,7 +171,7 @@ func TestRelaunchAvoidsDeadNode(t *testing.T) {
 	if c.Node(2).Alive() {
 		t.Fatal("node 2 survived its node failure")
 	}
-	for _, p := range s.CurrentJob().World().Members() {
+	for _, p := range s.CurrentJob().World().Leaders() {
 		if !c.Node(p.NodeID()).Alive() {
 			t.Fatalf("relaunched gid %d placed on dead node %d", p.GID(), p.NodeID())
 		}

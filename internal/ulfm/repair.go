@@ -29,11 +29,15 @@ func (rt *Runtime) CommRevoke(r *mpi.Rank, c *mpi.Comm) {
 
 // CommShrink is MPIX_Comm_shrink: build a communicator containing only the
 // surviving members, agreeing on the failed set on the way. All survivors
-// must call it. The daemon-side group rebuild is charged per rank.
+// must call it. The daemon-side group rebuild is charged per rank. The
+// first caller builds the communicator and c's repair round keeps it for
+// the others; it is not derived from c, so revoking c leaves it usable.
 func (rt *Runtime) CommShrink(r *mpi.Rank, c *mpi.Comm) (*mpi.Comm, error) {
-	survivors := c.AliveMembers()
-	key := fmt.Sprintf("ulfm-shrink/%d", c.Ctx())
-	shrunk := rt.job.SubComm(key, survivors)
+	round := rt.round(c)
+	if round.shrunk == nil {
+		round.shrunk = rt.job.NewComm(c.AliveMembers())
+	}
+	shrunk := round.shrunk
 	// Daemon-side bookkeeping: grows linearly with job size.
 	r.Compute(shrinkBase + shrinkPerRank*simnet.Time(c.Size()))
 	// Agree on the failed-rank bitmask (real payload, O(P) bits).
@@ -90,8 +94,7 @@ func (rt *Runtime) CommSpawn(r *mpi.Rank, shrunk *mpi.Comm, world *mpi.Comm) map
 		fr, repl := fr, repl
 		sp := cl.StartProc(repl.NodeID(), spawnDelay, func(sp *simnet.Proc) {
 			rr := mpi.Bind(rt.job, repl, sp)
-			round := rt.rounds[world.Ctx()]
-			nw := round.newWorld
+			nw := rt.round(world).newWorld
 			if err := rt.joinWorld(rr, nw); err != nil {
 				rt.Errs = append(rt.Errs, fmt.Errorf("ulfm: replacement rank %d join: %w", fr, err))
 				return
@@ -116,15 +119,25 @@ func (rt *Runtime) joinWorld(r *mpi.Rank, nw *mpi.Comm) error {
 	return err
 }
 
+// round returns the repair round of the broken communicator c, creating it
+// on first use.
+func (rt *Runtime) round(c *mpi.Comm) *repairRound {
+	round, ok := rt.rounds[c.Ctx()]
+	if !ok {
+		round = &repairRound{}
+		rt.rounds[c.Ctx()] = round
+	}
+	return round
+}
+
 // RepairWorld composes the paper's Figure 3 error-handler sequence:
 // revoke the broken world, shrink to survivors, spawn replacements, merge
 // into a same-size world (failed slots refilled), and agree. Every
 // survivor must call it with the same broken communicator; replacements
 // are driven by the runtime. Returns the repaired world.
 func (rt *Runtime) RepairWorld(r *mpi.Rank, world *mpi.Comm) (*mpi.Comm, error) {
-	round, ok := rt.rounds[world.Ctx()]
-	if !ok {
-		round = &repairRound{}
+	round := rt.round(world)
+	if round.failedAt == 0 {
 		// Record failure timing for the recovery-time breakdown, as the
 		// detector saw it: a confirmed failure carries its exact record; one
 		// still inside its observation window counts from its first
@@ -140,7 +153,6 @@ func (rt *Runtime) RepairWorld(r *mpi.Rank, world *mpi.Comm) (*mpi.Comm, error) 
 		if round.failedAt == 0 {
 			round.failedAt = r.Now()
 		}
-		rt.rounds[world.Ctx()] = round
 	}
 
 	// 1. Revoke: interrupt all pending communication on the broken world.
@@ -156,7 +168,7 @@ func (rt *Runtime) RepairWorld(r *mpi.Rank, world *mpi.Comm) (*mpi.Comm, error) 
 	// original ranking with failed slots refilled by replacements.
 	if r.Rank(shrunk) == 0 && round.newWorld == nil {
 		repls := rt.CommSpawn(r, shrunk, world)
-		members := append([]*mpi.Process(nil), world.Members()...)
+		members := append([]*mpi.Process(nil), world.Leaders()...)
 		for fr, repl := range repls {
 			members[fr] = repl
 		}

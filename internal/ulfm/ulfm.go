@@ -67,6 +67,7 @@ const (
 // repairRound is the shared rendezvous state for repairing one revoked
 // communicator (keyed by its context id).
 type repairRound struct {
+	shrunk    *mpi.Comm // the survivors (CommShrink)
 	newWorld  *mpi.Comm
 	failedAt  simnet.Time
 	completed bool

@@ -212,6 +212,15 @@ func TestCommShrinkDropsFailed(t *testing.T) {
 		if got := r.Rank(sh); got != r.Rank(w) {
 			t.Errorf("rank changed in shrink: %d -> %d", r.Rank(w), got)
 		}
+		// The survivors go on over the shrunk communicator while the
+		// broken world is revoked: revoking it must not revoke them.
+		rt.CommRevoke(r, w)
+		if sh.Revoked() {
+			t.Errorf("rank %d: shrunk communicator revoked with the world", r.Rank(w))
+		}
+		if err := mpi.Barrier(r, sh); err != nil {
+			t.Errorf("rank %d: barrier on the shrunk communicator: %v", r.Rank(w), err)
+		}
 	})
 	rt = NewRuntime(job, calibrated, detect.RingDefaults(), nil)
 	c.Run()
