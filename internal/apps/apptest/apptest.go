@@ -70,17 +70,3 @@ func Run(t testing.TB, n int, params appkit.Params, factory func() appkit.App) R
 	_ = job
 	return res
 }
-
-// Parked is an app whose every rank waits, in its first step, for a
-// message no rank sends. A cell running it never completes, and no rank
-// reports an error: it is the fixture for an incomplete cell.
-type Parked struct{}
-
-func (Parked) Name() string                               { return "Parked" }
-func (Parked) Init(*appkit.Context) error                 { return nil }
-func (Parked) Signature(*appkit.Context) (float64, error) { return 0, nil }
-
-func (Parked) Step(ctx *appkit.Context, _ int) error {
-	_, err := mpi.Recv(ctx.R, ctx.World, mpi.AnySource, mpi.AnyTag)
-	return err
-}

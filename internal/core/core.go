@@ -284,7 +284,7 @@ type Breakdown struct {
 type recorder struct {
 	sigs        map[int]float64
 	finish      map[int]simnet.Time
-	ckptTime    map[int]simnet.Time
+	ckptTime    simnet.Time // rank 0's, over every incarnation
 	ckptCount   int
 	ckptBytes   int64
 	ckptCountAt [5]int
@@ -310,18 +310,17 @@ type recorder struct {
 
 func newRecorder() *recorder {
 	return &recorder{
-		sigs:     make(map[int]float64),
-		finish:   make(map[int]simnet.Time),
-		ckptTime: make(map[int]simnet.Time),
-		liveFTI:  make(map[int]*fti.FTI),
+		sigs:    make(map[int]float64),
+		finish:  make(map[int]simnet.Time),
+		liveFTI: make(map[int]*fti.FTI),
 	}
 }
 
 // addFTIStats accumulates one rank-instance's FTI stats (the single-
 // process-per-rank designs call it directly from runApp's defer).
 func (rec *recorder) addFTIStats(rank int, st fti.Stats) {
-	rec.ckptTime[rank] += st.CkptTime
 	if rank == 0 {
+		rec.ckptTime += st.CkptTime
 		rec.ckptCount += st.CkptCount
 		rec.ckptBytes += st.CkptBytes
 		for l := range st.CkptCountAt {
@@ -509,7 +508,7 @@ func Run(cfg Config) (Breakdown, error) {
 			bd.Total = t
 		}
 	}
-	bd.Ckpt = rec.ckptTime[0]
+	bd.Ckpt = rec.ckptTime
 	bd.App = bd.Total - bd.Ckpt - bd.Recovery
 	bd.Completed = len(rec.sigs) == rc.Procs
 	if !bd.Completed {

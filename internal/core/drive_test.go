@@ -10,9 +10,9 @@ import (
 
 	"match/internal/apps"
 	"match/internal/apps/appkit"
-	"match/internal/apps/apptest"
 	"match/internal/fault"
 	"match/internal/fti"
+	"match/internal/mpi"
 	"match/internal/replica"
 	"match/internal/simnet"
 )
@@ -140,13 +140,26 @@ func TestByteScaleHasOneHome(t *testing.T) {
 	}
 }
 
+// parked is an app whose every rank waits, in its first step, for a
+// message no rank sends. A cell running it never completes, and no rank
+// reports an error: it is the fixture for an incomplete cell.
+type parked struct{}
+
+func (parked) Name() string                               { return "Parked" }
+func (parked) Init(*appkit.Context) error                 { return nil }
+func (parked) Signature(*appkit.Context) (float64, error) { return 0, nil }
+
+func (parked) Step(ctx *appkit.Context, _ int) error {
+	_, err := mpi.Recv(ctx.R, ctx.World, mpi.AnySource, mpi.AnyTag)
+	return err
+}
+
 // A cell whose ranks never all finish says why: here no rank returned an
 // error, so the message says so, and reports the incarnations, recoveries
 // and fired faults it knows of. No model cell is known to end this way, so
-// the cell runs apptest.Parked, whose ranks all wait for a message no rank
-// sends.
+// the cell runs parked, whose ranks all wait for a message no rank sends.
 func TestIncompleteCellSaysWhy(t *testing.T) {
-	if err := apps.Register("Parked", func() appkit.App { return apptest.Parked{} }); err != nil {
+	if err := apps.Register("Parked", func() appkit.App { return parked{} }); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { apps.Unregister("Parked") })

@@ -230,10 +230,6 @@ func (f Failure) Latency() simnet.Time { return f.DetectedAt - f.FailedAt }
 // exactly once. Implementations run entirely on the simulated cluster's
 // scheduler; they are not goroutine-safe.
 type Detector interface {
-	// Kind reports the strategy.
-	Kind() Kind
-	// Config returns the resolved configuration in use.
-	Config() Config
 	// SetProcs replaces the watch set (e.g. after a recovery rebuilt the
 	// world with replacement processes). Observation state for already-seen
 	// failures is retained.
@@ -345,9 +341,7 @@ func (b *base) watchNew(ps []*mpi.Process, onExit func(*mpi.Process, *simnet.Pro
 	}
 }
 
-func (b *base) Config() Config { return b.cfg }
-func (b *base) Kind() Kind     { return b.cfg.Kind }
-func (b *base) Stop()          { b.stopped = true }
+func (b *base) Stop() { b.stopped = true }
 
 func (b *base) ObservedAt(gid int) (simnet.Time, bool) {
 	t, ok := b.observed[gid]

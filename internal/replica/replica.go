@@ -512,30 +512,37 @@ func (s *Supervisor) failover(job *mpi.Job, world *mpi.Comm, rank, idx int, f de
 		Kind: int(Failover), Rank: rank, Replica: idx,
 		FailedAt: f.FailedAt, CompletedAt: completed,
 	})
+	deadNode := -1
+	for _, m := range world.ReplicaGroup(rank) {
+		if m.GID() == f.GID {
+			deadNode = m.NodeID()
+		}
+	}
+	s.commitFailover(job, world, rank, idx, f.GID, deadNode, f.FailedAt, completed, true)
+}
+
+// commitFailover ends a failover at completed: gid leaves the rank's group,
+// a new leader is promoted, and a hot spare refills slot idx, on node while
+// that node is alive. The global fault notification quiesces every
+// surviving process for the window since failedAt, the whole recovery
+// cost; nothing is rolled back or recomputed. announce emits the failover
+// span (a spare's takeover has emitted its absorb span already).
+func (s *Supervisor) commitFailover(job *mpi.Job, world *mpi.Comm, rank, idx, gid, node int, failedAt, completed simnet.Time, announce bool) {
 	// A ring confirms on its next tick, which lands after DetectedAt when
 	// the timeout is off the period grid: the election may already be due.
 	s.cluster.Scheduler().At(max(completed, s.cluster.Now()), func() {
 		if job != s.CurrentJob() || job.Aborted() {
 			return
 		}
-		deadNode := -1
-		for _, m := range world.ReplicaGroup(rank) {
-			if m.GID() == f.GID {
-				deadNode = m.NodeID()
-			}
-		}
-		world.PruneReplica(f.GID)
+		world.PruneReplica(gid)
 		world.PromoteLeader(rank)
-		if p := s.cluster.Probe(); p.On(trace.CatFailover) {
+		if p := s.cluster.Probe(); announce && p.On(trace.CatFailover) {
 			p.Emit(trace.Span{Cat: trace.CatFailover,
 				Rank: int32(rank), Replica: int32(idx), Job: p.JobOf(job),
-				Start: int64(completed), Aux: int64(f.GID)})
+				Start: int64(completed), Aux: int64(gid)})
 		}
 		s.markDegraded(rank)
-		// The global fault notification quiesces every surviving process
-		// for the detection+election window — the whole recovery cost;
-		// nothing is rolled back or recomputed.
-		quiesce := completed - f.FailedAt
+		quiesce := completed - failedAt
 		for r := 0; r < s.layout.Procs; r++ {
 			for _, m := range world.ReplicaGroup(r) {
 				if !m.Failed() {
@@ -543,7 +550,7 @@ func (s *Supervisor) failover(job *mpi.Job, world *mpi.Comm, rank, idx int, f de
 				}
 			}
 		}
-		s.scheduleRespawn(job, world, rank, idx, deadNode)
+		s.scheduleRespawn(job, world, rank, idx, node)
 	})
 }
 
@@ -721,27 +728,10 @@ func (s *Supervisor) AbsorbFailure(r *mpi.Rank, world *mpi.Comm) bool {
 			Rank: int32(rank), Replica: int32(idx), Job: p.JobOf(job),
 			Start: int64(now), Aux: int64(victim.GID())})
 	}
-	s.cluster.Scheduler().At(completed, func() {
-		if job != s.CurrentJob() || job.Aborted() {
-			return
-		}
-		world.PruneReplica(spareProc.GID())
-		world.PromoteLeader(rank)
-		s.markDegraded(rank)
-		quiesce := completed - now
-		for rr := 0; rr < s.layout.Procs; rr++ {
-			for _, m := range world.ReplicaGroup(rr) {
-				if !m.Failed() {
-					job.Steal(m.GID(), quiesce)
-				}
-			}
-		}
-		// Refill the slot the takeover consumed; the spare's node is free
-		// again (the promoted twin executes on the victim's node — links
-		// between distinct nodes are identical, so the swap is timing-
-		// neutral).
-		s.scheduleRespawn(job, world, rank, idx, spareNode)
-	})
+	// The refill goes to the spare's node, free again (the promoted twin
+	// executes on the victim's node — links between distinct nodes are
+	// identical, so the swap is timing-neutral).
+	s.commitFailover(job, world, rank, idx, spareProc.GID(), spareNode, now, completed, false)
 	return true
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"match"
+	"match/internal/apps"
 	"match/internal/apps/appkit"
 	"match/internal/simnet"
 )
@@ -260,13 +261,13 @@ func (boomApp) Step(ctx *appkit.Context, iter int) error {
 }
 
 // A cell that panics is a failed cell of the sweep — the prefix plus its
-// error, a cell_finish carrying it — not a dead process. (It lives here
-// rather than in internal/core because the app registry has no removal, and
-// core's conformance tests run every registered application.)
+// error, a cell_finish carrying it — not a dead process. The app is
+// removed again, so no other test or example of the package sees it.
 func TestCellPanicIsAFailedCell(t *testing.T) {
 	if err := match.RegisterApp("boom", func() match.App { return boomApp{} }); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { apps.Unregister("boom") })
 	healthy := match.Config{App: "HPCCG", Design: match.ReinitFTI, Procs: 8, Nodes: 4,
 		Params: match.Params{NX: 6, NY: 6, NZ: 6, MaxIter: 10, WorkScale: 20}}
 	boom := match.Config{App: "boom", Design: match.ReinitFTI, Procs: 4, Nodes: 2,
