@@ -42,17 +42,34 @@ func HotSpareOf(c Config) bool {
 	return c.Design == ReplicaFTI && c.Replica.HotSpare
 }
 
+// pairKey is the one identity the campaign analyses pair results by: the
+// CellKey of the result's cell after vary has set the axes the comparison
+// varies, so two results compare exactly when they run the same cell but
+// for those axes, and an axis a request gains splits the pairs with no
+// analysis touched. A config that does not resolve (Cells never returns
+// one) keys by its error.
+func pairKey(cfg Config, vary func(*Config)) string {
+	vary(&cfg)
+	key, err := CellKey(cfg, 1)
+	if err != nil {
+		return "invalid: " + err.Error()
+	}
+	return key
+}
+
+// failureFree turns a cell into its failure-free twin.
+func failureFree(c *Config) { c.Faults, c.InjectFault, c.Schedule = 0, false, nil }
+
 // WriteCampaign renders campaign results: one block per application, one
 // row per (failure count, design) — and per detector, placement policy,
-// or replica factor, when the campaign sweeps those axes — with the
-// execution-time breakdown and the total overhead relative to that
-// design's own failure-free (k=0) campaign cell under the same detector,
-// policy, and factor.
+// replica factor or hot-spare variant, when the campaign sweeps those axes
+// — with the execution-time breakdown and the total overhead relative to
+// the row's failure-free twin: the same cell with no failures scheduled.
 func WriteCampaign(w io.Writer, results []Result) {
 	fmt.Fprintln(w, "== Multi-failure campaign: recovery time and total overhead vs failure count ==")
 	byApp := map[string][]Result{}
 	var apps []string
-	base := map[string]baseTotal{}
+	base := map[string]float64{}
 	detectorSweep, policySweep, factorSweep, spareSweep := false, false, false, false
 	for _, r := range results {
 		if _, ok := byApp[r.Config.App]; !ok {
@@ -60,7 +77,7 @@ func WriteCampaign(w io.Writer, results []Result) {
 		}
 		byApp[r.Config.App] = append(byApp[r.Config.App], r)
 		if r.Config.FaultCount() == 0 {
-			base[baselineKey(r.Config)] = baseTotal{t: r.Breakdown.Total.Seconds(), ok: true}
+			base[pairKey(r.Config, failureFree)] = r.Breakdown.Total.Seconds()
 		}
 		if r.Config.Detector.Kind != detect.Preset {
 			detectorSweep = true
@@ -118,11 +135,11 @@ func WriteCampaign(w io.Writer, results []Result) {
 		for _, r := range rs {
 			bd := r.Breakdown
 			over, overPct := "", ""
-			if b := base[baselineKey(r.Config)]; b.ok {
-				d := bd.Total.Seconds() - b.t
+			if b, ok := base[pairKey(r.Config, failureFree)]; ok {
+				d := bd.Total.Seconds() - b
 				over = fmt.Sprintf("%12.3f", d)
-				if b.t > 0 {
-					overPct = fmt.Sprintf("%11.1f%%", 100*d/b.t)
+				if b > 0 {
+					overPct = fmt.Sprintf("%11.1f%%", 100*d/b)
 				}
 			}
 			fmt.Fprintf(w, "%-8d %-12s", r.Config.FaultCount(), r.Config.Design)
@@ -152,22 +169,11 @@ func WriteCampaign(w io.Writer, results []Result) {
 	fmt.Fprintln(w)
 }
 
-// baseTotal is a present/absent failure-free total (seconds).
-type baseTotal struct {
-	t  float64
-	ok bool
-}
-
-func baselineKey(c Config) string {
-	return fmt.Sprintf("%s/%s/p%d/%s/%s/%s/rf%g/hs%t", c.App, c.Design, c.Procs, c.Input,
-		c.Detector, c.CkptPolicy, ReplicaFactorOf(c), HotSpareOf(c))
-}
-
 // DetectionTradeoff is one point of the detection-vs-interference curve: a
 // (design, detector) pair with its measured detection latency, recovery
 // time, and the steady-state cost of running that detector at all —
-// failure-free total time relative to the sweep's first detector
-// configuration for the same design and app.
+// failure-free total time relative to the same cell under the sweep's
+// first detector configuration.
 type DetectionTradeoff struct {
 	Design   Design
 	Detector string
@@ -176,7 +182,8 @@ type DetectionTradeoff struct {
 	DetectPerFailure   float64
 	RecoveryPerFailure float64
 	// InterferencePct is the failure-free (k=0) total-time overhead of
-	// this detector vs the sweep's baseline detector, averaged over apps.
+	// this detector vs the sweep's baseline detector, averaged over the
+	// failure-free cells it ran.
 	InterferencePct float64
 	Cells           int
 }
@@ -184,8 +191,10 @@ type DetectionTradeoff struct {
 // ComputeDetectionTradeoff derives the per-design trade-off curve from
 // campaign results that swept the detection axis: how buying a shorter
 // detection latency (faster heartbeats) raises steady-state interference,
-// and vice versa. The baseline for interference is the first detector
-// configuration seen per (app, design) — the sweep's first entry.
+// and vice versa. A failure-free cell's interference baseline is the first
+// failure-free result that runs the same cell but for its detector — the
+// sweep's first entry — so no other axis of a combined sweep is charged
+// to the detector.
 func ComputeDetectionTradeoff(results []Result) []DetectionTradeoff {
 	type key struct {
 		design   Design
@@ -198,30 +207,8 @@ func ComputeDetectionTradeoff(results []Result) []DetectionTradeoff {
 		interfN                int
 		cells                  int
 	}
-	// Failure-free baseline per (app, design, placement policy, replica
-	// config): first detector seen. Keying the non-detector axes keeps a
-	// combined sweep (e.g. -detector ring -ckpt-policy fixed,never) from
-	// charging placement effects to the detector's interference column.
-	type adKey struct {
-		app    string
-		design Design
-		policy string
-		dup    int
-		factor float64
-	}
-	keyOf := func(c Config) adKey {
-		return adKey{c.App, c.Design, c.CkptPolicy.String(), c.Replica.DupDegree, c.Replica.ReplicaFactor}
-	}
-	baseTotal := map[adKey]float64{}
-	for _, r := range results {
-		if r.Config.FaultCount() != 0 {
-			continue
-		}
-		k := keyOf(r.Config)
-		if _, ok := baseTotal[k]; !ok {
-			baseTotal[k] = r.Breakdown.Total.Seconds()
-		}
-	}
+	noDetector := func(c *Config) { c.Detector = detect.Config{} }
+	base := map[string]float64{}
 	accs := map[key]*acc{}
 	var order []key
 	for _, r := range results {
@@ -234,7 +221,13 @@ func ComputeDetectionTradeoff(results []Result) []DetectionTradeoff {
 		}
 		a.cells++
 		if r.Config.FaultCount() == 0 {
-			if b, ok := baseTotal[keyOf(r.Config)]; ok && b > 0 {
+			bk := pairKey(r.Config, noDetector)
+			b, ok := base[bk]
+			if !ok {
+				b = r.Breakdown.Total.Seconds()
+				base[bk] = b
+			}
+			if b > 0 {
 				a.interfSum += 100 * (r.Breakdown.Total.Seconds() - b) / b
 				a.interfN++
 			}

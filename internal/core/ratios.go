@@ -29,50 +29,39 @@ type Ratios struct {
 }
 
 // ComputeRatios derives the headline ratios from a result set containing
-// the designs for matching (app, procs, input) cells.
+// the designs for matching cells (designPeers). The recovery ratios skip a
+// failure-free cell by its zero recovery time, the total-time ratio by an
+// explicit failure count.
 func ComputeRatios(results []Result) Ratios {
-	type cell struct {
-		app, input string
-		procs      int
-	}
-	rec := map[cell]map[Design]Breakdown{}
-	var order []cell // first-seen order: deterministic float summation
 	var ratios Ratios
 	var ckptShareSum float64
 	var ckptN int
 	for _, r := range results {
-		c := cell{r.Config.App, r.Config.Input.String(), r.Config.Procs}
-		if rec[c] == nil {
-			rec[c] = map[Design]Breakdown{}
-			order = append(order, c)
-		}
-		rec[c][r.Config.Design] = r.Breakdown
 		if r.Breakdown.Total > 0 && r.Breakdown.Ckpt > 0 {
 			ckptShareSum += r.Breakdown.Ckpt.Seconds() / r.Breakdown.Total.Seconds()
 			ckptN++
 		}
 	}
 	var ur, rr, ru, rpr, rps []float64
-	for _, c := range order {
-		m := rec[c]
+	for _, m := range designPeers(results) {
 		re, haveRe := m[ReinitFTI]
 		ul, haveUl := m[UlfmFTI]
 		rs, haveRs := m[RestartFTI]
 		rp, haveRp := m[ReplicaFTI]
-		if haveRe && haveUl && re.Recovery > 0 {
-			ur = append(ur, ul.Recovery.Seconds()/re.Recovery.Seconds())
+		if haveRe && haveUl && re.Breakdown.Recovery > 0 {
+			ur = append(ur, ul.Breakdown.Recovery.Seconds()/re.Breakdown.Recovery.Seconds())
 		}
-		if haveRe && haveRs && re.Recovery > 0 {
-			rr = append(rr, rs.Recovery.Seconds()/re.Recovery.Seconds())
+		if haveRe && haveRs && re.Breakdown.Recovery > 0 {
+			rr = append(rr, rs.Breakdown.Recovery.Seconds()/re.Breakdown.Recovery.Seconds())
 		}
-		if haveUl && haveRs && ul.Recovery > 0 {
-			ru = append(ru, rs.Recovery.Seconds()/ul.Recovery.Seconds())
+		if haveUl && haveRs && ul.Breakdown.Recovery > 0 {
+			ru = append(ru, rs.Breakdown.Recovery.Seconds()/ul.Breakdown.Recovery.Seconds())
 		}
-		if haveRe && haveRp && rp.Recovery > 0 {
-			rpr = append(rpr, re.Recovery.Seconds()/rp.Recovery.Seconds())
+		if haveRe && haveRp && rp.Breakdown.Recovery > 0 {
+			rpr = append(rpr, re.Breakdown.Recovery.Seconds()/rp.Breakdown.Recovery.Seconds())
 		}
-		if haveRe && haveRp && re.Total > 0 {
-			rps = append(rps, rp.Total.Seconds()/re.Total.Seconds())
+		if haveRe && haveRp && re.Config.FaultCount() > 0 && re.Breakdown.Total > 0 {
+			rps = append(rps, rp.Breakdown.Total.Seconds()/re.Breakdown.Total.Seconds())
 		}
 	}
 	ratios.UlfmOverReinitAvg, ratios.UlfmOverReinitMax = avgMax(ur)
@@ -87,10 +76,31 @@ func ComputeRatios(results []Result) Ratios {
 	return ratios
 }
 
+// designPeers groups results by their design peer: the cell with Design
+// set to ReplicaFTI, so the designs of one sweep point — same failures,
+// detector, placement, replica factor and hot-spare variant — share a
+// group, one result per design. Groups come in first-seen order, which
+// keeps the float summation deterministic.
+func designPeers(results []Result) []map[Design]Result {
+	at := map[string]int{}
+	var groups []map[Design]Result
+	for _, r := range results {
+		key := pairKey(r.Config, func(c *Config) { c.Design = ReplicaFTI })
+		i, ok := at[key]
+		if !ok {
+			i = len(groups)
+			at[key] = i
+			groups = append(groups, map[Design]Result{})
+		}
+		groups[i][r.Config.Design] = r
+	}
+	return groups
+}
+
 // Crossover is the campaign-level headline: how the Replica/Reinit
 // end-to-end comparison moves as failures accumulate. For each failure
-// count k it averages, over the (app, procs, input) cells that ran both
-// designs, the ratio of Replica's total time to Reinit's; CrossoverK is
+// count k it averages, over the cells that ran both designs (designPeers),
+// the ratio of Replica's total time to Reinit's; CrossoverK is
 // the smallest k where replication wins end-to-end (ratio < 1) — the point
 // where paying replication's steady-state duplication is cheaper than
 // paying Reinit's k rollbacks — or -1 if it never does.
@@ -102,52 +112,27 @@ type Crossover struct {
 	Samples                   int
 }
 
-// ComputeCrossover derives the crossover analysis from campaign results.
-// Cells are additionally keyed by the swept axes (detector, placement
-// policy, replica factor), so a multi-axis campaign compares designs
-// within matching configurations instead of overwriting across the sweep.
+// ComputeCrossover derives the crossover analysis from campaign results,
+// comparing Replica with Reinit within each group of designPeers, so a
+// multi-axis campaign compares designs within matching configurations
+// instead of overwriting across the sweep.
 func ComputeCrossover(results []Result) Crossover {
-	type cell struct {
-		app, input       string
-		procs, k         int
-		detector, policy string
-		dup              int
-		rfactor          float64
-		hotSpare         bool
-	}
-	rec := map[cell]map[Design]Breakdown{}
-	var order []cell // first-seen order: deterministic float summation
-	for _, r := range results {
-		// The replica knobs are keyed raw (not via ReplicaFactorOf, which
-		// is design-dependent) so every design of one sweep point shares a
-		// cell. Hot-spare, being replica-only, is keyed effective: a sweep
-		// of both variants must not overwrite the replica breakdown, and
-		// the on-variant cells are compared via HotSpareCrossovers.
-		c := cell{r.Config.App, r.Config.Input.String(), r.Config.Procs, r.Config.FaultCount(),
-			r.Config.Detector.String(), r.Config.CkptPolicy.String(),
-			r.Config.Replica.DupDegree, r.Config.Replica.ReplicaFactor, HotSpareOf(r.Config)}
-		if rec[c] == nil {
-			rec[c] = map[Design]Breakdown{}
-			order = append(order, c)
-		}
-		rec[c][r.Config.Design] = r.Breakdown
-	}
 	totals := map[int][]float64{}
 	recovs := map[int][]float64{}
 	samples := 0
-	for _, c := range order {
-		m := rec[c]
+	for _, m := range designPeers(results) {
 		re, haveRe := m[ReinitFTI]
 		rp, haveRp := m[ReplicaFTI]
 		if !haveRe || !haveRp {
 			continue
 		}
 		samples++
-		if re.Total > 0 {
-			totals[c.k] = append(totals[c.k], rp.Total.Seconds()/re.Total.Seconds())
+		k := re.Config.FaultCount()
+		if re.Breakdown.Total > 0 {
+			totals[k] = append(totals[k], rp.Breakdown.Total.Seconds()/re.Breakdown.Total.Seconds())
 		}
-		if rp.Recovery > 0 {
-			recovs[c.k] = append(recovs[c.k], re.Recovery.Seconds()/rp.Recovery.Seconds())
+		if rp.Breakdown.Recovery > 0 {
+			recovs[k] = append(recovs[k], re.Breakdown.Recovery.Seconds()/rp.Breakdown.Recovery.Seconds())
 		}
 	}
 	var ks []int

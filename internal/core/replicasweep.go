@@ -7,12 +7,13 @@ import (
 )
 
 // ReplicaTradeoff is one point of the PartRePer-style combined-overhead
-// curve: a (app, placement policy, ReplicaFactor) cell of a campaign that
-// swept the replication axis, with the steady-state cost of replication
-// plus checkpointing on one side and the recovery speed it buys on the
-// other. The interesting regime is the combination: partial replication
-// with replica-aware placement pays for its duplicated processes partly
-// out of the checkpoints it no longer takes.
+// curve: one replica cell of a campaign that swept the replication axis —
+// its failure-free run and every failing run of the same cell — with the
+// steady-state cost of replication plus checkpointing on one side and the
+// recovery speed it buys on the other. The interesting regime is the
+// combination: partial replication with replica-aware placement pays for
+// its duplicated processes partly out of the checkpoints it no longer
+// takes.
 type ReplicaTradeoff struct {
 	App    string
 	Policy string
@@ -25,8 +26,8 @@ type ReplicaTradeoff struct {
 	CkptCount   int
 	CkptAvoided int
 	// TotalS is the failure-free total; OverheadPct is its overhead over
-	// the failure-free run at the sweep's lowest factor under the same
-	// policy (factor 0 — replication off — when the sweep includes it).
+	// the failure-free run of the same cell at the sweep's lowest factor
+	// (factor 0 — replication off — when the sweep includes it).
 	TotalS      float64
 	OverheadPct float64
 	// RecoveryPerFailure averages the recovery time per recovery event
@@ -37,33 +38,41 @@ type ReplicaTradeoff struct {
 
 // ComputeReplicaTradeoff derives the combined overhead-vs-ReplicaFactor
 // curve from campaign results that swept the replication axis
-// (CampaignRequest.ReplicaFactors): for every app and placement policy,
+// (CampaignRequest.ReplicaFactors): one row per failure-free twin, showing
 // how total overhead grows and recovery time shrinks as the replicated
-// fraction rises. Non-replica results are ignored.
+// fraction rises. A row's curve is the rows that run the same cell but for
+// the replica factor; rows sort by app, placement, the curve's sweep
+// order, then factor. Non-replica results are ignored.
 func ComputeReplicaTradeoff(results []Result) []ReplicaTradeoff {
-	type key struct {
-		app    string
-		policy string
-		factor float64
-	}
 	type acc struct {
 		row         ReplicaTradeoff
+		curve       int // first-seen index of the row's curve
 		recoverySum float64
 		recoveries  int
 		haveBase    bool
 	}
-	accs := map[key]*acc{}
-	var order []key
+	anyFactor := func(c *Config) {
+		failureFree(c)
+		c.Replica.DupDegree, c.Replica.ReplicaFactor = 0, 0
+	}
+	rows := map[string]*acc{}
+	curves := map[string]int{}
+	var order []*acc
 	for _, r := range results {
 		if r.Config.Design != ReplicaFTI {
 			continue
 		}
-		k := key{r.Config.App, r.Config.CkptPolicy.String(), ReplicaFactorOf(r.Config)}
-		a := accs[k]
+		twin := pairKey(r.Config, failureFree)
+		a := rows[twin]
 		if a == nil {
-			a = &acc{row: ReplicaTradeoff{App: k.app, Policy: k.policy, Factor: k.factor}}
-			accs[k] = a
-			order = append(order, k)
+			ck := pairKey(r.Config, anyFactor)
+			if _, ok := curves[ck]; !ok {
+				curves[ck] = len(curves)
+			}
+			a = &acc{curve: curves[ck], row: ReplicaTradeoff{App: r.Config.App,
+				Policy: r.Config.CkptPolicy.String(), Factor: ReplicaFactorOf(r.Config)}}
+			rows[twin] = a
+			order = append(order, a)
 		}
 		a.row.Cells++
 		bd := r.Breakdown
@@ -78,33 +87,35 @@ func ComputeReplicaTradeoff(results []Result) []ReplicaTradeoff {
 			a.recoveries += bd.Recoveries
 		}
 	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].app != order[j].app {
-			return order[i].app < order[j].app
+	sort.SliceStable(order, func(i, j int) bool {
+		a, b := order[i].row, order[j].row
+		if a.App != b.App {
+			return a.App < b.App
 		}
-		if order[i].policy != order[j].policy {
-			return order[i].policy < order[j].policy
+		if a.Policy != b.Policy {
+			return a.Policy < b.Policy
 		}
-		return order[i].factor < order[j].factor
+		if order[i].curve != order[j].curve {
+			return order[i].curve < order[j].curve
+		}
+		return a.Factor < b.Factor
 	})
-	// Overhead is relative to the same app+policy's lowest-factor cell —
-	// the curve's origin (the unreplicated baseline when the sweep
-	// includes factor 0). A hard-coded factor-0 lookup would silently
-	// report 0% everywhere on sweeps like "0.5,1.0".
-	baseFor := map[[2]string]float64{}
-	for _, k := range order { // order is sorted: first factor per (app, policy) is lowest
-		bk := [2]string{k.app, k.policy}
-		if _, ok := baseFor[bk]; !ok && accs[k].haveBase {
-			baseFor[bk] = accs[k].row.TotalS
+	// Overhead is relative to the curve's lowest-factor row — its origin
+	// (the unreplicated baseline when the sweep includes factor 0). A
+	// hard-coded factor-0 lookup would silently report 0% everywhere on
+	// sweeps like "0.5,1.0".
+	baseFor := map[int]float64{}
+	for _, a := range order { // sorted: a curve's first row with a base has its lowest factor
+		if _, ok := baseFor[a.curve]; !ok && a.haveBase {
+			baseFor[a.curve] = a.row.TotalS
 		}
 	}
 	out := make([]ReplicaTradeoff, 0, len(order))
-	for _, k := range order {
-		a := accs[k]
+	for _, a := range order {
 		if a.recoveries > 0 {
 			a.row.RecoveryPerFailure = a.recoverySum / float64(a.recoveries)
 		}
-		if base, ok := baseFor[[2]string{k.app, k.policy}]; ok && base > 0 {
+		if base, ok := baseFor[a.curve]; ok && base > 0 {
 			a.row.OverheadPct = 100 * (a.row.TotalS - base) / base
 		}
 		out = append(out, a.row)
