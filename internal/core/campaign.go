@@ -61,15 +61,17 @@ func pairKey(cfg Config, vary func(*Config)) string {
 func failureFree(c *Config) { c.Faults, c.InjectFault, c.Schedule = 0, false, nil }
 
 // WriteCampaign renders campaign results: one block per application, one
-// row per (failure count, design) — and per detector, placement policy,
-// replica factor or hot-spare variant, when the campaign sweeps those axes
-// — with the execution-time breakdown and the total overhead relative to
-// the row's failure-free twin: the same cell with no failures scheduled.
+// row per (failure count, design) — and per scale, input, detector,
+// placement policy, replica factor or hot-spare variant, when the results
+// hold more than one — with the execution-time breakdown and the total
+// overhead relative to the row's failure-free twin: the same cell with no
+// failures scheduled.
 func WriteCampaign(w io.Writer, results []Result) {
 	fmt.Fprintln(w, "== Multi-failure campaign: recovery time and total overhead vs failure count ==")
 	byApp := map[string][]Result{}
 	var apps []string
 	base := map[string]float64{}
+	procs, inputs := map[int]bool{}, map[InputSize]bool{}
 	detectorSweep, policySweep, factorSweep, spareSweep := false, false, false, false
 	for _, r := range results {
 		if _, ok := byApp[r.Config.App]; !ok {
@@ -79,6 +81,7 @@ func WriteCampaign(w io.Writer, results []Result) {
 		if r.Config.FaultCount() == 0 {
 			base[pairKey(r.Config, failureFree)] = r.Breakdown.Total.Seconds()
 		}
+		procs[r.Config.Procs], inputs[r.Config.Input] = true, true
 		if r.Config.Detector.Kind != detect.Preset {
 			detectorSweep = true
 		}
@@ -92,6 +95,7 @@ func WriteCampaign(w io.Writer, results []Result) {
 			spareSweep = true
 		}
 	}
+	procsSweep, inputSweep := len(procs) > 1, len(inputs) > 1
 	sort.Strings(apps)
 	for _, app := range apps {
 		rs := byApp[app]
@@ -115,6 +119,12 @@ func WriteCampaign(w io.Writer, results []Result) {
 		})
 		fmt.Fprintf(w, "\n-- %s --\n", app)
 		fmt.Fprintf(w, "%-8s %-12s", "faults", "design")
+		if procsSweep {
+			fmt.Fprintf(w, " %6s", "procs")
+		}
+		if inputSweep {
+			fmt.Fprintf(w, " %-6s", "input")
+		}
 		if detectorSweep {
 			fmt.Fprintf(w, " %-22s", "detector")
 		}
@@ -143,6 +153,12 @@ func WriteCampaign(w io.Writer, results []Result) {
 				}
 			}
 			fmt.Fprintf(w, "%-8d %-12s", r.Config.FaultCount(), r.Config.Design)
+			if procsSweep {
+				fmt.Fprintf(w, " %6d", r.Config.Procs)
+			}
+			if inputSweep {
+				fmt.Fprintf(w, " %-6s", r.Config.Input)
+			}
 			if detectorSweep {
 				fmt.Fprintf(w, " %-22s", r.Config.Detector)
 			}

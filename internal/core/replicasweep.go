@@ -15,8 +15,9 @@ import (
 // its duplicated processes partly out of the checkpoints it no longer
 // takes.
 type ReplicaTradeoff struct {
-	App    string
-	Policy string
+	App      string
+	Policy   string
+	Detector string
 	// Factor is the fraction of replicated ranks (0 = replication off).
 	Factor float64
 	// CkptS and CkptCount describe the failure-free (k=0) checkpoint
@@ -70,7 +71,8 @@ func ComputeReplicaTradeoff(results []Result) []ReplicaTradeoff {
 				curves[ck] = len(curves)
 			}
 			a = &acc{curve: curves[ck], row: ReplicaTradeoff{App: r.Config.App,
-				Policy: r.Config.CkptPolicy.String(), Factor: ReplicaFactorOf(r.Config)}}
+				Policy: r.Config.CkptPolicy.String(), Detector: r.Config.Detector.String(),
+				Factor: ReplicaFactorOf(r.Config)}}
 			rows[twin] = a
 			order = append(order, a)
 		}
@@ -124,18 +126,30 @@ func ComputeReplicaTradeoff(results []Result) []ReplicaTradeoff {
 }
 
 // WriteReplicaTradeoff renders the combined overhead-vs-ReplicaFactor
-// curve.
+// curve, with a detector column when the rows ran more than one.
 func WriteReplicaTradeoff(w io.Writer, rows []ReplicaTradeoff) {
 	if len(rows) == 0 {
 		return
 	}
-	fmt.Fprintln(w, "== ReplicaFactor sweep: combined overhead vs replicated fraction (PartRePer trade-off) ==")
-	fmt.Fprintf(w, "%-10s %8s %-24s %10s %8s %8s %15s %10s %12s\n",
-		"app", "rfactor", "placement", "ckpt(s)", "ckpts", "avoided", "recover/fail(s)", "total(s)", "overhead(%)")
+	detectors := map[string]bool{}
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s %8.2f %-24s %10.3f %8d %8d %15.3f %10.3f %11.1f%%\n",
-			r.App, r.Factor, r.Policy, r.CkptS, r.CkptCount, r.CkptAvoided,
-			r.RecoveryPerFailure, r.TotalS, r.OverheadPct)
+		detectors[r.Detector] = true
+	}
+	detectorSweep := len(detectors) > 1
+	fmt.Fprintln(w, "== ReplicaFactor sweep: combined overhead vs replicated fraction (PartRePer trade-off) ==")
+	fmt.Fprintf(w, "%-10s %8s %-24s", "app", "rfactor", "placement")
+	if detectorSweep {
+		fmt.Fprintf(w, " %-22s", "detector")
+	}
+	fmt.Fprintf(w, " %10s %8s %8s %15s %10s %12s\n",
+		"ckpt(s)", "ckpts", "avoided", "recover/fail(s)", "total(s)", "overhead(%)")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-10s %8.2f %-24s", r.App, r.Factor, r.Policy)
+		if detectorSweep {
+			fmt.Fprintf(w, " %-22s", r.Detector)
+		}
+		fmt.Fprintf(w, " %10.3f %8d %8d %15.3f %10.3f %11.1f%%\n",
+			r.CkptS, r.CkptCount, r.CkptAvoided, r.RecoveryPerFailure, r.TotalS, r.OverheadPct)
 	}
 	fmt.Fprintln(w)
 }
