@@ -68,18 +68,20 @@ func failureFree(c *Config) { c.Faults, c.InjectFault, c.Schedule = 0, false, ni
 // failures scheduled.
 func WriteCampaign(w io.Writer, results []Result) {
 	fmt.Fprintln(w, "== Multi-failure campaign: recovery time and total overhead vs failure count ==")
-	byApp := map[string][]Result{}
+	byApp := map[string][]int{} // indices into results
 	var apps []string
+	twin := make([]string, len(results))
 	base := map[string]float64{}
 	procs, inputs := map[int]bool{}, map[InputSize]bool{}
 	detectorSweep, policySweep, factorSweep, spareSweep := false, false, false, false
-	for _, r := range results {
+	for i, r := range results {
 		if _, ok := byApp[r.Config.App]; !ok {
 			apps = append(apps, r.Config.App)
 		}
-		byApp[r.Config.App] = append(byApp[r.Config.App], r)
+		byApp[r.Config.App] = append(byApp[r.Config.App], i)
+		twin[i] = pairKey(r.Config, failureFree)
 		if r.Config.FaultCount() == 0 {
-			base[pairKey(r.Config, failureFree)] = r.Breakdown.Total.Seconds()
+			base[twin[i]] = r.Breakdown.Total.Seconds()
 		}
 		procs[r.Config.Procs], inputs[r.Config.Input] = true, true
 		if r.Config.Detector.Kind != detect.Preset {
@@ -100,22 +102,23 @@ func WriteCampaign(w io.Writer, results []Result) {
 	for _, app := range apps {
 		rs := byApp[app]
 		sort.SliceStable(rs, func(i, j int) bool {
-			if a, b := rs[i].Config.FaultCount(), rs[j].Config.FaultCount(); a != b {
+			ci, cj := results[rs[i]].Config, results[rs[j]].Config
+			if a, b := ci.FaultCount(), cj.FaultCount(); a != b {
 				return a < b
 			}
-			if a, b := rs[i].Config.Design, rs[j].Config.Design; a != b {
+			if a, b := ci.Design, cj.Design; a != b {
 				return a < b
 			}
-			if a, b := ReplicaFactorOf(rs[i].Config), ReplicaFactorOf(rs[j].Config); a != b {
+			if a, b := ReplicaFactorOf(ci), ReplicaFactorOf(cj); a != b {
 				return a < b
 			}
-			if a, b := rs[i].Config.CkptPolicy.String(), rs[j].Config.CkptPolicy.String(); a != b {
+			if a, b := ci.CkptPolicy.String(), cj.CkptPolicy.String(); a != b {
 				return a < b
 			}
-			if a, b := HotSpareOf(rs[i].Config), HotSpareOf(rs[j].Config); a != b {
+			if a, b := HotSpareOf(ci), HotSpareOf(cj); a != b {
 				return !a // hot-spare off sorts first (the baseline)
 			}
-			return rs[i].Config.Detector.String() < rs[j].Config.Detector.String()
+			return ci.Detector.String() < cj.Detector.String()
 		})
 		fmt.Fprintf(w, "\n-- %s --\n", app)
 		fmt.Fprintf(w, "%-8s %-12s", "faults", "design")
@@ -142,10 +145,10 @@ func WriteCampaign(w io.Writer, results []Result) {
 			fmt.Fprintf(w, " %10s", "detect(s)")
 		}
 		fmt.Fprintf(w, " %12s %12s %12s\n", "total(s)", "overhead(s)", "overhead(%)")
-		for _, r := range rs {
-			bd := r.Breakdown
+		for _, i := range rs {
+			r, bd := results[i], results[i].Breakdown
 			over, overPct := "", ""
-			if b, ok := base[pairKey(r.Config, failureFree)]; ok {
+			if b, ok := base[twin[i]]; ok {
 				d := bd.Total.Seconds() - b
 				over = fmt.Sprintf("%12.3f", d)
 				if b > 0 {
