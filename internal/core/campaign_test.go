@@ -141,15 +141,15 @@ func TestCampaignDeterministicAcrossWorkerCounts(t *testing.T) {
 // TestCampaignAllAppsK3Small64 pins the campaign acceptance bar: a k=3
 // campaign completes on every app x design pair at the paper-scale
 // default configuration (64 procs, Small input), with every scheduled
-// failure fired.
+// failure fired. Without -figures it runs the same matrix at 8 procs.
 func TestCampaignAllAppsK3Small64(t *testing.T) {
 	if testing.Short() {
-		t.Skip("64-proc campaign matrix skipped in -short mode")
+		t.Skip("campaign matrix skipped in -short mode")
 	}
 	var cfgs []Config
 	for _, app := range allApps {
 		for _, d := range Designs() {
-			cfgs = append(cfgs, Config{App: app, Design: d, Procs: 64,
+			cfgs = append(cfgs, Config{App: app, Design: d, Procs: acceptanceProcs(),
 				Input: Small, Faults: 3, FaultSeed: 1})
 		}
 	}

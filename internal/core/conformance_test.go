@@ -138,15 +138,16 @@ func TestCampaignConformanceMatrix(t *testing.T) {
 // TestReplicaAllAppsSmall64 pins the acceptance bar of the ReplicaFTI
 // extension: the paper-scale default configuration (64 procs, Small input)
 // must run under replication for all six proxy applications, and rerun to
-// a byte-identical breakdown.
+// a byte-identical breakdown. Without -figures it runs the same cells at 8
+// procs.
 func TestReplicaAllAppsSmall64(t *testing.T) {
 	if testing.Short() {
-		t.Skip("64-proc sweep skipped in -short mode")
+		t.Skip("replica sweep skipped in -short mode")
 	}
 	// Every cell twice, both simulated (no store): slots 2i and 2i+1.
 	var cfgs []Config
 	for _, app := range apps.Names() {
-		cfg := Config{App: app, Design: ReplicaFTI, Procs: 64, Input: Small,
+		cfg := Config{App: app, Design: ReplicaFTI, Procs: acceptanceProcs(), Input: Small,
 			Faults: 1, FaultSeed: 1}
 		cfgs = append(cfgs, cfg, cfg)
 	}

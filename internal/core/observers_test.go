@@ -26,6 +26,16 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // every figure, ablation, campaign and CLI row.
 var allFigures = flag.Bool("figures", false, "run every row of TestPaperFiguresGolden, not only the conformance cells")
 
+// acceptanceProcs is the scale of the paper-scale acceptance tests: the
+// paper's 64 processes under -figures, and an 8-process slice of the same
+// matrix in plain go test.
+func acceptanceProcs() int {
+	if *allFigures {
+		return 64
+	}
+	return 8
+}
+
 // golden compares got against testdata/name, rewriting the file under
 // -update.
 func golden(t *testing.T, name string, got []byte) {
