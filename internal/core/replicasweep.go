@@ -139,14 +139,14 @@ func WriteReplicaTradeoff(w io.Writer, rows []ReplicaTradeoff) {
 	fmt.Fprintln(w, "== ReplicaFactor sweep: combined overhead vs replicated fraction (PartRePer trade-off) ==")
 	fmt.Fprintf(w, "%-10s %8s %-24s", "app", "rfactor", "placement")
 	if detectorSweep {
-		fmt.Fprintf(w, " %-22s", "detector")
+		fmt.Fprintf(w, " %-23s", "detector")
 	}
 	fmt.Fprintf(w, " %10s %8s %8s %15s %10s %12s\n",
 		"ckpt(s)", "ckpts", "avoided", "recover/fail(s)", "total(s)", "overhead(%)")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-10s %8.2f %-24s", r.App, r.Factor, r.Policy)
 		if detectorSweep {
-			fmt.Fprintf(w, " %-22s", r.Detector)
+			fmt.Fprintf(w, " %-23s", r.Detector)
 		}
 		fmt.Fprintf(w, " %10.3f %8d %8d %15.3f %10.3f %11.1f%%\n",
 			r.CkptS, r.CkptCount, r.CkptAvoided, r.RecoveryPerFailure, r.TotalS, r.OverheadPct)
