@@ -57,9 +57,6 @@ func pairKey(cfg Config, vary func(*Config)) string {
 	return key
 }
 
-// failureFree turns a cell into its failure-free twin.
-func failureFree(c *Config) { c.Faults, c.InjectFault, c.Schedule = 0, false, nil }
-
 // WriteCampaign renders campaign results: one block per application, one
 // row per (failure count, design) — and per scale, input, detector,
 // placement policy, replica factor or hot-spare variant, when the results

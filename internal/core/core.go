@@ -219,6 +219,10 @@ func (c Config) FaultCount() int {
 	return 0
 }
 
+// failureFree turns a cell into its failure-free twin: every spelling of a
+// failure FaultCount reads is cleared.
+func failureFree(c *Config) { c.Faults, c.InjectFault, c.Schedule = 0, false, nil }
+
 // Breakdown is the measured result of one run: the stacked components of
 // the paper's Figures 5/6/8/9 plus bookkeeping.
 type Breakdown struct {
