@@ -307,9 +307,6 @@ func (f *FTI) ProtectedBytes() int64 {
 // LatestCheckpoint returns the id of the newest committed checkpoint, or -1.
 func (f *FTI) LatestCheckpoint() int64 { return f.latest }
 
-// Comm returns the communicator FTI is operating on.
-func (f *FTI) Comm() *mpi.Comm { return f.comm }
-
 // idPath is base + name + the decimal id, built with one allocation: the
 // string itself.
 func (f *FTI) idPath(name string, id int64) string {

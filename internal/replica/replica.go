@@ -301,9 +301,6 @@ func Supervise(c *simnet.Cluster, cfg Config, dcfg detect.Config, n int, main fu
 	return s
 }
 
-// Layout returns the replica-group structure in use.
-func (s *Supervisor) Layout() Layout { return s.layout }
-
 // World returns the current incarnation's replica-aware world.
 func (s *Supervisor) World() *mpi.Comm { return s.world }
 

@@ -102,14 +102,6 @@ func NewMemory(maxEntries int) *Store {
 // Enabled reports whether a store is attached (s non-nil).
 func (s *Store) Enabled() bool { return s != nil }
 
-// Dir reports the backing directory ("" for a memory-only store).
-func (s *Store) Dir() string {
-	if s == nil {
-		return ""
-	}
-	return s.dir
-}
-
 // validKey guards the disk path: keys are lowercase hex digests, so a
 // malformed key can never escape the object directory.
 func validKey(key string) error {
