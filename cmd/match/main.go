@@ -253,7 +253,7 @@ func main() {
 	}
 	if *traceMetrics {
 		fmt.Println()
-		cfg.Trace.WriteMetrics(os.Stdout, core.TraceTotalsOf(bd), d == core.ReplicaFTI)
+		cfg.Trace.WriteMetrics(os.Stdout, core.TraceTotalsOf(bd))
 	}
 	if *metricsOn {
 		fmt.Println()

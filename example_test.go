@@ -422,7 +422,7 @@ func ExampleNewTraceRecorder() {
 	// The per-phase table: the trace's own sums next to the breakdown's,
 	// reconciled column by column.
 	fmt.Println()
-	rec.WriteMetrics(os.Stdout, match.TraceTotalsOf(bd), cfg.Design == match.ReplicaFTI)
+	rec.WriteMetrics(os.Stdout, match.TraceTotalsOf(bd))
 
 	// Perfetto export: write it to a file and drop that on
 	// https://ui.perfetto.dev to see one track per rank (shadows as

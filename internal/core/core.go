@@ -286,30 +286,31 @@ type Breakdown struct {
 
 // recorder accumulates per-rank results across job incarnations.
 type recorder struct {
-	sigs        map[int]float64
-	finish      map[int]simnet.Time
-	ckptTime    simnet.Time // rank 0's, over every incarnation
-	ckptCount   int
-	ckptBytes   int64
-	ckptCountAt [5]int
-	ckptBytesAt [5]int64
+	sigs   map[int]float64
+	finish map[int]simnet.Time
 	// liveFTI holds each rank's most recent FTI instance; the hot-spare
 	// runtime sizes its state transfers from the instance's live protected
 	// footprint (all replicas of a rank register identical objects, so any
 	// instance answers for the rank).
 	liveFTI map[int]*fti.FTI
 	errs    []error
+	// stops holds every FTI instance in the order it stopped; booked turns
+	// a rank's into the figures the Breakdown reports.
+	stops []ftiStop
+	// raw sums the stats of every instance of every rank, replicas not
+	// deduplicated: what the metrics registry counts at write time, summed
+	// here at teardown by an independent path.
+	raw fti.Stats
+}
 
-	// Raw (un-deduplicated, all-rank) FTI sums across every instance that
-	// ran, mirroring what the metrics registry counts at write time. The
-	// Breakdown's checkpoint figures are rank-0 (and, for the replica
-	// design, per-job-best) views, so reconciliation needs this independent
-	// teardown-time total.
-	rawCkptCount   int64
-	rawCkptBytes   int64
-	rawCkptCountAt [5]int64
-	rawCkptBytesAt [5]int64
-	rawRestores    int64
+// ftiStop is one FTI instance of a rank: its job incarnation, the replica
+// index it started as (0 unless the world is replicated) and its stats
+// when it stopped.
+type ftiStop struct {
+	job     *mpi.Job
+	rank    int
+	replica int
+	st      fti.Stats
 }
 
 func newRecorder() *recorder {
@@ -320,30 +321,61 @@ func newRecorder() *recorder {
 	}
 }
 
-// addFTIStats accumulates one rank-instance's FTI stats (the single-
-// process-per-rank designs call it directly from runApp's defer).
-func (rec *recorder) addFTIStats(rank int, st fti.Stats) {
-	if rank == 0 {
-		rec.ckptTime += st.CkptTime
-		rec.ckptCount += st.CkptCount
-		rec.ckptBytes += st.CkptBytes
-		for l := range st.CkptCountAt {
-			rec.ckptCountAt[l] += st.CkptCountAt[l]
-			rec.ckptBytesAt[l] += st.CkptBytesAt[l]
-		}
-	}
+// stopped records an FTI instance that stopped, normally or by teardown.
+func (rec *recorder) stopped(s ftiStop) {
+	rec.stops = append(rec.stops, s)
+	addStats(&rec.raw, s.st)
 }
 
-// addRaw accumulates one instance's FTI stats into the raw all-instance
-// sums (every instance of every rank, replicas not deduplicated).
-func (rec *recorder) addRaw(st fti.Stats) {
-	rec.rawCkptCount += int64(st.CkptCount)
-	rec.rawCkptBytes += st.CkptBytes
-	for l := range st.CkptCountAt {
-		rec.rawCkptCountAt[l] += int64(st.CkptCountAt[l])
-		rec.rawCkptBytesAt[l] += st.CkptBytesAt[l]
+// booked is the one rule for the FTI stats a rank books. Every replica of
+// a rank runs the same checkpoints, so a job books them once: per job
+// incarnation, the rank's instances are summed per replica index and the
+// replica with the largest checkpoint time counts (on a tie, the one that
+// stopped later). Jobs add up. A rank that is not replicated is its own
+// only replica, so its re-entered instances (Reinit, ULFM) add up too.
+// trace.Recorder.Totals applies the same rule to the checkpoint spans.
+func (rec *recorder) booked(rank int) fti.Stats {
+	type group struct {
+		job     *mpi.Job
+		replica int
 	}
-	rec.rawRestores += int64(st.RecoverOps)
+	sums := make(map[group]*fti.Stats)
+	best := make(map[*mpi.Job]*fti.Stats)
+	for _, s := range rec.stops {
+		if s.rank != rank {
+			continue
+		}
+		g := group{s.job, s.replica}
+		sum := sums[g]
+		if sum == nil {
+			sum = new(fti.Stats)
+			sums[g] = sum
+		}
+		addStats(sum, s.st)
+		// Sums only grow, so the latest group to reach the maximum is the
+		// one that stopped later among the tied.
+		if b := best[s.job]; b == nil || sum.CkptTime >= b.CkptTime {
+			best[s.job] = sum
+		}
+	}
+	var total fti.Stats
+	for _, sum := range best {
+		addStats(&total, *sum)
+	}
+	return total
+}
+
+// addStats adds one instance's stats to sum.
+func addStats(sum *fti.Stats, st fti.Stats) {
+	sum.CkptTime += st.CkptTime
+	sum.CkptCount += st.CkptCount
+	sum.CkptBytes += st.CkptBytes
+	for l := range st.CkptCountAt {
+		sum.CkptCountAt[l] += st.CkptCountAt[l]
+		sum.CkptBytesAt[l] += st.CkptBytesAt[l]
+	}
+	sum.RecoverTime += st.RecoverTime
+	sum.RecoverOps += st.RecoverOps
 }
 
 // runDeadline is every run's virtual deadline: the net that turns a
@@ -413,22 +445,21 @@ func Run(cfg Config) (Breakdown, error) {
 	execID := fmt.Sprintf("%s-%s-p%d-%s-k%d-s%d", rc.App, rc.Design, rc.Procs, rc.Input, k, rc.Seed)
 	rec := newRecorder()
 
-	// runApp is the shared resilient main: FTI + the Figure-1 loop.
-	// record receives the rank's FTI stats when it stops running (normally
-	// or by teardown); designs that run one process per rank accumulate
-	// directly, while the replica design deduplicates across the replicas
-	// of a rank first.
-	runApp := func(r *mpi.Rank, world *mpi.Comm, record func(rank int, st fti.Stats)) error {
+	// runApp is the shared resilient main: FTI + the Figure-1 loop. The
+	// recorder gets the instance's stats when it stops running (normally or
+	// by teardown), under the replica index it started as: a hot-spare
+	// failover can re-index a survivor mid-run.
+	runApp := func(r *mpi.Rank, world *mpi.Comm) error {
+		rank, replica := r.Rank(world), 0
+		if world.Replicated() {
+			replica = world.ReplicaIndexOf(r.Process().GID())
+		}
 		f, ferr := fti.Init(fti.Config{Level: rc.FTILevel, ExecID: execID}, r, world, st)
 		if ferr != nil {
 			return ferr
 		}
-		rank := r.Rank(world)
 		rec.liveFTI[rank] = f
-		defer func() {
-			rec.addRaw(f.Stats)
-			record(rank, f.Stats)
-		}()
+		defer func() { rec.stopped(ftiStop{r.Job(), rank, replica, f.Stats}) }()
 		ctx := &appkit.Context{R: r, World: world, FTI: f, Inject: inj, Params: rc.params,
 			Ckpt: planner.Policy()}
 		sig, aerr := appkit.RunMainLoop(ctx, rc.factory())
@@ -512,7 +543,8 @@ func Run(cfg Config) (Breakdown, error) {
 			bd.Total = t
 		}
 	}
-	bd.Ckpt = rec.ckptTime
+	ck := rec.booked(0)
+	bd.Ckpt = ck.CkptTime
 	bd.App = bd.Total - bd.Ckpt - bd.Recovery
 	bd.Completed = len(rec.sigs) == rc.Procs
 	if !bd.Completed {
@@ -523,10 +555,8 @@ func Run(cfg Config) (Breakdown, error) {
 	}
 	bd.FaultsInjected = inj.FiredCount()
 	bd.Signature = rec.sigs[0]
-	bd.CkptCount = rec.ckptCount
-	bd.CkptBytes = rec.ckptBytes
-	bd.CkptCountAt = rec.ckptCountAt
-	bd.CkptBytesAt = rec.ckptBytesAt
+	bd.CkptCount, bd.CkptBytes = ck.CkptCount, ck.CkptBytes
+	bd.CkptCountAt, bd.CkptBytesAt = ck.CkptCountAt, ck.CkptBytesAt
 	bd.CkptAvoided = planner.Avoided()
 	if deadlineErr != nil {
 		return bd, deadlineErr
@@ -549,7 +579,7 @@ func Run(cfg Config) (Breakdown, error) {
 	// drifted from the measurement it mirrors — fail the run rather than
 	// report a timeline that disagrees with the numbers.
 	if tr := cfg.Trace; tr.Enabled() {
-		if rerr := tr.Reconcile(TraceTotalsOf(bd), rc.Design == ReplicaFTI); rerr != nil {
+		if rerr := tr.Reconcile(TraceTotalsOf(bd)); rerr != nil {
 			return bd, fmt.Errorf("core: %w", rerr)
 		}
 	}
@@ -568,11 +598,11 @@ func Run(cfg Config) (Breakdown, error) {
 			Respawns:     int64(bd.Respawns),
 			PolicyAvoids: int64(bd.CkptAvoided),
 			LeakedEvents: int64(bd.LeakedEvents),
-			Checkpoints:  rec.rawCkptCount,
-			CkptBytes:    rec.rawCkptBytes,
-			CkptCountAt:  rec.rawCkptCountAt,
-			CkptBytesAt:  rec.rawCkptBytesAt,
-			Restores:     rec.rawRestores,
+			Checkpoints:  int64(rec.raw.CkptCount),
+			CkptBytes:    rec.raw.CkptBytes,
+			CkptCountAt:  rec.raw.CkptCountAt,
+			CkptBytesAt:  rec.raw.CkptBytesAt,
+			Restores:     int64(rec.raw.RecoverOps),
 		}); rerr != nil {
 			return bd, fmt.Errorf("core: %w", rerr)
 		}
@@ -619,7 +649,7 @@ func drive(cluster *simnet.Cluster) (err error) {
 }
 
 // appMain is runApp's shape: the resilient main every design hands its ranks.
-type appMain func(r *mpi.Rank, world *mpi.Comm, record func(rank int, st fti.Stats)) error
+type appMain func(r *mpi.Rank, world *mpi.Comm) error
 
 // outcome is what a design's runtime knows once its run is over. A design
 // is an arm function: it returns the runtime's recovery log — which grows as
@@ -645,7 +675,7 @@ func (rec *recorder) note(err error) {
 
 func armRestart(rc resolvedCell, cluster *simnet.Cluster, rec *recorder, runApp appMain) (*[]mpi.Recovery, func() outcome) {
 	sup := restart.Supervise(cluster, rc.Detector, rc.Procs, func(r *mpi.Rank) {
-		rec.note(runApp(r, r.Job().World(), rec.addFTIStats))
+		rec.note(runApp(r, r.Job().World()))
 	})
 	return &sup.Recoveries, func() outcome {
 		return outcome{detectors: sup.Detectors, jobs: sup.Jobs,
@@ -657,7 +687,7 @@ func armReinit(rc resolvedCell, cluster *simnet.Cluster, rec *recorder, runApp a
 	var rt *reinit.Runtime
 	job := mpi.Launch(cluster, rc.Procs, 0, func(r *mpi.Rank) { rec.note(rt.Run(r)) })
 	rt = reinit.NewRuntime(job, rc.Detector, func(r *mpi.Rank, _ reinit.State) error {
-		return runApp(r, rt.World(), rec.addFTIStats)
+		return runApp(r, rt.World())
 	})
 	return &rt.Recoveries, func() outcome {
 		rt.Stop()
@@ -669,7 +699,7 @@ func armUlfm(rc resolvedCell, cluster *simnet.Cluster, rec *recorder, runApp app
 	var rt *ulfm.Runtime
 	job := mpi.Launch(cluster, rc.Procs, 0, func(r *mpi.Rank) { rec.note(rt.RunResilient(r)) })
 	rt = ulfm.NewRuntime(job, *rc.Ulfm, rc.Detector, func(r *mpi.Rank, world *mpi.Comm, _ bool) error {
-		return runApp(r, world, rec.addFTIStats)
+		return runApp(r, world)
 	})
 	return &rt.Recoveries, func() outcome {
 		rt.Stop()
@@ -688,24 +718,8 @@ func armReplica(rc resolvedCell, cluster *simnet.Cluster, rec *recorder, runApp 
 		}
 		return 0
 	}
-	// All replicas of a rank run the identical checkpoints, so their FTI
-	// stats must be deduplicated, not summed: per incarnation and rank,
-	// keep the stats of the replica that got furthest (the one that
-	// finished, or ran longest before dying), then accumulate across
-	// incarnations like the restart design does.
-	perJob := make(map[*mpi.Job]map[int]fti.Stats)
-	sup := replica.Supervise(cluster, rcfg, rc.Detector, rc.Procs, func(r *mpi.Rank, world *mpi.Comm, idx int) {
-		job := r.Job()
-		rec.note(runApp(r, world, func(rank int, st fti.Stats) {
-			best := perJob[job]
-			if best == nil {
-				best = make(map[int]fti.Stats)
-				perJob[job] = best
-			}
-			if st.CkptTime >= best[rank].CkptTime {
-				best[rank] = st
-			}
-		}))
+	sup := replica.Supervise(cluster, rcfg, rc.Detector, rc.Procs, func(r *mpi.Rank, world *mpi.Comm, _ int) {
+		rec.note(runApp(r, world))
 	})
 	// A fired kill is absorbed — the executing victim survives as its
 	// lockstep spare — when the rank has a live hot spare; a kill inside
@@ -719,11 +733,6 @@ func armReplica(rc resolvedCell, cluster *simnet.Cluster, rec *recorder, runApp 
 	// goes live.
 	planner.Degree = sup.MinLiveDegree
 	return &sup.Recoveries, func() outcome {
-		for _, j := range sup.Jobs {
-			for rank := 0; rank < rc.Procs; rank++ {
-				rec.addFTIStats(rank, perJob[j][rank])
-			}
-		}
 		return outcome{detectors: sup.Detectors, jobs: sup.Jobs,
 			gaveUp: sup.GaveUp, relaunches: sup.Relaunches(),
 			respawns: sup.Respawns(), spawnTime: sup.SpawnTime()}

@@ -8,6 +8,9 @@ import (
 
 	"match/internal/apps/appkit"
 	"match/internal/ckpt"
+	"match/internal/fti"
+	"match/internal/mpi"
+	"match/internal/simnet"
 	"match/internal/store"
 )
 
@@ -376,5 +379,31 @@ func TestComputeRatios(t *testing.T) {
 	r.Write(&sb)
 	if !strings.Contains(sb.String(), "ULFM / Reinit") {
 		t.Fatal("ratio report malformed")
+	}
+}
+
+// A rank books its checkpoints by one rule: per job, its instances are
+// summed per replica index, the replica with the largest checkpoint time
+// counts (on a tie, the one that stopped later), and jobs add up. Other
+// ranks' instances never count, every instance counts in the raw sum.
+func TestBookedIsOneRule(t *testing.T) {
+	j1, j2 := new(mpi.Job), new(mpi.Job)
+	stats := func(ckpt, count int) fti.Stats { return fti.Stats{CkptTime: simnet.Time(ckpt), CkptCount: count} }
+	rec := newRecorder()
+	for _, s := range []ftiStop{
+		{j1, 0, 0, stats(40, 4)},
+		{j1, 0, 1, stats(25, 2)},
+		{j1, 1, 0, stats(99, 9)}, // rank 1
+		{j1, 0, 1, stats(15, 1)}, // replica 1 reaches 40 later: it wins the tie
+		{j2, 0, 0, stats(10, 1)},
+		{j2, 0, 0, stats(7, 1)}, // re-entered in the same job: summed
+	} {
+		rec.stopped(s)
+	}
+	if got, want := rec.booked(0), stats(40+17, 3+2); got != want {
+		t.Fatalf("booked(0) = %+v, want %+v", got, want)
+	}
+	if got, want := rec.raw, stats(196, 18); got != want {
+		t.Fatalf("raw = %+v, want %+v", got, want)
 	}
 }

@@ -57,7 +57,7 @@ func TestTraceReconcileCatchesCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatalf("traced run: %v", err)
 	}
-	if err := cfg.Trace.Reconcile(TraceTotalsOf(bd), false); err != nil {
+	if err := cfg.Trace.Reconcile(TraceTotalsOf(bd)); err != nil {
 		t.Fatalf("clean trace failed reconciliation: %v", err)
 	}
 	spans := cfg.Trace.Spans()
@@ -72,7 +72,7 @@ func TestTraceReconcileCatchesCorruption(t *testing.T) {
 	if !corrupted {
 		t.Fatal("no rank-0 checkpoint span to corrupt")
 	}
-	err = cfg.Trace.Reconcile(TraceTotalsOf(bd), false)
+	err = cfg.Trace.Reconcile(TraceTotalsOf(bd))
 	if err == nil {
 		t.Fatal("reconciliation accepted a corrupted checkpoint span")
 	}

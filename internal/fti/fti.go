@@ -156,11 +156,11 @@ type FTI struct {
 
 	// probe is the run's observer probe, captured at Init (nil when
 	// observers are off), and ident the span identity of this instance:
-	// rank, replica, job, and the actor id that groups checkpoint spans by
-	// FTI instance so the trace reconciliation can mirror the harness's
-	// per-replica stats dedup. Checkpoint/restore spans are emitted at write
-	// time, which is the independent path the harness reconciles against
-	// its teardown-accumulated Stats.
+	// rank, job, and the replica index it started as, by which the trace
+	// reconciliation books a rank's checkpoints as the harness does.
+	// Checkpoint/restore spans are emitted at write time, which is the
+	// independent path the harness reconciles against its
+	// teardown-accumulated Stats.
 	probe *obs.Probe
 	ident trace.Span
 }
@@ -192,7 +192,7 @@ func Init(cfg Config, r *mpi.Rank, comm *mpi.Comm, st *storage.System) (*FTI, er
 	f.base = fmt.Sprintf("fti/%s/r%05d/", cfg.ExecID, f.rank)
 	if p := r.Job().Cluster().Probe(); p != nil {
 		f.probe = p
-		f.ident = trace.Span{Rank: int32(f.rank), Job: p.JobOf(r.Job()), Actor: p.NewActor()}
+		f.ident = trace.Span{Rank: int32(f.rank), Job: p.JobOf(r.Job())}
 		if comm.Replicated() {
 			f.ident.Replica = int32(comm.ReplicaIndexOf(r.Process().GID()))
 		}

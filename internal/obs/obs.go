@@ -353,7 +353,7 @@ type Expect struct {
 	LeakedEvents int64
 	Checkpoints  int64
 	CkptBytes    int64
-	CkptCountAt  [FTILevels]int64
+	CkptCountAt  [FTILevels]int
 	CkptBytesAt  [FTILevels]int64
 	Restores     int64
 }
@@ -383,7 +383,7 @@ func (r *Registry) Reconcile(e Expect) error {
 	check("ckpt-bytes", r.counters[CCkptBytes], e.CkptBytes)
 	check("restores", r.counters[CRestores], e.Restores)
 	for lvl := 1; lvl < FTILevels; lvl++ {
-		check(fmt.Sprintf("ckpt-count-l%d", lvl), r.ckptCount[lvl], e.CkptCountAt[lvl])
+		check(fmt.Sprintf("ckpt-count-l%d", lvl), r.ckptCount[lvl], int64(e.CkptCountAt[lvl]))
 		check(fmt.Sprintf("ckpt-bytes-l%d", lvl), r.ckptBytes[lvl], e.CkptBytesAt[lvl])
 	}
 	if diffs != nil {

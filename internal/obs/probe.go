@@ -65,15 +65,6 @@ func (p *Probe) JobOf(key any) int32 {
 	return p.rec.JobOf(key)
 }
 
-// NewActor allocates an actor id for Span.Actor (see
-// trace.Recorder.NewActor); 0 when no recorder is attached.
-func (p *Probe) NewActor() int32 {
-	if p == nil {
-		return 0
-	}
-	return p.rec.NewActor()
-}
-
 // Add adds n to counter c: the call for bookkeeping that only the
 // registry consumes (scheduler events and slots, the delivery pool) and
 // that is therefore no span.

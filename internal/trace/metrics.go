@@ -25,23 +25,24 @@ type Totals struct {
 //   - Total: the latest CatFinish mark per rank, maximized over ranks —
 //     mirroring the harness's per-rank finish map where a later replica's
 //     mark overwrites an earlier one.
-//   - Ckpt: rank-0 CatCkpt spans grouped by (job, FTI instance). With
-//     dedupCkpt false (the sequential-relaunch designs) every instance's
-//     sum counts, including partial checkpoints cut short by a kill. With
-//     dedupCkpt true (ReplicaFTI) each job contributes only its largest
-//     instance sum — the replica the harness's dedup keeps — summed
-//     across job incarnations.
+//   - Ckpt: rank 0's CatCkpt spans, booked by the harness's one rule:
+//     summed per (job, replica), the replica with the largest sum counts
+//     for its job, and jobs add up. Every replica of a rank runs the same
+//     checkpoints, so a replicated job books them once; without
+//     replication every span is replica 0, so every checkpoint counts,
+//     including partial ones cut short by a kill.
 //   - Recovery: the summed CatRecovery spans.
 //   - DetectLatency/DetectedFailures: summed/counted CatDetect spans,
 //     emitted at each detector's exactly-once confirmation site.
 //   - App: derived as Total - Ckpt - Recovery.
-func (r *Recorder) Totals(dedupCkpt bool) Totals {
+func (r *Recorder) Totals() Totals {
 	var t Totals
 	if r == nil {
 		return t
 	}
+	type group struct{ job, replica int32 }
 	finish := make(map[int32]int64)
-	ckpt := make(map[int32]map[int32]int64) // job -> FTI instance -> summed ns
+	ckpt := make(map[group]int64)
 	for i := range r.spans {
 		s := &r.spans[i]
 		switch s.Cat {
@@ -51,12 +52,7 @@ func (r *Recorder) Totals(dedupCkpt bool) Totals {
 			finish[s.Rank] = s.Start
 		case CatCkpt:
 			if s.Rank == 0 {
-				m := ckpt[s.Job]
-				if m == nil {
-					m = make(map[int32]int64)
-					ckpt[s.Job] = m
-				}
-				m[s.Actor] += s.Dur
+				ckpt[group{s.Job, s.Replica}] += s.Dur
 			}
 		case CatRecovery:
 			t.Recovery += s.Dur
@@ -70,20 +66,12 @@ func (r *Recorder) Totals(dedupCkpt bool) Totals {
 			t.Total = at
 		}
 	}
-	for _, instances := range ckpt {
-		if dedupCkpt {
-			var best int64
-			for _, ns := range instances {
-				if ns > best {
-					best = ns
-				}
-			}
-			t.Ckpt += best
-		} else {
-			for _, ns := range instances {
-				t.Ckpt += ns
-			}
-		}
+	best := make(map[int32]int64)
+	for g, ns := range ckpt {
+		best[g.job] = max(best[g.job], ns)
+	}
+	for _, ns := range best {
+		t.Ckpt += ns
 	}
 	t.App = t.Total - t.Ckpt - t.Recovery
 	return t
@@ -92,11 +80,11 @@ func (r *Recorder) Totals(dedupCkpt bool) Totals {
 // Reconcile checks the trace-derived phase sums against the harness's
 // Breakdown figures and returns a hard error naming every diverging
 // phase. A nil recorder reconciles trivially.
-func (r *Recorder) Reconcile(bd Totals, dedupCkpt bool) error {
+func (r *Recorder) Reconcile(bd Totals) error {
 	if r == nil {
 		return nil
 	}
-	got := r.Totals(dedupCkpt)
+	got := r.Totals()
 	var diffs []string
 	check := func(phase string, trace, breakdown int64) {
 		if trace != breakdown {
@@ -123,8 +111,8 @@ func (r *Recorder) Reconcile(bd Totals, dedupCkpt bool) error {
 // WriteMetrics renders the aggregated per-phase metrics table — trace
 // sums side by side with the Breakdown figures and the reconciliation
 // verdict — followed by per-category span counts and times.
-func (r *Recorder) WriteMetrics(w io.Writer, bd Totals, dedupCkpt bool) {
-	got := r.Totals(dedupCkpt)
+func (r *Recorder) WriteMetrics(w io.Writer, bd Totals) {
+	got := r.Totals()
 	sec := func(ns int64) string { return fmt.Sprintf("%.6f", float64(ns)/1e9) }
 
 	tw := tabwriter.NewWriter(w, 2, 2, 2, ' ', 0)
@@ -137,7 +125,7 @@ func (r *Recorder) WriteMetrics(w io.Writer, bd Totals, dedupCkpt bool) {
 	fmt.Fprintf(tw, "detected_failures\t%d\t%d\n", got.DetectedFailures, bd.DetectedFailures)
 	tw.Flush()
 
-	if err := r.Reconcile(bd, dedupCkpt); err != nil {
+	if err := r.Reconcile(bd); err != nil {
 		fmt.Fprintf(w, "reconciliation: FAILED: %v\n", err)
 	} else {
 		fmt.Fprintln(w, "reconciliation: OK")

@@ -194,8 +194,7 @@ func ParseDetail(spec string) (Detail, error) {
 // Span is one recorded event. Dur zero renders as an instant. Rank is the
 // logical rank, -1 when not rank-scoped; Replica is the replica index
 // within a replicated world (0 otherwise); Job is the 1-based job
-// incarnation interned by JobOf (0 when unknown); Actor groups checkpoint
-// spans by FTI instance (NewActor; 0 otherwise); Level and Aux carry
+// incarnation interned by JobOf (0 when unknown); Level and Aux carry
 // per-category detail (FTI level, bytes, GIDs, counts).
 type Span struct {
 	Start   int64 // virtual ns
@@ -206,7 +205,6 @@ type Span struct {
 	Rank    int32
 	Replica int32
 	Job     int32
-	Actor   int32
 }
 
 // Recorder accumulates spans for one run. One Recorder serves one
@@ -216,7 +214,6 @@ type Recorder struct {
 	detail Detail
 	spans  []Span
 	jobs   map[any]int32
-	actors int32
 }
 
 // New returns an empty Recorder with no detail categories enabled.
@@ -267,16 +264,6 @@ func (r *Recorder) JobOf(key any) int32 {
 	id := int32(len(r.jobs) + 1)
 	r.jobs[key] = id
 	return id
-}
-
-// NewActor allocates a fresh actor id (used to group checkpoint spans by
-// FTI instance); 0 on a nil recorder.
-func (r *Recorder) NewActor() int32 {
-	if r == nil {
-		return 0
-	}
-	r.actors++
-	return r.actors
 }
 
 // Len returns the number of recorded spans.

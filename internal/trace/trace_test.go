@@ -21,13 +21,10 @@ func TestNilRecorderIsInert(t *testing.T) {
 	if r.JobOf("job") != 0 {
 		t.Fatal("nil recorder interned a job")
 	}
-	if r.NewActor() != 0 {
-		t.Fatal("nil recorder allocated an actor")
-	}
 	if r.Len() != 0 || r.Spans() != nil {
 		t.Fatal("nil recorder has spans")
 	}
-	if err := r.Reconcile(Totals{Total: 123}, false); err != nil {
+	if err := r.Reconcile(Totals{Total: 123}); err != nil {
 		t.Fatalf("nil recorder failed reconciliation: %v", err)
 	}
 }
@@ -75,14 +72,13 @@ func TestParseDetail(t *testing.T) {
 // span per rank, one detected failure, one recovery, finish marks.
 func seedRun(r *Recorder) Totals {
 	job := r.JobOf("job-a")
-	a0, a1 := r.NewActor(), r.NewActor()
 	r.Emit(Span{Cat: CatCompute, Rank: 0, Job: job, Start: 0, Dur: 100})
 	r.Emit(Span{Cat: CatCompute, Rank: 1, Job: job, Start: 0, Dur: 100})
-	r.Emit(Span{Cat: CatCkpt, Rank: 0, Job: job, Actor: a0, Start: 100, Dur: 10, Level: 1})
-	r.Emit(Span{Cat: CatCkpt, Rank: 1, Job: job, Actor: a1, Start: 100, Dur: 10, Level: 1})
+	r.Emit(Span{Cat: CatCkpt, Rank: 0, Job: job, Start: 100, Dur: 10, Level: 1})
+	r.Emit(Span{Cat: CatCkpt, Rank: 1, Job: job, Start: 100, Dur: 10, Level: 1})
 	r.Emit(Span{Cat: CatDetect, Rank: -1, Job: job, Start: 150, Dur: 30, Aux: 7})
 	r.Emit(Span{Cat: CatRecovery, Rank: 1, Start: 150, Dur: 50})
-	r.Emit(Span{Cat: CatCkpt, Rank: 0, Job: job, Actor: a0, Start: 230, Dur: 10, Level: 1})
+	r.Emit(Span{Cat: CatCkpt, Rank: 0, Job: job, Start: 230, Dur: 10, Level: 1})
 	r.Emit(Span{Cat: CatFinish, Rank: 0, Job: job, Start: 300})
 	r.Emit(Span{Cat: CatFinish, Rank: 1, Job: job, Start: 290})
 	return Totals{
@@ -98,14 +94,14 @@ func seedRun(r *Recorder) Totals {
 func TestTotalsAndReconcile(t *testing.T) {
 	r := New()
 	want := seedRun(r)
-	got := r.Totals(false)
+	got := r.Totals()
 	if got != want {
 		t.Fatalf("Totals = %+v, want %+v", got, want)
 	}
-	if err := r.Reconcile(want, false); err != nil {
+	if err := r.Reconcile(want); err != nil {
 		t.Fatalf("Reconcile failed on matching totals: %v", err)
 	}
-	if err := r.Reconcile(Totals{}, false); err == nil {
+	if err := r.Reconcile(Totals{}); err == nil {
 		t.Fatal("Reconcile passed against zero totals")
 	}
 }
@@ -121,7 +117,7 @@ func TestReconcileDetectsCorruption(t *testing.T) {
 			break
 		}
 	}
-	err := r.Reconcile(want, false)
+	err := r.Reconcile(want)
 	if err == nil {
 		t.Fatal("Reconcile missed a corrupted checkpoint span")
 	}
@@ -130,21 +126,25 @@ func TestReconcileDetectsCorruption(t *testing.T) {
 	}
 }
 
-// Replica dedup: per job only the largest FTI-instance sum counts; the
-// sequential designs sum every instance.
+// A rank books its checkpoints by one rule: per job, summed per replica,
+// the largest replica counts; jobs add up. A replica-0 instance re-entered
+// in the same job (Reinit, ULFM) is summed into replica 0, not deduplicated.
 func TestTotalsCkptDedup(t *testing.T) {
 	r := New()
 	j1, j2 := r.JobOf("incarnation-1"), r.JobOf("incarnation-2")
-	primary, shadow, relaunch := r.NewActor(), r.NewActor(), r.NewActor()
-	r.Emit(Span{Cat: CatCkpt, Rank: 0, Job: j1, Actor: primary, Start: 0, Dur: 40})
-	r.Emit(Span{Cat: CatCkpt, Rank: 0, Job: j1, Actor: shadow, Start: 0, Dur: 25})
-	r.Emit(Span{Cat: CatCkpt, Rank: 0, Job: j2, Actor: relaunch, Start: 100, Dur: 10})
+	r.Emit(Span{Cat: CatCkpt, Rank: 0, Job: j1, Replica: 0, Start: 0, Dur: 40})
+	r.Emit(Span{Cat: CatCkpt, Rank: 0, Job: j1, Replica: 1, Start: 0, Dur: 25})
+	r.Emit(Span{Cat: CatCkpt, Rank: 1, Job: j1, Replica: 0, Start: 0, Dur: 99}) // not rank 0
+	r.Emit(Span{Cat: CatCkpt, Rank: 0, Job: j2, Start: 100, Dur: 10})
+	r.Emit(Span{Cat: CatCkpt, Rank: 0, Job: j2, Start: 150, Dur: 7}) // re-entered
 	r.Emit(Span{Cat: CatFinish, Rank: 0, Job: j2, Start: 200})
-	if got := r.Totals(true).Ckpt; got != 50 { // max(40,25) + 10
-		t.Fatalf("dedup Ckpt = %d, want 50", got)
+	if got := r.Totals().Ckpt; got != 57 { // max(40, 25) + (10 + 7)
+		t.Fatalf("Ckpt = %d, want 57", got)
 	}
-	if got := r.Totals(false).Ckpt; got != 75 { // 40+25+10
-		t.Fatalf("summed Ckpt = %d, want 75", got)
+	// A replica whose sum overtakes the other's counts instead.
+	r.Emit(Span{Cat: CatCkpt, Rank: 0, Job: j1, Replica: 1, Start: 50, Dur: 20})
+	if got := r.Totals().Ckpt; got != 62 { // max(40, 25+20) + (10 + 7)
+		t.Fatalf("Ckpt = %d, want 62", got)
 	}
 }
 
@@ -209,7 +209,7 @@ func TestWriteMetricsReportsVerdict(t *testing.T) {
 	r := New()
 	want := seedRun(r)
 	var buf bytes.Buffer
-	r.WriteMetrics(&buf, want, false)
+	r.WriteMetrics(&buf, want)
 	out := buf.String()
 	if !strings.Contains(out, "reconciliation: OK") {
 		t.Fatalf("metrics table missing OK verdict:\n%s", out)
@@ -218,7 +218,7 @@ func TestWriteMetricsReportsVerdict(t *testing.T) {
 		t.Fatalf("metrics table missing category rows:\n%s", out)
 	}
 	buf.Reset()
-	r.WriteMetrics(&buf, Totals{Total: 1}, false)
+	r.WriteMetrics(&buf, Totals{Total: 1})
 	if !strings.Contains(buf.String(), "reconciliation: FAILED") {
 		t.Fatalf("metrics table missing FAILED verdict:\n%s", buf.String())
 	}

@@ -232,7 +232,7 @@ func TestFacadeTraceRecorder(t *testing.T) {
 	if rec.Len() == 0 {
 		t.Fatal("traced facade run recorded no spans")
 	}
-	if err := rec.Reconcile(match.TraceTotalsOf(bd), false); err != nil {
+	if err := rec.Reconcile(match.TraceTotalsOf(bd)); err != nil {
 		t.Fatalf("facade trace failed reconciliation: %v", err)
 	}
 	var sb strings.Builder
