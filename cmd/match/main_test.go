@@ -7,27 +7,62 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"match/internal/apps"
+	"match/internal/apps/appkit"
+	"match/internal/simnet"
 )
 
 // asCommand is the environment marker under which the test binary runs
 // main instead of the tests, so each test drives the real command: its
-// flags, its stdout and stderr, and its exit status.
-const asCommand = "MATCH_TEST_AS_COMMAND"
+// flags, its stdout and stderr, and its exit status. Under the value
+// sleeperAsHPCCG, the command's HPCCG is the sleeper app: the command takes
+// an app's iteration count from Table I, so a fixture app borrows a Table I
+// name.
+const (
+	asCommand      = "MATCH_TEST_AS_COMMAND"
+	sleeperAsHPCCG = "sleeper-as-HPCCG"
+)
 
 func TestMain(m *testing.M) {
-	if os.Getenv(asCommand) == "1" {
-		main()
-		os.Exit(0)
+	switch os.Getenv(asCommand) {
+	case "":
+		os.Exit(m.Run())
+	case sleeperAsHPCCG:
+		apps.Unregister("HPCCG")
+		if err := apps.Register("HPCCG", func() appkit.App { return sleeper{} }); err != nil {
+			panic(err)
+		}
 	}
-	os.Exit(m.Run())
+	main()
+	os.Exit(0)
+}
+
+// sleeper is an app whose every step sleeps 10000 s of virtual time, so a
+// cell of more than 20 iterations outlasts the run's virtual deadline.
+type sleeper struct{}
+
+func (sleeper) Name() string                               { return "Sleeper" }
+func (sleeper) Init(*appkit.Context) error                 { return nil }
+func (sleeper) Signature(*appkit.Context) (float64, error) { return 0, nil }
+
+func (sleeper) Step(ctx *appkit.Context, _ int) error {
+	ctx.R.Compute(10000 * simnet.Second)
+	return nil
 }
 
 // run executes the command with args and returns its stdout, its stderr
 // lines and its exit status.
 func run(t *testing.T, args ...string) (stdout string, stderr []string, status int) {
 	t.Helper()
+	return runAs(t, "1", args...)
+}
+
+// runAs is run under the marker value as.
+func runAs(t *testing.T, as string, args ...string) (stdout string, stderr []string, status int) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), asCommand+"=1")
+	cmd.Env = append(os.Environ(), asCommand+"="+as)
 	var out, errOut bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errOut
 	err := cmd.Run()
@@ -80,12 +115,12 @@ func TestBadRepsIsAUsageError(t *testing.T) {
 	}
 }
 
-// A cell that trips the virtual deadline (ULFM losing a node under L2, a
-// known livelock) is a failed cell, not a crashed process: one line and
-// status 1, no stack.
+// A cell that trips the virtual deadline (the sleeper app under Restart,
+// rank 3 killed at iteration 12) is a failed cell, not a crashed process:
+// one line and status 1, no stack.
 func TestDeadlineCellFailsInOneLine(t *testing.T) {
-	_, stderr, status := run(t, "-design", "ulfm", "-app", "HPCCG", "-procs", "8", "-level", "2",
-		"-fault-schedule", "3@12:kind=node")
+	_, stderr, status := runAs(t, sleeperAsHPCCG, "-design", "restart", "-app", "HPCCG", "-procs", "8",
+		"-fault-schedule", "3@12")
 	if status != 1 || len(stderr) != 1 {
 		t.Fatalf("exit %d, stderr %q; want 1 and one line", status, stderr)
 	}

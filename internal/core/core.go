@@ -389,7 +389,8 @@ const runDeadline = 200000 * simnet.Second
 // The configured design only arms the cluster (arm* below); Run drives it
 // (drive) and accounts the result in one epilogue shared by all designs. A
 // simulation that trips the scheduler's deadline net returns "core: virtual
-// deadline ... exceeded" together with the partial breakdown.
+// deadline ... exceeded" together with the partial breakdown, and names
+// the first error a rank reported, as an incomplete run does.
 func Run(cfg Config) (Breakdown, error) {
 	// Everything the simulation consumes comes from the resolved cell — the
 	// value CellKey hashes; cfg contributes only its observers from here on.
@@ -558,16 +559,17 @@ func Run(cfg Config) (Breakdown, error) {
 	bd.CkptCount, bd.CkptBytes = ck.CkptCount, ck.CkptBytes
 	bd.CkptCountAt, bd.CkptBytesAt = ck.CkptCountAt, ck.CkptBytesAt
 	bd.CkptAvoided = planner.Avoided()
-	if deadlineErr != nil {
-		return bd, deadlineErr
-	}
-	if !bd.Completed {
+	if deadlineErr != nil || !bd.Completed {
+		what := fmt.Sprintf("only %d/%d ranks completed", len(rec.sigs), rc.Procs)
+		if deadlineErr != nil {
+			what = deadlineErr.Error()
+		}
 		why := "no rank reported an error"
 		if len(rec.errs) > 0 {
 			why = "first error: " + rec.errs[0].Error()
 		}
-		return bd, fmt.Errorf("core: only %d/%d ranks completed, %s (%d incarnations launched, %d recoveries logged, %d/%d faults fired)",
-			len(rec.sigs), rc.Procs, why, len(out.jobs), len(*recoveries), bd.FaultsInjected, len(sched.Events))
+		return bd, fmt.Errorf("core: %s, %s (%d incarnations launched, %d recoveries logged, %d/%d faults fired)",
+			what, why, len(out.jobs), len(*recoveries), bd.FaultsInjected, len(sched.Events))
 	}
 	for r, s := range rec.sigs {
 		if s != rec.sigs[0] {
@@ -612,9 +614,7 @@ func Run(cfg Config) (Breakdown, error) {
 
 // TraceTotalsOf converts a Breakdown's phase components into the trace
 // package's totals form — the reference side of trace.Reconcile and
-// trace.WriteMetrics. Pass dedupCkpt = (Design == ReplicaFTI) wherever the
-// trace side is recomputed: replicated runs keep the furthest replica's
-// checkpoint time per rank rather than the sum.
+// trace.WriteMetrics.
 func TraceTotalsOf(bd Breakdown) trace.Totals {
 	return trace.Totals{
 		Total:            int64(bd.Total),
@@ -639,7 +639,7 @@ func drive(cluster *simnet.Cluster) (err error) {
 		switch v := v.(type) {
 		case nil:
 		case simnet.DeadlineExceeded:
-			err = fmt.Errorf("core: virtual deadline %v exceeded (event at %v); likely deadlock or livelock", v.Deadline, v.At)
+			err = fmt.Errorf("virtual deadline %v exceeded (event at %v); likely deadlock or livelock", v.Deadline, v.At)
 		default:
 			panic(v)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -17,15 +16,13 @@ import (
 	"match/internal/simnet"
 )
 
-// deadlockCell is a cell that livelocks: ULFM losing rank 3's node at
-// iteration 12 under L2 (`match -design ulfm -app HPCCG -procs 8 -level 2
-// -fault-schedule '3@12:kind=node'`, nodeLossKnownBad's "ulfm/L2"). It is
-// the regression cell for "a cell that trips the virtual deadline is a
-// failed cell"; when a fix makes it recover, another cell that trips the
-// deadline takes its place.
+// deadlockCell is a cell that outlasts the virtual deadline: sleeper under
+// Restart, whose launcher detector sends no heartbeats, so the run gets to
+// 200000 s in a few hundred events. Rank 3 dies at iteration 12 first, so
+// the partial breakdown holds a detection, a relaunch and checkpoints.
 func deadlockCell() Config {
-	sched := fault.Schedule{Events: []fault.Event{{Kind: fault.NodeFailure, TargetRank: 3, TargetIter: 12}}}
-	return Config{App: "HPCCG", Design: UlfmFTI, Procs: 8, FTILevel: fti.L2, Schedule: &sched}
+	sched := fault.Schedule{Events: []fault.Event{{TargetRank: 3, TargetIter: 12}}}
+	return Config{App: "Sleeper", Design: RestartFTI, Procs: 8, Params: appkit.Params{MaxIter: 60}, Schedule: &sched}
 }
 
 func healthyCell() Config {
@@ -39,10 +36,18 @@ func healthyCell() Config {
 // its baseline. The count is process-wide, so neither this test nor its
 // sub-tests are parallel (the package's parallel tests wait for it).
 func TestDeadlineIsAnError(t *testing.T) {
-	check := func(t *testing.T, err error) {
+	if err := apps.Register("Sleeper", func() appkit.App { return sleeper{} }); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { apps.Unregister("Sleeper") })
+	// The deadline error says what the incomplete-run error says: the first
+	// error a rank reported, and the incarnation, recovery and fault counts.
+	const want = "core: virtual deadline 200000.000s exceeded (event at 200006.336s); likely deadlock or livelock, " +
+		"no rank reported an error (2 incarnations launched, 1 recoveries logged, 1/1 faults fired)"
+	check := func(t *testing.T, err error, want string) {
 		t.Helper()
-		if err == nil || !strings.Contains(err.Error(), "core: virtual deadline") {
-			t.Fatalf("err = %v, want the virtual deadline", err)
+		if err == nil || err.Error() != want {
+			t.Fatalf("err = %v, want %q", err, want)
 		}
 	}
 	// Ranks are released before Run returns; the settle loop is for a pool
@@ -60,20 +65,22 @@ func TestDeadlineIsAnError(t *testing.T) {
 	t.Run("Run", func(t *testing.T) {
 		base := runtime.NumGoroutine()
 		bd, err := Run(deadlockCell())
-		check(t, err)
+		check(t, err, want)
 		if n := runtime.NumGoroutine(); n != base {
 			t.Fatalf("%d goroutines when the deadlocked cell returned, %d before it: ranks leaked", n, base)
 		}
-		// The run lasted until the clock stopped: the last event before the
-		// deadline is a heartbeat on the 100 ms grid, at the deadline itself.
-		want := Breakdown{Total: runDeadline, Ckpt: 307658998, Recovery: 1774870150,
-			App:           runDeadline - 307658998 - 1774870150,
-			DetectLatency: 300 * simnet.Millisecond, DetectedFailures: 1, Recoveries: 1, FaultsInjected: 1,
-			CkptCount: 3, CkptBytes: 124728,
-			Messages: 670, NetBytes: 211126}
-		want.CkptCountAt[fti.L2], want.CkptBytesAt[fti.L2] = 3, 124728
+		// The run lasted until the clock stopped, at the ranks' last wake-up
+		// before the deadline. Their next wake-ups lie past it: the first
+		// tripped the net, the other seven are left queued (LeakedEvents).
+		const total = 190006336100463
+		want := Breakdown{Total: total, Ckpt: 300058827, Recovery: 6032 * simnet.Millisecond,
+			App:              total - 300058827 - 6032*simnet.Millisecond,
+			DetectedFailures: 1, Recoveries: 1, FaultsInjected: 1,
+			CkptCount: 3, CkptBytes: 96,
+			Messages: 84, NetBytes: 672, LeakedEvents: 7}
+		want.CkptCountAt[fti.L1], want.CkptBytesAt[fti.L1] = 3, 96
 		if bd != want {
-			t.Fatalf("partial breakdown = %+v, want %+v (as before ranks were released: fault fired and detected, the world repaired once, the run never finished)", bd, want)
+			t.Fatalf("partial breakdown = %+v, want %+v (as before ranks were released: fault fired and detected, the job relaunched once, the run never finished)", bd, want)
 		}
 		if bd, err := Run(healthyCell()); err != nil || !bd.Completed {
 			t.Fatalf("healthy cell after the deadline: %+v, %v", bd, err)
@@ -85,7 +92,7 @@ func TestDeadlineIsAnError(t *testing.T) {
 			base := runtime.NumGoroutine()
 			rn := CampaignRunner{Workers: workers}
 			results, err := rn.Cells([]Config{healthyCell(), deadlockCell(), healthyCell()}, 1)
-			check(t, err)
+			check(t, err, "Sleeper/RESTART-FTI/p8/Small rep 1: "+want)
 			if len(results) != 1 || !results[0].Breakdown.Completed {
 				t.Fatalf("%d results, want the one healthy cell before the deadlocked one", len(results))
 			}
@@ -152,6 +159,19 @@ func (parked) Signature(*appkit.Context) (float64, error) { return 0, nil }
 func (parked) Step(ctx *appkit.Context, _ int) error {
 	_, err := mpi.Recv(ctx.R, ctx.World, mpi.AnySource, mpi.AnyTag)
 	return err
+}
+
+// sleeper is an app whose every step sleeps 10000 s of virtual time, so a
+// cell of more than 20 iterations outlasts the run's virtual deadline.
+type sleeper struct{}
+
+func (sleeper) Name() string                               { return "Sleeper" }
+func (sleeper) Init(*appkit.Context) error                 { return nil }
+func (sleeper) Signature(*appkit.Context) (float64, error) { return 0, nil }
+
+func (sleeper) Step(ctx *appkit.Context, _ int) error {
+	ctx.R.Compute(10000 * simnet.Second)
+	return nil
 }
 
 // A cell whose ranks never all finish says why: here no rank returned an

@@ -339,15 +339,17 @@ func (f *FTI) committedLevel() Level {
 
 // partnerNode returns the node holding this rank's L2 partner copies: the
 // original node of the next rank (in communicator order) living on a
-// different original node, so a single node failure never destroys both
-// copies. Derived from the persisted topology, so a restarted or respawned
-// rank finds its copies regardless of where it now runs.
+// different original node that is still alive, so a single node failure
+// never destroys both copies and a lost node is never written to again.
+// Derived from the persisted topology, so a restarted or respawned rank
+// finds its copies regardless of where it now runs.
 func (f *FTI) partnerNode() int {
+	cl := f.r.Job().Cluster()
 	size := len(f.origNodes)
 	mine := f.origNodes[f.rank]
 	for k := 1; k < size; k++ {
 		cand := f.origNodes[(f.rank+k)%size]
-		if cand != mine {
+		if cand != mine && cl.Node(cand).Alive() {
 			return cand
 		}
 	}
