@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -365,7 +367,13 @@ func (s *server) handleResults(w http.ResponseWriter, r *http.Request, c *campai
 	}
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
-		writeJSON(w, http.StatusOK, results)
+		// Rendered per request, like the table: the body is never kept.
+		body, err := core.ResultsJSON(results)
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, "campaign results: %v", err)
+			return
+		}
+		writeBody(w, http.StatusOK, body)
 	case "csv":
 		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
 		core.WriteCSV(w, results)
@@ -398,12 +406,27 @@ func clientKey(r *http.Request) string {
 	return host
 }
 
+// writeJSON answers v as indented JSON. v is encoded before any header is
+// written, so a value that does not encode is answered 500, not 200 with
+// an empty body.
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		httpError(w, http.StatusInternalServerError, "encode reply: %v", err)
+		return
+	}
+	writeBody(w, code, buf.Bytes())
+}
+
+// writeBody answers a complete JSON body in one write, its length in
+// Content-Length.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(code)
+	w.Write(body)
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...interface{}) {

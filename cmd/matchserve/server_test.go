@@ -5,9 +5,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -151,9 +153,17 @@ func serveEndToEnd(t *testing.T, req core.CampaignRequest) {
 		t.Fatal(err)
 	}
 
-	code, body := fetch(t, ts.URL+final.ResultsURL)
-	if code != http.StatusOK {
-		t.Fatalf("results: HTTP %d: %s", code, body)
+	resp, err := http.Get(ts.URL + final.ResultsURL + "?format=json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("results: HTTP %d: %s", resp.StatusCode, body)
 	}
 	var remoteRes []core.Result
 	if err := json.Unmarshal(body, &remoteRes); err != nil {
@@ -161,6 +171,20 @@ func serveEndToEnd(t *testing.T, req core.CampaignRequest) {
 	}
 	if !reflect.DeepEqual(remoteRes, localRes) {
 		t.Fatal("remote results diverge from the in-process run")
+	}
+	// The body is what json.Encoder with SetIndent("", "  ") writes of the
+	// in-process results, sent whole with its length.
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(localRes); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want.Bytes()) {
+		t.Fatalf("results body differs from encoding/json's:\n%s\nwant\n%s", body, want.Bytes())
+	}
+	if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("results sent with Content-Length %q, transfer encoding %v; want %d and none", cl, resp.TransferEncoding, len(body))
 	}
 
 	code, table := fetch(t, ts.URL+final.ResultsURL+"?format=table")
@@ -203,6 +227,30 @@ func serveEndToEnd(t *testing.T, req core.CampaignRequest) {
 	spelled, code := submit(t, ts, explicit)
 	if code != http.StatusOK || spelled.ID != v.ID {
 		t.Fatalf("explicit-defaults resubmit: HTTP %d, id %s (want %s)", code, spelled.ID, v.ID)
+	}
+}
+
+// A done campaign whose results hold a value JSON cannot carry (a custom
+// app's answer that diverged to NaN) is answered 500, naming the cell and
+// the field, and never 200 with a truncated body.
+func TestServeNonFiniteResultIs500(t *testing.T) {
+	srv, ts := testServer(t, serverConfig{}, 0)
+	done := make(chan struct{})
+	close(done)
+	srv.campaigns["nan"] = &campaign{id: "nan", state: stateDone, done: done, results: []core.Result{
+		{Config: core.Config{App: "HPCCG", Procs: 8}, Breakdown: core.Breakdown{Signature: 1}},
+		{Config: core.Config{App: "custom", Design: core.UlfmFTI, Procs: 8}, Breakdown: core.Breakdown{Signature: math.NaN()}},
+	}}
+	for _, q := range []string{"", "?format=json"} {
+		code, body := fetch(t, ts.URL+"/campaigns/nan/results"+q)
+		var e map[string]string
+		if err := json.Unmarshal(body, &e); err != nil {
+			t.Fatalf("results%s: HTTP %d, body %q is not a JSON error: %v", q, code, body, err)
+		}
+		if code != http.StatusInternalServerError ||
+			!strings.Contains(e["error"], "result 1 (custom/ULFM-FTI/p8/Small)") || !strings.Contains(e["error"], "Breakdown.Signature is NaN") {
+			t.Fatalf("results%s: HTTP %d %q, want 500 naming the cell and the field", q, code, e["error"])
+		}
 	}
 }
 

@@ -57,9 +57,16 @@ func (d Design) String() string {
 // the replication extension.
 func Designs() []Design { return []Design{RestartFTI, ReinitFTI, UlfmFTI, ReplicaFTI} }
 
-// ShortName returns the design's canonical CLI spelling ("replica").
+// designNames are the designs' canonical CLI spellings, indexed by Design.
+var designNames = [...]string{RestartFTI: "restart", ReinitFTI: "reinit", UlfmFTI: "ulfm", ReplicaFTI: "replica"}
+
+// ShortName returns the design's canonical CLI spelling ("replica"); an
+// out-of-range value is its String.
 func (d Design) ShortName() string {
-	return strings.ToLower(strings.TrimSuffix(d.String(), "-FTI"))
+	if d >= 0 && int(d) < len(designNames) {
+		return designNames[d]
+	}
+	return d.String()
 }
 
 // DesignNames returns the canonical CLI spellings in plotting order.
@@ -95,14 +102,12 @@ const (
 	Large
 )
 
+// inputNames are the problem sizes' names, indexed by InputSize.
+var inputNames = [...]string{Small: "Small", Medium: "Medium", Large: "Large"}
+
 func (s InputSize) String() string {
-	switch s {
-	case Small:
-		return "Small"
-	case Medium:
-		return "Medium"
-	case Large:
-		return "Large"
+	if s >= 0 && int(s) < len(inputNames) {
+		return inputNames[s]
 	}
 	return fmt.Sprintf("input(%d)", int(s))
 }
@@ -718,7 +723,7 @@ func armReplica(rc resolvedCell, cluster *simnet.Cluster, rec *recorder, runApp 
 		}
 		return 0
 	}
-	sup := replica.Supervise(cluster, rcfg, rc.Detector, rc.Procs, func(r *mpi.Rank, world *mpi.Comm, _ int) {
+	sup := replica.Supervise(cluster, rcfg, rc.Detector, rc.Procs, func(r *mpi.Rank, world *mpi.Comm) {
 		rec.note(runApp(r, world))
 	})
 	// A fired kill is absorbed — the executing victim survives as its

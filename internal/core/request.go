@@ -367,8 +367,9 @@ func dedupe[T comparable](vs []T) []T {
 }
 
 // CellKey is the content address of rep rep (counted from 1) of a cell:
-// the hex SHA-256 of the JSON encoding of repConfig(cfg, rep)'s resolved
-// form — the same value Run executes (see resolve). Two configurations
+// the hex SHA-256 of the compact JSON encoding of repConfig(cfg, rep)'s
+// resolved form — the same value Run executes (see resolve), written by
+// appendCellJSON exactly as json.Marshal would. Two configurations
 // that Run identically — one spelling defaults out, one leaving them zero
 // — produce the same key, and so do all reps of a cell whose resolved form
 // drops the seed; any change to an axis the simulation consumes, or to
@@ -381,9 +382,9 @@ func CellKey(cfg Config, rep int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	b, err := json.Marshal(rc)
+	b, err := appendCellJSON(make([]byte, 0, 768), &rc)
 	if err != nil {
-		return "", err
+		return "", fmt.Errorf("core: cell key: %w", err)
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil
@@ -471,12 +472,7 @@ func decodeCachedCell(b []byte) (Breakdown, error) {
 // campaign requests and results read naturally on the wire. An
 // out-of-range value falls back to its number.
 func (d Design) MarshalJSON() ([]byte, error) {
-	for _, v := range Designs() {
-		if v == d {
-			return json.Marshal(d.ShortName())
-		}
-	}
-	return json.Marshal(int(d))
+	return d.appendJSON(nil), nil
 }
 
 // UnmarshalJSON accepts both spellings ParseDesign does, plus the numeric
@@ -514,10 +510,7 @@ func ParseInputSize(name string) (InputSize, error) {
 
 // MarshalJSON renders an input size by name ("Small").
 func (s InputSize) MarshalJSON() ([]byte, error) {
-	if s >= Small && s <= Large {
-		return json.Marshal(s.String())
-	}
-	return json.Marshal(int(s))
+	return s.appendJSON(nil), nil
 }
 
 // UnmarshalJSON accepts names (any case) and numbers.

@@ -216,7 +216,7 @@ type Supervisor struct {
 	cfg     Config
 	dcfg    detect.Config
 	layout  Layout
-	main    func(r *mpi.Rank, world *mpi.Comm, replica int)
+	main    func(r *mpi.Rank, world *mpi.Comm)
 
 	// Recoveries lists failovers and fallback relaunches in order (Kind is
 	// the RecoveryKind, Replica the index that died).
@@ -284,10 +284,11 @@ type spare struct {
 // detector dcfg (the Launcher detector is Replica's own), and returns the
 // supervisor; drive the cluster's scheduler to completion afterwards. main
 // runs once per physical replica, with the replica-aware world
-// communicator and the replica index (0 = initial primary). An invalid
+// communicator; the replica's index in its group (0 = initial primary) is
+// world.ReplicaIndexOf(r.Process().GID()). An invalid
 // detector configuration panics; validate with detect.Config.Validate
 // (core.Run does) before constructing.
-func Supervise(c *simnet.Cluster, cfg Config, dcfg detect.Config, n int, main func(*mpi.Rank, *mpi.Comm, int)) *Supervisor {
+func Supervise(c *simnet.Cluster, cfg Config, dcfg detect.Config, n int, main func(*mpi.Rank, *mpi.Comm)) *Supervisor {
 	s := &Supervisor{
 		cluster:  c,
 		cfg:      cfg,
@@ -408,11 +409,11 @@ func (s *Supervisor) launch(delay simnet.Time) {
 	var phys []*mpi.Process
 	for i := 0; i < n; i++ {
 		for k, p := range groups[i] {
-			i, k, p := i, k, p
+			i, p := i, p
 			s.gidRank[p.GID()] = i
 			s.gidIdx[p.GID()] = k
 			sp := s.cluster.StartProc(p.NodeID(), delay, func(sp *simnet.Proc) {
-				s.main(mpi.Bind(job, p, sp), world, k)
+				s.main(mpi.Bind(job, p, sp), world)
 			})
 			p.SetSimProc(sp)
 			sp.OnExit(func(sp *simnet.Proc) {

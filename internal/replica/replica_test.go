@@ -90,8 +90,9 @@ func TestLayoutDeterministic(t *testing.T) {
 
 // workloop is a minimal SPMD main: iterations of compute + allreduce, with
 // an optional kill of one specific (rank, replica) at one iteration.
-func workloop(t *testing.T, iters, killRank, killReplica, killIter int) func(*mpi.Rank, *mpi.Comm, int) {
-	return func(r *mpi.Rank, world *mpi.Comm, idx int) {
+func workloop(t *testing.T, iters, killRank, killReplica, killIter int) func(*mpi.Rank, *mpi.Comm) {
+	return func(r *mpi.Rank, world *mpi.Comm) {
+		idx := world.ReplicaIndexOf(r.Process().GID())
 		rank := r.Rank(world)
 		for it := 0; it < iters; it++ {
 			if it == killIter && rank == killRank && idx == killReplica {
@@ -159,13 +160,14 @@ func TestSupervisorExhaustionFallsBackToRelaunch(t *testing.T) {
 		t.Fatal("no unreplicated rank in layout")
 	}
 	killed := false
-	sup := Supervise(c, cfg, launcher, 4, func(r *mpi.Rank, world *mpi.Comm, idx int) {
+	sup := Supervise(c, cfg, launcher, 4, func(r *mpi.Rank, world *mpi.Comm) {
+		idx := world.ReplicaIndexOf(r.Process().GID())
 		// Kill the unreplicated rank once, in the first incarnation only.
 		if !killed && r.Rank(world) == victim && idx == 0 {
 			killed = true
 			r.Die()
 		}
-		workloop(t, 5, -1, -1, -1)(r, world, idx)
+		workloop(t, 5, -1, -1, -1)(r, world)
 	})
 	c.Run()
 	if !sup.Done() {
@@ -238,7 +240,8 @@ func TestHotSpareRespawnRestoresDegree(t *testing.T) {
 func TestHotSpareAbsorbsSecondFailure(t *testing.T) {
 	c := simnet.NewCluster(simnet.Config{Nodes: 4})
 	var sup *Supervisor
-	sup = Supervise(c, hotSpareConfig(), launcher, 4, func(r *mpi.Rank, world *mpi.Comm, idx int) {
+	sup = Supervise(c, hotSpareConfig(), launcher, 4, func(r *mpi.Rank, world *mpi.Comm) {
+		idx := world.ReplicaIndexOf(r.Process().GID())
 		rank := r.Rank(world)
 		for it := 0; it < 800; it++ {
 			if it == 3 && rank == 2 && idx == 1 {
@@ -303,7 +306,8 @@ func TestHotSpareInvalidatedByNodeFailure(t *testing.T) {
 	c := simnet.NewCluster(simnet.Config{Nodes: 4})
 	var sup *Supervisor
 	nodeKilled, k2 := false, false
-	sup = Supervise(c, hotSpareConfig(), launcher, 4, func(r *mpi.Rank, world *mpi.Comm, idx int) {
+	sup = Supervise(c, hotSpareConfig(), launcher, 4, func(r *mpi.Rank, world *mpi.Comm) {
+		idx := world.ReplicaIndexOf(r.Process().GID())
 		rank := r.Rank(world)
 		for it := 0; it < 400; it++ {
 			if it == 3 && rank == 2 && idx == 1 {
@@ -355,7 +359,8 @@ func TestHotSpareWindowFallsBackToRelaunch(t *testing.T) {
 	cfg.SpawnDelay = 3600 * simnet.Second // spare never ready in this run
 	var sup *Supervisor
 	k1, k2 := false, false
-	sup = Supervise(c, cfg, launcher, 4, func(r *mpi.Rank, world *mpi.Comm, idx int) {
+	sup = Supervise(c, cfg, launcher, 4, func(r *mpi.Rank, world *mpi.Comm) {
+		idx := world.ReplicaIndexOf(r.Process().GID())
 		rank := r.Rank(world)
 		for it := 0; it < 400; it++ {
 			if !k1 && it == 3 && rank == 2 && idx == 1 {
