@@ -691,7 +691,7 @@ func armRestart(rc resolvedCell, cluster *simnet.Cluster, rec *recorder, runApp 
 func armReinit(rc resolvedCell, cluster *simnet.Cluster, rec *recorder, runApp appMain) (*[]mpi.Recovery, func() outcome) {
 	var rt *reinit.Runtime
 	job := mpi.Launch(cluster, rc.Procs, 0, func(r *mpi.Rank) { rec.note(rt.Run(r)) })
-	rt = reinit.NewRuntime(job, rc.Detector, func(r *mpi.Rank, _ reinit.State) error {
+	rt = reinit.NewRuntime(job, rc.Detector, func(r *mpi.Rank) error {
 		return runApp(r, rt.World())
 	})
 	return &rt.Recoveries, func() outcome {
@@ -703,9 +703,7 @@ func armReinit(rc resolvedCell, cluster *simnet.Cluster, rec *recorder, runApp a
 func armUlfm(rc resolvedCell, cluster *simnet.Cluster, rec *recorder, runApp appMain) (*[]mpi.Recovery, func() outcome) {
 	var rt *ulfm.Runtime
 	job := mpi.Launch(cluster, rc.Procs, 0, func(r *mpi.Rank) { rec.note(rt.RunResilient(r)) })
-	rt = ulfm.NewRuntime(job, *rc.Ulfm, rc.Detector, func(r *mpi.Rank, world *mpi.Comm, _ bool) error {
-		return runApp(r, world)
-	})
+	rt = ulfm.NewRuntime(job, *rc.Ulfm, rc.Detector, runApp)
 	return &rt.Recoveries, func() outcome {
 		rt.Stop()
 		return outcome{detectors: []detect.Detector{rt.Detector()}, jobs: []*mpi.Job{job}, errs: rt.Errs}

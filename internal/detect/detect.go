@@ -323,7 +323,7 @@ type base struct {
 }
 
 // watchNew registers onExit once per newly seen process — the node
-// daemon's per-child watch. Processes not yet bound to a simnet process
+// daemon's per-child watch. Processes not yet started (mpi.Job.Start)
 // are skipped; a later SetProcs re-checks them.
 func (b *base) watchNew(ps []*mpi.Process, onExit func(*mpi.Process, *simnet.Proc)) {
 	for _, p := range ps {

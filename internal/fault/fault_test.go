@@ -259,8 +259,7 @@ func TestInjectorMultiFire(t *testing.T) {
 	// "Recovery" happens; a relaunched rank 0 replays and now dies at 1.
 	recoveries = 1
 	r0survived := false
-	c.StartProc(0, 0, func(sp *simnet.Proc) {
-		r := mpi.Bind(j, j.World().Member(0), sp)
+	j.Start(j.World().Member(0), 0, func(r *mpi.Rank) {
 		for it := 0; it < 6; it++ {
 			in.MaybeFail(r, j.World(), it)
 		}
@@ -326,11 +325,7 @@ func TestInjectorKillsExactlyOnce(t *testing.T) {
 	}
 	// Replay the iteration (as recovery does): must not fire again.
 	survived := false
-	c.StartProc(0, 0, func(sp *simnet.Proc) {
-		r := mpi.Bind(j, j.World().Member(1), sp)
-		_ = r
-		survived = true
-	})
+	j.Start(j.World().Member(1), 0, func(*mpi.Rank) { survived = true })
 	c.Run()
 	if !survived {
 		t.Fatal("post-fire rank did not run")

@@ -82,12 +82,8 @@ func (p *Process) NodeID() int { return p.node }
 func (p *Process) Failed() bool { return p.failed }
 
 // SimProc returns the simnet process backing this MPI process (nil until
-// bound or started).
+// Job.Start).
 func (p *Process) SimProc() *simnet.Proc { return p.proc }
-
-// SetSimProc binds the simnet process early (before the body runs), so
-// runtime components can watch its exit.
-func (p *Process) SetSimProc(sp *simnet.Proc) { p.proc = sp }
 
 // Message is a delivered point-to-point message.
 type Message struct {
@@ -187,16 +183,14 @@ func (j *Job) Epoch() int { return j.epoch }
 // Aborted reports whether MPI_Abort has been called.
 func (j *Job) Aborted() bool { return j.aborted }
 
-// AddProcess registers a new MPI process bound to a simnet process on the
-// given node, or on the cluster's LiveNode for it when that node is dead:
-// every design creates its processes here, so none starts one on a lost
-// node.
-func (j *Job) AddProcess(node int, proc *simnet.Proc) *Process {
+// AddProcess registers a new MPI process on the given node, or on the
+// cluster's LiveNode for it when that node is dead: every design creates
+// its processes here, so none starts one on a lost node. Job.Start runs it.
+func (j *Job) AddProcess(node int) *Process {
 	p := &Process{
 		gid:      len(j.procs),
 		node:     j.cluster.LiveNode(node),
 		job:      j,
-		proc:     proc,
 		collSeq:  make(map[int]int),
 		lastArr:  make(map[int]simnet.Time),
 		inflight: make(map[int]int),
@@ -436,12 +430,6 @@ type Rank struct {
 	sp   *simnet.Proc
 }
 
-// Bind creates a Rank handle for process p executing on sp.
-func Bind(j *Job, p *Process, sp *simnet.Proc) *Rank {
-	p.proc = sp
-	return &Rank{job: j, proc: p, sp: sp}
-}
-
 // Job returns the owning job.
 func (r *Rank) Job() *Job { return r.job }
 
@@ -510,23 +498,30 @@ func Launch(c *simnet.Cluster, n int, startDelay simnet.Time, main func(*Rank)) 
 // LaunchPlaced is Launch with an explicit rank-to-node placement.
 func LaunchPlaced(c *simnet.Cluster, nodes []int, startDelay simnet.Time, main func(*Rank)) *Job {
 	j := NewJob(c)
-	n := len(nodes)
-	members := make([]*Process, n)
-	for i := 0; i < n; i++ {
-		members[i] = j.AddProcess(nodes[i], nil)
+	members := make([]*Process, len(nodes))
+	for i, node := range nodes {
+		members[i] = j.AddProcess(node)
 	}
 	j.SetWorld(j.NewComm(members))
-	for i := 0; i < n; i++ {
-		p := members[i]
-		sp := c.StartProc(p.node, startDelay, func(sp *simnet.Proc) {
-			main(Bind(j, p, sp))
-		})
-		p.proc = sp
-		sp.OnExit(func(s *simnet.Proc) {
-			if s.Status() == simnet.ExitKilled {
-				p.failed = true
-			}
-		})
+	for _, p := range members {
+		j.Start(p, startDelay, main)
 	}
 	return j
+}
+
+// Start runs main as process p on p's node, delay after the current
+// virtual time. It is the one way a rank starts, at launch and on every
+// relaunch or respawn: p's simnet process is recorded before main runs, so
+// runtime components can watch or signal it, and p is marked failed when
+// that process is killed, by fault injection or by the loss of its node.
+func (j *Job) Start(p *Process, delay simnet.Time, main func(*Rank)) {
+	sp := j.cluster.StartProc(p.node, delay, func(sp *simnet.Proc) {
+		main(&Rank{job: j, proc: p, sp: sp})
+	})
+	p.proc = sp
+	sp.OnExit(func(s *simnet.Proc) {
+		if s.Status() == simnet.ExitKilled {
+			p.failed = true
+		}
+	})
 }

@@ -534,7 +534,7 @@ func TestEncRoundTrip(t *testing.T) {
 // ignore a gid the job never issued.
 func TestJobGIDsDenseUnknownIgnored(t *testing.T) {
 	j := NewJob(simnet.NewCluster(simnet.Config{Nodes: 1}))
-	a, b := j.AddProcess(0, nil), j.AddProcess(0, nil)
+	a, b := j.AddProcess(0), j.AddProcess(0)
 	if a.GID() != 0 || b.GID() != 1 {
 		t.Fatalf("gids %d, %d; want 0, 1", a.GID(), b.GID())
 	}
@@ -548,15 +548,39 @@ func TestJobGIDsDenseUnknownIgnored(t *testing.T) {
 	}
 }
 
+// A process Start runs is failed once its node fails: the node loss kills
+// the simnet process Start recorded before the body ran, and the kill
+// marks the MPI process failed. This holds for a process started after
+// launch on a job's own node, like a relaunched or respawned rank, as for
+// one Launch started; its neighbour on a live node runs to the end.
+func TestStartedProcessFailsWithItsNode(t *testing.T) {
+	c := simnet.NewCluster(simnet.Config{Nodes: 2})
+	j := Launch(c, 2, 0, func(r *Rank) { r.Compute(simnet.Second) })
+	repl := j.AddProcess(1)
+	j.Start(repl, simnet.Millisecond, func(r *Rank) { r.Compute(simnet.Second) })
+	if repl.SimProc() == nil {
+		t.Fatal("Start did not record the simnet process before the body ran")
+	}
+	c.Scheduler().At(10*simnet.Millisecond, func() { c.FailNode(1) })
+	c.Run()
+	if !repl.Failed() || !j.World().Member(1).Failed() {
+		t.Fatalf("failed = %v (started late), %v (launched); want both failed with node 1",
+			repl.Failed(), j.World().Member(1).Failed())
+	}
+	if p := j.World().Member(0); p.Failed() || p.SimProc().Status() != simnet.ExitOK {
+		t.Fatalf("rank 0 on live node 0: failed = %v, status %v; want a clean exit", p.Failed(), p.SimProc().Status())
+	}
+}
+
 // A process added on a dead node lands on the cluster's LiveNode for it.
 func TestAddProcessAvoidsDeadNode(t *testing.T) {
 	c := simnet.NewCluster(simnet.Config{Nodes: 3})
 	j := NewJob(c)
 	c.FailNode(2)
-	if got := j.AddProcess(1, nil).NodeID(); got != 1 {
+	if got := j.AddProcess(1).NodeID(); got != 1 {
 		t.Fatalf("process on live node 1 placed on %d", got)
 	}
-	if got, want := j.AddProcess(2, nil).NodeID(), c.LiveNode(2); got != want || want != 0 {
+	if got, want := j.AddProcess(2).NodeID(), c.LiveNode(2); got != want || want != 0 {
 		t.Fatalf("process on dead node 2 placed on %d, want LiveNode(2) = %d = 0", got, want)
 	}
 }

@@ -13,27 +13,19 @@ func launchReplicated(c *simnet.Cluster, n, degree int, body func(*Rank, *Comm, 
 	j := NewJob(c)
 	groups := make([][]*Process, n)
 	for i := 0; i < n; i++ {
-		groups[i] = []*Process{j.AddProcess(i%c.NumNodes(), nil)}
+		groups[i] = []*Process{j.AddProcess(i % c.NumNodes())}
 	}
 	for k := 1; k < degree; k++ {
 		for i := 0; i < n; i++ {
-			groups[i] = append(groups[i], j.AddProcess((i+c.NumNodes()/2)%c.NumNodes(), nil))
+			groups[i] = append(groups[i], j.AddProcess((i+c.NumNodes()/2)%c.NumNodes()))
 		}
 	}
 	world := j.NewReplicaComm(groups)
 	j.SetWorld(world)
 	for i := 0; i < n; i++ {
 		for k, p := range groups[i] {
-			i, k, p := i, k, p
-			sp := c.StartProc(p.NodeID(), 0, func(sp *simnet.Proc) {
-				body(Bind(j, p, sp), world, i, k)
-			})
-			p.SetSimProc(sp)
-			sp.OnExit(func(sp *simnet.Proc) {
-				if sp.Status() == simnet.ExitKilled {
-					p.failed = true
-				}
-			})
+			i, k := i, k
+			j.Start(p, 0, func(r *Rank) { body(r, world, i, k) })
 		}
 	}
 	return j
@@ -119,8 +111,8 @@ func TestReplicaPartialGroups(t *testing.T) {
 	c := simnet.NewCluster(simnet.Config{Nodes: 4})
 	j := NewJob(c)
 	groups := [][]*Process{
-		{j.AddProcess(0, nil), j.AddProcess(2, nil)}, // rank 0 replicated
-		{j.AddProcess(1, nil)},                       // rank 1 not
+		{j.AddProcess(0), j.AddProcess(2)}, // rank 0 replicated
+		{j.AddProcess(1)},                  // rank 1 not
 	}
 	world := j.NewReplicaComm(groups)
 	j.SetWorld(world)
@@ -128,8 +120,7 @@ func TestReplicaPartialGroups(t *testing.T) {
 	for i, g := range groups {
 		for _, p := range g {
 			i, p := i, p
-			sp := c.StartProc(p.NodeID(), 0, func(sp *simnet.Proc) {
-				r := Bind(j, p, sp)
+			j.Start(p, 0, func(r *Rank) {
 				sum, err := AllreduceF64Scalar(r, world, float64(i+1), OpSum)
 				if err != nil {
 					t.Errorf("rank %d: %v", i, err)
@@ -137,7 +128,6 @@ func TestReplicaPartialGroups(t *testing.T) {
 				}
 				sums[p.GID()] = sum
 			})
-			p.SetSimProc(sp)
 		}
 	}
 	c.Run()
@@ -160,8 +150,8 @@ func TestReplicaPruneAndPromote(t *testing.T) {
 	c := simnet.NewCluster(simnet.Config{Nodes: 4})
 	j := NewJob(c)
 	groups := [][]*Process{
-		{j.AddProcess(0, nil)},
-		{j.AddProcess(1, nil), j.AddProcess(3, nil)},
+		{j.AddProcess(0)},
+		{j.AddProcess(1), j.AddProcess(3)},
 	}
 	world := j.NewReplicaComm(groups)
 	j.SetWorld(world)

@@ -79,7 +79,7 @@ func TestSubOfReplicaCommIsAView(t *testing.T) {
 	j := NewJob(simnet.NewCluster(simnet.Config{Nodes: 4}))
 	groups := make([][]*Process, 4)
 	for i := range groups {
-		groups[i] = []*Process{j.AddProcess(i, nil), j.AddProcess(i, nil)}
+		groups[i] = []*Process{j.AddProcess(i), j.AddProcess(i)}
 	}
 	w := j.NewReplicaComm(groups)
 	s, other := w.Sub(2, 4), w.Sub(0, 2)
@@ -106,7 +106,7 @@ func TestSubOfReplicaCommIsAView(t *testing.T) {
 		t.Errorf("sub leader after promotion is gid %d, want the twin's %d", s.Member(0).GID(), twin.GID())
 	}
 
-	spare := j.AddProcess(3, nil)
+	spare := j.AddProcess(3)
 	w.AddReplica(3, spare, 2)
 	if g := s.ReplicaGroup(1); len(g) != 3 || g[2] != spare {
 		t.Errorf("sub group after add = %v, want the spare last", g)

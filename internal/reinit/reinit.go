@@ -8,11 +8,11 @@
 // communication state, respawns the failed process on its node (or, when
 // a node failure took that node, on the next live one: mpi.Job.AddProcess
 // places it by simnet.Cluster.LiveNode), rebuilds the world communicator,
-// and unwinds every survivor back into the resilient function with state
-// Restarted — the runtime-level equivalent of longjmp. Because everything happens in the runtime with small control
-// messages, recovery cost is low and independent of both the process count
-// and the problem size, which is exactly the behavior the paper measures
-// (Figures 7 and 10).
+// and unwinds every survivor back into the resilient function — the
+// runtime-level equivalent of longjmp. Because everything happens in the
+// runtime with small control messages, recovery cost is low and
+// independent of both the process count and the problem size, which is
+// exactly the behavior the paper measures (Figures 7 and 10).
 package reinit
 
 import (
@@ -24,27 +24,9 @@ import (
 	"match/internal/trace"
 )
 
-// State tells the resilient function whether it is a fresh start or a
-// post-failure re-entry, like OMPI_reinit_state_t.
-type State int
-
-const (
-	// StateNew is the first invocation.
-	StateNew State = iota
-	// StateRestarted marks re-entry after a global restart.
-	StateRestarted
-)
-
-func (s State) String() string {
-	if s == StateRestarted {
-		return "restarted"
-	}
-	return "new"
-}
-
 // restartSignal unwinds a survivor rank out of whatever it was doing back
 // to the resilient-main boundary.
-type restartSignal struct{ reset int }
+type restartSignal struct{}
 
 // The respawn model of Reinit++'s design: a fork/exec respawn of the
 // failed rank, and a reset broadcast down the daemon tree. Detection is
@@ -61,10 +43,9 @@ const (
 type Runtime struct {
 	job  *mpi.Job
 	det  detect.Detector
-	main func(*mpi.Rank, State) error
+	main func(*mpi.Rank) error
 
-	world  *mpi.Comm
-	resets int
+	world *mpi.Comm
 
 	// Recoveries lists completed global restarts (complete = replacement
 	// up, world rebuilt).
@@ -79,7 +60,7 @@ type Runtime struct {
 // is the daemon tree, detect.TreeDefaults()), starts immediately. An
 // invalid detector configuration panics; validate with
 // detect.Config.Validate (core.Run does) before constructing.
-func NewRuntime(job *mpi.Job, dcfg detect.Config, main func(*mpi.Rank, State) error) *Runtime {
+func NewRuntime(job *mpi.Job, dcfg detect.Config, main func(*mpi.Rank) error) *Runtime {
 	rt := &Runtime{
 		job:   job,
 		main:  main,
@@ -98,9 +79,6 @@ func (rt *Runtime) World() *mpi.Comm { return rt.world }
 // failures for the detection-latency breakdown).
 func (rt *Runtime) Detector() detect.Detector { return rt.det }
 
-// Resets returns how many global restarts have happened.
-func (rt *Runtime) Resets() int { return rt.resets }
-
 // Stop halts the failure monitor (job teardown).
 func (rt *Runtime) Stop() { rt.det.Stop() }
 
@@ -118,10 +96,7 @@ func (rt *Runtime) onFailure(f detect.Failure) {
 // respawn the failed rank in place, rebuild the world, and unwind all
 // survivors back into resilient main.
 func (rt *Runtime) globalRestart(failed *mpi.Process, failedAt simnet.Time) {
-	rt.resets++
-	reset := rt.resets
-	cl := rt.job.Cluster()
-	now := cl.Now()
+	now := rt.job.Cluster().Now()
 
 	// 1. Flush all in-flight and queued messages.
 	rt.job.BumpEpoch()
@@ -130,15 +105,13 @@ func (rt *Runtime) globalRestart(failed *mpi.Process, failedAt simnet.Time) {
 	// (fork/exec + MPI init).
 	oldRank := rt.world.RankOf(failed.GID())
 	members := append([]*mpi.Process(nil), rt.world.Leaders()...)
-	repl := rt.job.AddProcess(failed.NodeID(), nil)
+	repl := rt.job.AddProcess(failed.NodeID())
 	members[oldRank] = repl
-	sp := cl.StartProc(repl.NodeID(), respawnDelay, func(sp *simnet.Proc) {
-		r := mpi.Bind(rt.job, repl, sp)
-		if err := rt.runLoop(r, StateRestarted); err != nil {
+	rt.job.Start(repl, respawnDelay, func(r *mpi.Rank) {
+		if err := rt.Run(r); err != nil {
 			rt.Errs = append(rt.Errs, fmt.Errorf("reinit: respawned rank %d: %w", oldRank, err))
 		}
 	})
-	repl.SetSimProc(sp)
 
 	// 3. Rebuild the world communicator; the daemons supervise it. What
 	// ranks derived from the old world (Comm.Sub) goes with it.
@@ -156,7 +129,7 @@ func (rt *Runtime) globalRestart(failed *mpi.Process, failedAt simnet.Time) {
 			continue
 		}
 		depth := treeDepth(i)
-		spv.Signal(now+simnet.Time(depth)*resetHop, restartSignal{reset: reset})
+		spv.Signal(now+simnet.Time(depth)*resetHop, restartSignal{})
 	}
 
 	rec := mpi.Recovery{
@@ -182,26 +155,20 @@ func treeDepth(rank int) int {
 }
 
 // Run executes the resilient function for the calling rank, re-entering it
-// with StateRestarted after every global restart — the analog of
-// OMPI_Reinit(argc, argv, resilient_main) in the paper's Figure 2.
+// after every global restart — the analog of OMPI_Reinit(argc, argv,
+// resilient_main) in the paper's Figure 2.
 func (rt *Runtime) Run(r *mpi.Rank) error {
-	return rt.runLoop(r, StateNew)
-}
-
-func (rt *Runtime) runLoop(r *mpi.Rank, state State) error {
 	for {
-		restarted, err := rt.protectedCall(r, state)
-		if restarted {
-			state = StateRestarted
-			continue
+		restarted, err := rt.protectedCall(r)
+		if !restarted {
+			return err
 		}
-		return err
 	}
 }
 
 // protectedCall invokes resilient main, converting a restartSignal unwind
 // into a re-entry request.
-func (rt *Runtime) protectedCall(r *mpi.Rank, state State) (restarted bool, err error) {
+func (rt *Runtime) protectedCall(r *mpi.Rank) (restarted bool, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			if _, ok := v.(restartSignal); ok {
@@ -211,5 +178,5 @@ func (rt *Runtime) protectedCall(r *mpi.Rank, state State) (restarted bool, err 
 			panic(v)
 		}
 	}()
-	return false, rt.main(r, state)
+	return false, rt.main(r)
 }

@@ -16,8 +16,8 @@ import (
 // iteration allreduces a value and accumulates it; the final sum has a
 // closed-form reference, and FTI protects (iter, sum).
 func miniApp(rt **Runtime, st *storage.System, execID string, n, iters, stride int,
-	inj *fault.Injector, sums []float64) func(*mpi.Rank, State) error {
-	return func(r *mpi.Rank, state State) error {
+	inj *fault.Injector, sums []float64) func(*mpi.Rank) error {
+	return func(r *mpi.Rank) error {
 		world := (*rt).World()
 		f, err := fti.Init(fti.Config{ExecID: execID}, r, world, st)
 		if err != nil {
@@ -89,7 +89,7 @@ func TestReinitNoFailurePassesThrough(t *testing.T) {
 			t.Fatalf("rank %d sum = %v, want %v", i, s, want)
 		}
 	}
-	if len(rt.Recoveries) != 0 || rt.Resets() != 0 {
+	if len(rt.Recoveries) != 0 {
 		t.Fatalf("unexpected recoveries: %+v", rt.Recoveries)
 	}
 }
@@ -166,8 +166,8 @@ func TestReinitEarlyFailureBeforeFirstCheckpoint(t *testing.T) {
 			t.Fatalf("rank %d sum = %v, want %v", i, s, want)
 		}
 	}
-	if rt.Resets() != 1 {
-		t.Fatalf("resets = %d", rt.Resets())
+	if len(rt.Recoveries) != 1 {
+		t.Fatalf("recoveries = %d, want 1", len(rt.Recoveries))
 	}
 }
 

@@ -392,12 +392,12 @@ func (s *Supervisor) launch(delay simnet.Time) {
 	// Primaries first, then the replica tiers, so primary GIDs mirror the
 	// rank order of an unreplicated launch.
 	for i := 0; i < n; i++ {
-		groups[i] = []*mpi.Process{job.AddProcess(s.layout.Nodes[i][0], nil)}
+		groups[i] = []*mpi.Process{job.AddProcess(s.layout.Nodes[i][0])}
 	}
 	for k := 1; k < s.cfg.DupDegree; k++ {
 		for i := 0; i < n; i++ {
 			if k < s.layout.Degree[i] {
-				groups[i] = append(groups[i], job.AddProcess(s.layout.Nodes[i][k], nil))
+				groups[i] = append(groups[i], job.AddProcess(s.layout.Nodes[i][k]))
 			}
 		}
 	}
@@ -412,12 +412,15 @@ func (s *Supervisor) launch(delay simnet.Time) {
 			i, p := i, p
 			s.gidRank[p.GID()] = i
 			s.gidIdx[p.GID()] = k
-			sp := s.cluster.StartProc(p.NodeID(), delay, func(sp *simnet.Proc) {
-				s.main(mpi.Bind(job, p, sp), world)
-			})
-			p.SetSimProc(sp)
-			sp.OnExit(func(sp *simnet.Proc) {
-				s.onExit(job, i, p, sp)
+			job.Start(p, delay, func(r *mpi.Rank) { s.main(r, world) })
+			// The node daemon's watcher: a rank is done once one of its
+			// replicas returns in the current incarnation. Start marks a
+			// killed replica failed; reacting to the death waits for the
+			// detector's confirmation in onFailure.
+			p.SimProc().OnExit(func(sp *simnet.Proc) {
+				if sp.Status() == simnet.ExitOK && job == s.CurrentJob() {
+					s.rankDone[i] = true
+				}
 			})
 		}
 	}
@@ -429,22 +432,6 @@ func (s *Supervisor) launch(delay simnet.Time) {
 		phys = append(phys, groups[i]...)
 	}
 	s.Watch(job, func(f detect.Failure) { s.onFailure(job, world, f) }).SetProcs(phys)
-}
-
-// onExit is the node daemon's process watcher: it records completions and
-// marks deaths in the message layer immediately (copies to a dead replica
-// are dropped at delivery). *Reacting* to a death waits for the failure
-// detector's confirmation in onFailure.
-func (s *Supervisor) onExit(job *mpi.Job, rank int, p *mpi.Process, sp *simnet.Proc) {
-	if job != s.CurrentJob() {
-		return // stale incarnation
-	}
-	switch sp.Status() {
-	case simnet.ExitOK:
-		s.rankDone[rank] = true
-	case simnet.ExitKilled:
-		job.MarkFailed(p.GID())
-	}
 }
 
 // onFailure drives recovery once the detector confirms a death: failover
@@ -615,7 +602,7 @@ func (s *Supervisor) goLive(job *mpi.Job, world *mpi.Comm, rank, idx, node int, 
 		s.abortRespawn(rank, sp)
 		return
 	}
-	p := job.AddProcess(node, nil)
+	p := job.AddProcess(node)
 	world.AddReplica(rank, p, idx)
 	s.gidRank[p.GID()] = rank
 	s.gidIdx[p.GID()] = idx

@@ -79,31 +79,25 @@ func (rt *Runtime) CommSpawn(r *mpi.Rank, shrunk *mpi.Comm, world *mpi.Comm) map
 	if r.Rank(shrunk) != 0 {
 		return nil
 	}
-	cl := rt.job.Cluster()
-	repls := make(map[int]*mpi.Process)
-	for _, fr := range world.FailedMembers() {
-		failed := world.Member(fr)
-		repl := rt.job.AddProcess(failed.NodeID(), nil)
-		repls[fr] = repl
-	}
 	// Replacement bodies start after the spawn delay; their first act is to
 	// synchronize on the repaired world (mirroring the survivors' merge
-	// steps), then enter the resilient loop with restarted=true so they too
-	// can survive later failures.
-	for fr, repl := range repls {
-		fr, repl := fr, repl
-		sp := cl.StartProc(repl.NodeID(), spawnDelay, func(sp *simnet.Proc) {
-			rr := mpi.Bind(rt.job, repl, sp)
+	// steps), then enter the resilient loop so they too can survive later
+	// failures. They start in failed-rank order.
+	repls := make(map[int]*mpi.Process)
+	for _, fr := range world.FailedMembers() {
+		fr := fr
+		repl := rt.job.AddProcess(world.Member(fr).NodeID())
+		repls[fr] = repl
+		rt.job.Start(repl, spawnDelay, func(rr *mpi.Rank) {
 			nw := rt.round(world).newWorld
 			if err := rt.joinWorld(rr, nw); err != nil {
 				rt.Errs = append(rt.Errs, fmt.Errorf("ulfm: replacement rank %d join: %w", fr, err))
 				return
 			}
-			if err := rt.resilientLoop(rr, nw, true); err != nil {
+			if err := rt.resilientLoop(rr, nw); err != nil {
 				rt.Errs = append(rt.Errs, fmt.Errorf("ulfm: replacement rank %d: %w", fr, err))
 			}
 		})
-		repl.SetSimProc(sp)
 	}
 	return repls
 }

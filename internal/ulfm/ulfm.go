@@ -77,9 +77,8 @@ type repairRound struct {
 type Runtime struct {
 	job *mpi.Job
 	det detect.Detector
-	// entry runs a spawned replacement rank once the repaired world is
-	// ready; restarted is always true for replacements.
-	entry func(r *mpi.Rank, world *mpi.Comm, restarted bool) error
+	// entry is the resilient main, entered again on each repaired world.
+	entry func(r *mpi.Rank, world *mpi.Comm) error
 
 	world  *mpi.Comm
 	rounds map[int]*repairRound
@@ -94,10 +93,10 @@ type Runtime struct {
 // NewRuntime activates ULFM on the job: installs the amended-interface
 // overheads, starts failure detector dcfg (ULFM's own is the ring
 // heartbeat, detect.RingDefaults()), and returns the runtime. entry is the
-// resilient main executed by spawned replacement ranks. An invalid
-// detector configuration panics; validate with detect.Config.Validate
-// (core.Run does) before constructing.
-func NewRuntime(job *mpi.Job, cfg Config, dcfg detect.Config, entry func(*mpi.Rank, *mpi.Comm, bool) error) *Runtime {
+// resilient main that RunResilient runs, on every rank and on every spawned
+// replacement. An invalid detector configuration panics; validate with
+// detect.Config.Validate (core.Run does) before constructing.
+func NewRuntime(job *mpi.Job, cfg Config, dcfg detect.Config, entry func(*mpi.Rank, *mpi.Comm) error) *Runtime {
 	rt := &Runtime{
 		job:    job,
 		entry:  entry,
@@ -139,15 +138,15 @@ func IsFailureError(err error) bool {
 // RunResilient executes the runtime's resilient main (given to NewRuntime)
 // in the setjmp-style loop of the paper's Figure 3: on a failure error, the
 // world is repaired (revoke, shrink, spawn, merge, agree) and main
-// re-enters with restarted=true; main's FTI recovery then rolls application
-// state back to the last checkpoint.
+// re-enters on it; main's FTI recovery then rolls application state back
+// to the last checkpoint.
 func (rt *Runtime) RunResilient(r *mpi.Rank) error {
-	return rt.resilientLoop(r, rt.world, false)
+	return rt.resilientLoop(r, rt.world)
 }
 
-func (rt *Runtime) resilientLoop(r *mpi.Rank, world *mpi.Comm, restarted bool) error {
+func (rt *Runtime) resilientLoop(r *mpi.Rank, world *mpi.Comm) error {
 	for {
-		err := rt.entry(r, world, restarted)
+		err := rt.entry(r, world)
 		if err == nil {
 			return nil
 		}
@@ -158,6 +157,6 @@ func (rt *Runtime) resilientLoop(r *mpi.Rank, world *mpi.Comm, restarted bool) e
 		if rerr != nil {
 			return fmt.Errorf("ulfm: repair failed: %w", rerr)
 		}
-		world, restarted = nw, true
+		world = nw
 	}
 }

@@ -26,8 +26,8 @@ func reference(n, iters int) float64 {
 // repaired) world, iterate with injection and checkpoints, propagate MPI
 // errors up so RunResilient can repair.
 func resilientMain(st *storage.System, execID string, iters, stride int,
-	inj *fault.Injector, sums []float64) func(*mpi.Rank, *mpi.Comm, bool) error {
-	return func(r *mpi.Rank, world *mpi.Comm, restarted bool) error {
+	inj *fault.Injector, sums []float64) func(*mpi.Rank, *mpi.Comm) error {
+	return func(r *mpi.Rank, world *mpi.Comm) error {
 		f, err := fti.Init(fti.Config{ExecID: execID}, r, world, st)
 		if err != nil {
 			return err
@@ -160,7 +160,7 @@ func TestULFMFailureDuringCheckpointCommit(t *testing.T) {
 func TestULFMAppliesRuntimeOverheads(t *testing.T) {
 	c := simnet.NewCluster(simnet.Config{Nodes: 2})
 	job := mpi.Launch(c, 2, 0, func(r *mpi.Rank) {})
-	rt := NewRuntime(job, calibrated, detect.RingDefaults(), func(*mpi.Rank, *mpi.Comm, bool) error { return nil })
+	rt := NewRuntime(job, calibrated, detect.RingDefaults(), func(*mpi.Rank, *mpi.Comm) error { return nil })
 	if job.PerOpOverhead == 0 || job.DeliveryFactor == 0 {
 		t.Fatal("runtime did not install amended-interface overheads")
 	}
