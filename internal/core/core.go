@@ -298,7 +298,6 @@ type recorder struct {
 	// footprint (all replicas of a rank register identical objects, so any
 	// instance answers for the rank).
 	liveFTI map[int]*fti.FTI
-	errs    []error
 	// stops holds every FTI instance in the order it stopped; booked turns
 	// a rank's into the figures the Breakdown reports.
 	stops []ftiStop
@@ -495,11 +494,11 @@ func Run(cfg Config) (Breakdown, error) {
 	var finish func() outcome
 	switch rc.Design {
 	case RestartFTI:
-		recoveries, finish = armRestart(rc, cluster, rec, runApp)
+		recoveries, finish = armRestart(rc, cluster, runApp)
 	case ReinitFTI:
-		recoveries, finish = armReinit(rc, cluster, rec, runApp)
+		recoveries, finish = armReinit(rc, cluster, runApp)
 	case UlfmFTI:
-		recoveries, finish = armUlfm(rc, cluster, rec, runApp)
+		recoveries, finish = armUlfm(rc, cluster, runApp)
 	case ReplicaFTI:
 		recoveries, finish = armReplica(rc, cluster, rec, runApp, inj, planner)
 	}
@@ -514,7 +513,6 @@ func Run(cfg Config) (Breakdown, error) {
 	// One epilogue for all four designs. Each completed recovery is one
 	// CatRecovery span to the observers; the goldens pin its fields.
 	out := finish()
-	rec.errs = append(rec.errs, out.errs...)
 	var bd Breakdown
 	for _, rcv := range *recoveries {
 		bd.Recovery += rcv.Duration()
@@ -570,8 +568,11 @@ func Run(cfg Config) (Breakdown, error) {
 			what = deadlineErr.Error()
 		}
 		why := "no rank reported an error"
-		if len(rec.errs) > 0 {
-			why = "first error: " + rec.errs[0].Error()
+		for _, j := range out.jobs { // the first error a rank main returned
+			if errs := j.Errs(); len(errs) > 0 {
+				why = "first error: " + errs[0].Error()
+				break
+			}
 		}
 		return bd, fmt.Errorf("core: %s, %s (%d incarnations launched, %d recoveries logged, %d/%d faults fired)",
 			what, why, len(out.jobs), len(*recoveries), bd.FaultsInjected, len(sched.Events))
@@ -663,50 +664,41 @@ type appMain func(r *mpi.Rank, world *mpi.Comm) error
 type outcome struct {
 	detectors  []detect.Detector // one per job incarnation
 	jobs       []*mpi.Job        // every incarnation launched
-	errs       []error           // resilient-main errors the runtime collected itself
 	gaveUp     bool              // the launcher exhausted its relaunch budget...
 	relaunches int               // ...after this many
 	respawns   int               // hot spares that went live
 	spawnTime  simnet.Time       // their summed spawn latency
 }
 
-// note records a rank's resilient-main error; teardown-induced errors are
-// expected on doomed incarnations, so they are diagnosed, not fatal.
-func (rec *recorder) note(err error) {
-	if err != nil {
-		rec.errs = append(rec.errs, err)
-	}
-}
-
-func armRestart(rc resolvedCell, cluster *simnet.Cluster, rec *recorder, runApp appMain) (*[]mpi.Recovery, func() outcome) {
-	sup := restart.Supervise(cluster, rc.Detector, rc.Procs, func(r *mpi.Rank) {
-		rec.note(runApp(r, r.Job().World()))
-	})
+func armRestart(rc resolvedCell, cluster *simnet.Cluster, runApp appMain) (*[]mpi.Recovery, func() outcome) {
+	sup := restart.Supervise(cluster, rc.Detector, rc.Procs, runApp)
 	return &sup.Recoveries, func() outcome {
 		return outcome{detectors: sup.Detectors, jobs: sup.Jobs,
 			gaveUp: sup.GaveUp, relaunches: sup.Relaunches()}
 	}
 }
 
-func armReinit(rc resolvedCell, cluster *simnet.Cluster, rec *recorder, runApp appMain) (*[]mpi.Recovery, func() outcome) {
+func armReinit(rc resolvedCell, cluster *simnet.Cluster, runApp appMain) (*[]mpi.Recovery, func() outcome) {
 	var rt *reinit.Runtime
-	job := mpi.Launch(cluster, rc.Procs, 0, func(r *mpi.Rank) { rec.note(rt.Run(r)) })
+	job := mpi.LaunchPlaced(cluster, mpi.BlockPlacement(rc.Procs, cluster.NumNodes()), 0,
+		func(r *mpi.Rank) error { return rt.Run(r) })
 	rt = reinit.NewRuntime(job, rc.Detector, func(r *mpi.Rank) error {
 		return runApp(r, rt.World())
 	})
 	return &rt.Recoveries, func() outcome {
 		rt.Stop()
-		return outcome{detectors: []detect.Detector{rt.Detector()}, jobs: []*mpi.Job{job}, errs: rt.Errs}
+		return outcome{detectors: []detect.Detector{rt.Detector()}, jobs: []*mpi.Job{job}}
 	}
 }
 
-func armUlfm(rc resolvedCell, cluster *simnet.Cluster, rec *recorder, runApp appMain) (*[]mpi.Recovery, func() outcome) {
+func armUlfm(rc resolvedCell, cluster *simnet.Cluster, runApp appMain) (*[]mpi.Recovery, func() outcome) {
 	var rt *ulfm.Runtime
-	job := mpi.Launch(cluster, rc.Procs, 0, func(r *mpi.Rank) { rec.note(rt.RunResilient(r)) })
+	job := mpi.LaunchPlaced(cluster, mpi.BlockPlacement(rc.Procs, cluster.NumNodes()), 0,
+		func(r *mpi.Rank) error { return rt.RunResilient(r) })
 	rt = ulfm.NewRuntime(job, *rc.Ulfm, rc.Detector, runApp)
 	return &rt.Recoveries, func() outcome {
 		rt.Stop()
-		return outcome{detectors: []detect.Detector{rt.Detector()}, jobs: []*mpi.Job{job}, errs: rt.Errs}
+		return outcome{detectors: []detect.Detector{rt.Detector()}, jobs: []*mpi.Job{job}}
 	}
 }
 
@@ -721,9 +713,7 @@ func armReplica(rc resolvedCell, cluster *simnet.Cluster, rec *recorder, runApp 
 		}
 		return 0
 	}
-	sup := replica.Supervise(cluster, rcfg, rc.Detector, rc.Procs, func(r *mpi.Rank, world *mpi.Comm) {
-		rec.note(runApp(r, world))
-	})
+	sup := replica.Supervise(cluster, rcfg, rc.Detector, rc.Procs, runApp)
 	// A fired kill is absorbed — the executing victim survives as its
 	// lockstep spare — when the rank has a live hot spare; a kill inside
 	// the respawn window falls through to the normal death and exhausts

@@ -205,3 +205,34 @@ func TestCampaignHotSpareAxis(t *testing.T) {
 		t.Fatalf("campaign table missing hot-spare column:\n%s", sb.String())
 	}
 }
+
+// A replica that cannot continue is a lost replica. Rank 5 is hit three
+// times on 8 nodes: replica 1 dies (failover), then replica 0 (the group is
+// exhausted: fallback relaunch). In the relaunch, replica 1 finds no L1
+// copy of checkpoint 40 on its node, since it died before writing one, and
+// its main returns that error. So when the third hit kills replica 0, no
+// copy of the rank's state is left, and the group falls back again, to the
+// failure-free answer.
+func TestErroredReplicaFallsBack(t *testing.T) {
+	sched, err := fault.ParseSchedule("5@20:replica=1,5@45:replica=0,5@50:replica=0:after=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{App: "HPCCG", Design: ReplicaFTI, Procs: 8, Nodes: 8, Input: Small, Schedule: &sched}
+	bd, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	ref := cfg
+	failureFree(&ref)
+	refBd, err := Run(ref)
+	if err != nil {
+		t.Fatalf("failure-free twin: %v", err)
+	}
+	if status, err := Verdict(Result{Config: ref, Breakdown: refBd}, Result{Config: cfg, Breakdown: bd}); err != nil {
+		t.Fatalf("%s: %v", status, err)
+	}
+	if bd.Signature != 13824 || bd.Recoveries != 3 {
+		t.Fatalf("signature %v, %d recoveries; want 13824 and 3 (a failover, two fallbacks)", bd.Signature, bd.Recoveries)
+	}
+}

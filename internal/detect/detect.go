@@ -324,7 +324,8 @@ type base struct {
 
 // watchNew registers onExit once per newly seen process — the node
 // daemon's per-child watch. Processes not yet started (mpi.Job.Start)
-// are skipped; a later SetProcs re-checks them.
+// are skipped; a later SetProcs re-checks them. Start's own exit hook
+// runs first, so onExit sees p.Failed() set on a kill.
 func (b *base) watchNew(ps []*mpi.Process, onExit func(*mpi.Process, *simnet.Proc)) {
 	for _, p := range ps {
 		gid := p.GID()

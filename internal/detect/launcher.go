@@ -24,7 +24,7 @@ func (d *launcherDetector) SetProcs(ps []*mpi.Process) {
 }
 
 func (d *launcherDetector) onExit(p *mpi.Process, sp *simnet.Proc) {
-	if d.stopped || sp.Status() != simnet.ExitKilled {
+	if d.stopped || !p.Failed() {
 		return
 	}
 	gid := p.GID()

@@ -29,7 +29,7 @@ func (d *treeDetector) SetProcs(ps []*mpi.Process) {
 // recordDeath is the local daemon seeing the SIGCHLD: the exact death time
 // is noted; confirmation waits for the supervision loop.
 func (d *treeDetector) recordDeath(p *mpi.Process, sp *simnet.Proc) {
-	if sp.Status() != simnet.ExitKilled {
+	if !p.Failed() {
 		return
 	}
 	if _, ok := d.observed[p.GID()]; !ok {

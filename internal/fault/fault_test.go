@@ -259,11 +259,12 @@ func TestInjectorMultiFire(t *testing.T) {
 	// "Recovery" happens; a relaunched rank 0 replays and now dies at 1.
 	recoveries = 1
 	r0survived := false
-	j.Start(j.World().Member(0), 0, func(r *mpi.Rank) {
+	j.Start(j.World().Member(0), 0, func(r *mpi.Rank) error {
 		for it := 0; it < 6; it++ {
 			in.MaybeFail(r, j.World(), it)
 		}
 		r0survived = true
+		return nil
 	})
 	c.Run()
 	if in.FiredCount() != 3 {
@@ -325,7 +326,10 @@ func TestInjectorKillsExactlyOnce(t *testing.T) {
 	}
 	// Replay the iteration (as recovery does): must not fire again.
 	survived := false
-	j.Start(j.World().Member(1), 0, func(*mpi.Rank) { survived = true })
+	j.Start(j.World().Member(1), 0, func(*mpi.Rank) error {
+		survived = true
+		return nil
+	})
 	c.Run()
 	if !survived {
 		t.Fatal("post-fire rank did not run")

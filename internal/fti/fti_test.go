@@ -23,13 +23,22 @@ func harness(t *testing.T, n int, body func(r *mpi.Rank, st *storage.System)) {
 	exitedClean(t, j)
 }
 
-// exitedClean fails t for every rank of j whose body did not return
-// normally: to the simulation, a rank that panics is just a dead process.
+// placed launches body on the given rank-to-node placement. The body
+// reports its failures through t, so a rank whose body returns completed.
+func placed(c *simnet.Cluster, nodes []int, body func(*mpi.Rank)) *mpi.Job {
+	return mpi.LaunchPlaced(c, nodes, 0, func(r *mpi.Rank) error {
+		body(r)
+		return nil
+	})
+}
+
+// exitedClean fails t for every rank of j whose body did not complete: to
+// the simulation, a rank that panics is just a dead process.
 func exitedClean(t *testing.T, j *mpi.Job) {
 	t.Helper()
 	for i, p := range j.World().Leaders() {
-		if sp := p.SimProc(); sp.Status() != simnet.ExitOK {
-			t.Errorf("rank %d exited with status %d: %v", i, sp.Status(), sp.PanicValue())
+		if !p.Completed() {
+			t.Errorf("rank %d did not complete (failed %v): %v", i, p.Failed(), p.SimProc().PanicValue())
 		}
 	}
 }
@@ -197,7 +206,7 @@ func TestL2RecoversFromPartnerAfterNodeFailure(t *testing.T) {
 	// to node 1: recovery must find rank 0's state via the partner copy.
 	c.FailNode(0)
 	recovered := make([]int, 4)
-	j2 := mpi.LaunchPlaced(c, []int{1, 1, 2, 3}, 0, func(r *mpi.Rank) {
+	j2 := placed(c, []int{1, 1, 2, 3}, func(r *mpi.Rank) {
 		w := r.Job().World()
 		me := r.Rank(w)
 		f, err := Init(Config{Level: L2, ExecID: "l2nf"}, r, w, st)
@@ -544,7 +553,7 @@ func TestL2PartnerMetaStaysFreshAcrossEscalation(t *testing.T) {
 	// drag every rank back to the garbage-collected id 5.
 	c.FailNode(0)
 	recovered := make([]int, 4)
-	j2 := mpi.LaunchPlaced(c, []int{1, 1, 2, 3}, 0, func(r *mpi.Rank) {
+	j2 := placed(c, []int{1, 1, 2, 3}, func(r *mpi.Rank) {
 		w := r.Job().World()
 		me := r.Rank(w)
 		f, err := Init(Config{Level: L2, ExecID: "l2esc"}, r, w, st)
@@ -599,7 +608,7 @@ func TestL4EscalationSurvivesNodeFailure(t *testing.T) {
 	_ = j1
 	c.FailNode(0) // rank 0's RAMFS metadata and L1 files are gone
 	recovered := make([]int, 4)
-	j2 := mpi.LaunchPlaced(c, []int{1, 1, 2, 3}, 0, func(r *mpi.Rank) {
+	j2 := placed(c, []int{1, 1, 2, 3}, func(r *mpi.Rank) {
 		w := r.Job().World()
 		me := r.Rank(w)
 		f, err := Init(Config{Level: L1, ExecID: "l4esc"}, r, w, st)
@@ -646,7 +655,7 @@ func TestL4EscalationSurvivesNodeFailure(t *testing.T) {
 	c2.Run()
 	_ = j3
 	c2.FailNode(0)
-	j4 := mpi.LaunchPlaced(c2, []int{1, 1, 2, 3}, 0, func(r *mpi.Rank) {
+	j4 := placed(c2, []int{1, 1, 2, 3}, func(r *mpi.Rank) {
 		w := r.Job().World()
 		f, err := Init(Config{Level: L1, ExecID: "l4ret"}, r, w, st2)
 		if err != nil {
@@ -687,7 +696,7 @@ func TestL2EscalationSurvivesNodeFailureUnderL1Base(t *testing.T) {
 	_ = j1
 	c.FailNode(0)
 	recovered := make([]int, 4)
-	j2 := mpi.LaunchPlaced(c, []int{1, 1, 2, 3}, 0, func(r *mpi.Rank) {
+	j2 := placed(c, []int{1, 1, 2, 3}, func(r *mpi.Rank) {
 		w := r.Job().World()
 		me := r.Rank(w)
 		f, err := Init(Config{Level: L1, ExecID: "l2u1"}, r, w, st)
@@ -734,7 +743,7 @@ func TestL2EscalationSurvivesNodeFailureUnderL1Base(t *testing.T) {
 	c2.Run()
 	_ = j3
 	c2.FailNode(0)
-	j4 := mpi.LaunchPlaced(c2, []int{1, 1, 2, 3}, 0, func(r *mpi.Rank) {
+	j4 := placed(c2, []int{1, 1, 2, 3}, func(r *mpi.Rank) {
 		w := r.Job().World()
 		f, err := Init(Config{Level: L1, ExecID: "l2ret"}, r, w, st2)
 		if err != nil {
@@ -785,7 +794,7 @@ func TestInitRejectsStaleMetadataBehindCommitFront(t *testing.T) {
 	// check the agreement picks ckpt 1, which node 1 has gc'd — and rank 1
 	// dies inside Recover. With it, both ranks agree the front is split
 	// and restart fresh.
-	j2 := mpi.LaunchPlaced(c, []int{2, 1}, 0, func(r *mpi.Rank) {
+	j2 := placed(c, []int{2, 1}, func(r *mpi.Rank) {
 		w := r.Job().World()
 		f, err := Init(Config{ExecID: "stale"}, r, w, st)
 		if err != nil {

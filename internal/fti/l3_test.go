@@ -119,7 +119,7 @@ func TestL3UnequalPayloadsSurviveNodeLoss(t *testing.T) {
 				}
 			}
 			c.FailNode(0)
-			j := mpi.LaunchPlaced(c, []int{1, 1, 1, 1, 2, 2, 3, 3}, 0, l3Recover(t, cfg, st, 4, sizes))
+			j := placed(c, []int{1, 1, 1, 1, 2, 2, 3, 3}, l3Recover(t, cfg, st, 4, sizes))
 			c.Run()
 			exitedClean(t, j)
 		})

@@ -202,7 +202,7 @@ func TestCheckpointIsolatedFromApp(t *testing.T) {
 			cfg := tc.cfg
 			cfg.ExecID = "iso-" + tc.name
 			placement := []int{0, 0, 1, 1, 2, 2, 3, 3}
-			j := mpi.LaunchPlaced(c, placement, 0, func(r *mpi.Rank) {
+			j := placed(c, placement, func(r *mpi.Rank) {
 				w := r.Job().World()
 				me := r.Rank(w)
 				f, err := Init(cfg, r, w, st)
@@ -224,7 +224,7 @@ func TestCheckpointIsolatedFromApp(t *testing.T) {
 				c.FailNode(0)
 				placement = []int{1, 1, 1, 1, 2, 2, 3, 3}
 			}
-			j = mpi.LaunchPlaced(c, placement, 0, func(r *mpi.Rank) {
+			j = placed(c, placement, func(r *mpi.Rank) {
 				w := r.Job().World()
 				me := r.Rank(w)
 				f, err := Init(cfg, r, w, st)

@@ -46,11 +46,12 @@ const AnyTag = -1 << 30
 // replacements (ULFM non-shrinking recovery) and restarted ranks get fresh
 // identities while the underlying node model persists.
 type Process struct {
-	gid    int // unique within the Job, never reused
-	node   int
-	job    *Job
-	proc   *simnet.Proc
-	failed bool
+	gid       int // unique within the Job, never reused
+	node      int
+	job       *Job
+	proc      *simnet.Proc
+	failed    bool
+	completed bool
 
 	mbox     []Message   // delivered, unmatched messages (values: no per-message allocation)
 	blocked  bool        // parked inside a messaging wait
@@ -80,6 +81,9 @@ func (p *Process) NodeID() int { return p.node }
 
 // Failed reports whether the process has failed.
 func (p *Process) Failed() bool { return p.failed }
+
+// Completed reports whether the process's main returned nil (Job.Start).
+func (p *Process) Completed() bool { return p.completed }
 
 // SimProc returns the simnet process backing this MPI process (nil until
 // Job.Start).
@@ -142,6 +146,7 @@ type Job struct {
 	world   *Comm
 	epoch   int
 	aborted bool
+	errs    []error // what rank mains returned, in return order
 
 	detected map[int]bool // gid -> failure detected
 
@@ -182,6 +187,9 @@ func (j *Job) Epoch() int { return j.epoch }
 
 // Aborted reports whether MPI_Abort has been called.
 func (j *Job) Aborted() bool { return j.aborted }
+
+// Errs returns the errors rank mains returned, in return order (Job.Start).
+func (j *Job) Errs() []error { return j.errs }
 
 // AddProcess registers a new MPI process on the given node, or on the
 // cluster's LiveNode for it when that node is dead: every design creates
@@ -482,21 +490,30 @@ func (r *Rank) String() string {
 	return fmt.Sprintf("rank(gid=%d,node=%d)", r.proc.gid, r.proc.node)
 }
 
-// Launch starts an n-process MPI job on the cluster with block placement
-// over the cluster's nodes (ranks are distributed round-robin in contiguous
-// blocks, matching typical mpirun --map-by node:block behavior). The main
-// function runs once per rank. Launch returns the Job; the caller then runs
-// the cluster's scheduler.
-func Launch(c *simnet.Cluster, n int, startDelay simnet.Time, main func(*Rank)) *Job {
-	nodes := make([]int, n)
-	for i := range nodes {
-		nodes[i] = i * c.NumNodes() / n // block placement
+// BlockPlacement returns the node of each of n ranks on a cluster of nodes
+// nodes: contiguous blocks, as mpirun --map-by node:block places them.
+func BlockPlacement(n, nodes int) []int {
+	placement := make([]int, n)
+	for i := range placement {
+		placement[i] = i * nodes / n
 	}
-	return LaunchPlaced(c, nodes, startDelay, main)
+	return placement
 }
 
-// LaunchPlaced is Launch with an explicit rank-to-node placement.
-func LaunchPlaced(c *simnet.Cluster, nodes []int, startDelay simnet.Time, main func(*Rank)) *Job {
+// Launch starts an n-process MPI job on the cluster with BlockPlacement.
+// The main function runs once per rank, and a rank whose main returns has
+// completed. Launch returns the Job; the caller then runs the cluster's
+// scheduler.
+func Launch(c *simnet.Cluster, n int, startDelay simnet.Time, main func(*Rank)) *Job {
+	return LaunchPlaced(c, BlockPlacement(n, c.NumNodes()), startDelay, func(r *Rank) error {
+		main(r)
+		return nil
+	})
+}
+
+// LaunchPlaced starts a job with an explicit rank-to-node placement whose
+// rank mains report how they ended (see Job.Start).
+func LaunchPlaced(c *simnet.Cluster, nodes []int, startDelay simnet.Time, main func(*Rank) error) *Job {
 	j := NewJob(c)
 	members := make([]*Process, len(nodes))
 	for i, node := range nodes {
@@ -511,12 +528,18 @@ func LaunchPlaced(c *simnet.Cluster, nodes []int, startDelay simnet.Time, main f
 
 // Start runs main as process p on p's node, delay after the current
 // virtual time. It is the one way a rank starts, at launch and on every
-// relaunch or respawn: p's simnet process is recorded before main runs, so
-// runtime components can watch or signal it, and p is marked failed when
-// that process is killed, by fault injection or by the loss of its node.
-func (j *Job) Start(p *Process, delay simnet.Time, main func(*Rank)) {
+// relaunch or respawn, and the one place that decides how it ended: main
+// returned nil (p completed), returned an error (appended to Job.Errs), or
+// its simnet process was killed, by fault injection or the loss of its
+// node, before or after it started (p failed). p's simnet process is
+// recorded before main runs, so runtime components can watch or signal it.
+func (j *Job) Start(p *Process, delay simnet.Time, main func(*Rank) error) {
 	sp := j.cluster.StartProc(p.node, delay, func(sp *simnet.Proc) {
-		main(&Rank{job: j, proc: p, sp: sp})
+		if err := main(&Rank{job: j, proc: p, sp: sp}); err != nil {
+			j.errs = append(j.errs, err)
+		} else {
+			p.completed = true
+		}
 	})
 	p.proc = sp
 	sp.OnExit(func(s *simnet.Proc) {

@@ -557,7 +557,10 @@ func TestStartedProcessFailsWithItsNode(t *testing.T) {
 	c := simnet.NewCluster(simnet.Config{Nodes: 2})
 	j := Launch(c, 2, 0, func(r *Rank) { r.Compute(simnet.Second) })
 	repl := j.AddProcess(1)
-	j.Start(repl, simnet.Millisecond, func(r *Rank) { r.Compute(simnet.Second) })
+	j.Start(repl, simnet.Millisecond, func(r *Rank) error {
+		r.Compute(simnet.Second)
+		return nil
+	})
 	if repl.SimProc() == nil {
 		t.Fatal("Start did not record the simnet process before the body ran")
 	}
@@ -567,8 +570,49 @@ func TestStartedProcessFailsWithItsNode(t *testing.T) {
 		t.Fatalf("failed = %v (started late), %v (launched); want both failed with node 1",
 			repl.Failed(), j.World().Member(1).Failed())
 	}
-	if p := j.World().Member(0); p.Failed() || p.SimProc().Status() != simnet.ExitOK {
-		t.Fatalf("rank 0 on live node 0: failed = %v, status %v; want a clean exit", p.Failed(), p.SimProc().Status())
+	if p := j.World().Member(0); p.Failed() || !p.Completed() {
+		t.Fatalf("rank 0 on live node 0: failed = %v, completed = %v; want completed", p.Failed(), p.Completed())
+	}
+}
+
+// Start decides how a rank ended, once: a main that returns nil completed,
+// one that returns an error neither completed nor failed and has its error
+// in Job.Errs, in the order mains return, and a killed one failed.
+func TestStartRecordsHowARankEnded(t *testing.T) {
+	c := simnet.NewCluster(simnet.Config{Nodes: 1})
+	j := NewJob(c)
+	ok, late, early, killed := j.AddProcess(0), j.AddProcess(0), j.AddProcess(0), j.AddProcess(0)
+	errLate, errEarly := errors.New("late"), errors.New("early")
+	returns := func(after simnet.Time, err error) func(*Rank) error {
+		return func(r *Rank) error {
+			r.Compute(after)
+			return err
+		}
+	}
+	// Started in this order, the two errors return in the other.
+	j.Start(ok, 0, returns(simnet.Second, nil))
+	j.Start(late, 0, returns(3*simnet.Second, errLate))
+	j.Start(early, 0, returns(2*simnet.Second, errEarly))
+	j.Start(killed, 0, returns(4*simnet.Second, nil))
+	c.Scheduler().At(simnet.Second/2, func() { killed.SimProc().Kill() })
+	c.Run()
+	if errs := j.Errs(); len(errs) != 2 || errs[0] != errEarly || errs[1] != errLate {
+		t.Fatalf("Errs() = %v, want [early late]", errs)
+	}
+	for _, tc := range []struct {
+		name              string
+		p                 *Process
+		completed, failed bool
+	}{
+		{"nil", ok, true, false},
+		{"late error", late, false, false},
+		{"early error", early, false, false},
+		{"kill", killed, false, true},
+	} {
+		if tc.p.Completed() != tc.completed || tc.p.Failed() != tc.failed {
+			t.Errorf("%s end: completed = %v, failed = %v; want %v, %v",
+				tc.name, tc.p.Completed(), tc.p.Failed(), tc.completed, tc.failed)
+		}
 	}
 }
 

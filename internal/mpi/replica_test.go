@@ -25,7 +25,10 @@ func launchReplicated(c *simnet.Cluster, n, degree int, body func(*Rank, *Comm, 
 	for i := 0; i < n; i++ {
 		for k, p := range groups[i] {
 			i, k := i, k
-			j.Start(p, 0, func(r *Rank) { body(r, world, i, k) })
+			j.Start(p, 0, func(r *Rank) error {
+				body(r, world, i, k)
+				return nil
+			})
 		}
 	}
 	return j
@@ -120,17 +123,20 @@ func TestReplicaPartialGroups(t *testing.T) {
 	for i, g := range groups {
 		for _, p := range g {
 			i, p := i, p
-			j.Start(p, 0, func(r *Rank) {
+			j.Start(p, 0, func(r *Rank) error {
 				sum, err := AllreduceF64Scalar(r, world, float64(i+1), OpSum)
 				if err != nil {
-					t.Errorf("rank %d: %v", i, err)
-					return
+					return err
 				}
 				sums[p.GID()] = sum
+				return nil
 			})
 		}
 	}
 	c.Run()
+	for _, err := range j.Errs() {
+		t.Errorf("rank error: %v", err)
+	}
 	if len(sums) != 3 {
 		t.Fatalf("finishers = %d, want 3", len(sums))
 	}

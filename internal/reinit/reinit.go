@@ -50,8 +50,6 @@ type Runtime struct {
 	// Recoveries lists completed global restarts (complete = replacement
 	// up, world rebuilt).
 	Recoveries []mpi.Recovery
-	// Errs collects resilient-main errors (diagnosed by the harness).
-	Errs []error
 }
 
 // NewRuntime installs the Reinit runtime on a job. main is the resilient
@@ -107,10 +105,11 @@ func (rt *Runtime) globalRestart(failed *mpi.Process, failedAt simnet.Time) {
 	members := append([]*mpi.Process(nil), rt.world.Leaders()...)
 	repl := rt.job.AddProcess(failed.NodeID())
 	members[oldRank] = repl
-	rt.job.Start(repl, respawnDelay, func(r *mpi.Rank) {
+	rt.job.Start(repl, respawnDelay, func(r *mpi.Rank) error {
 		if err := rt.Run(r); err != nil {
-			rt.Errs = append(rt.Errs, fmt.Errorf("reinit: respawned rank %d: %w", oldRank, err))
+			return fmt.Errorf("reinit: respawned rank %d: %w", oldRank, err)
 		}
+		return nil
 	})
 
 	// 3. Rebuild the world communicator; the daemons supervise it. What

@@ -124,8 +124,8 @@ type Layout struct {
 }
 
 // NewLayout computes the deterministic replica layout for n logical ranks
-// on a cluster of numNodes nodes. Primaries follow the block placement of
-// mpi.Launch; replica k of a rank lands numNodes/DupDegree nodes away, so
+// on a cluster of numNodes nodes. Primaries follow mpi.BlockPlacement;
+// replica k of a rank lands numNodes/DupDegree nodes away, so
 // no two members of a group share a node (when the cluster has more than
 // one node) and a node failure can exhaust only degenerate groups.
 func NewLayout(n, numNodes int, cfg Config) Layout {
@@ -134,14 +134,13 @@ func NewLayout(n, numNodes int, cfg Config) Layout {
 	if offset < 1 {
 		offset = 1
 	}
-	for i := 0; i < n; i++ {
+	for i, prim := range mpi.BlockPlacement(n, numNodes) {
 		deg := 1
 		// Spread the replicated ranks evenly over the rank space.
 		if int(cfg.ReplicaFactor*float64(i+1)) > int(cfg.ReplicaFactor*float64(i)) {
 			deg = cfg.DupDegree
 		}
 		l.Degree[i] = deg
-		prim := i * numNodes / n
 		for k := 0; k < deg; k++ {
 			l.Nodes[i] = append(l.Nodes[i], (prim+k*offset)%numNodes)
 		}
@@ -216,7 +215,7 @@ type Supervisor struct {
 	cfg     Config
 	dcfg    detect.Config
 	layout  Layout
-	main    func(r *mpi.Rank, world *mpi.Comm)
+	main    func(r *mpi.Rank, world *mpi.Comm) error
 
 	// Recoveries lists failovers and fallback relaunches in order (Kind is
 	// the RecoveryKind, Replica the index that died).
@@ -225,8 +224,7 @@ type Supervisor struct {
 	// in-flight, and aborted alike). Empty unless Config.HotSpare is set.
 	RespawnLog []Respawn
 
-	world    *mpi.Comm
-	rankDone []bool
+	world *mpi.Comm
 	// gidRank/gidIdx map the current incarnation's physical processes back
 	// to (logical rank, replica index) for detector-driven recovery.
 	gidRank map[int]int
@@ -285,17 +283,17 @@ type spare struct {
 // supervisor; drive the cluster's scheduler to completion afterwards. main
 // runs once per physical replica, with the replica-aware world
 // communicator; the replica's index in its group (0 = initial primary) is
-// world.ReplicaIndexOf(r.Process().GID()). An invalid
+// world.ReplicaIndexOf(r.Process().GID()). A replica whose main returns an
+// error is lost: it neither completes nor protects its rank. An invalid
 // detector configuration panics; validate with detect.Config.Validate
 // (core.Run does) before constructing.
-func Supervise(c *simnet.Cluster, cfg Config, dcfg detect.Config, n int, main func(*mpi.Rank, *mpi.Comm)) *Supervisor {
+func Supervise(c *simnet.Cluster, cfg Config, dcfg detect.Config, n int, main func(*mpi.Rank, *mpi.Comm) error) *Supervisor {
 	s := &Supervisor{
-		cluster:  c,
-		cfg:      cfg,
-		dcfg:     dcfg,
-		layout:   NewLayout(n, c.NumNodes(), cfg),
-		main:     main,
-		rankDone: make([]bool, n),
+		cluster: c,
+		cfg:     cfg,
+		dcfg:    dcfg,
+		layout:  NewLayout(n, c.NumNodes(), cfg),
+		main:    main,
 	}
 	s.Launcher = restart.NewLauncher(c, dcfg, s.layout.Total, s.launch)
 	s.launch(0)
@@ -305,10 +303,10 @@ func Supervise(c *simnet.Cluster, cfg Config, dcfg detect.Config, n int, main fu
 // World returns the current incarnation's replica-aware world.
 func (s *Supervisor) World() *mpi.Comm { return s.world }
 
-// Done reports whether every logical rank completed in some incarnation.
+// Done reports whether every logical rank completed in this incarnation.
 func (s *Supervisor) Done() bool {
-	for _, d := range s.rankDone {
-		if !d {
+	for r := 0; r < s.layout.Procs; r++ {
+		if !s.groupCompleted(s.world, r) {
 			return false
 		}
 	}
@@ -320,8 +318,9 @@ func (s *Supervisor) Done() bool {
 // replica-aware checkpoint-placement policy re-arms on. It is 1 (or 0,
 // mid-teardown) as soon as any rank's state would not survive a process
 // failure: under partial replication from the start, or after a failover
-// degrades a group. Members that already exited successfully still count
-// as protection — a completed rank's state needs no checkpoint. A virtual
+// degrades a group. Members that already completed still count as
+// protection — a completed rank's state needs no checkpoint — but one
+// whose main returned an error does not. A virtual
 // hot spare counts only while its node is alive: a node failure destroys
 // the spare's cloned state even though no simulated process dies with it.
 func (s *Supervisor) MinLiveDegree() int {
@@ -341,16 +340,17 @@ func (s *Supervisor) MinLiveDegree() int {
 }
 
 // memberProtects reports whether a group member still protects its rank's
-// state: any non-failed executing (or completed) member, or a virtual
-// spare whose node survives.
+// state: an executing or completed member, or a virtual spare whose node
+// survives.
 func (s *Supervisor) memberProtects(m *mpi.Process) bool {
 	if m.Failed() {
 		return false
 	}
-	if m.SimProc() == nil { // virtual hot spare: state lives on its node
+	sp := m.SimProc()
+	if sp == nil { // virtual hot spare: state lives on its node
 		return s.cluster.Node(m.NodeID()).Alive()
 	}
-	return true
+	return m.Completed() || !sp.Exited()
 }
 
 // Respawns counts the hot spares that completed their state transfer and
@@ -406,29 +406,19 @@ func (s *Supervisor) launch(delay simnet.Time) {
 	s.world = world
 	s.gidRank = make(map[int]int, s.layout.Total)
 	s.gidIdx = make(map[int]int, s.layout.Total)
-	var phys []*mpi.Process
-	for i := 0; i < n; i++ {
-		for k, p := range groups[i] {
-			i, p := i, p
-			s.gidRank[p.GID()] = i
-			s.gidIdx[p.GID()] = k
-			job.Start(p, delay, func(r *mpi.Rank) { s.main(r, world) })
-			// The node daemon's watcher: a rank is done once one of its
-			// replicas returns in the current incarnation. Start marks a
-			// killed replica failed; reacting to the death waits for the
-			// detector's confirmation in onFailure.
-			p.SimProc().OnExit(func(sp *simnet.Proc) {
-				if sp.Status() == simnet.ExitOK && job == s.CurrentJob() {
-					s.rankDone[i] = true
-				}
-			})
-		}
-	}
 	// The detector watches every physical process — failures of shadow
 	// replicas matter as much as leader failures. Under the ring strategy
 	// the heartbeat ring (and its interference) therefore spans the
 	// physical job, like FTHP-MPI's replica heartbeats.
+	var phys []*mpi.Process
 	for i := 0; i < n; i++ {
+		for k, p := range groups[i] {
+			s.gidRank[p.GID()] = i
+			s.gidIdx[p.GID()] = k
+			// Start records how the replica ends; reacting to a death
+			// waits for the detector's confirmation in onFailure.
+			job.Start(p, delay, func(r *mpi.Rank) error { return s.main(r, world) })
+		}
 		phys = append(phys, groups[i]...)
 	}
 	s.Watch(job, func(f detect.Failure) { s.onFailure(job, world, f) }).SetProcs(phys)
@@ -448,34 +438,33 @@ func (s *Supervisor) onFailure(job *mpi.Job, world *mpi.Comm, f detect.Failure) 
 	if !ok {
 		return
 	}
-	if s.groupAlive(world, rank) {
+	if s.executing(world, rank) > 0 {
 		s.failover(job, world, rank, s.gidIdx[f.GID], f)
 	} else if !s.groupCompleted(world, rank) {
 		s.fallback(job, rank, f)
 	}
 }
 
-// groupAlive reports whether any *executing* member of the rank's group is
-// still running. Virtual hot spares (no simulated process of their own)
-// are excluded: a spare can only take over through the lockstep identity
-// swap of AbsorbFailure, so a group whose last executor died by any other
-// means — a node failure, say — is exhausted even if a spare is live.
-func (s *Supervisor) groupAlive(world *mpi.Comm, rank int) bool {
+// executing counts the members of the rank's group still running. Virtual
+// hot spares (no simulated process of their own) are excluded: a spare can
+// only take over through the lockstep identity swap of AbsorbFailure, so a
+// group whose last executor died by any other means — a node failure, say
+// — is exhausted even if a spare is live.
+func (s *Supervisor) executing(world *mpi.Comm, rank int) int {
+	n := 0
 	for _, m := range world.ReplicaGroup(rank) {
-		sp := m.SimProc()
-		if !m.Failed() && sp != nil && !sp.Exited() {
-			return true
+		if sp := m.SimProc(); !m.Failed() && sp != nil && !sp.Exited() {
+			n++
 		}
 	}
-	return false
+	return n
 }
 
 // groupCompleted reports whether some member of the rank's group already
-// finished the application (the rank needs no recovery at all).
+// completed the application (the rank needs no recovery at all).
 func (s *Supervisor) groupCompleted(world *mpi.Comm, rank int) bool {
 	for _, m := range world.ReplicaGroup(rank) {
-		sp := m.SimProc()
-		if !m.Failed() && sp != nil && sp.Exited() && sp.Status() == simnet.ExitOK {
+		if m.Completed() {
 			return true
 		}
 	}
@@ -597,7 +586,7 @@ func (s *Supervisor) scheduleRespawn(job *mpi.Job, world *mpi.Comm, rank, idx, d
 // senders start duplicating onto it, and MinLiveDegree sees the restored
 // protection — and from here on tracks the survivor in lockstep.
 func (s *Supervisor) goLive(job *mpi.Job, world *mpi.Comm, rank, idx, node int, sp *spare) {
-	if !s.Live(job) || s.rankDone[rank] || !s.groupAlive(world, rank) ||
+	if !s.Live(job) || s.groupCompleted(world, rank) || s.executing(world, rank) == 0 ||
 		!s.cluster.Node(node).Alive() {
 		s.abortRespawn(rank, sp)
 		return
@@ -671,13 +660,7 @@ func (s *Supervisor) AbsorbFailure(r *mpi.Rank, world *mpi.Comm) bool {
 	// With another executing twin alive the normal failover path is
 	// cheaper and keeps the spare in reserve; only the last executor
 	// needs the swap.
-	executing := 0
-	for _, m := range world.ReplicaGroup(rank) {
-		if p := m.SimProc(); !m.Failed() && p != nil && !p.Exited() {
-			executing++
-		}
-	}
-	if executing > 1 {
+	if s.executing(world, rank) > 1 {
 		return false
 	}
 	victim := r.Process()

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"errors"
 	"testing"
 
 	"match/internal/detect"
@@ -90,8 +91,8 @@ func TestLayoutDeterministic(t *testing.T) {
 
 // workloop is a minimal SPMD main: iterations of compute + allreduce, with
 // an optional kill of one specific (rank, replica) at one iteration.
-func workloop(t *testing.T, iters, killRank, killReplica, killIter int) func(*mpi.Rank, *mpi.Comm) {
-	return func(r *mpi.Rank, world *mpi.Comm) {
+func workloop(t *testing.T, iters, killRank, killReplica, killIter int) func(*mpi.Rank, *mpi.Comm) error {
+	return func(r *mpi.Rank, world *mpi.Comm) error {
 		idx := world.ReplicaIndexOf(r.Process().GID())
 		rank := r.Rank(world)
 		for it := 0; it < iters; it++ {
@@ -102,13 +103,13 @@ func workloop(t *testing.T, iters, killRank, killReplica, killIter int) func(*mp
 			sum, err := mpi.AllreduceF64Scalar(r, world, 1, mpi.OpSum)
 			if err != nil {
 				t.Errorf("rank %d replica %d iter %d: %v", rank, idx, it, err)
-				return
+				return err
 			}
 			if int(sum) != world.Size() {
 				t.Errorf("rank %d replica %d iter %d: sum %v != %d", rank, idx, it, sum, world.Size())
-				return
 			}
 		}
+		return nil
 	}
 }
 
@@ -160,14 +161,14 @@ func TestSupervisorExhaustionFallsBackToRelaunch(t *testing.T) {
 		t.Fatal("no unreplicated rank in layout")
 	}
 	killed := false
-	sup := Supervise(c, cfg, launcher, 4, func(r *mpi.Rank, world *mpi.Comm) {
+	sup := Supervise(c, cfg, launcher, 4, func(r *mpi.Rank, world *mpi.Comm) error {
 		idx := world.ReplicaIndexOf(r.Process().GID())
 		// Kill the unreplicated rank once, in the first incarnation only.
 		if !killed && r.Rank(world) == victim && idx == 0 {
 			killed = true
 			r.Die()
 		}
-		workloop(t, 5, -1, -1, -1)(r, world)
+		return workloop(t, 5, -1, -1, -1)(r, world)
 	})
 	c.Run()
 	if !sup.Done() {
@@ -191,6 +192,56 @@ func TestSupervisorExhaustionFallsBackToRelaunch(t *testing.T) {
 	}
 	if rel.Duration() < simnet.Second {
 		t.Fatalf("relaunch duration %v suspiciously cheap", rel.Duration())
+	}
+}
+
+// A replica whose main returns an error has not completed its rank and no
+// longer protects it: the rank's degree drops, and when its twin is killed
+// later no copy of the state is left, so the group takes the checkpoint
+// fallback and the relaunched job completes.
+func TestErroredReplicaIsLostReplica(t *testing.T) {
+	c := simnet.NewCluster(simnet.Config{Nodes: 4})
+	errGaveUp := errors.New("replica gave up")
+	var sup *Supervisor
+	first := true
+	checked := false
+	sup = Supervise(c, resolved(Config{}), launcher, 4, func(r *mpi.Rank, world *mpi.Comm) error {
+		idx := world.ReplicaIndexOf(r.Process().GID())
+		rank := r.Rank(world)
+		for it := 0; it < 10; it++ {
+			if first && rank == 2 {
+				switch {
+				case it == 3 && idx == 1:
+					return errGaveUp
+				case it == 6:
+					checked = true
+					if sup.groupCompleted(world, 2) || sup.MinLiveDegree() != 1 {
+						t.Errorf("after the error: group completed = %v, degree %d; want false, 1",
+							sup.groupCompleted(world, 2), sup.MinLiveDegree())
+					}
+				case it == 8:
+					first = false
+					r.Die()
+				}
+			}
+			r.Compute(100 * simnet.Microsecond)
+			if _, err := mpi.AllreduceF64Scalar(r, world, 1, mpi.OpSum); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	c.Run()
+	if !checked {
+		t.Fatal("the twin never reached the check")
+	}
+	if !sup.Done() || sup.Failovers() != 0 || sup.Relaunches() != 1 {
+		t.Fatalf("done=%v failovers=%d relaunches=%d, want true/0/1", sup.Done(), sup.Failovers(), sup.Relaunches())
+	}
+	// The survivors' collectives that were waiting on rank 2 end in errors
+	// of their own before the teardown; the replica's comes first.
+	if errs := sup.Jobs[0].Errs(); len(errs) == 0 || errs[0] != errGaveUp {
+		t.Fatalf("first incarnation's errors %v, want %v first", errs, errGaveUp)
 	}
 }
 
@@ -240,7 +291,7 @@ func TestHotSpareRespawnRestoresDegree(t *testing.T) {
 func TestHotSpareAbsorbsSecondFailure(t *testing.T) {
 	c := simnet.NewCluster(simnet.Config{Nodes: 4})
 	var sup *Supervisor
-	sup = Supervise(c, hotSpareConfig(), launcher, 4, func(r *mpi.Rank, world *mpi.Comm) {
+	sup = Supervise(c, hotSpareConfig(), launcher, 4, func(r *mpi.Rank, world *mpi.Comm) error {
 		idx := world.ReplicaIndexOf(r.Process().GID())
 		rank := r.Rank(world)
 		for it := 0; it < 800; it++ {
@@ -257,9 +308,10 @@ func TestHotSpareAbsorbsSecondFailure(t *testing.T) {
 			r.Compute(100 * simnet.Microsecond)
 			if _, err := mpi.AllreduceF64Scalar(r, world, 1, mpi.OpSum); err != nil {
 				t.Errorf("rank %d replica %d iter %d: %v", rank, idx, it, err)
-				return
+				return err
 			}
 		}
+		return nil
 	})
 	c.Run()
 	if !sup.Done() {
@@ -306,7 +358,7 @@ func TestHotSpareInvalidatedByNodeFailure(t *testing.T) {
 	c := simnet.NewCluster(simnet.Config{Nodes: 4})
 	var sup *Supervisor
 	nodeKilled, k2 := false, false
-	sup = Supervise(c, hotSpareConfig(), launcher, 4, func(r *mpi.Rank, world *mpi.Comm) {
+	sup = Supervise(c, hotSpareConfig(), launcher, 4, func(r *mpi.Rank, world *mpi.Comm) error {
 		idx := world.ReplicaIndexOf(r.Process().GID())
 		rank := r.Rank(world)
 		for it := 0; it < 400; it++ {
@@ -335,9 +387,10 @@ func TestHotSpareInvalidatedByNodeFailure(t *testing.T) {
 			r.Compute(100 * simnet.Microsecond)
 			if _, err := mpi.AllreduceF64Scalar(r, world, 1, mpi.OpSum); err != nil {
 				t.Errorf("rank %d replica %d iter %d: %v", rank, idx, it, err)
-				return
+				return err
 			}
 		}
+		return nil
 	})
 	c.Run()
 	if !nodeKilled || !k2 {
@@ -359,7 +412,7 @@ func TestHotSpareWindowFallsBackToRelaunch(t *testing.T) {
 	cfg.SpawnDelay = 3600 * simnet.Second // spare never ready in this run
 	var sup *Supervisor
 	k1, k2 := false, false
-	sup = Supervise(c, cfg, launcher, 4, func(r *mpi.Rank, world *mpi.Comm) {
+	sup = Supervise(c, cfg, launcher, 4, func(r *mpi.Rank, world *mpi.Comm) error {
 		idx := world.ReplicaIndexOf(r.Process().GID())
 		rank := r.Rank(world)
 		for it := 0; it < 400; it++ {
@@ -376,9 +429,10 @@ func TestHotSpareWindowFallsBackToRelaunch(t *testing.T) {
 			r.Compute(100 * simnet.Microsecond)
 			if _, err := mpi.AllreduceF64Scalar(r, world, 1, mpi.OpSum); err != nil {
 				t.Errorf("rank %d replica %d iter %d: %v", rank, idx, it, err)
-				return
+				return err
 			}
 		}
+		return nil
 	})
 	c.Run()
 	if !sup.Done() {

@@ -6,9 +6,9 @@
 // magnitude slower than online recovery (16x Reinit, 2-3x ULFM on average).
 //
 // The relaunch cycle is Launcher, which the replica design's
-// checkpoint-only fallback embeds too. Each incarnation is a plain
-// mpi.Launch with block placement; after a node loss, mpi.Job.AddProcess
-// moves a rank placed on the dead node to the cluster's next live node
+// checkpoint-only fallback embeds too. Each incarnation is placed in
+// blocks (mpi.BlockPlacement); after a node loss, mpi.Job.AddProcess moves
+// a rank placed on the dead node to the cluster's next live node
 // (simnet.Cluster.LiveNode), so the relaunched job never starts there.
 //
 // Failure detection goes through the shared internal/detect subsystem.
@@ -133,46 +133,40 @@ func (l *Launcher) Relaunch(job *mpi.Job, book func(abortedAt, delay simnet.Time
 // Supervisor relaunches a job until it completes without a failure.
 type Supervisor struct {
 	Launcher
-	main func(*mpi.Rank)
+	main func(r *mpi.Rank, world *mpi.Comm) error
 
 	// Recoveries lists the restarts performed; each completes when the
 	// redeployed ranks begin executing.
 	Recoveries []mpi.Recovery
-
-	exitedOK int
-	done     bool
 }
 
 // Supervise launches an n-rank job running main under restart supervision
 // with failure detector dcfg (the Launcher detector is Restart's own) and
 // returns the supervisor; drive the cluster's scheduler to completion
-// afterwards. Every incarnation is an mpi.Launch. An invalid detector
-// configuration panics; validate with detect.Config.Validate (core.Run
-// does) before constructing.
-func Supervise(c *simnet.Cluster, dcfg detect.Config, n int, main func(*mpi.Rank)) *Supervisor {
+// afterwards. main runs once per rank on its incarnation's world, and
+// mpi.Job.Start records how it ended. An invalid detector configuration
+// panics; validate with detect.Config.Validate (core.Run does) before
+// constructing.
+func Supervise(c *simnet.Cluster, dcfg detect.Config, n int, main func(*mpi.Rank, *mpi.Comm) error) *Supervisor {
 	s := &Supervisor{main: main}
 	s.Launcher = NewLauncher(c, dcfg, n, s.launch)
 	s.launch(0)
 	return s
 }
 
-// Done reports whether a job incarnation completed with every rank exiting
-// normally.
-func (s *Supervisor) Done() bool { return s.done }
+// Done reports whether every rank of the current incarnation completed.
+func (s *Supervisor) Done() bool {
+	for _, p := range s.CurrentJob().World().Leaders() {
+		if !p.Completed() {
+			return false
+		}
+	}
+	return true
+}
 
 func (s *Supervisor) launch(delay simnet.Time) {
-	s.exitedOK = 0
-	job := mpi.Launch(s.cluster, s.procs, delay, s.main)
-	for _, p := range job.World().Leaders() {
-		p.SimProc().OnExit(func(sp *simnet.Proc) {
-			if job == s.CurrentJob() && sp.Status() == simnet.ExitOK {
-				s.exitedOK++
-				if s.exitedOK == s.procs {
-					s.done = true
-				}
-			}
-		})
-	}
+	job := mpi.LaunchPlaced(s.cluster, mpi.BlockPlacement(s.procs, s.cluster.NumNodes()), delay,
+		func(r *mpi.Rank) error { return s.main(r, r.Job().World()) })
 	s.Watch(job, func(f detect.Failure) { s.onFailure(job, f) }).SetWorld(job.World())
 }
 

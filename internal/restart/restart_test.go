@@ -30,12 +30,11 @@ func runRestart(t *testing.T, n, iters, stride int, plan fault.Schedule, execID 
 	var s *Supervisor
 	inj.Recoveries = func() int { return len(s.Recoveries) }
 	sums := make([]float64, n)
-	main := func(r *mpi.Rank) {
-		world := r.Job().World()
+	main := func(r *mpi.Rank, world *mpi.Comm) error {
 		f, err := fti.Init(fti.Config{ExecID: execID}, r, world, st)
 		if err != nil {
 			t.Errorf("init: %v", err)
-			return
+			return err
 		}
 		iter := 0
 		sum := 0.0
@@ -44,24 +43,25 @@ func runRestart(t *testing.T, n, iters, stride int, plan fault.Schedule, execID 
 		if f.Status() != fti.StatusFresh {
 			if err := f.Recover(); err != nil {
 				t.Errorf("recover: %v", err)
-				return
+				return err
 			}
 		}
 		for ; iter < iters; iter++ {
 			inj.MaybeFail(r, world, iter)
 			if iter%stride == 0 {
 				if err := f.Checkpoint(int64(iter)); err != nil {
-					return // job is being torn down
+					return err // job is being torn down
 				}
 			}
 			v, err := mpi.AllreduceF64Scalar(r, world, float64(r.Rank(world)+iter), mpi.OpSum)
 			if err != nil {
-				return // torn down mid-collective
+				return err // torn down mid-collective
 			}
 			sum += v
 			r.Compute(simnet.Millisecond)
 		}
 		sums[r.Rank(world)] = sum
+		return nil
 	}
 	s = Supervise(c, detect.LauncherConfig(), n, main)
 	c.Run()

@@ -4,13 +4,44 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 )
+
+// settledGoroutines returns the goroutine count once it has stopped
+// changing: a goroutine an earlier test let go of may not have retired
+// yet, and a baseline that counts it fails the exact checks below.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for still, deadline := 0, time.Now().Add(2*time.Second); still < 10 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		} else {
+			still++
+		}
+	}
+	return n
+}
+
+// goroutinesBackTo fails t unless the goroutine count is back at exactly
+// base, polling while it is above: a released coroutine's goroutine
+// retires on its own schedule.
+func goroutinesBackTo(t *testing.T, base int, when string) {
+	t.Helper()
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n != base {
+		t.Fatalf("%d goroutines %s, %d before", n, when, base)
+	}
+}
 
 // Close unwinds a parked process like a kill — deferred functions run and
 // the body observes Killed — but it is teardown, not a simulated exit: no
 // OnExit callback runs, and every coroutine is gone afterwards.
 func TestCloseUnwindsParkedProcs(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := settledGoroutines()
 	c := NewCluster(Config{Nodes: 2})
 	c.Scheduler().SetDeadline(1000)
 	var unwound []any
@@ -66,9 +97,7 @@ func TestCloseUnwindsParkedProcs(t *testing.T) {
 	if done.Status() != ExitOK {
 		t.Errorf("Close changed a finished process's status to %v", done.Status())
 	}
-	if n := runtime.NumGoroutine(); n != base {
-		t.Fatalf("%d goroutines after Close, %d before the cluster existed", n, base)
-	}
+	goroutinesBackTo(t, base, "after Close")
 
 	c.Close() // idempotent
 	if len(unwound) != 3 || exits != 0 {
@@ -78,7 +107,7 @@ func TestCloseUnwindsParkedProcs(t *testing.T) {
 
 // After a run in which every process exited there is nothing to let go of.
 func TestCloseAfterCleanRunIsNoOp(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := settledGoroutines()
 	c := NewCluster(Config{Nodes: 1})
 	exits := 0
 	p := c.StartProc(0, 0, func(p *Proc) { p.Sleep(5) })
@@ -87,9 +116,7 @@ func TestCloseAfterCleanRunIsNoOp(t *testing.T) {
 	q.OnExit(func(*Proc) { exits++ })
 	c.Scheduler().At(20, func() { q.Kill() })
 	c.Run()
-	if n := runtime.NumGoroutine(); n != base {
-		t.Fatalf("%d goroutines after a clean run, %d before", n, base)
-	}
+	goroutinesBackTo(t, base, "after a clean run")
 	c.Close()
 	if exits != 2 || p.Status() != ExitOK || q.Status() != ExitKilled {
 		t.Fatalf("after Close: exits=%d p=%v q=%v, want 2, ExitOK, ExitKilled", exits, p.Status(), q.Status())
@@ -100,7 +127,7 @@ func TestCloseAfterCleanRunIsNoOp(t *testing.T) {
 // deferred function: charging a cost on the way out) keeps unwinding — the
 // stopped coroutine refuses every later park the same way.
 func TestCloseUnwindsThroughSleepInDefer(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := settledGoroutines()
 	c := NewCluster(Config{Nodes: 1})
 	var steps []string
 	p := c.StartProc(0, 0, func(p *Proc) {
@@ -120,9 +147,7 @@ func TestCloseUnwindsThroughSleepInDefer(t *testing.T) {
 	if !p.Exited() || p.Status() != ExitKilled {
 		t.Fatalf("exited=%v status=%v, want an ExitKilled exit", p.Exited(), p.Status())
 	}
-	if n := runtime.NumGoroutine(); n != base {
-		t.Fatalf("%d goroutines after Close, %d before", n, base)
-	}
+	goroutinesBackTo(t, base, "after Close")
 }
 
 // Nested dispatch: an event a body scheduled kills another process, whose

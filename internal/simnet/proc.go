@@ -164,7 +164,8 @@ func (p *Proc) Status() ExitStatus { return p.status }
 func (p *Proc) PanicValue() any { return p.panicVal }
 
 // OnExit registers a callback invoked (in scheduler context) when the
-// process body terminates for any reason.
+// process terminates for any reason, including a kill before it started.
+// Cluster.Close runs none.
 func (p *Proc) OnExit(f func(*Proc)) { p.onExit = append(p.onExit, f) }
 
 // wakeAt schedules a resume at time t for the park of generation g. The
@@ -236,9 +237,11 @@ func (p *Proc) Kill() {
 	}
 	p.dead = true
 	if !p.started {
-		p.exited = true
-		p.status = ExitKilled
+		p.exited, p.status = true, ExitKilled
 		p.stop() // the body never runs; let its coroutine go
+		for _, f := range p.onExit {
+			f(p)
+		}
 		return
 	}
 	p.dispatch(wake{kill: true})

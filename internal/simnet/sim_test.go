@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -148,11 +147,15 @@ func TestProcKillWhileSleeping(t *testing.T) {
 
 // A process killed before its start delay (node failure during a staggered
 // launch) never runs, and its coroutine goes with it.
+// A process killed before it started never runs, but it exits: its exit
+// callbacks run once, seeing ExitKilled, and its coroutine is released.
 func TestProcKillBeforeStart(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := settledGoroutines()
 	c := NewCluster(Config{Nodes: 1})
 	ran := false
 	p := c.StartProc(0, 100, func(p *Proc) { ran = true })
+	var exits []ExitStatus
+	p.OnExit(func(p *Proc) { exits = append(exits, p.Status()) })
 	c.Scheduler().At(10, func() { p.Kill() })
 	c.Run()
 	if ran {
@@ -161,9 +164,10 @@ func TestProcKillBeforeStart(t *testing.T) {
 	if p.Status() != ExitKilled {
 		t.Fatalf("status = %v, want ExitKilled", p.Status())
 	}
-	if n := runtime.NumGoroutine(); n != base {
-		t.Fatalf("%d goroutines after the run, %d before: the unstarted process was not released", n, base)
+	if len(exits) != 1 || exits[0] != ExitKilled {
+		t.Fatalf("exit callbacks saw %v, want one ExitKilled", exits)
 	}
+	goroutinesBackTo(t, base, "after the run (the unstarted process was not released)")
 }
 
 func TestProcDieUnwinds(t *testing.T) {

@@ -88,15 +88,15 @@ func (rt *Runtime) CommSpawn(r *mpi.Rank, shrunk *mpi.Comm, world *mpi.Comm) map
 		fr := fr
 		repl := rt.job.AddProcess(world.Member(fr).NodeID())
 		repls[fr] = repl
-		rt.job.Start(repl, spawnDelay, func(rr *mpi.Rank) {
+		rt.job.Start(repl, spawnDelay, func(rr *mpi.Rank) error {
 			nw := rt.round(world).newWorld
 			if err := rt.joinWorld(rr, nw); err != nil {
-				rt.Errs = append(rt.Errs, fmt.Errorf("ulfm: replacement rank %d join: %w", fr, err))
-				return
+				return fmt.Errorf("ulfm: replacement rank %d join: %w", fr, err)
 			}
 			if err := rt.resilientLoop(rr, nw); err != nil {
-				rt.Errs = append(rt.Errs, fmt.Errorf("ulfm: replacement rank %d: %w", fr, err))
+				return fmt.Errorf("ulfm: replacement rank %d: %w", fr, err)
 			}
+			return nil
 		})
 	}
 	return repls

@@ -86,8 +86,6 @@ type Runtime struct {
 	// Recoveries lists completed repairs: Failed members replaced, Rank the
 	// first of them (-1 when the broken world had no failed member).
 	Recoveries []mpi.Recovery
-	// Errs collects errors from replacement ranks.
-	Errs []error
 }
 
 // NewRuntime activates ULFM on the job: installs the amended-interface

@@ -72,15 +72,12 @@ func runULFM(t *testing.T, n, iters, stride int, plan fault.Schedule, execID str
 	sums := make([]float64, n)
 	main := resilientMain(st, execID, iters, stride, inj, sums)
 	var rt *Runtime
-	job := mpi.Launch(c, n, 0, func(r *mpi.Rank) {
-		if err := rt.RunResilient(r); err != nil {
-			t.Errorf("rank: %v", err)
-		}
-	})
+	job := mpi.LaunchPlaced(c, mpi.BlockPlacement(n, c.NumNodes()), 0,
+		func(r *mpi.Rank) error { return rt.RunResilient(r) })
 	rt = NewRuntime(job, calibrated, detect.RingDefaults(), main)
 	c.Run()
-	for _, e := range rt.Errs {
-		t.Errorf("replacement error: %v", e)
+	for _, e := range job.Errs() {
+		t.Errorf("rank error: %v", e)
 	}
 	return rt, sums
 }
