@@ -47,8 +47,7 @@ func (d *ringDetector) tick() {
 	}
 	allExited := true
 	for _, p := range d.procs {
-		sp := p.SimProc()
-		if sp == nil || !sp.Exited() {
+		if p.Running() {
 			allExited = false
 		}
 		if !p.Failed() || d.confirmed[p.GID()] {

@@ -60,8 +60,7 @@ func (d *treeDetector) tick() {
 	// the membership it started with, like the original runtime loop did.
 	procs := d.procs
 	for _, p := range procs {
-		sp := p.SimProc()
-		if sp == nil || !sp.Exited() {
+		if p.Running() {
 			allExited = false
 		}
 		if !p.Failed() || d.confirmed[p.GID()] {

@@ -154,8 +154,8 @@ func TestPayloadReusedOnlyAfterGC(t *testing.T) {
 			})
 			c.Run()
 			for i, p := range j.World().Leaders() {
-				if s := p.SimProc().Status(); (s == simnet.ExitOK) != (i != victim) {
-					t.Errorf("rank %d exited with status %d: %v", i, s, p.SimProc().PanicValue())
+				if p.Completed() == (i == victim) || p.Failed() != (i == victim) {
+					t.Errorf("rank %d: completed %v, failed %v; only the victim fails", i, p.Completed(), p.Failed())
 				}
 			}
 			for _, me := range tc.lose {

@@ -30,8 +30,9 @@ var (
 	ErrRevoked = errors.New("mpi: communicator revoked (MPIX_ERR_REVOKED)")
 	// ErrAborted is returned when the job has been aborted (MPI_Abort).
 	ErrAborted = errors.New("mpi: job aborted")
-	// ErrRankExited is an internal error: a message was addressed to a rank
-	// that completed normally. Usually indicates a protocol bug.
+	// ErrRankExited is an internal error: a receive waits on a peer whose
+	// main returned, with or without an error, and sent nothing more.
+	// Usually indicates a protocol bug.
 	ErrRankExited = errors.New("mpi: peer rank exited")
 )
 
@@ -46,12 +47,11 @@ const AnyTag = -1 << 30
 // replacements (ULFM non-shrinking recovery) and restarted ranks get fresh
 // identities while the underlying node model persists.
 type Process struct {
-	gid       int // unique within the Job, never reused
-	node      int
-	job       *Job
-	proc      *simnet.Proc
-	failed    bool
-	completed bool
+	gid   int // unique within the Job, never reused
+	node  int
+	job   *Job
+	proc  *simnet.Proc
+	state procState
 
 	mbox     []Message   // delivered, unmatched messages (values: no per-message allocation)
 	blocked  bool        // parked inside a messaging wait
@@ -73,6 +73,18 @@ type Process struct {
 	stolen simnet.Time
 }
 
+// procState is how a process stands. Job.Start, Rank.Die and Job.MarkFailed
+// are its only writers; everything else reads it.
+type procState uint8
+
+const (
+	notStarted procState = iota // added but never started: a virtual hot spare
+	running                     // Job.Start called, main has not returned
+	completed                   // main returned nil
+	errored                     // main returned an error (Job.Errs)
+	failed                      // killed, died, or marked failed
+)
+
 // GID returns the process's unique id within the job.
 func (p *Process) GID() int { return p.gid }
 
@@ -80,10 +92,15 @@ func (p *Process) GID() int { return p.gid }
 func (p *Process) NodeID() int { return p.node }
 
 // Failed reports whether the process has failed.
-func (p *Process) Failed() bool { return p.failed }
+func (p *Process) Failed() bool { return p.state == failed }
 
 // Completed reports whether the process's main returned nil (Job.Start).
-func (p *Process) Completed() bool { return p.completed }
+func (p *Process) Completed() bool { return p.state == completed }
+
+// Running reports whether the process was started (Job.Start) and has
+// neither failed nor returned from main. A process inside its start delay
+// is running; a virtual hot spare, never started, is not.
+func (p *Process) Running() bool { return p.state == running }
 
 // SimProc returns the simnet process backing this MPI process (nil until
 // Job.Start).
@@ -233,7 +250,7 @@ func (j *Job) SetWorld(c *Comm) { j.world = c }
 // detector.
 func (j *Job) MarkFailed(gid int) {
 	if p := j.proc(gid); p != nil {
-		p.failed = true
+		p.state = failed
 	}
 }
 
@@ -264,10 +281,7 @@ func (j *Job) Detected(gid int) bool { return j.detected[gid] }
 func (j *Job) wakeAllBlocked() {
 	now := j.cluster.Now()
 	for _, p := range j.procs {
-		if p.failed || p.proc == nil {
-			continue
-		}
-		if p.blocked {
+		if p.state == running && p.blocked {
 			p.proc.Unblock(now)
 		}
 	}
@@ -284,10 +298,7 @@ func (j *Job) Abort() {
 	j.aborted = true
 	j.cluster.Scheduler().After(0, func() {
 		for _, p := range j.procs {
-			if p.proc == nil {
-				continue
-			}
-			if !p.proc.Exited() && !p.proc.Dead() {
+			if p.state == running {
 				p.proc.Kill()
 			}
 		}
@@ -412,7 +423,7 @@ func (c *Comm) Sub(lo, hi int) *Comm {
 func (c *Comm) FailedMembers() []int {
 	var out []int
 	for i, m := range c.members {
-		if m.failed {
+		if m.state == failed {
 			out = append(out, i)
 		}
 	}
@@ -423,7 +434,7 @@ func (c *Comm) FailedMembers() []int {
 func (c *Comm) AliveMembers() []*Process {
 	var out []*Process
 	for _, m := range c.members {
-		if !m.failed {
+		if m.state != failed {
 			out = append(out, m)
 		}
 	}
@@ -461,7 +472,7 @@ func (r *Rank) Size(c *Comm) int { return c.Size() }
 
 // Die makes the calling rank fail-stop immediately (fault injection).
 func (r *Rank) Die() {
-	r.proc.failed = true
+	r.proc.state = failed
 	r.sp.Die()
 }
 
@@ -528,23 +539,27 @@ func LaunchPlaced(c *simnet.Cluster, nodes []int, startDelay simnet.Time, main f
 
 // Start runs main as process p on p's node, delay after the current
 // virtual time. It is the one way a rank starts, at launch and on every
-// relaunch or respawn, and the one place that decides how it ended: main
-// returned nil (p completed), returned an error (appended to Job.Errs), or
-// its simnet process was killed, by fault injection or the loss of its
-// node, before or after it started (p failed). p's simnet process is
-// recorded before main runs, so runtime components can watch or signal it.
+// relaunch or respawn, and the one place that decides how it ended: p is
+// running from this call on, until main returns nil (p completed), returns
+// an error (p errored, the error appended to Job.Errs), or its simnet
+// process is killed, by fault injection or the loss of its node, before or
+// after it started (p failed). A main that panics ends no process: the
+// panic fails the whole simulation. p's simnet process is recorded before
+// main runs, so runtime components can watch or signal it.
 func (j *Job) Start(p *Process, delay simnet.Time, main func(*Rank) error) {
+	p.state = running
 	sp := j.cluster.StartProc(p.node, delay, func(sp *simnet.Proc) {
 		if err := main(&Rank{job: j, proc: p, sp: sp}); err != nil {
 			j.errs = append(j.errs, err)
+			p.state = errored
 		} else {
-			p.completed = true
+			p.state = completed
 		}
 	})
 	p.proc = sp
-	sp.OnExit(func(s *simnet.Proc) {
-		if s.Status() == simnet.ExitKilled {
-			p.failed = true
+	sp.OnExit(func(*simnet.Proc) {
+		if p.state == running { // main never returned: killed
+			p.state = failed
 		}
 	})
 }

@@ -12,18 +12,15 @@ import (
 )
 
 // runJob launches n ranks running body and drives the simulation; it fails
-// the test if any rank panicked or did not exit.
+// the test if any rank did not complete. A rank that panics panics Run.
 func runJob(t *testing.T, n int, body func(*Rank)) *Job {
 	t.Helper()
 	c := simnet.NewCluster(simnet.Config{Nodes: 4})
 	j := Launch(c, n, 0, body)
 	c.Run()
 	for i, p := range j.World().Leaders() {
-		if p.proc.Status() == simnet.ExitPanic {
-			t.Fatalf("rank %d panicked: %v", i, p.proc.PanicValue())
-		}
-		if !p.proc.Exited() {
-			t.Fatalf("rank %d did not exit (deadlock)", i)
+		if !p.Completed() {
+			t.Fatalf("rank %d did not complete (failed %v; else deadlocked)", i, p.Failed())
 		}
 	}
 	return j
@@ -543,8 +540,8 @@ func TestJobGIDsDenseUnknownIgnored(t *testing.T) {
 		j.Steal(gid, simnet.Millisecond)
 	}
 	j.MarkFailed(1)
-	if a.failed || !b.failed {
-		t.Fatalf("failed flags %v, %v; want false, true", a.failed, b.failed)
+	if a.Failed() || !b.Failed() {
+		t.Fatalf("failed %v, %v; want false, true", a.Failed(), b.Failed())
 	}
 }
 
@@ -577,11 +574,15 @@ func TestStartedProcessFailsWithItsNode(t *testing.T) {
 
 // Start decides how a rank ended, once: a main that returns nil completed,
 // one that returns an error neither completed nor failed and has its error
-// in Job.Errs, in the order mains return, and a killed one failed.
+// in Job.Errs, in the order mains return, and a killed one failed. A rank
+// is running from Start on, also inside its start delay; a process only
+// added, like a virtual hot spare, is neither running nor failed until
+// MarkFailed.
 func TestStartRecordsHowARankEnded(t *testing.T) {
 	c := simnet.NewCluster(simnet.Config{Nodes: 1})
 	j := NewJob(c)
 	ok, late, early, killed := j.AddProcess(0), j.AddProcess(0), j.AddProcess(0), j.AddProcess(0)
+	delayed, spare, lostSpare := j.AddProcess(0), j.AddProcess(0), j.AddProcess(0)
 	errLate, errEarly := errors.New("late"), errors.New("early")
 	returns := func(after simnet.Time, err error) func(*Rank) error {
 		return func(r *Rank) error {
@@ -595,24 +596,35 @@ func TestStartRecordsHowARankEnded(t *testing.T) {
 	j.Start(early, 0, returns(2*simnet.Second, errEarly))
 	j.Start(killed, 0, returns(4*simnet.Second, nil))
 	c.Scheduler().At(simnet.Second/2, func() { killed.SimProc().Kill() })
+	j.Start(delayed, 10*simnet.Second, returns(0, nil))
+	j.MarkFailed(lostSpare.GID())
+	// Every end is decided at 5 s; delayed is inside its start delay.
+	c.Scheduler().At(5*simnet.Second, func() {
+		for _, tc := range []struct {
+			name                       string
+			p                          *Process
+			running, completed, failed bool
+		}{
+			{"nil", ok, false, true, false},
+			{"late error", late, false, false, false},
+			{"early error", early, false, false, false},
+			{"kill", killed, false, false, true},
+			{"start delay", delayed, true, false, false},
+			{"never started", spare, false, false, false},
+			{"never started, MarkFailed", lostSpare, false, false, true},
+		} {
+			if tc.p.Running() != tc.running || tc.p.Completed() != tc.completed || tc.p.Failed() != tc.failed {
+				t.Errorf("%s: running = %v, completed = %v, failed = %v; want %v, %v, %v", tc.name,
+					tc.p.Running(), tc.p.Completed(), tc.p.Failed(), tc.running, tc.completed, tc.failed)
+			}
+		}
+	})
 	c.Run()
 	if errs := j.Errs(); len(errs) != 2 || errs[0] != errEarly || errs[1] != errLate {
 		t.Fatalf("Errs() = %v, want [early late]", errs)
 	}
-	for _, tc := range []struct {
-		name              string
-		p                 *Process
-		completed, failed bool
-	}{
-		{"nil", ok, true, false},
-		{"late error", late, false, false},
-		{"early error", early, false, false},
-		{"kill", killed, false, true},
-	} {
-		if tc.p.Completed() != tc.completed || tc.p.Failed() != tc.failed {
-			t.Errorf("%s end: completed = %v, failed = %v; want %v, %v",
-				tc.name, tc.p.Completed(), tc.p.Failed(), tc.completed, tc.failed)
-		}
+	if !delayed.Completed() {
+		t.Fatal("the delayed rank did not complete after its start delay")
 	}
 }
 

@@ -52,7 +52,7 @@ func Send(r *Rank, c *Comm, dst, tag int, data []byte) error {
 		return r.sendReplicated(c, dst, tag, data)
 	}
 	to := c.Member(dst)
-	if to.failed && r.job.Detected(to.gid) {
+	if to.state == failed && r.job.Detected(to.gid) {
 		return ErrProcFailed
 	}
 	return r.sendCopy(c, to, c.RankOf(r.proc.gid), tag, data, false, 0)
@@ -120,7 +120,7 @@ func deliverMessage(a any, _ int64) {
 		j.putDelivery(d)
 		return // flushed by a Reinit reset
 	}
-	if to.failed || to.proc == nil || to.proc.Exited() {
+	if to.state != running {
 		j.putDelivery(d)
 		return // dropped on the floor, like a real NIC
 	}
@@ -197,10 +197,10 @@ func Recv(r *Rank, c *Comm, src, tag int) (Message, error) {
 				}
 			} else {
 				from := c.Member(src)
-				if from.failed && r.job.Detected(from.gid) {
+				if from.state == failed && r.job.Detected(from.gid) {
 					return Message{}, ErrProcFailed
 				}
-				if !from.failed && from.proc != nil && from.proc.Exited() &&
+				if (from.state == completed || from.state == errored) &&
 					r.proc.inflight[from.gid] == 0 {
 					// Peer finished the program without sending: protocol bug,
 					// or a rank outliving its peers. Fail fast instead of
@@ -219,7 +219,7 @@ func Recv(r *Rank, c *Comm, src, tag int) (Message, error) {
 
 func anyDetectedFailure(c *Comm, j *Job) bool {
 	for _, m := range c.members {
-		if m.failed && j.Detected(m.gid) {
+		if m.state == failed && j.Detected(m.gid) {
 			return true
 		}
 	}

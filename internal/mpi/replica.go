@@ -147,7 +147,7 @@ func (c *Comm) PromoteLeader(rank int) {
 		return
 	}
 	for _, m := range c.repl.groups[rank] {
-		if !m.failed {
+		if m.state != failed {
 			c.members[rank] = m
 			return
 		}
@@ -179,26 +179,30 @@ func (r *Rank) sendReplicated(c *Comm, dst, tag int, data []byte) error {
 	return nil
 }
 
-// replicaGroupGone classifies a silent source group for Recv: it returns
-// ErrRankExited when every member has exited normally with no copies in
-// flight (a protocol bug — fail fast like the plain path), and no error
-// while any member is alive or the group died entirely (an exhausted group
-// hangs until the replica runtime's checkpoint fallback aborts the job).
+// replicaGroupGone classifies a silent source group for Recv. No error
+// while a member runs, a virtual spare of the group lives or a copy is in
+// flight: the awaited copy may still come. Once the whole group has ended,
+// a group that lost a member and completed none hangs — the replica
+// runtime's checkpoint fallback aborts the job and relaunches it — and
+// every other group is ErrRankExited: its mains returned without sending
+// (a protocol bug — fail fast like the plain path).
 func (r *Rank) replicaGroupGone(c *Comm, src int) error {
-	okExit := false
-	inflight := 0
+	anyCompleted, anyFailed := false, false
 	for _, m := range c.repl.groups[src] {
-		sp := m.proc
-		if !m.failed && (sp == nil || !sp.Exited()) {
-			return nil // still running
+		switch m.state {
+		case notStarted, running:
+			return nil
+		case completed:
+			anyCompleted = true
+		case failed:
+			anyFailed = true
 		}
-		if !m.failed && sp != nil && sp.Exited() {
-			okExit = true
+		if r.proc.inflight[m.gid] > 0 {
+			return nil
 		}
-		inflight += r.proc.inflight[m.gid]
 	}
-	if okExit && inflight == 0 {
-		return ErrRankExited
+	if anyFailed && !anyCompleted {
+		return nil
 	}
-	return nil
+	return ErrRankExited
 }

@@ -96,7 +96,7 @@ func TestSubOfReplicaCommIsAView(t *testing.T) {
 	}
 
 	primary, twin := groups[2][0], groups[2][1]
-	primary.failed = true
+	j.MarkFailed(primary.GID())
 	w.PruneReplica(primary.GID())
 	w.PromoteLeader(2)
 	if g := s.ReplicaGroup(0); len(g) != 1 || g[0] != twin {

@@ -120,15 +120,11 @@ func (rt *Runtime) globalRestart(failed *mpi.Process, failedAt simnet.Time) {
 	// 4. Unwind survivors via the daemon tree: rank i learns about the
 	// reset after depth(i) hops.
 	for i, p := range members {
-		if p == repl || p.Failed() {
-			continue
-		}
-		spv := p.SimProc()
-		if spv == nil || spv.Exited() {
+		if p == repl || !p.Running() {
 			continue
 		}
 		depth := treeDepth(i)
-		spv.Signal(now+simnet.Time(depth)*resetHop, restartSignal{})
+		p.SimProc().Signal(now+simnet.Time(depth)*resetHop, restartSignal{})
 	}
 
 	rec := mpi.Recovery{

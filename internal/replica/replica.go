@@ -343,14 +343,10 @@ func (s *Supervisor) MinLiveDegree() int {
 // state: an executing or completed member, or a virtual spare whose node
 // survives.
 func (s *Supervisor) memberProtects(m *mpi.Process) bool {
-	if m.Failed() {
-		return false
+	if m.SimProc() == nil { // virtual hot spare: state lives on its node
+		return !m.Failed() && s.cluster.Node(m.NodeID()).Alive()
 	}
-	sp := m.SimProc()
-	if sp == nil { // virtual hot spare: state lives on its node
-		return s.cluster.Node(m.NodeID()).Alive()
-	}
-	return m.Completed() || !sp.Exited()
+	return m.Running() || m.Completed()
 }
 
 // Respawns counts the hot spares that completed their state transfer and
@@ -453,7 +449,7 @@ func (s *Supervisor) onFailure(job *mpi.Job, world *mpi.Comm, f detect.Failure) 
 func (s *Supervisor) executing(world *mpi.Comm, rank int) int {
 	n := 0
 	for _, m := range world.ReplicaGroup(rank) {
-		if sp := m.SimProc(); !m.Failed() && sp != nil && !sp.Exited() {
+		if m.Running() {
 			n++
 		}
 	}

@@ -94,8 +94,8 @@ func TestCloseUnwindsParkedProcs(t *testing.T) {
 			t.Errorf("proc %d not exited after Close", p.ID)
 		}
 	}
-	if done.Status() != ExitOK {
-		t.Errorf("Close changed a finished process's status to %v", done.Status())
+	if done.Dead() {
+		t.Error("Close killed a finished process")
 	}
 	goroutinesBackTo(t, base, "after Close")
 
@@ -118,8 +118,8 @@ func TestCloseAfterCleanRunIsNoOp(t *testing.T) {
 	c.Run()
 	goroutinesBackTo(t, base, "after a clean run")
 	c.Close()
-	if exits != 2 || p.Status() != ExitOK || q.Status() != ExitKilled {
-		t.Fatalf("after Close: exits=%d p=%v q=%v, want 2, ExitOK, ExitKilled", exits, p.Status(), q.Status())
+	if exits != 2 || p.Dead() || !q.Dead() {
+		t.Fatalf("after Close: exits=%d p dead=%v q dead=%v, want 2, p returned, q killed", exits, p.Dead(), q.Dead())
 	}
 }
 
@@ -144,8 +144,8 @@ func TestCloseUnwindsThroughSleepInDefer(t *testing.T) {
 	if !slices.Equal(steps, []string{"inner", "outer"}) {
 		t.Fatalf("teardown ran %v, want [inner outer]", steps)
 	}
-	if !p.Exited() || p.Status() != ExitKilled {
-		t.Fatalf("exited=%v status=%v, want an ExitKilled exit", p.Exited(), p.Status())
+	if !p.Exited() || p.Dead() {
+		t.Fatalf("exited=%v dead=%v, want a teardown exit, not a kill", p.Exited(), p.Dead())
 	}
 	goroutinesBackTo(t, base, "after Close")
 }
@@ -189,7 +189,7 @@ func TestKillFromScheduledEventNests(t *testing.T) {
 	if !slices.Equal(log, want) {
 		t.Fatalf("log = %v, want %v", log, want)
 	}
-	if victim.Status() != ExitKilled || watcher.Status() != ExitOK || killer.Status() != ExitOK {
-		t.Fatalf("victim=%v watcher=%v killer=%v", victim.Status(), watcher.Status(), killer.Status())
+	if !victim.Dead() || watcher.Dead() || killer.Dead() {
+		t.Fatalf("dead: victim=%v watcher=%v killer=%v, want only the victim", victim.Dead(), watcher.Dead(), killer.Dead())
 	}
 }

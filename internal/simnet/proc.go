@@ -23,18 +23,6 @@ type Killed struct{ ProcID int }
 
 func (k Killed) Error() string { return fmt.Sprintf("simnet: process %d killed", k.ProcID) }
 
-// ExitStatus describes how a simulated process terminated.
-type ExitStatus int
-
-const (
-	// ExitOK means the process body returned normally.
-	ExitOK ExitStatus = iota
-	// ExitKilled means the process was destroyed by fault injection.
-	ExitKilled
-	// ExitPanic means the process body panicked with an application error.
-	ExitPanic
-)
-
 // Proc is a simulated OS process pinned to a node. Its body is a coroutine
 // (iter.Pull): it runs only while the scheduler has resumed it, and yields
 // back at every virtual-time-consuming call. A body still parked when the
@@ -55,12 +43,10 @@ type Proc struct {
 	yield func(struct{}) bool     // body side: park; false once stop was called
 	wake  wake                    // why the dispatch in progress resumed the body
 
-	dead     bool
-	closed   bool // torn down by Cluster.Close: no exit callbacks run
-	started  bool
-	exited   bool
-	status   ExitStatus
-	panicVal any
+	dead    bool
+	closed  bool // torn down by Cluster.Close: no exit callbacks run
+	started bool
+	exited  bool
 
 	parked bool
 	gen    uint64
@@ -91,19 +77,15 @@ func procStart(a any, _ int64) {
 }
 
 // top is the coroutine body, entered by the first dispatch: it runs the user
-// body and translates panics into exit statuses.
+// body to a normal return or a kill. Any other panic is a crash of the
+// simulation, not an exit of the process: it is raised again, and iter.Pull
+// carries it out of the dispatch into the scheduler's caller.
 func (p *Proc) top(body func(*Proc)) {
 	defer func() {
 		r := recover()
 		p.exited = true
-		switch v := r.(type) {
-		case nil:
-			p.status = ExitOK
-		case Killed:
-			p.status = ExitKilled
-		default:
-			p.status = ExitPanic
-			p.panicVal = v
+		if _, killed := r.(Killed); r != nil && !killed {
+			panic(r)
 		}
 		if p.closed {
 			return // teardown, not a simulated exit
@@ -157,15 +139,9 @@ func (p *Proc) Dead() bool { return p.dead }
 // Exited reports whether the process body has finished.
 func (p *Proc) Exited() bool { return p.exited }
 
-// Status returns how the process terminated (valid once Exited).
-func (p *Proc) Status() ExitStatus { return p.status }
-
-// PanicValue returns the panic payload when Status is ExitPanic.
-func (p *Proc) PanicValue() any { return p.panicVal }
-
 // OnExit registers a callback invoked (in scheduler context) when the
-// process terminates for any reason, including a kill before it started.
-// Cluster.Close runs none.
+// process ends by a kill, also one before it started, or by a normal return
+// of its body. Cluster.Close runs none.
 func (p *Proc) OnExit(f func(*Proc)) { p.onExit = append(p.onExit, f) }
 
 // wakeAt schedules a resume at time t for the park of generation g. The
@@ -237,7 +213,7 @@ func (p *Proc) Kill() {
 	}
 	p.dead = true
 	if !p.started {
-		p.exited, p.status = true, ExitKilled
+		p.exited = true
 		p.stop() // the body never runs; let its coroutine go
 		for _, f := range p.onExit {
 			f(p)
@@ -273,7 +249,7 @@ func (c *Cluster) Close() {
 		p.closed = true
 		p.stop()
 		if !p.started {
-			p.exited, p.status = true, ExitKilled
+			p.exited = true
 		}
 	}
 }

@@ -140,32 +140,31 @@ func TestProcKillWhileSleeping(t *testing.T) {
 	if reached {
 		t.Fatal("killed process kept running")
 	}
-	if !p.Exited() || p.Status() != ExitKilled {
-		t.Fatalf("status = %v, want ExitKilled", p.Status())
+	if !p.Exited() || !p.Dead() {
+		t.Fatalf("exited=%v dead=%v, want a killed exit", p.Exited(), p.Dead())
 	}
 }
 
 // A process killed before its start delay (node failure during a staggered
-// launch) never runs, and its coroutine goes with it.
-// A process killed before it started never runs, but it exits: its exit
-// callbacks run once, seeing ExitKilled, and its coroutine is released.
+// launch) never runs, but it exits: its exit callbacks run once, seeing it
+// dead, and its coroutine is released.
 func TestProcKillBeforeStart(t *testing.T) {
 	base := settledGoroutines()
 	c := NewCluster(Config{Nodes: 1})
 	ran := false
 	p := c.StartProc(0, 100, func(p *Proc) { ran = true })
-	var exits []ExitStatus
-	p.OnExit(func(p *Proc) { exits = append(exits, p.Status()) })
+	var exits []bool
+	p.OnExit(func(p *Proc) { exits = append(exits, p.Dead()) })
 	c.Scheduler().At(10, func() { p.Kill() })
 	c.Run()
 	if ran {
 		t.Fatal("process ran after being killed before start")
 	}
-	if p.Status() != ExitKilled {
-		t.Fatalf("status = %v, want ExitKilled", p.Status())
+	if !p.Exited() || !p.Dead() {
+		t.Fatalf("exited=%v dead=%v, want a killed exit", p.Exited(), p.Dead())
 	}
-	if len(exits) != 1 || exits[0] != ExitKilled {
-		t.Fatalf("exit callbacks saw %v, want one ExitKilled", exits)
+	if len(exits) != 1 || !exits[0] {
+		t.Fatalf("exit callbacks saw dead=%v, want one dead exit", exits)
 	}
 	goroutinesBackTo(t, base, "after the run (the unstarted process was not released)")
 }
@@ -182,8 +181,8 @@ func TestProcDieUnwinds(t *testing.T) {
 	if after {
 		t.Fatal("Die did not unwind")
 	}
-	if p.Status() != ExitKilled {
-		t.Fatalf("status = %v, want ExitKilled", p.Status())
+	if !p.Exited() || !p.Dead() {
+		t.Fatalf("exited=%v dead=%v, want a killed exit", p.Exited(), p.Dead())
 	}
 }
 
@@ -220,8 +219,8 @@ func TestSignalDroppedAfterExit(t *testing.T) {
 	p := c.StartProc(0, 0, func(p *Proc) { p.Sleep(10) })
 	p.Signal(100, "late")
 	c.Run()
-	if p.Status() != ExitOK {
-		t.Fatalf("status = %v, want ExitOK", p.Status())
+	if !p.Exited() || p.Dead() {
+		t.Fatalf("exited=%v dead=%v, want a normal return", p.Exited(), p.Dead())
 	}
 }
 

@@ -2,8 +2,10 @@ package match_test
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"match"
 	"match/internal/apps"
@@ -260,37 +262,81 @@ func (boomApp) Step(ctx *appkit.Context, iter int) error {
 	return nil
 }
 
-// A cell that panics is a failed cell of the sweep — the prefix plus its
-// error, a cell_finish carrying it — not a dead process. The app is
-// removed again, so no other test or example of the package sees it.
-func TestCellPanicIsAFailedCell(t *testing.T) {
-	if err := match.RegisterApp("boom", func() match.App { return boomApp{} }); err != nil {
-		t.Fatal(err)
+// crashApp is a user-registered application with a bug in its rank body:
+// in its second iteration rank 3 indexes past an empty slice.
+type crashApp struct{ empty []int }
+
+func (crashApp) Name() string                               { return "crash" }
+func (crashApp) Init(*appkit.Context) error                 { return nil }
+func (crashApp) Signature(*appkit.Context) (float64, error) { return 0, nil }
+func (a crashApp) Step(ctx *appkit.Context, iter int) error {
+	ctx.R.Compute(simnet.Millisecond)
+	if iter == 1 && ctx.Rank() == 3 {
+		a.empty[iter+4]++
 	}
-	t.Cleanup(func() { apps.Unregister("boom") })
+	return nil
+}
+
+// A cell that panics is a failed cell of the sweep — the prefix plus its
+// error, a cell_finish carrying it — not a dead process, and not a cell
+// that ends short of ranks: a panic in scheduler context and one in a rank
+// body, under every design, fail the cell alike and leave no goroutine
+// behind. The apps are removed again, so no other test or example of the
+// package sees them.
+func TestCellPanicIsAFailedCell(t *testing.T) {
+	for _, a := range []match.App{boomApp{}, crashApp{}} {
+		a := a
+		if err := match.RegisterApp(a.Name(), func() match.App { return a }); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { apps.Unregister(a.Name()) })
+	}
 	healthy := match.Config{App: "HPCCG", Design: match.ReinitFTI, Procs: 8, Nodes: 4,
 		Params: match.Params{NX: 6, NY: 6, NZ: 6, MaxIter: 10, WorkScale: 20}}
-	boom := match.Config{App: "boom", Design: match.ReinitFTI, Procs: 4, Nodes: 2,
-		Params: match.Params{MaxIter: 4, WorkScale: 1}}
-	var events bytes.Buffer
-	results, err := match.CampaignRunner{Workers: 2, Log: match.NewEventLog(&events)}.Cells(
-		[]match.Config{healthy, boom, healthy}, 1)
-	if err == nil || err.Error() != "cell panicked: boom" {
-		t.Fatalf("err = %v, want the cell's panic", err)
-	}
-	if len(results) != 1 || !results[0].Breakdown.Completed {
-		t.Fatalf("%d results, want the one cell before the panicking one", len(results))
-	}
-	failed := 0
-	for _, line := range strings.Split(events.String(), "\n") {
-		if strings.Contains(line, `"msg":"cell_finish"`) && strings.Contains(line, `"error":"cell panicked: boom"`) {
-			failed++
-			if !strings.Contains(line, `"cell":1`) {
-				t.Fatalf("the panic is logged against the wrong cell: %s", line)
-			}
+	for _, tc := range []struct {
+		name, app string
+		designs   []match.Design
+		err       string
+	}{
+		{"scheduler", "boom", []match.Design{match.ReinitFTI}, "cell panicked: boom"},
+		{"rank body", "crash", []match.Design{match.RestartFTI, match.ReinitFTI, match.UlfmFTI, match.ReplicaFTI},
+			"cell panicked: runtime error: index out of range [5] with length 0"},
+	} {
+		for _, d := range tc.designs {
+			t.Run(tc.name+"/"+d.String(), func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				bad := match.Config{App: tc.app, Design: d, Procs: 4, Nodes: 2,
+					Params: match.Params{MaxIter: 4, WorkScale: 1}}
+				var events bytes.Buffer
+				results, err := match.CampaignRunner{Workers: 2, Log: match.NewEventLog(&events)}.Cells(
+					[]match.Config{healthy, bad, healthy}, 1)
+				if err == nil || err.Error() != tc.err {
+					t.Fatalf("err = %v, want %q", err, tc.err)
+				}
+				if len(results) != 1 || !results[0].Breakdown.Completed {
+					t.Fatalf("%d results, want the one cell before the panicking one", len(results))
+				}
+				failed := 0
+				for _, line := range strings.Split(events.String(), "\n") {
+					if strings.Contains(line, `"msg":"cell_finish"`) && strings.Contains(line, `"error":"`+tc.err+`"`) {
+						failed++
+						if !strings.Contains(line, `"cell":1`) {
+							t.Fatalf("the panic is logged against the wrong cell: %s", line)
+						}
+					}
+				}
+				if failed != 1 {
+					t.Fatalf("%d cell_finish events carry the panic, want 1:\n%s", failed, events.String())
+				}
+				// A pool worker may have delivered its last result and not yet returned.
+				n := runtime.NumGoroutine()
+				for wait := time.Now().Add(2 * time.Second); n > base && time.Now().Before(wait); n = runtime.NumGoroutine() {
+					time.Sleep(time.Millisecond)
+				}
+				if n > base {
+					t.Fatalf("%d goroutines after the sweep, %d before it: ranks leaked", n, base)
+				}
+			})
 		}
-	}
-	if failed != 1 {
-		t.Fatalf("%d cell_finish events carry the panic, want 1:\n%s", failed, events.String())
 	}
 }
