@@ -21,6 +21,14 @@
 //     the supervision period's granularity; optional heartbeat bytes flow
 //     child-to-parent along a binomial tree.
 //
+// A death reaches a detector through one seam: mpi.Job.Start marks a
+// killed rank failed and reports it to the job's death hooks
+// (mpi.Job.OnDeath). New registers the launcher's confirmation there,
+// which sees every death of its job, and the tree's death-time record,
+// which the supervision loop confirms for members of the watch set
+// (SetProcs) only. The ring registers nothing and polls its members'
+// state each heartbeat round.
+//
 // A detector observes failures and reports them; what to *do* about a
 // confirmed failure (revoke, global-restart, abort, failover) stays with
 // the consuming runtime, passed in as the onDetect callback.
@@ -231,11 +239,10 @@ func (f Failure) Latency() simnet.Time { return f.DetectedAt - f.FailedAt }
 // scheduler; they are not goroutine-safe.
 type Detector interface {
 	// SetProcs replaces the watch set (e.g. after a recovery rebuilt the
-	// world with replacement processes). Observation state for already-seen
-	// failures is retained.
+	// world with replacement processes; a communicator's is w.Leaders()).
+	// Observation state for already-seen failures is retained. The
+	// launcher confirms every death of its job whatever the watch set.
 	SetProcs(ps []*mpi.Process)
-	// SetWorld is SetProcs over the communicator's member processes.
-	SetWorld(w *mpi.Comm)
 	// ObservedAt reports when the detector first observed gid's failure,
 	// which may precede confirmation (ring repairs consult this for
 	// failures still inside their observation window).
@@ -259,17 +266,19 @@ func New(cfg Config, job *mpi.Job, onDetect func(Failure)) (Detector, error) {
 		onDetect = func(Failure) {}
 	}
 	b := base{cfg: cfg, job: job, onDetect: onDetect,
-		observed: make(map[int]simnet.Time), confirmed: make(map[int]bool),
-		watched: make(map[int]bool)}
+		observed: make(map[int]simnet.Time), confirmed: make(map[int]bool)}
 	switch cfg.Kind {
 	case Launcher:
-		return &launcherDetector{base: b}, nil
+		d := &launcherDetector{base: b}
+		job.OnDeath(d.onDeath)
+		return d, nil
 	case Ring:
 		d := &ringDetector{base: b}
 		job.Cluster().Scheduler().AfterFunc(cfg.HeartbeatPeriod, ringTick, d, 0)
 		return d, nil
 	default: // Tree; Validate rejected everything else
 		d := &treeDetector{base: b}
+		job.OnDeath(d.recordDeath)
 		job.Cluster().Scheduler().AfterFunc(cfg.HeartbeatPeriod, treeTick, d, 0)
 		return d, nil
 	}
@@ -317,30 +326,11 @@ type base struct {
 	procs     []*mpi.Process
 	observed  map[int]simnet.Time
 	confirmed map[int]bool
-	watched   map[int]bool
 	failures  []Failure
 	stopped   bool
 }
 
-// watchNew registers onExit once per newly seen process — the node
-// daemon's per-child watch. Processes not yet started (mpi.Job.Start)
-// are skipped; a later SetProcs re-checks them. Start's own exit hook
-// runs first, so onExit sees p.Failed() set on a kill.
-func (b *base) watchNew(ps []*mpi.Process, onExit func(*mpi.Process, *simnet.Proc)) {
-	for _, p := range ps {
-		gid := p.GID()
-		if b.watched[gid] {
-			continue
-		}
-		sp := p.SimProc()
-		if sp == nil {
-			continue
-		}
-		b.watched[gid] = true
-		p := p
-		sp.OnExit(func(sp *simnet.Proc) { onExit(p, sp) })
-	}
-}
+func (b *base) SetProcs(ps []*mpi.Process) { b.procs = ps }
 
 func (b *base) Stop() { b.stopped = true }
 

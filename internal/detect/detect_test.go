@@ -88,7 +88,7 @@ func harness(t *testing.T, cfg Config, n, victim int, killAt simnet.Time) []Fail
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	det.SetWorld(job.World())
+	det.SetProcs(job.World().Leaders())
 	vp := job.World().Member(victim)
 	cl.Scheduler().At(killAt, func() { vp.SimProc().Kill() })
 	cl.Run()
@@ -180,7 +180,7 @@ func TestRingHeartbeatsConsumeNICTime(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		det.SetWorld(job.World())
+		det.SetProcs(job.World().Leaders())
 		return cl.Run()
 	}
 	quiet := run(LauncherConfig())
@@ -190,33 +190,58 @@ func TestRingHeartbeatsConsumeNICTime(t *testing.T) {
 	}
 }
 
-// TestDetectorConfirmsEachFailureOnce kills two ranks and expects exactly
-// two confirmations, in death order, with no duplicates across later
-// rounds.
+// TestDetectorConfirmsEachFailureOnce kills two ranks of the watch set,
+// at two times or in one node loss, and expects exactly two
+// confirmations, in kill order, with no duplicates across later rounds.
+// The launcher and the tree see the exact death time.
 func TestDetectorConfirmsEachFailureOnce(t *testing.T) {
-	for _, cfg := range []Config{LauncherConfig(), RingDefaults(), TreeDefaults()} {
-		cl := simnet.NewCluster(simnet.Config{Nodes: 4})
-		cl.Scheduler().SetDeadline(1000 * simnet.Second)
-		job := mpi.Launch(cl, 4, 0, func(r *mpi.Rank) {
-			for r.Now() < 5*simnet.Second {
-				r.Compute(10 * simnet.Millisecond)
+	const loss = 1*simnet.Second + 3*simnet.Millisecond
+	cases := []struct {
+		name    string
+		victims []int         // world ranks, in kill order
+		killAt  []simnet.Time // death time of each victim
+		kill    func(cl *simnet.Cluster, w *mpi.Comm)
+	}{
+		{"two kills", []int{1, 3}, []simnet.Time{1 * simnet.Second, 2 * simnet.Second},
+			func(cl *simnet.Cluster, w *mpi.Comm) {
+				cl.Scheduler().At(1*simnet.Second, func() { w.Member(1).SimProc().Kill() })
+				cl.Scheduler().At(2*simnet.Second, func() { w.Member(3).SimProc().Kill() })
+			}},
+		// 8 ranks on 4 nodes: ranks 2 and 3 share node 1.
+		{"one node loss", []int{2, 3}, []simnet.Time{loss, loss},
+			func(cl *simnet.Cluster, w *mpi.Comm) {
+				cl.Scheduler().At(loss, func() { cl.FailNode(1) })
+			}},
+	}
+	for _, tc := range cases {
+		for _, cfg := range []Config{LauncherConfig(), RingDefaults(), TreeDefaults()} {
+			cl := simnet.NewCluster(simnet.Config{Nodes: 4})
+			cl.Scheduler().SetDeadline(1000 * simnet.Second)
+			job := mpi.Launch(cl, 8, 0, func(r *mpi.Rank) {
+				for r.Now() < 5*simnet.Second {
+					r.Compute(10 * simnet.Millisecond)
+				}
+			})
+			det, err := New(cfg, job, nil)
+			if err != nil {
+				t.Fatalf("New: %v", err)
 			}
-		})
-		det, err := New(cfg, job, nil)
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		det.SetWorld(job.World())
-		w := job.World()
-		cl.Scheduler().At(1*simnet.Second, func() { w.Member(1).SimProc().Kill() })
-		cl.Scheduler().At(2*simnet.Second, func() { w.Member(3).SimProc().Kill() })
-		cl.Run()
-		fs := det.Failures()
-		if len(fs) != 2 {
-			t.Fatalf("%s: failures = %+v, want 2", cfg.Kind, fs)
-		}
-		if fs[0].GID != w.Member(1).GID() || fs[1].GID != w.Member(3).GID() {
-			t.Fatalf("%s: confirmation order %+v", cfg.Kind, fs)
+			w := job.World()
+			det.SetProcs(w.Leaders())
+			tc.kill(cl, w)
+			cl.Run()
+			fs := det.Failures()
+			if len(fs) != len(tc.victims) {
+				t.Fatalf("%s, %s: failures = %+v, want %d", tc.name, cfg.Kind, fs, len(tc.victims))
+			}
+			for i, v := range tc.victims {
+				if fs[i].GID != w.Member(v).GID() {
+					t.Fatalf("%s, %s: confirmation order %+v, want ranks %v", tc.name, cfg.Kind, fs, tc.victims)
+				}
+				if cfg.Kind != Ring && fs[i].FailedAt != tc.killAt[i] {
+					t.Fatalf("%s, %s: FailedAt of rank %d = %v, want the death %v", tc.name, cfg.Kind, v, fs[i].FailedAt, tc.killAt[i])
+				}
+			}
 		}
 	}
 }

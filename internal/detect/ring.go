@@ -1,7 +1,6 @@
 package detect
 
 import (
-	"match/internal/mpi"
 	"match/internal/simnet"
 	"match/internal/trace"
 )
@@ -13,17 +12,13 @@ import (
 // detection slows applications down — and pays an interference steal
 // scaled by log2(P), modeling the detector's runtime-level collectives. A
 // member observed failed stays under observation for DetectTimeout before
-// the failure is confirmed; being purely in-band, the ring's FailedAt is
-// the first round that *observed* the death, not the death itself.
+// the failure is confirmed; being purely in-band, it hears of no death
+// (it registers no mpi.Job.OnDeath hook) and polls each member's state on
+// its round, so the ring's FailedAt is the first round that *observed* the
+// death, not the death itself.
 type ringDetector struct {
 	base
 }
-
-func (d *ringDetector) SetWorld(w *mpi.Comm) { d.SetProcs(w.Leaders()) }
-
-// SetProcs swaps the ring membership (e.g. to a repaired world with
-// replacement processes); observation state is retained.
-func (d *ringDetector) SetProcs(ps []*mpi.Process) { d.procs = ps }
 
 // tick runs one heartbeat round: emit ring heartbeats, steal detector
 // time from every alive member, and confirm peers silent past the timeout.

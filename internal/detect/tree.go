@@ -1,9 +1,6 @@
 package detect
 
-import (
-	"match/internal/mpi"
-	"match/internal/simnet"
-)
+import "match/internal/mpi"
 
 // treeDetector is the daemon supervision tree, extracted from the Reinit
 // runtime (Reinit++'s model) and generalized. Node-local runtime daemons
@@ -19,21 +16,13 @@ type treeDetector struct {
 	base
 }
 
-func (d *treeDetector) SetWorld(w *mpi.Comm) { d.SetProcs(w.Leaders()) }
-
-func (d *treeDetector) SetProcs(ps []*mpi.Process) {
-	d.procs = ps
-	d.watchNew(ps, d.recordDeath)
-}
-
-// recordDeath is the local daemon seeing the SIGCHLD: the exact death time
-// is noted; confirmation waits for the supervision loop.
-func (d *treeDetector) recordDeath(p *mpi.Process, sp *simnet.Proc) {
-	if !p.Failed() {
-		return
-	}
+// recordDeath is the local daemon seeing the SIGCHLD of any process of
+// the job (New registers it with mpi.Job.OnDeath): the exact death time is
+// noted; confirmation waits for the supervision loop, which confirms only
+// members of the watch set.
+func (d *treeDetector) recordDeath(p *mpi.Process) {
 	if _, ok := d.observed[p.GID()]; !ok {
-		d.observed[p.GID()] = sp.Now()
+		d.observed[p.GID()] = d.job.Cluster().Now()
 	}
 }
 

@@ -262,7 +262,8 @@ func parseNonNegative(s, what string) (int, error) {
 
 // Injector fires the events of a Schedule, shared by all ranks of a job
 // (and across restarts of the job, so each event happens exactly once no
-// matter how many incarnations replay its iteration).
+// matter how many incarnations replay its iteration). NewScheduleInjector
+// builds it.
 type Injector struct {
 	Schedule Schedule
 	// Recoveries, when set, reports how many recoveries the run has
@@ -306,9 +307,6 @@ func (in *Injector) FiredCount() int {
 func (in *Injector) MaybeFail(r *mpi.Rank, comm *mpi.Comm, iter int) {
 	if in == nil || in.nfired == len(in.Schedule.Events) {
 		return
-	}
-	if in.fired == nil { // zero-value Injector, not built by a constructor
-		in.fired = make([]bool, len(in.Schedule.Events))
 	}
 	for i, ev := range in.Schedule.Events {
 		if in.fired[i] || iter != ev.TargetIter {

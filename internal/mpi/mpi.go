@@ -164,6 +164,7 @@ type Job struct {
 	epoch   int
 	aborted bool
 	errs    []error // what rank mains returned, in return order
+	onDeath []func(*Process)
 
 	detected map[int]bool // gid -> failure detected
 
@@ -207,6 +208,12 @@ func (j *Job) Aborted() bool { return j.aborted }
 
 // Errs returns the errors rank mains returned, in return order (Job.Start).
 func (j *Job) Errs() []error { return j.errs }
+
+// OnDeath registers f to hear of every death of a process the job started
+// — a kill (the loss of its node, Job.Abort), also one before the process
+// started, or Rank.Die — right after Start marks it failed. Hooks run in
+// scheduler context, in the order they were registered.
+func (j *Job) OnDeath(f func(*Process)) { j.onDeath = append(j.onDeath, f) }
 
 // AddProcess registers a new MPI process on the given node, or on the
 // cluster's LiveNode for it when that node is dead: every design creates
@@ -543,9 +550,10 @@ func LaunchPlaced(c *simnet.Cluster, nodes []int, startDelay simnet.Time, main f
 // running from this call on, until main returns nil (p completed), returns
 // an error (p errored, the error appended to Job.Errs), or its simnet
 // process is killed, by fault injection or the loss of its node, before or
-// after it started (p failed). A main that panics ends no process: the
-// panic fails the whole simulation. p's simnet process is recorded before
-// main runs, so runtime components can watch or signal it.
+// after it started (p failed), and then reported to the job's OnDeath
+// hooks. A main that panics ends no process: the panic fails the whole
+// simulation. p's simnet process is recorded before main runs, so runtime
+// components can signal it.
 func (j *Job) Start(p *Process, delay simnet.Time, main func(*Rank) error) {
 	p.state = running
 	sp := j.cluster.StartProc(p.node, delay, func(sp *simnet.Proc) {
@@ -560,6 +568,11 @@ func (j *Job) Start(p *Process, delay simnet.Time, main func(*Rank) error) {
 	sp.OnExit(func(*simnet.Proc) {
 		if p.state == running { // main never returned: killed
 			p.state = failed
+		}
+		if p.state == failed { // killed, or Rank.Die
+			for _, f := range j.onDeath {
+				f(p)
+			}
 		}
 	})
 }

@@ -10,7 +10,9 @@ import (
 
 // A rank Start scheduled with a delay and whose node dies before the delay
 // ends never runs, but it ended all the same: it is failed, and the
-// launcher detector watching it confirms the failure at the node loss.
+// launcher detector of its job confirms the failure at the node loss,
+// although the rank is not in the detector's watch set: like waitpid, the
+// launcher hears of every process its job started.
 func TestKilledBeforeStartIsFailed(t *testing.T) {
 	c := simnet.NewCluster(simnet.Config{Nodes: 2})
 	j := mpi.Launch(c, 1, 0, func(r *mpi.Rank) { r.Compute(simnet.Second) })
@@ -22,7 +24,7 @@ func TestKilledBeforeStartIsFailed(t *testing.T) {
 	})
 	var confirmed []detect.Failure
 	det := detect.MustNew(detect.LauncherConfig(), j, func(f detect.Failure) { confirmed = append(confirmed, f) })
-	det.SetProcs([]*mpi.Process{j.World().Member(0), p})
+	det.SetProcs(j.World().Leaders())
 	c.Scheduler().At(10*simnet.Millisecond, func() { c.FailNode(1) })
 	c.Run()
 	if ran {

@@ -65,7 +65,7 @@ func NewRuntime(job *mpi.Job, dcfg detect.Config, main func(*mpi.Rank) error) *R
 		world: job.World(),
 	}
 	rt.det = detect.MustNew(dcfg, job, rt.onFailure)
-	rt.det.SetWorld(rt.world)
+	rt.det.SetProcs(rt.world.Leaders())
 	return rt
 }
 
@@ -115,7 +115,7 @@ func (rt *Runtime) globalRestart(failed *mpi.Process, failedAt simnet.Time) {
 	// 3. Rebuild the world communicator; the daemons supervise it. What
 	// ranks derived from the old world (Comm.Sub) goes with it.
 	rt.world = rt.job.NewComm(members)
-	rt.det.SetWorld(rt.world)
+	rt.det.SetProcs(rt.world.Leaders())
 
 	// 4. Unwind survivors via the daemon tree: rank i learns about the
 	// reset after depth(i) hops.

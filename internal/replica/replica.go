@@ -225,10 +225,6 @@ type Supervisor struct {
 	RespawnLog []Respawn
 
 	world *mpi.Comm
-	// gidRank/gidIdx map the current incarnation's physical processes back
-	// to (logical rank, replica index) for detector-driven recovery.
-	gidRank map[int]int
-	gidIdx  map[int]int
 	// spares tracks the current incarnation's hot spares by logical rank:
 	// the index into RespawnLog of the pending or live spawn, and — once
 	// live — the virtual member joined to the replica group.
@@ -400,17 +396,13 @@ func (s *Supervisor) launch(delay simnet.Time) {
 	world := job.NewReplicaComm(groups)
 	job.SetWorld(world)
 	s.world = world
-	s.gidRank = make(map[int]int, s.layout.Total)
-	s.gidIdx = make(map[int]int, s.layout.Total)
 	// The detector watches every physical process — failures of shadow
 	// replicas matter as much as leader failures. Under the ring strategy
 	// the heartbeat ring (and its interference) therefore spans the
 	// physical job, like FTHP-MPI's replica heartbeats.
 	var phys []*mpi.Process
 	for i := 0; i < n; i++ {
-		for k, p := range groups[i] {
-			s.gidRank[p.GID()] = i
-			s.gidIdx[p.GID()] = k
+		for _, p := range groups[i] {
 			// Start records how the replica ends; reacting to a death
 			// waits for the detector's confirmation in onFailure.
 			job.Start(p, delay, func(r *mpi.Rank) error { return s.main(r, world) })
@@ -430,12 +422,12 @@ func (s *Supervisor) onFailure(job *mpi.Job, world *mpi.Comm, f detect.Failure) 
 	if !s.Live(job) {
 		return
 	}
-	rank, ok := s.gidRank[f.GID]
-	if !ok {
+	rank := world.RankOf(f.GID)
+	if rank < 0 {
 		return
 	}
 	if s.executing(world, rank) > 0 {
-		s.failover(job, world, rank, s.gidIdx[f.GID], f)
+		s.failover(job, world, rank, world.ReplicaIndexOf(f.GID), f)
 	} else if !s.groupCompleted(world, rank) {
 		s.fallback(job, rank, f)
 	}
@@ -589,8 +581,6 @@ func (s *Supervisor) goLive(job *mpi.Job, world *mpi.Comm, rank, idx, node int, 
 	}
 	p := job.AddProcess(node)
 	world.AddReplica(rank, p, idx)
-	s.gidRank[p.GID()] = rank
-	s.gidIdx[p.GID()] = idx
 	sp.proc = p
 	s.RespawnLog[sp.log].Live = true
 	s.RespawnLog[sp.log].LiveAt = s.cluster.Now()
@@ -660,7 +650,7 @@ func (s *Supervisor) AbsorbFailure(r *mpi.Rank, world *mpi.Comm) bool {
 		return false
 	}
 	victim := r.Process()
-	idx := s.gidIdx[victim.GID()]
+	idx := world.ReplicaIndexOf(victim.GID())
 	now := r.Now()
 	// Under the launcher preset the daemons pay FailoverDetect to notice
 	// the death; an in-band detector would take its observation timeout.
@@ -684,9 +674,7 @@ func (s *Supervisor) AbsorbFailure(r *mpi.Rank, world *mpi.Comm) bool {
 	// refill below fills. Without the swap the group would end up with two
 	// members in one slot and a vanished index that schedule events could
 	// never hit again.
-	spareIdx := s.gidIdx[spareProc.GID()]
-	s.gidIdx[victim.GID()] = spareIdx
-	world.SetReplicaIndex(victim.GID(), spareIdx)
+	world.SetReplicaIndex(victim.GID(), world.ReplicaIndexOf(spareProc.GID()))
 	if p := s.cluster.Probe(); p.On(trace.CatAbsorb) {
 		p.Emit(trace.Span{Cat: trace.CatAbsorb,
 			Rank: int32(rank), Replica: int32(idx), Job: p.JobOf(job),

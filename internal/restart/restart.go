@@ -71,7 +71,7 @@ type Launcher struct {
 }
 
 // NewLauncher returns a launcher on cluster c whose incarnations run procs
-// processes, are watched by detector dcfg, and are started by launch
+// processes, are supervised by detector dcfg, and are started by launch
 // (which must call Watch). It launches nothing itself.
 func NewLauncher(c *simnet.Cluster, dcfg detect.Config, procs int, launch func(delay simnet.Time)) Launcher {
 	return Launcher{cluster: c, dcfg: dcfg, procs: procs, launch: launch}
@@ -167,7 +167,7 @@ func (s *Supervisor) Done() bool {
 func (s *Supervisor) launch(delay simnet.Time) {
 	job := mpi.LaunchPlaced(s.cluster, mpi.BlockPlacement(s.procs, s.cluster.NumNodes()), delay,
 		func(r *mpi.Rank) error { return s.main(r, r.Job().World()) })
-	s.Watch(job, func(f detect.Failure) { s.onFailure(job, f) }).SetWorld(job.World())
+	s.Watch(job, func(f detect.Failure) { s.onFailure(job, f) }).SetProcs(job.World().Leaders())
 }
 
 // onFailure reacts to a confirmed rank failure: the launcher aborts the

@@ -141,7 +141,9 @@ func (p *Proc) Exited() bool { return p.exited }
 
 // OnExit registers a callback invoked (in scheduler context) when the
 // process ends by a kill, also one before it started, or by a normal return
-// of its body. Cluster.Close runs none.
+// of its body. Cluster.Close runs none. Outside simnet its one registrant
+// is mpi.Job.Start, which turns a kill into a rank's death and reports it
+// to the job's mpi.Job.OnDeath hooks; everything else listens there.
 func (p *Proc) OnExit(f func(*Proc)) { p.onExit = append(p.onExit, f) }
 
 // wakeAt schedules a resume at time t for the park of generation g. The

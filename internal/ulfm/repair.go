@@ -207,6 +207,6 @@ func (rt *Runtime) RepairWorld(r *mpi.Rank, world *mpi.Comm) (*mpi.Comm, error) 
 		}
 	}
 	rt.world = nw
-	rt.det.SetWorld(nw) // heartbeat the repaired membership (replacements in, failed out)
+	rt.det.SetProcs(nw.Leaders()) // heartbeat the repaired membership (replacements in, failed out)
 	return nw, nil
 }

@@ -106,7 +106,7 @@ func NewRuntime(job *mpi.Job, cfg Config, dcfg detect.Config, entry func(*mpi.Ra
 	// Confirmed failures become globally known: blocked operations
 	// involving the process now raise MPIX_ERR_PROC_FAILED.
 	rt.det = detect.MustNew(dcfg, job, func(f detect.Failure) { job.MarkDetected(f.GID) })
-	rt.det.SetWorld(rt.world)
+	rt.det.SetProcs(rt.world.Leaders())
 	return rt
 }
 
