@@ -53,12 +53,11 @@ type Process struct {
 	proc  *simnet.Proc
 	state procState
 
-	mbox     []Message   // delivered, unmatched messages (values: no per-message allocation)
-	blocked  bool        // parked inside a messaging wait
-	inflight map[int]int // srcGID -> messages sent but not yet delivered
+	mbox    []Message // delivered, unmatched messages (values: no per-message allocation)
+	blocked bool      // parked inside a messaging wait
+	peers   []peer    // by gid; grown on demand (see peer)
 
 	collSeq map[int]int // comm ctx -> collective sequence number
-	lastArr map[int]simnet.Time
 
 	// Replica-layer sequencing (see replica.go): sendSeq numbers every
 	// logical message this process emits per (comm, logical dst); recvSeq is
@@ -71,6 +70,25 @@ type Process struct {
 	// stolen accumulates runtime-interference time (e.g. the ULFM failure
 	// detector's periodic agreement) to be charged at the next MPI call.
 	stolen simnet.Time
+}
+
+// peer is what a process keeps about one other process of its job: how
+// many messages that process sent it are still on the wire, and when its
+// own last message to that process arrives (MPI's non-overtaking order).
+type peer struct {
+	inflight int
+	lastArr  simnet.Time
+}
+
+// peerOf returns p's entry for the process with gid g. Gids are dense and
+// never reused, so the table is a slice by gid, grown to the job's size
+// when a process added after it was last sized (a ULFM spawn, a respawned
+// replica) first shows up.
+func (p *Process) peerOf(g int) *peer {
+	if g >= len(p.peers) {
+		p.peers = append(p.peers, make([]peer, max(len(p.job.procs), g+1)-len(p.peers))...)
+	}
+	return &p.peers[g]
 }
 
 // procState is how a process stands. Job.Start, Rank.Die and Job.MarkFailed
@@ -220,14 +238,12 @@ func (j *Job) OnDeath(f func(*Process)) { j.onDeath = append(j.onDeath, f) }
 // its processes here, so none starts one on a lost node. Job.Start runs it.
 func (j *Job) AddProcess(node int) *Process {
 	p := &Process{
-		gid:      len(j.procs),
-		node:     j.cluster.LiveNode(node),
-		job:      j,
-		collSeq:  make(map[int]int),
-		lastArr:  make(map[int]simnet.Time),
-		inflight: make(map[int]int),
-		sendSeq:  make(map[int64]int64),
-		recvSeq:  make(map[int64]int64),
+		gid:     len(j.procs),
+		node:    j.cluster.LiveNode(node),
+		job:     j,
+		collSeq: make(map[int]int),
+		sendSeq: make(map[int64]int64),
+		recvSeq: make(map[int64]int64),
 	}
 	j.procs = append(j.procs, p)
 	return p

@@ -640,3 +640,76 @@ func TestAddProcessAvoidsDeadNode(t *testing.T) {
 		t.Fatalf("process on dead node 2 placed on %d, want LiveNode(2) = %d = 0", got, want)
 	}
 }
+
+// A process added after its peers sized their tables, as a ULFM spawn is,
+// sends to and receives from the ranks already running. A later, smaller
+// message to it arrives no earlier than the one before it, and Recv from it
+// fails with ErrRankExited only once it ended and none of its messages is
+// still on the wire.
+func TestLateProcessIsAPeer(t *testing.T) {
+	c := simnet.NewCluster(simnet.Config{Nodes: 2})
+	var late *Process
+	var comm *Comm
+	j := Launch(c, 2, 0, func(r *Rank) {
+		w := r.Job().World()
+		me := r.Rank(w)
+		// One message each way sizes both tables to the two ranks.
+		if err := Send(r, w, 1-me, 0, []byte{byte(me)}); err != nil {
+			t.Errorf("rank %d: send: %v", me, err)
+		}
+		if _, err := Recv(r, w, 1-me, 0); err != nil {
+			t.Errorf("rank %d: recv: %v", me, err)
+		}
+		for late == nil {
+			r.Compute(simnet.Millisecond)
+		}
+		if me == 0 {
+			Send(r, comm, 2, 1, make([]byte, 1<<20))
+			Send(r, comm, 2, 1, []byte{42})
+			return
+		}
+		for !late.Completed() {
+			r.Compute(simnet.Microsecond)
+		}
+		asked := r.Now()
+		m, err := Recv(r, comm, 2, 2)
+		if err != nil || len(m.Data) != 1<<20 {
+			t.Errorf("recv from the late process: %d bytes, %v; want its 1 MiB", len(m.Data), err)
+		}
+		if asked >= m.arrival {
+			t.Errorf("asked at %v, message arrived at %v: want the ask while it was on the wire", asked, m.arrival)
+		}
+		if _, err := Recv(r, comm, 2, 2); !errors.Is(err, ErrRankExited) {
+			t.Errorf("second recv from the ended late process: %v, want ErrRankExited", err)
+		}
+	})
+	c.Scheduler().At(simnet.Millisecond/2, func() {
+		w := j.World()
+		for i := 0; i < 2; i++ {
+			if n := len(w.Member(i).peers); n != 2 {
+				t.Errorf("rank %d has %d peer entries before the late process, want 2", i, n)
+			}
+		}
+		late = j.AddProcess(0)
+		comm = j.NewComm([]*Process{w.Member(0), w.Member(1), late})
+		j.Start(late, 0, func(r *Rank) error {
+			big, err1 := Recv(r, comm, 0, 1)
+			small, err2 := Recv(r, comm, 0, 1)
+			if err1 != nil || err2 != nil || len(big.Data) != 1<<20 || len(small.Data) != 1 {
+				t.Errorf("late process received %d then %d bytes (%v, %v), want 1 MiB then 1",
+					len(big.Data), len(small.Data), err1, err2)
+			}
+			if small.arrival != big.arrival {
+				t.Errorf("small message arrived at %v, big at %v: want the small one held to the big one's arrival",
+					small.arrival, big.arrival)
+			}
+			return Send(r, comm, 1, 2, make([]byte, 1<<20))
+		})
+	})
+	c.Run()
+	for _, p := range []*Process{j.World().Member(0), j.World().Member(1), late} {
+		if !p.Completed() {
+			t.Fatalf("gid %d did not complete (failed %v; else deadlocked)", p.GID(), p.Failed())
+		}
+	}
+}

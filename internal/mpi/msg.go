@@ -77,10 +77,11 @@ func (r *Rank) sendCopy(c *Comm, to *Process, srcRank, tag int, data []byte, rep
 		arrive += simnet.Time(f * float64(arrive-now))
 	}
 	// Enforce MPI's non-overtaking order per (sender, receiver).
-	if last := r.proc.lastArr[to.gid]; arrive < last {
-		arrive = last
+	pe := r.proc.peerOf(to.gid)
+	if arrive < pe.lastArr {
+		arrive = pe.lastArr
 	}
-	r.proc.lastArr[to.gid] = arrive
+	pe.lastArr = arrive
 
 	j := r.job
 	d := j.getDelivery()
@@ -96,7 +97,7 @@ func (r *Rank) sendCopy(c *Comm, to *Process, srcRank, tag int, data []byte, rep
 		replicated: replicated,
 		seq:        seq,
 	}
-	to.inflight[r.proc.gid]++
+	to.peerOf(r.proc.gid).inflight++
 	cl.Scheduler().AtFunc(arrive, deliverMessage, d, 0)
 	j.Stats.Messages++
 	j.Stats.Bytes += int64(len(data))
@@ -115,7 +116,7 @@ func deliverMessage(a any, _ int64) {
 	to := d.to
 	j := to.job
 	msg := &d.msg
-	to.inflight[msg.SrcGID]--
+	to.peerOf(msg.SrcGID).inflight--
 	if msg.epoch != j.epoch {
 		j.putDelivery(d)
 		return // flushed by a Reinit reset
@@ -201,7 +202,7 @@ func Recv(r *Rank, c *Comm, src, tag int) (Message, error) {
 					return Message{}, ErrProcFailed
 				}
 				if (from.state == completed || from.state == errored) &&
-					r.proc.inflight[from.gid] == 0 {
+					r.proc.peerOf(from.gid).inflight == 0 {
 					// Peer finished the program without sending: protocol bug,
 					// or a rank outliving its peers. Fail fast instead of
 					// deadlocking the simulation.

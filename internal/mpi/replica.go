@@ -197,7 +197,7 @@ func (r *Rank) replicaGroupGone(c *Comm, src int) error {
 		case failed:
 			anyFailed = true
 		}
-		if r.proc.inflight[m.gid] > 0 {
+		if r.proc.peerOf(m.gid).inflight > 0 {
 			return nil
 		}
 	}

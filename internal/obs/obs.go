@@ -37,15 +37,17 @@ type Counter uint8
 const (
 	// Scheduler (simnet).
 
-	// CEventsScheduled counts events pushed onto the scheduler heap.
+	// CEventsScheduled counts events scheduled (heap and due-now FIFO).
 	CEventsScheduled Counter = iota
 	// CEventsFired counts events dispatched by the drain loop.
 	CEventsFired
-	// CEventsCancelled counts events eagerly removed by Cancel.
+	// CEventsCancelled stays 0: the scheduler has no Cancel since its
+	// queue became a key heap plus a due-now FIFO. The name is kept because
+	// the exposition goldens pin it (see ROADMAP).
 	CEventsCancelled
-	// CSlotsReused counts timer slots taken from the free list.
+	// CSlotsReused counts callback-table slots taken from the free list.
 	CSlotsReused
-	// CSlotsGrown counts timer slots newly appended to the slot table.
+	// CSlotsGrown counts callback-table slots newly appended.
 	CSlotsGrown
 	// CLeakedEvents counts events still pending when the run ended.
 	CLeakedEvents
@@ -119,7 +121,8 @@ const (
 type Gauge uint8
 
 const (
-	// GHeapHighWater is the maximum scheduler heap length observed.
+	// GHeapHighWater is the most events observed pending at once, heap
+	// and due-now FIFO together.
 	GHeapHighWater Gauge = iota
 
 	numGauges

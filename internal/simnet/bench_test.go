@@ -20,21 +20,6 @@ func BenchmarkSchedulerAtFire(b *testing.B) {
 	s.Run()
 }
 
-// BenchmarkSchedulerAtCancel measures schedule-then-cancel, the timer
-// pattern of heartbeats and wakeups that are usually superseded before
-// they fire. Cancelled events must leave the queue immediately (eager
-// removal), so a long campaign of cancellations keeps the queue empty.
-func BenchmarkSchedulerAtCancel(b *testing.B) {
-	s := NewScheduler()
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Cancel(s.At(s.Now()+Time(i%64+1), fn))
-	}
-	s.Run()
-}
-
 // BenchmarkProcSleep measures one park/wake round trip through the
 // scheduler: the substrate under Compute, the single most frequent call
 // the proxy applications make.

@@ -19,7 +19,9 @@
 // of this package. Exactly one simulated process executes at any instant:
 // each process body is a coroutine (iter.Pull) that the scheduler resumes
 // and that yields back when it parks, so the simulation is deterministic
-// and free of data races by construction.
+// and free of data races by construction. Events fire in order of virtual
+// time, then of scheduling; a scheduled event always fires (nothing
+// cancels one), and a wakeup that no longer applies checks that itself.
 package simnet
 
 import (
@@ -48,53 +50,50 @@ func (t Time) String() string {
 // Seconds converts t to floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// event is a scheduled callback. Events with equal times fire in the order
-// they were scheduled (seq breaks ties), which keeps runs reproducible.
-//
-// Events are stored by value in the scheduler's heap slice, so scheduling
-// does not allocate in the steady state. An event carries either a plain
-// closure (fn) or a static function plus its argument pair (fnA, arg, aux);
-// the latter lets hot callers — process wakeups, message deliveries,
-// detector ticks — schedule without building a closure per call.
-type event struct {
+// key orders one pending event: by time, then by the order it was
+// scheduled (seq), a strict total order that keeps runs reproducible. slot
+// names the event's callback in Scheduler.calls. Keys are 24-byte values,
+// so the heap moves little memory per level and scheduling does not
+// allocate in the steady state.
+type key struct {
 	t    Time
 	seq  uint64
-	fn   func()
-	fnA  func(arg any, aux int64)
-	arg  any
-	aux  int64
-	slot int32 // index into Scheduler.slots, for cancellation
-}
-
-// slotState maps a stable slot id to the event's current heap index. The
-// generation counter is bumped every time the slot is freed, so a Timer
-// held across its event's firing (or cancellation) can never cancel an
-// unrelated later event that reused the slot.
-type slotState struct {
-	index int32 // heap index; -1 while the slot is free
-	gen   uint32
-}
-
-// Timer identifies a scheduled event. The zero Timer is valid and refers
-// to no event (Cancel on it is a no-op). Timers are plain values: holding
-// or dropping one costs nothing.
-type Timer struct {
 	slot int32
-	gen  uint32
 }
 
-// Scheduler owns the virtual clock and the event queue. The queue is a
-// value-based binary heap with a slot table for O(log n) cancellation;
-// slots and heap capacity are recycled, so the schedule/fire/cancel hot
-// path is allocation-free once warm.
+func (a key) less(b key) bool {
+	if a.t != b.t {
+		return a.t < b.t
+	}
+	return a.seq < b.seq
+}
+
+// call is a scheduled callback: a static function plus its argument pair,
+// which lets hot callers — process wakeups, message deliveries, detector
+// ticks — schedule without building a closure per call.
+type call struct {
+	fn  func(arg any, aux int64)
+	arg any
+	aux int64
+}
+
+// Scheduler owns the virtual clock and the event queue. An event due later
+// than now waits in a binary min-heap of keys; an event due exactly now
+// waits in a FIFO. Every heap event due now was scheduled before the clock
+// reached now, so it carries a smaller seq than any FIFO event and fires
+// first: the fire order is (t, seq) either way. Callbacks sit in a slot
+// table whose slots, like the heap's and the FIFO's capacity, are recycled,
+// so the schedule/fire path is allocation-free once warm.
 type Scheduler struct {
-	now       Time
-	q         []event
-	slots     []slotState
-	freeSlots []int32
-	seq       uint64
-	maxTime   Time // 0 means unlimited
-	probe     *obs.Probe
+	now     Time
+	heap    []key // events scheduled for later than the clock read then
+	due     []key // events scheduled for now, in seq order; due[head:] pending
+	head    int
+	calls   []call // callbacks, indexed by key.slot
+	free    []int32
+	seq     uint64
+	maxTime Time // 0 means unlimited
+	probe   *obs.Probe
 }
 
 // NewScheduler returns an empty scheduler at virtual time zero.
@@ -122,171 +121,118 @@ func (e DeadlineExceeded) Error() string {
 // At schedules fn to run at virtual time t, which must not be before now:
 // scheduling into the past panics with the offending times, so a protocol
 // bug is caught at its source instead of silently reordering the run. The
-// returned Timer cancels the event via Cancel.
-func (s *Scheduler) At(t Time, fn func()) Timer {
-	return s.schedule(t, event{fn: fn})
+// closure rides as the argument of one static function.
+func (s *Scheduler) At(t Time, fn func()) {
+	s.AtFunc(t, callClosure, fn, 0)
 }
 
+// callClosure is the static event body of At.
+func callClosure(fn any, _ int64) { fn.(func())() }
+
 // After schedules fn to run d nanoseconds of virtual time from now.
-func (s *Scheduler) After(d Time, fn func()) Timer {
-	return s.At(s.now+d, fn)
+func (s *Scheduler) After(d Time, fn func()) {
+	s.AtFunc(s.now+d, callClosure, fn, 0)
 }
 
 // AtFunc schedules fn(arg, aux) at virtual time t. Unlike At, it takes a
 // static function plus its argument, so hot paths that would otherwise
 // build a closure per call (process wakeups, message deliveries) can
 // schedule without allocating.
-func (s *Scheduler) AtFunc(t Time, fn func(arg any, aux int64), arg any, aux int64) Timer {
-	return s.schedule(t, event{fnA: fn, arg: arg, aux: aux})
-}
-
-// AfterFunc is AtFunc relative to now.
-func (s *Scheduler) AfterFunc(d Time, fn func(arg any, aux int64), arg any, aux int64) Timer {
-	return s.AtFunc(s.now+d, fn, arg, aux)
-}
-
-// schedule stamps the event and pushes it onto the heap.
-func (s *Scheduler) schedule(t Time, e event) Timer {
+func (s *Scheduler) AtFunc(t Time, fn func(arg any, aux int64), arg any, aux int64) {
 	if t < s.now {
 		panic(fmt.Sprintf("simnet: event scheduled into the past: t=%v, now=%v (%v late)", t, s.now, s.now-t))
 	}
-	slot := s.allocSlot()
-	e.t, e.seq, e.slot = t, s.seq, slot
+	p := s.probe
+	var slot int32
+	if n := len(s.free); n > 0 {
+		slot = s.free[n-1]
+		s.free = s.free[:n-1]
+		s.calls[slot] = call{fn: fn, arg: arg, aux: aux}
+		p.Add(obs.CSlotsReused, 1)
+	} else {
+		slot = int32(len(s.calls))
+		s.calls = append(s.calls, call{fn: fn, arg: arg, aux: aux})
+		p.Add(obs.CSlotsGrown, 1)
+	}
+	k := key{t: t, seq: s.seq, slot: slot}
 	s.seq++
-	s.q = append(s.q, e)
-	s.siftUp(len(s.q) - 1)
-	if p := s.probe; p != nil {
+	if t == s.now {
+		s.due = append(s.due, k)
+	} else {
+		s.push(k)
+	}
+	if p != nil {
 		p.Add(obs.CEventsScheduled, 1)
-		p.SetMax(obs.GHeapHighWater, int64(len(s.q)))
+		p.SetMax(obs.GHeapHighWater, int64(s.Pending()))
 	}
-	return Timer{slot: slot, gen: s.slots[slot].gen}
 }
 
-// Cancel removes the event identified by tm from the queue, eagerly and in
-// O(log n). It reports whether an event was removed: false means the timer
-// already fired, was already cancelled, or is the zero Timer. Cancelled
-// events leave the queue immediately — no tombstones accumulate, and their
-// closures are released for collection at once.
-func (s *Scheduler) Cancel(tm Timer) bool {
-	if tm.gen == 0 || tm.slot < 0 || int(tm.slot) >= len(s.slots) {
-		return false
-	}
-	st := &s.slots[tm.slot]
-	if st.gen != tm.gen || st.index < 0 {
-		return false
-	}
-	s.removeAt(int(st.index))
-	s.probe.Add(obs.CEventsCancelled, 1)
-	return true
+// AfterFunc is AtFunc relative to now.
+func (s *Scheduler) AfterFunc(d Time, fn func(arg any, aux int64), arg any, aux int64) {
+	s.AtFunc(s.now+d, fn, arg, aux)
 }
 
-// allocSlot takes a slot id from the free list, growing the table only
-// when every slot is live.
-func (s *Scheduler) allocSlot() int32 {
-	if n := len(s.freeSlots); n > 0 {
-		slot := s.freeSlots[n-1]
-		s.freeSlots = s.freeSlots[:n-1]
-		s.probe.Add(obs.CSlotsReused, 1)
-		return slot
-	}
-	s.slots = append(s.slots, slotState{gen: 1, index: -1})
-	s.probe.Add(obs.CSlotsGrown, 1)
-	return int32(len(s.slots) - 1)
-}
-
-// freeSlot retires a slot: bump the generation (invalidating outstanding
-// Timers) and recycle the id.
-func (s *Scheduler) freeSlot(slot int32) {
-	st := &s.slots[slot]
-	st.gen++
-	st.index = -1
-	s.freeSlots = append(s.freeSlots, slot)
-}
-
-// eventLess orders events by (time, sequence) — a strict total order, so
-// the fire order is independent of heap shape and byte-identical to the
-// previous container/heap implementation.
-func eventLess(a, b *event) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	return a.seq < b.seq
-}
-
-// siftUp restores the heap property from index i toward the root, using a
-// hole instead of pairwise swaps.
-func (s *Scheduler) siftUp(i int) {
-	e := s.q[i]
+// push adds k to the heap, moving a hole up from the new leaf.
+func (s *Scheduler) push(k key) {
+	h := append(s.heap, k)
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if eventLess(&s.q[parent], &e) {
+		if h[parent].less(k) {
 			break
 		}
-		s.q[i] = s.q[parent]
-		s.slots[s.q[i].slot].index = int32(i)
+		h[i] = h[parent]
 		i = parent
 	}
-	s.q[i] = e
-	s.slots[e.slot].index = int32(i)
+	h[i] = k
+	s.heap = h
 }
 
-// siftDown restores the heap property from index i toward the leaves and
-// reports whether the element moved.
-func (s *Scheduler) siftDown(i int) bool {
-	e := s.q[i]
-	start := i
-	n := len(s.q)
+// pop removes and returns the heap's earliest key, moving a hole down from
+// the root for the last leaf.
+func (s *Scheduler) pop() key {
+	h := s.heap
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	i := 0
 	for {
 		child := 2*i + 1
 		if child >= n {
 			break
 		}
-		if r := child + 1; r < n && eventLess(&s.q[r], &s.q[child]) {
+		if r := child + 1; r < n && h[r].less(h[child]) {
 			child = r
 		}
-		if eventLess(&e, &s.q[child]) {
+		if last.less(h[child]) {
 			break
 		}
-		s.q[i] = s.q[child]
-		s.slots[s.q[i].slot].index = int32(i)
+		h[i] = h[child]
 		i = child
 	}
-	s.q[i] = e
-	s.slots[e.slot].index = int32(i)
-	return i != start
+	if n > 0 {
+		h[i] = last
+	}
+	s.heap = h
+	return top
 }
 
-// popMin removes and returns the earliest event.
-func (s *Scheduler) popMin() event {
-	e := s.q[0]
-	s.freeSlot(e.slot)
-	n := len(s.q) - 1
-	if n > 0 {
-		s.q[0] = s.q[n]
+// next removes and returns the earliest pending key: a heap event due now
+// before the FIFO, the FIFO before a later heap event.
+func (s *Scheduler) next() (key, bool) {
+	if len(s.heap) > 0 && (s.heap[0].t == s.now || s.head == len(s.due)) {
+		return s.pop(), true
 	}
-	s.q[n] = event{} // release fn/arg references
-	s.q = s.q[:n]
-	if n > 0 {
-		s.siftDown(0)
+	if s.head == len(s.due) {
+		return key{}, false
 	}
-	return e
-}
-
-// removeAt deletes the event at heap index i (cancellation path).
-func (s *Scheduler) removeAt(i int) {
-	s.freeSlot(s.q[i].slot)
-	n := len(s.q) - 1
-	if i != n {
-		s.q[i] = s.q[n]
-		s.q[n] = event{}
-		s.q = s.q[:n]
-		if !s.siftDown(i) {
-			s.siftUp(i)
-		}
-		return
+	k := s.due[s.head]
+	s.head++
+	if s.head == len(s.due) {
+		s.due, s.head = s.due[:0], 0
 	}
-	s.q[n] = event{}
-	s.q = s.q[:n]
+	return k, true
 }
 
 // Run fires events in time order until the queue drains and returns the
@@ -299,29 +245,30 @@ func (s *Scheduler) Run() Time {
 	probe := s.probe
 	traceEvents := probe.On(trace.CatEvent)
 	var fired int64
-	for len(s.q) > 0 {
-		e := s.popMin()
+	for {
+		k, ok := s.next()
+		if !ok {
+			break
+		}
+		c := s.calls[k.slot]
+		s.calls[k.slot] = call{} // release the callback's references
+		s.free = append(s.free, k.slot)
 		fired++
-		if s.maxTime > 0 && e.t > s.maxTime {
-			panic(DeadlineExceeded{Deadline: s.maxTime, At: e.t})
+		if s.maxTime > 0 && k.t > s.maxTime {
+			panic(DeadlineExceeded{Deadline: s.maxTime, At: k.t})
 		}
-		s.now = e.t // never earlier: nothing is scheduled into the past
+		s.now = k.t // never earlier: nothing is scheduled into the past
 		if traceEvents {
-			probe.Emit(trace.Span{Cat: trace.CatEvent, Rank: -1, Start: int64(e.t), Aux: int64(e.seq)})
+			probe.Emit(trace.Span{Cat: trace.CatEvent, Rank: -1, Start: int64(k.t), Aux: int64(k.seq)})
 		}
-		if e.fnA != nil {
-			e.fnA(e.arg, e.aux)
-		} else {
-			e.fn()
-		}
+		c.fn(c.arg, c.aux)
 	}
 	probe.Add(obs.CEventsFired, fired)
 	return s.now
 }
 
-// Pending reports the number of events that have not fired. Cancelled
-// events are removed eagerly, so they never count.
-func (s *Scheduler) Pending() int { return len(s.q) }
+// Pending reports the number of events that have not fired.
+func (s *Scheduler) Pending() int { return len(s.heap) + len(s.due) - s.head }
 
 // Leaked reports the events still pending in the queue — work Run walked
 // away from when a deadline stopped it — as a count plus the earliest
@@ -329,11 +276,13 @@ func (s *Scheduler) Pending() int { return len(s.q) }
 // zero. The harness surfaces this as Breakdown.LeakedEvents so hung-run
 // bugs stop masquerading as clean completions.
 func (s *Scheduler) Leaked() (n int, earliest Time) {
-	for i := range s.q {
-		if n == 0 || s.q[i].t < earliest {
-			earliest = s.q[i].t
+	for _, q := range [][]key{s.heap, s.due[s.head:]} {
+		for _, k := range q {
+			if n == 0 || k.t < earliest {
+				earliest = k.t
+			}
+			n++
 		}
-		n++
 	}
 	return n, earliest
 }

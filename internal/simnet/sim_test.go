@@ -38,19 +38,6 @@ func TestSchedulerTieBreakFIFO(t *testing.T) {
 	}
 }
 
-func TestSchedulerCancel(t *testing.T) {
-	s := NewScheduler()
-	fired := false
-	tm := s.At(10, func() { fired = true })
-	if !s.Cancel(tm) {
-		t.Fatal("Cancel reported no event removed")
-	}
-	s.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-}
-
 func TestSchedulerNestedScheduling(t *testing.T) {
 	s := NewScheduler()
 	var hits []Time
@@ -348,31 +335,51 @@ func TestClockMonotonic(t *testing.T) {
 }
 
 // A deadline abandons the events behind the one that trips it — the silent
-// drop the Leaked diagnostic exists to surface. Cancelled events are dead
-// bookkeeping, not leaks.
+// drop the Leaked diagnostic exists to surface. The tripping event itself
+// is not leaked; events left in the due-now FIFO are.
 func TestSchedulerLeakedAfterDeadline(t *testing.T) {
-	s := NewScheduler()
-	s.SetDeadline(20)
-	fired := 0
-	s.At(10, func() { fired++ })
-	s.At(30, func() { fired++ }) // trips the deadline
-	s.At(40, func() { fired++ })
-	s.Cancel(s.At(45, func() { fired++ }))
-	s.At(50, func() { fired++ })
-	func() {
+	run := func(s *Scheduler) {
+		t.Helper()
 		defer func() {
 			if _, ok := recover().(DeadlineExceeded); !ok {
 				t.Fatal("Run past the deadline did not panic with DeadlineExceeded")
 			}
 		}()
 		s.Run()
-	}()
+	}
+	s := NewScheduler()
+	s.SetDeadline(20)
+	fired := 0
+	s.At(10, func() { fired++ })
+	s.At(30, func() { fired++ }) // trips the deadline
+	s.At(40, func() { fired++ })
+	s.At(50, func() { fired++ })
+	run(s)
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1 (the deadline should halt the loop)", fired)
 	}
-	n, earliest := s.Leaked()
-	if n != 2 || earliest != 40 {
-		t.Fatalf("Leaked() = (%d, %v), want (2, 40): cancelled events must not count", n, earliest)
+	if n, earliest := s.Leaked(); n != 2 || earliest != 40 {
+		t.Fatalf("Leaked() = (%d, %v), want (2, 40)", n, earliest)
+	}
+
+	// A deadline lowered below the clock trips on the next event due now:
+	// the one behind it stays in the FIFO.
+	s = NewScheduler()
+	s.SetDeadline(20)
+	fired = 0
+	s.At(10, func() {
+		fired++
+		s.SetDeadline(5)
+		s.At(10, func() { fired++ }) // trips the deadline
+		s.At(10, func() { fired++ })
+	})
+	s.At(40, func() { fired++ })
+	run(s)
+	if fired != 1 {
+		t.Fatalf("fired = %d, want 1 (the deadline should halt the loop)", fired)
+	}
+	if n, earliest := s.Leaked(); n != 2 || earliest != 10 {
+		t.Fatalf("Leaked() = (%d, %v), want (2, 10): the FIFO's event and the heap's", n, earliest)
 	}
 }
 
