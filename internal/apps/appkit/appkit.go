@@ -129,10 +129,8 @@ func RunMainLoop(ctx *Context, app App) (float64, error) {
 	traced := probe.On(trace.CatCompute)
 	var step trace.Span
 	if traced {
-		step = trace.Span{Cat: trace.CatCompute, Rank: int32(ctx.Rank()), Job: probe.JobOf(ctx.R.Job())}
-		if ctx.World.Replicated() {
-			step.Replica = int32(ctx.World.ReplicaIndexOf(ctx.R.Process().GID()))
-		}
+		step = trace.Span{Cat: trace.CatCompute, Rank: int32(ctx.Rank()),
+			Replica: int32(ctx.World.ReplicaIndexOf(ctx.R.Process().GID())), Job: probe.JobOf(ctx.R.Job())}
 	}
 	for ; iter < ctx.Params.MaxIter; iter++ {
 		ctx.Inject.MaybeFail(ctx.R, ctx.World, iter)

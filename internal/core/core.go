@@ -455,10 +455,7 @@ func Run(cfg Config) (Breakdown, error) {
 	// by teardown), under the replica index it started as: a hot-spare
 	// failover can re-index a survivor mid-run.
 	runApp := func(r *mpi.Rank, world *mpi.Comm) error {
-		rank, replica := r.Rank(world), 0
-		if world.Replicated() {
-			replica = world.ReplicaIndexOf(r.Process().GID())
-		}
+		rank, replica := r.Rank(world), world.ReplicaIndexOf(r.Process().GID())
 		f, ferr := fti.Init(fti.Config{Level: rc.FTILevel, ExecID: execID}, r, world, st)
 		if ferr != nil {
 			return ferr
@@ -477,12 +474,9 @@ func Run(cfg Config) (Breakdown, error) {
 		// CatFinish write per rank, so emission order must match map
 		// assignment order (it does — the simulation is single-threaded).
 		if probe.On(trace.CatFinish) {
-			var rep int32
-			if world.Replicated() {
-				rep = int32(world.ReplicaIndexOf(r.Process().GID()))
-			}
 			probe.Emit(trace.Span{Cat: trace.CatFinish, Rank: int32(rank),
-				Replica: rep, Job: probe.JobOf(r.Job()), Start: int64(r.Now())})
+				Replica: int32(world.ReplicaIndexOf(r.Process().GID())),
+				Job:     probe.JobOf(r.Job()), Start: int64(r.Now())})
 		}
 		return nil
 	}
@@ -658,9 +652,9 @@ func drive(cluster *simnet.Cluster) (err error) {
 type appMain func(r *mpi.Rank, world *mpi.Comm) error
 
 // outcome is what a design's runtime knows once its run is over. A design
-// is an arm function: it returns the runtime's recovery log — which grows as
-// the simulation runs — and a finish that halts whatever outlives the ranks
-// and reports this; driving and accounting are Run's.
+// is an arm function: one Supervise call, returning the runtime's recovery
+// log — which grows as the simulation runs — and a finish that reports
+// this once the cluster has drained; driving and accounting are Run's.
 type outcome struct {
 	detectors  []detect.Detector // one per job incarnation
 	jobs       []*mpi.Job        // every incarnation launched
@@ -679,26 +673,16 @@ func armRestart(rc resolvedCell, cluster *simnet.Cluster, runApp appMain) (*[]mp
 }
 
 func armReinit(rc resolvedCell, cluster *simnet.Cluster, runApp appMain) (*[]mpi.Recovery, func() outcome) {
-	var rt *reinit.Runtime
-	job := mpi.LaunchPlaced(cluster, mpi.BlockPlacement(rc.Procs, cluster.NumNodes()), 0,
-		func(r *mpi.Rank) error { return rt.Run(r) })
-	rt = reinit.NewRuntime(job, rc.Detector, func(r *mpi.Rank) error {
-		return runApp(r, rt.World())
-	})
+	rt := reinit.Supervise(cluster, rc.Detector, rc.Procs, runApp)
 	return &rt.Recoveries, func() outcome {
-		rt.Stop()
-		return outcome{detectors: []detect.Detector{rt.Detector()}, jobs: []*mpi.Job{job}}
+		return outcome{detectors: []detect.Detector{rt.Detector()}, jobs: []*mpi.Job{rt.Job()}}
 	}
 }
 
 func armUlfm(rc resolvedCell, cluster *simnet.Cluster, runApp appMain) (*[]mpi.Recovery, func() outcome) {
-	var rt *ulfm.Runtime
-	job := mpi.LaunchPlaced(cluster, mpi.BlockPlacement(rc.Procs, cluster.NumNodes()), 0,
-		func(r *mpi.Rank) error { return rt.RunResilient(r) })
-	rt = ulfm.NewRuntime(job, *rc.Ulfm, rc.Detector, runApp)
+	rt := ulfm.Supervise(cluster, *rc.Ulfm, rc.Detector, rc.Procs, runApp)
 	return &rt.Recoveries, func() outcome {
-		rt.Stop()
-		return outcome{detectors: []detect.Detector{rt.Detector()}, jobs: []*mpi.Job{job}}
+		return outcome{detectors: []detect.Detector{rt.Detector()}, jobs: []*mpi.Job{rt.Job()}}
 	}
 }
 
@@ -718,9 +702,7 @@ func armReplica(rc resolvedCell, cluster *simnet.Cluster, rec *recorder, runApp 
 	// lockstep spare — when the rank has a live hot spare; a kill inside
 	// the respawn window falls through to the normal death and exhausts
 	// the group.
-	inj.Redirect = func(r *mpi.Rank, comm *mpi.Comm, _ fault.Event) bool {
-		return sup.AbsorbFailure(r, comm)
-	}
+	inj.Redirect = sup.AbsorbFailure
 	// Through the live degree feed the replica-aware policy sees a group
 	// degrade the moment a failover prunes it — and recover once a spare
 	// goes live.

@@ -272,12 +272,12 @@ type Injector struct {
 	// design's recovery log. When nil, such events never fire.
 	Recoveries func() int
 	// Redirect, when set, is consulted as a fired process-failure event is
-	// about to destroy the executing process. Returning true means the
-	// runtime absorbed the failure at the process boundary — a live hot
-	// spare in lockstep took over the victim's identity — and execution
-	// continues; the event still counts as injected. Node failures are
-	// never redirected (the spare cannot resurrect a dead node's executor).
-	Redirect func(r *mpi.Rank, comm *mpi.Comm, ev Event) bool
+	// about to destroy the victim rank r. Returning true means the runtime
+	// absorbed the failure at the process boundary — a live hot spare in
+	// lockstep took over the victim's identity — and execution continues;
+	// the event still counts as injected. Node failures are never
+	// redirected (the spare cannot resurrect a dead node's executor).
+	Redirect func(r *mpi.Rank) bool
 
 	fired  []bool
 	nfired int
@@ -333,10 +333,13 @@ func (in *Injector) fire(i int, ev Event, r *mpi.Rank, comm *mpi.Comm) {
 	in.fired[i] = true
 	in.nfired++
 	cl := r.Job().Cluster()
-	absorbed := ev.Kind != NodeFailure && in.Redirect != nil && in.Redirect(r, comm, ev)
+	// The victim's own replica index, taken before an absorbing hot spare
+	// re-indexes it.
+	replica := comm.ReplicaIndexOf(r.Process().GID())
+	absorbed := ev.Kind != NodeFailure && in.Redirect != nil && in.Redirect(r)
 	if p := cl.Probe(); p.On(trace.CatInject) {
 		s := trace.Span{Cat: trace.CatInject, Rank: int32(r.Rank(comm)),
-			Replica: int32(ev.TargetReplica), Job: p.JobOf(r.Job()),
+			Replica: int32(replica), Job: p.JobOf(r.Job()),
 			Start: int64(r.Now())}
 		if ev.Kind == NodeFailure {
 			s.Level = 1

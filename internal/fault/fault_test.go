@@ -296,7 +296,9 @@ func TestInjectorKillsExactlyOnce(t *testing.T) {
 	c := simnet.NewCluster(simnet.Config{Nodes: 2})
 	var log strings.Builder
 	c.SetProbe(obs.NewProbe(nil, nil, obs.NewLog(&log)))
-	in := NewScheduleInjector(only(Event{TargetRank: 1, TargetIter: 3}))
+	// A replica selector matches any process of a plain world, and the
+	// inject event names the process it hit: replica 0, not the selector.
+	in := NewScheduleInjector(only(Event{TargetRank: 1, TargetIter: 3, TargetReplica: 1}))
 	iterSeen := make([]int, 4)
 	j := mpi.Launch(c, 4, 0, func(r *mpi.Rank) {
 		w := r.Job().World()
@@ -321,8 +323,8 @@ func TestInjectorKillsExactlyOnce(t *testing.T) {
 	if !j.World().Member(1).Failed() {
 		t.Fatal("rank 1 not marked failed")
 	}
-	if n := strings.Count(log.String(), `"msg":"inject"`); n != 1 || !strings.Contains(log.String(), `"rank":1,`) {
-		t.Fatalf("want one inject event for rank 1, got %q", log.String())
+	if n := strings.Count(log.String(), `"msg":"inject"`); n != 1 || !strings.Contains(log.String(), `"rank":1,"replica":0,`) {
+		t.Fatalf("want one inject event for rank 1 replica 0, got %q", log.String())
 	}
 	// Replay the iteration (as recovery does): must not fire again.
 	survived := false

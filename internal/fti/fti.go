@@ -192,10 +192,8 @@ func Init(cfg Config, r *mpi.Rank, comm *mpi.Comm, st *storage.System) (*FTI, er
 	f.base = fmt.Sprintf("fti/%s/r%05d/", cfg.ExecID, f.rank)
 	if p := r.Job().Cluster().Probe(); p != nil {
 		f.probe = p
-		f.ident = trace.Span{Rank: int32(f.rank), Job: p.JobOf(r.Job())}
-		if comm.Replicated() {
-			f.ident.Replica = int32(comm.ReplicaIndexOf(r.Process().GID()))
-		}
+		f.ident = trace.Span{Rank: int32(f.rank), Replica: int32(comm.ReplicaIndexOf(r.Process().GID())),
+			Job: p.JobOf(r.Job())}
 	}
 	f.loadTopology()
 	mine := f.readMeta()

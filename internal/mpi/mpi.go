@@ -264,8 +264,9 @@ func (j *Job) NewComm(members []*Process) *Comm {
 // World returns the world communicator of the job.
 func (j *Job) World() *Comm { return j.world }
 
-// SetWorld installs the world communicator (used at launch and after
-// recovery rebuilds it).
+// SetWorld installs the world communicator: at launch, and on every
+// rebuild by a recovery (a Reinit global restart, a ULFM repair). The job
+// is the one holder of its current world.
 func (j *Job) SetWorld(c *Comm) { j.world = c }
 
 // MarkFailed records a process failure (fail-stop). Detection is separate:

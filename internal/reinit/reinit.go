@@ -43,51 +43,46 @@ const (
 type Runtime struct {
 	job  *mpi.Job
 	det  detect.Detector
-	main func(*mpi.Rank) error
-
-	world *mpi.Comm
+	main func(*mpi.Rank, *mpi.Comm) error
 
 	// Recoveries lists completed global restarts (complete = replacement
 	// up, world rebuilt).
 	Recoveries []mpi.Recovery
 }
 
-// NewRuntime installs the Reinit runtime on a job. main is the resilient
-// function every rank (including future replacements) executes; ranks
-// enter it through Run. The failure monitor, detector dcfg (Reinit's own
-// is the daemon tree, detect.TreeDefaults()), starts immediately. An
-// invalid detector configuration panics; validate with
-// detect.Config.Validate (core.Run does) before constructing.
-func NewRuntime(job *mpi.Job, dcfg detect.Config, main func(*mpi.Rank) error) *Runtime {
-	rt := &Runtime{
-		job:   job,
-		main:  main,
-		world: job.World(),
-	}
-	rt.det = detect.MustNew(dcfg, job, rt.onFailure)
-	rt.det.SetProcs(rt.world.Leaders())
+// Supervise launches an n-rank job on c under the Reinit runtime and
+// returns it; drive the cluster's scheduler to completion afterwards. main
+// is the resilient function every rank (including future replacements)
+// executes, on the job's current world, entering it again after every
+// global restart. The failure monitor, detector dcfg (Reinit's own is the
+// daemon tree, detect.TreeDefaults()), starts immediately. An invalid
+// detector configuration panics; validate with detect.Config.Validate
+// (core.Run does) before constructing.
+func Supervise(c *simnet.Cluster, dcfg detect.Config, n int, main func(*mpi.Rank, *mpi.Comm) error) *Runtime {
+	rt := &Runtime{main: main}
+	rt.job = mpi.LaunchPlaced(c, mpi.BlockPlacement(n, c.NumNodes()), 0, rt.run)
+	rt.det = detect.MustNew(dcfg, rt.job, rt.onFailure)
+	rt.det.SetProcs(rt.job.World().Leaders())
 	return rt
 }
 
-// World returns the current world communicator; it changes on every global
-// restart (the worldc swap of the paper's Figure 3, done by the runtime).
-func (rt *Runtime) World() *mpi.Comm { return rt.world }
+// Job returns the job; its World changes on every global restart (the
+// worldc swap of the paper's Figure 3, done by the runtime).
+func (rt *Runtime) Job() *mpi.Job { return rt.job }
 
 // Detector exposes the failure detector (the harness reads its confirmed
 // failures for the detection-latency breakdown).
 func (rt *Runtime) Detector() detect.Detector { return rt.det }
 
-// Stop halts the failure monitor (job teardown).
-func (rt *Runtime) Stop() { rt.det.Stop() }
-
 // onFailure is the detector's confirmation callback: every confirmed
 // process failure triggers one global restart.
 func (rt *Runtime) onFailure(f detect.Failure) {
-	rank := rt.world.RankOf(f.GID)
+	world := rt.job.World()
+	rank := world.RankOf(f.GID)
 	if rank < 0 {
 		return // already replaced by an earlier restart this round
 	}
-	rt.globalRestart(rt.world.Member(rank), f.FailedAt)
+	rt.globalRestart(world.Member(rank), f.FailedAt)
 }
 
 // globalRestart is the runtime's recovery path: flush communication,
@@ -101,12 +96,13 @@ func (rt *Runtime) globalRestart(failed *mpi.Process, failedAt simnet.Time) {
 
 	// 2. Respawn the failed rank on its node, or the next live one
 	// (fork/exec + MPI init).
-	oldRank := rt.world.RankOf(failed.GID())
-	members := append([]*mpi.Process(nil), rt.world.Leaders()...)
+	world := rt.job.World()
+	oldRank := world.RankOf(failed.GID())
+	members := append([]*mpi.Process(nil), world.Leaders()...)
 	repl := rt.job.AddProcess(failed.NodeID())
 	members[oldRank] = repl
 	rt.job.Start(repl, respawnDelay, func(r *mpi.Rank) error {
-		if err := rt.Run(r); err != nil {
+		if err := rt.run(r); err != nil {
 			return fmt.Errorf("reinit: respawned rank %d: %w", oldRank, err)
 		}
 		return nil
@@ -114,8 +110,9 @@ func (rt *Runtime) globalRestart(failed *mpi.Process, failedAt simnet.Time) {
 
 	// 3. Rebuild the world communicator; the daemons supervise it. What
 	// ranks derived from the old world (Comm.Sub) goes with it.
-	rt.world = rt.job.NewComm(members)
-	rt.det.SetProcs(rt.world.Leaders())
+	world = rt.job.NewComm(members)
+	rt.job.SetWorld(world)
+	rt.det.SetProcs(world.Leaders())
 
 	// 4. Unwind survivors via the daemon tree: rank i learns about the
 	// reset after depth(i) hops.
@@ -149,10 +146,10 @@ func treeDepth(rank int) int {
 	return d
 }
 
-// Run executes the resilient function for the calling rank, re-entering it
+// run executes the resilient function for the calling rank, re-entering it
 // after every global restart — the analog of OMPI_Reinit(argc, argv,
 // resilient_main) in the paper's Figure 2.
-func (rt *Runtime) Run(r *mpi.Rank) error {
+func (rt *Runtime) run(r *mpi.Rank) error {
 	for {
 		restarted, err := rt.protectedCall(r)
 		if !restarted {
@@ -161,8 +158,8 @@ func (rt *Runtime) Run(r *mpi.Rank) error {
 	}
 }
 
-// protectedCall invokes resilient main, converting a restartSignal unwind
-// into a re-entry request.
+// protectedCall invokes resilient main on the current world, converting a
+// restartSignal unwind into a re-entry request.
 func (rt *Runtime) protectedCall(r *mpi.Rank) (restarted bool, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -173,5 +170,5 @@ func (rt *Runtime) protectedCall(r *mpi.Rank) (restarted bool, err error) {
 			panic(v)
 		}
 	}()
-	return false, rt.main(r)
+	return false, rt.main(r, rt.job.World())
 }

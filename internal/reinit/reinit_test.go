@@ -15,10 +15,9 @@ import (
 // miniApp is an iterative BSP kernel used to exercise recovery: every
 // iteration allreduces a value and accumulates it; the final sum has a
 // closed-form reference, and FTI protects (iter, sum).
-func miniApp(rt **Runtime, st *storage.System, execID string, n, iters, stride int,
-	inj *fault.Injector, sums []float64) func(*mpi.Rank) error {
-	return func(r *mpi.Rank) error {
-		world := (*rt).World()
+func miniApp(st *storage.System, execID string, iters, stride int,
+	inj *fault.Injector, sums []float64) func(*mpi.Rank, *mpi.Comm) error {
+	return func(r *mpi.Rank, world *mpi.Comm) error {
 		f, err := fti.Init(fti.Config{ExecID: execID}, r, world, st)
 		if err != nil {
 			return err
@@ -69,15 +68,11 @@ func runReinit(t *testing.T, n, iters, stride int, plan fault.Schedule, execID s
 	st := storage.New(c, storage.Config{})
 	inj := fault.NewScheduleInjector(plan)
 	sums := make([]float64, n)
-	var rt *Runtime
-	main := miniApp(&rt, st, execID, n, iters, stride, inj, sums)
-	job := mpi.Launch(c, n, 0, func(r *mpi.Rank) {
-		if err := rt.Run(r); err != nil {
-			t.Errorf("rank: %v", err)
-		}
-	})
-	rt = NewRuntime(job, detect.TreeDefaults(), main)
+	rt := Supervise(c, detect.TreeDefaults(), n, miniApp(st, execID, iters, stride, inj, sums))
 	c.Run()
+	for _, e := range rt.Job().Errs() {
+		t.Errorf("rank: %v", e)
+	}
 	return rt, sums
 }
 
@@ -117,6 +112,11 @@ func TestReinitRecoversProcessFailure(t *testing.T) {
 	// with the default model.
 	if rec.Duration() > simnet.Second {
 		t.Fatalf("reinit recovery took %v, expected sub-second", rec.Duration())
+	}
+	// The job's world is the rebuilt one: rank 2 is its replacement.
+	if m := rt.Job().World().Member(2); m.Failed() || !m.Completed() || m.GID() < 4 {
+		t.Fatalf("world rank 2 is gid %d (failed %v, completed %v), want a completed replacement",
+			m.GID(), m.Failed(), m.Completed())
 	}
 }
 

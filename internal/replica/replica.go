@@ -224,7 +224,6 @@ type Supervisor struct {
 	// in-flight, and aborted alike). Empty unless Config.HotSpare is set.
 	RespawnLog []Respawn
 
-	world *mpi.Comm
 	// spares tracks the current incarnation's hot spares by logical rank:
 	// the index into RespawnLog of the pending or live spawn, and — once
 	// live — the virtual member joined to the replica group.
@@ -296,13 +295,11 @@ func Supervise(c *simnet.Cluster, cfg Config, dcfg detect.Config, n int, main fu
 	return s
 }
 
-// World returns the current incarnation's replica-aware world.
-func (s *Supervisor) World() *mpi.Comm { return s.world }
-
 // Done reports whether every logical rank completed in this incarnation.
 func (s *Supervisor) Done() bool {
+	world := s.CurrentJob().World()
 	for r := 0; r < s.layout.Procs; r++ {
-		if !s.groupCompleted(s.world, r) {
+		if !s.groupCompleted(world, r) {
 			return false
 		}
 	}
@@ -321,9 +318,10 @@ func (s *Supervisor) Done() bool {
 // the spare's cloned state even though no simulated process dies with it.
 func (s *Supervisor) MinLiveDegree() int {
 	min := s.cfg.DupDegree
+	world := s.CurrentJob().World()
 	for r := 0; r < s.layout.Procs; r++ {
 		n := 0
-		for _, m := range s.world.ReplicaGroup(r) {
+		for _, m := range world.ReplicaGroup(r) {
 			if s.memberProtects(m) {
 				n++
 			}
@@ -395,7 +393,6 @@ func (s *Supervisor) launch(delay simnet.Time) {
 	}
 	world := job.NewReplicaComm(groups)
 	job.SetWorld(world)
-	s.world = world
 	// The detector watches every physical process — failures of shadow
 	// replicas matter as much as leader failures. Under the ring strategy
 	// the heartbeat ring (and its interference) therefore spans the
@@ -409,7 +406,7 @@ func (s *Supervisor) launch(delay simnet.Time) {
 		}
 		phys = append(phys, groups[i]...)
 	}
-	s.Watch(job, func(f detect.Failure) { s.onFailure(job, world, f) }).SetProcs(phys)
+	s.Watch(job, func(f detect.Failure) { s.onFailure(job, f) }).SetProcs(phys)
 }
 
 // onFailure drives recovery once the detector confirms a death: failover
@@ -418,16 +415,17 @@ func (s *Supervisor) launch(delay simnet.Time) {
 // observation window is only discovered here — by which time the group may
 // already be exhausted, sending the run down the fallback path the instant
 // launcher preset would have avoided.
-func (s *Supervisor) onFailure(job *mpi.Job, world *mpi.Comm, f detect.Failure) {
+func (s *Supervisor) onFailure(job *mpi.Job, f detect.Failure) {
 	if !s.Live(job) {
 		return
 	}
+	world := job.World()
 	rank := world.RankOf(f.GID)
 	if rank < 0 {
 		return
 	}
 	if s.executing(world, rank) > 0 {
-		s.failover(job, world, rank, world.ReplicaIndexOf(f.GID), f)
+		s.failover(job, rank, world.ReplicaIndexOf(f.GID), f)
 	} else if !s.groupCompleted(world, rank) {
 		s.fallback(job, rank, f)
 	}
@@ -462,7 +460,7 @@ func (s *Supervisor) groupCompleted(world *mpi.Comm, rank int) bool {
 // failover is the rollback-free path: elect a new leader among the
 // survivors, update the group membership everywhere, and keep going. The
 // application never re-executes an instruction.
-func (s *Supervisor) failover(job *mpi.Job, world *mpi.Comm, rank, idx int, f detect.Failure) {
+func (s *Supervisor) failover(job *mpi.Job, rank, idx int, f detect.Failure) {
 	// Under the launcher preset the daemons pay FailoverDetect to notice
 	// the SIGCHLD; an in-band detector has already paid its own latency.
 	detected := f.DetectedAt
@@ -475,12 +473,12 @@ func (s *Supervisor) failover(job *mpi.Job, world *mpi.Comm, rank, idx int, f de
 		FailedAt: f.FailedAt, CompletedAt: completed,
 	})
 	deadNode := -1
-	for _, m := range world.ReplicaGroup(rank) {
+	for _, m := range job.World().ReplicaGroup(rank) {
 		if m.GID() == f.GID {
 			deadNode = m.NodeID()
 		}
 	}
-	s.commitFailover(job, world, rank, idx, f.GID, deadNode, f.FailedAt, completed, true)
+	s.commitFailover(job, rank, idx, f.GID, deadNode, f.FailedAt, completed, true)
 }
 
 // commitFailover ends a failover at completed: gid leaves the rank's group,
@@ -489,13 +487,14 @@ func (s *Supervisor) failover(job *mpi.Job, world *mpi.Comm, rank, idx int, f de
 // surviving process for the window since failedAt, the whole recovery
 // cost; nothing is rolled back or recomputed. announce emits the failover
 // span (a spare's takeover has emitted its absorb span already).
-func (s *Supervisor) commitFailover(job *mpi.Job, world *mpi.Comm, rank, idx, gid, node int, failedAt, completed simnet.Time, announce bool) {
+func (s *Supervisor) commitFailover(job *mpi.Job, rank, idx, gid, node int, failedAt, completed simnet.Time, announce bool) {
 	// A ring confirms on its next tick, which lands after DetectedAt when
 	// the timeout is off the period grid: the election may already be due.
 	s.cluster.Scheduler().At(max(completed, s.cluster.Now()), func() {
 		if job != s.CurrentJob() || job.Aborted() {
 			return
 		}
+		world := job.World()
 		world.PruneReplica(gid)
 		world.PromoteLeader(rank)
 		if p := s.cluster.Probe(); announce && p.On(trace.CatFailover) {
@@ -512,7 +511,7 @@ func (s *Supervisor) commitFailover(job *mpi.Job, world *mpi.Comm, rank, idx, gi
 				}
 			}
 		}
-		s.scheduleRespawn(job, world, rank, idx, node)
+		s.scheduleRespawn(job, rank, idx, node)
 	})
 }
 
@@ -522,12 +521,12 @@ func (s *Supervisor) commitFailover(job *mpi.Job, world *mpi.Comm, rank, idx, gi
 // spare's node over the network. The spare lands on the dead replica's
 // node when that node is still alive (a process failure leaves it free),
 // the next live node otherwise (simnet.Cluster.LiveNode).
-func (s *Supervisor) scheduleRespawn(job *mpi.Job, world *mpi.Comm, rank, idx, deadNode int) {
+func (s *Supervisor) scheduleRespawn(job *mpi.Job, rank, idx, deadNode int) {
 	if !s.cfg.HotSpare || s.spares[rank] != nil {
 		return
 	}
 	live := 0
-	for _, m := range world.ReplicaGroup(rank) {
+	for _, m := range job.World().ReplicaGroup(rank) {
 		if !m.Failed() {
 			live++
 		}
@@ -563,9 +562,9 @@ func (s *Supervisor) scheduleRespawn(job *mpi.Job, world *mpi.Comm, rank, idx, d
 			s.abortRespawn(rank, sp)
 			return
 		}
-		src := world.Member(rank).NodeID()
+		src := job.World().Member(rank).NodeID()
 		liveAt := s.cluster.SendArrival(src, node, int(wire), s.cluster.Now())
-		s.cluster.Scheduler().At(liveAt, func() { s.goLive(job, world, rank, idx, node, sp) })
+		s.cluster.Scheduler().At(liveAt, func() { s.goLive(job, rank, idx, node, sp) })
 	})
 }
 
@@ -573,7 +572,8 @@ func (s *Supervisor) scheduleRespawn(job *mpi.Job, world *mpi.Comm, rank, idx, d
 // the survivor's state, joins the replica group as a virtual member —
 // senders start duplicating onto it, and MinLiveDegree sees the restored
 // protection — and from here on tracks the survivor in lockstep.
-func (s *Supervisor) goLive(job *mpi.Job, world *mpi.Comm, rank, idx, node int, sp *spare) {
+func (s *Supervisor) goLive(job *mpi.Job, rank, idx, node int, sp *spare) {
+	world := job.World()
 	if !s.Live(job) || s.groupCompleted(world, rank) || s.executing(world, rank) == 0 ||
 		!s.cluster.Node(node).Alive() {
 		s.abortRespawn(rank, sp)
@@ -621,11 +621,12 @@ func (s *Supervisor) abortRespawn(rank int, sp *spare) {
 // because the two are byte-identical twins. The takeover costs one
 // detection+election quiesce, exactly like any other failover, and
 // schedules a fresh respawn to refill the slot that was consumed.
-func (s *Supervisor) AbsorbFailure(r *mpi.Rank, world *mpi.Comm) bool {
+func (s *Supervisor) AbsorbFailure(r *mpi.Rank) bool {
 	job := r.Job()
 	if !s.cfg.HotSpare || !s.Live(job) {
 		return false
 	}
+	world := job.World()
 	rank := r.Rank(world)
 	if rank < 0 {
 		return false
@@ -683,7 +684,7 @@ func (s *Supervisor) AbsorbFailure(r *mpi.Rank, world *mpi.Comm) bool {
 	// The refill goes to the spare's node, free again (the promoted twin
 	// executes on the victim's node — links between distinct nodes are
 	// identical, so the swap is timing-neutral).
-	s.commitFailover(job, world, rank, idx, spareProc.GID(), spareNode, now, completed, false)
+	s.commitFailover(job, rank, idx, spareProc.GID(), spareNode, now, completed, false)
 	return true
 }
 

@@ -135,10 +135,10 @@ func TestSupervisorFailover(t *testing.T) {
 	}
 	// After the membership update the dead replica is pruned and the
 	// survivor leads the group.
-	if d := sup.World().ReplicaDegree(2); d != 1 {
+	if d := sup.CurrentJob().World().ReplicaDegree(2); d != 1 {
 		t.Fatalf("group degree after failover = %d, want 1", d)
 	}
-	if sup.World().Member(2).Failed() {
+	if sup.CurrentJob().World().Member(2).Failed() {
 		t.Fatal("leader of rank 2 is still the dead replica")
 	}
 }
@@ -279,7 +279,7 @@ func TestHotSpareRespawnRestoresDegree(t *testing.T) {
 		t.Fatalf("SpawnTime() = %v, want %v", sup.SpawnTime(), rs.Duration())
 	}
 	// The spare joined the group: protection is back at full degree.
-	if d := sup.World().ReplicaDegree(2); d != 2 {
+	if d := sup.CurrentJob().World().ReplicaDegree(2); d != 2 {
 		t.Fatalf("group degree after respawn = %d, want 2", d)
 	}
 	if got := sup.MinLiveDegree(); got != 2 {
@@ -302,7 +302,7 @@ func TestHotSpareAbsorbsSecondFailure(t *testing.T) {
 			if it == 350 && rank == 2 {
 				// Second hit on the surviving replica, well past the
 				// respawn window: the live spare absorbs it.
-				if !sup.AbsorbFailure(r, world) {
+				if !sup.AbsorbFailure(r) {
 					r.Die()
 				}
 			}
@@ -338,7 +338,7 @@ func TestHotSpareAbsorbsSecondFailure(t *testing.T) {
 	// spare's slot (1, the slot of the first death), and the refill spare
 	// occupies the takeover victim's slot (0) — every stable index exists
 	// exactly once, so later schedule events can still target both slots.
-	world := sup.World()
+	world := sup.CurrentJob().World()
 	if got := world.ReplicaIndexOf(world.Member(2).GID()); got != 1 {
 		t.Fatalf("promoted executor occupies slot %d, want 1 (the consumed spare's)", got)
 	}
@@ -381,7 +381,7 @@ func TestHotSpareInvalidatedByNodeFailure(t *testing.T) {
 				if got := sup.MinLiveDegree(); got >= 2 {
 					t.Errorf("degree after spare's node died = %d, want < 2", got)
 				}
-				if !sup.AbsorbFailure(r, world) {
+				if !sup.AbsorbFailure(r) {
 					r.Die()
 				}
 			}
@@ -423,7 +423,7 @@ func TestHotSpareWindowFallsBackToRelaunch(t *testing.T) {
 			}
 			if !k2 && it == 350 && rank == 2 {
 				k2 = true
-				if !sup.AbsorbFailure(r, world) {
+				if !sup.AbsorbFailure(r) {
 					r.Die()
 				}
 			}

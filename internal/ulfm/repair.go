@@ -206,7 +206,7 @@ func (rt *Runtime) RepairWorld(r *mpi.Rank, world *mpi.Comm) (*mpi.Comm, error) 
 				Start: int64(r.Now()), Aux: int64(len(failed))})
 		}
 	}
-	rt.world = nw
+	rt.job.SetWorld(nw)
 	rt.det.SetProcs(nw.Leaders()) // heartbeat the repaired membership (replacements in, failed out)
 	return nw, nil
 }

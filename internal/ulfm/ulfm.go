@@ -8,7 +8,7 @@
 // The package provides both the five ULFM primitives the paper describes
 // (CommRevoke, CommShrink, CommSpawn, IntercommMerge, CommAgree) and the
 // composed global non-shrinking recovery the paper implements on top of
-// them in its Figure 3 (RepairWorld / RunResilient).
+// them in its Figure 3 (RepairWorld, run by Supervise's resilient loop).
 //
 // Cost model: ULFM recovery executes real protocol steps over the
 // simulated network, and the expensive parts (daemon-side shrink
@@ -80,7 +80,6 @@ type Runtime struct {
 	// entry is the resilient main, entered again on each repaired world.
 	entry func(r *mpi.Rank, world *mpi.Comm) error
 
-	world  *mpi.Comm
 	rounds map[int]*repairRound
 
 	// Recoveries lists completed repairs: Failed members replaced, Rank the
@@ -88,37 +87,40 @@ type Runtime struct {
 	Recoveries []mpi.Recovery
 }
 
-// NewRuntime activates ULFM on the job: installs the amended-interface
-// overheads, starts failure detector dcfg (ULFM's own is the ring
-// heartbeat, detect.RingDefaults()), and returns the runtime. entry is the
-// resilient main that RunResilient runs, on every rank and on every spawned
-// replacement. An invalid detector configuration panics; validate with
+// Supervise launches an n-rank job on c with ULFM active and returns the
+// runtime; drive the cluster's scheduler to completion afterwards. It
+// installs the amended-interface overheads and starts failure detector
+// dcfg (ULFM's own is the ring heartbeat, detect.RingDefaults()). Every
+// rank, and every spawned replacement, runs entry in the setjmp-style loop
+// of the paper's Figure 3: on a failure error, the world is repaired
+// (revoke, shrink, spawn, merge, agree) and entry re-enters on it; its FTI
+// recovery then rolls application state back to the last checkpoint. An
+// invalid detector configuration panics; validate with
 // detect.Config.Validate (core.Run does) before constructing.
-func NewRuntime(job *mpi.Job, cfg Config, dcfg detect.Config, entry func(*mpi.Rank, *mpi.Comm) error) *Runtime {
+func Supervise(c *simnet.Cluster, cfg Config, dcfg detect.Config, n int, entry func(*mpi.Rank, *mpi.Comm) error) *Runtime {
 	rt := &Runtime{
-		job:    job,
 		entry:  entry,
-		world:  job.World(),
 		rounds: make(map[int]*repairRound),
 	}
+	job := mpi.LaunchPlaced(c, mpi.BlockPlacement(n, c.NumNodes()), 0,
+		func(r *mpi.Rank) error { return rt.resilientLoop(r, r.Job().World()) })
+	rt.job = job
 	job.PerOpOverhead = perOpOverhead
 	job.DeliveryFactor = cfg.DeliveryFactor
 	// Confirmed failures become globally known: blocked operations
 	// involving the process now raise MPIX_ERR_PROC_FAILED.
 	rt.det = detect.MustNew(dcfg, job, func(f detect.Failure) { job.MarkDetected(f.GID) })
-	rt.det.SetProcs(rt.world.Leaders())
+	rt.det.SetProcs(job.World().Leaders())
 	return rt
 }
 
-// World returns the current (possibly repaired) world communicator.
-func (rt *Runtime) World() *mpi.Comm { return rt.world }
+// Job returns the job; its World is the current (possibly repaired) world
+// communicator.
+func (rt *Runtime) Job() *mpi.Job { return rt.job }
 
 // Detector exposes the failure detector (the harness reads its confirmed
 // failures for the detection-latency breakdown).
 func (rt *Runtime) Detector() detect.Detector { return rt.det }
-
-// Stop halts the detector.
-func (rt *Runtime) Stop() { rt.det.Stop() }
 
 func log2ceil(n int) int {
 	if n <= 1 {
@@ -133,15 +135,8 @@ func IsFailureError(err error) bool {
 	return errors.Is(err, mpi.ErrProcFailed) || errors.Is(err, mpi.ErrRevoked)
 }
 
-// RunResilient executes the runtime's resilient main (given to NewRuntime)
-// in the setjmp-style loop of the paper's Figure 3: on a failure error, the
-// world is repaired (revoke, shrink, spawn, merge, agree) and main
-// re-enters on it; main's FTI recovery then rolls application state back
-// to the last checkpoint.
-func (rt *Runtime) RunResilient(r *mpi.Rank) error {
-	return rt.resilientLoop(r, rt.world)
-}
-
+// resilientLoop runs entry on world until it ends without a failure
+// error, repairing the world after each one.
 func (rt *Runtime) resilientLoop(r *mpi.Rank, world *mpi.Comm) error {
 	for {
 		err := rt.entry(r, world)

@@ -24,7 +24,7 @@ func reference(n, iters int) float64 {
 
 // resilientMain builds the Figure 3-style main: FTI on the (possibly
 // repaired) world, iterate with injection and checkpoints, propagate MPI
-// errors up so RunResilient can repair.
+// errors up so the resilient loop can repair.
 func resilientMain(st *storage.System, execID string, iters, stride int,
 	inj *fault.Injector, sums []float64) func(*mpi.Rank, *mpi.Comm) error {
 	return func(r *mpi.Rank, world *mpi.Comm) error {
@@ -70,13 +70,9 @@ func runULFM(t *testing.T, n, iters, stride int, plan fault.Schedule, execID str
 	st := storage.New(c, storage.Config{})
 	inj := fault.NewScheduleInjector(plan)
 	sums := make([]float64, n)
-	main := resilientMain(st, execID, iters, stride, inj, sums)
-	var rt *Runtime
-	job := mpi.LaunchPlaced(c, mpi.BlockPlacement(n, c.NumNodes()), 0,
-		func(r *mpi.Rank) error { return rt.RunResilient(r) })
-	rt = NewRuntime(job, calibrated, detect.RingDefaults(), main)
+	rt := Supervise(c, calibrated, detect.RingDefaults(), n, resilientMain(st, execID, iters, stride, inj, sums))
 	c.Run()
-	for _, e := range job.Errs() {
+	for _, e := range rt.Job().Errs() {
 		t.Errorf("rank error: %v", e)
 	}
 	return rt, sums
@@ -119,6 +115,11 @@ func TestULFMRepairsProcessFailure(t *testing.T) {
 	if rec.Duration() < simnet.Second {
 		t.Fatalf("ULFM recovery %v suspiciously cheap", rec.Duration())
 	}
+	// The job's world is the repaired one: rank 2 is its replacement.
+	if m := rt.Job().World().Member(2); m.Failed() || !m.Completed() || m.GID() < 4 {
+		t.Fatalf("world rank 2 is gid %d (failed %v, completed %v), want a completed replacement",
+			m.GID(), m.Failed(), m.Completed())
+	}
 }
 
 // ULFM recovery must grow with scale (shrink/merge are O(P); agreement is
@@ -156,20 +157,17 @@ func TestULFMFailureDuringCheckpointCommit(t *testing.T) {
 
 func TestULFMAppliesRuntimeOverheads(t *testing.T) {
 	c := simnet.NewCluster(simnet.Config{Nodes: 2})
-	job := mpi.Launch(c, 2, 0, func(r *mpi.Rank) {})
-	rt := NewRuntime(job, calibrated, detect.RingDefaults(), func(*mpi.Rank, *mpi.Comm) error { return nil })
-	if job.PerOpOverhead == 0 || job.DeliveryFactor == 0 {
+	rt := Supervise(c, calibrated, detect.RingDefaults(), 2, func(*mpi.Rank, *mpi.Comm) error { return nil })
+	if job := rt.Job(); job.PerOpOverhead == 0 || job.DeliveryFactor == 0 {
 		t.Fatal("runtime did not install amended-interface overheads")
 	}
-	rt.Stop()
 	c.Run()
 }
 
 func TestCommRevokePrimitives(t *testing.T) {
 	c := simnet.NewCluster(simnet.Config{Nodes: 2})
 	var rt *Runtime
-	job := mpi.Launch(c, 4, 0, func(r *mpi.Rank) {
-		w := r.Job().World()
+	rt = Supervise(c, calibrated, detect.RingDefaults(), 4, func(r *mpi.Rank, w *mpi.Comm) error {
 		if r.Rank(w) == 0 {
 			rt.CommRevoke(r, w)
 			if !w.Revoked() {
@@ -182,10 +180,9 @@ func TestCommRevokePrimitives(t *testing.T) {
 				t.Errorf("blocked recv after revoke: %v", err)
 			}
 		}
+		return nil
 	})
-	rt = NewRuntime(job, calibrated, detect.RingDefaults(), nil)
 	c.Run()
-	rt.Stop()
 }
 
 func TestCommShrinkDropsFailed(t *testing.T) {
@@ -193,8 +190,7 @@ func TestCommShrinkDropsFailed(t *testing.T) {
 	c.Scheduler().SetDeadline(10 * 60 * simnet.Second)
 	var rt *Runtime
 	sizes := make([]int, 4)
-	job := mpi.Launch(c, 4, 0, func(r *mpi.Rank) {
-		w := r.Job().World()
+	rt = Supervise(c, calibrated, detect.RingDefaults(), 4, func(r *mpi.Rank, w *mpi.Comm) error {
 		if r.Rank(w) == 3 {
 			r.Die()
 		}
@@ -203,7 +199,7 @@ func TestCommShrinkDropsFailed(t *testing.T) {
 		sh, err := rt.CommShrink(r, w)
 		if err != nil {
 			t.Errorf("shrink: %v", err)
-			return
+			return nil
 		}
 		sizes[r.Rank(w)] = sh.Size()
 		if got := r.Rank(sh); got != r.Rank(w) {
@@ -218,8 +214,8 @@ func TestCommShrinkDropsFailed(t *testing.T) {
 		if err := mpi.Barrier(r, sh); err != nil {
 			t.Errorf("rank %d: barrier on the shrunk communicator: %v", r.Rank(w), err)
 		}
+		return nil
 	})
-	rt = NewRuntime(job, calibrated, detect.RingDefaults(), nil)
 	c.Run()
 	for i := 0; i < 3; i++ {
 		if sizes[i] != 3 {
